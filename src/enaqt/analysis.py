@@ -26,7 +26,6 @@ import numpy as np
 
 from .errors import EnaqtError, TruncationError, ValidationError
 from .model import (
-    DENSE_LIMIT,
     SystemSpec,
     Topology,
     build_hamiltonian,
@@ -34,6 +33,7 @@ from .model import (
     state_density,
 )
 from .solver import (
+    DENSE_SOLVE_MAX_N,
     EigenbasisSteadySolver,
     efficiency_direct,
     efficiency_gamma_grid,
@@ -87,7 +87,9 @@ class EnaqtResult:
 @dataclass(frozen=True)
 class InfiniteChainResult(EnaqtResult):
     """EnaqtResult for the truncated half-infinite chain, plus the
-    truncation sizes that certified it."""
+    truncation sizes that certified it.  method joins the solve routes
+    used at the reported size ("direct", "direct-eigenbasis",
+    "direct-sparse"), or is "trivial" when kappa = 0."""
 
     offset: int
     left: int
@@ -187,22 +189,42 @@ def efficiency_curve(spec: SystemSpec, gamma_grid) -> list:
     return [(float(g), float(e)) for g, e in zip(gammas, etas)]
 
 
+def _shared_solver(spec: SystemSpec):
+    """One EigenbasisSteadySolver for every gamma at spec's geometry and
+    rates, or None where the dense direct solve is the engine."""
+    if spec.n > DENSE_SOLVE_MAX_N:
+        return EigenbasisSteadySolver(spec)
+    return None
+
+
+def _eta_fn(spec: SystemSpec, solver):
+    """gamma -> eta at spec's geometry and rates, through `solver` when
+    there is one (see _shared_solver)."""
+    if solver is not None:
+        return solver.eta
+    return lambda g: efficiency_direct(spec.with_gamma(g)).eta
+
+
 def optimize_dephasing(spec: SystemSpec, grid_points: int = 64,
                        refine_tol: float = 1e-4) -> EnaqtResult:
     """Maximize eta over gamma in [0, 1e4] for fixed (kappa, mu).
 
     The gamma = 0 endpoint is always evaluated separately; when no
     interior point beats it the result reports gamma_opt = 0 and xi = 0.
-    spec's own gamma field is ignored.
+    spec's own gamma field is ignored.  Above DENSE_SOLVE_MAX_N sites one
+    eigendecomposition serves the endpoint, the grid and the refinement.
     """
     _check_positive_rates(spec.kappa, spec.mu)
+    return _optimize(spec, _shared_solver(spec), grid_points, refine_tol)
+
+
+def _optimize(spec, solver, grid_points, refine_tol) -> EnaqtResult:
+    """optimize_dephasing's scan and refinement, through `solver` when
+    there is one (see _shared_solver)."""
     grid = np.geomspace(*GAMMA_BOUNDS, grid_points)
-    etas = efficiency_gamma_grid(spec, grid)
-    eta0 = float(efficiency_direct(spec.with_gamma(0.0)).eta)
-
-    def point(g):
-        return efficiency_direct(spec.with_gamma(g)).eta
-
+    point = _eta_fn(spec, solver)
+    eta0 = float(point(0.0))
+    etas = efficiency_gamma_grid(spec, grid, solver=solver)
     g_best, eta_best = _golden_max(
         point,
         np.concatenate([[0.0], grid]),
@@ -578,17 +600,24 @@ def infinite_chain_enaqt(kappa: float, mu: float, offset: int = 1,
             n_total=left + offset + right, truncation_delta=0.0,
             method="trivial")
 
-    def eta_at(lsize, rsize, gamma):
-        spec = semi_infinite_spec(kappa, mu, gamma, offset, lsize, rsize)
-        return efficiency_direct(spec).eta
-
     probe_gammas = (0.0, 1.0)
+
+    def truncation(lsize, rsize):
+        # one solver per truncation serves both probe rates and, for the
+        # accepted truncation, the whole optimization
+        spec = semi_infinite_spec(kappa, mu, 0.0, offset, lsize, rsize)
+        return spec, _shared_solver(spec)
+
+    def probe(spec, solver):
+        eta_fn = _eta_fn(spec, solver)
+        return [eta_fn(g) for g in probe_gammas]
+
+    spec0, solver = truncation(left, right)
     while True:
-        base = [eta_at(left, right, g) for g in probe_gammas]
-        deltas = [abs(eta_at(2 * left, right, g) - e)
-                  for g, e in zip(probe_gammas, base)]
-        deltas += [abs(eta_at(left, 2 * right, g) - e)
-                   for g, e in zip(probe_gammas, base)]
+        base = probe(spec0, solver)
+        deltas = [abs(e - b)
+                  for sizes in ((2 * left, right), (left, 2 * right))
+                  for e, b in zip(probe(*truncation(*sizes)), base)]
         delta = max(deltas)
         if delta < TRUNCATION_TOL:
             break
@@ -599,41 +628,15 @@ def infinite_chain_enaqt(kappa: float, mu: float, offset: int = 1,
                 f"truncation not converged below {TRUNCATION_TOL:g} within "
                 f"{SITE_CAP_INFINITE} sites (best delta {delta:.3e})",
                 achieved_delta=delta)
+        spec0, solver = truncation(left, right)
 
-    spec0 = semi_infinite_spec(kappa, mu, 0.0, offset, left, right)
-    methods = set()
-    if spec0.n > DENSE_LIMIT:
-        shared = EigenbasisSteadySolver(spec0)
-        warm = {"pops": None}
-
-        def eta_fn(g):
-            eta, _, _, meth, pops = shared.efficiency(
-                g, warm_start=warm["pops"])
-            methods.add(meth)
-            if meth == "direct-eigenbasis":
-                warm["pops"] = pops
-            return eta
-    else:
-        def eta_fn(g):
-            methods.add("direct")
-            return efficiency_direct(spec0.with_gamma(g)).eta
-
-    grid = np.geomspace(*GAMMA_BOUNDS, grid_points)
-    eta0 = eta_fn(0.0)
-    etas = np.array([eta_fn(g) for g in grid])
-    g_best, eta_best = _golden_max(
-        eta_fn,
-        np.concatenate([[0.0], grid]),
-        np.concatenate([[eta0], etas]),
-        refine_tol)
-    if g_best == 0.0 or eta_best <= eta0:
-        eta_max, gamma_opt, xi = eta0, 0.0, 0.0
-    else:
-        eta_max, gamma_opt, xi = eta_best, g_best, eta_best - eta0
+    res = _optimize(spec0, solver, grid_points, refine_tol)
+    method = ("direct" if solver is None
+              else "+".join(sorted(solver.routes)))
     return InfiniteChainResult(
-        eta0, eta_max, gamma_opt, xi, offset=offset, left=left, right=right,
-        n_total=spec0.n, truncation_delta=delta,
-        method="+".join(sorted(methods)))
+        res.eta0, res.eta_max, res.gamma_opt, res.xi, offset=offset,
+        left=left, right=right, n_total=spec0.n, truncation_delta=delta,
+        method=method)
 
 
 def _sweep_cell(task):

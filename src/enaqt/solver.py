@@ -12,15 +12,20 @@ Three independent routes are implemented and cross-validated:
 * efficiency_accumulator -- augmented-generator solve reading one coordinate
 * propagate            -- adaptive Runge-Kutta integration of the motion
 
-For chains of several hundred sites the dense n^2 x n^2 solve is replaced by
-a population-space reduction in the eigenbasis of H, with a sparse-LU
-fallback for dephasing rates where the iterative solve stagnates.
+The steady solve has one engine per size.  Up to DENSE_SOLVE_MAX_N sites
+it is a gated LU of the dense n^2 x n^2 generator (batched over gamma
+grids).  Above it, EigenbasisSteadySolver reduces the solve to the n site
+populations in the eigenbasis of H and solves that system by GMRES, with a
+sparse LU of the full generator as its single fallback.  Both routes certify
+every answer by the residual of the full generator.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +37,7 @@ from .errors import SingularSystemError, StiffnessError, ValidationError
 from .model import (
     DENSE_LIMIT,
     DensityState,
+    Superoperator,
     SystemSpec,
     as_density_vec,
     build_hamiltonian,
@@ -55,7 +61,12 @@ __all__ = [
 RESID_ACCEPT = 1e-9   # relative residual above which a solve is rejected
 RCOND_FLOOR = 1e-12   # reciprocal condition estimate below which we refuse
 REAL_TOL = 1e-10      # allowed imaginary leakage in probabilities
-BATCH_DIM_LIMIT = 400  # stack gamma grids only while n^2 stays this small
+# Largest n solved by the dense n^2 x n^2 LU; every larger system goes to
+# EigenbasisSteadySolver (at gamma = 0.5 the two cost 5.0 and 3.4 ms at
+# n = 16, 28 and 5 ms at n = 24, 1035 and 10 ms at n = 48).
+DENSE_SOLVE_MAX_N = 16
+
+_log = logging.getLogger("enaqt")
 
 
 @dataclass(frozen=True)
@@ -125,27 +136,36 @@ def _gated_solve(mat: np.ndarray, rhs: np.ndarray):
     x = sla.lu_solve((lu, piv), rhs, check_finite=False)
     resid = np.linalg.norm(mat @ x - rhs) / bnorm
     if resid > 1e-10:
-        # Mixed-precision iterative refinement.  Near-singular systems
-        # (mu ~ 1e-8) have solutions of norm ~1/mu, putting the plain
-        # double-precision residual floor (eps*|L|*|x|) above the
-        # acceptance threshold; computing the residual in extended
-        # precision pushes the true residual back below it.
         mat_ld = mat.astype(np.clongdouble)
-        rhs_ld = rhs.astype(np.clongdouble)
-        x_ld = x.astype(np.clongdouble)
-        for attempt in range(4):
-            r_ld = mat_ld @ x_ld - rhs_ld
-            resid = float(np.sqrt((np.abs(r_ld) ** 2).sum())) / bnorm
-            if resid <= 1e-10 or attempt == 3:
-                break
-            dx = sla.lu_solve((lu, piv), np.asarray(r_ld, dtype=complex),
-                              check_finite=False)
-            x_ld = x_ld - dx
-        x = np.asarray(x_ld, dtype=complex)
+        x, resid = _refine(
+            lambda v: mat_ld @ v,
+            lambda r: sla.lu_solve((lu, piv), r, check_finite=False),
+            x, rhs, bnorm)
     if resid > RESID_ACCEPT:
         raise SingularSystemError(
             f"solve residual {resid:.2e} exceeds {RESID_ACCEPT:.0e}")
     return x, float(resid)
+
+
+def _refine(apply_ld, solve, x, rhs, bnorm):
+    """Mixed-precision iterative refinement of a solve of L x = rhs.
+
+    Near-singular systems (mu ~ 1e-8) have solutions of norm ~1/mu,
+    putting the plain double-precision residual floor (eps*|L|*|x|) above
+    the acceptance threshold; computing the residual in extended precision
+    (apply_ld maps an extended-precision x to L x) and correcting with the
+    double-precision `solve` pushes the true residual back below it.
+    Returns (x, relative_residual).
+    """
+    rhs_ld = rhs.astype(np.clongdouble)
+    x_ld = x.astype(np.clongdouble)
+    for attempt in range(4):
+        r_ld = apply_ld(x_ld) - rhs_ld
+        resid = float(np.sqrt((np.abs(r_ld) ** 2).sum())) / bnorm
+        if resid <= 1e-10 or attempt == 3:
+            break
+        x_ld = x_ld - solve(np.asarray(r_ld, dtype=complex))
+    return np.asarray(x_ld, dtype=complex), float(resid)
 
 
 def _branching(spec: SystemSpec, x: np.ndarray):
@@ -165,6 +185,11 @@ def efficiency_direct(spec: SystemSpec, rho0=None) -> EfficiencyReport:
     trapping reaches every part of the initial state, and reads off
     eta = 2*kappa*sum_traps x[tau,tau], eta_loss = 2*mu*tr x.
 
+    Up to DENSE_SOLVE_MAX_N sites the dense generator is LU-factored
+    (method "direct").  Larger systems are solved in population space by
+    EigenbasisSteadySolver ("direct-eigenbasis"), or by its sparse-LU
+    fallback ("direct-sparse") when that answer fails certification.
+
     Parameters
     ----------
     spec : SystemSpec
@@ -176,12 +201,12 @@ def efficiency_direct(spec: SystemSpec, rho0=None) -> EfficiencyReport:
     ------
     SingularSystemError
         If the generator is singular (dark state at mu = 0) or the solve
-        residual is not acceptable.
+        residual or imaginary leakage is not acceptable.
     """
     n = spec.n
     vec0 = (site_density(n, spec.initial_site) if rho0 is None
             else as_density_vec(rho0, n))
-    if n > DENSE_LIMIT:
+    if n > DENSE_SOLVE_MAX_N:
         solver = EigenbasisSteadySolver(spec)
         eta, eta_loss, resid, method = solver.efficiency(
             spec.gamma, rho0=vec0)[:4]
@@ -371,13 +396,17 @@ def survival_probability(traj: Trajectory, t):
     return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
 
-def efficiency_gamma_grid(spec: SystemSpec, gammas) -> np.ndarray:
+def efficiency_gamma_grid(spec: SystemSpec, gammas,
+                          solver: EigenbasisSteadySolver | None = None
+                          ) -> np.ndarray:
     """eta evaluated at each dephasing rate on the grid.
 
-    The workhorse behind curve evaluation and gamma optimization.  For
-    small systems all grid points are solved as one stacked LU; mid-size
-    systems fall back to a per-point gated solve, and large systems use the
-    eigenbasis-reduced path with warm starts along the grid.
+    The workhorse behind curve evaluation and gamma optimization.  Up to
+    DENSE_SOLVE_MAX_N sites all grid points are solved as one stacked LU
+    of the dense generator, redone point by point when one of them is
+    near-singular.  Larger systems go through one EigenbasisSteadySolver
+    for the whole grid, warm-started along it; pass `solver` (built for
+    spec's geometry and rates) to reuse one across calls.
 
     Raises the per-point solver error with the failing gamma attached.
     """
@@ -387,26 +416,10 @@ def efficiency_gamma_grid(spec: SystemSpec, gammas) -> np.ndarray:
     if np.any(gammas < 0):
         raise ValidationError("gamma grid must be non-negative")
     n = spec.n
-    if n > DENSE_LIMIT:
-        solver = EigenbasisSteadySolver(spec)
-        etas = np.empty(gammas.size)
-        warm = None
-        for i, g in enumerate(gammas):
-            try:
-                eta, _, _, _, warm = solver.efficiency(g, warm_start=warm)
-            except SingularSystemError as exc:
-                raise SingularSystemError(
-                    f"gamma={g:g}: {exc}") from exc
-            etas[i] = eta
-        return etas
-    if n * n > BATCH_DIM_LIMIT:
-        etas = np.empty(gammas.size)
-        for i, g in enumerate(gammas):
-            try:
-                etas[i] = efficiency_direct(spec.with_gamma(g)).eta
-            except SingularSystemError as exc:
-                raise SingularSystemError(f"gamma={g:g}: {exc}") from exc
-        return etas
+    if n > DENSE_SOLVE_MAX_N:
+        if solver is None:
+            solver = EigenbasisSteadySolver(spec)
+        return _pointwise(solver.eta, gammas)
 
     base = build_liouvillian(spec.with_gamma(0.0), dense=True).matrix
     deph = -2.0 * (1.0 - np.eye(n)).reshape(-1)
@@ -434,13 +447,8 @@ def efficiency_gamma_grid(spec: SystemSpec, gammas) -> np.ndarray:
     if xs is None:
         # At least one grid point is near-singular; redo pointwise so the
         # offending gamma is reported.
-        etas = np.empty(gammas.size)
-        for i, g in enumerate(gammas):
-            try:
-                etas[i] = efficiency_direct(spec.with_gamma(g)).eta
-            except SingularSystemError as exc:
-                raise SingularSystemError(f"gamma={g:g}: {exc}") from exc
-        return etas
+        return _pointwise(
+            lambda g: efficiency_direct(spec.with_gamma(g)).eta, gammas)
     tidx = np.array([population_index(n, t) for t in spec.trap_sites],
                     dtype=int)
     if tidx.size == 0:
@@ -449,21 +457,56 @@ def efficiency_gamma_grid(spec: SystemSpec, gammas) -> np.ndarray:
     return etas
 
 
-class EigenbasisSteadySolver:
-    """Steady-integral solver for large chains.
+def _pointwise(eta_fn, gammas) -> np.ndarray:
+    """eta_fn at every gamma, with the failing gamma named in the error."""
+    etas = np.empty(gammas.size)
+    for i, g in enumerate(gammas):
+        try:
+            etas[i] = eta_fn(g)
+        except SingularSystemError as exc:
+            raise SingularSystemError(f"gamma={g:g}: {exc}") from exc
+    return etas
 
-    One eigendecomposition of the n x n generator H is shared across all
-    dephasing rates: with A = (coherent part) - 2*gamma, the steady integral
-    X solves A(X) + 2*gamma*Diag(diag X) = -rho0, so the populations
-    p = diag(X) satisfy the n-dimensional system
+
+class EigenbasisSteadySolver:
+    """Population-space steady-integral solver, the engine for every
+    n > DENSE_SOLVE_MAX_N.
+
+    One eigendecomposition H = S diag(lam) S^-1 of the n x n generator is
+    shared across all dephasing rates.  With c_pq = -i(lam_p - conj(lam_q))
+    the coherent part with uniform dephasing,
+    A(X) = -i(H X - X H^dag) - 2*gamma*X, is diagonal in that basis:
+
+        A(X) = S [(S^-1 X S^-dag) o D] S^dag,   D = c - 2*gamma.
+
+    The steady integral X solves A(X) + 2*gamma*Diag(diag X) = -rho0, so
+    the populations p = diag(X) satisfy the n-dimensional system
 
         (I + 2*gamma*M) p = -diag(A^-1 rho0),   M(p) = diag(A^-1 Diag(p)).
 
-    A is diagonal in the eigenbasis, each matrix-vector product costs two
-    dense n x n multiplies, and the system is solved by GMRES with warm
-    starts.  Rates where GMRES stagnates (observed only at gamma ~ 1e4)
-    fall back to a sparse LU of the full vectorized generator.  Every
-    result is certified by the residual of the full system.
+    Because S S^-1 = I, the identity cancels exactly inside the
+    eigenbasis:
+
+        (I + 2*gamma*M) p = diag(S [(S^-1 Diag(p) S^-dag) o R] S^dag),
+        R = c / (c - 2*gamma),
+
+    and GMRES applies the operator in that form, at the cost of two dense
+    n x n products per matvec, as for M alone.  The form matters at strong
+    dephasing: p + 2*gamma*M(p) adds two O(|p|) terms whose sum is
+    O(|p|/gamma), so that product loses about log10(gamma) digits and from
+    gamma ~ 1e3 on GMRES stalls short of its tolerance.  In the form above
+    |R| <= 1 for every gamma > 0 (Re c <= 0), and GMRES converges at
+    every gamma.  The full steady integral is rebuilt the
+    same way, -2*gamma*A^-1(Diag p) = Diag(p) - S[(S^-1 Diag(p) S^-dag) o
+    R]S^dag, which keeps its residual near working precision.
+
+    Every result is certified by the residual of the full generator,
+    refined in extended precision when it exceeds 1e-10 (near-singular
+    systems, mu ~ 1e-8), as in the dense LU route.  A solve whose
+    residual exceeds RESID_ACCEPT, or whose eta or eta_loss carries an
+    imaginary part above REAL_TOL, is redone once by a sparse LU of the
+    full vectorized generator; SingularSystemError is raised only if that
+    answer fails the same checks.
     """
 
     GMRES_RESTART = 60
@@ -471,83 +514,149 @@ class EigenbasisSteadySolver:
 
     def __init__(self, spec: SystemSpec):
         self.spec = spec.with_gamma(0.0)
-        h = build_hamiltonian(spec)
-        lam, s = np.linalg.eig(h)
-        self.lam = lam
+        self.n = spec.n
+        self.h = build_hamiltonian(spec)
+        lam, s = np.linalg.eig(self.h)
         self.s = s
         self.sinv = np.linalg.inv(s)
-        self.n = spec.n
+        self.c = -1j * (lam[:, None] - lam[None, :].conj())
         self.tidx = np.asarray(spec.trap_sites, dtype=int)
         self._sparse_base = None
+        self._warm = None
+        self.routes = Counter()  # accepted solves per method
 
-    def _dmat(self, gamma):
-        lam = self.lam
-        return -1j * (lam[:, None] - lam[None, :].conj()) - 2.0 * gamma
+    def _to_eigen(self, xmat):
+        """S^-1 X S^-dag."""
+        return self.sinv @ xmat @ self.sinv.conj().T
 
-    def _ainv_diag_of_diag(self, p, gamma):
-        """diag(A^-1 Diag(p)) in site basis; the GMRES matvec kernel."""
-        b, s = self.sinv, self.s
-        w = ((b * p[None, :]) @ b.conj().T) / self._dmat(gamma)
-        return ((s @ w) * s.conj()).sum(axis=1)
+    def _from_eigen(self, w):
+        """S W S^dag."""
+        return self.s @ w @ self.s.conj().T
 
     def _ainv(self, rmat, gamma):
-        """Full A^-1 R for an arbitrary n x n matrix R."""
+        """A^-1 R for an arbitrary n x n matrix R."""
+        return self._from_eigen(self._to_eigen(rmat) / (self.c - 2.0 * gamma))
+
+    def _ratio(self, gamma):
+        """R = c / (c - 2*gamma), the eigenbasis image of I + 2*gamma*M."""
+        return self.c / (self.c - 2.0 * gamma)
+
+    def _population_matvec(self, gamma):
+        """p -> (I + 2*gamma*M) p, in the cancellation-free form."""
         b, s = self.sinv, self.s
-        w = (b @ rmat @ b.conj().T) / self._dmat(gamma)
-        return s @ w @ s.conj().T
+        ratio = self._ratio(gamma)
 
-    def _full_residual(self, xmat, gamma, rho0_mat):
-        spec = self.spec.with_gamma(gamma)
-        lop = build_liouvillian(spec, dense=False)
-        r = lop.apply(xmat.reshape(-1)) + rho0_mat.reshape(-1)
-        return float(np.linalg.norm(r) / np.linalg.norm(rho0_mat))
+        def matvec(p):
+            w = ((b * p[None, :]) @ b.conj().T) * ratio
+            return ((s @ w) * s.conj()).sum(axis=1)
 
-    def _sparse_solve(self, gamma, rho0_vec):
+        return matvec
+
+    def _solve(self, rhs_mat, gamma, warm_start, stats):
+        """X with L(X) = rhs_mat, by GMRES on the populations.
+
+        The populations p = diag(X) solve (I + 2*gamma*M) p =
+        diag(A^-1 rhs); X = A^-1(rhs - 2*gamma*Diag p) is then rebuilt
+        cancellation-free.  stats collects the GMRES info flag and the
+        matvec count.
+        """
+        n = self.n
+        base = self._ainv(rhs_mat, gamma)
+        if gamma == 0.0:
+            return base
+        apply = self._population_matvec(gamma)
+
+        def matvec(p):
+            stats["matvecs"] += 1
+            return apply(p)
+
+        op = spla.LinearOperator((n, n), matvec=matvec, dtype=complex)
+        pops, stats["info"] = spla.gmres(
+            op, base.diagonal(), x0=warm_start, rtol=1e-12, atol=0.0,
+            restart=self.GMRES_RESTART, maxiter=self.GMRES_MAXITER)
+        pmat = np.diag(pops)
+        return base + pmat - self._from_eigen(
+            self._to_eigen(pmat) * self._ratio(gamma))
+
+    def _refined(self, xmat, gamma, rhs_mat, solve):
+        """(X, relative residual) of L(X) = rhs_mat on the full generator,
+        refined in extended precision when the residual is above 1e-10;
+        solve(R) returns the double-precision solution of L(Z) = R."""
+        n = self.n
+        rhs = rhs_mat.reshape(-1)
+        bnorm = np.linalg.norm(rhs)
+        lop = Superoperator(n, gamma, self.h)
+        resid = float(np.linalg.norm(lop.apply(xmat.reshape(-1)) - rhs)
+                      / bnorm)
+        if resid > 1e-10:
+            lop_ld = Superoperator(n, gamma, self.h.astype(np.clongdouble))
+            x, resid = _refine(
+                lop_ld.apply,
+                lambda r: solve(r.reshape(n, n)).reshape(-1),
+                xmat.reshape(-1), rhs, bnorm)
+            xmat = x.reshape(n, n)
+        return xmat, resid
+
+    def _probabilities(self, xmat):
+        """(eta, eta_loss), still complex, from the steady integral."""
+        pops = xmat.diagonal()
+        return (2.0 * self.spec.kappa * pops[self.tidx].sum(),
+                2.0 * self.spec.mu * pops.sum())
+
+    def _sparse_lu(self, gamma):
         if self._sparse_base is None:
-            h = sp.csr_matrix(build_hamiltonian(self.spec))
+            h = sp.csr_matrix(self.h)
             eye = sp.identity(self.n, format="csr")
             base = (-1j * sp.kron(h, eye) + 1j * sp.kron(eye, h.conj()))
             self._sparse_base = base.tocsr()
             self._deph_diag = -2.0 * (1.0 - np.eye(self.n)).reshape(-1)
         mat = self._sparse_base + sp.diags(gamma * self._deph_diag)
-        lu = spla.splu(mat.tocsc())
-        return lu.solve(-rho0_vec)
+        try:
+            return spla.splu(mat.tocsc())
+        except RuntimeError as exc:
+            raise SingularSystemError(
+                f"sparse fallback failed at gamma={gamma:g}: {exc}") from exc
 
     def efficiency(self, gamma, rho0=None, warm_start=None):
         """Returns (eta, eta_loss, residual, method, populations)."""
-        spec = self.spec
         n = self.n
         if rho0 is None:
-            rho0 = site_density(n, spec.initial_site)
-        rho0_mat = rho0.reshape(n, n)
-        g0 = self._ainv(rho0_mat, gamma).diagonal()
+            rho0 = site_density(n, self.spec.initial_site)
+        rhs = -rho0.reshape(n, n)
+        stats = {"info": None, "matvecs": 0}
         method = "direct-eigenbasis"
-        if gamma == 0.0:
-            pops = -g0
-        else:
-            def matvec(p):
-                return p + 2.0 * gamma * self._ainv_diag_of_diag(p, gamma)
-
-            op = spla.LinearOperator((n, n), matvec=matvec, dtype=complex)
-            pops, _ = spla.gmres(
-                op, -g0, x0=warm_start, rtol=1e-12, atol=0.0,
-                restart=self.GMRES_RESTART, maxiter=self.GMRES_MAXITER)
-        # Reconstruct the full steady integral to certify the residual.
-        xmat = self._ainv(
-            -rho0_mat - 2.0 * gamma * np.diag(pops), gamma)
-        resid = self._full_residual(xmat, gamma, rho0_mat)
-        if resid > RESID_ACCEPT:
-            xvec = self._sparse_solve(gamma, rho0_mat.reshape(-1))
-            xmat = xvec.reshape(n, n)
-            resid = self._full_residual(xmat, gamma, rho0_mat)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xmat, resid = self._refined(
+                self._solve(rhs, gamma, warm_start, stats), gamma, rhs,
+                lambda r: self._solve(r, gamma, None, stats))
+        eta, eta_loss = self._probabilities(xmat)
+        if not (resid <= RESID_ACCEPT and abs(eta.imag) <= REAL_TOL
+                and abs(eta_loss.imag) <= REAL_TOL):
             method = "direct-sparse"
-            if resid > RESID_ACCEPT:
-                raise SingularSystemError(
-                    f"residual {resid:.2e} after sparse fallback")
-            pops = xmat.diagonal()
-        eta = _real_checked(
-            2.0 * spec.kappa * xmat.diagonal()[self.tidx].sum(),
-            "trapped probability")
-        eta_loss = _real_checked(
-            2.0 * spec.mu * np.trace(xmat), "lost probability")
-        return eta, eta_loss, resid, method, np.ascontiguousarray(pops)
+            lu = self._sparse_lu(gamma)
+
+            def solve(r):
+                return lu.solve(r.reshape(-1)).reshape(n, n)
+
+            xmat, resid = self._refined(solve(rhs), gamma, rhs, solve)
+            eta, eta_loss = self._probabilities(xmat)
+        _log.debug("eigenbasis solve n=%d gamma=%g gmres_info=%s matvecs=%d "
+                   "route=%s", n, gamma, stats["info"], stats["matvecs"],
+                   method)
+        if not resid <= RESID_ACCEPT:
+            hint = ("; with mu = 0 a dark state never decays -- evaluate at "
+                    "mu = 1e-8 for the mu -> 0+ limit"
+                    if self.spec.mu == 0 else "")
+            raise SingularSystemError(
+                f"residual {resid:.2e} after sparse fallback{hint}")
+        eta = _real_checked(eta, "trapped probability")
+        eta_loss = _real_checked(eta_loss, "lost probability")
+        self.routes[method] += 1
+        return eta, eta_loss, resid, method, xmat.diagonal().copy()
+
+    def eta(self, gamma):
+        """eta at gamma for the initial site, warm-started from the
+        populations of the previous call on this solver."""
+        eta, _, _, _, self._warm = self.efficiency(
+            gamma, warm_start=self._warm)
+        return eta

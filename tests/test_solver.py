@@ -1,8 +1,12 @@
 """Steady-state and propagation solver tests."""
 
+import logging
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from enaqt import (
     EigenbasisSteadySolver,
@@ -10,14 +14,17 @@ from enaqt import (
     SystemSpec,
     ValidationError,
     build_hamiltonian,
+    build_liouvillian,
     efficiency_accumulator,
     efficiency_direct,
     efficiency_gamma_grid,
+    optimize_dephasing,
     propagate,
     semi_infinite_spec,
     site_density,
     survival_probability,
 )
+from enaqt.solver import _branching, _gated_solve
 
 FIG1B = SystemSpec("chain", 3, (0,), 1, kappa=0.1, mu=0.01, gamma=0.0)
 
@@ -265,3 +272,162 @@ def test_report_is_real_and_clean():
     rep = efficiency_direct(FIG1B)
     assert isinstance(rep.eta, float)
     assert isinstance(rep.eta_loss, float)
+
+
+def _dense_lu_branching(spec):
+    """(eta, eta_loss) from the gated LU of the dense n^2 x n^2 generator."""
+    lmat = build_liouvillian(spec, dense=True).matrix
+    x, _ = _gated_solve(lmat, -site_density(spec.n, spec.initial_site))
+    return _branching(spec, x)
+
+
+def _sparse_lu_branching(spec):
+    """(eta, eta_loss) from a sparse LU of the full vectorized generator,
+    built here from H: L = -i(H x I) + i(I x conj H) - 2 gamma off-diag."""
+    n = spec.n
+    h = sp.csr_matrix(build_hamiltonian(spec))
+    eye = sp.identity(n, format="csr")
+    off = (1.0 - np.eye(n)).reshape(-1)
+    lmat = (-1j * sp.kron(h, eye) + 1j * sp.kron(eye, h.conj())
+            - sp.diags(2.0 * spec.gamma * off))
+    x = spla.splu(lmat.tocsc()).solve(-site_density(n, spec.initial_site))
+    pops = x.reshape(n, n).diagonal()
+    return (2.0 * spec.kappa * pops[list(spec.trap_sites)].sum().real,
+            2.0 * spec.mu * pops.sum().real)
+
+
+@pytest.mark.parametrize("n", [65, 80])
+def test_strong_dephasing_near_kappa_one_is_certified(n):
+    # these solves used to be rejected for ~1e-10 imaginary leakage in
+    # eta_loss after passing the residual gate
+    spec = SystemSpec("chain", n, (0,), 1, 1.0, 0.1, 1e4)
+    rep = efficiency_direct(spec)
+    eta, eta_loss = _sparse_lu_branching(spec)
+    assert rep.eta == pytest.approx(eta, abs=1e-10)
+    assert rep.eta_loss == pytest.approx(eta_loss, abs=1e-10)
+    assert rep.eta + rep.eta_loss == pytest.approx(1.0, abs=1e-9)
+    assert rep.residual < 1e-9
+
+
+def test_long_chain_optimization_near_kappa_one_is_certified():
+    spec = SystemSpec("chain", 128, (0,), 1, 1.0, 0.1, 0.0)
+    res = optimize_dephasing(spec)
+    assert res.eta0 == pytest.approx(
+        _sparse_lu_branching(spec)[0], abs=1e-10)
+    at_opt = spec.with_gamma(res.gamma_opt)
+    eta, eta_loss = _sparse_lu_branching(at_opt)
+    assert res.eta_max == pytest.approx(eta, abs=1e-10)
+    rep = efficiency_direct(at_opt)
+    assert rep.eta + rep.eta_loss == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("gamma", [0.01, 0.5, 5.0])
+def test_population_matvec_is_the_reduced_operator(gamma):
+    # oracle: p + 2 gamma diag(A^-1 Diag p), the form before cancellation
+    spec = SystemSpec("chain", 24, (0,), 5, 3.0, 0.1, 0.0)
+    solver = EigenbasisSteadySolver(spec)
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        p = rng.normal(size=24) + 1j * rng.normal(size=24)
+        naive = p + 2.0 * gamma * solver._ainv(np.diag(p), gamma).diagonal()
+        got = solver._population_matvec(gamma)(p)
+        assert np.linalg.norm(got - naive) <= 1e-12 * np.linalg.norm(naive)
+
+
+@pytest.mark.parametrize("kappa", [1.0, 3.0])
+@pytest.mark.parametrize("n", [17, 24, 40])
+@pytest.mark.parametrize("topology", ["chain", "ring"])
+def test_eigenbasis_engine_matches_dense_lu(topology, n, kappa):
+    for gamma in (0.0, 0.3, 2000.0, 1e4):
+        spec = SystemSpec(topology, n, (0,), n // 3, kappa, 0.1, gamma)
+        rep = efficiency_direct(spec)
+        assert rep.method == "direct-eigenbasis"
+        eta, eta_loss = _dense_lu_branching(spec)
+        assert rep.eta == pytest.approx(eta, abs=1e-10)
+        assert rep.eta_loss == pytest.approx(eta_loss, abs=1e-10)
+
+
+def test_engine_switches_above_sixteen_sites():
+    small = SystemSpec("chain", 16, (0,), 1, 1.0, 0.1, 0.5)
+    large = SystemSpec("chain", 17, (0,), 1, 1.0, 0.1, 0.5)
+    assert efficiency_direct(small).method == "direct"
+    assert efficiency_direct(large).method == "direct-eigenbasis"
+
+
+def _solve_records(caplog):
+    return [r.args for r in caplog.records
+            if r.name == "enaqt" and r.msg.startswith("eigenbasis solve")]
+
+
+def test_gmres_converges_at_strong_dephasing(caplog):
+    spec = SystemSpec("chain", 65, (0,), 1, 3.0, 0.1, 2000.0)
+    with caplog.at_level(logging.DEBUG, logger="enaqt"):
+        rep = efficiency_direct(spec)
+    (record,) = _solve_records(caplog)
+    n, gamma, info, matvecs, route = record
+    assert (n, gamma, info, route) == (65, 2000.0, 0, "direct-eigenbasis")
+    assert 0 < matvecs <= 20
+    assert rep.method == route
+
+
+def test_leakage_sends_the_solve_to_sparse_lu(caplog, monkeypatch):
+    # a solve with a certified residual but imaginary leakage above
+    # REAL_TOL must not be rejected outright: the sparse LU redoes it
+    spec = SystemSpec("chain", 24, (0,), 1, 3.0, 0.1, 0.5)
+    probabilities = EigenbasisSteadySolver._probabilities
+    calls = []
+
+    def leaky(self, xmat):
+        eta, eta_loss = probabilities(self, xmat)
+        calls.append(eta_loss)
+        return eta, eta_loss + (1e-9j if len(calls) == 1 else 0.0)
+
+    monkeypatch.setattr(EigenbasisSteadySolver, "_probabilities", leaky)
+    with caplog.at_level(logging.DEBUG, logger="enaqt"):
+        rep = efficiency_direct(spec)
+    assert len(calls) == 2
+    assert rep.method == "direct-sparse"
+    assert _solve_records(caplog)[0][4] == "direct-sparse"
+    eta, eta_loss = _sparse_lu_branching(spec)
+    assert rep.eta == pytest.approx(eta, abs=1e-12)
+    assert rep.eta_loss == pytest.approx(eta_loss, abs=1e-12)
+
+
+def test_failed_residual_sends_the_solve_to_sparse_lu(monkeypatch):
+    spec = SystemSpec("ring", 20, (0,), 7, 1.0, 0.1, 3.0)
+    monkeypatch.setattr(EigenbasisSteadySolver, "_population_matvec",
+                        lambda self, gamma: lambda p: p)
+    rep = efficiency_direct(spec)
+    assert rep.method == "direct-sparse"
+    assert rep.eta == pytest.approx(_sparse_lu_branching(spec)[0],
+                                    abs=1e-12)
+
+
+def test_leakage_after_fallback_raises(monkeypatch):
+    spec = SystemSpec("chain", 24, (0,), 1, 3.0, 0.1, 0.5)
+    probabilities = EigenbasisSteadySolver._probabilities
+
+    def leaky(self, xmat):
+        eta, eta_loss = probabilities(self, xmat)
+        return eta, eta_loss + 1e-9j
+
+    monkeypatch.setattr(EigenbasisSteadySolver, "_probabilities", leaky)
+    with pytest.raises(SingularSystemError, match="imaginary part"):
+        efficiency_direct(spec)
+
+
+def test_near_dark_limit_above_sixteen_sites():
+    # the eigenbasis engine refines near-singular solves (|X| ~ 1/mu) in
+    # extended precision, as the dense LU does
+    spec = SystemSpec("chain", 21, (10,), 0, 0.1, 1e-8, 0.0)
+    rep = efficiency_direct(spec)
+    assert rep.method == "direct-eigenbasis"
+    assert rep.residual < 1e-9
+    assert rep.eta == pytest.approx(0.5, abs=1e-6)
+    assert rep.eta == pytest.approx(_dense_lu_branching(spec)[0], abs=1e-10)
+
+
+def test_dark_state_above_sixteen_sites_is_singular():
+    spec = SystemSpec("chain", 21, (10,), 0, 0.1, 0.0, 0.0)
+    with pytest.raises(SingularSystemError, match="dark state"):
+        efficiency_direct(spec)
