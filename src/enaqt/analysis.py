@@ -28,12 +28,10 @@ from .errors import EnaqtError, TruncationError, ValidationError
 from .model import (
     SystemSpec,
     Topology,
-    build_hamiltonian,
     semi_infinite_spec,
     state_density,
 )
 from .solver import (
-    DENSE_SOLVE_MAX_N,
     EigenbasisSteadySolver,
     efficiency_direct,
     efficiency_gamma_grid,
@@ -88,8 +86,8 @@ class EnaqtResult:
 class InfiniteChainResult(EnaqtResult):
     """EnaqtResult for the truncated half-infinite chain, plus the
     truncation sizes that certified it.  method joins the solve routes
-    used at the reported size ("direct", "direct-eigenbasis",
-    "direct-sparse"), or is "trivial" when kappa = 0."""
+    used at the reported size ("direct-eigenbasis", "direct-sparse"), or
+    is "trivial" when kappa = 0."""
 
     offset: int
     left: int
@@ -151,10 +149,32 @@ def _check_positive_rates(kappa, mu):
             f"kappa and mu must be > 0, got kappa={kappa!r}, mu={mu!r}")
 
 
+def _golden(f, a, b, tol):
+    """Golden-section search for a maximum of f on [a, b].
+
+    Shrinks the bracket until it is at most tol wide, keeping the side of
+    the larger of the two interior values (ties keep the left), and
+    returns its midpoint.
+    """
+    c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
+    fc, fd = f(c), f(d)
+    while (b - a) > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = f(d)
+    return (a + b) / 2
+
+
 def _golden_max(eta_fn, gammas, etas, refine_tol):
     """Maximize eta over the tabulated grid plus golden refinement.
 
-    gammas[0] must be 0 (the no-dephasing endpoint).  Returns
+    gammas[0] must be 0 (the no-dephasing endpoint).  The refinement runs
+    in log gamma over the neighbours of the best grid point.  Returns
     (gamma_best, eta_best); gamma_best = 0 means the endpoint won.
     """
     i = int(np.argmax(etas))
@@ -162,145 +182,48 @@ def _golden_max(eta_fn, gammas, etas, refine_tol):
         return 0.0, float(etas[0])
     lo = gammas[max(i - 1, 1)]
     hi = gammas[min(i + 1, len(gammas) - 1)]
-    a, b = math.log(lo), math.log(hi)
-    c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
-    fc, fd = eta_fn(math.exp(c)), eta_fn(math.exp(d))
-    while (b - a) > refine_tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = eta_fn(math.exp(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = eta_fn(math.exp(d))
-    g = math.exp((a + b) / 2)
+    g = math.exp(_golden(lambda x: eta_fn(math.exp(x)),
+                         math.log(lo), math.log(hi), refine_tol))
     return g, float(eta_fn(g))
 
 
 def efficiency_curve(spec: SystemSpec, gamma_grid) -> list:
     """eta evaluated at each dephasing rate; returns [(gamma, eta), ...].
 
-    spec's own gamma field is ignored; each grid value is solved
-    independently by the direct route.
+    spec's own gamma field is ignored; the whole grid goes through one
+    EigenbasisSteadySolver (efficiency_gamma_grid), and every value is
+    certified by its own full-generator residual.
     """
     gammas = np.asarray(list(gamma_grid), dtype=float)
     etas = efficiency_gamma_grid(spec, gammas)
     return [(float(g), float(e)) for g, e in zip(gammas, etas)]
 
 
-def _shared_solver(spec: SystemSpec):
-    """One EigenbasisSteadySolver for every gamma at spec's geometry and
-    rates, or None where the dense direct solve is the engine."""
-    if spec.n > DENSE_SOLVE_MAX_N:
-        return EigenbasisSteadySolver(spec)
-    return None
-
-
-def _eta_fn(spec: SystemSpec, solver):
-    """gamma -> eta at spec's geometry and rates, through `solver` when
-    there is one (see _shared_solver)."""
-    if solver is not None:
-        return solver.eta
-    return lambda g: efficiency_direct(spec.with_gamma(g)).eta
-
-
 def optimize_dephasing(spec: SystemSpec, grid_points: int = 64,
                        refine_tol: float = 1e-4) -> EnaqtResult:
     """Maximize eta over gamma in [0, 1e4] for fixed (kappa, mu).
 
-    The gamma = 0 endpoint is always evaluated separately; when no
+    The gamma = 0 endpoint is always evaluated with the grid; when no
     interior point beats it the result reports gamma_opt = 0 and xi = 0.
-    spec's own gamma field is ignored.  Above DENSE_SOLVE_MAX_N sites one
-    eigendecomposition serves the endpoint, the grid and the refinement.
+    spec's own gamma field is ignored.  One EigenbasisSteadySolver, that
+    is one eigendecomposition of H, serves the endpoint, the grid (one
+    batched solve for small systems) and the golden refinement.
     """
     _check_positive_rates(spec.kappa, spec.mu)
-    return _optimize(spec, _shared_solver(spec), grid_points, refine_tol)
+    return _optimize(spec, EigenbasisSteadySolver(spec), grid_points,
+                     refine_tol)
 
 
 def _optimize(spec, solver, grid_points, refine_tol) -> EnaqtResult:
-    """optimize_dephasing's scan and refinement, through `solver` when
-    there is one (see _shared_solver)."""
-    grid = np.geomspace(*GAMMA_BOUNDS, grid_points)
-    point = _eta_fn(spec, solver)
-    eta0 = float(point(0.0))
-    etas = efficiency_gamma_grid(spec, grid, solver=solver)
-    g_best, eta_best = _golden_max(
-        point,
-        np.concatenate([[0.0], grid]),
-        np.concatenate([[eta0], etas]),
-        refine_tol)
+    """optimize_dephasing's scan and refinement through `solver`, an
+    EigenbasisSteadySolver built for spec's geometry and rates."""
+    gammas = np.concatenate([[0.0], np.geomspace(*GAMMA_BOUNDS, grid_points)])
+    etas = efficiency_gamma_grid(spec, gammas, solver=solver)
+    eta0 = float(etas[0])
+    g_best, eta_best = _golden_max(solver.eta, gammas, etas, refine_tol)
     if g_best == 0.0 or eta_best <= eta0:
         return EnaqtResult(eta0, eta0, 0.0, 0.0)
     return EnaqtResult(eta0, eta_best, g_best, eta_best - eta0)
-
-
-class _FastEta:
-    """Population-space eta evaluator used inside plane searches.
-
-    Dephasing only couples to the populations, so the steady integral is
-    found from an n x n system built in the eigenbasis of H: with
-    A = coherent-part - 2*gamma and M(p) = diag(A^-1 Diag(p)), the
-    populations solve (I + 2*gamma*M) p = -diag(A^-1 rho0).  Cost per
-    gamma is O(n^4) instead of the O(n^6) dense solve, which makes the
-    169-cell grid search tractable.  Falls back to the certified dense
-    route whenever the eigenbasis is ill-conditioned or the result shows
-    imaginary leakage; final reported values are always re-derived via
-    optimize_dephasing.
-    """
-
-    def __init__(self, spec: SystemSpec):
-        self.spec = spec
-        self.n = n = spec.n
-        self.ok = True
-        h = build_hamiltonian(spec)
-        try:
-            lam, s = np.linalg.eig(h)
-            binv = np.linalg.inv(s)
-        except np.linalg.LinAlgError:
-            self.ok = False
-            return
-        if np.linalg.cond(s) > 1e10:
-            self.ok = False
-            return
-        self.lam = lam
-        self.s = s
-        # c[l, j, p] = S[l, p] * Binv[p, j]; contracting c against 1/D
-        # gives the reduced coupling matrix M for any gamma.
-        self.c = np.einsum("lp,pj->ljp", s, binv)
-        b0 = binv[:, spec.initial_site]
-        self.w0 = np.outer(b0, b0.conj())
-        self.tidx = np.asarray(spec.trap_sites, dtype=int)
-
-    def eta(self, gamma: float) -> float:
-        if not self.ok:
-            return efficiency_direct(self.spec.with_gamma(gamma)).eta
-        lam = self.lam
-        dmat = -1j * (lam[:, None] - lam[None, :].conj()) - 2.0 * gamma
-        g0 = ((self.s @ (self.w0 / dmat)) * self.s.conj()).sum(axis=1)
-        if gamma == 0.0:
-            pops = -g0
-        else:
-            m = np.einsum("ljp,pq,ljq->lj", self.c, 1.0 / dmat,
-                          self.c.conj())
-            pops = np.linalg.solve(np.eye(self.n) + 2.0 * gamma * m, -g0)
-        if not np.all(np.isfinite(pops)) or np.abs(pops.imag).max() > 1e-8:
-            return efficiency_direct(self.spec.with_gamma(gamma)).eta
-        return float(2.0 * self.spec.kappa * pops[self.tidx].real.sum())
-
-
-def _quick_xi(spec: SystemSpec) -> float:
-    """Coarse xi for plane-search ranking (32-point grid, 1e-3 golden)."""
-    ev = _FastEta(spec)
-    grid = np.geomspace(*GAMMA_BOUNDS, 32)
-    etas = np.array([ev.eta(g) for g in grid])
-    eta0 = ev.eta(0.0)
-    _, eta_best = _golden_max(
-        ev.eta,
-        np.concatenate([[0.0], grid]),
-        np.concatenate([[eta0], etas]),
-        1e-3)
-    return max(0.0, eta_best - eta0)
 
 
 def max_enaqt(topology, n: int, trap_site: int, initial_site: int,
@@ -333,7 +256,9 @@ def max_enaqt(topology, n: int, trap_site: int, initial_site: int,
                        kappa=1.0, mu=1.0, gamma=0.0)
 
     def xi_at(kv, mv):
-        return _quick_xi(spec0.with_rates(kappa=kv, mu=mv))
+        # coarse xi for ranking: 32-point grid, 1e-3 golden tolerance
+        spec = spec0.with_rates(kappa=kv, mu=mv)
+        return _optimize(spec, EigenbasisSteadySolver(spec), 32, 1e-3).xi
 
     grid = np.geomspace(*RATE_BOUNDS, grid_points)
     cells = []
@@ -358,24 +283,13 @@ def max_enaqt(topology, n: int, trap_site: int, initial_site: int,
         for _ in range(sweeps):
             for axis in (0, 1):
                 center = math.log(kk if axis == 0 else mm)
-                a, b = center - step, center + step
 
                 def val(x):
                     v = math.exp(min(max(x, lo_log), hi_log))
                     return xi_at(v, mm) if axis == 0 else xi_at(kk, v)
 
-                c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
-                fc, fd = val(c), val(d)
-                while (b - a) > 1e-3:
-                    if fc >= fd:
-                        b, d, fd = d, c, fc
-                        c = b - _INVPHI * (b - a)
-                        fc = val(c)
-                    else:
-                        a, c, fc = c, d, fd
-                        d = a + _INVPHI * (b - a)
-                        fd = val(d)
-                xbest = math.exp(min(max((a + b) / 2, lo_log), hi_log))
+                x = _golden(val, center - step, center + step, 1e-3)
+                xbest = math.exp(min(max(x, lo_log), hi_log))
                 if axis == 0:
                     kk = xbest
                 else:
@@ -606,11 +520,10 @@ def infinite_chain_enaqt(kappa: float, mu: float, offset: int = 1,
         # one solver per truncation serves both probe rates and, for the
         # accepted truncation, the whole optimization
         spec = semi_infinite_spec(kappa, mu, 0.0, offset, lsize, rsize)
-        return spec, _shared_solver(spec)
+        return spec, EigenbasisSteadySolver(spec)
 
     def probe(spec, solver):
-        eta_fn = _eta_fn(spec, solver)
-        return [eta_fn(g) for g in probe_gammas]
+        return [solver.eta(g) for g in probe_gammas]
 
     spec0, solver = truncation(left, right)
     while True:
@@ -631,8 +544,7 @@ def infinite_chain_enaqt(kappa: float, mu: float, offset: int = 1,
         spec0, solver = truncation(left, right)
 
     res = _optimize(spec0, solver, grid_points, refine_tol)
-    method = ("direct" if solver is None
-              else "+".join(sorted(solver.routes)))
+    method = "+".join(sorted(solver.routes))
     return InfiniteChainResult(
         res.eta0, res.eta_max, res.gamma_opt, res.xi, offset=offset,
         left=left, right=right, n_total=spec0.n, truncation_delta=delta,

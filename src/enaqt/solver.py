@@ -12,12 +12,14 @@ Three independent routes are implemented and cross-validated:
 * efficiency_accumulator -- augmented-generator solve reading one coordinate
 * propagate            -- adaptive Runge-Kutta integration of the motion
 
-The steady solve has one engine per size.  Up to DENSE_SOLVE_MAX_N sites
-it is a gated LU of the dense n^2 x n^2 generator (batched over gamma
-grids).  Above it, EigenbasisSteadySolver reduces the solve to the n site
-populations in the eigenbasis of H and solves that system by GMRES, with a
-sparse LU of the full generator as its single fallback.  Both routes certify
-every answer by the residual of the full generator.
+Every gamma grid and every optimization runs on one engine,
+EigenbasisSteadySolver: it reduces the steady solve to the n site
+populations in the eigenbasis of H, solves that system directly (batched
+over a gamma grid) up to DENSE_SOLVE_MAX_N sites and by GMRES above, and
+falls back to a sparse LU of the full generator.  A single efficiency_direct
+call up to DENSE_SOLVE_MAX_N sites is a gated LU of the dense n^2 x n^2
+generator instead.  Both routes certify every answer by the residual of the
+full generator.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .errors import SingularSystemError, StiffnessError, ValidationError
 from .model import (
     DENSE_LIMIT,
     DensityState,
-    Superoperator,
     SystemSpec,
     as_density_vec,
     build_hamiltonian,
@@ -61,9 +62,11 @@ __all__ = [
 RESID_ACCEPT = 1e-9   # relative residual above which a solve is rejected
 RCOND_FLOOR = 1e-12   # reciprocal condition estimate below which we refuse
 REAL_TOL = 1e-10      # allowed imaginary leakage in probabilities
-# Largest n solved by the dense n^2 x n^2 LU; every larger system goes to
-# EigenbasisSteadySolver (at gamma = 0.5 the two cost 5.0 and 3.4 ms at
-# n = 16, 28 and 5 ms at n = 24, 1035 and 10 ms at n = 48).
+# Largest n for which efficiency_direct uses the dense n^2 x n^2 LU and
+# EigenbasisSteadySolver solves the population system directly; larger
+# systems use the solver's GMRES route (at gamma = 0.5 the dense LU and
+# GMRES cost 5.0 and 3.4 ms at n = 16, 28 and 5 ms at n = 24, 1035 and
+# 10 ms at n = 48).
 DENSE_SOLVE_MAX_N = 16
 
 _log = logging.getLogger("enaqt")
@@ -401,12 +404,12 @@ def efficiency_gamma_grid(spec: SystemSpec, gammas,
                           ) -> np.ndarray:
     """eta evaluated at each dephasing rate on the grid.
 
-    The workhorse behind curve evaluation and gamma optimization.  Up to
-    DENSE_SOLVE_MAX_N sites all grid points are solved as one stacked LU
-    of the dense generator, redone point by point when one of them is
-    near-singular.  Larger systems go through one EigenbasisSteadySolver
-    for the whole grid, warm-started along it; pass `solver` (built for
-    spec's geometry and rates) to reuse one across calls.
+    The workhorse behind curve evaluation and gamma optimization.  The
+    whole grid goes through one EigenbasisSteadySolver (see
+    EigenbasisSteadySolver.eta_grid): one batched direct solve of the
+    population system up to DENSE_SOLVE_MAX_N sites, warm-started GMRES
+    along the grid above it.  Pass `solver` (built for spec's geometry and
+    rates) to reuse one across calls.
 
     Raises the per-point solver error with the failing gamma attached.
     """
@@ -415,46 +418,9 @@ def efficiency_gamma_grid(spec: SystemSpec, gammas,
         raise ValidationError("gamma grid must be a non-empty 1-d sequence")
     if np.any(gammas < 0):
         raise ValidationError("gamma grid must be non-negative")
-    n = spec.n
-    if n > DENSE_SOLVE_MAX_N:
-        if solver is None:
-            solver = EigenbasisSteadySolver(spec)
-        return _pointwise(solver.eta, gammas)
-
-    base = build_liouvillian(spec.with_gamma(0.0), dense=True).matrix
-    deph = -2.0 * (1.0 - np.eye(n)).reshape(-1)
-    vec0 = site_density(n, spec.initial_site)
-    mats = np.broadcast_to(base, (gammas.size, n * n, n * n)).copy()
-    step = np.arange(n * n)
-    mats[:, step, step] += gammas[:, None] * deph[None, :]
-    rhs = np.broadcast_to(-vec0, (gammas.size, n * n))
-    try:
-        xs = np.linalg.solve(mats, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        xs = None
-    if xs is not None:
-        resid = np.linalg.norm(
-            np.einsum("gij,gj->gi", mats, xs) - rhs, axis=1)
-        bad = np.flatnonzero(resid > 1e-10)
-        if bad.size:
-            r_bad = np.einsum("gij,gj->gi", mats[bad], xs[bad]) - rhs[bad]
-            xs[bad] -= np.linalg.solve(mats[bad], r_bad[..., None])[..., 0]
-            resid2 = np.linalg.norm(
-                np.einsum("gij,gj->gi", mats[bad], xs[bad]) - rhs[bad],
-                axis=1)
-            if np.any(resid2 > RESID_ACCEPT):
-                xs = None
-    if xs is None:
-        # At least one grid point is near-singular; redo pointwise so the
-        # offending gamma is reported.
-        return _pointwise(
-            lambda g: efficiency_direct(spec.with_gamma(g)).eta, gammas)
-    tidx = np.array([population_index(n, t) for t in spec.trap_sites],
-                    dtype=int)
-    if tidx.size == 0:
-        return np.zeros(gammas.size)
-    etas = 2.0 * spec.kappa * xs[:, tidx].real.sum(axis=1)
-    return etas
+    if solver is None:
+        solver = EigenbasisSteadySolver(spec)
+    return solver.eta_grid(gammas)
 
 
 def _pointwise(eta_fn, gammas) -> np.ndarray:
@@ -468,9 +434,23 @@ def _pointwise(eta_fn, gammas) -> np.ndarray:
     return etas
 
 
+def _apply_generator(h, g2, xs):
+    """L(X) for X = xs of shape (n, n), or for a stack of shape (G, n, n):
+    -i(H X - X H^dag) - 2*gamma*X on the coherences, with the populations
+    untouched by dephasing.  g2 = 2*gamma is a scalar, or has shape
+    (G, 1, 1) for a stack."""
+    n = h.shape[0]
+    out = -1j * (h @ xs - xs @ h.conj().T)
+    flat = out.reshape(-1, n * n)  # a view: out is a new contiguous array
+    pops = flat[:, ::n + 1].copy()
+    flat -= np.reshape(g2, (-1, 1)) * xs.reshape(-1, n * n)
+    flat[:, ::n + 1] = pops
+    return out
+
+
 class EigenbasisSteadySolver:
-    """Population-space steady-integral solver, the engine for every
-    n > DENSE_SOLVE_MAX_N.
+    """Population-space steady-integral solver, the steady-state engine
+    behind every gamma grid and optimization.
 
     One eigendecomposition H = S diag(lam) S^-1 of the n x n generator is
     shared across all dephasing rates.  With c_pq = -i(lam_p - conj(lam_q))
@@ -488,25 +468,36 @@ class EigenbasisSteadySolver:
     eigenbasis:
 
         (I + 2*gamma*M) p = diag(S [(S^-1 Diag(p) S^-dag) o R] S^dag),
-        R = c / (c - 2*gamma),
+        R = c / (c - 2*gamma).
 
-    and GMRES applies the operator in that form, at the cost of two dense
-    n x n products per matvec, as for M alone.  The form matters at strong
-    dephasing: p + 2*gamma*M(p) adds two O(|p|) terms whose sum is
-    O(|p|/gamma), so that product loses about log10(gamma) digits and from
-    gamma ~ 1e3 on GMRES stalls short of its tolerance.  In the form above
-    |R| <= 1 for every gamma > 0 (Re c <= 0), and GMRES converges at
-    every gamma.  The full steady integral is rebuilt the
-    same way, -2*gamma*A^-1(Diag p) = Diag(p) - S[(S^-1 Diag(p) S^-dag) o
-    R]S^dag, which keeps its residual near working precision.
+    The form matters at strong dephasing: p + 2*gamma*M(p) adds two
+    O(|p|) terms whose sum is O(|p|/gamma), so that product loses about
+    log10(gamma) digits.  In the form above |R| <= 1 for every gamma > 0
+    (Re c <= 0).  Up to DENSE_SOLVE_MAX_N sites the system matrix is
+    assembled explicitly,
 
-    Every result is certified by the residual of the full generator,
-    refined in extended precision when it exceeds 1e-10 (near-singular
-    systems, mu ~ 1e-8), as in the dense LU route.  A solve whose
-    residual exceeds RESID_ACCEPT, or whose eta or eta_loss carries an
-    imaginary part above REAL_TOL, is redone once by a sparse LU of the
-    full vectorized generator; SingularSystemError is raised only if that
-    answer fails the same checks.
+        K[l, j] = sum_pq C[l, j, p] R[p, q] conj(C[l, j, q]),
+        C[l, j, p] = S[l, p] S^-1[p, j],
+
+    for a whole gamma grid at once: the products C[l, j, p] conj(C[l, j, q])
+    are tabulated once per solver as an n^2 x n^2 map, so a grid costs one
+    matrix product and one stacked solve (eta_grid).  Above it GMRES
+    applies the operator at the cost of two dense n x n products per
+    matvec.  The full steady integral is
+    rebuilt the same way, -2*gamma*A^-1(Diag p) = Diag(p) -
+    S[(S^-1 Diag(p) S^-dag) o R]S^dag, which keeps its residual near
+    working precision.
+
+    Every result is certified by the residual of the full generator.  A
+    single solve (efficiency) is refined in extended precision when its
+    residual exceeds 1e-10 (near-singular systems, mu ~ 1e-8), as in the
+    dense LU route; one whose residual then exceeds RESID_ACCEPT, or whose
+    eta or eta_loss carries an imaginary part above REAL_TOL, is redone
+    once by a sparse LU of the full vectorized generator, and
+    SingularSystemError is raised only if that answer fails the same
+    checks.  A point of a batched grid whose residual exceeds 1e-10 or
+    whose probabilities leak above REAL_TOL goes through that single
+    solve.
     """
 
     GMRES_RESTART = 60
@@ -514,13 +505,26 @@ class EigenbasisSteadySolver:
 
     def __init__(self, spec: SystemSpec):
         self.spec = spec.with_gamma(0.0)
-        self.n = spec.n
+        self.n = n = spec.n
         self.h = build_hamiltonian(spec)
         lam, s = np.linalg.eig(self.h)
         self.s = s
         self.sinv = np.linalg.inv(s)
         self.c = -1j * (lam[:, None] - lam[None, :].conj())
         self.tidx = np.asarray(spec.trap_sites, dtype=int)
+        if n <= DENSE_SOLVE_MAX_N:
+            # ct[p, l*n + j] = C[l, j, p] and kmap[p*n + q, l*n + j] =
+            # C[l, j, p] conj(C[l, j, q]): K for a grid is R_flat @ kmap,
+            # with no n^3-per-rate temporaries (a 65-point grid at n = 10
+            # would need 1 MB of them, returned to the system and faulted
+            # in again on every call)
+            ct = (s.T[:, :, None] * self.sinv[:, None, :]).reshape(n, n * n)
+            self._kmap = (ct[:, None, :] * ct.conj()[None, :, :]).reshape(
+                n * n, n * n)
+            self._sdag = s.conj().T
+            self._sinvdag = self.sinv.conj().T
+            self._rhs0 = -site_density(n, spec.initial_site).reshape(n, n)
+            self._weights0 = self._to_eigen(self._rhs0)
         self._sparse_base = None
         self._warm = None
         self.routes = Counter()  # accepted solves per method
@@ -552,15 +556,60 @@ class EigenbasisSteadySolver:
 
         return matvec
 
-    def _solve(self, rhs_mat, gamma, warm_start, stats):
-        """X with L(X) = rhs_mat, by GMRES on the populations.
+    def _direct(self, g2, weights):
+        """(X, diag X) with L(X) = rhs, from a direct solve of the
+        explicitly assembled population system; weights = S^-1 rhs S^-dag.
 
-        The populations p = diag(X) solve (I + 2*gamma*M) p =
-        diag(A^-1 rhs); X = A^-1(rhs - 2*gamma*Diag p) is then rebuilt
-        cancellation-free.  stats collects the GMRES info flag and the
-        matvec count.
+        g2 = 2*gamma is a scalar, giving X of shape (n, n), or an array of
+        shape (G, 1, 1), giving one stacked solve for all G rates.
         """
         n = self.n
+        c = self.c
+        denom = c - g2
+        ratio = c / denom
+        base = self.s @ (weights / denom) @ self._sdag
+        kmat = (ratio.reshape(-1, n * n) @ self._kmap).reshape(ratio.shape)
+        rhs_pops = base.diagonal(axis1=-2, axis2=-1)
+        if kmat.ndim == 2:
+            # LAPACK directly: a third of np.linalg.solve's cost at n ~ 5.
+            # An exactly singular K (info > 0) leaves pops unsolved; the
+            # residual check then rejects the point.
+            pops = sla.lapack.zgesv(kmat, rhs_pops)[2]
+        else:
+            pops = np.linalg.solve(kmat, rhs_pops[..., None])[..., 0]
+        xs = base - self.s @ (
+            ((self.sinv * pops[..., None, :]) @ self._sinvdag) * ratio
+        ) @ self._sdag
+        xs.reshape(-1, n * n)[:, ::n + 1] += pops
+        return xs, pops
+
+    def _direct_etas(self, g2):
+        """(eta, certified, residual) at the initial site from _direct;
+        certified is False where the full-generator residual exceeds 1e-10
+        or eta or eta_loss carries an imaginary part above REAL_TOL."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xs, pops = self._direct(g2, self._weights0)
+            # relative residual; |rhs| = 1 for a site-localized start
+            r = _apply_generator(self.h, g2, xs) - self._rhs0
+            resid = np.sqrt((r.real ** 2 + r.imag ** 2).sum(axis=(-2, -1)))
+        eta = 2.0 * self.spec.kappa * pops[..., self.tidx].sum(axis=-1)
+        eta_loss = 2.0 * self.spec.mu * pops.sum(axis=-1)
+        certified = ((resid <= 1e-10) & (np.abs(eta.imag) <= REAL_TOL)
+                     & (np.abs(eta_loss.imag) <= REAL_TOL))
+        return eta.real, certified, resid
+
+    def _solve(self, rhs_mat, gamma, warm_start, stats):
+        """X with L(X) = rhs_mat.
+
+        Up to DENSE_SOLVE_MAX_N sites by the direct population solve;
+        above it the populations p = diag(X) solve (I + 2*gamma*M) p =
+        diag(A^-1 rhs) by GMRES and X = A^-1(rhs - 2*gamma*Diag p) is then
+        rebuilt cancellation-free.  stats collects the GMRES info flag and
+        the matvec count.
+        """
+        n = self.n
+        if n <= DENSE_SOLVE_MAX_N:
+            return self._direct(2.0 * gamma, self._to_eigen(rhs_mat))[0]
         base = self._ainv(rhs_mat, gamma)
         if gamma == 0.0:
             return base
@@ -585,13 +634,14 @@ class EigenbasisSteadySolver:
         n = self.n
         rhs = rhs_mat.reshape(-1)
         bnorm = np.linalg.norm(rhs)
-        lop = Superoperator(n, gamma, self.h)
-        resid = float(np.linalg.norm(lop.apply(xmat.reshape(-1)) - rhs)
-                      / bnorm)
+        resid = float(np.linalg.norm(
+            _apply_generator(self.h, 2.0 * gamma, xmat).reshape(-1) - rhs)
+            / bnorm)
         if resid > 1e-10:
-            lop_ld = Superoperator(n, gamma, self.h.astype(np.clongdouble))
+            h_ld = self.h.astype(np.clongdouble)
             x, resid = _refine(
-                lop_ld.apply,
+                lambda v: _apply_generator(
+                    h_ld, 2.0 * gamma, v.reshape(n, n)).reshape(-1),
                 lambda r: solve(r.reshape(n, n)).reshape(-1),
                 xmat.reshape(-1), rhs, bnorm)
             xmat = x.reshape(n, n)
@@ -654,9 +704,48 @@ class EigenbasisSteadySolver:
         self.routes[method] += 1
         return eta, eta_loss, resid, method, xmat.diagonal().copy()
 
+    def eta_grid(self, gammas):
+        """eta for the initial site at every rate of the 1-d array gammas.
+
+        Up to DENSE_SOLVE_MAX_N sites the whole grid is one batched direct
+        solve, each point certified by its full-generator residual and its
+        imaginary leakage; a point that fails either is redone alone by
+        efficiency (extended-precision refinement, then the sparse-LU
+        fallback).  Larger systems solve point by point along the grid,
+        warm-started.  A failing point raises with its gamma named.
+        """
+        n = self.n
+        if n > DENSE_SOLVE_MAX_N:
+            return _pointwise(self.eta, gammas)
+        etas, certified, resid = self._direct_etas(
+            2.0 * gammas[:, None, None])
+        redo = np.flatnonzero(~certified)
+        if redo.size:
+            etas[redo] = self._redo(gammas[redo])
+        if redo.size < gammas.size:
+            self.routes["direct-eigenbasis"] += gammas.size - redo.size
+        _log.debug("batched solve n=%d points=%d max_residual=%.2e redone=%d",
+                   n, gammas.size, resid.max(), redo.size)
+        return etas
+
+    def _redo(self, gammas):
+        """eta at each rate by efficiency: a direct solve that failed its
+        checks, redone with refinement and the sparse-LU fallback."""
+        return _pointwise(lambda g: self.efficiency(g)[0], gammas)
+
     def eta(self, gamma):
-        """eta at gamma for the initial site, warm-started from the
-        populations of the previous call on this solver."""
+        """eta at gamma for the initial site.
+
+        Up to DENSE_SOLVE_MAX_N sites one direct solve, certified as a
+        point of eta_grid is; above it the GMRES solve is warm-started
+        from the populations of the previous call on this solver.
+        """
+        if self.n <= DENSE_SOLVE_MAX_N:
+            eta, certified, _ = self._direct_etas(2.0 * gamma)
+            if not certified:
+                return float(self._redo(np.array([gamma], dtype=float))[0])
+            self.routes["direct-eigenbasis"] += 1
+            return float(eta)
         eta, _, _, _, self._warm = self.efficiency(
             gamma, warm_start=self._warm)
         return eta

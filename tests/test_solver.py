@@ -4,6 +4,7 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -431,3 +432,114 @@ def test_dark_state_above_sixteen_sites_is_singular():
     spec = SystemSpec("chain", 21, (10,), 0, 0.1, 0.0, 0.0)
     with pytest.raises(SingularSystemError, match="dark state"):
         efficiency_direct(spec)
+
+
+def _batch_records(caplog):
+    return [r.args for r in caplog.records
+            if r.name == "enaqt" and r.msg.startswith("batched solve")]
+
+
+@pytest.mark.parametrize("kappa", [2.0 + 1e-9, 2.0])
+def test_exceptional_point_is_redone(kappa, caplog):
+    # kappa = 2 is the exceptional point of the two-site chain: cond(S) is
+    # 6e4 at 2 + 1e-9 (the direct population solve is 7e-9 off) and 2e8
+    # at 2; the residual must send the point to the single-solve fallback
+    spec = SystemSpec("chain", 2, (0,), 1, kappa, 0.01, 0.0)
+    oracle = _dense_lu_branching(spec.with_gamma(0.3))[0]
+    assert oracle == pytest.approx(0.964942668, abs=1e-9)
+    solver = EigenbasisSteadySolver(spec)
+    with caplog.at_level(logging.DEBUG, logger="enaqt"):
+        (grid_eta,) = efficiency_gamma_grid(spec, [0.3], solver=solver)
+        single = solver.eta(0.3)
+    ((n, points, _, redone),) = _batch_records(caplog)
+    assert (n, points, redone) == (2, 1, 1)
+    assert len(_solve_records(caplog)) == 2
+    assert grid_eta == pytest.approx(oracle, abs=1e-10)
+    assert single == pytest.approx(oracle, abs=1e-10)
+
+
+@st.composite
+def _small_systems(draw):
+    topology = draw(st.sampled_from(["chain", "ring"]))
+    n = draw(st.integers(3 if topology == "ring" else 2, 16))
+    trap, init = draw(st.lists(st.integers(0, n - 1), min_size=2,
+                               max_size=2, unique=True))
+    kappa, mu = (10.0 ** draw(st.floats(-4, 2)) for _ in range(2))
+    gammas = [10.0 ** e for e in draw(st.lists(st.floats(-4, 4),
+                                               min_size=1, max_size=4))]
+    if draw(st.booleans()):
+        gammas.insert(0, 0.0)
+    return (SystemSpec(topology, n, (trap,), init, kappa, mu, 0.0),
+            np.array(gammas))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(_small_systems())
+def test_batched_grid_properties(system):
+    spec, gammas = system
+    solver = EigenbasisSteadySolver(spec)
+    etas = efficiency_gamma_grid(spec, gammas, solver=solver)
+    for gamma, eta in zip(gammas, etas):
+        assert eta == pytest.approx(
+            efficiency_direct(spec.with_gamma(gamma)).eta, abs=1e-10)
+        # non-negative up to rounding: where the true eta is ~1e-30, the
+        # computed one is off by up to ~1e-16 either way
+        assert eta >= -1e-15
+        single, lost = solver.efficiency(gamma)[:2]
+        assert single + lost == pytest.approx(1.0, abs=1e-9)
+
+
+def _fail_direct_solve_at(monkeypatch, gamma):
+    """Make the direct population solve fail its checks at gamma only."""
+    direct_etas = EigenbasisSteadySolver._direct_etas
+
+    def failing(self, g2):
+        eta, certified, resid = direct_etas(self, g2)
+        hit = np.reshape(g2, np.shape(certified)) == 2.0 * gamma
+        return eta, certified & ~hit, resid
+
+    monkeypatch.setattr(EigenbasisSteadySolver, "_direct_etas", failing)
+
+
+def test_grid_redoes_only_the_failed_point(monkeypatch, caplog):
+    spec = SystemSpec("ring", 6, (0,), 2, 0.4, 0.02, 0.0)
+    gammas = [0.0, 0.1, 0.3, 3.0]
+    _fail_direct_solve_at(monkeypatch, 0.3)
+    # the redo's own first answer leaks, so it ends on the sparse LU
+    probabilities = EigenbasisSteadySolver._probabilities
+    calls = []
+
+    def leaky(self, xmat):
+        eta, eta_loss = probabilities(self, xmat)
+        calls.append(eta_loss)
+        return eta, eta_loss + (1e-9j if len(calls) == 1 else 0.0)
+
+    monkeypatch.setattr(EigenbasisSteadySolver, "_probabilities", leaky)
+    solver = EigenbasisSteadySolver(spec)
+    with caplog.at_level(logging.DEBUG, logger="enaqt"):
+        etas = efficiency_gamma_grid(spec, gammas, solver=solver)
+    assert len(calls) == 2
+    assert solver.routes == {"direct-eigenbasis": 3, "direct-sparse": 1}
+    ((n, points, max_resid, redone),) = _batch_records(caplog)
+    assert (n, points, redone) == (6, 4, 1)
+    assert max_resid <= 1e-10
+    for gamma, eta in zip(gammas, etas):
+        assert eta == pytest.approx(
+            _sparse_lu_branching(spec.with_gamma(gamma))[0], abs=1e-12)
+
+
+def test_grid_point_failing_the_fallback_names_its_gamma(monkeypatch):
+    spec = SystemSpec("chain", 5, (0,), 3, 0.4, 0.02, 0.0)
+    _fail_direct_solve_at(monkeypatch, 0.3)
+    probabilities = EigenbasisSteadySolver._probabilities
+
+    def leaky(self, xmat):
+        eta, eta_loss = probabilities(self, xmat)
+        return eta, eta_loss + 1e-9j
+
+    monkeypatch.setattr(EigenbasisSteadySolver, "_probabilities", leaky)
+    with pytest.raises(SingularSystemError,
+                       match=r"gamma=0\.3: lost probability has imaginary"):
+        efficiency_gamma_grid(spec, [0.1, 0.3, 3.0])
+    with pytest.raises(SingularSystemError, match=r"gamma=0\.3: "):
+        EigenbasisSteadySolver(spec).eta(0.3)
