@@ -3,7 +3,7 @@
 Subcommands map one-to-one onto the library layer:
 
     efficiency -> efficiency_direct       (one point)
-    curve      -> per-gamma efficiencies  (gamma grid)
+    curve      -> efficiency_direct       (per gamma of the grid)
     optimize   -> optimize_dephasing      (gamma_opt, xi)
     sweep      -> plane_sweep             (long-form rows, one per cell)
     table      -> max_enaqt               (all trap/init pairs for one N)
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -118,7 +119,11 @@ _FLOAT_FIELDS = {"kappa", "mu", "gamma", "gamma_min", "gamma_max",
                  "kappa_min", "kappa_max", "mu_min", "mu_max"}
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse parser, built once per process: it holds no per-call
+    state (no flag has a default), and building it costs more than a
+    small solve."""
     parser = argparse.ArgumentParser(
         prog="enaqt",
         description="Trapping efficiency and ENAQT for tight-binding "

@@ -35,13 +35,14 @@ __all__ = [
     "build_attenuation",
     "build_hamiltonian",
     "build_liouvillian",
-    "build_augmented_liouvillian",
     "population_index",
     "site_density",
     "state_density",
 ]
 
-# Above this size the dense n^2 x n^2 superoperator is not materialized.
+# Above this size build_liouvillian does not materialize the dense
+# n^2 x n^2 superoperator by default and propagate stores no states.  Only
+# propagate and the tests use the generator; no steady solve does.
 DENSE_LIMIT = 64
 
 
@@ -290,16 +291,12 @@ class Superoperator:
     with d the Kronecker delta.
     """
 
-    def __init__(self, n, gamma, hamiltonian, matrix=None,
-                 accumulator_index=None, trap_sites=(), kappa=0.0):
+    def __init__(self, n, gamma, hamiltonian, matrix=None):
         self.n = n
         self.gamma = gamma
         self.hamiltonian = hamiltonian
         self._matrix = matrix
-        self.accumulator_index = accumulator_index
-        self.trap_sites = tuple(trap_sites)
-        self.kappa = kappa
-        self.dim = (n * n) if accumulator_index is None else (n * n + 1)
+        self.dim = n * n
         self.representation = "dense" if matrix is not None else "matrix-free"
 
     @property
@@ -314,27 +311,26 @@ class Superoperator:
         if self._matrix is not None:
             return self._matrix @ vec
         n, h = self.n, self.hamiltonian
-        rho = vec[: n * n].reshape(n, n)
+        rho = vec.reshape(n, n)
         out = -1j * (h @ rho - rho @ h.conj().T)
         if self.gamma != 0.0:
             # Dephasing removes coherences at 2*gamma, populations untouched.
             diag = np.diagonal(out).copy()
             out = out - 2.0 * self.gamma * rho
             np.fill_diagonal(out, diag)
-        if self.accumulator_index is None:
-            return out.reshape(-1)
-        raise ValidationError("matrix-free augmented form is not supported")
+        return out.reshape(-1)
 
 
 def build_liouvillian(spec: SystemSpec, dense: bool | None = None) -> Superoperator:
-    """Generator of d/dt vec(rho) for the given spec.
+    """Generator of d/dt vec(rho) for the given spec, as used by propagate.
 
     Parameters
     ----------
     spec : SystemSpec
     dense : bool, optional
-        Force or forbid the dense representation.  Default: dense for
-        n <= 64, matrix-free above.
+        Force or forbid the dense representation (the tests use the dense
+        matrix as an oracle).  Default: dense for n <= DENSE_LIMIT,
+        matrix-free above.
     """
     h = build_hamiltonian(spec)
     n = spec.n
@@ -346,32 +342,5 @@ def build_liouvillian(spec: SystemSpec, dense: bool | None = None) -> Superopera
     mat = -1j * np.kron(h, eye) + 1j * np.kron(eye, h.conj())
     mat[np.diag_indices(n * n)] += (
         -2.0 * spec.gamma * (1.0 - eye).reshape(-1))
-    return Superoperator(n, spec.gamma, h, matrix=mat,
-                         trap_sites=spec.trap_sites, kappa=spec.kappa)
+    return Superoperator(n, spec.gamma, h, matrix=mat)
 
-
-def build_augmented_liouvillian(spec: SystemSpec, epsilon: float) -> Superoperator:
-    """Generator extended by one accumulator coordinate.
-
-    The extra row receives 2*kappa from every trap-population coordinate and
-    epsilon on its own diagonal; nothing couples back from the accumulator
-    into the state sector, so the state evolution is unchanged.  At the
-    steady state of the epsilon-augmented solve the accumulator carries the
-    total trapped probability.
-    """
-    if epsilon <= 0:
-        raise ValidationError(f"epsilon must be > 0, got {epsilon!r}")
-    n = spec.n
-    if n > DENSE_LIMIT:
-        raise ValidationError(
-            f"augmented form is dense-only (n <= {DENSE_LIMIT}), got n={n}")
-    base = build_liouvillian(spec, dense=True).matrix
-    dim = n * n + 1
-    mat = np.zeros((dim, dim), dtype=complex)
-    mat[: n * n, : n * n] = base
-    for t in spec.trap_sites:
-        mat[dim - 1, population_index(n, t)] = 2.0 * spec.kappa
-    mat[dim - 1, dim - 1] = epsilon
-    return Superoperator(n, spec.gamma, build_hamiltonian(spec), matrix=mat,
-                         accumulator_index=dim - 1,
-                         trap_sites=spec.trap_sites, kappa=spec.kappa)

@@ -6,27 +6,23 @@ integrated total population.  Because the state fully decays whenever mu > 0
 (or kappa > 0 with no dark state), the integral x = int_0^inf vec(rho) dt
 satisfies the linear system L x = -vec(rho0), which is solved directly.
 
-Three independent routes are implemented and cross-validated:
+Two independent routes are implemented and cross-validated:
 
 * efficiency_direct    -- resolvent solve of L x = -vec(rho0)
-* efficiency_accumulator -- augmented-generator solve reading one coordinate
 * propagate            -- adaptive Runge-Kutta integration of the motion
 
-Every gamma grid and every optimization runs on one engine,
+Every steady solve, single or over a gamma grid, runs on one engine,
 EigenbasisSteadySolver: it reduces the steady solve to the n site
 populations in the eigenbasis of H, solves that system directly (batched
 over a gamma grid) up to DENSE_SOLVE_MAX_N sites and by GMRES above, and
-falls back to a sparse LU of the full generator.  A single efficiency_direct
-call up to DENSE_SOLVE_MAX_N sites is a gated LU of the dense n^2 x n^2
-generator instead.  Both routes certify every answer by the residual of the
-full generator.
+falls back to a sparse LU of the full generator.  Every answer is
+certified by the residual of the full generator.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import warnings
 from collections import Counter
 from dataclasses import dataclass
 
@@ -43,7 +39,6 @@ from .model import (
     as_density_vec,
     build_hamiltonian,
     build_liouvillian,
-    build_augmented_liouvillian,
     population_index,
     site_density,
 )
@@ -52,7 +47,6 @@ __all__ = [
     "EfficiencyReport",
     "Trajectory",
     "efficiency_direct",
-    "efficiency_accumulator",
     "propagate",
     "survival_probability",
     "efficiency_gamma_grid",
@@ -60,13 +54,11 @@ __all__ = [
 ]
 
 RESID_ACCEPT = 1e-9   # relative residual above which a solve is rejected
-RCOND_FLOOR = 1e-12   # reciprocal condition estimate below which we refuse
 REAL_TOL = 1e-10      # allowed imaginary leakage in probabilities
-# Largest n for which efficiency_direct uses the dense n^2 x n^2 LU and
-# EigenbasisSteadySolver solves the population system directly; larger
-# systems use the solver's GMRES route (at gamma = 0.5 the dense LU and
-# GMRES cost 5.0 and 3.4 ms at n = 16, 28 and 5 ms at n = 24, 1035 and
-# 10 ms at n = 48).
+# Largest n for which EigenbasisSteadySolver assembles the population
+# system (through an n^2 x n^2 map of 16 n^4 bytes) and solves it
+# directly; larger systems use its GMRES route.  The value was set for the
+# former dense n^2 x n^2 LU and has not been re-measured for this solve.
 DENSE_SOLVE_MAX_N = 16
 
 _log = logging.getLogger("enaqt")
@@ -117,39 +109,6 @@ def _real_checked(value: complex, what: str) -> float:
     return float(value.real)
 
 
-def _gated_solve(mat: np.ndarray, rhs: np.ndarray):
-    """LU solve with a condition gate, one refinement pass, and a residual gate.
-
-    Returns (x, relative_residual).  Raises SingularSystemError when the
-    reciprocal condition estimate falls below RCOND_FLOOR (e.g. a dark state
-    at mu = 0 makes the steady integral divergent) or when the refined
-    residual still exceeds RESID_ACCEPT.
-    """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", sla.LinAlgWarning)
-        lu, piv = sla.lu_factor(mat, check_finite=False)
-    anorm = np.abs(mat).sum(axis=0).max()
-    rcond = sla.lapack.zgecon(lu, anorm, norm="1")[0]
-    if not np.isfinite(rcond) or rcond < RCOND_FLOOR:
-        raise SingularSystemError(
-            f"steady-state system is singular to working precision "
-            f"(condition estimate {rcond:.2e}); with mu = 0 a dark state "
-            "never decays -- evaluate at mu = 1e-8 for the mu -> 0+ limit")
-    bnorm = np.linalg.norm(rhs)
-    x = sla.lu_solve((lu, piv), rhs, check_finite=False)
-    resid = np.linalg.norm(mat @ x - rhs) / bnorm
-    if resid > 1e-10:
-        mat_ld = mat.astype(np.clongdouble)
-        x, resid = _refine(
-            lambda v: mat_ld @ v,
-            lambda r: sla.lu_solve((lu, piv), r, check_finite=False),
-            x, rhs, bnorm)
-    if resid > RESID_ACCEPT:
-        raise SingularSystemError(
-            f"solve residual {resid:.2e} exceeds {RESID_ACCEPT:.0e}")
-    return x, float(resid)
-
-
 def _refine(apply_ld, solve, x, rhs, bnorm):
     """Mixed-precision iterative refinement of a solve of L x = rhs.
 
@@ -171,16 +130,6 @@ def _refine(apply_ld, solve, x, rhs, bnorm):
     return np.asarray(x_ld, dtype=complex), float(resid)
 
 
-def _branching(spec: SystemSpec, x: np.ndarray):
-    """eta, eta_loss from the steady integral vector x."""
-    n = spec.n
-    pops = x[[population_index(n, s) for s in range(n)]]
-    trap_pop = sum(x[population_index(n, t)] for t in spec.trap_sites)
-    eta = _real_checked(2.0 * spec.kappa * trap_pop, "trapped probability")
-    eta_loss = _real_checked(2.0 * spec.mu * pops.sum(), "lost probability")
-    return eta, eta_loss
-
-
 def efficiency_direct(spec: SystemSpec, rho0=None) -> EfficiencyReport:
     """Trapping and loss probabilities from the resolvent solve.
 
@@ -188,10 +137,9 @@ def efficiency_direct(spec: SystemSpec, rho0=None) -> EfficiencyReport:
     trapping reaches every part of the initial state, and reads off
     eta = 2*kappa*sum_traps x[tau,tau], eta_loss = 2*mu*tr x.
 
-    Up to DENSE_SOLVE_MAX_N sites the dense generator is LU-factored
-    (method "direct").  Larger systems are solved in population space by
-    EigenbasisSteadySolver ("direct-eigenbasis"), or by its sparse-LU
-    fallback ("direct-sparse") when that answer fails certification.
+    The solve runs in population space on EigenbasisSteadySolver (method
+    "direct-eigenbasis"), or on its sparse-LU fallback ("direct-sparse")
+    when that answer fails certification.
 
     Parameters
     ----------
@@ -206,50 +154,10 @@ def efficiency_direct(spec: SystemSpec, rho0=None) -> EfficiencyReport:
         If the generator is singular (dark state at mu = 0) or the solve
         residual or imaginary leakage is not acceptable.
     """
-    n = spec.n
-    vec0 = (site_density(n, spec.initial_site) if rho0 is None
-            else as_density_vec(rho0, n))
-    if n > DENSE_SOLVE_MAX_N:
-        solver = EigenbasisSteadySolver(spec)
-        eta, eta_loss, resid, method = solver.efficiency(
-            spec.gamma, rho0=vec0)[:4]
-        return EfficiencyReport(eta, eta_loss, method, resid)
-    lmat = build_liouvillian(spec, dense=True).matrix
-    x, resid = _gated_solve(lmat, -vec0)
-    eta, eta_loss = _branching(spec, x)
-    return EfficiencyReport(eta, eta_loss, "direct", resid)
-
-
-def efficiency_accumulator(spec: SystemSpec, rho0=None,
-                           epsilon: float = 1.0) -> EfficiencyReport:
-    """Trapping probability read from the augmented-generator steady state.
-
-    The generator is extended by an accumulator coordinate fed at 2*kappa
-    from the trap populations, and the shifted system
-    L~(eps) sigma = eps * rho~(0) is solved; the accumulator entry then
-    carries the trapped probability, independent of eps.  The entry is read
-    as an absolute value, a convention fixed once against the propagation
-    oracle (the balance equation leaves its overall sign ambiguous).
-
-    Requires mu > 0 so the state sector fully decays.
-    """
-    if epsilon <= 0:
-        raise ValidationError(f"epsilon must be > 0, got {epsilon!r}")
-    if spec.mu <= 0:
-        raise ValidationError("accumulator method requires mu > 0")
-    n = spec.n
-    vec0 = (site_density(n, spec.initial_site) if rho0 is None
-            else as_density_vec(rho0, n))
-    aug = build_augmented_liouvillian(spec, epsilon)
-    rhs = np.zeros(aug.dim, dtype=complex)
-    rhs[: n * n] = epsilon * vec0
-    sigma, resid = _gated_solve(aug.matrix, rhs)
-    eta = abs(sigma[aug.accumulator_index])
-    # State sector holds -eps times the steady integral.
-    x = -sigma[: n * n] / epsilon
-    pops = x[[population_index(n, s) for s in range(n)]]
-    eta_loss = _real_checked(2.0 * spec.mu * pops.sum(), "lost probability")
-    return EfficiencyReport(eta, eta_loss, "accumulator", resid)
+    vec0 = None if rho0 is None else as_density_vec(rho0, spec.n)
+    eta, eta_loss, resid, method = EigenbasisSteadySolver(spec).efficiency(
+        spec.gamma, rho0=vec0)[:4]
+    return EfficiencyReport(eta, eta_loss, method, resid)
 
 
 # Dormand-Prince 5(4) tableau; row 7 equals the 5th-order weights (FSAL).
@@ -450,7 +358,7 @@ def _apply_generator(h, g2, xs):
 
 class EigenbasisSteadySolver:
     """Population-space steady-integral solver, the steady-state engine
-    behind every gamma grid and optimization.
+    behind every single solve, gamma grid and optimization.
 
     One eigendecomposition H = S diag(lam) S^-1 of the n x n generator is
     shared across all dephasing rates.  With c_pq = -i(lam_p - conj(lam_q))
@@ -490,14 +398,13 @@ class EigenbasisSteadySolver:
 
     Every result is certified by the residual of the full generator.  A
     single solve (efficiency) is refined in extended precision when its
-    residual exceeds 1e-10 (near-singular systems, mu ~ 1e-8), as in the
-    dense LU route; one whose residual then exceeds RESID_ACCEPT, or whose
-    eta or eta_loss carries an imaginary part above REAL_TOL, is redone
-    once by a sparse LU of the full vectorized generator, and
-    SingularSystemError is raised only if that answer fails the same
-    checks.  A point of a batched grid whose residual exceeds 1e-10 or
-    whose probabilities leak above REAL_TOL goes through that single
-    solve.
+    residual exceeds 1e-10 (near-singular systems, mu ~ 1e-8); one whose
+    residual then exceeds RESID_ACCEPT, or whose eta or eta_loss carries
+    an imaginary part above REAL_TOL, is redone once by a sparse LU of the
+    full vectorized generator, and SingularSystemError is raised only if
+    that answer fails the same checks.  A point of a batched grid whose
+    residual exceeds 1e-10 or whose probabilities leak above REAL_TOL goes
+    through that single solve.
     """
 
     GMRES_RESTART = 60
@@ -664,8 +571,16 @@ class EigenbasisSteadySolver:
         try:
             return spla.splu(mat.tocsc())
         except RuntimeError as exc:
-            raise SingularSystemError(
+            raise self._singular(
                 f"sparse fallback failed at gamma={gamma:g}: {exc}") from exc
+
+    def _singular(self, message):
+        """SingularSystemError for a failed fallback, with the dark-state
+        hint whenever mu = 0 (a dark state makes L exactly singular)."""
+        if self.spec.mu == 0:
+            message += ("; with mu = 0 a dark state never decays -- "
+                        "evaluate at mu = 1e-8 for the mu -> 0+ limit")
+        return SingularSystemError(message)
 
     def efficiency(self, gamma, rho0=None, warm_start=None):
         """Returns (eta, eta_loss, residual, method, populations)."""
@@ -694,11 +609,7 @@ class EigenbasisSteadySolver:
                    "route=%s", n, gamma, stats["info"], stats["matvecs"],
                    method)
         if not resid <= RESID_ACCEPT:
-            hint = ("; with mu = 0 a dark state never decays -- evaluate at "
-                    "mu = 1e-8 for the mu -> 0+ limit"
-                    if self.spec.mu == 0 else "")
-            raise SingularSystemError(
-                f"residual {resid:.2e} after sparse fallback{hint}")
+            raise self._singular(f"residual {resid:.2e} after sparse fallback")
         eta = _real_checked(eta, "trapped probability")
         eta_loss = _real_checked(eta_loss, "lost probability")
         self.routes[method] += 1

@@ -22,6 +22,7 @@ from enaqt import (
     plane_sweep,
     symmetry_split,
 )
+from dense_oracles import dense_lu_branching
 
 FIG1B = SystemSpec("chain", 3, (0,), 1, kappa=0.1, mu=0.01, gamma=0.0)
 
@@ -44,7 +45,7 @@ class TestClosedForm:
             g, k, m = 10 ** rng.uniform(-3, 1, size=3)
             spec = SystemSpec("chain", 3, (0,), 1, float(k), float(m), float(g))
             assert eta3_closed_form(float(g), float(k), float(m)) == \
-                pytest.approx(efficiency_direct(spec).eta, abs=1e-10)
+                pytest.approx(dense_lu_branching(spec)[0], abs=1e-10)
 
     def test_rejects_negative_rates(self):
         with pytest.raises(ValidationError):

@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from enaqt import cli
+from enaqt import ValidationError, cli
 from enaqt.cli import main, parse_config, render, run
 
 
@@ -243,10 +243,39 @@ def test_run_returns_plain_records():
                         "--gamma", "0"])
     (rec,) = run(cfg)
     assert rec["eta"] == pytest.approx(0.7128965580831489, abs=1e-9)
-    assert rec["method"] == "direct"
+    assert rec["method"] == "direct-eigenbasis"
 
 
 def test_version_flag(capsys):
     code, out, _ = _run_capture(["--version"], capsys)
     assert code == 0
     assert out.strip()
+
+
+def test_consecutive_parses_do_not_share_values(tmp_path):
+    # the parser is built once per process; no value may carry over from
+    # one call to the next
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("n=4\ntrap=1\ninit=3\nkappa=0.2\nmu=0.05\n"
+                       "gamma-points = 8\n")
+    curve = parse_config(["curve", "--config", str(cfgfile),
+                          "--gamma-max", "10"])
+    efficiency = parse_config(["efficiency", "--n", "3", "--trap", "2",
+                               "--init", "1", "--kappa", "0.1",
+                               "--mu", "0.01", "--gamma", "0.5"])
+    assert (curve.subcommand, curve.n, curve.trap, curve.init) == (
+        "curve", 4, 1, 3)
+    assert (curve.kappa, curve.mu) == (0.2, 0.05)
+    assert (curve.gamma_points, curve.gamma_max, curve.gamma) == (8, 10.0,
+                                                                  None)
+    assert (efficiency.subcommand, efficiency.n, efficiency.trap,
+            efficiency.init) == ("efficiency", 3, 2, 1)
+    assert (efficiency.kappa, efficiency.mu, efficiency.gamma) == (
+        0.1, 0.01, 0.5)
+    assert (efficiency.gamma_points, efficiency.gamma_max) == (64, 1e3)
+    again = parse_config(["curve", "--n", "5", "--trap", "1", "--init", "2",
+                          "--kappa", "1", "--mu", "1"])
+    assert (again.n, again.gamma_points, again.gamma_max) == (5, 64, 1e3)
+    with pytest.raises(ValidationError, match="--mu"):
+        parse_config(["optimize", "--n", "3", "--trap", "1", "--init", "2",
+                      "--kappa", "0.1"])

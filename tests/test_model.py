@@ -12,7 +12,6 @@ from enaqt import (
     ValidationError,
     as_density_vec,
     build_attenuation,
-    build_augmented_liouvillian,
     build_chain_hamiltonian,
     build_hamiltonian,
     build_liouvillian,
@@ -254,28 +253,3 @@ def test_conservative_evolution_when_all_rates_zero():
     assert traj.trapped_cumulative[-1] == 0.0
     assert traj.loss_cumulative[-1] == 0.0
 
-
-def test_augmented_generator_structure():
-    spec = SystemSpec("chain", 3, (0, 2), 1, 0.25, 0.1, 0.4)
-    eps = 0.5
-    aug = build_augmented_liouvillian(spec, eps)
-    base = build_liouvillian(spec, dense=True).matrix
-    mat = aug.matrix
-    assert mat.shape == (10, 10)
-    assert np.array_equal(mat[:9, :9], base)
-    # nothing flows back from the accumulator into the state sector
-    assert np.count_nonzero(mat[:9, 9]) == 0
-    row = np.zeros(10, dtype=complex)
-    row[population_index(3, 0)] = 2 * spec.kappa
-    row[population_index(3, 2)] = 2 * spec.kappa
-    row[9] = eps
-    assert np.array_equal(mat[9], row)
-    assert aug.accumulator_index == 9
-
-
-def test_augmented_generator_rejects_bad_epsilon():
-    spec = SystemSpec("chain", 3, (0,), 1, 0.1, 0.1, 0.0)
-    with pytest.raises(ValidationError):
-        build_augmented_liouvillian(spec, 0.0)
-    with pytest.raises(ValidationError):
-        build_augmented_liouvillian(spec, -1.0)
