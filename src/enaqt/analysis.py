@@ -13,6 +13,15 @@ Site labels in this module are 1-based (sites 1..N, the trap at tau, the
 mirror of m at N+1-m); everything below translates to the 0-based model
 layer.  Dephasing optimization searches gamma in [0, 1e4]: a 64-point log
 grid plus the gamma = 0 endpoint, refined by golden section in log space.
+
+Every dephasing optimization, whether of one system (optimize_dephasing),
+of the cells of a plane sweep, of max_enaqt's ranking grid and seeds, or
+of a semi-infinite truncation, runs one path (_scan_refine) over a cell
+stack, an EigenbasisSteadySolver built for up to _stack_size (kappa, mu)
+cells of one geometry: one batched scan of the gamma grid for all cells,
+then one elementwise golden-section search (_golden, the only maximizer
+here) that refines every cell in lockstep, with one batched solve per
+step.  Above DENSE_SOLVE_MAX_N sites a stack holds one cell.
 """
 
 from __future__ import annotations
@@ -63,6 +72,11 @@ RATE_BOUNDS = (1e-4, 1e2)
 MU_CUTOFF_INFINITE = 0.1
 TRUNCATION_TOL = 1e-4
 SITE_CAP_INFINITE = 4096
+GRID_POINTS = 64     # default log-spaced gamma grid of an optimization
+REFINE_TOL = 1e-4    # default golden bracket, in log gamma
+# Bytes of the n^2 x n^2 maps (16 n^4 bytes a cell) of one cell stack;
+# see _stack_size.
+STACK_BYTES = 2 ** 18
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -149,42 +163,135 @@ def _check_positive_rates(kappa, mu):
             f"kappa and mu must be > 0, got kappa={kappa!r}, mu={mu!r}")
 
 
+def _check_search(grid_points, refine_tol=None, least_points=1):
+    """ValidationError unless grid_points is an integer >= least_points and
+    refine_tol (when given) is finite and > 0."""
+    if not (isinstance(grid_points, (int, np.integer))
+            and grid_points >= least_points):
+        raise ValidationError(
+            f"grid_points={grid_points!r} must be an integer >= "
+            f"{least_points}")
+    if refine_tol is not None and not (
+            isinstance(refine_tol, (int, float)) and math.isfinite(refine_tol)
+            and refine_tol > 0):
+        raise ValidationError(
+            f"refine_tol={refine_tol!r} must be finite and > 0")
+
+
+def _exp(x):
+    """exp of every element of x by the C library's math.exp, which
+    numpy's vectorized exp does not reproduce bit for bit; a searched
+    optimum then does not depend on how many elements were searched at
+    once."""
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(math.exp, x.flat), float, x.size).reshape(x.shape)
+
+
+def _log(x):
+    """log of every element of x by math.log (see _exp)."""
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(math.log, x.flat), float, x.size).reshape(x.shape)
+
+
 def _golden(f, a, b, tol):
-    """Golden-section search for a maximum of f on [a, b].
+    """Golden-section search for a maximum on each bracket [a[i], b[i]].
 
-    Shrinks the bracket until it is at most tol wide, keeping the side of
-    the larger of the two interior values (ties keep the left), and
-    returns its midpoint.
+    f(x, idx) returns the values at the points x of the elements of the
+    index array idx: x[r] belongs to element idx[r], and the first call
+    passes both interior points of every element, as x of shape
+    (len(idx), 2).  Each element shrinks its bracket until it is at most
+    tol[i] wide (tol may be one number), keeping the side of the larger
+    of its two interior values (ties keep the left), and yields its
+    midpoint.  An element also stops when a step leaves its width
+    unchanged, which happens only once the bracket is a few ulps wide.
+    The live elements step in lockstep, with one call of f per step.
     """
-    c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    return (a + b) / 2
+    a = [float(v) for v in a]
+    b = [float(v) for v in b]
+    tol = [float(v) for v in np.broadcast_to(tol, len(a))]
+    c = [bi - _INVPHI * (bi - ai) for ai, bi in zip(a, b)]
+    d = [ai + _INVPHI * (bi - ai) for ai, bi in zip(a, b)]
+    idx = np.arange(len(a))
+    fc, fd = f(np.array([c, d]).T, idx).T.tolist()
+    live = [i for i in range(len(a)) if b[i] - a[i] > tol[i]]
+    while live:
+        if len(live) < idx.size:
+            idx = np.array(live)
+        steps = []  # (element, went left, width before the step)
+        for i in live:
+            steps.append((i, fc[i] >= fd[i], b[i] - a[i]))
+            if steps[-1][1]:
+                b[i], d[i], fd[i] = d[i], c[i], fc[i]
+                c[i] = b[i] - _INVPHI * (b[i] - a[i])
+            else:
+                a[i], c[i], fc[i] = c[i], d[i], fd[i]
+                d[i] = a[i] + _INVPHI * (b[i] - a[i])
+        values = f(np.array([c[i] if on_left else d[i]
+                             for i, on_left, _ in steps]), idx).tolist()
+        for (i, on_left, _), value in zip(steps, values):
+            if on_left:
+                fc[i] = value
+            else:
+                fd[i] = value
+        live = [i for i, _, width in steps if tol[i] < b[i] - a[i] < width]
+    return np.array([(ai + bi) / 2 for ai, bi in zip(a, b)])
 
 
-def _golden_max(eta_fn, gammas, etas, refine_tol):
-    """Maximize eta over the tabulated grid plus golden refinement.
+def _scan_refine(solver, grid_points, refine_tol) -> list:
+    """optimize_dephasing for every cell of the stack `solver`: one
+    batched scan of the grid, then one golden refinement of all cells
+    whose best grid point is not gamma = 0, in lockstep.
 
-    gammas[0] must be 0 (the no-dephasing endpoint).  The refinement runs
-    in log gamma over the neighbours of the best grid point.  Returns
-    (gamma_best, eta_best); gamma_best = 0 means the endpoint won.
+    gammas[0] is the no-dephasing endpoint; a cell's refinement runs in
+    log gamma over the neighbours of its best grid point.  Returns one
+    entry per cell: its EnaqtResult, or the SingularSystemError of a solve
+    that failed.
     """
-    i = int(np.argmax(etas))
-    if i == 0:
-        return 0.0, float(etas[0])
-    lo = gammas[max(i - 1, 1)]
-    hi = gammas[min(i + 1, len(gammas) - 1)]
-    g = math.exp(_golden(lambda x: eta_fn(math.exp(x)),
-                         math.log(lo), math.log(hi), refine_tol))
-    return g, float(eta_fn(g))
+    gammas = np.concatenate([[0.0], np.geomspace(*GAMMA_BOUNDS, grid_points)])
+    etas = efficiency_gamma_grid(solver.specs[0], gammas, solver=solver)
+    eta0 = etas[:, 0]
+    results = [EnaqtResult(float(e), float(e), 0.0, 0.0) for e in eta0]
+    best = np.argmax(etas, axis=1)
+    go = np.flatnonzero(best > 0)
+    if go.size:
+        last = gammas.size - 1
+        x = _golden(lambda x, sel: solver.eta(_exp(x), go[sel]),
+                    _log(gammas[np.maximum(best[go] - 1, 1)]),
+                    _log(gammas[np.minimum(best[go] + 1, last)]), refine_tol)
+        g_best = _exp(x)
+        for k, g, e in zip(go, g_best, solver.eta(g_best, go)):
+            if e > eta0[k]:
+                results[k] = EnaqtResult(float(eta0[k]), float(e), float(g),
+                                         float(e - eta0[k]))
+    return [solver.failed.get(k, res) for k, res in enumerate(results)]
+
+
+def _stack_size(n):
+    """Cells per stack of n-site cells: as many as keep their maps within
+    STACK_BYTES (25 at n = 5, 4 at n = 8), and one from n = 10 on, where
+    a stack then needs no more memory than a single cell; one above
+    DENSE_SOLVE_MAX_N sites, where the GMRES route solves one cell at a
+    time."""
+    return max(1, STACK_BYTES // (16 * n ** 4))
+
+
+def _optimize_cells(specs, grid_points=GRID_POINTS,
+                    refine_tol=REFINE_TOL) -> list:
+    """_scan_refine over specs (one geometry, any rates) in stacks of
+    _stack_size cells; one entry per spec, in order."""
+    if not specs:
+        return []
+    size = _stack_size(specs[0].n)
+    return [res for i in range(0, len(specs), size)
+            for res in _scan_refine(EigenbasisSteadySolver(specs[i:i + size]),
+                                    grid_points, refine_tol)]
+
+
+def _raised(result):
+    """result, raised instead when it is an error."""
+    if isinstance(result, EnaqtError):
+        raise result
+    return result
 
 
 def efficiency_curve(spec: SystemSpec, gamma_grid) -> list:
@@ -199,31 +306,27 @@ def efficiency_curve(spec: SystemSpec, gamma_grid) -> list:
     return [(float(g), float(e)) for g, e in zip(gammas, etas)]
 
 
-def optimize_dephasing(spec: SystemSpec, grid_points: int = 64,
-                       refine_tol: float = 1e-4) -> EnaqtResult:
+def optimize_dephasing(spec: SystemSpec, grid_points: int = GRID_POINTS,
+                       refine_tol: float = REFINE_TOL) -> EnaqtResult:
     """Maximize eta over gamma in [0, 1e4] for fixed (kappa, mu).
 
-    The gamma = 0 endpoint is always evaluated with the grid; when no
-    interior point beats it the result reports gamma_opt = 0 and xi = 0.
-    spec's own gamma field is ignored.  One EigenbasisSteadySolver, that
-    is one eigendecomposition of H, serves the endpoint, the grid (one
-    batched solve for small systems) and the golden refinement.
+    The gamma = 0 endpoint is always evaluated with the grid of
+    grid_points log-spaced rates; when no interior point beats it the
+    result reports gamma_opt = 0 and xi = 0.  Otherwise a golden-section
+    search in log gamma between the neighbours of the best grid point,
+    to a bracket of refine_tol, gives gamma_opt.  spec's own gamma field
+    is ignored.  The system is a cell stack of one (see the module
+    docstring): one eigendecomposition of H serves the endpoint, the grid
+    (one batched solve for small systems) and the refinement, whose steps
+    are single LAPACK solves.
+
+    Raises ValidationError for rates that are not > 0, grid_points < 1 or
+    a refine_tol that is not finite and > 0, and SingularSystemError,
+    with its gamma named, for a solve that fails its certification.
     """
     _check_positive_rates(spec.kappa, spec.mu)
-    return _optimize(spec, EigenbasisSteadySolver(spec), grid_points,
-                     refine_tol)
-
-
-def _optimize(spec, solver, grid_points, refine_tol) -> EnaqtResult:
-    """optimize_dephasing's scan and refinement through `solver`, an
-    EigenbasisSteadySolver built for spec's geometry and rates."""
-    gammas = np.concatenate([[0.0], np.geomspace(*GAMMA_BOUNDS, grid_points)])
-    etas = efficiency_gamma_grid(spec, gammas, solver=solver)
-    eta0 = float(etas[0])
-    g_best, eta_best = _golden_max(solver.eta, gammas, etas, refine_tol)
-    if g_best == 0.0 or eta_best <= eta0:
-        return EnaqtResult(eta0, eta0, 0.0, 0.0)
-    return EnaqtResult(eta0, eta_best, g_best, eta_best - eta0)
+    _check_search(grid_points, refine_tol)
+    return _raised(_optimize_cells([spec], grid_points, refine_tol)[0])
 
 
 def max_enaqt(topology, n: int, trap_site: int, initial_site: int,
@@ -240,7 +343,13 @@ def max_enaqt(topology, n: int, trap_site: int, initial_site: int,
     the production solve's accuracy; kappa and mu are resolved to about
     the final sweep span.
 
-    Sites are 1-based.
+    The ranking grid is optimized in cell stacks (a coarse 32-point gamma
+    grid and a 1e-3 golden tolerance), and the seeds refine in lockstep:
+    each step of their kappa (or mu) sweeps evaluates one cell per seed
+    as one stack, as do the final optimizations.
+
+    Sites are 1-based.  Raises ValidationError for grid_points < 2,
+    sweeps < 0 or starts < 1.
     """
     topology = Topology(topology)
     if topology is Topology.SEMI_INFINITE:
@@ -250,59 +359,65 @@ def max_enaqt(topology, n: int, trap_site: int, initial_site: int,
     init0 = _site0(initial_site, n, "initial_site")
     if trap0 == init0:
         raise ValidationError("trap and initial sites must differ")
+    _check_search(grid_points, least_points=2)
+    if not (isinstance(sweeps, int) and sweeps >= 0):
+        raise ValidationError(f"sweeps={sweeps!r} must be an integer >= 0")
     if starts < 1:
         raise ValidationError("starts must be at least 1")
     spec0 = SystemSpec(topology, n, (trap0,), init0,
                        kappa=1.0, mu=1.0, gamma=0.0)
 
-    def xi_at(kv, mv):
+    def optimized(kappas, mus, *search):
+        # one result per broadcast (kappa, mu) pair, in row-major order
+        kappas, mus = np.broadcast_arrays(kappas, mus)
+        return [_raised(res) for res in _optimize_cells(
+            [spec0.with_rates(kappa=kv, mu=mv)
+             for kv, mv in zip(kappas.flat, mus.flat)], *search)]
+
+    def xi(kappas, mus):
         # coarse xi for ranking: 32-point grid, 1e-3 golden tolerance
-        spec = spec0.with_rates(kappa=kv, mu=mv)
-        return _optimize(spec, EigenbasisSteadySolver(spec), 32, 1e-3).xi
+        shape = np.broadcast_shapes(np.shape(kappas), np.shape(mus))
+        return np.array([res.xi for res in optimized(kappas, mus, 32, 1e-3)]
+                        ).reshape(shape)
 
     grid = np.geomspace(*RATE_BOUNDS, grid_points)
-    cells = []
-    for i, kv in enumerate(grid):
-        for j, mv in enumerate(grid):
-            cells.append((xi_at(kv, mv), i, j))
-    cells.sort(reverse=True)
+    ranked = xi(grid[:, None], grid[None, :])
+    cells = sorted(((float(ranked[i, j]), i, j)
+                    for i in range(grid_points) for j in range(grid_points)),
+                   reverse=True)
 
     # well-separated seeds: skip any cell adjacent to a better kept one
     seeds = []
-    for xi, i, j in cells:
+    for x, i, j in cells:
         if all(max(abs(i - i0), abs(j - j0)) > 1 for _, i0, j0 in seeds):
-            seeds.append((xi, i, j))
+            seeds.append((x, i, j))
         if len(seeds) == starts:
             break
 
     lo_log, hi_log = math.log(RATE_BOUNDS[0]), math.log(RATE_BOUNDS[1])
-    grid_step = math.log(grid[1] / grid[0])
+    kk = grid[[i for _, i, _ in seeds]]
+    mm = grid[[j for _, _, j in seeds]]
+    step = math.log(grid[1] / grid[0])
+    for _ in range(sweeps):
+        for axis in (0, 1):
+            def val(x, sel):
+                v = _exp(np.clip(x, lo_log, hi_log))
+                row = (slice(None),) + (None,) * (v.ndim - 1)
+                return (xi(v, mm[sel][row]) if axis == 0
+                        else xi(kk[sel][row], v))
 
-    def refine(kk, mm):
-        step = grid_step
-        for _ in range(sweeps):
-            for axis in (0, 1):
-                center = math.log(kk if axis == 0 else mm)
-
-                def val(x):
-                    v = math.exp(min(max(x, lo_log), hi_log))
-                    return xi_at(v, mm) if axis == 0 else xi_at(kk, v)
-
-                x = _golden(val, center - step, center + step, 1e-3)
-                xbest = math.exp(min(max(x, lo_log), hi_log))
-                if axis == 0:
-                    kk = xbest
-                else:
-                    mm = xbest
-            step *= 0.35
-        return kk, mm
+            center = _log(kk if axis == 0 else mm)
+            x = _golden(val, center - step, center + step, 1e-3)
+            if axis == 0:
+                kk = _exp(np.clip(x, lo_log, hi_log))
+            else:
+                mm = _exp(np.clip(x, lo_log, hi_log))
+        step *= 0.35
 
     best = None
-    for _, i, j in seeds:
-        kk, mm = refine(float(grid[i]), float(grid[j]))
-        final = optimize_dephasing(spec0.with_rates(kappa=kk, mu=mm))
+    for final, kv, mv in zip(optimized(kk, mm), kk, mm):
         if best is None or final.xi > best[0]:
-            best = (final.xi, float(kk), float(mm))
+            best = (final.xi, float(kv), float(mv))
     return MaxEnaqt(*best)
 
 
@@ -484,8 +599,9 @@ def circle_max_enaqt(n: int, trap: int, init: int) -> float:
 
 
 def infinite_chain_enaqt(kappa: float, mu: float, offset: int = 1,
-                         grid_points: int = 64,
-                         refine_tol: float = 1e-4) -> InfiniteChainResult:
+                         grid_points: int = GRID_POINTS,
+                         refine_tol: float = REFINE_TOL
+                         ) -> InfiniteChainResult:
     """ENAQT for a particle released next to the trapped half of an
     infinite chain.
 
@@ -493,10 +609,12 @@ def infinite_chain_enaqt(kappa: float, mu: float, offset: int = 1,
     with left = right = ceil(16/mu) initially; both sides are doubled until
     eta changes by less than 1e-4 at gamma in {0, 1}, capped at 4096 total
     sites.  mu >= 0.1 keeps the certified sizes tractable (the support
-    grows as 1/mu).  Dephasing is then optimized as in optimize_dephasing.
+    grows as 1/mu).  Dephasing is then optimized as in optimize_dephasing,
+    on the accepted truncation as a stack of one cell.
 
     Raises TruncationError (carrying achieved_delta) if the cap is hit
-    before convergence.
+    before convergence, and ValidationError for grid_points < 1 or a
+    refine_tol that is not finite and > 0.
     """
     if not (math.isfinite(mu) and mu >= MU_CUTOFF_INFINITE):
         raise ValidationError(
@@ -506,6 +624,7 @@ def infinite_chain_enaqt(kappa: float, mu: float, offset: int = 1,
         raise ValidationError(f"kappa={kappa!r} must be finite and >= 0")
     if not isinstance(offset, int) or offset < 1:
         raise ValidationError(f"offset={offset!r} must be an integer >= 1")
+    _check_search(grid_points, refine_tol)
     left = right = math.ceil(16.0 / mu)
     if kappa == 0.0:
         # Nothing traps, so eta = 0 for every gamma.
@@ -514,23 +633,26 @@ def infinite_chain_enaqt(kappa: float, mu: float, offset: int = 1,
             n_total=left + offset + right, truncation_delta=0.0,
             method="trivial")
 
-    probe_gammas = (0.0, 1.0)
+    probe_gammas = np.array([0.0, 1.0])
 
     def truncation(lsize, rsize):
         # one solver per truncation serves both probe rates and, for the
         # accepted truncation, the whole optimization
-        spec = semi_infinite_spec(kappa, mu, 0.0, offset, lsize, rsize)
-        return spec, EigenbasisSteadySolver(spec)
+        return EigenbasisSteadySolver(
+            [semi_infinite_spec(kappa, mu, 0.0, offset, lsize, rsize)])
 
-    def probe(spec, solver):
-        return [solver.eta(g) for g in probe_gammas]
+    def probe(solver):
+        etas = solver.eta_grid(probe_gammas)[0]
+        if solver.failed:
+            raise solver.failed[0]
+        return etas
 
-    spec0, solver = truncation(left, right)
+    solver = truncation(left, right)
     while True:
-        base = probe(spec0, solver)
+        base = probe(solver)
         deltas = [abs(e - b)
                   for sizes in ((2 * left, right), (left, 2 * right))
-                  for e, b in zip(probe(*truncation(*sizes)), base)]
+                  for e, b in zip(probe(truncation(*sizes)), base)]
         delta = max(deltas)
         if delta < TRUNCATION_TOL:
             break
@@ -541,29 +663,45 @@ def infinite_chain_enaqt(kappa: float, mu: float, offset: int = 1,
                 f"truncation not converged below {TRUNCATION_TOL:g} within "
                 f"{SITE_CAP_INFINITE} sites (best delta {delta:.3e})",
                 achieved_delta=delta)
-        spec0, solver = truncation(left, right)
+        solver = truncation(left, right)
 
-    res = _optimize(spec0, solver, grid_points, refine_tol)
+    res = _raised(_scan_refine(solver, grid_points, refine_tol)[0])
     method = "+".join(sorted(solver.routes))
     return InfiniteChainResult(
         res.eta0, res.eta_max, res.gamma_opt, res.xi, offset=offset,
-        left=left, right=right, n_total=spec0.n, truncation_delta=delta,
+        left=left, right=right, n_total=solver.n, truncation_delta=delta,
         method=method)
 
 
-def _sweep_cell(task):
-    """One plane-sweep cell; module-level so worker pools can pickle it."""
-    topology, n, trap0, init0, offset, kappa, mu = task
+def _attempt(fn, *args, **kwargs):
+    """fn(*args, **kwargs), or the EnaqtError it raised."""
     try:
-        if topology is Topology.SEMI_INFINITE:
-            res = infinite_chain_enaqt(kappa, mu, offset)
-        else:
-            spec = SystemSpec(topology, n, (trap0,), init0,
-                              kappa=kappa, mu=mu, gamma=0.0)
-            res = optimize_dephasing(spec)
-        return res.eta0, res.xi, res.gamma_opt, None
+        return fn(*args, **kwargs)
     except EnaqtError as exc:
-        return math.nan, math.nan, math.nan, f"{type(exc).__name__}: {exc}"
+        return exc
+
+
+def _sweep_batch(task):
+    """(eta0, xi, gamma_opt, error) for each cell of one plane-sweep batch;
+    module-level so worker pools can pickle it.  Chain and ring cells are
+    optimized as cell stacks, semi-infinite cells one by one; a cell whose
+    spec or solve raised holds NaN and the error's text."""
+    topology, n, trap0, init0, offset, rates = task
+    if topology is Topology.SEMI_INFINITE:
+        results = [_attempt(infinite_chain_enaqt, kv, mv, offset)
+                   for kv, mv in rates]
+    else:
+        specs = [_attempt(SystemSpec, topology, n, (trap0,), init0,
+                          kappa=kv, mu=mv, gamma=0.0) for kv, mv in rates]
+        solved = iter(_optimize_cells(
+            [s for s in specs if isinstance(s, SystemSpec)]))
+        results = [next(solved) if isinstance(s, SystemSpec) else s
+                   for s in specs]
+    return [(res.eta0, res.xi, res.gamma_opt, None)
+            if isinstance(res, EnaqtResult)
+            else (math.nan, math.nan, math.nan,
+                  f"{type(res).__name__}: {res}")
+            for res in results]
 
 
 def plane_sweep(topology, n=None, trap=None, init=None,
@@ -571,11 +709,18 @@ def plane_sweep(topology, n=None, trap=None, init=None,
                 workers: int | None = None) -> PlaneMap:
     """Optimize dephasing on every cell of a (kappa, mu) grid.
 
-    Defaults to 48-point log grids over [1e-4, 1e2].  Cells are
-    independent; results are assembled in grid order, so the map is
+    Defaults to 48-point log grids over [1e-4, 1e2].  The cells, in grid
+    order (mu fastest), are cut into batches: chain and ring cells into
+    cell stacks of _stack_size(n) cells, each optimized by one batched
+    scan and one lockstep golden refinement (see the module docstring),
+    and semi-infinite cells one by one, each with its own truncation.
+    The batches depend only on the grid and the geometry; with
+    workers > 1 they are the tasks of a process pool, and the map is
     identical for any worker count.  Per-cell failures are recorded in
     PlaneMap.errors (keyed (i, j)) with NaN values in the arrays, and are
-    not fatal.
+    not fatal; the other cells of the batch are unaffected.  Grid values
+    must be finite, strictly increasing and within the rate bounds
+    (ValidationError otherwise).
 
     For the semi-infinite topology, n/trap/init are ignored (geometry is
     set by offset) and the mu grid must respect the 0.1 cutoff.
@@ -588,6 +733,8 @@ def plane_sweep(topology, n=None, trap=None, init=None,
     for name, grid in (("kappa_grid", kappa_grid), ("mu_grid", mu_grid)):
         if grid.ndim != 1 or grid.size == 0:
             raise ValidationError(f"{name} must be a non-empty 1-d sequence")
+        if not np.all(np.isfinite(grid)):
+            raise ValidationError(f"{name} must be finite")
         if np.any(np.diff(grid) <= 0):
             raise ValidationError(f"{name} must be strictly increasing")
         lo = (MU_CUTOFF_INFINITE
@@ -608,13 +755,16 @@ def plane_sweep(topology, n=None, trap=None, init=None,
         if trap0 == init0:
             raise ValidationError("trap and init must differ")
 
-    tasks = [(topology, n, trap0, init0, offset, float(kv), float(mv))
-             for kv in kappa_grid for mv in mu_grid]
+    cells = [(float(kv), float(mv)) for kv in kappa_grid for mv in mu_grid]
+    size = 1 if topology is Topology.SEMI_INFINITE else _stack_size(n)
+    tasks = [(topology, n, trap0, init0, offset, cells[i:i + size])
+             for i in range(0, len(cells), size)]
     if workers is not None and workers > 1:
         with multiprocessing.Pool(workers) as pool:
-            rows = pool.map(_sweep_cell, tasks)
+            batches = pool.map(_sweep_batch, tasks)
     else:
-        rows = [_sweep_cell(t) for t in tasks]
+        batches = [_sweep_batch(t) for t in tasks]
+    rows = [row for batch in batches for row in batch]
 
     shape = (kappa_grid.size, mu_grid.size)
     eta0 = np.empty(shape)

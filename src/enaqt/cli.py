@@ -3,7 +3,7 @@
 Subcommands map one-to-one onto the library layer:
 
     efficiency -> efficiency_direct       (one point)
-    curve      -> efficiency_direct       (per gamma of the grid)
+    curve      -> EigenbasisSteadySolver  (one solver, efficiency per gamma)
     optimize   -> optimize_dephasing      (gamma_opt, xi)
     sweep      -> plane_sweep             (long-form rows, one per cell)
     table      -> max_enaqt               (all trap/init pairs for one N)
@@ -51,7 +51,7 @@ from .errors import (
     ValidationError,
 )
 from .model import SystemSpec, Topology
-from .solver import efficiency_direct
+from .solver import EigenbasisSteadySolver, efficiency_direct
 
 __all__ = ["RunConfig", "parse_config", "run", "emit", "main"]
 
@@ -284,15 +284,16 @@ def run(cfg: RunConfig) -> list:
     if sub == "curve":
         gammas = [0.0] + _grid(cfg.gamma_min, cfg.gamma_max,
                                cfg.gamma_points, cfg.gamma_scale)
+        solver = EigenbasisSteadySolver(_spec(cfg))
         records = []
         for g in gammas:
-            rep = efficiency_direct(_spec(cfg, g))
+            eta, eta_loss, resid, method = solver.efficiency(g)[:4]
             records.append({
                 "topology": cfg.topology, "n": cfg.n, "trap": cfg.trap,
                 "init": cfg.init, "kappa": cfg.kappa, "mu": cfg.mu,
                 "gamma": g,
-                "eta": rep.eta, "eta_loss": rep.eta_loss,
-                "method": rep.method, "residual": rep.residual,
+                "eta": eta, "eta_loss": eta_loss,
+                "method": method, "residual": resid,
                 "version": __version__,
             })
         return records

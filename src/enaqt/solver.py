@@ -11,12 +11,13 @@ Two independent routes are implemented and cross-validated:
 * efficiency_direct    -- resolvent solve of L x = -vec(rho0)
 * propagate            -- adaptive Runge-Kutta integration of the motion
 
-Every steady solve, single or over a gamma grid, runs on one engine,
+Every steady solve, single, over a gamma grid or over a stack of
+(kappa, mu) cells of one geometry, runs on one engine,
 EigenbasisSteadySolver: it reduces the steady solve to the n site
 populations in the eigenbasis of H, solves that system directly (batched
-over a gamma grid) up to DENSE_SOLVE_MAX_N sites and by GMRES above, and
-falls back to a sparse LU of the full generator.  Every answer is
-certified by the residual of the full generator.
+over all cells and rates of a call) up to DENSE_SOLVE_MAX_N sites and by
+GMRES above, and falls back to a sparse LU of the full generator.  Every
+answer is certified by the residual of the full generator.
 """
 
 from __future__ import annotations
@@ -55,6 +56,10 @@ __all__ = [
 
 RESID_ACCEPT = 1e-9   # relative residual above which a solve is rejected
 REAL_TOL = 1e-10      # allowed imaginary leakage in probabilities
+# Bytes of one (points x n^2) complex array of a batched direct solve,
+# which holds several such arrays at once; a call with more points than
+# that is solved in chunks of cells.
+BATCH_BYTES = 2 ** 17
 # Largest n for which EigenbasisSteadySolver assembles the population
 # system (through an n^2 x n^2 map of 16 n^4 bytes) and solves it
 # directly; larger systems use its GMRES route.  The value was set for the
@@ -317,7 +322,8 @@ def efficiency_gamma_grid(spec: SystemSpec, gammas,
     EigenbasisSteadySolver.eta_grid): one batched direct solve of the
     population system up to DENSE_SOLVE_MAX_N sites, warm-started GMRES
     along the grid above it.  Pass `solver` (built for spec's geometry and
-    rates) to reuse one across calls.
+    rates) to reuse one across calls; a cell stack gives one row of etas
+    per cell.
 
     Raises the per-point solver error with the failing gamma attached.
     """
@@ -329,17 +335,6 @@ def efficiency_gamma_grid(spec: SystemSpec, gammas,
     if solver is None:
         solver = EigenbasisSteadySolver(spec)
     return solver.eta_grid(gammas)
-
-
-def _pointwise(eta_fn, gammas) -> np.ndarray:
-    """eta_fn at every gamma, with the failing gamma named in the error."""
-    etas = np.empty(gammas.size)
-    for i, g in enumerate(gammas):
-        try:
-            etas[i] = eta_fn(g)
-        except SingularSystemError as exc:
-            raise SingularSystemError(f"gamma={g:g}: {exc}") from exc
-    return etas
 
 
 def _apply_generator(h, g2, xs):
@@ -354,6 +349,33 @@ def _apply_generator(h, g2, xs):
     flat -= np.reshape(g2, (-1, 1)) * xs.reshape(-1, n * n)
     flat[:, ::n + 1] = pops
     return out
+
+
+def _right(y, r):
+    """Y R for every n x n matrix Y flattened (row-major) along the last
+    axis of y, R one per cell: y of shape (cells, k, n^2) with r of shape
+    (cells, n, n), or y of shape (k, n^2) or (n^2,) with one r.  One
+    matrix product per cell covers all its k points."""
+    n = r.shape[-1]
+    return (y.reshape(r.shape[:-2] + (-1, n)) @ r).reshape(y.shape)
+
+
+def _left(m, y):
+    """M Y for every matrix Y of y, M one per cell, as in _right: one
+    product per point when each cell has one point, else the transposes
+    Y^T M^T as one matrix product per cell."""
+    n = m.shape[-1]
+    cells = m.shape[:-2]
+    if y.size == n * n * math.prod(cells):
+        return (m @ y.reshape(cells + (n, n))).reshape(y.shape)
+    yt = np.swapaxes(y.reshape(cells + (-1, n, n)), -1, -2)
+    return np.swapaxes((yt.reshape(cells + (-1, n)) @ np.swapaxes(m, -1, -2)
+                        ).reshape(cells + (-1, n, n)), -1, -2).reshape(y.shape)
+
+
+def _geometry(spec):
+    return (spec.topology, spec.n, spec.trap_sites, spec.initial_site,
+            spec.v, spec.offset)
 
 
 class EigenbasisSteadySolver:
@@ -387,8 +409,8 @@ class EigenbasisSteadySolver:
         K[l, j] = sum_pq C[l, j, p] R[p, q] conj(C[l, j, q]),
         C[l, j, p] = S[l, p] S^-1[p, j],
 
-    for a whole gamma grid at once: the products C[l, j, p] conj(C[l, j, q])
-    are tabulated once per solver as an n^2 x n^2 map, so a grid costs one
+    for many rates at once: the products C[l, j, p] conj(C[l, j, q]) are
+    tabulated once per solver as an n^2 x n^2 map, so a grid costs one
     matrix product and one stacked solve (eta_grid).  Above it GMRES
     applies the operator at the cost of two dense n x n products per
     matvec.  The full steady integral is
@@ -396,45 +418,123 @@ class EigenbasisSteadySolver:
     S[(S^-1 Diag(p) S^-dag) o R]S^dag, which keeps its residual near
     working precision.
 
+    A solver is built from one SystemSpec, or from a cell stack: a
+    sequence of specs that share one geometry and differ only in
+    (kappa, mu), which gives every array a leading cell axis.  A stack is
+    built with one stacked eigendecomposition and one stacked map, and
+    each call of eta_grid or eta solves a (cells x rates) array of points
+    at once: per cell, one matrix product applies a map, or S, S^dag or H,
+    to all its rates together, and one stacked solve covers every point
+    (a single LAPACK solve for one cell and one rate).  Above
+    DENSE_SOLVE_MAX_N sites a stack holds one cell and its points are
+    solved one by one by GMRES, warm-started along the calls.
+
     Every result is certified by the residual of the full generator.  A
     single solve (efficiency) is refined in extended precision when its
     residual exceeds 1e-10 (near-singular systems, mu ~ 1e-8); one whose
     residual then exceeds RESID_ACCEPT, or whose eta or eta_loss carries
     an imaginary part above REAL_TOL, is redone once by a sparse LU of the
     full vectorized generator, and SingularSystemError is raised only if
-    that answer fails the same checks.  A point of a batched grid whose
+    that answer fails the same checks.  A point of a batched solve whose
     residual exceeds 1e-10 or whose probabilities leak above REAL_TOL goes
-    through that single solve.
+    through that single solve.  A solver built from one spec raises a
+    point's SingularSystemError with its gamma named; a stack records it
+    in `failed` under the cell's index, answers NaN for that cell from
+    then on, and solves its other cells as before.
     """
 
     GMRES_RESTART = 60
     GMRES_MAXITER = 10
 
-    def __init__(self, spec: SystemSpec):
-        self.spec = spec.with_gamma(0.0)
-        self.n = n = spec.n
-        self.h = build_hamiltonian(spec)
-        lam, s = np.linalg.eig(self.h)
-        self.s = s
-        self.sinv = np.linalg.inv(s)
-        self.c = -1j * (lam[:, None] - lam[None, :].conj())
-        self.tidx = np.asarray(spec.trap_sites, dtype=int)
+    def __init__(self, spec):
+        self._stacked = not isinstance(spec, SystemSpec)
+        specs = [s if s.gamma == 0.0 else s.with_gamma(0.0)
+                 for s in (spec if self._stacked else [spec])]
+        if not specs:
+            raise ValidationError("a cell stack needs at least one spec")
+        if any(_geometry(s) != _geometry(specs[0]) for s in specs[1:]):
+            raise ValidationError(
+                "the cells of a stack must share one geometry and differ "
+                "only in kappa and mu")
+        self.n = n = specs[0].n
+        if n > DENSE_SOLVE_MAX_N and len(specs) > 1:
+            raise ValidationError(
+                f"a stack above {DENSE_SOLVE_MAX_N} sites holds one cell")
+        self.specs = specs
+        self.cells = len(specs)
+        h = np.stack([build_hamiltonian(s) for s in specs])
+        lam, s = np.linalg.eig(h)
+        sinv = np.linalg.inv(s)
+        self._c = -1j * (lam[:, :, None] - lam[:, None, :].conj())
+        self.tidx = np.asarray(specs[0].trap_sites, dtype=int)
+        self._ids = np.arange(self.cells)
         if n <= DENSE_SOLVE_MAX_N:
-            # ct[p, l*n + j] = C[l, j, p] and kmap[p*n + q, l*n + j] =
-            # C[l, j, p] conj(C[l, j, q]): K for a grid is R_flat @ kmap,
-            # with no n^3-per-rate temporaries (a 65-point grid at n = 10
-            # would need 1 MB of them, returned to the system and faulted
-            # in again on every call)
-            ct = (s.T[:, :, None] * self.sinv[:, None, :]).reshape(n, n * n)
-            self._kmap = (ct[:, None, :] * ct.conj()[None, :, :]).reshape(
-                n * n, n * n)
-            self._sdag = s.conj().T
-            self._sinvdag = self.sinv.conj().T
-            self._rhs0 = -site_density(n, spec.initial_site).reshape(n, n)
-            self._weights0 = self._to_eigen(self._rhs0)
+            self._build_maps(specs, h, s, sinv)
+        if self.cells == 1:
+            # the single solves (efficiency) work on one cell's arrays
+            self.spec = specs[0]
+            self.h, self.s, self.sinv, self.c = h[0], s[0], sinv[0], self._c[0]
         self._sparse_base = None
         self._warm = None
         self.routes = Counter()  # accepted solves per method
+        self.failed = {}  # cell index -> SingularSystemError, stacks only
+
+    def _build_maps(self, specs, h, s, sinv):
+        """Tabulate, per cell, what the assembled route applies.
+
+        Matrices X are flattened row-major (X[i, j] at i*n + j), and the
+        maps act from the right on rows of points, so that all points of
+        a cell form one matrix product:
+          kmap[pq, lj] = C[l, j, p] conj(C[l, j, q]):  K = R @ kmap;
+          emap[pq, i] = S[i, p] conj(S[i, q]):         diag(S Y S^dag);
+          fmap[j, pq] = S^-1[p, j] conj(S^-1[q, j]):   S^-1 Diag(p) S^-dag.
+        No n^3-per-rate temporaries arise (a 65-point grid at n = 10 would
+        need 1 MB of them, returned to the system and faulted in again on
+        every call).  S, S^dag, -iH and -iH^dag are kept for _left and
+        _right.
+        """
+        n = self.n
+        nn = n * n
+        cells = len(specs)
+        st, sinvt = s.transpose(0, 2, 1), sinv.transpose(0, 2, 1)
+        ct = (st[:, :, :, None] * sinv[:, :, None, :]).reshape(cells, n, nn)
+        kmap = (ct[:, :, None, :] * ct.conj()[:, None, :, :]).reshape(
+            cells, nn, nn)
+        emap = (st[:, :, None, :] * st.conj()[:, None, :, :]).reshape(
+            cells, nn, n)
+        fmap = (sinvt[:, :, :, None] * sinvt.conj()[:, :, None, :]).reshape(
+            cells, n, nn)
+        self._rhs0 = -site_density(n, specs[0].initial_site)
+        weights0 = (sinv @ self._rhs0.reshape(n, n)
+                    @ sinvt.conj()).reshape(cells, 1, nn)
+        self._offdiag = (1.0 - np.eye(n)).reshape(nn)
+        two_rates = 2.0 * np.array([[c.kappa, c.mu] for c in specs])
+        # per cell, with an axis of length 1 for the rates where the array
+        # is applied elementwise; for the only cell, without either axis
+        self._maps_all = (
+            self._c.reshape(cells, 1, nn), kmap, emap, fmap, s, st.conj(),
+            -1j * h, -1j * h.conj().transpose(0, 2, 1), weights0,
+            two_rates[:, :1], two_rates[:, 1:])
+        if cells == 1:
+            self._maps_one = tuple(m[0, 0] if m.shape[1] == 1 else m[0]
+                                   for m in self._maps_all)
+
+    def _maps(self, cells):
+        """The arrays of _build_maps for the index array `cells` (every
+        cell when None); those of the only cell, without the cell axis,
+        when cells is None on a one-cell solver."""
+        if cells is None:
+            return self._maps_one if self.cells == 1 else self._maps_all
+        return tuple(m[cells] for m in self._maps_all)
+
+    def _cell(self, k):
+        """The one-cell solver of cell k (this solver when it has one
+        cell); it counts its accepted solves in this solver's routes."""
+        if self.cells == 1:
+            return self
+        solver = EigenbasisSteadySolver(self.specs[k])
+        solver.routes = self.routes
+        return solver
 
     def _to_eigen(self, xmat):
         """S^-1 X S^-dag."""
@@ -463,44 +563,60 @@ class EigenbasisSteadySolver:
 
         return matvec
 
-    def _direct(self, g2, weights):
-        """(X, diag X) with L(X) = rhs, from a direct solve of the
-        explicitly assembled population system; weights = S^-1 rhs S^-dag.
+    def _direct(self, g2, weights, maps):
+        """(X, diag X), X flattened, with L(X) = rhs at every point, from a
+        direct solve of the explicitly assembled population system;
+        weights = S^-1 rhs S^-dag, flattened, and maps from _maps.
 
-        g2 = 2*gamma is a scalar, giving X of shape (n, n), or an array of
-        shape (G, 1, 1), giving one stacked solve for all G rates.
+        With one cell's maps g2 = 2*gamma is a number, or has shape
+        (k, 1) for k rates; with a stack's maps it has shape (m, k, 1),
+        k rates for each of its m cells.  X then has the shape of g2 with
+        its last axis n^2 long, and diag X that with it n long.
         """
+        c, kmap, emap, fmap, s, sdag = maps[:6]
         n = self.n
-        c = self.c
-        denom = c - g2
-        ratio = c / denom
-        base = self.s @ (weights / denom) @ self._sdag
-        kmat = (ratio.reshape(-1, n * n) @ self._kmap).reshape(ratio.shape)
-        rhs_pops = base.diagonal(axis1=-2, axis2=-1)
+        # in place where it saves a (points x n^2) array: a stack's grid
+        # holds thousands of points
+        y = c - g2
+        ratio = c / y
+        y = np.divide(weights, y, out=y)
+        kmat = (ratio @ kmap).reshape(ratio.shape[:-1] + (n, n))
         if kmat.ndim == 2:
             # LAPACK directly: a third of np.linalg.solve's cost at n ~ 5.
             # An exactly singular K (info > 0) leaves pops unsolved; the
             # residual check then rejects the point.
-            pops = sla.lapack.zgesv(kmat, rhs_pops)[2]
+            pops = sla.lapack.zgesv(kmat, y @ emap)[2]
         else:
-            pops = np.linalg.solve(kmat, rhs_pops[..., None])[..., 0]
-        xs = base - self.s @ (
-            ((self.sinv * pops[..., None, :]) @ self._sinvdag) * ratio
-        ) @ self._sdag
-        xs.reshape(-1, n * n)[:, ::n + 1] += pops
+            pops = np.linalg.solve(kmat, (y @ emap)[..., None])[..., 0]
+        del kmat
+        ratio *= pops @ fmap
+        y -= ratio
+        del ratio
+        xs = _left(s, _right(y, sdag))
+        xs[..., ::n + 1] += pops
         return xs, pops
 
-    def _direct_etas(self, g2):
-        """(eta, certified, residual) at the initial site from _direct;
-        certified is False where the full-generator residual exceeds 1e-10
-        or eta or eta_loss carries an imaginary part above REAL_TOL."""
+    def _direct_etas(self, g2, cells=None):
+        """(eta, certified, residual) at the initial site from _direct, for
+        g2 as there, on the arrays of `cells` (see _maps); certified is
+        False where the full-generator residual exceeds 1e-10 or eta or
+        eta_loss carries an imaginary part above REAL_TOL."""
+        maps = self._maps(cells)
         with np.errstate(divide="ignore", invalid="ignore"):
-            xs, pops = self._direct(g2, self._weights0)
-            # relative residual; |rhs| = 1 for a site-localized start
-            r = _apply_generator(self.h, g2, xs) - self._rhs0
-            resid = np.sqrt((r.real ** 2 + r.imag ** 2).sum(axis=(-2, -1)))
-        eta = 2.0 * self.spec.kappa * pops[..., self.tidx].sum(axis=-1)
-        eta_loss = 2.0 * self.spec.mu * pops.sum(axis=-1)
+            xs, pops = self._direct(g2, maps[8], maps)
+            # relative residual of (-iH) X - X (-iH)^dag - 2 gamma
+            # X_offdiag = rhs, with H itself; |rhs| = 1 for a
+            # site-localized start
+            r = _left(maps[6], xs)
+            r -= _right(xs, maps[7])
+            xs *= g2 * self._offdiag
+            r -= xs
+            r -= self._rhs0
+            del xs
+            r = r.view(float)  # real and imaginary parts, interleaved
+            resid = np.sqrt((r * r).sum(axis=-1))
+        eta = maps[9] * pops[..., self.tidx].sum(axis=-1)
+        eta_loss = maps[10] * pops.sum(axis=-1)
         certified = ((resid <= 1e-10) & (np.abs(eta.imag) <= REAL_TOL)
                      & (np.abs(eta_loss.imag) <= REAL_TOL))
         return eta.real, certified, resid
@@ -516,7 +632,9 @@ class EigenbasisSteadySolver:
         """
         n = self.n
         if n <= DENSE_SOLVE_MAX_N:
-            return self._direct(2.0 * gamma, self._to_eigen(rhs_mat))[0]
+            return self._direct(
+                2.0 * gamma, self._to_eigen(rhs_mat).reshape(-1),
+                self._maps_one)[0].reshape(n, n)
         base = self._ainv(rhs_mat, gamma)
         if gamma == 0.0:
             return base
@@ -583,7 +701,10 @@ class EigenbasisSteadySolver:
         return SingularSystemError(message)
 
     def efficiency(self, gamma, rho0=None, warm_start=None):
-        """Returns (eta, eta_loss, residual, method, populations)."""
+        """Returns (eta, eta_loss, residual, method, populations).
+
+        A single solve on a one-cell solver.
+        """
         n = self.n
         if rho0 is None:
             rho0 = site_density(n, self.spec.initial_site)
@@ -615,48 +736,107 @@ class EigenbasisSteadySolver:
         self.routes[method] += 1
         return eta, eta_loss, resid, method, xmat.diagonal().copy()
 
-    def eta_grid(self, gammas):
-        """eta for the initial site at every rate of the 1-d array gammas.
-
-        Up to DENSE_SOLVE_MAX_N sites the whole grid is one batched direct
-        solve, each point certified by its full-generator residual and its
-        imaginary leakage; a point that fails either is redone alone by
-        efficiency (extended-precision refinement, then the sparse-LU
-        fallback).  Larger systems solve point by point along the grid,
-        warm-started.  A failing point raises with its gamma named.
-        """
-        n = self.n
-        if n > DENSE_SOLVE_MAX_N:
-            return _pointwise(self.eta, gammas)
-        etas, certified, resid = self._direct_etas(
-            2.0 * gammas[:, None, None])
-        redo = np.flatnonzero(~certified)
-        if redo.size:
-            etas[redo] = self._redo(gammas[redo])
-        if redo.size < gammas.size:
-            self.routes["direct-eigenbasis"] += gammas.size - redo.size
-        _log.debug("batched solve n=%d points=%d max_residual=%.2e redone=%d",
-                   n, gammas.size, resid.max(), redo.size)
-        return etas
-
-    def _redo(self, gammas):
-        """eta at each rate by efficiency: a direct solve that failed its
-        checks, redone with refinement and the sparse-LU fallback."""
-        return _pointwise(lambda g: self.efficiency(g)[0], gammas)
-
-    def eta(self, gamma):
-        """eta at gamma for the initial site.
-
-        Up to DENSE_SOLVE_MAX_N sites one direct solve, certified as a
-        point of eta_grid is; above it the GMRES solve is warm-started
-        from the populations of the previous call on this solver.
-        """
-        if self.n <= DENSE_SOLVE_MAX_N:
-            eta, certified, _ = self._direct_etas(2.0 * gamma)
-            if not certified:
-                return float(self._redo(np.array([gamma], dtype=float))[0])
-            self.routes["direct-eigenbasis"] += 1
-            return float(eta)
-        eta, _, _, _, self._warm = self.efficiency(
-            gamma, warm_start=self._warm)
+    def _point(self, k, gamma):
+        """eta of cell k at gamma by efficiency (extended-precision
+        refinement, then the sparse-LU fallback), warm-started from the
+        cell's previous point above DENSE_SOLVE_MAX_N sites.  A failure is
+        raised, or recorded in `failed` by a stack, with its gamma named."""
+        if k in self.failed:
+            return math.nan
+        solver = self._cell(k)
+        try:
+            eta, _, _, _, pops = solver.efficiency(
+                gamma, warm_start=solver._warm)
+        except SingularSystemError as exc:
+            err = SingularSystemError(f"gamma={gamma:g}: {exc}")
+            if not self._stacked:
+                raise err from exc
+            err.__cause__ = exc
+            self.failed[k] = err
+            return math.nan
+        if self.n > DENSE_SOLVE_MAX_N:
+            solver._warm = pops
         return eta
+
+    def _etas(self, gammas, cells=None):
+        """eta at the rates gammas[i, j] of cell cells[i] (of cell i when
+        cells is None), NaN for a failed cell.
+
+        Returns (etas, residuals, points redone).  Up to DENSE_SOLVE_MAX_N
+        sites the points are one batched direct solve (one per chunk of
+        cells when they exceed BATCH_BYTES), and a point that fails its
+        certification is redone alone by _point; above it every point goes
+        through _point and residuals is None.
+        """
+        if cells is not None and len(cells) == self.cells and (
+                self.cells == 1 or (cells == self._ids).all()):
+            cells = None
+        ids = self._ids if cells is None else cells
+        if self.n > DENSE_SOLVE_MAX_N:
+            etas = np.array([self._point(ids[i], g)
+                             for (i, _), g in np.ndenumerate(gammas)])
+            return etas.reshape(gammas.shape), None, 0
+        rows, k = gammas.shape
+        chunk = max(1, BATCH_BYTES // (16 * self.n ** 2 * k))
+        if rows > chunk:
+            parts = [self._etas(gammas[i:i + chunk], ids[i:i + chunk])
+                     for i in range(0, rows, chunk)]
+            return (np.concatenate([p[0] for p in parts]),
+                    np.concatenate([p[1] for p in parts]),
+                    sum(p[2] for p in parts))
+        g2 = 2.0 * gammas
+        if cells is None and self.cells == 1:
+            g2 = float(g2[0, 0]) if g2.size == 1 else g2[0, :, None]
+        else:
+            g2 = g2[..., None]
+        etas, certified, resid = self._direct_etas(g2, cells)
+        etas = np.asarray(etas).reshape(gammas.shape)
+        redo = ([] if certified.all()
+                else np.argwhere(~np.reshape(certified, gammas.shape)))
+        for i, j in redo:
+            etas[i, j] = self._point(ids[i], gammas[i, j])
+        if len(redo) < gammas.size:
+            self.routes["direct-eigenbasis"] += gammas.size - len(redo)
+        if self.failed:
+            etas[np.isin(ids, list(self.failed))] = math.nan
+        return etas, resid, len(redo)
+
+    def eta_grid(self, gammas):
+        """eta for the initial site at every rate of the 1-d array gammas,
+        for every cell: shape (cells, G), or (G,) for a solver built from
+        one spec.
+
+        Up to DENSE_SOLVE_MAX_N sites the whole grid of every cell is one
+        batched direct solve, each point certified by its full-generator
+        residual and its imaginary leakage; a point that fails either is
+        redone alone by efficiency (extended-precision refinement, then the
+        sparse-LU fallback).  Larger systems solve point by point along
+        the grid, warm-started.  A failing point is raised or recorded
+        with its gamma named (see the class docstring).
+        """
+        gammas = np.asarray(gammas, dtype=float)
+        etas, resid, redone = self._etas(
+            np.broadcast_to(gammas, (self.cells, gammas.size)))
+        if resid is not None:
+            _log.debug(
+                "batched solve n=%d points=%d max_residual=%.2e redone=%d",
+                self.n, etas.size, resid.max(), redone)
+        return etas if self._stacked else etas[0]
+
+    def eta(self, gamma, cells=None):
+        """eta for the initial site at one rate per cell.
+
+        On a solver built from one spec, gamma is a number and so is the
+        result.  On a stack, gamma is an array with one row (or one entry)
+        of rates per cell of the index array `cells` (every cell, in order,
+        when None), and the result has its shape; all points are solved as
+        one batch.  Points are certified as in eta_grid; above
+        DENSE_SOLVE_MAX_N sites each GMRES solve is warm-started from the
+        populations of the previous point.
+        """
+        if not self._stacked:
+            return float(self._etas(np.array([[gamma]], dtype=float))[0][0, 0])
+        gamma = np.asarray(gamma, dtype=float)
+        rows = self.cells if cells is None else len(cells)
+        return self._etas(gamma.reshape(rows, -1), cells)[0].reshape(
+            gamma.shape)

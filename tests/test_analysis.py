@@ -1,9 +1,13 @@
 """Analysis-layer tests: optimization, closed forms, estimates, sweeps."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from enaqt import (
+    EigenbasisSteadySolver,
     EnaqtResult,
     SystemSpec,
     ValidationError,
@@ -20,8 +24,10 @@ from enaqt import (
     no_enaqt_region,
     optimize_dephasing,
     plane_sweep,
+    semi_infinite_spec,
     symmetry_split,
 )
+from enaqt import analysis
 from dense_oracles import dense_lu_branching
 
 FIG1B = SystemSpec("chain", 3, (0,), 1, kappa=0.1, mu=0.01, gamma=0.0)
@@ -334,6 +340,15 @@ class TestPlaneSweep:
         with pytest.raises(ValidationError):
             plane_sweep("semi-infinite", kappa_grid=[0.1], mu_grid=[0.01])
 
+    @pytest.mark.parametrize("axis", ["kappa_grid", "mu_grid"])
+    def test_non_finite_grid_rejected(self, axis):
+        # NaN passed the ordering and bound checks, and every NaN cell
+        # became a per-cell error
+        grids = {"kappa_grid": [0.1, 1.0], "mu_grid": [0.1, 1.0]}
+        grids[axis] = [0.1, float("nan")]
+        with pytest.raises(ValidationError, match=f"{axis} must be finite"):
+            plane_sweep("chain", 3, 1, 2, **grids)
+
 
 class TestInfiniteChain:
     def test_zero_trapping_trivial(self):
@@ -351,3 +366,226 @@ class TestInfiniteChain:
         assert res.xi >= 0.0
         assert res.n_total == res.left + res.offset + res.right
         assert 0.0 < res.eta0 < 1.0
+
+
+class TestSearchArguments:
+    """Optimizer arguments outside their domain raise ValidationError."""
+
+    SPEC = SystemSpec("chain", 5, (0,), 1, kappa=1.0, mu=0.1, gamma=0.0)
+
+    @pytest.mark.parametrize("refine_tol", [0.0, -1e-4, np.nan, np.inf])
+    def test_optimize_rejects_refine_tol(self, refine_tol):
+        # refine_tol = 0 used to loop forever: the bracket stops
+        # shrinking at one ulp
+        with pytest.raises(ValidationError, match="refine_tol"):
+            optimize_dephasing(self.SPEC, refine_tol=refine_tol)
+
+    @pytest.mark.parametrize("grid_points", [0, -3])
+    def test_optimize_rejects_grid_points(self, grid_points):
+        with pytest.raises(ValidationError, match="grid_points"):
+            optimize_dephasing(self.SPEC, grid_points=grid_points)
+
+    @pytest.mark.parametrize("refine_tol", [0.0, -1e-4, np.nan, np.inf])
+    def test_infinite_chain_rejects_refine_tol(self, refine_tol):
+        with pytest.raises(ValidationError, match="refine_tol"):
+            infinite_chain_enaqt(2.0, 0.5, refine_tol=refine_tol)
+
+    @pytest.mark.parametrize("grid_points", [0, -3])
+    def test_infinite_chain_rejects_grid_points(self, grid_points):
+        with pytest.raises(ValidationError, match="grid_points"):
+            infinite_chain_enaqt(2.0, 0.5, grid_points=grid_points)
+
+    @pytest.mark.parametrize("grid_points", [0, 1])
+    def test_max_enaqt_rejects_grid_points(self, grid_points):
+        # grid_points = 0 or 1 used to raise IndexError
+        with pytest.raises(ValidationError, match="grid_points"):
+            max_enaqt("chain", 4, 2, 3, grid_points=grid_points)
+
+    def test_max_enaqt_rejects_negative_sweeps(self):
+        with pytest.raises(ValidationError, match="sweeps"):
+            max_enaqt("chain", 4, 2, 3, sweeps=-1)
+
+    def test_tolerance_below_an_ulp_terminates(self):
+        # the golden bracket cannot shrink below one ulp of log gamma; the
+        # search stops there instead of looping
+        fine = optimize_dephasing(self.SPEC, refine_tol=1e-300)
+        ref = optimize_dephasing(self.SPEC)
+        assert fine.gamma_opt == pytest.approx(ref.gamma_opt, rel=1e-3)
+        assert fine.xi == pytest.approx(ref.xi, abs=1e-9)
+
+    def test_single_point_grid(self):
+        res = optimize_dephasing(self.SPEC, grid_points=1)
+        assert res.eta0 == pytest.approx(ref_eta0(self.SPEC), abs=1e-12)
+
+
+def ref_eta0(spec):
+    return dense_lu_branching(spec.with_gamma(0.0))[0]
+
+
+def _scalar_golden(f, a, b, tol):
+    """The one-bracket golden-section maximizer: the oracle for the
+    elementwise analysis._golden."""
+    invphi = (5 ** 0.5 - 1) / 2
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    while (b - a) > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    return (a + b) / 2
+
+
+@st.composite
+def _brackets(draw):
+    count = draw(st.integers(1, 6))
+    elements = []
+    for _ in range(count):
+        a = draw(st.floats(-10, 10))
+        width = draw(st.floats(0.0, 5.0))
+        tol = 10.0 ** draw(st.floats(-9, 0))
+        peak = draw(st.floats(-12, 12))
+        # rounding makes plateaus, so ties between the two interior
+        # values occur and must keep the left side
+        digits = draw(st.integers(1, 12))
+        elements.append((a, a + width, tol, peak, digits))
+    return elements
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_brackets())
+def test_elementwise_golden_matches_scalar_oracle(elements):
+    fns = [lambda x, p=p, k=k: round(-(x - p) ** 2 + 0.3 * math.sin(3 * x), k)
+           for _, _, _, p, k in elements]
+
+    def stacked(x, idx):
+        return np.array([[fns[i](v) for v in np.atleast_1d(row)]
+                         for i, row in zip(idx, x)]).reshape(x.shape)
+
+    got = analysis._golden(stacked, [e[0] for e in elements],
+                           [e[1] for e in elements], [e[2] for e in elements])
+    want = [_scalar_golden(fn, a, b, tol)
+            for fn, (a, b, tol, _, _) in zip(fns, elements)]
+    assert got.tolist() == want
+
+
+@st.composite
+def _cells(draw, topology):
+    n = draw(st.integers(3, 9))
+    trap, init = draw(st.lists(st.integers(1, n), min_size=2, max_size=2,
+                               unique=True))
+    rates = draw(st.lists(st.tuples(st.floats(-4, 2), st.floats(-4, 2)),
+                          min_size=1, max_size=5))
+    gammas = np.concatenate([[0.0], 10.0 ** np.array(draw(st.lists(
+        st.floats(-4, 4), min_size=1, max_size=4)))])
+    return n, trap, init, [(10.0 ** k, 10.0 ** m) for k, m in rates], gammas
+
+
+def _stack_etas(topology, n, trap, init, rates, gammas):
+    """eta through one cell stack and through efficiency_direct."""
+    specs = [SystemSpec(topology, n, (trap - 1,), init - 1, k, m, 0.0)
+             for k, m in rates]
+    stacked = EigenbasisSteadySolver(specs).eta_grid(gammas)
+    direct = np.array([[efficiency_direct(s.with_gamma(g)).eta
+                        for g in gammas] for s in specs])
+    return stacked, direct
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(_cells("chain"))
+def test_chain_mirror_invariance(cells):
+    n, trap, init, rates, gammas = cells
+    stacked, direct = _stack_etas("chain", n, trap, init, rates, gammas)
+    mirrored, mirrored_direct = _stack_etas(
+        "chain", n, n + 1 - trap, n + 1 - init, rates, gammas)
+    np.testing.assert_allclose(stacked, mirrored, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(direct, mirrored_direct, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(stacked, direct, rtol=0, atol=1e-10)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(_cells("ring"), st.integers(1, 8))
+def test_ring_rotation_invariance(cells, shift):
+    n, trap, init, rates, gammas = cells
+    stacked, direct = _stack_etas("ring", n, trap, init, rates, gammas)
+    rotated, rotated_direct = _stack_etas(
+        "ring", n, (trap - 1 + shift) % n + 1, (init - 1 + shift) % n + 1,
+        rates, gammas)
+    np.testing.assert_allclose(stacked, rotated, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(direct, rotated_direct, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(stacked, direct, rtol=0, atol=1e-10)
+
+
+class TestCellStacks:
+    # 5 x 4 = 20 cells: two batches of plane_sweep
+    KAPPAS = [1e-3, 1e-2, 0.1, 1.0, 10.0]
+    MUS = [1e-3, 1e-2, 0.3, 3.0]
+
+    def test_plane_sweep_matches_single_optimizations(self):
+        pm = plane_sweep("chain", 5, 2, 4, kappa_grid=self.KAPPAS,
+                         mu_grid=self.MUS)
+        assert not pm.errors
+        for i, kv in enumerate(self.KAPPAS):
+            for j, mv in enumerate(self.MUS):
+                ref = optimize_dephasing(
+                    SystemSpec("chain", 5, (1,), 3, kv, mv, 0.0))
+                assert pm.eta0[i, j] == pytest.approx(ref.eta0, abs=1e-12)
+                assert pm.xi[i, j] == pytest.approx(ref.xi, abs=1e-12)
+                assert pm.gamma_opt[i, j] == pytest.approx(
+                    ref.gamma_opt, rel=1e-12, abs=0.0)
+
+    def test_plane_sweep_batches_do_not_depend_on_workers(self):
+        maps = [plane_sweep("ring", 5, 1, 3, kappa_grid=self.KAPPAS,
+                            mu_grid=self.MUS, workers=w) for w in (1, 2)]
+        for name in ("eta0", "xi", "gamma_opt"):
+            assert np.array_equal(getattr(maps[0], name),
+                                  getattr(maps[1], name))
+        assert maps[0].errors == maps[1].errors
+
+    def test_failed_cell_leaves_its_batch_intact(self, monkeypatch):
+        clean = plane_sweep("chain", 4, 1, 3, kappa_grid=self.KAPPAS,
+                            mu_grid=self.MUS)
+        bad_kappa = self.KAPPAS[2]
+        direct_etas = EigenbasisSteadySolver._direct_etas
+        probabilities = EigenbasisSteadySolver._probabilities
+
+        def uncertified(self, g2, cells=None):
+            # every point of the cells at bad_kappa fails its batch checks
+            eta, certified, resid = direct_etas(self, g2, cells)
+            kappas = np.array([s.kappa for s in self.specs])
+            kappas = kappas if cells is None else kappas[cells]
+            hit = np.reshape(kappas == bad_kappa,
+                             kappas.shape + (1,) * (certified.ndim - 1))
+            return eta, certified & ~hit, resid
+
+        def leaky(self, xmat):
+            eta, eta_loss = probabilities(self, xmat)
+            if self.spec.kappa == bad_kappa:
+                eta_loss = eta_loss + 1e-9j
+            return eta, eta_loss
+
+        monkeypatch.setattr(EigenbasisSteadySolver, "_direct_etas",
+                            uncertified)
+        monkeypatch.setattr(EigenbasisSteadySolver, "_probabilities", leaky)
+        pm = plane_sweep("chain", 4, 1, 3, kappa_grid=self.KAPPAS,
+                         mu_grid=self.MUS)
+        assert sorted(pm.errors) == [(2, j) for j in range(len(self.MUS))]
+        assert all(e.startswith("SingularSystemError: gamma=")
+                   for e in pm.errors.values())
+        assert np.isnan(pm.xi[2]).all() and np.isnan(pm.eta0[2]).all()
+        keep = np.arange(len(self.KAPPAS)) != 2
+        for name in ("eta0", "xi", "gamma_opt"):
+            assert np.array_equal(getattr(pm, name)[keep],
+                                  getattr(clean, name)[keep])
+
+    def test_stack_cells_share_one_geometry(self):
+        with pytest.raises(ValidationError, match="geometry"):
+            EigenbasisSteadySolver([SystemSpec("chain", 4, (0,), 2, 1, 1, 0),
+                                    SystemSpec("chain", 4, (0,), 1, 1, 1, 0)])
+        with pytest.raises(ValidationError, match="one cell"):
+            EigenbasisSteadySolver(
+                [semi_infinite_spec(1, 0.5, 0, 1, 9, 9)] * 2)

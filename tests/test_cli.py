@@ -157,6 +157,17 @@ def test_sweep_small_grid(capsys):
     assert {float(r["kappa"]) for r in rows} == {0.01, 1.0}
 
 
+def test_sweep_non_finite_bound_is_validation_error(capsys):
+    # a NaN bound used to give one error row per cell and exit code 0
+    code, out, err = _run_capture(
+        ["sweep", "--n", "3", "--trap", "1", "--init", "2",
+         "--kappa-min", "nan", "--kappa-points", "2", "--mu-points", "2"],
+        capsys)
+    assert code == 2
+    assert out == ""
+    assert "kappa_grid must be finite" in err
+
+
 def test_output_file_written_atomically(tmp_path, capsys):
     target = tmp_path / "out.csv"
     code, out, _ = _run_capture(

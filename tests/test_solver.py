@@ -477,8 +477,8 @@ def _fail_direct_solve_at(monkeypatch, gamma):
     """Make the direct population solve fail its checks at gamma only."""
     direct_etas = EigenbasisSteadySolver._direct_etas
 
-    def failing(self, g2):
-        eta, certified, resid = direct_etas(self, g2)
+    def failing(self, g2, cells=None):
+        eta, certified, resid = direct_etas(self, g2, cells)
         hit = np.reshape(g2, np.shape(certified)) == 2.0 * gamma
         return eta, certified & ~hit, resid
 
