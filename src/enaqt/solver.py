@@ -752,7 +752,7 @@ class EigenbasisSteadySolver:
             if not self._stacked:
                 raise err from exc
             err.__cause__ = exc
-            self.failed[k] = err
+            self.failed[int(k)] = err
             return math.nan
         if self.n > DENSE_SOLVE_MAX_N:
             solver._warm = pops

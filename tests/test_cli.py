@@ -158,7 +158,7 @@ def test_sweep_small_grid(capsys):
 
 
 def test_sweep_non_finite_bound_is_validation_error(capsys):
-    # a NaN bound used to give one error row per cell and exit code 0
+    # a NaN bound is invalid input, not a failure of every cell
     code, out, err = _run_capture(
         ["sweep", "--n", "3", "--trap", "1", "--init", "2",
          "--kappa-min", "nan", "--kappa-points", "2", "--mu-points", "2"],
