@@ -401,10 +401,11 @@ def max_enaqt(topology, n: int, trap_site: int, initial_site: int,
     for _ in range(sweeps):
         for axis in (0, 1):
             def val(x, sel):
+                # x holds one row of points per live seed sel
                 v = _exp(np.clip(x, lo_log, hi_log))
-                row = (slice(None),) + (None,) * (v.ndim - 1)
-                return (xi(v, mm[sel][row]) if axis == 0
-                        else xi(kk[sel][row], v))
+                fixed = (mm if axis == 0 else kk)[sel].reshape(
+                    (-1,) + (1,) * (v.ndim - 1))
+                return xi(v, fixed) if axis == 0 else xi(fixed, v)
 
             center = _log(kk if axis == 0 else mm)
             x = _golden(val, center - step, center + step, 1e-3)
