@@ -17,11 +17,11 @@ grid plus the gamma = 0 endpoint, refined by golden section in log space.
 Every dephasing optimization, whether of one system (optimize_dephasing),
 of the cells of a plane sweep, of max_enaqt's ranking grid and seeds, or
 of a semi-infinite truncation, runs one path (_scan_refine) over a cell
-stack, an EigenbasisSteadySolver built for up to _stack_size (kappa, mu)
-cells of one geometry: one batched scan of the gamma grid for all cells,
-then one elementwise golden-section search (_golden, the only maximizer
-here) that refines every cell in lockstep, with one batched solve per
-step.  Above DENSE_SOLVE_MAX_N sites a stack holds one cell.
+stack, an EigenbasisSteadySolver built for up to solver._stack_size(n)
+(kappa, mu) cells of one geometry: one batched scan of the gamma grid for
+all cells, then one elementwise golden-section search (_golden, the only
+maximizer here) that refines every cell in lockstep, with one batched
+solve per step.  How many cells a stack holds is the solver's choice.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .model import (
 )
 from .solver import (
     EigenbasisSteadySolver,
+    _stack_size,
     efficiency_direct,
     efficiency_gamma_grid,
 )
@@ -74,9 +75,6 @@ TRUNCATION_TOL = 1e-4
 SITE_CAP_INFINITE = 4096
 GRID_POINTS = 64     # default log-spaced gamma grid of an optimization
 REFINE_TOL = 1e-4    # default golden bracket, in log gamma
-# Bytes of the n^2 x n^2 maps (16 n^4 bytes a cell) of one cell stack;
-# see _stack_size.
-STACK_BYTES = 2 ** 18
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -245,7 +243,8 @@ def _scan_refine(solver, grid_points, refine_tol) -> list:
     gammas[0] is the no-dephasing endpoint; a cell's refinement runs in
     log gamma over the neighbours of its best grid point.  Returns one
     entry per cell: its EnaqtResult, or the SingularSystemError of a solve
-    that failed.
+    that failed.  The callers build their stacks in cells of
+    solver._stack_size(n), which knows the memory of a cell.
     """
     gammas = np.concatenate([[0.0], np.geomspace(*GAMMA_BOUNDS, grid_points)])
     etas = efficiency_gamma_grid(solver.specs[0], gammas, solver=solver)
@@ -264,15 +263,6 @@ def _scan_refine(solver, grid_points, refine_tol) -> list:
                 results[k] = EnaqtResult(float(eta0[k]), float(e), float(g),
                                          float(e - eta0[k]))
     return [solver.failed.get(k, res) for k, res in enumerate(results)]
-
-
-def _stack_size(n):
-    """Cells per stack of n-site cells: as many as keep their maps within
-    STACK_BYTES (25 at n = 5, 4 at n = 8), and one from n = 10 on, where
-    a stack then needs no more memory than a single cell; one above
-    DENSE_SOLVE_MAX_N sites, where the GMRES route solves one cell at a
-    time."""
-    return max(1, STACK_BYTES // (16 * n ** 4))
 
 
 def _optimize_cells(specs, grid_points=GRID_POINTS,

@@ -9,6 +9,9 @@ Subcommands map one-to-one onto the library layer:
     table      -> max_enaqt               (all trap/init pairs for one N)
     infinite   -> infinite_chain_enaqt
 
+efficiency and curve run the solver's one point path (solve, certify,
+fall back), so each row carries its method and certified residual.
+
 Site labels are 1-based here, matching the human-facing convention used
 everywhere in the analysis layer.  Parameters may come from flags or from
 a key=value config file (--config); flags win.  Output goes to stdout or,
@@ -38,7 +41,6 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
-    efficiency_curve,
     infinite_chain_enaqt,
     max_enaqt,
     optimize_dephasing,

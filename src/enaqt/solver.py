@@ -13,11 +13,14 @@ Two independent routes are implemented and cross-validated:
 
 Every steady solve, single, over a gamma grid or over a stack of
 (kappa, mu) cells of one geometry, runs on one engine,
-EigenbasisSteadySolver: it reduces the steady solve to the n site
-populations in the eigenbasis of H, solves that system directly (batched
-over all cells and rates of a call) up to DENSE_SOLVE_MAX_N sites and by
-GMRES above, and falls back to a sparse LU of the full generator.  Every
-answer is certified by the residual of the full generator.
+EigenbasisSteadySolver, through one point path: it reduces the steady
+solve to the n site populations in the eigenbasis of H and solves that
+system directly (batched over all cells and rates of a call) up to
+DENSE_SOLVE_MAX_N sites and by GMRES above; it certifies every answer by
+one residual of the full generator and one acceptance rule; and it sends
+a rejected point, on its own cell's arrays, through one fallback chain:
+extended-precision refinement, then a sparse LU of the full generator.
+The solver also sizes the cell stacks of its callers (_stack_size).
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -34,7 +38,6 @@ import scipy.sparse.linalg as spla
 
 from .errors import SingularSystemError, StiffnessError, ValidationError
 from .model import (
-    DENSE_LIMIT,
     DensityState,
     SystemSpec,
     as_density_vec,
@@ -54,7 +57,8 @@ __all__ = [
     "EigenbasisSteadySolver",
 ]
 
-RESID_ACCEPT = 1e-9   # relative residual above which a solve is rejected
+RESID_TARGET = 1e-10  # relative residual that certifies an answer outright
+RESID_ACCEPT = 1e-9   # relative residual above which a fallback is rejected
 REAL_TOL = 1e-10      # allowed imaginary leakage in probabilities
 # Bytes of one (points x n^2) complex array of a batched direct solve,
 # which holds several such arrays at once; a call with more points than
@@ -65,6 +69,9 @@ BATCH_BYTES = 2 ** 17
 # directly; larger systems use its GMRES route.  The value was set for the
 # former dense n^2 x n^2 LU and has not been re-measured for this solve.
 DENSE_SOLVE_MAX_N = 16
+# Bytes of the n^2 x n^2 maps (16 n^4 bytes a cell) of one cell stack;
+# see _stack_size.
+STACK_BYTES = 2 ** 18
 
 _log = logging.getLogger("enaqt")
 
@@ -88,7 +95,7 @@ class EfficiencyReport:
 class Trajectory:
     """Time evolution record produced by propagate().
 
-    states is None when state storage was disabled (large systems).
+    states is None unless propagate() was asked to store them.
     trapped_cumulative[i] is 2*kappa * int_0^t_i of the trap populations, a
     non-decreasing sequence; eta_estimate adds the tail estimate
     trace/2 at the horizon, which is bounded by the remaining trace.
@@ -106,14 +113,6 @@ class Trajectory:
     n_rejected: int
 
 
-def _real_checked(value: complex, what: str) -> float:
-    if abs(value.imag) > REAL_TOL:
-        raise SingularSystemError(
-            f"{what} has imaginary part {value.imag:.3e}; "
-            "the solve is not trustworthy")
-    return float(value.real)
-
-
 def _refine(apply_ld, solve, x, rhs, bnorm):
     """Mixed-precision iterative refinement of a solve of L x = rhs.
 
@@ -129,7 +128,7 @@ def _refine(apply_ld, solve, x, rhs, bnorm):
     for attempt in range(4):
         r_ld = apply_ld(x_ld) - rhs_ld
         resid = float(np.sqrt((np.abs(r_ld) ** 2).sum())) / bnorm
-        if resid <= 1e-10 or attempt == 3:
+        if resid <= RESID_TARGET or attempt == 3:
             break
         x_ld = x_ld - solve(np.asarray(r_ld, dtype=complex))
     return np.asarray(x_ld, dtype=complex), float(resid)
@@ -142,9 +141,9 @@ def efficiency_direct(spec: SystemSpec, rho0=None) -> EfficiencyReport:
     trapping reaches every part of the initial state, and reads off
     eta = 2*kappa*sum_traps x[tau,tau], eta_loss = 2*mu*tr x.
 
-    The solve runs in population space on EigenbasisSteadySolver (method
-    "direct-eigenbasis"), or on its sparse-LU fallback ("direct-sparse")
-    when that answer fails certification.
+    The solve runs through the point path of EigenbasisSteadySolver, in
+    population space (method "direct-eigenbasis"), or on its sparse-LU
+    fallback ("direct-sparse") when that answer fails certification.
 
     Parameters
     ----------
@@ -166,7 +165,6 @@ def efficiency_direct(spec: SystemSpec, rho0=None) -> EfficiencyReport:
 
 
 # Dormand-Prince 5(4) tableau; row 7 equals the 5th-order weights (FSAL).
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _DP_A = (
     (),
     (1 / 5,),
@@ -184,7 +182,7 @@ _DP_ERR = _DP_B5 - np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
 
 def propagate(spec: SystemSpec, rho0=None, horizon: float | None = None,
               rtol: float = 1e-9, atol: float = 1e-12,
-              store_states: bool | None = None) -> Trajectory:
+              store_states: bool = False) -> Trajectory:
     """Adaptive time integration of the master equation.
 
     The state vector is augmented with the two running integrals
@@ -203,8 +201,8 @@ def propagate(spec: SystemSpec, rho0=None, horizon: float | None = None,
     rtol, atol : float
         Embedded local error control.
     store_states : bool, optional
-        Keep the full state at every accepted step.  Defaults to True for
-        dense-sized systems and False above DENSE_LIMIT sites.
+        Keep the full state at every accepted step (off by default: a long
+        horizon at tight tolerances takes millions of steps).
 
     Raises
     ------
@@ -219,8 +217,6 @@ def propagate(spec: SystemSpec, rho0=None, horizon: float | None = None,
     if horizon <= 0 or rtol <= 0:
         raise ValidationError("horizon and rtol must be > 0")
     n = spec.n
-    if store_states is None:
-        store_states = n <= DENSE_LIMIT
     vec0 = (site_density(n, spec.initial_site) if rho0 is None
             else as_density_vec(rho0, n))
     lop = build_liouvillian(spec)
@@ -321,41 +317,31 @@ def efficiency_gamma_grid(spec: SystemSpec, gammas,
     whole grid goes through one EigenbasisSteadySolver (see
     EigenbasisSteadySolver.eta_grid): one batched direct solve of the
     population system up to DENSE_SOLVE_MAX_N sites, warm-started GMRES
-    along the grid above it.  Pass `solver` (built for spec's geometry and
-    rates) to reuse one across calls; a cell stack gives one row of etas
-    per cell.
+    along the grid above it.  Pass `solver` to reuse one across calls; its
+    first cell must match spec in geometry, kappa and mu (spec's gamma is
+    ignored), and a cell stack gives one row of etas per cell.
 
-    Raises the per-point solver error with the failing gamma attached.
+    Raises ValidationError for a rate that is negative or not finite, and
+    the per-point solver error with the failing gamma attached.
     """
     gammas = np.asarray(list(gammas), dtype=float)
     if gammas.ndim != 1 or gammas.size == 0:
         raise ValidationError("gamma grid must be a non-empty 1-d sequence")
-    if np.any(gammas < 0):
-        raise ValidationError("gamma grid must be non-negative")
     if solver is None:
-        solver = EigenbasisSteadySolver(spec)
+        return EigenbasisSteadySolver(spec).eta_grid(gammas)
+    first = solver.specs[0]
+    if (_geometry(spec), spec.kappa, spec.mu) != (
+            _geometry(first), first.kappa, first.mu):
+        raise ValidationError(
+            "spec does not match the solver's first cell in geometry, "
+            "kappa and mu")
     return solver.eta_grid(gammas)
-
-
-def _apply_generator(h, g2, xs):
-    """L(X) for X = xs of shape (n, n), or for a stack of shape (G, n, n):
-    -i(H X - X H^dag) - 2*gamma*X on the coherences, with the populations
-    untouched by dephasing.  g2 = 2*gamma is a scalar, or has shape
-    (G, 1, 1) for a stack."""
-    n = h.shape[0]
-    out = -1j * (h @ xs - xs @ h.conj().T)
-    flat = out.reshape(-1, n * n)  # a view: out is a new contiguous array
-    pops = flat[:, ::n + 1].copy()
-    flat -= np.reshape(g2, (-1, 1)) * xs.reshape(-1, n * n)
-    flat[:, ::n + 1] = pops
-    return out
 
 
 def _right(y, r):
     """Y R for every n x n matrix Y flattened (row-major) along the last
-    axis of y, R one per cell: y of shape (cells, k, n^2) with r of shape
-    (cells, n, n), or y of shape (k, n^2) or (n^2,) with one r.  One
-    matrix product per cell covers all its k points."""
+    axis of y, of shape (cells, k, n^2), R one per cell (shape (cells, n,
+    n)).  One matrix product per cell covers all its k points."""
     n = r.shape[-1]
     return (y.reshape(r.shape[:-2] + (-1, n)) @ r).reshape(y.shape)
 
@@ -373,9 +359,59 @@ def _left(m, y):
                         ).reshape(cells + (-1, n, n)), -1, -2).reshape(y.shape)
 
 
+def _generator(xs, g2, mh, mhd):
+    """L(X) = -i(H X - X H^dag) - 2*gamma*X_offdiag for every X of xs,
+    flattened as in _right, with mh = -iH and mhd = -iH^dag one per cell
+    and g2 = 2*gamma as in _kernel.  The one residual of the
+    solver: in double precision for every answer, in extended precision
+    (mh, mhd and xs in clongdouble) for refinement."""
+    out = _left(mh, xs)
+    out -= _right(xs, mhd)
+    deph = g2 * xs
+    deph[..., ::mh.shape[-1] + 1] = 0.0
+    out -= deph
+    return out
+
+
+def _accepted(resid, eta, eta_loss, bound):
+    """The acceptance rule: residual within bound, and eta and eta_loss
+    (still complex) with imaginary parts within REAL_TOL; elementwise."""
+    return ((resid <= bound) & (np.abs(eta.imag) <= REAL_TOL)
+            & (np.abs(eta_loss.imag) <= REAL_TOL))
+
+
 def _geometry(spec):
     return (spec.topology, spec.n, spec.trap_sites, spec.initial_site,
             spec.v, spec.offset)
+
+
+def _stack_size(n):
+    """Cells per stack of n-site cells: as many as keep their n^2 x n^2
+    maps (16 n^4 bytes a cell) within STACK_BYTES (26 at n = 5, 4 at
+    n = 8, one from n = 10 on), and one above DENSE_SOLVE_MAX_N sites,
+    where the GMRES route solves one cell at a time."""
+    if n > DENSE_SOLVE_MAX_N:
+        return 1
+    return max(1, STACK_BYTES // (16 * n ** 4))
+
+
+class _Cells(NamedTuple):
+    """Per-cell arrays of EigenbasisSteadySolver, each with a leading cell
+    axis; see EigenbasisSteadySolver._build_maps for the last four, which
+    exist up to DENSE_SOLVE_MAX_N sites only."""
+
+    c: np.ndarray          # -i(lam_p - conj lam_q), shape (cells, 1, n^2)
+    s: np.ndarray          # S
+    sdag: np.ndarray       # S^dag
+    sinv: np.ndarray       # S^-1
+    mh: np.ndarray         # -iH
+    mhd: np.ndarray        # -iH^dag
+    two_kappa: np.ndarray  # shape (cells, 1)
+    two_mu: np.ndarray     # shape (cells, 1)
+    kmap: np.ndarray | None = None
+    emap: np.ndarray | None = None
+    fmap: np.ndarray | None = None
+    weights0: np.ndarray | None = None
 
 
 class EigenbasisSteadySolver:
@@ -429,18 +465,22 @@ class EigenbasisSteadySolver:
     DENSE_SOLVE_MAX_N sites a stack holds one cell and its points are
     solved one by one by GMRES, warm-started along the calls.
 
-    Every result is certified by the residual of the full generator.  A
-    single solve (efficiency) is refined in extended precision when its
-    residual exceeds 1e-10 (near-singular systems, mu ~ 1e-8); one whose
-    residual then exceeds RESID_ACCEPT, or whose eta or eta_loss carries
-    an imaginary part above REAL_TOL, is redone once by a sparse LU of the
-    full vectorized generator, and SingularSystemError is raised only if
-    that answer fails the same checks.  A point of a batched solve whose
-    residual exceeds 1e-10 or whose probabilities leak above REAL_TOL goes
-    through that single solve.  A solver built from one spec raises a
-    point's SingularSystemError with its gamma named; a stack records it
-    in `failed` under the cell's index, answers NaN for that cell from
-    then on, and solves its other cells as before.
+    efficiency, eta and eta_grid run one point path (_points) for rates
+    that are finite and >= 0 (ValidationError otherwise): (1) solve the
+    points (_kernel); (2) certify each answer by the one residual of the
+    full generator (_generator) and one acceptance rule (_accepted):
+    residual within RESID_TARGET, imaginary leakage of eta and eta_loss
+    within REAL_TOL; (3) send a rejected point, on its own cell's arrays
+    and from the answer it has, through one fallback chain (_fall_back):
+    extended-precision refinement when its residual is above RESID_TARGET
+    (near-singular systems, mu ~ 1e-8), then a sparse LU of the cell's
+    full generator, each accepted at RESID_ACCEPT.  A point failing both
+    gets a SingularSystemError with its gamma named (and the dark-state
+    hint at mu = 0): a solver built from one spec raises it; a stack
+    records it in `failed` under the cell's index, answers NaN for that
+    cell from then on, and solves its other cells as before.  `routes`
+    counts the accepted points per method, and every point solved alone
+    (a one-point call, a GMRES point, a fallback) leaves a DEBUG record.
     """
 
     GMRES_RESTART = 60
@@ -461,25 +501,25 @@ class EigenbasisSteadySolver:
             raise ValidationError(
                 f"a stack above {DENSE_SOLVE_MAX_N} sites holds one cell")
         self.specs = specs
-        self.cells = len(specs)
+        self.cells = cells = len(specs)
         h = np.stack([build_hamiltonian(s) for s in specs])
         lam, s = np.linalg.eig(h)
         sinv = np.linalg.inv(s)
-        self._c = -1j * (lam[:, :, None] - lam[:, None, :].conj())
+        c = -1j * (lam[:, :, None] - lam[:, None, :].conj())
+        two_rates = 2.0 * np.array([[x.kappa, x.mu] for x in specs])
         self.tidx = np.asarray(specs[0].trap_sites, dtype=int)
-        self._ids = np.arange(self.cells)
-        if n <= DENSE_SOLVE_MAX_N:
-            self._build_maps(specs, h, s, sinv)
-        if self.cells == 1:
-            # the single solves (efficiency) work on one cell's arrays
-            self.spec = specs[0]
-            self.h, self.s, self.sinv, self.c = h[0], s[0], sinv[0], self._c[0]
-        self._sparse_base = None
-        self._warm = None
-        self.routes = Counter()  # accepted solves per method
+        self._ids = np.arange(cells)
+        self._rhs0 = -site_density(n, specs[0].initial_site)
+        self._all = _Cells(
+            c.reshape(cells, 1, n * n), s, s.conj().transpose(0, 2, 1), sinv,
+            -1j * h, -1j * h.conj().transpose(0, 2, 1), two_rates[:, :1],
+            two_rates[:, 1:],
+            *(self._build_maps(s, sinv) if n <= DENSE_SOLVE_MAX_N else ()))
+        self._warm = None  # GMRES start: the last point's populations
+        self.routes = Counter()  # accepted points per method
         self.failed = {}  # cell index -> SingularSystemError, stacks only
 
-    def _build_maps(self, specs, h, s, sinv):
+    def _build_maps(self, s, sinv):
         """Tabulate, per cell, what the assembled route applies.
 
         Matrices X are flattened row-major (X[i, j] at i*n + j), and the
@@ -487,15 +527,15 @@ class EigenbasisSteadySolver:
         a cell form one matrix product:
           kmap[pq, lj] = C[l, j, p] conj(C[l, j, q]):  K = R @ kmap;
           emap[pq, i] = S[i, p] conj(S[i, q]):         diag(S Y S^dag);
-          fmap[j, pq] = S^-1[p, j] conj(S^-1[q, j]):   S^-1 Diag(p) S^-dag.
+          fmap[j, pq] = S^-1[p, j] conj(S^-1[q, j]):   S^-1 Diag(p) S^-dag;
+          weights0 = S^-1 rhs0 S^-dag for the initial site's rhs0.
         No n^3-per-rate temporaries arise (a 65-point grid at n = 10 would
         need 1 MB of them, returned to the system and faulted in again on
-        every call).  S, S^dag, -iH and -iH^dag are kept for _left and
-        _right.
+        every call).
         """
         n = self.n
         nn = n * n
-        cells = len(specs)
+        cells = len(s)
         st, sinvt = s.transpose(0, 2, 1), sinv.transpose(0, 2, 1)
         ct = (st[:, :, :, None] * sinv[:, :, None, :]).reshape(cells, n, nn)
         kmap = (ct[:, :, None, :] * ct.conj()[:, None, :, :]).reshape(
@@ -504,302 +544,266 @@ class EigenbasisSteadySolver:
             cells, nn, n)
         fmap = (sinvt[:, :, :, None] * sinvt.conj()[:, :, None, :]).reshape(
             cells, n, nn)
-        self._rhs0 = -site_density(n, specs[0].initial_site)
         weights0 = (sinv @ self._rhs0.reshape(n, n)
                     @ sinvt.conj()).reshape(cells, 1, nn)
-        self._offdiag = (1.0 - np.eye(n)).reshape(nn)
-        two_rates = 2.0 * np.array([[c.kappa, c.mu] for c in specs])
-        # per cell, with an axis of length 1 for the rates where the array
-        # is applied elementwise; for the only cell, without either axis
-        self._maps_all = (
-            self._c.reshape(cells, 1, nn), kmap, emap, fmap, s, st.conj(),
-            -1j * h, -1j * h.conj().transpose(0, 2, 1), weights0,
-            two_rates[:, :1], two_rates[:, 1:])
-        if cells == 1:
-            self._maps_one = tuple(m[0, 0] if m.shape[1] == 1 else m[0]
-                                   for m in self._maps_all)
+        return kmap, emap, fmap, weights0
 
-    def _maps(self, cells):
-        """The arrays of _build_maps for the index array `cells` (every
-        cell when None); those of the only cell, without the cell axis,
-        when cells is None on a one-cell solver."""
+    def _select(self, cells):
+        """The arrays of `cells`: all, an index array (copies) or a slice."""
         if cells is None:
-            return self._maps_one if self.cells == 1 else self._maps_all
-        return tuple(m[cells] for m in self._maps_all)
+            return self._all
+        return _Cells._make(None if m is None else m[cells]
+                            for m in self._all)
 
-    def _cell(self, k):
-        """The one-cell solver of cell k (this solver when it has one
-        cell); it counts its accepted solves in this solver's routes."""
-        if self.cells == 1:
-            return self
-        solver = EigenbasisSteadySolver(self.specs[k])
-        solver.routes = self.routes
-        return solver
+    def _kernel(self, g2, a, rhs, warm_start, stats):
+        """(X, diag X), X flattened, with L(X) = rhs at every point (step 1
+        of the point path), on the arrays a (see _select): a direct solve of
+        the assembled population system, or _gmres above DENSE_SOLVE_MAX_N
+        sites.  g2 = 2*gamma has shape (cells, k, 1), or is a float for one
+        point; X then has shape (cells, k, n^2) and diag X (cells, k, n).
+        """
+        n = self.n
+        if n > DENSE_SOLVE_MAX_N:
+            return self._gmres(g2, a, rhs, warm_start, stats)
+        weights = (a.weights0 if rhs is self._rhs0 else
+                   (a.sinv @ rhs.reshape(n, n)
+                    @ np.swapaxes(a.sinv.conj(), -1, -2)
+                    ).reshape(len(a.s), 1, n * n))
+        # in place where it saves a (points x n^2) array: a stack's grid
+        # holds thousands of points
+        y = a.c - g2
+        ratio = a.c / y
+        y = np.divide(weights, y, out=y)
+        kmat = (ratio @ a.kmap).reshape(ratio.shape[:-1] + (n, n))
+        b = y @ a.emap
+        if kmat.size == n * n:
+            # LAPACK directly: a third of np.linalg.solve's cost at n ~ 5.
+            # An exactly singular K (info > 0) leaves pops unsolved; the
+            # residual check then rejects the point.
+            pops = sla.lapack.zgesv(kmat.reshape(n, n),
+                                    b.reshape(n))[2].reshape(b.shape)
+        else:
+            pops = np.linalg.solve(kmat, b[..., None])[..., 0]
+        del kmat
+        ratio *= pops @ a.fmap
+        y -= ratio
+        del ratio
+        xs = _left(a.s, _right(y, a.sdag))
+        xs[..., ::n + 1] += pops
+        return xs, pops
 
-    def _to_eigen(self, xmat):
-        """S^-1 X S^-dag."""
-        return self.sinv @ xmat @ self.sinv.conj().T
+    def _gmres(self, g2, a, rhs, warm_start, stats):
+        """_kernel for one point of one cell: p = diag(X) solves
+        (I + 2*gamma*M) p = diag(A^-1 rhs) by GMRES from warm_start, and
+        X = A^-1(rhs - 2*gamma*Diag p) is then rebuilt cancellation-free.
+        stats collects the GMRES info flag and the matvec count."""
+        n = self.n
+        s, sdag, sinv = a.s[0], a.sdag[0], a.sinv[0]
+        c = a.c[0, 0].reshape(n, n)
+        x = s @ ((sinv @ rhs.reshape(n, n) @ sinv.conj().T) / (c - g2)) @ sdag
+        if g2 != 0.0:
+            apply = self._population_matvec(a, g2)
 
-    def _from_eigen(self, w):
-        """S W S^dag."""
-        return self.s @ w @ self.s.conj().T
+            def matvec(p):
+                stats["matvecs"] += 1
+                return apply(p)
 
-    def _ainv(self, rmat, gamma):
-        """A^-1 R for an arbitrary n x n matrix R."""
-        return self._from_eigen(self._to_eigen(rmat) / (self.c - 2.0 * gamma))
+            op = spla.LinearOperator((n, n), matvec=matvec, dtype=complex)
+            pops, stats["info"] = spla.gmres(
+                op, x.diagonal(), x0=warm_start, rtol=1e-12, atol=0.0,
+                restart=self.GMRES_RESTART, maxiter=self.GMRES_MAXITER)
+            pmat = np.diag(pops)
+            x += pmat - s @ ((sinv @ pmat @ sinv.conj().T)
+                             * (c / (c - g2))) @ sdag
+        return x.reshape(1, 1, n * n), x.diagonal().reshape(1, 1, n).copy()
 
-    def _ratio(self, gamma):
-        """R = c / (c - 2*gamma), the eigenbasis image of I + 2*gamma*M."""
-        return self.c / (self.c - 2.0 * gamma)
-
-    def _population_matvec(self, gamma):
-        """p -> (I + 2*gamma*M) p, in the cancellation-free form."""
-        b, s = self.sinv, self.s
-        ratio = self._ratio(gamma)
+    def _population_matvec(self, a, g2):
+        """p -> (I + 2*gamma*M) p for the one cell of the arrays a, in the
+        cancellation-free form; g2 = 2*gamma."""
+        s, sinv = a.s[0], a.sinv[0]
+        c = a.c[0, 0].reshape(self.n, self.n)
+        ratio = c / (c - g2)
 
         def matvec(p):
-            w = ((b * p[None, :]) @ b.conj().T) * ratio
+            w = ((sinv * p[None, :]) @ sinv.conj().T) * ratio
             return ((s @ w) * s.conj()).sum(axis=1)
 
         return matvec
 
-    def _direct(self, g2, weights, maps):
-        """(X, diag X), X flattened, with L(X) = rhs at every point, from a
-        direct solve of the explicitly assembled population system;
-        weights = S^-1 rhs S^-dag, flattened, and maps from _maps.
+    def _branching(self, pops, a):
+        """(eta, eta_loss), still complex, from the populations pops,
+        (cells, k, n) or one cell's (n,), of the cells of the arrays a."""
+        return (a.two_kappa * pops[..., self.tidx].sum(axis=-1),
+                a.two_mu * pops.sum(axis=-1))
 
-        With one cell's maps g2 = 2*gamma is a number, or has shape
-        (k, 1) for k rates; with a stack's maps it has shape (m, k, 1),
-        k rates for each of its m cells.  X then has the shape of g2 with
-        its last axis n^2 long, and diag X that with it n long.
-        """
-        c, kmap, emap, fmap, s, sdag = maps[:6]
-        n = self.n
-        # in place where it saves a (points x n^2) array: a stack's grid
-        # holds thousands of points
-        y = c - g2
-        ratio = c / y
-        y = np.divide(weights, y, out=y)
-        kmat = (ratio @ kmap).reshape(ratio.shape[:-1] + (n, n))
-        if kmat.ndim == 2:
-            # LAPACK directly: a third of np.linalg.solve's cost at n ~ 5.
-            # An exactly singular K (info > 0) leaves pops unsolved; the
-            # residual check then rejects the point.
-            pops = sla.lapack.zgesv(kmat, y @ emap)[2]
-        else:
-            pops = np.linalg.solve(kmat, (y @ emap)[..., None])[..., 0]
-        del kmat
-        ratio *= pops @ fmap
-        y -= ratio
-        del ratio
-        xs = _left(s, _right(y, sdag))
-        xs[..., ::n + 1] += pops
-        return xs, pops
+    def _certify(self, xs, pops, g2, a, rhs, bnorm):
+        """(eta, eta_loss, residual, certified) of the answers xs (step 2
+        of the point path): the residual of the full generator relative to
+        bnorm = |rhs|, and the acceptance rule at RESID_TARGET."""
+        r = _generator(xs, g2, a.mh, a.mhd)
+        r -= rhs
+        r = r.view(float)  # real and imaginary parts, interleaved
+        resid = np.sqrt((r * r).sum(axis=-1))
+        if bnorm != 1.0:
+            resid /= bnorm
+        eta, eta_loss = self._branching(pops, a)
+        return eta, eta_loss, resid, _accepted(resid, eta, eta_loss,
+                                               RESID_TARGET)
 
-    def _direct_etas(self, g2, cells=None):
-        """(eta, certified, residual) at the initial site from _direct, for
-        g2 as there, on the arrays of `cells` (see _maps); certified is
-        False where the full-generator residual exceeds 1e-10 or eta or
-        eta_loss carries an imaginary part above REAL_TOL."""
-        maps = self._maps(cells)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xs, pops = self._direct(g2, maps[8], maps)
-            # relative residual of (-iH) X - X (-iH)^dag - 2 gamma
-            # X_offdiag = rhs, with H itself; |rhs| = 1 for a
-            # site-localized start
-            r = _left(maps[6], xs)
-            r -= _right(xs, maps[7])
-            xs *= g2 * self._offdiag
-            r -= xs
-            r -= self._rhs0
-            del xs
-            r = r.view(float)  # real and imaginary parts, interleaved
-            resid = np.sqrt((r * r).sum(axis=-1))
-        eta = maps[9] * pops[..., self.tidx].sum(axis=-1)
-        eta_loss = maps[10] * pops.sum(axis=-1)
-        certified = ((resid <= 1e-10) & (np.abs(eta.imag) <= REAL_TOL)
-                     & (np.abs(eta_loss.imag) <= REAL_TOL))
-        return eta.real, certified, resid
-
-    def _solve(self, rhs_mat, gamma, warm_start, stats):
-        """X with L(X) = rhs_mat.
-
-        Up to DENSE_SOLVE_MAX_N sites by the direct population solve;
-        above it the populations p = diag(X) solve (I + 2*gamma*M) p =
-        diag(A^-1 rhs) by GMRES and X = A^-1(rhs - 2*gamma*Diag p) is then
-        rebuilt cancellation-free.  stats collects the GMRES info flag and
-        the matvec count.
-        """
-        n = self.n
-        if n <= DENSE_SOLVE_MAX_N:
-            return self._direct(
-                2.0 * gamma, self._to_eigen(rhs_mat).reshape(-1),
-                self._maps_one)[0].reshape(n, n)
-        base = self._ainv(rhs_mat, gamma)
-        if gamma == 0.0:
-            return base
-        apply = self._population_matvec(gamma)
-
-        def matvec(p):
-            stats["matvecs"] += 1
-            return apply(p)
-
-        op = spla.LinearOperator((n, n), matvec=matvec, dtype=complex)
-        pops, stats["info"] = spla.gmres(
-            op, base.diagonal(), x0=warm_start, rtol=1e-12, atol=0.0,
-            restart=self.GMRES_RESTART, maxiter=self.GMRES_MAXITER)
-        pmat = np.diag(pops)
-        return base + pmat - self._from_eigen(
-            self._to_eigen(pmat) * self._ratio(gamma))
-
-    def _refined(self, xmat, gamma, rhs_mat, solve):
-        """(X, relative residual) of L(X) = rhs_mat on the full generator,
-        refined in extended precision when the residual is above 1e-10;
-        solve(R) returns the double-precision solution of L(Z) = R."""
-        n = self.n
-        rhs = rhs_mat.reshape(-1)
-        bnorm = np.linalg.norm(rhs)
-        resid = float(np.linalg.norm(
-            _apply_generator(self.h, 2.0 * gamma, xmat).reshape(-1) - rhs)
-            / bnorm)
-        if resid > 1e-10:
-            h_ld = self.h.astype(np.clongdouble)
-            x, resid = _refine(
-                lambda v: _apply_generator(
-                    h_ld, 2.0 * gamma, v.reshape(n, n)).reshape(-1),
-                lambda r: solve(r.reshape(n, n)).reshape(-1),
-                xmat.reshape(-1), rhs, bnorm)
-            xmat = x.reshape(n, n)
-        return xmat, resid
-
-    def _probabilities(self, xmat):
-        """(eta, eta_loss), still complex, from the steady integral."""
-        pops = xmat.diagonal()
-        return (2.0 * self.spec.kappa * pops[self.tidx].sum(),
-                2.0 * self.spec.mu * pops.sum())
-
-    def _sparse_lu(self, gamma):
-        if self._sparse_base is None:
-            h = sp.csr_matrix(self.h)
-            eye = sp.identity(self.n, format="csr")
-            base = (-1j * sp.kron(h, eye) + 1j * sp.kron(eye, h.conj()))
-            self._sparse_base = base.tocsr()
-            self._deph_diag = -2.0 * (1.0 - np.eye(self.n)).reshape(-1)
-        mat = self._sparse_base + sp.diags(gamma * self._deph_diag)
-        try:
-            return spla.splu(mat.tocsc())
-        except RuntimeError as exc:
-            raise self._singular(
-                f"sparse fallback failed at gamma={gamma:g}: {exc}") from exc
-
-    def _singular(self, message):
-        """SingularSystemError for a failed fallback, with the dark-state
-        hint whenever mu = 0 (a dark state makes L exactly singular)."""
-        if self.spec.mu == 0:
+    def _singular(self, k, gamma, message):
+        """SingularSystemError of cell k at gamma, with the dark-state hint
+        when the cell has mu = 0 (a dark state makes L exactly singular)."""
+        if self.specs[k].mu == 0:
             message += ("; with mu = 0 a dark state never decays -- "
                         "evaluate at mu = 1e-8 for the mu -> 0+ limit")
-        return SingularSystemError(message)
+        return SingularSystemError(f"gamma={gamma:g}: {message}")
 
-    def efficiency(self, gamma, rho0=None, warm_start=None):
-        """Returns (eta, eta_loss, residual, method, populations).
-
-        A single solve on a one-cell solver.
-        """
+    def _fall_back(self, k, gamma, x, resid, rhs, bnorm, stats):
+        """(eta, eta_loss, residual, populations, route) of cell k at gamma
+        from the fallback chain (step 3 of the point path), on the cell's
+        own arrays, from its rejected answer x (flattened) of residual
+        resid."""
         n = self.n
-        if rho0 is None:
-            rho0 = site_density(n, self.spec.initial_site)
-        rhs = -rho0.reshape(n, n)
+        a = self._select(slice(k, k + 1))
+        g2 = 2.0 * gamma
+        mh, mhd = (m.astype(np.clongdouble) for m in (a.mh, a.mhd))
+
+        def apply_ld(v):
+            return _generator(v.reshape(1, 1, -1), g2, mh, mhd).reshape(-1)
+
+        def solve(r):
+            return self._kernel(g2, a, r, None, stats)[0].reshape(-1)
+
+        route, accepted = "direct-eigenbasis", False
+        if resid > RESID_TARGET:
+            x, resid = _refine(apply_ld, solve, x, rhs, bnorm)
+            eta, eta_loss = (v.item() for v in self._branching(x[::n + 1], a))
+            accepted = _accepted(resid, eta, eta_loss, RESID_ACCEPT)
+        if not accepted:
+            route, eye = "direct-sparse", sp.identity(n, format="csr")
+            mat = (sp.kron(sp.csr_matrix(a.mh[0]), eye)
+                   - sp.kron(eye, sp.csr_matrix(a.mhd[0].T))
+                   - sp.diags(g2 * (1.0 - np.eye(n)).reshape(-1)))
+            try:
+                lu = spla.splu(mat.tocsc())
+            except RuntimeError as exc:
+                raise self._singular(
+                    k, gamma, f"sparse fallback failed: {exc}") from exc
+            x, resid = _refine(apply_ld, lu.solve, lu.solve(rhs), rhs, bnorm)
+            eta, eta_loss = (v.item() for v in self._branching(x[::n + 1], a))
+            if not _accepted(resid, eta, eta_loss, RESID_ACCEPT):
+                what, v = (("trapped", eta) if abs(eta.imag) > REAL_TOL
+                           else ("lost", eta_loss))
+                raise self._singular(k, gamma, (
+                    f"residual {resid:.2e} after sparse fallback"
+                    if not resid <= RESID_ACCEPT else
+                    f"{what} probability has imaginary part {v.imag:.3e}; "
+                    "the solve is not trustworthy"))
+        return eta.real, eta_loss.real, resid, x[::n + 1], route
+
+    def _batch(self, gammas, cells, ids, rhs, bnorm, warm_start):
+        """The point path for the rates gammas[i, j] of cell ids[i] (cells
+        as in _select): solve, certify, then the fallback chain for every
+        rejected point.  Returns (eta, eta_loss, residual, populations,
+        route of each redone point, None where its cell failed)."""
         stats = {"info": None, "matvecs": 0}
-        method = "direct-eigenbasis"
+        g2 = 2.0 * (gammas.item() if gammas.size == 1 else gammas[..., None])
+        a = self._select(cells)
         with np.errstate(divide="ignore", invalid="ignore"):
-            xmat, resid = self._refined(
-                self._solve(rhs, gamma, warm_start, stats), gamma, rhs,
-                lambda r: self._solve(r, gamma, None, stats))
-        eta, eta_loss = self._probabilities(xmat)
-        if not (resid <= RESID_ACCEPT and abs(eta.imag) <= REAL_TOL
-                and abs(eta_loss.imag) <= REAL_TOL):
-            method = "direct-sparse"
-            lu = self._sparse_lu(gamma)
+            xs, pops = self._kernel(g2, a, rhs, warm_start, stats)
+            eta, eta_loss, resid, certified = self._certify(
+                xs, pops, g2, a, rhs, bnorm)
+        eta, eta_loss = eta.real, eta_loss.real
+        redone = []
+        for i, j in [] if certified.all() else np.argwhere(~certified):
+            k, gamma = int(ids[i]), float(gammas[i, j])
+            route = None
+            if k not in self.failed:
+                try:
+                    (eta[i, j], eta_loss[i, j], resid[i, j], pops[i, j],
+                     route) = self._fall_back(k, gamma, xs[i, j], resid[i, j],
+                                              rhs, bnorm, stats)
+                    self._record(gamma, route, stats)
+                except SingularSystemError as err:
+                    if not self._stacked:
+                        raise
+                    self.failed[k] = err
+            redone.append(route)
+        if len(redone) < gammas.size:
+            if gammas.size == 1:
+                self._record(gammas.item(), "direct-eigenbasis", stats)
+            else:
+                self.routes["direct-eigenbasis"] += gammas.size - len(redone)
+        return eta, eta_loss, resid, pops, redone
 
-            def solve(r):
-                return lu.solve(r.reshape(-1)).reshape(n, n)
-
-            xmat, resid = self._refined(solve(rhs), gamma, rhs, solve)
-            eta, eta_loss = self._probabilities(xmat)
+    def _record(self, gamma, route, stats):
+        """Count a point solved alone in routes and leave its DEBUG
+        record."""
+        self.routes[route] += 1
         _log.debug("eigenbasis solve n=%d gamma=%g gmres_info=%s matvecs=%d "
-                   "route=%s", n, gamma, stats["info"], stats["matvecs"],
-                   method)
-        if not resid <= RESID_ACCEPT:
-            raise self._singular(f"residual {resid:.2e} after sparse fallback")
-        eta = _real_checked(eta, "trapped probability")
-        eta_loss = _real_checked(eta_loss, "lost probability")
-        self.routes[method] += 1
-        return eta, eta_loss, resid, method, xmat.diagonal().copy()
+                   "route=%s", self.n, gamma, stats["info"], stats["matvecs"],
+                   route)
 
-    def _point(self, k, gamma):
-        """eta of cell k at gamma by efficiency (extended-precision
-        refinement, then the sparse-LU fallback), warm-started from the
-        cell's previous point above DENSE_SOLVE_MAX_N sites.  A failure is
-        raised, or recorded in `failed` by a stack, with its gamma named."""
-        if k in self.failed:
-            return math.nan
-        solver = self._cell(k)
-        try:
-            eta, _, _, _, pops = solver.efficiency(
-                gamma, warm_start=solver._warm)
-        except SingularSystemError as exc:
-            err = SingularSystemError(f"gamma={gamma:g}: {exc}")
-            if not self._stacked:
-                raise err from exc
-            err.__cause__ = exc
-            self.failed[int(k)] = err
-            return math.nan
-        if self.n > DENSE_SOLVE_MAX_N:
-            solver._warm = pops
-        return eta
-
-    def _etas(self, gammas, cells=None):
-        """eta at the rates gammas[i, j] of cell cells[i] (of cell i when
-        cells is None), NaN for a failed cell.
-
-        Returns (etas, residuals, points redone).  Up to DENSE_SOLVE_MAX_N
-        sites the points are one batched direct solve (one per chunk of
-        cells when they exceed BATCH_BYTES), and a point that fails its
-        certification is redone alone by _point; above it every point goes
-        through _point and residuals is None.
+    def _points(self, gammas, cells=None, rho0=None, warm_start=None):
+        """The one point path: (eta, eta_loss, residual, populations,
+        routes of the redone points) at the rates gammas[i, j] of cell
+        cells[i] (of cell i when cells is None) from rho0 (the initial
+        site when None), NaN for a failed cell.  The points form one
+        _batch, one per chunk of cells beyond BATCH_BYTES, or one per
+        point above DENSE_SOLVE_MAX_N sites, warm-started from the last.
         """
+        if not (np.minimum.reduce(gammas, None) >= 0.0
+                and np.maximum.reduce(gammas, None) < math.inf):
+            bad = float(gammas[~((gammas >= 0.0) & (gammas < math.inf))][0])
+            raise ValidationError(f"gamma={bad!r} must be finite and >= 0")
         if cells is not None and len(cells) == self.cells and (
                 self.cells == 1 or (cells == self._ids).all()):
             cells = None
         ids = self._ids if cells is None else cells
-        if self.n > DENSE_SOLVE_MAX_N:
-            etas = np.array([self._point(ids[i], g)
-                             for (i, _), g in np.ndenumerate(gammas)])
-            return etas.reshape(gammas.shape), None, 0
+        rhs, bnorm = ((self._rhs0, 1.0) if rho0 is None
+                      else (-rho0, float(np.linalg.norm(rho0))))
         rows, k = gammas.shape
-        chunk = max(1, BATCH_BYTES // (16 * self.n ** 2 * k))
-        if rows > chunk:
-            parts = [self._etas(gammas[i:i + chunk], ids[i:i + chunk])
-                     for i in range(0, rows, chunk)]
-            return (np.concatenate([p[0] for p in parts]),
-                    np.concatenate([p[1] for p in parts]),
-                    sum(p[2] for p in parts))
-        g2 = 2.0 * gammas
-        if cells is None and self.cells == 1:
-            g2 = float(g2[0, 0]) if g2.size == 1 else g2[0, :, None]
+        gmres = self.n > DENSE_SOLVE_MAX_N
+        size = 0 if gmres else max(1, BATCH_BYTES // (16 * self.n ** 2 * k))
+        if size >= rows:
+            eta, eta_loss, resid, pops, redone = self._batch(
+                gammas, cells, ids, rhs, bnorm, warm_start)
         else:
-            g2 = g2[..., None]
-        etas, certified, resid = self._direct_etas(g2, cells)
-        etas = np.asarray(etas).reshape(gammas.shape)
-        redo = ([] if certified.all()
-                else np.argwhere(~np.reshape(certified, gammas.shape)))
-        for i, j in redo:
-            etas[i, j] = self._point(ids[i], gammas[i, j])
-        if len(redo) < gammas.size:
-            self.routes["direct-eigenbasis"] += gammas.size - len(redo)
+            out = []
+            for i in range(0, k if gmres else rows, max(size, 1)):
+                if gmres:  # one cell (ids = [0]), one point at a time
+                    at, sel = np.s_[:, i:i + 1], None
+                else:  # a chunk of cells
+                    at = np.s_[i:i + size, :]
+                    sel = (np.s_[i:i + size] if cells is None
+                           else cells[i:i + size])
+                out.append(self._batch(gammas[at], sel, ids[at[0]], rhs,
+                                       bnorm, warm_start))
+                warm_start = out[-1][3][0, -1]
+            if gmres:
+                self._warm = warm_start
+            eta, eta_loss, resid, pops = (
+                np.concatenate(arrays, axis=int(gmres))
+                for arrays in zip(*(p[:4] for p in out)))
+            redone = [route for p in out for route in p[4]]
         if self.failed:
-            etas[np.isin(ids, list(self.failed))] = math.nan
-        return etas, resid, len(redo)
+            lost = np.isin(ids, list(self.failed))
+            eta[lost] = eta_loss[lost] = math.nan
+        return eta, eta_loss, resid, pops, redone
+
+    def efficiency(self, gamma, rho0=None, warm_start=None):
+        """Returns (eta, eta_loss, residual, method, populations).
+
+        A single solve on a one-cell solver through the point path, from
+        rho0 (a flattened density matrix; the initial site when None),
+        warm-started from warm_start above DENSE_SOLVE_MAX_N sites.
+        """
+        eta, eta_loss, resid, pops, redone = self._points(
+            np.array([[gamma]], dtype=float), self._ids[:1], rho0,
+            warm_start)
+        return (float(eta[0, 0]), float(eta_loss[0, 0]), float(resid[0, 0]),
+                redone[0] if redone else "direct-eigenbasis",
+                pops[0, 0].copy())
 
     def eta_grid(self, gammas):
         """eta for the initial site at every rate of the 1-d array gammas,
@@ -807,20 +811,18 @@ class EigenbasisSteadySolver:
         one spec.
 
         Up to DENSE_SOLVE_MAX_N sites the whole grid of every cell is one
-        batched direct solve, each point certified by its full-generator
-        residual and its imaginary leakage; a point that fails either is
-        redone alone by efficiency (extended-precision refinement, then the
-        sparse-LU fallback).  Larger systems solve point by point along
-        the grid, warm-started.  A failing point is raised or recorded
-        with its gamma named (see the class docstring).
+        batched direct solve; larger systems solve point by point along
+        the grid, warm-started.  Every point is certified, and redone if
+        rejected, by the point path (see the class docstring).
         """
         gammas = np.asarray(gammas, dtype=float)
-        etas, resid, redone = self._etas(
-            np.broadcast_to(gammas, (self.cells, gammas.size)))
-        if resid is not None:
+        etas, _, resid, _, redone = self._points(
+            np.broadcast_to(gammas, (self.cells, gammas.size)),
+            warm_start=self._warm)
+        if self.n <= DENSE_SOLVE_MAX_N:
             _log.debug(
                 "batched solve n=%d points=%d max_residual=%.2e redone=%d",
-                self.n, etas.size, resid.max(), redone)
+                self.n, etas.size, resid.max(), len(redone))
         return etas if self._stacked else etas[0]
 
     def eta(self, gamma, cells=None):
@@ -835,8 +837,9 @@ class EigenbasisSteadySolver:
         populations of the previous point.
         """
         if not self._stacked:
-            return float(self._etas(np.array([[gamma]], dtype=float))[0][0, 0])
+            return float(self._points(np.array([[gamma]], dtype=float),
+                                      warm_start=self._warm)[0][0, 0])
         gamma = np.asarray(gamma, dtype=float)
         rows = self.cells if cells is None else len(cells)
-        return self._etas(gamma.reshape(rows, -1), cells)[0].reshape(
-            gamma.shape)
+        return self._points(gamma.reshape(rows, -1), cells,
+                            warm_start=self._warm)[0].reshape(gamma.shape)

@@ -18,9 +18,17 @@ from enaqt import (
     population_index,
     site_density,
 )
-from enaqt.solver import RESID_ACCEPT, _real_checked, _refine
+from enaqt.solver import REAL_TOL, RESID_ACCEPT, RESID_TARGET, _refine
 
 RCOND_FLOOR = 1e-12   # reciprocal condition estimate below which we refuse
+
+
+def _real_checked(value: complex, what: str) -> float:
+    if abs(value.imag) > REAL_TOL:
+        raise SingularSystemError(
+            f"{what} has imaginary part {value.imag:.3e}; "
+            "the solve is not trustworthy")
+    return float(value.real)
 
 
 def _gated_solve(mat: np.ndarray, rhs: np.ndarray):
@@ -44,7 +52,7 @@ def _gated_solve(mat: np.ndarray, rhs: np.ndarray):
     bnorm = np.linalg.norm(rhs)
     x = sla.lu_solve((lu, piv), rhs, check_finite=False)
     resid = np.linalg.norm(mat @ x - rhs) / bnorm
-    if resid > 1e-10:
+    if resid > RESID_TARGET:
         mat_ld = mat.astype(np.clongdouble)
         x, resid = _refine(
             lambda v: mat_ld @ v,

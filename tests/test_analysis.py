@@ -547,27 +547,23 @@ class TestCellStacks:
         clean = plane_sweep("chain", 4, 1, 3, kappa_grid=self.KAPPAS,
                             mu_grid=self.MUS)
         bad_kappa = self.KAPPAS[2]
-        direct_etas = EigenbasisSteadySolver._direct_etas
-        probabilities = EigenbasisSteadySolver._probabilities
+        certify = EigenbasisSteadySolver._certify
+        branching = EigenbasisSteadySolver._branching
 
-        def uncertified(self, g2, cells=None):
+        def uncertified(self, xs, pops, g2, a, rhs, bnorm):
             # every point of the cells at bad_kappa fails its batch checks
-            eta, certified, resid = direct_etas(self, g2, cells)
-            kappas = np.array([s.kappa for s in self.specs])
-            kappas = kappas if cells is None else kappas[cells]
-            hit = np.reshape(kappas == bad_kappa,
-                             kappas.shape + (1,) * (certified.ndim - 1))
-            return eta, certified & ~hit, resid
+            eta, eta_loss, resid, certified = certify(self, xs, pops, g2, a,
+                                                      rhs, bnorm)
+            hit = a.two_kappa == 2.0 * bad_kappa  # shape (cells, 1)
+            return eta, eta_loss, resid, certified & ~hit
 
-        def leaky(self, xmat):
-            eta, eta_loss = probabilities(self, xmat)
-            if self.spec.kappa == bad_kappa:
-                eta_loss = eta_loss + 1e-9j
-            return eta, eta_loss
+        def leaky(self, pops, a):
+            # every answer for a cell at bad_kappa leaks
+            eta, eta_loss = branching(self, pops, a)
+            return eta, eta_loss + 1e-9j * (a.two_kappa == 2.0 * bad_kappa)
 
-        monkeypatch.setattr(EigenbasisSteadySolver, "_direct_etas",
-                            uncertified)
-        monkeypatch.setattr(EigenbasisSteadySolver, "_probabilities", leaky)
+        monkeypatch.setattr(EigenbasisSteadySolver, "_certify", uncertified)
+        monkeypatch.setattr(EigenbasisSteadySolver, "_branching", leaky)
         pm = plane_sweep("chain", 4, 1, 3, kappa_grid=self.KAPPAS,
                          mu_grid=self.MUS)
         assert sorted(pm.errors) == [(2, j) for j in range(len(self.MUS))]

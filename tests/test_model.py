@@ -244,7 +244,7 @@ def test_liouvillian_spectrum_damped(n):
 
 def test_conservative_evolution_when_all_rates_zero():
     spec = SystemSpec("chain", 4, (), 1, 0.0, 0.0, 0.0)
-    traj = propagate(spec, horizon=50.0)
+    traj = propagate(spec, horizon=50.0, store_states=True)
     assert np.allclose(traj.traces, 1.0, atol=1e-8)
     final = traj.states[-1].matrix
     assert np.allclose(final, final.conj().T, atol=1e-8)

@@ -305,14 +305,19 @@ def test_long_chain_optimization_near_kappa_one_is_certified():
 
 @pytest.mark.parametrize("gamma", [0.01, 0.5, 5.0])
 def test_population_matvec_is_the_reduced_operator(gamma):
-    # oracle: p + 2 gamma diag(A^-1 Diag p), the form before cancellation
+    # oracle: p + 2 gamma diag(A^-1 Diag p), the form before cancellation,
+    # with A(X) = -i(H X - X H^dag) - 2 gamma X solved densely
     spec = SystemSpec("chain", 24, (0,), 5, 3.0, 0.1, 0.0)
     solver = EigenbasisSteadySolver(spec)
+    h, eye = build_hamiltonian(spec), np.eye(24)
+    amat = (-1j * (np.kron(h, eye) - np.kron(eye, h.conj()))
+            - 2.0 * gamma * np.eye(24 * 24))
     rng = np.random.default_rng(7)
     for _ in range(3):
         p = rng.normal(size=24) + 1j * rng.normal(size=24)
-        naive = p + 2.0 * gamma * solver._ainv(np.diag(p), gamma).diagonal()
-        got = solver._population_matvec(gamma)(p)
+        ainv = np.linalg.solve(amat, np.diag(p).reshape(-1)).reshape(24, 24)
+        naive = p + 2.0 * gamma * ainv.diagonal()
+        got = solver._population_matvec(solver._all, 2.0 * gamma)(p)
         assert np.linalg.norm(got - naive) <= 1e-12 * np.linalg.norm(naive)
 
 
@@ -356,15 +361,15 @@ def test_leakage_sends_the_solve_to_sparse_lu(caplog, monkeypatch):
     # a solve with a certified residual but imaginary leakage above
     # REAL_TOL must not be rejected outright: the sparse LU redoes it
     spec = SystemSpec("chain", 24, (0,), 1, 3.0, 0.1, 0.5)
-    probabilities = EigenbasisSteadySolver._probabilities
+    branching = EigenbasisSteadySolver._branching
     calls = []
 
-    def leaky(self, xmat):
-        eta, eta_loss = probabilities(self, xmat)
+    def leaky(self, pops, a):
+        eta, eta_loss = branching(self, pops, a)
         calls.append(eta_loss)
         return eta, eta_loss + (1e-9j if len(calls) == 1 else 0.0)
 
-    monkeypatch.setattr(EigenbasisSteadySolver, "_probabilities", leaky)
+    monkeypatch.setattr(EigenbasisSteadySolver, "_branching", leaky)
     with caplog.at_level(logging.DEBUG, logger="enaqt"):
         rep = efficiency_direct(spec)
     assert len(calls) == 2
@@ -378,7 +383,7 @@ def test_leakage_sends_the_solve_to_sparse_lu(caplog, monkeypatch):
 def test_failed_residual_sends_the_solve_to_sparse_lu(monkeypatch):
     spec = SystemSpec("ring", 20, (0,), 7, 1.0, 0.1, 3.0)
     monkeypatch.setattr(EigenbasisSteadySolver, "_population_matvec",
-                        lambda self, gamma: lambda p: p)
+                        lambda self, a, g2: lambda p: p)
     rep = efficiency_direct(spec)
     assert rep.method == "direct-sparse"
     assert rep.eta == pytest.approx(_sparse_lu_branching(spec)[0],
@@ -387,13 +392,13 @@ def test_failed_residual_sends_the_solve_to_sparse_lu(monkeypatch):
 
 def test_leakage_after_fallback_raises(monkeypatch):
     spec = SystemSpec("chain", 24, (0,), 1, 3.0, 0.1, 0.5)
-    probabilities = EigenbasisSteadySolver._probabilities
+    branching = EigenbasisSteadySolver._branching
 
-    def leaky(self, xmat):
-        eta, eta_loss = probabilities(self, xmat)
+    def leaky(self, pops, a):
+        eta, eta_loss = branching(self, pops, a)
         return eta, eta_loss + 1e-9j
 
-    monkeypatch.setattr(EigenbasisSteadySolver, "_probabilities", leaky)
+    monkeypatch.setattr(EigenbasisSteadySolver, "_branching", leaky)
     with pytest.raises(SingularSystemError, match="imaginary part"):
         efficiency_direct(spec)
 
@@ -475,30 +480,34 @@ def test_batched_grid_properties(system):
 
 def _fail_direct_solve_at(monkeypatch, gamma):
     """Make the direct population solve fail its checks at gamma only."""
-    direct_etas = EigenbasisSteadySolver._direct_etas
+    certify = EigenbasisSteadySolver._certify
 
-    def failing(self, g2, cells=None):
-        eta, certified, resid = direct_etas(self, g2, cells)
+    def failing(self, xs, pops, g2, a, rhs, bnorm):
+        eta, eta_loss, resid, certified = certify(self, xs, pops, g2, a, rhs,
+                                                  bnorm)
         hit = np.reshape(g2, np.shape(certified)) == 2.0 * gamma
-        return eta, certified & ~hit, resid
+        return eta, eta_loss, resid, certified & ~hit
 
-    monkeypatch.setattr(EigenbasisSteadySolver, "_direct_etas", failing)
+    monkeypatch.setattr(EigenbasisSteadySolver, "_certify", failing)
 
 
 def test_grid_redoes_only_the_failed_point(monkeypatch, caplog):
     spec = SystemSpec("ring", 6, (0,), 2, 0.4, 0.02, 0.0)
     gammas = [0.0, 0.1, 0.3, 3.0]
     _fail_direct_solve_at(monkeypatch, 0.3)
-    # the redo's own first answer leaks, so it ends on the sparse LU
-    probabilities = EigenbasisSteadySolver._probabilities
+    # the failed point's own first answer leaks too, so it ends on the
+    # sparse LU
+    branching = EigenbasisSteadySolver._branching
     calls = []
 
-    def leaky(self, xmat):
-        eta, eta_loss = probabilities(self, xmat)
+    def leaky(self, pops, a):
+        eta, eta_loss = branching(self, pops, a)
         calls.append(eta_loss)
-        return eta, eta_loss + (1e-9j if len(calls) == 1 else 0.0)
+        if len(calls) == 1:
+            eta_loss = eta_loss + 1e-9j * (np.asarray(gammas) == 0.3)
+        return eta, eta_loss
 
-    monkeypatch.setattr(EigenbasisSteadySolver, "_probabilities", leaky)
+    monkeypatch.setattr(EigenbasisSteadySolver, "_branching", leaky)
     solver = EigenbasisSteadySolver(spec)
     with caplog.at_level(logging.DEBUG, logger="enaqt"):
         etas = efficiency_gamma_grid(spec, gammas, solver=solver)
@@ -515,15 +524,70 @@ def test_grid_redoes_only_the_failed_point(monkeypatch, caplog):
 def test_grid_point_failing_the_fallback_names_its_gamma(monkeypatch):
     spec = SystemSpec("chain", 5, (0,), 3, 0.4, 0.02, 0.0)
     _fail_direct_solve_at(monkeypatch, 0.3)
-    probabilities = EigenbasisSteadySolver._probabilities
+    branching = EigenbasisSteadySolver._branching
 
-    def leaky(self, xmat):
-        eta, eta_loss = probabilities(self, xmat)
-        return eta, eta_loss + 1e-9j
+    def leaky(self, pops, a):
+        # every answer of a point solved alone leaks
+        eta, eta_loss = branching(self, pops, a)
+        return eta, eta_loss + (1e-9j if pops.size == self.n else 0.0)
 
-    monkeypatch.setattr(EigenbasisSteadySolver, "_probabilities", leaky)
+    monkeypatch.setattr(EigenbasisSteadySolver, "_branching", leaky)
     with pytest.raises(SingularSystemError,
                        match=r"gamma=0\.3: lost probability has imaginary"):
         efficiency_gamma_grid(spec, [0.1, 0.3, 3.0])
     with pytest.raises(SingularSystemError, match=r"gamma=0\.3: "):
         EigenbasisSteadySolver(spec).eta(0.3)
+
+
+@pytest.mark.parametrize("gamma", [-0.3, np.nan, np.inf])
+@pytest.mark.parametrize("call", [
+    lambda solver, g: solver.efficiency(g),
+    lambda solver, g: solver.eta(g),
+    lambda solver, g: solver.eta_grid([0.1, g]),
+], ids=["efficiency", "eta", "eta_grid"])
+def test_solver_rejects_bad_dephasing_rates(call, gamma):
+    solver = EigenbasisSteadySolver(SystemSpec("chain", 4, (0,), 2, 0.5, 0.1,
+                                               0.0))
+    with pytest.raises(ValidationError, match="finite and >= 0"):
+        call(solver, gamma)
+
+
+def test_grid_rejects_a_spec_that_does_not_match_the_solver():
+    solver = EigenbasisSteadySolver(SystemSpec("chain", 4, (0,), 2, 0.5, 0.1,
+                                               0.0))
+    with pytest.raises(ValidationError, match="does not match"):
+        efficiency_gamma_grid(SystemSpec("ring", 5, (0,), 2, 0.5, 0.1, 0.0),
+                              [0.3], solver=solver)
+    with pytest.raises(ValidationError, match="does not match"):
+        efficiency_gamma_grid(SystemSpec("chain", 4, (0,), 2, 0.5, 0.2, 0.0),
+                              [0.3], solver=solver)
+    # spec's own gamma is ignored
+    (eta,) = efficiency_gamma_grid(
+        SystemSpec("chain", 4, (0,), 2, 0.5, 0.1, 7.0), [0.3], solver=solver)
+    assert eta == solver.eta(0.3)
+
+
+def test_stack_redo_builds_nothing(monkeypatch):
+    # the near-dark cells (mu = 1e-8) fail the batch check at some rates
+    # and are redone on their own cell's arrays, without a new solver
+    specs = [SystemSpec("chain", 5, (0,), 2, kappa, mu, 0.0)
+             for kappa in (1e-4, 1.0, 100.0) for mu in (1e-8, 1e-4, 1.0)]
+    gammas = np.concatenate([[0.0], np.geomspace(1e-4, 1e4, 64)])
+    solver = EigenbasisSteadySolver(specs)
+    eig, calls = np.linalg.eig, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return eig(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eig", counting)
+    etas = solver.eta_grid(gammas)
+    monkeypatch.undo()
+    assert len(calls) == 0
+    assert sum(solver.routes.values()) == len(specs) * gammas.size == 585
+    assert not solver.failed
+    for spec, row in zip(specs, etas):
+        single = EigenbasisSteadySolver(spec)
+        for gamma, eta in zip(gammas, row):
+            assert eta == pytest.approx(single.efficiency(gamma)[0],
+                                        abs=1e-11)
