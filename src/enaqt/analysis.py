@@ -73,8 +73,11 @@ RATE_BOUNDS = (1e-4, 1e2)
 MU_CUTOFF_INFINITE = 0.1
 TRUNCATION_TOL = 1e-4
 SITE_CAP_INFINITE = 4096
-GRID_POINTS = 64     # default log-spaced gamma grid of an optimization
-REFINE_TOL = 1e-4    # default golden bracket, in log gamma
+GRID_POINTS = 64     # log-spaced gamma grid of an optimization
+REFINE_TOL = 1e-4    # golden bracket of an optimization, in log gamma
+PLANE_POINTS = 13    # max_enaqt's ranking grid, points per rate axis
+PLANE_SWEEPS = 3     # max_enaqt's coordinate sweeps per seed
+PLANE_STARTS = 4     # max_enaqt's seeds
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -159,21 +162,6 @@ def _check_positive_rates(kappa, mu):
     if not (kappa > 0 and mu > 0):
         raise ValidationError(
             f"kappa and mu must be > 0, got kappa={kappa!r}, mu={mu!r}")
-
-
-def _check_search(grid_points, refine_tol=None, least_points=1):
-    """ValidationError unless grid_points is an integer >= least_points and
-    refine_tol (when given) is finite and > 0."""
-    if not (isinstance(grid_points, (int, np.integer))
-            and grid_points >= least_points):
-        raise ValidationError(
-            f"grid_points={grid_points!r} must be an integer >= "
-            f"{least_points}")
-    if refine_tol is not None and not (
-            isinstance(refine_tol, (int, float)) and math.isfinite(refine_tol)
-            and refine_tol > 0):
-        raise ValidationError(
-            f"refine_tol={refine_tol!r} must be finite and > 0")
 
 
 def _exp(x):
@@ -296,50 +284,46 @@ def efficiency_curve(spec: SystemSpec, gamma_grid) -> list:
     return [(float(g), float(e)) for g, e in zip(gammas, etas)]
 
 
-def optimize_dephasing(spec: SystemSpec, grid_points: int = GRID_POINTS,
-                       refine_tol: float = REFINE_TOL) -> EnaqtResult:
+def optimize_dephasing(spec: SystemSpec) -> EnaqtResult:
     """Maximize eta over gamma in [0, 1e4] for fixed (kappa, mu).
 
     The gamma = 0 endpoint is always evaluated with the grid of
-    grid_points log-spaced rates; when no interior point beats it the
+    GRID_POINTS log-spaced rates; when no interior point beats it the
     result reports gamma_opt = 0 and xi = 0.  Otherwise a golden-section
     search in log gamma between the neighbours of the best grid point,
-    to a bracket of refine_tol, gives gamma_opt.  spec's own gamma field
+    to a bracket of REFINE_TOL, gives gamma_opt.  spec's own gamma field
     is ignored.  The system is a cell stack of one (see the module
     docstring): one eigendecomposition of H serves the endpoint, the grid
     (one batched solve for small systems) and the refinement, whose steps
     are single LAPACK solves.
 
-    Raises ValidationError for rates that are not > 0, grid_points < 1 or
-    a refine_tol that is not finite and > 0, and SingularSystemError,
-    with its gamma named, for a solve that fails its certification.
+    Raises ValidationError for rates that are not > 0, and
+    SingularSystemError, with its gamma named, for a solve that fails its
+    certification.
     """
     _check_positive_rates(spec.kappa, spec.mu)
-    _check_search(grid_points, refine_tol)
-    return _raised(_optimize_cells([spec], grid_points, refine_tol)[0])
+    return _raised(_optimize_cells([spec])[0])
 
 
-def max_enaqt(topology, n: int, trap_site: int, initial_site: int,
-              grid_points: int = 13, sweeps: int = 3,
-              starts: int = 4) -> MaxEnaqt:
+def max_enaqt(topology, n: int, trap_site: int,
+              initial_site: int) -> MaxEnaqt:
     """Maximum xi over the (kappa, mu) plane for one geometry.
 
-    Scans a grid_points x grid_points log grid over [1e-4, 1e2]^2, then
-    refines by coordinate golden-section sweeps of shrinking span.  The
-    landscape can hold several local maxima (a dephasing-peak basin and
-    a large-gamma plateau basin, sometimes more), so the sweeps restart
-    from up to `starts` well-separated top grid cells.  Every candidate
-    is re-evaluated with the full optimizer, so the reported xi carries
-    the production solve's accuracy; kappa and mu are resolved to about
-    the final sweep span.
+    Scans a PLANE_POINTS x PLANE_POINTS log grid over [1e-4, 1e2]^2, then
+    refines by PLANE_SWEEPS coordinate golden-section sweeps of shrinking
+    span.  The landscape can hold several local maxima (a dephasing-peak
+    basin and a large-gamma plateau basin, sometimes more), so the sweeps
+    restart from up to PLANE_STARTS well-separated top grid cells.  Every
+    candidate is re-evaluated with the full optimizer, so the reported xi
+    carries the production solve's accuracy; kappa and mu are resolved to
+    about the final sweep span.
 
     The ranking grid is optimized in cell stacks (a coarse 32-point gamma
     grid and a 1e-3 golden tolerance), and the seeds refine in lockstep:
     each step of their kappa (or mu) sweeps evaluates one cell per seed
     as one stack, as do the final optimizations.
 
-    Sites are 1-based.  Raises ValidationError for grid_points < 2,
-    sweeps < 0 or starts < 1.
+    Sites are 1-based.
     """
     topology = Topology(topology)
     if topology is Topology.SEMI_INFINITE:
@@ -349,11 +333,6 @@ def max_enaqt(topology, n: int, trap_site: int, initial_site: int,
     init0 = _site0(initial_site, n, "initial_site")
     if trap0 == init0:
         raise ValidationError("trap and initial sites must differ")
-    _check_search(grid_points, least_points=2)
-    if not (isinstance(sweeps, int) and sweeps >= 0):
-        raise ValidationError(f"sweeps={sweeps!r} must be an integer >= 0")
-    if starts < 1:
-        raise ValidationError("starts must be at least 1")
     spec0 = SystemSpec(topology, n, (trap0,), init0,
                        kappa=1.0, mu=1.0, gamma=0.0)
 
@@ -370,10 +349,10 @@ def max_enaqt(topology, n: int, trap_site: int, initial_site: int,
         return np.array([res.xi for res in optimized(kappas, mus, 32, 1e-3)]
                         ).reshape(shape)
 
-    grid = np.geomspace(*RATE_BOUNDS, grid_points)
+    grid = np.geomspace(*RATE_BOUNDS, PLANE_POINTS)
     ranked = xi(grid[:, None], grid[None, :])
     cells = sorted(((float(ranked[i, j]), i, j)
-                    for i in range(grid_points) for j in range(grid_points)),
+                    for i in range(PLANE_POINTS) for j in range(PLANE_POINTS)),
                    reverse=True)
 
     # well-separated seeds: skip any cell adjacent to a better kept one
@@ -381,14 +360,14 @@ def max_enaqt(topology, n: int, trap_site: int, initial_site: int,
     for x, i, j in cells:
         if all(max(abs(i - i0), abs(j - j0)) > 1 for _, i0, j0 in seeds):
             seeds.append((x, i, j))
-        if len(seeds) == starts:
+        if len(seeds) == PLANE_STARTS:
             break
 
     lo_log, hi_log = math.log(RATE_BOUNDS[0]), math.log(RATE_BOUNDS[1])
     kk = grid[[i for _, i, _ in seeds]]
     mm = grid[[j for _, _, j in seeds]]
     step = math.log(grid[1] / grid[0])
-    for _ in range(sweeps):
+    for _ in range(PLANE_SWEEPS):
         for axis in (0, 1):
             def val(x, sel):
                 # x holds one row of points per live seed sel
@@ -589,10 +568,8 @@ def circle_max_enaqt(n: int, trap: int, init: int) -> float:
     return 0.5
 
 
-def infinite_chain_enaqt(kappa: float, mu: float, offset: int = 1,
-                         grid_points: int = GRID_POINTS,
-                         refine_tol: float = REFINE_TOL
-                         ) -> InfiniteChainResult:
+def infinite_chain_enaqt(kappa: float, mu: float,
+                         offset: int = 1) -> InfiniteChainResult:
     """ENAQT for a particle released next to the trapped half of an
     infinite chain.
 
@@ -604,8 +581,7 @@ def infinite_chain_enaqt(kappa: float, mu: float, offset: int = 1,
     on the accepted truncation as a stack of one cell.
 
     Raises TruncationError (carrying achieved_delta) if the cap is hit
-    before convergence, and ValidationError for grid_points < 1 or a
-    refine_tol that is not finite and > 0.
+    before convergence.
     """
     if not (math.isfinite(mu) and mu >= MU_CUTOFF_INFINITE):
         raise ValidationError(
@@ -615,7 +591,6 @@ def infinite_chain_enaqt(kappa: float, mu: float, offset: int = 1,
         raise ValidationError(f"kappa={kappa!r} must be finite and >= 0")
     if not isinstance(offset, int) or offset < 1:
         raise ValidationError(f"offset={offset!r} must be an integer >= 1")
-    _check_search(grid_points, refine_tol)
     left = right = math.ceil(16.0 / mu)
     if kappa == 0.0:
         # Nothing traps, so eta = 0 for every gamma.
@@ -656,7 +631,7 @@ def infinite_chain_enaqt(kappa: float, mu: float, offset: int = 1,
                 achieved_delta=delta)
         solver = truncation(left, right)
 
-    res = _raised(_scan_refine(solver, grid_points, refine_tol)[0])
+    res = _raised(_scan_refine(solver, GRID_POINTS, REFINE_TOL)[0])
     method = "+".join(sorted(solver.routes))
     return InfiniteChainResult(
         res.eta0, res.eta_max, res.gamma_opt, res.xi, offset=offset,

@@ -11,12 +11,14 @@ All rates are expressed in units of the coupling v, with hbar = 1, so time
 is measured in 1/v.
 
 Vectorization convention: row-major, vec index(n, m) = n*N + m, 0-based.
-The population of site s sits at index s*N + s.
+The population of site s sits at index s*N + s.  _generator, the one
+generator of the package, applies L in this layout without forming it.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -40,12 +42,6 @@ __all__ = [
     "state_density",
 ]
 
-# Above this size build_liouvillian does not materialize the dense
-# n^2 x n^2 superoperator by default and propagate stores no states.  Only
-# propagate and the tests use the generator; no steady solve does.
-DENSE_LIMIT = 64
-
-
 class Topology(str, Enum):
     CHAIN = "chain"
     RING = "ring"
@@ -66,7 +62,9 @@ class SystemSpec:
         0-based sites carrying the trapping rate kappa.  Duplicates are
         dropped; the stored value is a sorted tuple.
     initial_site : int
-        0-based site holding the particle at t = 0.
+        0-based site holding the particle at t = 0.  Sites must be
+        integers (Python or numpy); any other label raises ValidationError
+        instead of being truncated.
     kappa, mu, gamma : float
         Trapping, loss, and dephasing rates, all >= 0 and finite,
         in units of the coupling.
@@ -90,8 +88,15 @@ class SystemSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "topology", Topology(self.topology))
-        traps = tuple(sorted({int(t) for t in self.trap_sites}))
+        try:  # operator.index: ints and numpy integers, nothing truncated
+            traps = tuple(sorted({operator.index(t) for t in self.trap_sites}))
+            init = operator.index(self.initial_site)
+        except TypeError:
+            raise ValidationError(
+                f"sites must be integers, got trap_sites={self.trap_sites!r}"
+                f", initial_site={self.initial_site!r}") from None
         object.__setattr__(self, "trap_sites", traps)
+        object.__setattr__(self, "initial_site", init)
         n = self.n
         min_n = 3 if self.topology is Topology.RING else 2
         if not isinstance(n, int) or n < min_n:
@@ -273,17 +278,55 @@ def as_density_vec(rho, n: int) -> np.ndarray:
     if vec.size != n * n:
         raise ValidationError(
             f"density size {vec.size} does not match n^2 = {n * n}")
-    return np.array(vec, dtype=complex)
+    vec = np.array(vec, dtype=complex)
+    if not np.isfinite(vec).all():
+        raise ValidationError("density matrix has non-finite entries")
+    if not vec.any():
+        raise ValidationError("density matrix is zero")
+    return vec
+
+
+def _right(y, r):
+    """Y R for every n x n matrix Y flattened (row-major) along the last
+    axis of y, of shape (cells, k, n^2), R one per cell (shape (cells, n,
+    n)).  One matrix product per cell covers all its k points."""
+    n = r.shape[-1]
+    return (y.reshape(r.shape[:-2] + (-1, n)) @ r).reshape(y.shape)
+
+
+def _left(m, y):
+    """M Y for every matrix Y of y, M one per cell, as in _right: one
+    product per point when each cell has one point, else the transposes
+    Y^T M^T as one matrix product per cell."""
+    n = m.shape[-1]
+    cells = m.shape[:-2]
+    if y.size == n * n * math.prod(cells):
+        return (m @ y.reshape(cells + (n, n))).reshape(y.shape)
+    yt = np.swapaxes(y.reshape(cells + (-1, n, n)), -1, -2)
+    return np.swapaxes((yt.reshape(cells + (-1, n)) @ np.swapaxes(m, -1, -2)
+                        ).reshape(cells + (-1, n, n)), -1, -2).reshape(y.shape)
+
+
+def _generator(xs, g2, mh, mhd):
+    """L(X) = -i(H X - X H^dag) - 2*gamma*X_offdiag for every X of xs,
+    flattened as in _right, with mh = -iH and mhd = -iH^dag one per cell
+    and g2 = 2*gamma (a number, or one per point broadcast against xs).
+    It serves Superoperator.apply, and the steady solver's residual in
+    double precision and, with mh, mhd and xs in clongdouble, in extended
+    precision for refinement."""
+    out = _left(mh, xs)
+    out -= _right(xs, mhd)
+    deph = g2 * xs
+    deph[..., ::mh.shape[-1] + 1] = 0.0
+    out -= deph
+    return out
 
 
 class Superoperator:
     """Master-equation generator acting on vectorized density matrices.
 
-    Dense representation stores the full dim x dim matrix; the matrix-free
-    representation applies H and the dephasing projector directly to the
-    N x N matrix form, which is the only option for several hundred sites.
-
-    The dense element formula, testable entrywise, is
+    apply runs _generator on the N x N matrix form of a state, so the
+    n^2 x n^2 matrix is never formed.  Its element formula is
 
         L[(n,m),(p,q)] = -i H[n,p] d(m,q) + i conj(H[m,q]) d(n,p)
                          - 2 gamma (1 - d(n,m)) d(n,p) d(m,q)
@@ -291,56 +334,22 @@ class Superoperator:
     with d the Kronecker delta.
     """
 
-    def __init__(self, n, gamma, hamiltonian, matrix=None):
+    representation = "matrix-free"
+
+    def __init__(self, n, gamma, hamiltonian):
         self.n = n
         self.gamma = gamma
         self.hamiltonian = hamiltonian
-        self._matrix = matrix
         self.dim = n * n
-        self.representation = "dense" if matrix is not None else "matrix-free"
-
-    @property
-    def matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            raise ValidationError(
-                f"dim {self.dim} exceeds the dense limit; use apply()")
-        return self._matrix
+        self._mh = -1j * hamiltonian[None]
+        self._mhd = -1j * hamiltonian.conj().T[None]
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """Action of the generator on a vectorized state."""
-        if self._matrix is not None:
-            return self._matrix @ vec
-        n, h = self.n, self.hamiltonian
-        rho = vec.reshape(n, n)
-        out = -1j * (h @ rho - rho @ h.conj().T)
-        if self.gamma != 0.0:
-            # Dephasing removes coherences at 2*gamma, populations untouched.
-            diag = np.diagonal(out).copy()
-            out = out - 2.0 * self.gamma * rho
-            np.fill_diagonal(out, diag)
-        return out.reshape(-1)
+        return _generator(vec.reshape(1, 1, -1), 2.0 * self.gamma, self._mh,
+                          self._mhd).reshape(-1)
 
 
-def build_liouvillian(spec: SystemSpec, dense: bool | None = None) -> Superoperator:
-    """Generator of d/dt vec(rho) for the given spec, as used by propagate.
-
-    Parameters
-    ----------
-    spec : SystemSpec
-    dense : bool, optional
-        Force or forbid the dense representation (the tests use the dense
-        matrix as an oracle).  Default: dense for n <= DENSE_LIMIT,
-        matrix-free above.
-    """
-    h = build_hamiltonian(spec)
-    n = spec.n
-    if dense is None:
-        dense = n <= DENSE_LIMIT
-    if not dense:
-        return Superoperator(n, spec.gamma, h)
-    eye = np.eye(n)
-    mat = -1j * np.kron(h, eye) + 1j * np.kron(eye, h.conj())
-    mat[np.diag_indices(n * n)] += (
-        -2.0 * spec.gamma * (1.0 - eye).reshape(-1))
-    return Superoperator(n, spec.gamma, h, matrix=mat)
-
+def build_liouvillian(spec: SystemSpec) -> Superoperator:
+    """Generator of d/dt vec(rho) for the given spec, as used by propagate."""
+    return Superoperator(spec.n, spec.gamma, build_hamiltonian(spec))

@@ -11,6 +11,9 @@ Two independent routes are implemented and cross-validated:
 * efficiency_direct    -- resolvent solve of L x = -vec(rho0)
 * propagate            -- adaptive Runge-Kutta integration of the motion
 
+Both apply L by model._generator, matrix-free: propagate through
+Superoperator.apply, the steady solve in every residual and refinement.
+
 Every steady solve, single, over a gamma grid or over a stack of
 (kappa, mu) cells of one geometry, runs on one engine,
 EigenbasisSteadySolver, through one point path: it reduces the steady
@@ -40,6 +43,9 @@ from .errors import SingularSystemError, StiffnessError, ValidationError
 from .model import (
     DensityState,
     SystemSpec,
+    _generator,
+    _left,
+    _right,
     as_density_vec,
     build_hamiltonian,
     build_liouvillian,
@@ -154,6 +160,8 @@ def efficiency_direct(spec: SystemSpec, rho0=None) -> EfficiencyReport:
 
     Raises
     ------
+    ValidationError
+        If rho0 has the wrong size, a non-finite entry, or is zero.
     SingularSystemError
         If the generator is singular (dark state at mu = 0) or the solve
         residual or imaginary leakage is not acceptable.
@@ -206,6 +214,9 @@ def propagate(spec: SystemSpec, rho0=None, horizon: float | None = None,
 
     Raises
     ------
+    ValidationError
+        If horizon or rtol is not finite and > 0, atol is not finite and
+        >= 0, or rho0 is invalid (see efficiency_direct); before any step.
     StiffnessError
         If the step size underflows; very large gamma*dt calls for an
         implicit method.
@@ -214,8 +225,11 @@ def propagate(spec: SystemSpec, rho0=None, horizon: float | None = None,
         if spec.mu <= 0:
             raise ValidationError("horizon is required when mu = 0")
         horizon = 50.0 / spec.mu
-    if horizon <= 0 or rtol <= 0:
-        raise ValidationError("horizon and rtol must be > 0")
+    for name, value in (("horizon", horizon), ("rtol", rtol)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValidationError(f"{name}={value!r} must be finite and > 0")
+    if not (math.isfinite(atol) and atol >= 0):
+        raise ValidationError(f"atol={atol!r} must be finite and >= 0")
     n = spec.n
     vec0 = (site_density(n, spec.initial_site) if rho0 is None
             else as_density_vec(rho0, n))
@@ -336,41 +350,6 @@ def efficiency_gamma_grid(spec: SystemSpec, gammas,
             "spec does not match the solver's first cell in geometry, "
             "kappa and mu")
     return solver.eta_grid(gammas)
-
-
-def _right(y, r):
-    """Y R for every n x n matrix Y flattened (row-major) along the last
-    axis of y, of shape (cells, k, n^2), R one per cell (shape (cells, n,
-    n)).  One matrix product per cell covers all its k points."""
-    n = r.shape[-1]
-    return (y.reshape(r.shape[:-2] + (-1, n)) @ r).reshape(y.shape)
-
-
-def _left(m, y):
-    """M Y for every matrix Y of y, M one per cell, as in _right: one
-    product per point when each cell has one point, else the transposes
-    Y^T M^T as one matrix product per cell."""
-    n = m.shape[-1]
-    cells = m.shape[:-2]
-    if y.size == n * n * math.prod(cells):
-        return (m @ y.reshape(cells + (n, n))).reshape(y.shape)
-    yt = np.swapaxes(y.reshape(cells + (-1, n, n)), -1, -2)
-    return np.swapaxes((yt.reshape(cells + (-1, n)) @ np.swapaxes(m, -1, -2)
-                        ).reshape(cells + (-1, n, n)), -1, -2).reshape(y.shape)
-
-
-def _generator(xs, g2, mh, mhd):
-    """L(X) = -i(H X - X H^dag) - 2*gamma*X_offdiag for every X of xs,
-    flattened as in _right, with mh = -iH and mhd = -iH^dag one per cell
-    and g2 = 2*gamma as in _kernel.  The one residual of the
-    solver: in double precision for every answer, in extended precision
-    (mh, mhd and xs in clongdouble) for refinement."""
-    out = _left(mh, xs)
-    out -= _right(xs, mhd)
-    deph = g2 * xs
-    deph[..., ::mh.shape[-1] + 1] = 0.0
-    out -= deph
-    return out
 
 
 def _accepted(resid, eta, eta_loss, bound):
@@ -791,16 +770,14 @@ class EigenbasisSteadySolver:
             eta[lost] = eta_loss[lost] = math.nan
         return eta, eta_loss, resid, pops, redone
 
-    def efficiency(self, gamma, rho0=None, warm_start=None):
+    def efficiency(self, gamma, rho0=None):
         """Returns (eta, eta_loss, residual, method, populations).
 
         A single solve on a one-cell solver through the point path, from
-        rho0 (a flattened density matrix; the initial site when None),
-        warm-started from warm_start above DENSE_SOLVE_MAX_N sites.
+        rho0 (a flattened density matrix; the initial site when None).
         """
         eta, eta_loss, resid, pops, redone = self._points(
-            np.array([[gamma]], dtype=float), self._ids[:1], rho0,
-            warm_start)
+            np.array([[gamma]], dtype=float), self._ids[:1], rho0)
         return (float(eta[0, 0]), float(eta_loss[0, 0]), float(resid[0, 0]),
                 redone[0] if redone else "direct-eigenbasis",
                 pops[0, 0].copy())

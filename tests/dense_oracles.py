@@ -1,8 +1,10 @@
-"""Test oracles: the dense n^2 x n^2 LU and the accumulator solve.
+"""Test oracles: the dense generator, its LU and the accumulator solve.
 
-Both solve the full vectorized generator, independently of the library's
-population-space engine, so tests can check that engine against them.
-Dense matrices make them practical up to about 16 sites.
+dense_generator forms the n^2 x n^2 generator by Kronecker products,
+independently of the library's matrix-free one.  The LU and the
+accumulator solve it independently of the library's population-space
+engine, so tests can check that engine against them.  Dense matrices make
+them practical up to about 16 sites.
 """
 
 import warnings
@@ -14,13 +16,24 @@ from enaqt import (
     EfficiencyReport,
     SingularSystemError,
     SystemSpec,
-    build_liouvillian,
+    build_hamiltonian,
     population_index,
     site_density,
 )
 from enaqt.solver import REAL_TOL, RESID_ACCEPT, RESID_TARGET, _refine
 
 RCOND_FLOOR = 1e-12   # reciprocal condition estimate below which we refuse
+
+
+def dense_generator(spec: SystemSpec) -> np.ndarray:
+    """The n^2 x n^2 generator of d/dt vec(rho), row-major vec, as a dense
+    matrix: -i(H x I) + i(I x conj H) - 2 gamma on the coherences."""
+    h = build_hamiltonian(spec)
+    eye = np.eye(spec.n)
+    mat = -1j * np.kron(h, eye) + 1j * np.kron(eye, h.conj())
+    mat[np.diag_indices(spec.n ** 2)] -= 2.0 * spec.gamma * (
+        1.0 - eye).reshape(-1)
+    return mat
 
 
 def _real_checked(value: complex, what: str) -> float:
@@ -76,7 +89,7 @@ def _branching(spec: SystemSpec, x: np.ndarray):
 
 def dense_lu_branching(spec):
     """(eta, eta_loss) from the gated LU of the dense n^2 x n^2 generator."""
-    lmat = build_liouvillian(spec, dense=True).matrix
+    lmat = dense_generator(spec)
     x, _ = _gated_solve(lmat, -site_density(spec.n, spec.initial_site))
     return _branching(spec, x)
 
@@ -95,7 +108,7 @@ def efficiency_accumulator(spec, epsilon: float = 1.0) -> EfficiencyReport:
     n = spec.n
     dim = n * n + 1
     mat = np.zeros((dim, dim), dtype=complex)
-    mat[: n * n, : n * n] = build_liouvillian(spec, dense=True).matrix
+    mat[: n * n, : n * n] = dense_generator(spec)
     for t in spec.trap_sites:
         mat[dim - 1, population_index(n, t)] = 2.0 * spec.kappa
     mat[dim - 1, dim - 1] = epsilon

@@ -369,52 +369,20 @@ class TestInfiniteChain:
 
 
 class TestSearchArguments:
-    """Optimizer arguments outside their domain raise ValidationError."""
+    """The scan and golden refinement at extreme search settings."""
 
     SPEC = SystemSpec("chain", 5, (0,), 1, kappa=1.0, mu=0.1, gamma=0.0)
-
-    @pytest.mark.parametrize("refine_tol", [0.0, -1e-4, np.nan, np.inf])
-    def test_optimize_rejects_refine_tol(self, refine_tol):
-        # with refine_tol = 0 the search would never end: a bracket
-        # stops shrinking at one ulp
-        with pytest.raises(ValidationError, match="refine_tol"):
-            optimize_dephasing(self.SPEC, refine_tol=refine_tol)
-
-    @pytest.mark.parametrize("grid_points", [0, -3])
-    def test_optimize_rejects_grid_points(self, grid_points):
-        with pytest.raises(ValidationError, match="grid_points"):
-            optimize_dephasing(self.SPEC, grid_points=grid_points)
-
-    @pytest.mark.parametrize("refine_tol", [0.0, -1e-4, np.nan, np.inf])
-    def test_infinite_chain_rejects_refine_tol(self, refine_tol):
-        with pytest.raises(ValidationError, match="refine_tol"):
-            infinite_chain_enaqt(2.0, 0.5, refine_tol=refine_tol)
-
-    @pytest.mark.parametrize("grid_points", [0, -3])
-    def test_infinite_chain_rejects_grid_points(self, grid_points):
-        with pytest.raises(ValidationError, match="grid_points"):
-            infinite_chain_enaqt(2.0, 0.5, grid_points=grid_points)
-
-    @pytest.mark.parametrize("grid_points", [0, 1])
-    def test_max_enaqt_rejects_grid_points(self, grid_points):
-        # the coordinate sweeps step by the spacing of the ranking grid
-        with pytest.raises(ValidationError, match="grid_points"):
-            max_enaqt("chain", 4, 2, 3, grid_points=grid_points)
-
-    def test_max_enaqt_rejects_negative_sweeps(self):
-        with pytest.raises(ValidationError, match="sweeps"):
-            max_enaqt("chain", 4, 2, 3, sweeps=-1)
 
     def test_tolerance_below_an_ulp_terminates(self):
         # the golden bracket cannot shrink below one ulp of log gamma; the
         # search stops there instead of looping
-        fine = optimize_dephasing(self.SPEC, refine_tol=1e-300)
+        fine = analysis._optimize_cells([self.SPEC], 64, 1e-300)[0]
         ref = optimize_dephasing(self.SPEC)
         assert fine.gamma_opt == pytest.approx(ref.gamma_opt, rel=1e-3)
         assert fine.xi == pytest.approx(ref.xi, abs=1e-9)
 
     def test_single_point_grid(self):
-        res = optimize_dephasing(self.SPEC, grid_points=1)
+        res = analysis._optimize_cells([self.SPEC], 1, analysis.REFINE_TOL)[0]
         assert res.eta0 == pytest.approx(dense_lu_branching(self.SPEC)[0],
                                          abs=1e-12)
 

@@ -22,6 +22,7 @@ from enaqt import (
     site_density,
     state_density,
 )
+from dense_oracles import dense_generator
 
 
 def test_chain_hamiltonian_matrix():
@@ -109,6 +110,24 @@ class TestSystemSpecValidation:
             SystemSpec("chain", 3, (3,), 1, 0.1, 0.1, 0.0)
         with pytest.raises(ValidationError):
             SystemSpec("chain", 3, (0,), -1, 0.1, 0.1, 0.0)
+
+    @pytest.mark.parametrize("traps,init", [
+        ((0.7,), 1), ((-0.5,), 1), ((2.9,), 1), (("0",), 1),
+        ((0,), 1.5), ((0,), 1.0),
+    ], ids=["trap-0.7", "trap-minus-0.5", "trap-2.9", "trap-str",
+            "init-1.5", "init-1.0"])
+    def test_non_integer_site_rejected(self, traps, init):
+        # int() would truncate a trap label to another site, and a float
+        # initial site would fail later as numpy's IndexError
+        with pytest.raises(ValidationError, match="must be integers"):
+            SystemSpec("chain", 3, traps, init, 0.1, 0.1, 0.0)
+
+    def test_numpy_integer_sites_stored_as_int(self):
+        spec = SystemSpec("chain", 3, (np.int64(0),), np.int64(2),
+                          0.1, 0.1, 0.0)
+        assert spec.trap_sites == (0,) and spec.initial_site == 2
+        assert type(spec.trap_sites[0]) is int
+        assert type(spec.initial_site) is int
 
     def test_initial_on_single_trap_rejected(self):
         with pytest.raises(ValidationError):
@@ -198,26 +217,27 @@ def _liouvillian_element(h, gamma, n, row, col):
     SystemSpec("ring", 4, (2,), 0, 0.4, 0.05, 0.9),
 ])
 def test_dense_liouvillian_matches_element_formula(spec):
-    lop = build_liouvillian(spec, dense=True)
+    lmat = dense_generator(spec)
     h = build_hamiltonian(spec)
     n = spec.n
     for row in range(n * n):
         for col in range(n * n):
-            assert lop.matrix[row, col] == pytest.approx(
+            assert lmat[row, col] == pytest.approx(
                 _liouvillian_element(h, spec.gamma, n, row, col), abs=1e-14)
 
 
 def test_matrix_free_apply_matches_dense():
-    spec = SystemSpec("ring", 5, (1,), 3, 0.3, 0.02, 0.8)
-    dense = build_liouvillian(spec, dense=True)
-    free = build_liouvillian(spec, dense=False)
-    assert free.representation == "matrix-free"
-    with pytest.raises(ValidationError):
-        free.matrix
+    # n = 17 is above the steady solver's assembled population solve
     rng = np.random.default_rng(7)
-    for _ in range(5):
-        vec = rng.normal(size=25) + 1j * rng.normal(size=25)
-        assert np.allclose(free.apply(vec), dense.matrix @ vec, atol=1e-13)
+    for spec in (SystemSpec("ring", 5, (1,), 3, 0.3, 0.02, 0.8),
+                 SystemSpec("chain", 17, (0, 9), 4, 1.3, 0.1, 2.5)):
+        free = build_liouvillian(spec)
+        assert free.representation == "matrix-free"
+        dense = dense_generator(spec)
+        dim = spec.n ** 2
+        for _ in range(5):
+            vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            assert np.allclose(free.apply(vec), dense @ vec, atol=1e-13)
 
 
 def test_trace_rate_identity():
@@ -238,7 +258,7 @@ def test_trace_rate_identity():
 def test_liouvillian_spectrum_damped(n):
     # every generator eigenvalue has nonpositive real part
     spec = SystemSpec("chain", n, (0,), n - 1, 0.5, 0.1, 0.7)
-    evals = np.linalg.eigvals(build_liouvillian(spec, dense=True).matrix)
+    evals = np.linalg.eigvals(dense_generator(spec))
     assert evals.real.max() < 1e-12
 
 

@@ -23,7 +23,11 @@ from enaqt import (
     site_density,
     survival_probability,
 )
-from dense_oracles import dense_lu_branching, efficiency_accumulator
+from dense_oracles import (
+    dense_generator,
+    dense_lu_branching,
+    efficiency_accumulator,
+)
 
 FIG1B = SystemSpec("chain", 3, (0,), 1, kappa=0.1, mu=0.01, gamma=0.0)
 
@@ -155,8 +159,7 @@ class TestPropagation:
     def test_matches_matrix_exponential(self):
         # oracle: expm of the dense generator at a fixed time
         spec = SystemSpec("chain", 3, (0,), 1, 0.3, 0.05, 0.6)
-        from enaqt import build_liouvillian
-        lmat = build_liouvillian(spec, dense=True).matrix
+        lmat = dense_generator(spec)
         t = 4.0
         rho_exact = sla.expm(lmat * t) @ site_density(3, 1)
         traj = propagate(spec, horizon=t, store_states=True)
@@ -189,6 +192,34 @@ class TestPropagation:
         traj = propagate(FIG1B, horizon=10.0)
         assert traj.n_steps > 0
         assert traj.n_rejected >= 0
+
+    @pytest.mark.parametrize("kw", [
+        {"horizon": np.inf}, {"horizon": np.nan}, {"rtol": np.nan},
+        {"rtol": np.inf}, {"atol": -1.0}, {"atol": np.nan},
+        {"atol": np.inf},
+    ])
+    def test_bad_arguments_rejected_before_integrating(self, kw,
+                                                       monkeypatch):
+        # horizon = inf would never leave the step loop, so a guard that
+        # does not fire must fail here instead of reaching it
+        def unreachable(spec):
+            raise AssertionError("propagate went on to integrate")
+
+        monkeypatch.setattr("enaqt.solver.build_liouvillian", unreachable)
+        with pytest.raises(ValidationError):
+            propagate(FIG1B, **{"horizon": 10.0, **kw})
+
+
+@pytest.mark.parametrize("rho0", [np.zeros(9), np.full(9, np.nan),
+                                  np.full(9, np.inf)],
+                         ids=["zero", "nan", "inf"])
+@pytest.mark.parametrize("route", [
+    efficiency_direct,
+    lambda spec, rho0: propagate(spec, rho0=rho0, horizon=10.0),
+], ids=["efficiency_direct", "propagate"])
+def test_zero_or_non_finite_initial_state_rejected(route, rho0):
+    with pytest.raises(ValidationError, match="density matrix"):
+        route(FIG1B, rho0=rho0)
 
 
 def test_survival_probability_basics():
