@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -73,6 +74,7 @@ RATE_BOUNDS = (1e-4, 1e2)
 MU_CUTOFF_INFINITE = 0.1
 TRUNCATION_TOL = 1e-4
 SITE_CAP_INFINITE = 4096
+START_SITES = 4      # each side of the first semi-infinite truncation
 GRID_POINTS = 64     # log-spaced gamma grid of an optimization
 REFINE_TOL = 1e-4    # golden bracket of an optimization, in log gamma
 PLANE_POINTS = 13    # max_enaqt's ranking grid, points per rate axis
@@ -100,9 +102,11 @@ class EnaqtResult:
 @dataclass(frozen=True)
 class InfiniteChainResult(EnaqtResult):
     """EnaqtResult for the truncated half-infinite chain, plus the
-    truncation sizes that certified it.  method joins the solve routes
-    used at the reported size ("direct-eigenbasis", "direct-sparse"), or
-    is "trivial" when kappa = 0."""
+    truncation sizes that certified it and truncation_delta, the largest
+    change of a certified eta when either side or both are doubled.
+    method joins the solve routes of the optimization at the reported
+    size ("direct-eigenbasis", "direct-sparse"), or is "trivial" when
+    kappa = 0."""
 
     offset: int
     left: int
@@ -149,10 +153,11 @@ class AveragePopulation:
 
 
 def _site0(label, n: int, what: str) -> int:
-    try:
-        s = int(label)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{what} must be an integer, got {label!r}")
+    try:  # operator.index, as SystemSpec: nothing truncated
+        s = operator.index(label)
+    except TypeError:
+        raise ValidationError(
+            f"{what} must be an integer, got {label!r}") from None
     if not 1 <= s <= n:
         raise ValidationError(f"{what} {s} outside 1..{n}")
     return s - 1
@@ -459,8 +464,8 @@ def chain_amplitude(n: int, l: int, m: int, t):
     Eigenstate sum with u_j(k) = sqrt(2/(N+1)) sin(pi*j*k/(N+1)) and
     lambda_k = 2 cos(pi*k/(N+1)).  t may be a scalar or an array.
     """
-    _site0(l, n, "l")
-    _site0(m, n, "m")
+    l = _site0(l, n, "l") + 1
+    m = _site0(m, n, "m") + 1
     k = np.arange(1, n + 1)
     u_l = np.sin(np.pi * l * k / (n + 1))
     u_m = np.sin(np.pi * m * k / (n + 1))
@@ -479,8 +484,8 @@ def average_population(topology, n: int, l: int, m: int) -> AveragePopulation:
     enhancements on the start site and, for even N, its antipode.
     """
     topology = Topology(topology)
-    _site0(l, n, "l")
-    _site0(m, n, "m")
+    l = _site0(l, n, "l") + 1
+    m = _site0(m, n, "m") + 1
     if topology is Topology.CHAIN:
         value = (1.0 + 0.5 * (l == m) + 0.5 * (l == n + 1 - m)) / (n + 1)
     elif topology is Topology.RING:
@@ -513,7 +518,7 @@ def enaqt_estimate(topology, n: int, kappa: float, mu: float,
     ratio = mu / kappa
     dephased = 1.0 / (1.0 + n * ratio)
     if topology is Topology.CHAIN:
-        if init == n + 1 - trap:
+        if init0 == n - 1 - trap0:
             return 0.0
         return dephased - 1.0 / (1.0 + (n + 1) * ratio)
     if topology is Topology.RING:
@@ -573,15 +578,23 @@ def infinite_chain_enaqt(kappa: float, mu: float,
     """ENAQT for a particle released next to the trapped half of an
     infinite chain.
 
-    The chain is truncated to left trap sites + offset + right free sites,
-    with left = right = ceil(16/mu) initially; both sides are doubled until
-    eta changes by less than 1e-4 at gamma in {0, 1}, capped at 4096 total
-    sites.  mu >= 0.1 keeps the certified sizes tractable (the support
-    grows as 1/mu).  Dephasing is then optimized as in optimize_dephasing,
-    on the accepted truncation as a stack of one cell.
+    The chain is truncated to left trap sites + offset + right free sites.
+    Both sides start at START_SITES (or ceil(16/mu) when that is smaller).
+    A truncation (L, R) is certified when eta at every probe rate moves by
+    less than TRUNCATION_TOL on each of (2L, R), (L, 2R) and (2L, 2R);
+    until then, each side whose own probe moved is doubled (both, when
+    only the doubled-both probe moved).  The probe rates are gamma = 0, 1
+    and the two ends of the search interval.  Dephasing is then optimized
+    as in optimize_dephasing on the certified truncation, and the
+    reported gamma_opt joins the probe rates: if its eta moves, the
+    truncation grows again and is optimized again.  truncation_delta is
+    the largest probe change at the reported truncation, eta0 and eta_max
+    included.  mu >= 0.1 keeps the certified sizes tractable (the
+    support grows as 1/mu).
 
-    Raises TruncationError (carrying achieved_delta) if the cap is hit
-    before convergence.
+    Raises TruncationError (carrying achieved_delta, the largest probe
+    change of the last complete probe step) instead of building any
+    truncation of more than SITE_CAP_INFINITE sites.
     """
     if not (math.isfinite(mu) and mu >= MU_CUTOFF_INFINITE):
         raise ValidationError(
@@ -591,7 +604,7 @@ def infinite_chain_enaqt(kappa: float, mu: float,
         raise ValidationError(f"kappa={kappa!r} must be finite and >= 0")
     if not isinstance(offset, int) or offset < 1:
         raise ValidationError(f"offset={offset!r} must be an integer >= 1")
-    left = right = math.ceil(16.0 / mu)
+    left = right = min(START_SITES, math.ceil(16.0 / mu))
     if kappa == 0.0:
         # Nothing traps, so eta = 0 for every gamma.
         return InfiniteChainResult(
@@ -599,44 +612,60 @@ def infinite_chain_enaqt(kappa: float, mu: float,
             n_total=left + offset + right, truncation_delta=0.0,
             method="trivial")
 
-    probe_gammas = np.array([0.0, 1.0])
+    delta = math.inf
+    known = {}  # (left, right) -> {gamma: eta} of every truncation solved
 
-    def truncation(lsize, rsize):
-        # one solver per truncation serves both probe rates and, for the
-        # accepted truncation, the whole optimization
-        return EigenbasisSteadySolver(
-            [semi_infinite_spec(kappa, mu, 0.0, offset, lsize, rsize)])
-
-    def probe(solver):
-        etas = solver.eta_grid(probe_gammas)[0]
-        if solver.failed:
-            raise solver.failed[0]
-        return etas
-
-    solver = truncation(left, right)
-    while True:
-        base = probe(solver)
-        deltas = [abs(e - b)
-                  for sizes in ((2 * left, right), (left, 2 * right))
-                  for e, b in zip(probe(truncation(*sizes)), base)]
-        delta = max(deltas)
-        if delta < TRUNCATION_TOL:
-            break
-        left *= 2
-        right *= 2
-        if left + offset + right > SITE_CAP_INFINITE:
+    def truncation(sizes):
+        n = sizes[0] + offset + sizes[1]
+        if n > SITE_CAP_INFINITE:
             raise TruncationError(
                 f"truncation not converged below {TRUNCATION_TOL:g} within "
-                f"{SITE_CAP_INFINITE} sites (best delta {delta:.3e})",
-                achieved_delta=delta)
-        solver = truncation(left, right)
+                f"{SITE_CAP_INFINITE} sites ({n} needed, best delta "
+                f"{delta:.3e})", achieved_delta=delta)
+        return EigenbasisSteadySolver(
+            [semi_infinite_spec(kappa, mu, 0.0, offset, *sizes)])
 
-    res = _raised(_scan_refine(solver, GRID_POINTS, REFINE_TOL)[0])
-    method = "+".join(sorted(solver.routes))
+    def etas(sizes, gammas):
+        # eta of the truncation at gammas, solving only the new rates
+        seen = known.setdefault(sizes, {})
+        new = [g for g in gammas if g not in seen]
+        if new:
+            solver = truncation(sizes)
+            values = solver.eta_grid(new)[0]
+            if solver.failed:
+                raise solver.failed[0]
+            seen.update(zip(new, values.tolist()))
+        return np.array([seen[g] for g in gammas])
+
+    gammas = [0.0, 1.0, *GAMMA_BOUNDS]
+    optimized = None  # the truncation the last optimization ran on
+    while True:
+        while True:
+            base = etas((left, right), gammas)
+            moved = [float(np.max(np.abs(etas(sizes, gammas) - base)))
+                     for sizes in ((2 * left, right), (left, 2 * right),
+                                   (2 * left, 2 * right))]
+            delta = max(moved)
+            if delta < TRUNCATION_TOL:
+                break
+            grow_left, grow_right = (m >= TRUNCATION_TOL for m in moved[:2])
+            if not (grow_left or grow_right):  # only (2L, 2R) moved
+                grow_left = grow_right = True
+            left *= 2 if grow_left else 1
+            right *= 2 if grow_right else 1
+        if (left, right) == optimized:
+            break
+        optimized = (left, right)
+        solver = truncation(optimized)
+        res = _raised(_scan_refine(solver, GRID_POINTS, REFINE_TOL)[0])
+        # the next probe step certifies the reported numbers themselves
+        known[optimized].update({0.0: res.eta0, res.gamma_opt: res.eta_max})
+        if res.gamma_opt not in gammas:
+            gammas.append(res.gamma_opt)
     return InfiniteChainResult(
         res.eta0, res.eta_max, res.gamma_opt, res.xi, offset=offset,
         left=left, right=right, n_total=solver.n, truncation_delta=delta,
-        method=method)
+        method="+".join(sorted(solver.routes)))
 
 
 def _attempt(fn, *args, **kwargs):

@@ -10,6 +10,7 @@ from enaqt import (
     EigenbasisSteadySolver,
     EnaqtResult,
     SystemSpec,
+    TruncationError,
     ValidationError,
     average_population,
     chain_amplitude,
@@ -28,7 +29,7 @@ from enaqt import (
     symmetry_split,
 )
 from enaqt import analysis
-from dense_oracles import dense_lu_branching
+from dense_oracles import dense_lu_branching, sparse_lu_branching
 
 FIG1B = SystemSpec("chain", 3, (0,), 1, kappa=0.1, mu=0.01, gamma=0.0)
 
@@ -164,6 +165,12 @@ class TestMaxEnaqt:
         with pytest.raises(ValidationError):
             max_enaqt("semi-infinite", 10, 1, 5)
 
+    @pytest.mark.parametrize("trap,init", [(1.5, 2), ("1", 2), (1, 2.0)])
+    def test_non_integer_site_rejected(self, trap, init):
+        # int() would truncate 1.5 to site 1 and search that geometry
+        with pytest.raises(ValidationError, match="must be an integer"):
+            max_enaqt("chain", 3, trap, init)
+
 
 def test_circle_max_enaqt_dichotomy():
     # antipodal start refocuses perfectly: no enhancement at all;
@@ -233,6 +240,17 @@ class TestAveragePopulation:
             assert float(average_population("chain", n, 2, 2)) > 1 / n
             assert float(average_population("ring", n, 2, 2)) > 1 / n
 
+    @pytest.mark.parametrize("l,m", [(2.9, 2), (2, "2"), (2, 2.0)])
+    def test_non_integer_site_rejected(self, l, m):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            average_population("chain", 3, l, m)
+
+    def test_numpy_integer_sites_stored_as_int(self):
+        res = average_population("chain", 3, np.int64(1), np.int64(3))
+        assert (res.l, res.m) == (1, 3)
+        assert type(res.l) is int and type(res.m) is int
+        assert float(res) == float(average_population("chain", 3, 1, 3))
+
     def test_matches_time_average_spot(self):
         # midpoint-rule time average of |U_lm|^2 over T=2000
         n, l, m = 4, 2, 3
@@ -253,6 +271,20 @@ class TestEnaqtEstimate:
     def test_mirror_configuration_zero(self):
         assert enaqt_estimate("chain", 3, 1e-3, 1e-3, 1, 3) == 0.0
         assert enaqt_estimate("chain", 5, 1e-2, 1e-3, 2, 4) == 0.0
+
+    @pytest.mark.parametrize("trap,init", [(2.9, 3), ("2", 3), (2, 3.0)])
+    def test_non_integer_site_rejected(self, trap, init):
+        # int() truncated trap 2.9 to 2, and the mirror check then missed
+        # the mirror pair (2, 3) of a 4-site chain and returned 0.0476
+        with pytest.raises(ValidationError, match="must be an integer"):
+            enaqt_estimate("chain", 4, 1.0, 0.1, trap, init)
+
+    def test_mirror_check_uses_converted_sites(self):
+        assert enaqt_estimate("chain", 4, 1.0, 0.1, np.int64(2),
+                              np.int64(3)) == 0.0
+        assert enaqt_estimate("chain", 4, 1.0, 0.1, np.int64(1),
+                              np.int64(3)) == enaqt_estimate(
+                                  "chain", 4, 1.0, 0.1, 1, 3) > 0
 
     def test_ring_antipode_zero(self):
         assert enaqt_estimate("ring", 4, 1e-3, 1e-3, 1, 3) == 0.0
@@ -350,6 +382,20 @@ class TestPlaneSweep:
             plane_sweep("chain", 3, 1, 2, **grids)
 
 
+def _spy_solver_sizes(monkeypatch):
+    """The n of every EigenbasisSteadySolver analysis builds from now on."""
+    sizes = []
+
+    class Spy(EigenbasisSteadySolver):
+        def __init__(self, spec):
+            sizes.append((spec if isinstance(spec, SystemSpec)
+                          else spec[0]).n)
+            super().__init__(spec)
+
+    monkeypatch.setattr(analysis, "EigenbasisSteadySolver", Spy)
+    return sizes
+
+
 class TestInfiniteChain:
     def test_zero_trapping_trivial(self):
         res = infinite_chain_enaqt(0.0, 0.5)
@@ -366,6 +412,91 @@ class TestInfiniteChain:
         assert res.xi >= 0.0
         assert res.n_total == res.left + res.offset + res.right
         assert 0.0 < res.eta0 < 1.0
+
+    def test_fields_are_plain_numbers(self):
+        res = infinite_chain_enaqt(2.0, 0.5)
+        for name in ("eta0", "eta_max", "gamma_opt", "xi",
+                     "truncation_delta"):
+            assert type(getattr(res, name)) is float, name
+        for name in ("offset", "left", "right", "n_total"):
+            assert type(getattr(res, name)) is int, name
+
+    @pytest.mark.parametrize("kappa,mu", [(6.3, 0.3), (1e-4, 0.1),
+                                          (100.0, 0.1), (2.0, 0.5)])
+    def test_matches_oracle_at_twice_the_truncation(self, kappa, mu):
+        # the benchmark's own check: eta0 and eta_max against an
+        # independent solve with both sides doubled
+        res = infinite_chain_enaqt(kappa, mu)
+        for gamma, eta in ((0.0, res.eta0), (res.gamma_opt, res.eta_max)):
+            spec = semi_infinite_spec(kappa, mu, gamma, 1, 2 * res.left,
+                                      2 * res.right)
+            oracle = (dense_lu_branching if spec.n <= 25
+                      else sparse_lu_branching)(spec)[0]
+            assert abs(eta - oracle) < analysis.TRUNCATION_TOL
+
+    def test_reported_truncation_certified(self):
+        # every probe rate and the reported optimum, on all three probes
+        res = infinite_chain_enaqt(6.3, 0.3)
+        assert res.gamma_opt > 0
+        gammas = [0.0, 1.0, *analysis.GAMMA_BOUNDS, res.gamma_opt]
+
+        def etas(left, right):
+            return EigenbasisSteadySolver(semi_infinite_spec(
+                6.3, 0.3, 0.0, 1, left, right)).eta_grid(gammas)
+
+        base = etas(res.left, res.right)
+        assert base[0] == pytest.approx(res.eta0, abs=1e-12)
+        assert base[-1] == pytest.approx(res.eta_max, abs=1e-12)
+        worst = max(float(np.max(np.abs(etas(*sizes) - base)))
+                    for sizes in ((2 * res.left, res.right),
+                                  (res.left, 2 * res.right),
+                                  (2 * res.left, 2 * res.right)))
+        assert worst < analysis.TRUNCATION_TOL
+        assert worst == pytest.approx(res.truncation_delta, abs=1e-12)
+
+    def test_trap_side_stays_smaller(self):
+        # the free side sets the truncation error; only it grows here
+        res = infinite_chain_enaqt(6.3, 0.3)
+        assert res.left == analysis.START_SITES
+        assert res.left < res.right
+
+    def test_start_size_follows_short_supports(self):
+        res = infinite_chain_enaqt(1.0, 10.0)
+        assert res.left <= math.ceil(16 / 10.0)
+
+    def test_cap_checked_before_any_solver_is_built(self, monkeypatch):
+        # (6.3, 0.3) certifies at 4 + 1 + 16 sites with probes of up to
+        # 41; a cap of 30 lets the truncation itself pass and stops its
+        # doubled probes
+        monkeypatch.setattr(analysis, "SITE_CAP_INFINITE", 30)
+        sizes = _spy_solver_sizes(monkeypatch)
+        with pytest.raises(TruncationError) as err:
+            infinite_chain_enaqt(6.3, 0.3)
+        assert sizes and max(sizes) <= 30
+        delta = err.value.achieved_delta
+        assert math.isfinite(delta) and delta >= analysis.TRUNCATION_TOL
+
+    def test_cap_below_the_first_probes(self, monkeypatch):
+        monkeypatch.setattr(analysis, "SITE_CAP_INFINITE", 10)
+        sizes = _spy_solver_sizes(monkeypatch)
+        with pytest.raises(TruncationError) as err:
+            infinite_chain_enaqt(6.3, 1.0)
+        assert max(sizes) <= 10
+        assert err.value.achieved_delta == math.inf
+
+    def test_semi_infinite_plane_sweep_matches_cells(self):
+        kappas, mus = [1.0, 6.3], [0.3, 1.0]
+        pm = plane_sweep("semi-infinite", kappa_grid=kappas, mu_grid=mus)
+        assert not pm.errors
+        for i, kv in enumerate(kappas):
+            for j, mv in enumerate(mus):
+                res = infinite_chain_enaqt(kv, mv)
+                assert (pm.eta0[i, j], pm.xi[i, j], pm.gamma_opt[i, j]) == (
+                    res.eta0, res.xi, res.gamma_opt)
+        pooled = plane_sweep("semi-infinite", kappa_grid=kappas,
+                             mu_grid=mus, workers=2)
+        for name in ("eta0", "xi", "gamma_opt"):
+            assert np.array_equal(getattr(pm, name), getattr(pooled, name))
 
 
 class TestSearchArguments:

@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from enaqt import ValidationError, cli
+from enaqt import ValidationError, analysis, cli, infinite_chain_enaqt
 from enaqt.cli import main, parse_config, render, run
 
 
@@ -290,3 +290,48 @@ def test_consecutive_parses_do_not_share_values(tmp_path):
     with pytest.raises(ValidationError, match="--mu"):
         parse_config(["optimize", "--n", "3", "--trap", "1", "--init", "2",
                       "--kappa", "0.1"])
+
+
+INFINITE_ARGS = ["infinite", "--kappa", "6.3", "--mu", "0.5",
+                 "--offset", "2"]
+INFINITE_FIELDS = ["topology", "kappa", "mu", "offset", "eta0", "eta_max",
+                   "gamma_opt", "xi", "left", "right", "n_total",
+                   "truncation_delta", "method", "version"]
+
+
+def test_infinite_csv_fields(capsys):
+    code, out, _ = _run_capture(INFINITE_ARGS, capsys)
+    assert code == cli.EXIT_OK
+    (row,) = list(csv.DictReader(io.StringIO(out)))
+    assert list(row) == INFINITE_FIELDS
+    assert row["topology"] == "semi-infinite" and row["offset"] == "2"
+    assert int(row["n_total"]) == (int(row["left"]) + 2 + int(row["right"]))
+    assert float(row["truncation_delta"]) < 1e-4
+    assert row["method"] == "direct-eigenbasis"
+
+
+def test_infinite_json_matches_library(capsys):
+    code, out, _ = _run_capture(INFINITE_ARGS + ["--format", "json"], capsys)
+    assert code == cli.EXIT_OK
+    (rec,) = json.loads(out)
+    assert list(rec) == INFINITE_FIELDS
+    res = infinite_chain_enaqt(6.3, 0.5, 2)
+    assert rec["n_total"] == rec["left"] + rec["offset"] + rec["right"]
+    assert (rec["left"], rec["right"], rec["n_total"]) == (
+        res.left, res.right, res.n_total)
+    for name in ("eta0", "eta_max", "gamma_opt", "xi", "truncation_delta"):
+        assert rec[name] == pytest.approx(getattr(res, name), rel=1e-11)
+
+
+def test_infinite_mu_below_cutoff_exits_two(capsys):
+    code, out, err = _run_capture(
+        ["infinite", "--kappa", "6.3", "--mu", "0.05"], capsys)
+    assert code == cli.EXIT_VALIDATION
+    assert out == "" and "cutoff" in err
+
+
+def test_infinite_site_cap_exits_four(monkeypatch, capsys):
+    monkeypatch.setattr(analysis, "SITE_CAP_INFINITE", 10)
+    code, out, err = _run_capture(INFINITE_ARGS, capsys)
+    assert code == cli.EXIT_TRUNCATION
+    assert out == "" and "truncation error" in err
