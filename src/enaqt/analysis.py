@@ -12,20 +12,26 @@ truncated realization of the half-infinite chain.
 Site labels in this module are 1-based (sites 1..N, the trap at tau, the
 mirror of m at N+1-m); everything below translates to the 0-based model
 layer.  Dephasing optimization searches gamma in [0, 1e4]: a 64-point log
-grid plus the gamma = 0 endpoint, refined by golden section in log space.
+grid plus the gamma = 0 endpoint, refined in log space by a safeguarded
+secant search on the slope d eta/d log gamma, which the solver returns
+beside each certified eta.
 
 Every dephasing optimization, whether of one system (optimize_dephasing),
 of the cells of a plane sweep, of max_enaqt's ranking grid and seeds, or
 of a semi-infinite truncation, runs one path (_scan_refine) over a cell
 stack, an EigenbasisSteadySolver built for up to solver._stack_size(n)
 (kappa, mu) cells of one geometry: one batched scan of the gamma grid for
-all cells, then one elementwise golden-section search (_golden, the only
-maximizer here) that refines every cell in lockstep, with one batched
-solve per step.  How many cells a stack holds is the solver's choice.
+all cells, then one elementwise search (_golden, the only maximizer here)
+that refines every cell in lockstep, with one batched solve per step.
+_golden runs the secant search where f gives slopes, and golden section
+where it does not (max_enaqt's kappa and mu sweeps, and a cell whose
+point was served by the solver's fallback chain).  How many cells a
+stack holds is the solver's choice.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import multiprocessing
 import operator
@@ -76,12 +82,14 @@ TRUNCATION_TOL = 1e-4
 SITE_CAP_INFINITE = 4096
 START_SITES = 4      # each side of the first semi-infinite truncation
 GRID_POINTS = 64     # log-spaced gamma grid of an optimization
-REFINE_TOL = 1e-4    # golden bracket of an optimization, in log gamma
+REFINE_TOL = 1e-4    # final bracket of an optimization, in log gamma
 PLANE_POINTS = 13    # max_enaqt's ranking grid, points per rate axis
 PLANE_SWEEPS = 3     # max_enaqt's coordinate sweeps per seed
 PLANE_STARTS = 4     # max_enaqt's seeds
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+_logger = logging.getLogger("enaqt")
 
 
 @dataclass(frozen=True)
@@ -184,18 +192,196 @@ def _log(x):
     return np.fromiter(map(math.log, x.flat), float, x.size).reshape(x.shape)
 
 
-def _golden(f, a, b, tol):
-    """Golden-section search for a maximum on each bracket [a[i], b[i]].
+class _Golden:
+    """One element of _golden in golden-section steps: the bracket
+    [a, b] and its interior points c < d, of values fc and fd."""
+
+    bisections = 0
+
+    def __init__(self, a, b, c, d, fc, fd, tol):
+        self.a, self.b, self.c, self.d = a, b, c, d
+        self.fc, self.fd, self.tol = fc, fd, tol
+        self.live = b - a > tol
+
+    def propose(self):
+        """Keep the side of the larger interior value (ties keep the
+        left); the new interior point."""
+        self.width = self.b - self.a
+        self.on_left = self.fc >= self.fd
+        if self.on_left:
+            self.b, self.d, self.fd = self.d, self.c, self.fc
+            self.c = self.b - _INVPHI * (self.b - self.a)
+            return self.c
+        self.a, self.c, self.fc = self.c, self.d, self.fd
+        self.d = self.a + _INVPHI * (self.b - self.a)
+        return self.d
+
+    def update(self, value, slope):
+        if self.on_left:
+            self.fc = value
+        else:
+            self.fd = value
+        self.live = self.tol < self.b - self.a < self.width
+        return self
+
+    def result(self):
+        return (self.a + self.b) / 2
+
+
+class _Restart(_Golden):
+    """_Golden on the bracket of a slope-mode element that met a point
+    without a slope; its two interior points take one step each."""
+
+    def __init__(self, a, b, tol, bisections):
+        super().__init__(a, b, b - _INVPHI * (b - a), a + _INVPHI * (b - a),
+                         None, None, tol)
+        self.bisections = bisections
+
+    def propose(self):
+        if self.fc is None:
+            return self.c
+        if self.fd is None:
+            return self.d
+        return super().propose()
+
+    def update(self, value, slope):
+        if self.fc is None:
+            self.fc = value
+        elif self.fd is None:
+            self.fd = value
+        else:
+            return super().update(value, slope)
+        return self
+
+
+class _Secant:
+    """One element of _golden in slope mode: a safeguarded secant search
+    for a root of the slope s = f' in the bracket [lo, hi].
+
+    A point with s > 0 becomes the left end and one with s < 0 the right
+    end, so a maximum stays inside; a point with s = 0 is the answer.
+    slo and shi are the slopes at the ends, None at an end of the
+    original bracket that was never evaluated.  A step takes the secant
+    through the last two points.  When the secant leaves the bracket, the
+    step evaluates the end on that side if it has no slope yet (the
+    bracket may be monotone; the end is the answer if f still rises
+    toward it) and bisects otherwise.  It also bisects when the secant
+    step is not below half the step before last, or when the last step
+    was a nudge: a secant that moves less than tol/2 is nudged tol/2
+    across the root instead, which collapses the bracket once the root is
+    that close.  Points keep tol/2 off the ends.  The result is the
+    secant root of the final bracket.
+    """
+
+    def __init__(self, lo, hi, slo, shi, points, tol):
+        self.lo, self.hi, self.slo, self.shi = lo, hi, slo, shi
+        self.points, self.tol = points, tol  # the last two (x, slope)
+        # a secant step must be below half the step before last; the
+        # first two may go anywhere in the bracket
+        self.steps = [2 * (hi - lo)] * 2
+        self.answer = None
+        self.live = hi - lo > tol
+        self.nudged = False
+        self.bisections = 0
+
+    def propose(self):
+        (x1, s1), (x2, s2) = self.points
+        lo, hi, half = self.lo, self.hi, self.tol / 2
+        u = x2 - s2 * (x2 - x1) / (s2 - s1) if s2 != s1 else math.nan
+        inside = lo < u < hi
+        right = s2 > 0 if math.isnan(u) else u >= hi
+        self.probe = not inside and (self.shi if right else self.slo) is None
+        if self.probe:
+            self.u = hi if right else lo
+            return self.u
+        if not inside or self.nudged or abs(u - x2) >= self.steps[-2] / 2:
+            u = (lo + hi) / 2
+            self.bisections += 1
+            self.nudged = False
+        else:
+            self.nudged = abs(u - x2) < half
+            if self.nudged:
+                u = x2 + (half if s2 > 0 else -half)
+        self.u = u = min(max(u, lo + half), hi - half)
+        self.steps.append(abs(u - x2))
+        return u
+
+    def update(self, value, slope):
+        u = self.u
+        if math.isnan(slope):  # no slope: golden section from here
+            return _Restart(self.lo, self.hi, self.tol, self.bisections)
+        width = self.hi - self.lo
+        if slope == 0.0 or (self.probe and (slope > 0) == (u == self.hi)):
+            self.answer, self.live = u, False  # stationary, or an end max
+            return self
+        if slope > 0:
+            self.lo, self.slo = u, slope
+        else:
+            self.hi, self.shi = u, slope
+        self.points = [self.points[1], (u, slope)]
+        self.live = self.tol < self.hi - self.lo and (
+            self.probe or self.hi - self.lo < width)
+        return self
+
+    def result(self):
+        if self.answer is not None:
+            return self.answer
+        if self.slo is None or self.shi is None or self.hi == self.lo:
+            return (self.lo + self.hi) / 2
+        return self.lo - self.slo * (self.hi - self.lo) / (self.shi - self.slo)
+
+
+class _Found(NamedTuple):
+    """A _golden element whose first call met a point of slope 0."""
+
+    x: float
+    live: bool = False
+    bisections: int = 0
+
+    def result(self):
+        return self.x
+
+
+def _element(a, b, c, d, values, slopes, tol):
+    """The _golden element of the bracket [a, b] after the first call,
+    which gave the values and slopes (None without) at c and d."""
+    fc, fd = values
+    if slopes is None or math.isnan(sum(slopes)) or b - a <= tol:
+        return _Golden(a, b, c, d, fc, fd, tol)
+    sc, sd = slopes
+    if sc == 0.0 or sd == 0.0:
+        return _Found(c if sc == 0.0 else d)
+    if sc > 0 > sd:
+        return _Secant(c, d, sc, sd, [(c, sc), (d, sd)], tol)
+    if sd > 0 and (sc > 0 or fd > fc):  # the maximum is right of d
+        return _Secant(d, b, sd, None, [(c, sc), (d, sd)], tol)
+    return _Secant(a, c, None, sc, [(d, sd), (c, sc)], tol)
+
+
+def _golden(f, a, b, tol, stats=None):
+    """Elementwise maximizer of f on each bracket [a[i], b[i]].
 
     f(x, idx) returns the values at the points x of the elements of the
     index array idx: x[r] belongs to element idx[r], and the first call
-    passes both interior points of every element, as x of shape
-    (len(idx), 2).  Each element shrinks its bracket until it is at most
-    tol[i] wide (tol may be one number), keeping the side of the larger
-    of its two interior values (ties keep the left), and yields its
-    midpoint.  An element also stops when a step leaves its width
-    unchanged, which happens only once the bracket is a few ulps wide.
-    The live elements step in lockstep, with one call of f per step.
+    passes the two golden-section points c < d of every element, as x of
+    shape (len(idx), 2).  Each element shrinks its bracket until it is at
+    most tol[i] wide (tol may be one number).  The live elements step in
+    lockstep, one point each and one call of f per step; an element also
+    stops when a step leaves its bracket unchanged, which happens only
+    once it is a few ulps wide.
+
+    When f returns values only, every element runs golden section: it
+    keeps the side of the larger of its two interior values (ties keep
+    the left) and yields the midpoint of its final bracket.  When f
+    returns a pair (values, slopes), the slopes being f' at the points
+    (NaN where there is none), an element with slopes at c and d runs a
+    safeguarded secant search on the slope (_Secant) from the part of
+    [a, b] that the signs at c and d leave, and yields the secant root of
+    its final bracket, or the end where f still rises.  An element
+    without a slope at c or d runs golden section; one that meets a point
+    without a slope later restarts golden section on its bracket.
+    stats, a dict, receives the calls of f ("steps") and the bisection
+    steps of all elements ("bisections").
     """
     a = [float(v) for v in a]
     b = [float(v) for v in b]
@@ -203,58 +389,73 @@ def _golden(f, a, b, tol):
     c = [bi - _INVPHI * (bi - ai) for ai, bi in zip(a, b)]
     d = [ai + _INVPHI * (bi - ai) for ai, bi in zip(a, b)]
     idx = np.arange(len(a))
-    fc, fd = f(np.array([c, d]).T, idx).T.tolist()
-    live = [i for i in range(len(a)) if b[i] - a[i] > tol[i]]
+    values, slopes = _split(f(np.array([c, d]).T, idx), len(a))
+    elements = [_element(*args) for args in zip(a, b, c, d, values, slopes,
+                                               tol)]
+    steps = 1
+    live = [i for i, e in enumerate(elements) if e.live]
     while live:
         if len(live) < idx.size:
             idx = np.array(live)
-        steps = []  # (element, went left, width before the step)
-        for i in live:
-            steps.append((i, fc[i] >= fd[i], b[i] - a[i]))
-            if steps[-1][1]:
-                b[i], d[i], fd[i] = d[i], c[i], fc[i]
-                c[i] = b[i] - _INVPHI * (b[i] - a[i])
-            else:
-                a[i], c[i], fc[i] = c[i], d[i], fd[i]
-                d[i] = a[i] + _INVPHI * (b[i] - a[i])
-        values = f(np.array([c[i] if on_left else d[i]
-                             for i, on_left, _ in steps]), idx).tolist()
-        for (i, on_left, _), value in zip(steps, values):
-            if on_left:
-                fc[i] = value
-            else:
-                fd[i] = value
-        live = [i for i, _, width in steps if tol[i] < b[i] - a[i] < width]
-    return np.array([(ai + bi) / 2 for ai, bi in zip(a, b)])
+        x = np.array([elements[i].propose() for i in live])
+        values, slopes = _split(f(x, idx), len(live))
+        steps += 1
+        for i, value, slope in zip(live, values, slopes):
+            elements[i] = elements[i].update(value, slope)
+        live = [i for i in live if elements[i].live]
+    if stats is not None:
+        stats["steps"] = steps
+        stats["bisections"] = sum(e.bisections for e in elements)
+    return np.array([e.result() for e in elements])
+
+
+def _split(out, count):
+    """(values, slopes) as lists from what f returned; slopes are None
+    when f returned values only."""
+    if isinstance(out, tuple):
+        return out[0].tolist(), out[1].tolist()
+    return out.tolist(), [None] * count
 
 
 def _scan_refine(solver, grid_points, refine_tol) -> list:
     """optimize_dephasing for every cell of the stack `solver`: one
-    batched scan of the grid, then one golden refinement of all cells
-    whose best grid point is not gamma = 0, in lockstep.
+    batched scan of the grid, then one refinement (_golden on eta and its
+    slope d eta/d log gamma) of all cells whose best grid point is not
+    gamma = 0, in lockstep, and one certified solve at the gammas found.
 
     gammas[0] is the no-dephasing endpoint; a cell's refinement runs in
     log gamma over the neighbours of its best grid point.  Returns one
     entry per cell: its EnaqtResult, or the SingularSystemError of a solve
     that failed.  The callers build their stacks in cells of
-    solver._stack_size(n), which knows the memory of a cell.
+    solver._stack_size(n), which knows the memory of a cell.  Leaves one
+    DEBUG record: the cells refined, the refinement's steps and bisection
+    steps, and the largest |d eta/d log gamma| at the gammas found (near
+    0 at an interior optimum).
     """
     gammas = np.concatenate([[0.0], np.geomspace(*GAMMA_BOUNDS, grid_points)])
-    etas = efficiency_gamma_grid(solver.specs[0], gammas, solver=solver)
+    etas = solver.eta_grid(gammas)
     eta0 = etas[:, 0]
     results = [EnaqtResult(float(e), float(e), 0.0, 0.0) for e in eta0]
     best = np.argmax(etas, axis=1)
     go = np.flatnonzero(best > 0)
+    stats = {"steps": 0, "bisections": 0}
+    largest = 0.0
     if go.size:
         last = gammas.size - 1
-        x = _golden(lambda x, sel: solver.eta(_exp(x), go[sel]),
+        x = _golden(lambda x, sel: solver.eta(_exp(x), go[sel], slope=True),
                     _log(gammas[np.maximum(best[go] - 1, 1)]),
-                    _log(gammas[np.minimum(best[go] + 1, last)]), refine_tol)
+                    _log(gammas[np.minimum(best[go] + 1, last)]), refine_tol,
+                    stats)
         g_best = _exp(x)
-        for k, g, e in zip(go, g_best, solver.eta(g_best, go)):
+        final, slopes = solver.eta(g_best, go, slope=True)
+        largest = float(np.nanmax(np.abs(slopes), initial=0.0))
+        for k, g, e in zip(go, g_best, final):
             if e > eta0[k]:
                 results[k] = EnaqtResult(float(eta0[k]), float(e), float(g),
                                          float(e - eta0[k]))
+    _logger.debug("scan_refine n=%d cells=%d refined=%d steps=%d "
+                  "bisections=%d max_abs_slope=%.2e", solver.n, solver.cells,
+                  go.size, stats["steps"], stats["bisections"], largest)
     return [solver.failed.get(k, res) for k, res in enumerate(results)]
 
 
@@ -294,13 +495,14 @@ def optimize_dephasing(spec: SystemSpec) -> EnaqtResult:
 
     The gamma = 0 endpoint is always evaluated with the grid of
     GRID_POINTS log-spaced rates; when no interior point beats it the
-    result reports gamma_opt = 0 and xi = 0.  Otherwise a golden-section
-    search in log gamma between the neighbours of the best grid point,
-    to a bracket of REFINE_TOL, gives gamma_opt.  spec's own gamma field
-    is ignored.  The system is a cell stack of one (see the module
-    docstring): one eigendecomposition of H serves the endpoint, the grid
-    (one batched solve for small systems) and the refinement, whose steps
-    are single LAPACK solves.
+    result reports gamma_opt = 0 and xi = 0.  Otherwise a safeguarded
+    secant search on d eta/d log gamma, in log gamma between the
+    neighbours of the best grid point, to a bracket of REFINE_TOL, gives
+    gamma_opt, where eta_max is certified by one more solve.  spec's own
+    gamma field is ignored.  The system is a cell stack of one (see the
+    module docstring): one eigendecomposition of H serves the endpoint,
+    the grid (one batched solve for small systems) and the refinement,
+    whose steps are single LAPACK solves of eta and its slope.
 
     Raises ValidationError for rates that are not > 0, and
     SingularSystemError, with its gamma named, for a solve that fails its
@@ -324,9 +526,10 @@ def max_enaqt(topology, n: int, trap_site: int,
     about the final sweep span.
 
     The ranking grid is optimized in cell stacks (a coarse 32-point gamma
-    grid and a 1e-3 golden tolerance), and the seeds refine in lockstep:
-    each step of their kappa (or mu) sweeps evaluates one cell per seed
-    as one stack, as do the final optimizations.
+    grid and a 1e-3 refinement tolerance; gamma is refined on the slope
+    as in optimize_dephasing), and the seeds refine in lockstep: each
+    step of their golden-section kappa (or mu) sweeps evaluates one cell
+    per seed as one stack, as do the final optimizations.
 
     Sites are 1-based.
     """
@@ -349,7 +552,7 @@ def max_enaqt(topology, n: int, trap_site: int,
              for kv, mv in zip(kappas.flat, mus.flat)], *search)]
 
     def xi(kappas, mus):
-        # coarse xi for ranking: 32-point grid, 1e-3 golden tolerance
+        # coarse xi for ranking: 32-point grid, 1e-3 refinement tolerance
         shape = np.broadcast_shapes(np.shape(kappas), np.shape(mus))
         return np.array([res.xi for res in optimized(kappas, mus, 32, 1e-3)]
                         ).reshape(shape)
@@ -707,7 +910,7 @@ def plane_sweep(topology, n=None, trap=None, init=None,
     Defaults to 48-point log grids over [1e-4, 1e2].  The cells, in grid
     order (mu fastest), are cut into batches: chain and ring cells into
     cell stacks of _stack_size(n) cells, each optimized by one batched
-    scan and one lockstep golden refinement (see the module docstring),
+    scan and one lockstep refinement (see the module docstring),
     and semi-infinite cells one by one, each with its own truncation.
     The batches depend only on the grid and the geometry; with
     workers > 1 they are the tasks of a process pool, and the map is

@@ -433,6 +433,23 @@ class EigenbasisSteadySolver:
     S[(S^-1 Diag(p) S^-dag) o R]S^dag, which keeps its residual near
     working precision.
 
+    eta and its slope d eta/d log gamma come from the same system
+    K p = b.  eta = t^T p with t = 2*kappa on the trap sites, and only R
+    and b depend on gamma: dR/d gamma = 2c/(c - 2*gamma)^2, and
+    b = diag(S [W / (c - 2*gamma)] S^dag) with W = S^-1 rho0 S^-dag.  So
+
+        db - dK p = diag(S Z S^dag),
+        Z = 2 (W - c o S^-1 Diag(p) S^-dag) / (c - 2*gamma)^2,
+
+    where (c - 2*gamma) Z / 2 is the Y of the rebuilt steady integral,
+    and d eta/d gamma = t^T K^-1 (db - dK p).  The assembled route solves
+    the adjoint K^T w = t in the same stacked call as K p = b and takes
+    w^T (db - dK p); the GMRES route solves the forward sensitivity
+    K dp = db - dK p with the same matvec and takes t^T dp.  The slope
+    (eta(..., slope=True)) is a hint for a search: it is given only where
+    the kernel's answer was certified, never for a point the fallback
+    chain redid.
+
     A solver is built from one SystemSpec, or from a cell stack: a
     sequence of specs that share one geometry and differ only in
     (kappa, mu), which gives every array a leading cell axis.  A stack is
@@ -487,6 +504,8 @@ class EigenbasisSteadySolver:
         c = -1j * (lam[:, :, None] - lam[:, None, :].conj())
         two_rates = 2.0 * np.array([[x.kappa, x.mu] for x in specs])
         self.tidx = np.asarray(specs[0].trap_sites, dtype=int)
+        self._trap_indicator = np.zeros(n, dtype=complex)
+        self._trap_indicator[self.tidx] = 1.0
         self._ids = np.arange(cells)
         self._rhs0 = -site_density(n, specs[0].initial_site)
         self._all = _Cells(
@@ -534,16 +553,19 @@ class EigenbasisSteadySolver:
         return _Cells._make(None if m is None else m[cells]
                             for m in self._all)
 
-    def _kernel(self, g2, a, rhs, warm_start, stats):
-        """(X, diag X), X flattened, with L(X) = rhs at every point (step 1
-        of the point path), on the arrays a (see _select): a direct solve of
-        the assembled population system, or _gmres above DENSE_SOLVE_MAX_N
-        sites.  g2 = 2*gamma has shape (cells, k, 1), or is a float for one
-        point; X then has shape (cells, k, n^2) and diag X (cells, k, n).
+    def _kernel(self, g2, a, rhs, warm_start, stats, slope=False):
+        """(X, diag X, slope), X flattened, with L(X) = rhs at every point
+        (step 1 of the point path), on the arrays a (see _select): a direct
+        solve of the assembled population system, or _gmres above
+        DENSE_SOLVE_MAX_N sites.  g2 = 2*gamma has shape (cells, k, 1), or
+        is a float for one point; X then has shape (cells, k, n^2) and
+        diag X (cells, k, n).  With slope, the third entry holds
+        d(sum of the trap populations)/d gamma at every point, shape
+        (cells, k), else None (see the class docstring).
         """
         n = self.n
         if n > DENSE_SOLVE_MAX_N:
-            return self._gmres(g2, a, rhs, warm_start, stats)
+            return self._gmres(g2, a, rhs, warm_start, stats, slope)
         weights = (a.weights0 if rhs is self._rhs0 else
                    (a.sinv @ rhs.reshape(n, n)
                     @ np.swapaxes(a.sinv.conj(), -1, -2)
@@ -555,31 +577,56 @@ class EigenbasisSteadySolver:
         y = np.divide(weights, y, out=y)
         kmat = (ratio @ a.kmap).reshape(ratio.shape[:-1] + (n, n))
         b = y @ a.emap
+        adjoint = None
         if kmat.size == n * n:
             # LAPACK directly: a third of np.linalg.solve's cost at n ~ 5.
             # An exactly singular K (info > 0) leaves pops unsolved; the
             # residual check then rejects the point.
-            pops = sla.lapack.zgesv(kmat.reshape(n, n),
-                                    b.reshape(n))[2].reshape(b.shape)
+            if slope:  # one factorization for K p = b and K^T w = t
+                lu, piv = sla.lapack.zgetrf(kmat.reshape(n, n))[:2]
+                pops, adjoint = (
+                    sla.lapack.zgetrs(lu, piv, v, trans=trans)[0].reshape(
+                        b.shape)
+                    for v, trans in ((b.reshape(n), 0),
+                                     (self._trap_indicator, 1)))
+            else:
+                pops = sla.lapack.zgesv(kmat.reshape(n, n),
+                                        b.reshape(n))[2].reshape(b.shape)
+        elif slope:
+            # K p = b and the adjoint K^T w = t in one stacked solve
+            both = np.linalg.solve(
+                np.stack([kmat, np.swapaxes(kmat, -1, -2)]),
+                np.stack(np.broadcast_arrays(b, self._trap_indicator))[
+                    ..., None])[..., 0]
+            pops, adjoint = both
         else:
             pops = np.linalg.solve(kmat, b[..., None])[..., 0]
         del kmat
         ratio *= pops @ a.fmap
         y -= ratio
         del ratio
+        dtrap = None
+        if slope:
+            # db - dK p = Z @ emap with Z = 2 y / (c - 2 gamma), y as now
+            dtrap = (((2.0 * y / (a.c - g2)) @ a.emap) * adjoint).sum(axis=-1)
         xs = _left(a.s, _right(y, a.sdag))
         xs[..., ::n + 1] += pops
-        return xs, pops
+        return xs, pops, dtrap
 
-    def _gmres(self, g2, a, rhs, warm_start, stats):
+    def _gmres(self, g2, a, rhs, warm_start, stats, slope=False):
         """_kernel for one point of one cell: p = diag(X) solves
         (I + 2*gamma*M) p = diag(A^-1 rhs) by GMRES from warm_start, and
         X = A^-1(rhs - 2*gamma*Diag p) is then rebuilt cancellation-free.
+        With slope, a second GMRES solve with the same matvec gives the
+        forward sensitivity dp/d gamma from db - dK p (see the class
+        docstring).
         stats collects the GMRES info flag and the matvec count."""
         n = self.n
         s, sdag, sinv = a.s[0], a.sdag[0], a.sinv[0]
         c = a.c[0, 0].reshape(n, n)
-        x = s @ ((sinv @ rhs.reshape(n, n) @ sinv.conj().T) / (c - g2)) @ sdag
+        weights = sinv @ rhs.reshape(n, n) @ sinv.conj().T
+        x = s @ (weights / (c - g2)) @ sdag
+        dtrap = np.zeros((1, 1), dtype=complex) if slope else None
         if g2 != 0.0:
             apply = self._population_matvec(a, g2)
 
@@ -592,9 +639,17 @@ class EigenbasisSteadySolver:
                 op, x.diagonal(), x0=warm_start, rtol=1e-12, atol=0.0,
                 restart=self.GMRES_RESTART, maxiter=self.GMRES_MAXITER)
             pmat = np.diag(pops)
-            x += pmat - s @ ((sinv @ pmat @ sinv.conj().T)
-                             * (c / (c - g2))) @ sdag
-        return x.reshape(1, 1, n * n), x.diagonal().reshape(1, 1, n).copy()
+            fixed = (sinv @ pmat @ sinv.conj().T) * (c / (c - g2))
+            x += pmat - s @ fixed @ sdag
+            if slope:
+                z = 2.0 * (weights / (c - g2) - fixed) / (c - g2)
+                dpops, info = spla.gmres(
+                    op, ((s @ z) * s.conj()).sum(axis=1), rtol=1e-12,
+                    atol=0.0, restart=self.GMRES_RESTART,
+                    maxiter=self.GMRES_MAXITER)
+                dtrap[0, 0] = dpops[self.tidx].sum() if info == 0 else np.nan
+        return (x.reshape(1, 1, n * n), x.diagonal().reshape(1, 1, n).copy(),
+                dtrap)
 
     def _population_matvec(self, a, g2):
         """p -> (I + 2*gamma*M) p for the one cell of the arrays a, in the
@@ -680,23 +735,30 @@ class EigenbasisSteadySolver:
                     "the solve is not trustworthy"))
         return eta.real, eta_loss.real, resid, x[::n + 1], route
 
-    def _batch(self, gammas, cells, ids, rhs, bnorm, warm_start):
+    def _batch(self, gammas, cells, ids, rhs, bnorm, warm_start,
+               slope=False):
         """The point path for the rates gammas[i, j] of cell ids[i] (cells
         as in _select): solve, certify, then the fallback chain for every
         rejected point.  Returns (eta, eta_loss, residual, populations,
-        route of each redone point, None where its cell failed)."""
+        route of each redone point, None where its cell failed, slope):
+        slope is d eta/d log gamma where the kernel's answer was certified,
+        NaN at every redone point, or None without `slope`."""
         stats = {"info": None, "matvecs": 0}
         g2 = 2.0 * (gammas.item() if gammas.size == 1 else gammas[..., None])
         a = self._select(cells)
         with np.errstate(divide="ignore", invalid="ignore"):
-            xs, pops = self._kernel(g2, a, rhs, warm_start, stats)
+            xs, pops, dtrap = self._kernel(g2, a, rhs, warm_start, stats,
+                                           slope)
             eta, eta_loss, resid, certified = self._certify(
                 xs, pops, g2, a, rhs, bnorm)
         eta, eta_loss = eta.real, eta_loss.real
+        slopes = gammas * a.two_kappa * dtrap.real if slope else None
         redone = []
         for i, j in [] if certified.all() else np.argwhere(~certified):
             k, gamma = int(ids[i]), float(gammas[i, j])
             route = None
+            if slope:
+                slopes[i, j] = math.nan
             if k not in self.failed:
                 try:
                     (eta[i, j], eta_loss[i, j], resid[i, j], pops[i, j],
@@ -713,7 +775,7 @@ class EigenbasisSteadySolver:
                 self._record(gammas.item(), "direct-eigenbasis", stats)
             else:
                 self.routes["direct-eigenbasis"] += gammas.size - len(redone)
-        return eta, eta_loss, resid, pops, redone
+        return eta, eta_loss, resid, pops, redone, slopes
 
     def _record(self, gamma, route, stats):
         """Count a point solved alone in routes and leave its DEBUG
@@ -723,11 +785,14 @@ class EigenbasisSteadySolver:
                    "route=%s", self.n, gamma, stats["info"], stats["matvecs"],
                    route)
 
-    def _points(self, gammas, cells=None, rho0=None, warm_start=None):
+    def _points(self, gammas, cells=None, rho0=None, warm_start=None,
+                slope=False):
         """The one point path: (eta, eta_loss, residual, populations,
-        routes of the redone points) at the rates gammas[i, j] of cell
-        cells[i] (of cell i when cells is None) from rho0 (the initial
-        site when None), NaN for a failed cell.  The points form one
+        routes of the redone points, slopes) at the rates gammas[i, j] of
+        cell cells[i] (of cell i when cells is None) from rho0 (the initial
+        site when None), NaN for a failed cell.  slopes holds
+        d eta/d log gamma (NaN where the point was redone or its cell
+        failed) with `slope`, else it is None.  The points form one
         _batch, one per chunk of cells beyond BATCH_BYTES, or one per
         point above DENSE_SOLVE_MAX_N sites, warm-started from the last.
         """
@@ -745,8 +810,8 @@ class EigenbasisSteadySolver:
         gmres = self.n > DENSE_SOLVE_MAX_N
         size = 0 if gmres else max(1, BATCH_BYTES // (16 * self.n ** 2 * k))
         if size >= rows:
-            eta, eta_loss, resid, pops, redone = self._batch(
-                gammas, cells, ids, rhs, bnorm, warm_start)
+            eta, eta_loss, resid, pops, redone, slopes = self._batch(
+                gammas, cells, ids, rhs, bnorm, warm_start, slope)
         else:
             out = []
             for i in range(0, k if gmres else rows, max(size, 1)):
@@ -757,7 +822,7 @@ class EigenbasisSteadySolver:
                     sel = (np.s_[i:i + size] if cells is None
                            else cells[i:i + size])
                 out.append(self._batch(gammas[at], sel, ids[at[0]], rhs,
-                                       bnorm, warm_start))
+                                       bnorm, warm_start, slope))
                 warm_start = out[-1][3][0, -1]
             if gmres:
                 self._warm = warm_start
@@ -765,10 +830,14 @@ class EigenbasisSteadySolver:
                 np.concatenate(arrays, axis=int(gmres))
                 for arrays in zip(*(p[:4] for p in out)))
             redone = [route for p in out for route in p[4]]
+            slopes = (np.concatenate([p[5] for p in out], axis=int(gmres))
+                      if slope else None)
         if self.failed:
             lost = np.isin(ids, list(self.failed))
             eta[lost] = eta_loss[lost] = math.nan
-        return eta, eta_loss, resid, pops, redone
+            if slope:
+                slopes[lost] = math.nan
+        return eta, eta_loss, resid, pops, redone, slopes
 
     def efficiency(self, gamma, rho0=None):
         """Returns (eta, eta_loss, residual, method, populations).
@@ -776,7 +845,7 @@ class EigenbasisSteadySolver:
         A single solve on a one-cell solver through the point path, from
         rho0 (a flattened density matrix; the initial site when None).
         """
-        eta, eta_loss, resid, pops, redone = self._points(
+        eta, eta_loss, resid, pops, redone, _ = self._points(
             np.array([[gamma]], dtype=float), self._ids[:1], rho0)
         return (float(eta[0, 0]), float(eta_loss[0, 0]), float(resid[0, 0]),
                 redone[0] if redone else "direct-eigenbasis",
@@ -793,7 +862,7 @@ class EigenbasisSteadySolver:
         rejected, by the point path (see the class docstring).
         """
         gammas = np.asarray(gammas, dtype=float)
-        etas, _, resid, _, redone = self._points(
+        etas, _, resid, _, redone, _ = self._points(
             np.broadcast_to(gammas, (self.cells, gammas.size)),
             warm_start=self._warm)
         if self.n <= DENSE_SOLVE_MAX_N:
@@ -802,8 +871,9 @@ class EigenbasisSteadySolver:
                 self.n, etas.size, resid.max(), len(redone))
         return etas if self._stacked else etas[0]
 
-    def eta(self, gamma, cells=None):
-        """eta for the initial site at one rate per cell.
+    def eta(self, gamma, cells=None, slope=False):
+        """eta for the initial site at one rate per cell; with `slope`, the
+        pair (eta, d eta/d log gamma).
 
         On a solver built from one spec, gamma is a number and so is the
         result.  On a stack, gamma is an array with one row (or one entry)
@@ -811,12 +881,18 @@ class EigenbasisSteadySolver:
         when None), and the result has its shape; all points are solved as
         one batch.  Points are certified as in eta_grid; above
         DENSE_SOLVE_MAX_N sites each GMRES solve is warm-started from the
-        populations of the previous point.
+        populations of the previous point.  A slope is NaN where the
+        certified eta came from the fallback chain (or the cell failed):
+        it is a hint for a search, never a reported number.
         """
         if not self._stacked:
-            return float(self._points(np.array([[gamma]], dtype=float),
-                                      warm_start=self._warm)[0][0, 0])
+            out = self._points(np.array([[gamma]], dtype=float),
+                               warm_start=self._warm, slope=slope)
+            eta = float(out[0][0, 0])
+            return (eta, float(out[5][0, 0])) if slope else eta
         gamma = np.asarray(gamma, dtype=float)
         rows = self.cells if cells is None else len(cells)
-        return self._points(gamma.reshape(rows, -1), cells,
-                            warm_start=self._warm)[0].reshape(gamma.shape)
+        out = self._points(gamma.reshape(rows, -1), cells,
+                           warm_start=self._warm, slope=slope)
+        eta = out[0].reshape(gamma.shape)
+        return (eta, out[5].reshape(gamma.shape)) if slope else eta

@@ -1,5 +1,6 @@
 """Analysis-layer tests: optimization, closed forms, estimates, sweeps."""
 
+import logging
 import math
 
 import numpy as np
@@ -518,6 +519,43 @@ class TestSearchArguments:
                                          abs=1e-12)
 
 
+class TestSlopeRefinement:
+    """optimize_dephasing refines on d eta/d log gamma, in few solves."""
+
+    # chain N=5, trap 3, start 5 (1-based; SystemSpec is 0-based): xi > 0
+    # at kappa 1, mu 0.1, so the refinement runs (trap 2, start 4 has
+    # xi = 0 there and stops after the scan)
+    SPEC = SystemSpec("chain", 5, (2,), 4, kappa=1.0, mu=0.1, gamma=0.0)
+
+    def test_few_solver_calls(self, monkeypatch):
+        # the grid scan, the first call (two points), the secant steps and
+        # the certifying solve; golden section made about 20 calls here
+        points, calls = EigenbasisSteadySolver._points, []
+
+        def counting(self, *args, **kwargs):
+            calls.append(args[0].shape)
+            return points(self, *args, **kwargs)
+
+        monkeypatch.setattr(EigenbasisSteadySolver, "_points", counting)
+        res = optimize_dephasing(self.SPEC)
+        assert res.xi > 0.08
+        assert len(calls) <= 10
+
+    def test_one_debug_record_per_refinement(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="enaqt"):
+            res = optimize_dephasing(self.SPEC)
+        (record,) = [r for r in caplog.records
+                     if r.msg.startswith("scan_refine")]
+        n, cells, refined, steps, bisections, largest = record.args
+        assert (n, cells, refined) == (5, 1, 1)
+        assert 2 <= steps <= 8 and bisections == 0
+        # a stationarity certificate: the slope at the reported gamma_opt
+        solver = EigenbasisSteadySolver(self.SPEC)
+        assert largest == pytest.approx(
+            abs(solver.eta(res.gamma_opt, slope=True)[1]), abs=1e-13)
+        assert largest < 1e-9
+
+
 def _scalar_golden(f, a, b, tol):
     """The one-bracket golden-section maximizer: the oracle for the
     elementwise analysis._golden."""
@@ -567,6 +605,101 @@ def test_elementwise_golden_matches_scalar_oracle(elements):
     want = [_scalar_golden(fn, a, b, tol)
             for fn, (a, b, tol, _, _) in zip(fns, elements)]
     assert got.tolist() == want
+
+
+def _dense_argmax(f, a, b, tol):
+    """Brute-force maximum of f on [a, b]: a 2001-point grid, zoomed onto
+    its best point until the spacing is below tol/100.  Exact for the
+    unimodal functions of the slope-mode test."""
+    lo, hi = a, b
+    while True:
+        x = np.linspace(lo, hi, 2001)
+        best = int(np.argmax([f(v) for v in x]))
+        h = x[1] - x[0]
+        if h < tol / 100 or h == 0.0:
+            return x[best]
+        lo, hi = max(a, x[best] - 2 * h), min(b, x[best] + 2 * h)
+
+
+@st.composite
+def _sloped(draw):
+    """Brackets with analytic functions and their exact slopes: concave
+    (a quadratic with a sine ripple), a flat top (slope exactly 0 on a
+    plateau) or monotone (the maximum on an end); `holes` gives no slope
+    on part of the line, which sends an element to golden section."""
+    count = draw(st.integers(1, 6))
+    elements = []
+    for _ in range(count):
+        a = draw(st.floats(-10, 10))
+        width = draw(st.floats(0.0, 5.0))
+        tol = 10.0 ** draw(st.floats(-9, 0))
+        kind = draw(st.sampled_from(["concave", "plateau", "monotone"]))
+        peak = draw(st.floats(-12, 12))
+        shape = draw(st.floats(0.0, 1.0))
+        holes = draw(st.booleans())
+        elements.append((a, a + width, tol, kind, peak, shape, holes))
+    return elements
+
+
+def _sloped_function(kind, peak, shape):
+    """(f, f') of one element of _sloped; every f is unimodal."""
+    if kind == "concave":  # f'' = -2 - 1.8 shape sin(3x) < 0
+        return (lambda x: -(x - peak) ** 2 + 0.2 * shape * math.sin(3 * x),
+                lambda x: -2 * (x - peak) + 0.6 * shape * math.cos(3 * x))
+    if kind == "plateau":  # flat top of half-width shape around peak
+        return (lambda x: -max(abs(x - peak) - shape, 0.0) ** 2,
+                lambda x: -2 * math.copysign(max(abs(x - peak) - shape, 0.0),
+                                             x - peak))
+    sign = 1.0 if shape > 0.5 else -1.0
+    return (lambda x: sign * math.tanh(x - peak),
+            lambda x: sign / math.cosh(x - peak) ** 2)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_sloped())
+def test_slope_mode_maximizer_matches_dense_grid_oracle(elements):
+    pairs = [_sloped_function(kind, peak, shape)
+             for _, _, _, kind, peak, shape, _ in elements]
+    holes = [e[6] for e in elements]
+
+    def stacked(x, idx):
+        values = np.array([[pairs[i][0](v) for v in np.atleast_1d(row)]
+                           for i, row in zip(idx, x)]).reshape(x.shape)
+        slopes = np.array([[math.nan if holes[i] and math.sin(7 * v) > 0.6
+                            else pairs[i][1](v) for v in np.atleast_1d(row)]
+                           for i, row in zip(idx, x)]).reshape(x.shape)
+        return values, slopes
+
+    stats = {}
+    got = analysis._golden(stacked, [e[0] for e in elements],
+                           [e[1] for e in elements],
+                           [e[2] for e in elements], stats)
+    assert stats["steps"] >= 1 and stats["bisections"] >= 0
+    for x, (f, df), (a, b, tol, kind, _, _, _) in zip(got, pairs, elements):
+        assert a <= x <= b
+        best = _dense_argmax(f, a, b, tol)
+        # within tol of the maximizer, as golden section is; a flat top
+        # has many, and so has f where it rounds to its maximum, so there
+        # the value decides (|f''| <= 4 for every f)
+        if kind != "plateau" and f(x) < f(best) - 1e-15 * abs(f(best)):
+            assert abs(x - best) <= tol
+        assert f(x) >= f(best) - (abs(df(best)) + 4 * tol) * tol - 1e-12
+
+
+def test_slope_mode_takes_few_steps():
+    # the refinement of an optimization: a 0.585-wide bracket (two spacings
+    # of the 64-point grid) and REFINE_TOL; golden section needs 19 calls
+    peaks = np.linspace(-0.29, 0.29, 40)
+
+    def stacked(x, idx):
+        p = peaks[idx].reshape((-1,) + (1,) * (x.ndim - 1))
+        return -np.expm1(x - p) ** 2, -2 * np.expm1(x - p) * np.exp(x - p)
+
+    stats = {}
+    got = analysis._golden(stacked, np.full(40, -0.2925),
+                           np.full(40, 0.2925), analysis.REFINE_TOL, stats)
+    assert np.abs(got - peaks).max() <= analysis.REFINE_TOL
+    assert stats["steps"] <= 8 and stats["bisections"] == 0
 
 
 @st.composite

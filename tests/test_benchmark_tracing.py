@@ -28,6 +28,10 @@ def test_tracer_records_solver_layers(capsys):
                                "--mu", "0.1", "--gamma", "0.3"])
         enaqt.optimize_dephasing(SystemSpec("chain", 3, (0,), 1, 0.1, 0.01,
                                             0.0))
+        # the gamma-grid layer: optimize_dephasing scans on its solver's
+        # own eta_grid, efficiency_curve still goes through this function
+        enaqt.efficiency_curve(SystemSpec("chain", 3, (0,), 1, 0.1, 0.01,
+                                          0.0), [0.0, 1.0])
     finally:
         tracer.uninstall()
     assert code == 0

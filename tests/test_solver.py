@@ -622,3 +622,57 @@ def test_stack_redo_builds_nothing(monkeypatch):
         for gamma, eta in zip(gammas, row):
             assert eta == pytest.approx(single.efficiency(gamma)[0],
                                         abs=1e-11)
+
+
+def _central_slope(solver, gamma, h=1e-3):
+    """d eta/d log gamma by the five-point central difference in log
+    gamma (truncation error O(h^4))."""
+    x = np.log(gamma)
+
+    def at(dx):
+        return solver.eta(float(np.exp(x + dx)))
+
+    return (8.0 * (at(h) - at(-h)) - (at(2 * h) - at(-2 * h))) / (12.0 * h)
+
+
+@pytest.mark.parametrize("spec, gammas", [
+    # chain N=5, trap 2, start 4 (1-based), near criterion 4's optimum;
+    # assembled population system
+    (SystemSpec("chain", 5, (1,), 3, 100.0, 0.00276, 0.0), (0.1, 3.0, 300.0)),
+    # GMRES route: the forward-sensitivity solve
+    (SystemSpec("chain", 24, (0,), 1, 3.0, 0.1, 0.0), (0.1, 3.0, 300.0)),
+])
+def test_slope_matches_central_differences(spec, gammas):
+    solver = EigenbasisSteadySolver(spec)
+    for gamma in gammas:
+        eta, slope = solver.eta(gamma, slope=True)
+        assert eta == pytest.approx(solver.eta(gamma), abs=1e-12)
+        assert slope == pytest.approx(_central_slope(solver, gamma), rel=1e-6)
+
+
+def test_stack_slopes_match_single_cells():
+    specs = [SystemSpec("ring", 5, (0,), 2, kappa, mu, 0.0)
+             for kappa, mu in ((1.0, 0.1), (100.0, 1e-3), (0.3, 3.0))]
+    gammas = np.array([[0.0, 0.2], [3.0, 1e-4], [40.0, 1e4]])
+    etas, slopes = EigenbasisSteadySolver(specs).eta(gammas, slope=True)
+    assert slopes[0, 0] == 0.0  # d eta/d log gamma vanishes at gamma = 0
+    for spec, row, eta_row, slope_row in zip(specs, gammas, etas, slopes):
+        single = EigenbasisSteadySolver(spec)
+        for gamma, eta, slope in zip(row, eta_row, slope_row):
+            want = single.eta(gamma, slope=True)
+            assert eta == pytest.approx(want[0], abs=1e-14)
+            assert slope == pytest.approx(want[1], rel=1e-10, abs=1e-15)
+
+
+@pytest.mark.parametrize("n", [6, 20])
+def test_redone_point_gives_no_slope(monkeypatch, n):
+    # the slope is a search hint: a point that certification rejected has
+    # none, though its eta, from the fallback chain, is still reported
+    spec = SystemSpec("chain", n, (0,), 2, 0.4, 0.02, 0.0)
+    _fail_direct_solve_at(monkeypatch, 0.3)
+    solver = EigenbasisSteadySolver([spec])
+    etas, slopes = solver.eta(np.array([[0.1, 0.3, 3.0]]), slope=True)
+    assert np.isnan(slopes[0, 1])
+    assert np.isfinite(slopes[0, [0, 2]]).all()
+    assert etas[0, 1] == pytest.approx(_sparse_lu_branching(
+        spec.with_gamma(0.3))[0], abs=1e-12)
