@@ -533,7 +533,7 @@ class TestSlopeRefinement:
         points, calls = EigenbasisSteadySolver._points, []
 
         def counting(self, *args, **kwargs):
-            calls.append(args[0].shape)
+            calls.append(args[0])
             return points(self, *args, **kwargs)
 
         monkeypatch.setattr(EigenbasisSteadySolver, "_points", counting)
@@ -609,8 +609,9 @@ def test_elementwise_golden_matches_scalar_oracle(elements):
 
 def _dense_argmax(f, a, b, tol):
     """Brute-force maximum of f on [a, b]: a 2001-point grid, zoomed onto
-    its best point until the spacing is below tol/100.  Exact for the
-    unimodal functions of the slope-mode test."""
+    its best point until the spacing is below tol/100; for the unimodal
+    functions of the slope-mode test, within that spacing of the true
+    maximizer."""
     lo, hi = a, b
     while True:
         x = np.linspace(lo, hi, 2001)
