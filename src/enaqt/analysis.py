@@ -44,6 +44,7 @@ from .errors import EnaqtError, TruncationError, ValidationError
 from .model import (
     SystemSpec,
     Topology,
+    _check_site_count,
     semi_infinite_spec,
     state_density,
 )
@@ -169,6 +170,19 @@ def _site0(label, n: int, what: str) -> int:
     if not 1 <= s <= n:
         raise ValidationError(f"{what} {s} outside 1..{n}")
     return s - 1
+
+
+def _geometry_spec(topology, n, trap, init, names) -> SystemSpec:
+    """The chain or ring spec (kappa = mu = 1, gamma = 0) of 1-based sites
+    trap and init, named names in errors; n is checked before the sites
+    are compared with it."""
+    _check_site_count(topology, n)
+    trap0 = _site0(trap, n, names[0])
+    init0 = _site0(init, n, names[1])
+    if trap0 == init0:
+        raise ValidationError(f"{names[0]} and {names[1]} must differ")
+    return SystemSpec(topology, n, (trap0,), init0,
+                      kappa=1.0, mu=1.0, gamma=0.0)
 
 
 def _check_positive_rates(kappa, mu):
@@ -537,12 +551,8 @@ def max_enaqt(topology, n: int, trap_site: int,
     if topology is Topology.SEMI_INFINITE:
         raise ValidationError(
             "use infinite_chain_enaqt for the semi-infinite geometry")
-    trap0 = _site0(trap_site, n, "trap_site")
-    init0 = _site0(initial_site, n, "initial_site")
-    if trap0 == init0:
-        raise ValidationError("trap and initial sites must differ")
-    spec0 = SystemSpec(topology, n, (trap0,), init0,
-                       kappa=1.0, mu=1.0, gamma=0.0)
+    spec0 = _geometry_spec(topology, n, trap_site, initial_site,
+                           ("trap_site", "initial_site"))
 
     def optimized(kappas, mus, *search):
         # one result per broadcast (kappa, mu) pair, in row-major order
@@ -881,20 +891,17 @@ def _attempt(fn, *args, **kwargs):
 
 def _sweep_batch(task):
     """(eta0, xi, gamma_opt, error) for each cell of one plane-sweep batch;
-    module-level so worker pools can pickle it.  Chain and ring cells are
-    optimized as cell stacks, semi-infinite cells one by one; a cell whose
-    spec or solve raised holds NaN and the error's text."""
-    topology, n, trap0, init0, offset, rates = task
-    if topology is Topology.SEMI_INFINITE:
+    module-level so worker pools can pickle it.  Chain and ring cells
+    (rates on the base spec spec0) are optimized as cell stacks,
+    semi-infinite cells (spec0 None) one by one; a cell whose solve
+    raised holds NaN and the error's text."""
+    spec0, offset, rates = task
+    if spec0 is None:
         results = [_attempt(infinite_chain_enaqt, kv, mv, offset)
                    for kv, mv in rates]
     else:
-        specs = [_attempt(SystemSpec, topology, n, (trap0,), init0,
-                          kappa=kv, mu=mv, gamma=0.0) for kv, mv in rates]
-        solved = iter(_optimize_cells(
-            [s for s in specs if isinstance(s, SystemSpec)]))
-        results = [next(solved) if isinstance(s, SystemSpec) else s
-                   for s in specs]
+        results = _optimize_cells([spec0.with_rates(kappa=kv, mu=mv)
+                                   for kv, mv in rates])
     return [(res.eta0, res.xi, res.gamma_opt, None)
             if isinstance(res, EnaqtResult)
             else (math.nan, math.nan, math.nan,
@@ -946,16 +953,13 @@ def plane_sweep(topology, n=None, trap=None, init=None,
         if not isinstance(offset, int) or offset < 1:
             raise ValidationError(
                 f"offset={offset!r} must be an integer >= 1")
-        trap0 = init0 = None
+        spec0, size = None, 1
     else:
-        trap0 = _site0(trap, n, "trap")
-        init0 = _site0(init, n, "init")
-        if trap0 == init0:
-            raise ValidationError("trap and init must differ")
+        spec0 = _geometry_spec(topology, n, trap, init, ("trap", "init"))
+        size = _stack_size(n)
 
     cells = [(float(kv), float(mv)) for kv in kappa_grid for mv in mu_grid]
-    size = 1 if topology is Topology.SEMI_INFINITE else _stack_size(n)
-    tasks = [(topology, n, trap0, init0, offset, cells[i:i + size])
+    tasks = [(spec0, offset, cells[i:i + size])
              for i in range(0, len(cells), size)]
     if workers is not None and workers > 1:
         with multiprocessing.Pool(workers) as pool:

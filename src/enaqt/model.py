@@ -48,6 +48,16 @@ class Topology(str, Enum):
     SEMI_INFINITE = "semi-infinite"
 
 
+def _check_site_count(topology: Topology, n) -> None:
+    """ValidationError unless n is an int large enough for the topology
+    (>= 2 sites for chains, >= 3 for rings)."""
+    min_n = 3 if topology is Topology.RING else 2
+    if not isinstance(n, int) or n < min_n:
+        raise ValidationError(
+            f"n={n!r} invalid: {topology.value} needs at least "
+            f"{min_n} sites")
+
+
 @dataclass(frozen=True)
 class SystemSpec:
     """Complete description of one transport problem.
@@ -98,11 +108,7 @@ class SystemSpec:
         object.__setattr__(self, "trap_sites", traps)
         object.__setattr__(self, "initial_site", init)
         n = self.n
-        min_n = 3 if self.topology is Topology.RING else 2
-        if not isinstance(n, int) or n < min_n:
-            raise ValidationError(
-                f"n={n!r} invalid: {self.topology.value} needs at least "
-                f"{min_n} sites")
+        _check_site_count(self.topology, n)
         for name in ("kappa", "mu", "gamma", "v"):
             val = getattr(self, name)
             if not math.isfinite(val):

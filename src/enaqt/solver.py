@@ -9,7 +9,10 @@ satisfies the linear system L x = -vec(rho0), which is solved directly.
 Two independent routes are implemented and cross-validated:
 
 * efficiency_direct    -- resolvent solve of L x = -vec(rho0)
-* propagate            -- adaptive Runge-Kutta integration of the motion
+* propagate            -- adaptive Runge-Kutta integration of the motion,
+                          by scipy.integrate.RK45 (Dormand-Prince 5(4)),
+                          which raises an rtol below 100*eps to that
+                          value with a UserWarning
 
 Both apply L by model._generator, matrix-free: propagate through
 Superoperator.apply, the steady solve in every residual and refinement.
@@ -172,32 +175,19 @@ def efficiency_direct(spec: SystemSpec, rho0=None) -> EfficiencyReport:
     return EfficiencyReport(eta, eta_loss, method, resid)
 
 
-# Dormand-Prince 5(4) tableau; row 7 equals the 5th-order weights (FSAL).
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784,
-                   11 / 84, 0.0])
-_DP_ERR = _DP_B5 - np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
-                             -92097 / 339200, 187 / 2100, 1 / 40])
-
-
 def propagate(spec: SystemSpec, rho0=None, horizon: float | None = None,
               rtol: float = 1e-9, atol: float = 1e-12,
               store_states: bool = False) -> Trajectory:
-    """Adaptive time integration of the master equation.
+    """Adaptive time integration of the master equation by scipy's RK45.
 
     The state vector is augmented with the two running integrals
     2*kappa*int rho_trap dt and 2*mu*int tr rho dt, so the quadrature is
-    carried by the same embedded error control as the state itself.  The
-    terminal efficiency estimate adds half the surviving trace as a tail
-    estimate; the full surviving trace bounds the tail error.
+    carried by the same embedded error control as the state itself.  RK45
+    (Dormand-Prince 5(4), RMS error norm) is driven one step at a time
+    from a first step of min(0.1, horizon), and every accepted step is
+    recorded.  The terminal efficiency estimate adds half the surviving
+    trace as a tail estimate; the full surviving trace bounds the tail
+    error.
 
     Parameters
     ----------
@@ -207,7 +197,8 @@ def propagate(spec: SystemSpec, rho0=None, horizon: float | None = None,
         Integration endpoint.  Defaults to 50/mu, by which the surviving
         trace is below e^-100.  Required explicitly when mu = 0.
     rtol, atol : float
-        Embedded local error control.
+        Embedded local error control.  RK45 raises an rtol below
+        100*eps to that value, with a UserWarning.
     store_states : bool, optional
         Keep the full state at every accepted step (off by default: a long
         horizon at tight tolerances takes millions of steps).
@@ -218,8 +209,9 @@ def propagate(spec: SystemSpec, rho0=None, horizon: float | None = None,
         If horizon or rtol is not finite and > 0, atol is not finite and
         >= 0, or rho0 is invalid (see efficiency_direct); before any step.
     StiffnessError
-        If the step size underflows; very large gamma*dt calls for an
-        implicit method.
+        If RK45 fails, or a step short of the horizon is below
+        1e-13*max(1, |t|); very large gamma*dt calls for an implicit
+        method.
     """
     if horizon is None:
         if spec.mu <= 0:
@@ -240,59 +232,41 @@ def propagate(spec: SystemSpec, rho0=None, horizon: float | None = None,
     m = n * n
     two_kappa, two_mu = 2.0 * spec.kappa, 2.0 * spec.mu
 
-    def rhs(y):
+    def rhs(t, y):
         out = np.empty(m + 2, dtype=complex)
         out[:m] = lop.apply(y[:m])
         out[m] = two_kappa * y[tidx].sum() if tidx.size else 0.0
         out[m + 1] = two_mu * y[didx].sum()
         return out
 
-    y = np.concatenate([vec0, [0.0, 0.0]]).astype(complex)
-    t = 0.0
-    k1 = rhs(y)
+    # imported here: scipy.integrate would add a quarter second and 18 MB
+    # to every import of the package, and only propagate needs it
+    from scipy.integrate import RK45
+
+    y0 = np.concatenate([vec0, [0.0, 0.0]]).astype(complex)
+    rk = RK45(rhs, 0.0, y0, horizon, rtol=rtol, atol=atol,
+              first_step=min(0.1, horizon))
     times = [0.0]
-    traces = [y[didx].sum().real]
+    traces = [y0[didx].sum().real]
     trapped = [0.0]
     lost = [0.0]
     states = [DensityState(vec0.copy(), 0.0)] if store_states else None
-
-    stages = np.empty((7, m + 2), dtype=complex)
-    h = min(0.1, horizon)
-    err_prev = 1.0
-    n_acc = n_rej = 0
-    while t < horizon:
-        h = min(h, horizon - t)
-        stages[0] = k1
-        for i in range(1, 7):
-            yi = y + h * np.tensordot(np.asarray(_DP_A[i]), stages[:i], 1)
-            stages[i] = rhs(yi)
-        y5 = y + h * (_DP_B5 @ stages)
-        err = h * (_DP_ERR @ stages)
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-        enorm = math.sqrt(float(np.mean((np.abs(err) / scale) ** 2)))
-        if enorm <= 1.0:
-            t += h
-            y = y5
-            k1 = stages[6]  # FSAL
-            n_acc += 1
-            times.append(t)
-            traces.append(y[didx].sum().real)
-            trapped.append(y[m].real)
-            lost.append(y[m + 1].real)
-            if store_states:
-                states.append(DensityState(y[:m].copy(), t))
-            # PI controller: current and previous error weighted.
-            en = max(enorm, 1e-16)
-            fac = 0.9 * en ** -0.14 * err_prev ** 0.08
-            err_prev = max(en, 1e-10)
-        else:
-            n_rej += 1
-            fac = max(0.2, 0.9 * enorm ** -0.2)
-        h *= min(5.0, max(0.2, fac))
-        if h < 1e-13 * max(1.0, abs(t)):
+    while rk.status == "running":
+        t_prev = rk.t
+        rk.step()
+        t, y = rk.t, rk.y
+        if rk.status == "failed" or (
+                t < horizon and t - t_prev < 1e-13 * max(1.0, abs(t))):
             raise StiffnessError(
                 f"step size underflow at t={t:.3g} (gamma*dt too stiff); "
                 "reduce the horizon or use the direct solver")
+        times.append(t)
+        traces.append(y[didx].sum().real)
+        trapped.append(y[m].real)
+        lost.append(y[m + 1].real)
+        if store_states:
+            states.append(DensityState(y[:m].copy(), t))
+    n_acc = len(times) - 1
     trace_final = traces[-1]
     return Trajectory(
         times=np.asarray(times),
@@ -304,7 +278,8 @@ def propagate(spec: SystemSpec, rho0=None, horizon: float | None = None,
         eta_loss_estimate=lost[-1] + trace_final / 2.0,
         tail_bound=trace_final,
         n_steps=n_acc,
-        n_rejected=n_rej,
+        # one evaluation at t = 0, then six per attempted step
+        n_rejected=(rk.nfev - 1) // 6 - n_acc,
     )
 
 
@@ -322,18 +297,14 @@ def survival_probability(traj: Trajectory, t):
     return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
 
-def efficiency_gamma_grid(spec: SystemSpec, gammas,
-                          solver: EigenbasisSteadySolver | None = None
-                          ) -> np.ndarray:
+def efficiency_gamma_grid(spec: SystemSpec, gammas) -> np.ndarray:
     """eta evaluated at each dephasing rate on the grid.
 
-    The workhorse behind curve evaluation and gamma optimization.  The
-    whole grid goes through one EigenbasisSteadySolver (see
+    The whole grid goes through one EigenbasisSteadySolver (see
     EigenbasisSteadySolver.eta_grid): one batched direct solve of the
     population system up to DENSE_SOLVE_MAX_N sites, warm-started GMRES
-    along the grid above it.  Pass `solver` to reuse one across calls; its
-    first cell must match spec in geometry, kappa and mu (spec's gamma is
-    ignored), and a cell stack gives one row of etas per cell.
+    along the grid above it.  spec's own gamma is ignored; callers that
+    solve several grids on one system call the solver's eta_grid.
 
     Raises ValidationError for a rate that is negative or not finite, and
     the per-point solver error with the failing gamma attached.
@@ -341,15 +312,7 @@ def efficiency_gamma_grid(spec: SystemSpec, gammas,
     gammas = np.asarray(list(gammas), dtype=float)
     if gammas.ndim != 1 or gammas.size == 0:
         raise ValidationError("gamma grid must be a non-empty 1-d sequence")
-    if solver is None:
-        return EigenbasisSteadySolver(spec).eta_grid(gammas)
-    first = solver.specs[0]
-    if (_geometry(spec), spec.kappa, spec.mu) != (
-            _geometry(first), first.kappa, first.mu):
-        raise ValidationError(
-            "spec does not match the solver's first cell in geometry, "
-            "kappa and mu")
-    return solver.eta_grid(gammas)
+    return EigenbasisSteadySolver(spec).eta_grid(gammas)
 
 
 def _accepted(resid, eta, eta_loss, bound):
@@ -366,11 +329,9 @@ def _geometry(spec):
 
 def _stack_size(n):
     """Cells per stack of n-site cells: as many as keep their n^2 x n^2
-    maps (16 n^4 bytes a cell) within STACK_BYTES (26 at n = 5, 4 at
-    n = 8, one from n = 10 on), and one above DENSE_SOLVE_MAX_N sites,
-    where the GMRES route solves one cell at a time."""
-    if n > DENSE_SOLVE_MAX_N:
-        return 1
+    maps (16 n^4 bytes a cell) within STACK_BYTES, and at least one: 26 at
+    n = 5, 4 at n = 8, and one from n = 10 on, so also above
+    DENSE_SOLVE_MAX_N sites, where a stack holds one cell."""
     return max(1, STACK_BYTES // (16 * n ** 4))
 
 

@@ -383,6 +383,22 @@ class TestPlaneSweep:
             plane_sweep("chain", 3, 1, 2, **grids)
 
 
+@pytest.mark.parametrize("search", [
+    lambda *geometry: plane_sweep(*geometry, kappa_grid=[0.1],
+                                  mu_grid=[0.1]),
+    max_enaqt,
+], ids=["plane_sweep", "max_enaqt"])
+@pytest.mark.parametrize("geometry,message", [
+    (("ring", 2, 1, 2), "ring needs at least 3 sites"),
+    (("chain", None, 1, 2), "n=None invalid"),
+], ids=["two-site-ring", "no-n"])
+def test_searches_reject_a_bad_geometry_once(search, geometry, message):
+    # one ValidationError up front, not one per cell or a TypeError from
+    # comparing a site with n = None
+    with pytest.raises(ValidationError, match=message):
+        search(*geometry)
+
+
 def _spy_solver_sizes(monkeypatch):
     """The n of every EigenbasisSteadySolver analysis builds from now on."""
     sizes = []

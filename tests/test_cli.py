@@ -4,9 +4,12 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import enaqt
 from enaqt import ValidationError, analysis, cli, infinite_chain_enaqt
 from enaqt.cli import main, parse_config, render, run
 
@@ -166,6 +169,17 @@ def test_sweep_non_finite_bound_is_validation_error(capsys):
     assert code == 2
     assert out == ""
     assert "kappa_grid must be finite" in err
+
+
+def test_sweep_on_a_two_site_ring_exits_two(capsys):
+    # an invalid geometry is invalid input, as for optimize, not an
+    # error row for every cell
+    code, out, err = _run_capture(
+        ["sweep", "--topology", "ring", "--n", "2", "--trap", "1",
+         "--init", "2", "--kappa-points", "2", "--mu-points", "2"], capsys)
+    assert code == cli.EXIT_VALIDATION
+    assert out == ""
+    assert "ring needs at least 3 sites" in err
 
 
 def test_output_file_written_atomically(tmp_path, capsys):
@@ -335,3 +349,15 @@ def test_infinite_site_cap_exits_four(monkeypatch, capsys):
     code, out, err = _run_capture(INFINITE_ARGS, capsys)
     assert code == cli.EXIT_TRUNCATION
     assert out == "" and "truncation error" in err
+
+
+def test_importing_the_cli_does_not_load_scipy_integrate():
+    # propagate imports RK45 when called; loading scipy.integrate with the
+    # package would add about a quarter second and 18 MB to every start
+    src = os.path.dirname(os.path.dirname(enaqt.__file__))
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, enaqt, enaqt.cli; "
+         "print('scipy.integrate' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        text=True, check=True).stdout
+    assert loaded == "False\n"

@@ -1,6 +1,7 @@
 """Steady-state and propagation solver tests."""
 
 import logging
+import time
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ import scipy.sparse.linalg as spla
 from enaqt import (
     EigenbasisSteadySolver,
     SingularSystemError,
+    StiffnessError,
     SystemSpec,
     ValidationError,
     build_hamiltonian,
@@ -23,6 +25,7 @@ from enaqt import (
     site_density,
     survival_probability,
 )
+from enaqt.solver import _stack_size
 from dense_oracles import (
     dense_generator,
     dense_lu_branching,
@@ -190,8 +193,26 @@ class TestPropagation:
 
     def test_step_counters_populated(self):
         traj = propagate(FIG1B, horizon=10.0)
-        assert traj.n_steps > 0
+        assert traj.n_steps == len(traj.times) - 1 > 0
         assert traj.n_rejected >= 0
+
+    @pytest.mark.parametrize("horizon", [1e-9, 10.0])
+    def test_too_stiff_dephasing_raises_at_once(self, horizon):
+        # stable steps near 1e-14 fall below the step guard, which stops
+        # the run instead of taking 1e5 steps or more
+        start = time.perf_counter()
+        with pytest.raises(StiffnessError, match="too stiff"):
+            propagate(FIG1B.with_gamma(1e14), horizon=horizon)
+        assert time.perf_counter() - start < 1.0
+
+    def test_stiff_dephasing_within_the_guard_completes(self):
+        # steps near 1e-12 pass the guard; the last one, clipped to the
+        # horizon, may be shorter and is exempt
+        traj = propagate(FIG1B.with_gamma(1e12), horizon=1e-9)
+        assert traj.times[-1] == 1e-9
+        assert traj.n_steps == len(traj.times) - 1
+        # the first step, min(0.1, horizon), is far too long
+        assert traj.n_rejected > 0
 
     @pytest.mark.parametrize("kw", [
         {"horizon": np.inf}, {"horizon": np.nan}, {"rtol": np.nan},
@@ -469,7 +490,7 @@ def test_exceptional_point_is_redone(kappa, caplog):
     assert oracle == pytest.approx(0.964942668, abs=1e-9)
     solver = EigenbasisSteadySolver(spec)
     with caplog.at_level(logging.DEBUG, logger="enaqt"):
-        (grid_eta,) = efficiency_gamma_grid(spec, [0.3], solver=solver)
+        (grid_eta,) = solver.eta_grid([0.3])
         single = solver.eta(0.3)
     ((n, points, _, redone),) = _batch_records(caplog)
     assert (n, points, redone) == (2, 1, 1)
@@ -498,7 +519,7 @@ def _small_systems(draw):
 def test_batched_grid_properties(system):
     spec, gammas = system
     solver = EigenbasisSteadySolver(spec)
-    etas = efficiency_gamma_grid(spec, gammas, solver=solver)
+    etas = solver.eta_grid(gammas)
     for gamma, eta in zip(gammas, etas):
         assert eta == pytest.approx(
             dense_lu_branching(spec.with_gamma(gamma))[0], abs=1e-10)
@@ -541,7 +562,7 @@ def test_grid_redoes_only_the_failed_point(monkeypatch, caplog):
     monkeypatch.setattr(EigenbasisSteadySolver, "_branching", leaky)
     solver = EigenbasisSteadySolver(spec)
     with caplog.at_level(logging.DEBUG, logger="enaqt"):
-        etas = efficiency_gamma_grid(spec, gammas, solver=solver)
+        etas = solver.eta_grid(gammas)
     assert len(calls) == 2
     assert solver.routes == {"direct-eigenbasis": 3, "direct-sparse": 1}
     ((n, points, max_resid, redone),) = _batch_records(caplog)
@@ -583,19 +604,11 @@ def test_solver_rejects_bad_dephasing_rates(call, gamma):
         call(solver, gamma)
 
 
-def test_grid_rejects_a_spec_that_does_not_match_the_solver():
-    solver = EigenbasisSteadySolver(SystemSpec("chain", 4, (0,), 2, 0.5, 0.1,
-                                               0.0))
-    with pytest.raises(ValidationError, match="does not match"):
-        efficiency_gamma_grid(SystemSpec("ring", 5, (0,), 2, 0.5, 0.1, 0.0),
-                              [0.3], solver=solver)
-    with pytest.raises(ValidationError, match="does not match"):
-        efficiency_gamma_grid(SystemSpec("chain", 4, (0,), 2, 0.5, 0.2, 0.0),
-                              [0.3], solver=solver)
-    # spec's own gamma is ignored
-    (eta,) = efficiency_gamma_grid(
-        SystemSpec("chain", 4, (0,), 2, 0.5, 0.1, 7.0), [0.3], solver=solver)
-    assert eta == solver.eta(0.3)
+@pytest.mark.parametrize("n,cells", [(5, 26), (8, 4), (10, 1), (17, 1),
+                                     (64, 1)])
+def test_stack_size(n, cells):
+    # 16 n^4 bytes of maps a cell within STACK_BYTES, at least one cell
+    assert _stack_size(n) == cells
 
 
 def test_stack_redo_builds_nothing(monkeypatch):
