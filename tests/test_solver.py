@@ -283,6 +283,9 @@ def test_gamma_grid_matches_pointwise():
     for g, eta in zip(gammas[::5], etas[::5]):
         single = dense_lu_branching(FIG1B.with_gamma(float(g)))[0]
         assert eta == pytest.approx(single, abs=1e-10)
+    # spec's own gamma is ignored
+    assert np.array_equal(efficiency_gamma_grid(FIG1B.with_gamma(7.0), gammas),
+                          etas)
 
 
 def test_gamma_grid_rejects_negative():
