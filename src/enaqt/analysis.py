@@ -24,9 +24,11 @@ stack, an EigenbasisSteadySolver built for up to solver._stack_size(n)
 all cells, then one elementwise search (_golden, the only maximizer here)
 that refines every cell in lockstep, with one batched solve per step.
 _golden runs the secant search where f gives slopes, and golden section
-where it does not (max_enaqt's kappa and mu sweeps, and a cell whose
-point was served by the solver's fallback chain).  How many cells a
-stack holds is the solver's choice.
+where it does not (a cell whose point was served by the solver's
+fallback chain).  max_enaqt's kappa and mu sweeps run on _golden too:
+_scan_refine gives their slopes d xi/d log kappa and d xi/d log mu by the
+envelope theorem, from the solves it makes anyway (see max_enaqt).  How
+many cells a stack holds is the solver's choice.
 """
 
 from __future__ import annotations
@@ -394,8 +396,10 @@ def _golden(f, a, b, tol, stats=None):
     its final bracket, or the end where f still rises.  An element
     without a slope at c or d runs golden section; one that meets a point
     without a slope later restarts golden section on its bracket.
-    stats, a dict, receives the calls of f ("steps") and the bisection
-    steps of all elements ("bisections").
+    stats, a dict, receives the calls of f ("steps"), the bisection
+    steps of all elements ("bisections"), how many elements ended in
+    golden section ("golden"), and the largest |slope| at the last point
+    of each element ("max_abs_slope", NaN when there is none).
     """
     a = [float(v) for v in a]
     b = [float(v) for v in b]
@@ -406,6 +410,10 @@ def _golden(f, a, b, tol, stats=None):
     values, slopes = _split(f(np.array([c, d]).T, idx), len(a))
     elements = [_element(*args) for args in zip(a, b, c, d, values, slopes,
                                                tol)]
+    # each element's last slope: the smaller of the first two, then the
+    # slope of its latest point
+    last = [math.nan if pair is None else min(pair, key=abs)
+            for pair in slopes]
     steps = 1
     live = [i for i, e in enumerate(elements) if e.live]
     while live:
@@ -416,10 +424,14 @@ def _golden(f, a, b, tol, stats=None):
         steps += 1
         for i, value, slope in zip(live, values, slopes):
             elements[i] = elements[i].update(value, slope)
+            last[i] = math.nan if slope is None else slope
         live = [i for i in live if elements[i].live]
     if stats is not None:
         stats["steps"] = steps
         stats["bisections"] = sum(e.bisections for e in elements)
+        stats["golden"] = sum(isinstance(e, _Golden) for e in elements)
+        stats["max_abs_slope"] = max(
+            (abs(v) for v in last if not math.isnan(v)), default=math.nan)
     return np.array([e.result() for e in elements])
 
 
@@ -431,25 +443,33 @@ def _split(out, count):
     return out.tolist(), [None] * count
 
 
-def _scan_refine(solver, grid_points, refine_tol) -> list:
+def _scan_refine(solver, grid_points, refine_tol, rates=False):
     """optimize_dephasing for every cell of the stack `solver`: one
     batched scan of the grid, then one refinement (_golden on eta and its
     slope d eta/d log gamma) of all cells whose best grid point is not
     gamma = 0, in lockstep, and one certified solve at the gammas found.
 
     gammas[0] is the no-dephasing endpoint; a cell's refinement runs in
-    log gamma over the neighbours of its best grid point.  Returns one
-    entry per cell: its EnaqtResult, or the SingularSystemError of a solve
-    that failed.  The callers build their stacks in cells of
-    solver._stack_size(n), which knows the memory of a cell.  Leaves one
-    DEBUG record: the cells refined, the refinement's steps and bisection
-    steps, and the largest |d eta/d log gamma| at the gammas found (near
-    0 at an interior optimum).
+    log gamma over the neighbours of its best grid point.  A gain counts
+    only above rounding: unless eta_max - eta0 > 1e-12 eta_max, the cell
+    reports xi = 0 and gamma_opt = 0.  Returns one entry per cell: its
+    EnaqtResult, or the SingularSystemError of a solve that failed.  With
+    `rates`, returns the pair (entries, d xi/d log(kappa, mu) of shape
+    (cells, 2)): by the envelope theorem, d eta/d log rate at gamma_opt
+    (from the certifying solve) less d eta/d log rate at gamma = 0 (from
+    the scan's gamma = 0 column), NaN where xi = 0 or a rate slope is
+    missing (see EigenbasisSteadySolver.eta).  The callers build their
+    stacks in cells of solver._stack_size(n), which knows the memory of a
+    cell.  Leaves one DEBUG record: the cells refined, the refinement's
+    steps and bisection steps, and the largest |d eta/d log gamma| at the
+    gammas found (near 0 at an interior optimum).
     """
     gammas = np.concatenate([[0.0], np.geomspace(*GAMMA_BOUNDS, grid_points)])
-    etas = solver.eta_grid(gammas)
+    etas, zero = (solver.eta_grid(gammas, _rates=True) if rates
+                  else (solver.eta_grid(gammas), None))
     eta0 = etas[:, 0]
     results = [EnaqtResult(float(e), float(e), 0.0, 0.0) for e in eta0]
+    xi_slopes = np.full((solver.cells, 2), math.nan) if rates else None
     best = np.argmax(etas, axis=1)
     go = np.flatnonzero(best > 0)
     stats = {"steps": 0, "bisections": 0}
@@ -461,28 +481,37 @@ def _scan_refine(solver, grid_points, refine_tol) -> list:
                     _log(gammas[np.minimum(best[go] + 1, last)]), refine_tol,
                     stats)
         g_best = _exp(x)
-        final, slopes = solver.eta(g_best, go, slope=True)
+        final, slopes, *at_opt = solver.eta(g_best, go, slope=True,
+                                            _rates=rates)
         largest = float(np.nanmax(np.abs(slopes), initial=0.0))
-        for k, g, e in zip(go, g_best, final):
-            if e > eta0[k]:
+        for i, (k, g, e) in enumerate(zip(go, g_best, final)):
+            if e - eta0[k] > 1e-12 * e:
                 results[k] = EnaqtResult(float(eta0[k]), float(e), float(g),
                                          float(e - eta0[k]))
+                if rates:
+                    xi_slopes[k] = at_opt[0][i] - zero[k]
     _logger.debug("scan_refine n=%d cells=%d refined=%d steps=%d "
                   "bisections=%d max_abs_slope=%.2e", solver.n, solver.cells,
                   go.size, stats["steps"], stats["bisections"], largest)
-    return [solver.failed.get(k, res) for k, res in enumerate(results)]
+    results = [solver.failed.get(k, res) for k, res in enumerate(results)]
+    return (results, xi_slopes) if rates else results
 
 
-def _optimize_cells(specs, grid_points=GRID_POINTS,
-                    refine_tol=REFINE_TOL) -> list:
+def _optimize_cells(specs, grid_points=GRID_POINTS, refine_tol=REFINE_TOL,
+                    rates=False):
     """_scan_refine over specs (one geometry, any rates) in stacks of
-    _stack_size cells; one entry per spec, in order."""
+    _stack_size cells; one entry per spec, in order, and with `rates` the
+    pair (entries, d xi/d log(kappa, mu) of shape (len(specs), 2))."""
     if not specs:
-        return []
+        return ([], np.empty((0, 2))) if rates else []
     size = _stack_size(specs[0].n)
-    return [res for i in range(0, len(specs), size)
-            for res in _scan_refine(EigenbasisSteadySolver(specs[i:i + size]),
-                                    grid_points, refine_tol)]
+    stacks = [_scan_refine(EigenbasisSteadySolver(specs[i:i + size]),
+                           grid_points, refine_tol, rates)
+              for i in range(0, len(specs), size)]
+    if not rates:
+        return [res for stack in stacks for res in stack]
+    return ([res for stack, _ in stacks for res in stack],
+            np.concatenate([slopes for _, slopes in stacks]))
 
 
 def _raised(result):
@@ -531,19 +560,28 @@ def max_enaqt(topology, n: int, trap_site: int,
     """Maximum xi over the (kappa, mu) plane for one geometry.
 
     Scans a PLANE_POINTS x PLANE_POINTS log grid over [1e-4, 1e2]^2, then
-    refines by PLANE_SWEEPS coordinate golden-section sweeps of shrinking
-    span.  The landscape can hold several local maxima (a dephasing-peak
-    basin and a large-gamma plateau basin, sometimes more), so the sweeps
-    restart from up to PLANE_STARTS well-separated top grid cells.  Every
-    candidate is re-evaluated with the full optimizer, so the reported xi
-    carries the production solve's accuracy; kappa and mu are resolved to
-    about the final sweep span.
+    refines by PLANE_SWEEPS coordinate sweeps of shrinking span, each a
+    1-d maximization (_golden) in log kappa or log mu on a bracket clipped
+    to RATE_BOUNDS.  The landscape can hold several local maxima (a
+    dephasing-peak basin and a large-gamma plateau basin, sometimes
+    more), so the sweeps restart from up to PLANE_STARTS well-separated
+    top grid cells.  Every candidate is re-evaluated with the full
+    optimizer, so the reported xi carries the production solve's
+    accuracy; kappa and mu are resolved to about the final sweep span.
 
     The ranking grid is optimized in cell stacks (a coarse 32-point gamma
     grid and a 1e-3 refinement tolerance; gamma is refined on the slope
     as in optimize_dephasing), and the seeds refine in lockstep: each
-    step of their golden-section kappa (or mu) sweeps evaluates one cell
-    per seed as one stack, as do the final optimizations.
+    step of their kappa (or mu) sweeps evaluates one cell per seed as one
+    stack, as do the final optimizations.  A sweep step also returns
+    d xi/d log kappa (or mu) of every cell, by the envelope theorem
+    (_scan_refine), so the sweeps run _golden's secant search on the
+    slope, and an optimum on a rate bound is settled by its end probe.
+    Where a cell has no slope (xi = 0, a point redone by the fallback
+    chain, or more than solver.DENSE_SOLVE_MAX_N sites) its seed runs
+    golden section.  Each sweep leaves one DEBUG record: the axis, the
+    seeds, the steps, the bisection steps, how many seeds ran golden
+    section, and the largest |d xi/d log rate| at the seeds' last points.
 
     Sites are 1-based.
     """
@@ -554,18 +592,25 @@ def max_enaqt(topology, n: int, trap_site: int,
     spec0 = _geometry_spec(topology, n, trap_site, initial_site,
                            ("trap_site", "initial_site"))
 
-    def optimized(kappas, mus, *search):
-        # one result per broadcast (kappa, mu) pair, in row-major order
+    def optimized(kappas, mus, *search, rates=False):
+        # one result per broadcast (kappa, mu) pair, in row-major order, and
+        # with `rates` their d xi/d log(kappa, mu), shape (pairs, 2)
         kappas, mus = np.broadcast_arrays(kappas, mus)
-        return [_raised(res) for res in _optimize_cells(
-            [spec0.with_rates(kappa=kv, mu=mv)
-             for kv, mv in zip(kappas.flat, mus.flat)], *search)]
+        out = _optimize_cells([spec0.with_rates(kappa=kv, mu=mv)
+                               for kv, mv in zip(kappas.flat, mus.flat)],
+                              *search, rates=rates)
+        results, slopes = out if rates else (out, None)
+        return [_raised(res) for res in results], slopes
 
-    def xi(kappas, mus):
-        # coarse xi for ranking: 32-point grid, 1e-3 refinement tolerance
+    def xi(kappas, mus, axis=None):
+        # coarse xi for ranking: 32-point grid, 1e-3 refinement tolerance;
+        # with an axis, the pair (xi, d xi/d log kappa (0) or mu (1))
         shape = np.broadcast_shapes(np.shape(kappas), np.shape(mus))
-        return np.array([res.xi for res in optimized(kappas, mus, 32, 1e-3)]
-                        ).reshape(shape)
+        results, slopes = optimized(kappas, mus, 32, 1e-3,
+                                    rates=axis is not None)
+        values = np.array([res.xi for res in results]).reshape(shape)
+        return values if axis is None else (
+            values, slopes[:, axis].reshape(shape))
 
     grid = np.geomspace(*RATE_BOUNDS, PLANE_POINTS)
     ranked = xi(grid[:, None], grid[None, :])
@@ -589,21 +634,29 @@ def max_enaqt(topology, n: int, trap_site: int,
         for axis in (0, 1):
             def val(x, sel):
                 # x holds one row of points per live seed sel
-                v = _exp(np.clip(x, lo_log, hi_log))
+                v = _exp(x)
                 fixed = (mm if axis == 0 else kk)[sel].reshape(
                     (-1,) + (1,) * (v.ndim - 1))
-                return xi(v, fixed) if axis == 0 else xi(fixed, v)
+                return (xi(v, fixed, axis) if axis == 0
+                        else xi(fixed, v, axis))
 
             center = _log(kk if axis == 0 else mm)
-            x = _golden(val, center - step, center + step, 1e-3)
+            stats = {}
+            x = _golden(val, np.maximum(center - step, lo_log),
+                        np.minimum(center + step, hi_log), 1e-3, stats)
             if axis == 0:
-                kk = _exp(np.clip(x, lo_log, hi_log))
+                kk = _exp(x)
             else:
-                mm = _exp(np.clip(x, lo_log, hi_log))
+                mm = _exp(x)
+            _logger.debug(
+                "max_enaqt sweep axis=%s seeds=%d steps=%d bisections=%d "
+                "golden=%d max_abs_slope=%.2e", ("kappa", "mu")[axis],
+                len(seeds), stats["steps"], stats["bisections"],
+                stats["golden"], stats["max_abs_slope"])
         step *= 0.35
 
     best = None
-    for final, kv, mv in zip(optimized(kk, mm), kk, mm):
+    for final, kv, mv in zip(optimized(kk, mm)[0], kk, mm):
         if best is None or final.xi > best[0]:
             best = (final.xi, float(kv), float(mv))
     return MaxEnaqt(*best)

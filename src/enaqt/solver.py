@@ -411,6 +411,23 @@ class EigenbasisSteadySolver:
     the kernel's answer was certified, never for a point the fallback
     chain redid.
 
+    The same adjoint w gives the slopes in the two other rates, with no
+    further solve (eta(..., _rates=True), for max_enaqt's sweeps).  Let
+    F = S^-1 Diag(p) S^-dag, Y the matrix the steady integral is rebuilt
+    from, and b(Q) = diag(S [(S^-1 Q S^-dag) / (c - 2*gamma)] S^dag) the
+    right-hand side of K p = b for L(X) = Q.  Then X = S (Y + F) S^dag and
+
+        d eta/d mu    = 2*kappa w^T diag(S [2 (Y + F) / (c - 2*gamma)] S^dag),
+        d eta/d kappa = eta/kappa + 2*kappa w^T b(P X + X P),
+
+    with P the trap projector, and S^-1 (P X + X P) S^-dag =
+    Pi (Y + F) + (Y + F) Pi^dag, Pi = S^-1 P S.  The first holds because
+    H(kappa, mu) = H(kappa, 0) - i*mu*I: c moves to c - 2*mu and S does
+    not move.  The second because dL/d kappa (X) = -(P X + X P).  A scan
+    whose grid starts at gamma = 0 gets both there in closed form
+    (eta_grid(..., _rates=True)): at gamma = 0, K = I and w = t.  Rate
+    slopes are NaN where the gamma slope is, and on the GMRES route.
+
     A solver is built from one SystemSpec, or from a cell stack: a
     sequence of specs that share one geometry and differ only in
     (kappa, mu), which gives every array a leading cell axis.  A stack is
@@ -514,19 +531,28 @@ class EigenbasisSteadySolver:
         return _Cells._make(None if m is None else m[cells]
                             for m in self._all)
 
-    def _kernel(self, g2, a, rhs, warm_start, stats, slope=False):
-        """(X, diag X, slope), X flattened, with L(X) = rhs at every point
-        (step 1 of the point path), on the arrays a (see _select): a direct
-        solve of the assembled population system, or _gmres above
-        DENSE_SOLVE_MAX_N sites.  g2 = 2*gamma has shape (cells, k, 1), or
-        is a float for one point; X then has shape (cells, k, n^2) and
-        diag X (cells, k, n).  With slope, the third entry holds
+    def _kernel(self, g2, a, rhs, warm_start, stats, slope=False,
+                rates=False):
+        """(X, diag X, dtrap, drates), X flattened, with L(X) = rhs at
+        every point (step 1 of the point path), on the arrays a (see
+        _select): a direct solve of the assembled population system, or
+        _gmres above DENSE_SOLVE_MAX_N sites.  g2 = 2*gamma has shape
+        (cells, k, 1), or is a float for one point; X then has shape
+        (cells, k, n^2) and diag X (cells, k, n).  With slope, dtrap holds
         d(sum of the trap populations)/d gamma at every point, shape
-        (cells, k), else None (see the class docstring).
+        (cells, k), else None (see the class docstring).  With rates,
+        drates holds d(sum of the trap populations)/d(kappa, mu), shape
+        (cells, k, 2): at every point from the adjoint with slope, and
+        without it at the first rate only, which must be gamma = 0, where
+        K = I and the adjoint is the trap indicator (shape (cells, 1, 2));
+        NaN on the GMRES route.  Else drates is None.
         """
         n = self.n
         if n > DENSE_SOLVE_MAX_N:
-            return self._gmres(g2, a, rhs, warm_start, stats, slope)
+            xs, pops, dtrap = self._gmres(g2, a, rhs, warm_start, stats,
+                                          slope)
+            return xs, pops, dtrap, (np.full((1, 1, 2), math.nan)
+                                     if rates else None)
         weights = (a.weights0 if rhs is self._rhs0 else
                    (a.sinv @ rhs.reshape(n, n)
                     @ np.swapaxes(a.sinv.conj(), -1, -2)
@@ -563,16 +589,35 @@ class EigenbasisSteadySolver:
         else:
             pops = np.linalg.solve(kmat, b[..., None])[..., 0]
         del kmat
-        ratio *= pops @ a.fmap
+        f = pops @ a.fmap  # S^-1 Diag(p) S^-dag
+        ratio *= f
         y -= ratio
         del ratio
-        dtrap = None
+        dtrap = drates = None
         if slope:
             # db - dK p = Z @ emap with Z = 2 y / (c - 2 gamma), y as now
             dtrap = (((2.0 * y / (a.c - g2)) @ a.emap) * adjoint).sum(axis=-1)
+        if rates:
+            drates = (self._rate_terms(a, y + f, g2, adjoint) if slope else
+                      self._rate_terms(a, y[:, :1] + f[:, :1], 0.0,
+                                       self._trap_indicator))
         xs = _left(a.s, _right(y, a.sdag))
         xs[..., ::n + 1] += pops
-        return xs, pops, dtrap
+        return xs, pops, dtrap, drates
+
+    def _rate_terms(self, a, v, g2, adjoint):
+        """d(sum of the trap populations)/d(kappa, mu), shape (cells, k, 2),
+        at the points of V = Y + F = S^-1 X S^-dag (v, flattened, shape
+        (cells, k, n^2)) and 2*gamma g2, from the adjoint w, K^T w = t:
+        w^T diag(S [Q / (c - 2 gamma)] S^dag) with Q = Pi V + V Pi^dag,
+        Pi = S^-1 P S, for kappa, and Q = 2 V for mu (see the class
+        docstring)."""
+        n = self.n
+        pi = (a.sinv[:, :, self.tidx] @ a.s[:, self.tidx, :])[:, None]
+        vm = v.reshape(v.shape[:-1] + (n, n))
+        q = pi @ vm + vm @ np.swapaxes(pi.conj(), -1, -2)
+        terms = np.stack([q.reshape(v.shape), 2.0 * v]) / (a.c - g2)
+        return np.moveaxis(((terms @ a.emap) * adjoint).sum(axis=-1), 0, -1)
 
     def _gmres(self, g2, a, rhs, warm_start, stats, slope=False):
         """_kernel for one point of one cell: p = diag(X) solves
@@ -697,29 +742,40 @@ class EigenbasisSteadySolver:
         return eta.real, eta_loss.real, resid, x[::n + 1], route
 
     def _batch(self, gammas, cells, ids, rhs, bnorm, warm_start,
-               slope=False):
+               slope=False, rates=False):
         """The point path for the rates gammas[i, j] of cell ids[i] (cells
         as in _select): solve, certify, then the fallback chain for every
         rejected point.  Returns (eta, eta_loss, residual, populations,
-        route of each redone point, None where its cell failed, slope):
-        slope is d eta/d log gamma where the kernel's answer was certified,
-        NaN at every redone point, or None without `slope`."""
+        route of each redone point, None where its cell failed, slope,
+        rate slopes): slope is d eta/d log gamma where the kernel's answer
+        was certified, NaN at every redone point, or None without `slope`;
+        rate slopes are d eta/d log(kappa, mu) on the points of _kernel's
+        drates, NaN likewise, or None without `rates`."""
         stats = {"info": None, "matvecs": 0}
         g2 = 2.0 * (gammas.item() if gammas.size == 1 else gammas[..., None])
         a = self._select(cells)
         with np.errstate(divide="ignore", invalid="ignore"):
-            xs, pops, dtrap = self._kernel(g2, a, rhs, warm_start, stats,
-                                           slope)
+            xs, pops, dtrap, drates = self._kernel(g2, a, rhs, warm_start,
+                                                   stats, slope, rates)
             eta, eta_loss, resid, certified = self._certify(
                 xs, pops, g2, a, rhs, bnorm)
         eta, eta_loss = eta.real, eta_loss.real
         slopes = gammas * a.two_kappa * dtrap.real if slope else None
+        rslopes = None
+        if rates:
+            # d eta/d log kappa = eta + kappa 2 kappa d trap/d kappa and
+            # d eta/d log mu = mu 2 kappa d trap/d mu
+            rslopes = (0.5 * a.two_kappa[..., None] * drates.real
+                       * np.stack([a.two_kappa, a.two_mu], axis=-1))
+            rslopes[..., 0] += eta[:, :rslopes.shape[1]]
         redone = []
         for i, j in [] if certified.all() else np.argwhere(~certified):
             k, gamma = int(ids[i]), float(gammas[i, j])
             route = None
             if slope:
                 slopes[i, j] = math.nan
+            if rates and j < rslopes.shape[1]:
+                rslopes[i, j] = math.nan
             if k not in self.failed:
                 try:
                     (eta[i, j], eta_loss[i, j], resid[i, j], pops[i, j],
@@ -736,7 +792,7 @@ class EigenbasisSteadySolver:
                 self._record(gammas.item(), "direct-eigenbasis", stats)
             else:
                 self.routes["direct-eigenbasis"] += gammas.size - len(redone)
-        return eta, eta_loss, resid, pops, redone, slopes
+        return eta, eta_loss, resid, pops, redone, slopes, rslopes
 
     def _record(self, gamma, route, stats):
         """Count a point solved alone in routes and leave its DEBUG
@@ -747,15 +803,18 @@ class EigenbasisSteadySolver:
                    route)
 
     def _points(self, gammas, cells=None, rho0=None, warm_start=None,
-                slope=False):
+                slope=False, rates=False):
         """The one point path: (eta, eta_loss, residual, populations,
-        routes of the redone points, slopes) at the rates gammas[i, j] of
-        cell cells[i] (of cell i when cells is None) from rho0 (the initial
-        site when None), NaN for a failed cell.  slopes holds
-        d eta/d log gamma (NaN where the point was redone or its cell
-        failed) with `slope`, else it is None.  The points form one
-        _batch, one per chunk of cells beyond BATCH_BYTES, or one per
-        point above DENSE_SOLVE_MAX_N sites, warm-started from the last.
+        routes of the redone points, slopes, rate slopes) at the rates
+        gammas[i, j] of cell cells[i] (of cell i when cells is None) from
+        rho0 (the initial site when None), NaN for a failed cell.  slopes
+        holds d eta/d log gamma (NaN where the point was redone or its cell
+        failed) with `slope`, else it is None.  Rate slopes hold
+        d eta/d log(kappa, mu) with `rates`, NaN likewise, else None: at
+        every point with `slope`, shape (rows, k, 2), and without it at
+        gammas[:, 0], which must be 0, in rate slopes[:, 0].  The points
+        form one _batch, one per chunk of cells beyond BATCH_BYTES, or one
+        per point above DENSE_SOLVE_MAX_N sites, warm-started from the last.
         """
         if not (np.minimum.reduce(gammas, None) >= 0.0
                 and np.maximum.reduce(gammas, None) < math.inf):
@@ -771,10 +830,10 @@ class EigenbasisSteadySolver:
         gmres = self.n > DENSE_SOLVE_MAX_N
         size = 0 if gmres else max(1, BATCH_BYTES // (16 * self.n ** 2 * k))
         if size >= rows:
-            eta, eta_loss, resid, pops, redone, slopes = self._batch(
-                gammas, cells, ids, rhs, bnorm, warm_start, slope)
+            out = self._batch(gammas, cells, ids, rhs, bnorm, warm_start,
+                              slope, rates)
         else:
-            out = []
+            parts = []
             for i in range(0, k if gmres else rows, max(size, 1)):
                 if gmres:  # one cell (ids = [0]), one point at a time
                     at, sel = np.s_[:, i:i + 1], None
@@ -782,23 +841,23 @@ class EigenbasisSteadySolver:
                     at = np.s_[i:i + size, :]
                     sel = (np.s_[i:i + size] if cells is None
                            else cells[i:i + size])
-                out.append(self._batch(gammas[at], sel, ids[at[0]], rhs,
-                                       bnorm, warm_start, slope))
-                warm_start = out[-1][3][0, -1]
+                parts.append(self._batch(gammas[at], sel, ids[at[0]], rhs,
+                                         bnorm, warm_start, slope, rates))
+                warm_start = parts[-1][3][0, -1]
             if gmres:
                 self._warm = warm_start
-            eta, eta_loss, resid, pops = (
-                np.concatenate(arrays, axis=int(gmres))
-                for arrays in zip(*(p[:4] for p in out)))
-            redone = [route for p in out for route in p[4]]
-            slopes = (np.concatenate([p[5] for p in out], axis=int(gmres))
-                      if slope else None)
+            out = [None if arrays[0] is None else
+                   np.concatenate(arrays, axis=int(gmres))
+                   for arrays in zip(*(p[:4] + p[5:] for p in parts))]
+            out.insert(4, [route for p in parts for route in p[4]])
+        eta, eta_loss, resid, pops, redone, slopes, rslopes = out
         if self.failed:
             lost = np.isin(ids, list(self.failed))
             eta[lost] = eta_loss[lost] = math.nan
-            if slope:
-                slopes[lost] = math.nan
-        return eta, eta_loss, resid, pops, redone, slopes
+            for v in (slopes, rslopes):
+                if v is not None:
+                    v[lost] = math.nan
+        return eta, eta_loss, resid, pops, redone, slopes, rslopes
 
     def efficiency(self, gamma, rho0=None):
         """Returns (eta, eta_loss, residual, method, populations).
@@ -806,13 +865,13 @@ class EigenbasisSteadySolver:
         A single solve on a one-cell solver through the point path, from
         rho0 (a flattened density matrix; the initial site when None).
         """
-        eta, eta_loss, resid, pops, redone, _ = self._points(
-            np.array([[gamma]], dtype=float), self._ids[:1], rho0)
+        eta, eta_loss, resid, pops, redone = self._points(
+            np.array([[gamma]], dtype=float), self._ids[:1], rho0)[:5]
         return (float(eta[0, 0]), float(eta_loss[0, 0]), float(resid[0, 0]),
                 redone[0] if redone else "direct-eigenbasis",
                 pops[0, 0].copy())
 
-    def eta_grid(self, gammas):
+    def eta_grid(self, gammas, _rates=False):
         """eta for the initial site at every rate of the 1-d array gammas,
         for every cell: shape (cells, G), or (G,) for a solver built from
         one spec.
@@ -820,21 +879,29 @@ class EigenbasisSteadySolver:
         Up to DENSE_SOLVE_MAX_N sites the whole grid of every cell is one
         batched direct solve; larger systems solve point by point along
         the grid, warm-started.  Every point is certified, and redone if
-        rejected, by the point path (see the class docstring).
+        rejected, by the point path (see the class docstring).  With
+        _rates, for a grid that starts at gamma = 0, the pair (eta,
+        d eta/d log(kappa, mu) at gamma = 0), the latter of shape
+        (cells, 2) or (2,), from the closed form at K = I: no extra solve.
         """
         gammas = np.asarray(gammas, dtype=float)
-        etas, _, resid, _, redone, _ = self._points(
+        etas, _, resid, _, redone, _, rates = self._points(
             np.broadcast_to(gammas, (self.cells, gammas.size)),
-            warm_start=self._warm)
+            warm_start=self._warm, rates=_rates)
         if self.n <= DENSE_SOLVE_MAX_N:
             _log.debug(
                 "batched solve n=%d points=%d max_residual=%.2e redone=%d",
                 self.n, etas.size, resid.max(), len(redone))
+        if _rates:
+            rates = rates[:, 0]
+            return (etas, rates) if self._stacked else (etas[0], rates[0])
         return etas if self._stacked else etas[0]
 
-    def eta(self, gamma, cells=None, slope=False):
+    def eta(self, gamma, cells=None, slope=False, _rates=False):
         """eta for the initial site at one rate per cell; with `slope`, the
-        pair (eta, d eta/d log gamma).
+        pair (eta, d eta/d log gamma); with _rates, the triple (eta,
+        d eta/d log gamma, d eta/d log(kappa, mu)), the last with a
+        trailing axis of 2.
 
         On a solver built from one spec, gamma is a number and so is the
         result.  On a stack, gamma is an array with one row (or one entry)
@@ -843,17 +910,25 @@ class EigenbasisSteadySolver:
         one batch.  Points are certified as in eta_grid; above
         DENSE_SOLVE_MAX_N sites each GMRES solve is warm-started from the
         populations of the previous point.  A slope is NaN where the
-        certified eta came from the fallback chain (or the cell failed):
-        it is a hint for a search, never a reported number.
+        certified eta came from the fallback chain (or the cell failed),
+        and a rate slope also on the GMRES route: each is a hint for a
+        search, never a reported number.
         """
+        slope = slope or _rates
         if not self._stacked:
             out = self._points(np.array([[gamma]], dtype=float),
-                               warm_start=self._warm, slope=slope)
+                               warm_start=self._warm, slope=slope,
+                               rates=_rates)
             eta = float(out[0][0, 0])
+            if _rates:
+                return eta, float(out[5][0, 0]), out[6][0, 0]
             return (eta, float(out[5][0, 0])) if slope else eta
         gamma = np.asarray(gamma, dtype=float)
         rows = self.cells if cells is None else len(cells)
         out = self._points(gamma.reshape(rows, -1), cells,
-                           warm_start=self._warm, slope=slope)
+                           warm_start=self._warm, slope=slope, rates=_rates)
         eta = out[0].reshape(gamma.shape)
+        if _rates:
+            return (eta, out[5].reshape(gamma.shape),
+                    out[6].reshape(gamma.shape + (2,)))
         return (eta, out[5].reshape(gamma.shape)) if slope else eta

@@ -572,6 +572,88 @@ class TestSlopeRefinement:
         assert largest < 1e-9
 
 
+class TestRateSlopeSweeps:
+    """max_enaqt's kappa and mu sweeps run on d xi/d log rate, which
+    _scan_refine gives by the envelope theorem from solves it makes
+    anyway."""
+
+    @pytest.mark.parametrize("spec", [
+        # chain N=5, trap 2, start 4 (1-based): criterion 4's optimum
+        SystemSpec("chain", 5, (1,), 3, 100.0, 0.00276, 0.0),
+        SystemSpec("ring", 4, (0,), 1, 1.0, 0.01, 0.0),
+    ], ids=["chain5", "ring4"])
+    def test_envelope_slope_matches_central_difference(self, spec):
+        (res,), slopes = analysis._scan_refine(
+            EigenbasisSteadySolver([spec]), analysis.GRID_POINTS,
+            analysis.REFINE_TOL, rates=True)
+        assert res.xi > 0.05
+        h = 1e-3
+        for rate, got in zip(("kappa", "mu"), slopes[0]):
+            x = math.log(getattr(spec, rate))
+
+            def xi(dx):
+                # refined far below REFINE_TOL, so that the difference
+                # sees xi and not where the refinement stopped
+                moved = spec.with_rates(**{rate: math.exp(x + dx)})
+                return analysis._optimize_cells(
+                    [moved], analysis.GRID_POINTS, 1e-8)[0].xi
+
+            want = (8.0 * (xi(h) - xi(-h)) - (xi(2 * h) - xi(-2 * h))) / (
+                12.0 * h)
+            assert got == pytest.approx(want, rel=1e-6)
+
+    def test_no_gain_no_slope(self):
+        # trap 2, start 4 of the five-site chain has xi = 0 at kappa 1,
+        # mu 0.1; a slope there would steer a sweep by rounding noise
+        specs = [SystemSpec("chain", 5, (1,), 3, 1.0, 0.1, 0.0),
+                 SystemSpec("chain", 5, (1,), 3, 100.0, 0.00276, 0.0)]
+        results, slopes = analysis._optimize_cells(specs, rates=True)
+        assert results[0].xi == 0.0 and results[0].gamma_opt == 0.0
+        assert np.isnan(slopes[0]).all()
+        assert results[1].xi > 0.06 and np.isfinite(slopes[1]).all()
+        assert results == analysis._optimize_cells(specs)
+
+    @pytest.mark.parametrize("geometry, calls", [
+        (("chain", 5, 2, 4), 37),
+        # antipodal ring: xi = 0 everywhere, so no slopes and every sweep
+        # runs golden section
+        (("ring", 4, 1, 3), 92),
+    ])
+    def test_sweep_call_count(self, monkeypatch, geometry, calls):
+        # the ranking grid, the sweep steps and the final optimizations;
+        # golden-section sweeps made 94 calls for either geometry
+        optimize_cells, counted = analysis._optimize_cells, []
+
+        def counting(*args, **kwargs):
+            counted.append(kwargs.get("rates", False))
+            return optimize_cells(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "_optimize_cells", counting)
+        max_enaqt(*geometry)
+        assert len(counted) == calls
+        # only the sweep steps ask for rate slopes
+        assert counted[0] is False and counted[-1] is False
+        assert all(counted[1:-1])
+
+    def test_one_debug_record_per_sweep(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="enaqt"):
+            best = max_enaqt("chain", 5, 2, 4)
+        records = [r.args for r in caplog.records
+                   if r.msg.startswith("max_enaqt sweep")]
+        assert [r[0] for r in records] == ["kappa", "mu"] * 3
+        assert all(r[1] == analysis.PLANE_STARTS for r in records)
+        # steps: the calls of test_sweep_call_count less the ranking grid
+        # and the final optimizations
+        assert sum(r[2] for r in records) == 37 - 2
+        for axis, seeds, steps, bisections, golden, largest in records:
+            assert 0 <= bisections < steps and 0 <= golden <= seeds
+        # the last sweeps run on slopes: kappa ends on the bound 100,
+        # where xi still rises, and mu inside the bracket
+        assert records[-2][4] == records[-1][4] == 0
+        assert best.kappa == pytest.approx(100.0)
+        assert all(math.isfinite(r[5]) for r in records[-2:])
+
+
 def _scalar_golden(f, a, b, tol):
     """The one-bracket golden-section maximizer: the oracle for the
     elementwise analysis._golden."""

@@ -140,6 +140,15 @@ def test_table_enumerates_inequivalent_geometries(capsys):
     assert by_geom[("2", "3")] == pytest.approx(0.5, abs=5e-3)
 
 
+def test_table_reports_rounding_noise_as_no_gain(capsys):
+    # the mirror entry N=4 (trap 1, start 4) has no gain; its best cell
+    # once printed xi = 1.73e-19, rounding noise on an eta of 1e-15
+    _, out, _ = _run_capture(["table", "--n", "4"], capsys)
+    rows = {(r["trap"], r["init"]): r["xi_max"]
+            for r in csv.DictReader(io.StringIO(out))}
+    assert rows[("1", "4")] == "0"
+
+
 def test_table_worker_count_gives_identical_bytes(capsys):
     _, serial, _ = _run_capture(["table", "--n", "3", "--workers", "1"],
                                 capsys)

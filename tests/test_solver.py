@@ -1,6 +1,7 @@
 """Steady-state and propagation solver tests."""
 
 import logging
+import math
 import time
 
 import numpy as np
@@ -692,3 +693,71 @@ def test_redone_point_gives_no_slope(monkeypatch, n):
     assert np.isfinite(slopes[0, [0, 2]]).all()
     assert etas[0, 1] == pytest.approx(_sparse_lu_branching(
         spec.with_gamma(0.3))[0], abs=1e-12)
+
+
+def _central_rate_slope(spec, gamma, rate, h=1e-3):
+    """d eta/d log rate (rate "kappa" or "mu") at gamma by the five-point
+    central difference in log rate, one solver per shifted rate."""
+    x = np.log(getattr(spec, rate))
+
+    def at(dx):
+        moved = spec.with_rates(**{rate: float(np.exp(x + dx))})
+        return EigenbasisSteadySolver(moved).eta(gamma)
+
+    return (8.0 * (at(h) - at(-h)) - (at(2 * h) - at(-2 * h))) / (12.0 * h)
+
+
+@pytest.mark.parametrize("spec", [
+    # chain N=5, trap 2, start 4 (1-based), near criterion 4's optimum
+    SystemSpec("chain", 5, (1,), 3, 100.0, 0.00276, 0.0),
+    SystemSpec("ring", 4, (0,), 1, 1.0, 0.1, 0.0),
+], ids=["chain5", "ring4"])
+def test_rate_slopes_match_central_differences(spec):
+    # d eta/d log kappa and d eta/d log mu from the adjoint of the slope
+    # solve, at gamma = 0 as in a scan's first column and at two rates
+    solver = EigenbasisSteadySolver(spec)
+    for gamma in (0.0, 0.3, 30.0):
+        eta, slope, rates = solver.eta(gamma, _rates=True)
+        assert (eta, slope) == solver.eta(gamma, slope=True)
+        for rate, got in zip(("kappa", "mu"), rates):
+            assert got == pytest.approx(
+                _central_rate_slope(spec, gamma, rate), rel=1e-6)
+
+
+def test_stack_rate_slopes_match_single_cells():
+    specs = [SystemSpec("ring", 5, (0,), 2, kappa, mu, 0.0)
+             for kappa, mu in ((1.0, 0.1), (100.0, 1e-3), (0.3, 3.0))]
+    gammas = np.array([[0.0, 0.2], [3.0, 1e-4], [40.0, 1e4]])
+    stack = EigenbasisSteadySolver(specs)
+    etas, slopes, rates = stack.eta(gammas, _rates=True)
+    assert rates.shape == gammas.shape + (2,)
+    grid = np.array([0.0, 0.2, 3.0])
+    scan, zero = stack.eta_grid(grid, _rates=True)
+    assert np.array_equal(scan, stack.eta_grid(grid))
+    for k, spec in enumerate(specs):
+        single = EigenbasisSteadySolver(spec)
+        for gamma, got in zip(gammas[k], rates[k]):
+            want = single.eta(gamma, _rates=True)[2]
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-15)
+        # the scan's gamma = 0 column: K = I, no adjoint solve
+        np.testing.assert_allclose(zero[k], single.eta(0.0, _rates=True)[2],
+                                   rtol=1e-10, atol=1e-15)
+
+
+def test_rate_slopes_are_nan_without_an_adjoint(monkeypatch):
+    # GMRES route (n > DENSE_SOLVE_MAX_N): no rate slopes at all, though
+    # eta and the gamma slope are still given
+    big = EigenbasisSteadySolver(SystemSpec("chain", 24, (0,), 1, 3.0, 0.1,
+                                            0.0))
+    eta, slope, rates = big.eta(0.3, _rates=True)
+    assert math.isfinite(eta) and math.isfinite(slope)
+    assert np.isnan(rates).all()
+    assert np.isnan(big.eta_grid([0.0, 1.0], _rates=True)[1]).all()
+    # a point redone by the fallback chain gives none either
+    spec = SystemSpec("chain", 6, (0,), 2, 0.4, 0.02, 0.0)
+    _fail_direct_solve_at(monkeypatch, 0.3)
+    etas, slopes, rates = EigenbasisSteadySolver([spec]).eta(
+        np.array([[0.1, 0.3, 3.0]]), _rates=True)
+    assert np.isnan(rates[0, 1]).all()
+    assert np.isfinite(rates[0, [0, 2]]).all()
+    assert np.isfinite(etas).all()
