@@ -541,11 +541,13 @@ def optimize_dephasing(spec: SystemSpec) -> EnaqtResult:
     result reports gamma_opt = 0 and xi = 0.  Otherwise a safeguarded
     secant search on d eta/d log gamma, in log gamma between the
     neighbours of the best grid point, to a bracket of REFINE_TOL, gives
-    gamma_opt, where eta_max is certified by one more solve.  spec's own
-    gamma field is ignored.  The system is a cell stack of one (see the
-    module docstring): one eigendecomposition of H serves the endpoint,
-    the grid (one batched solve for small systems) and the refinement,
-    whose steps are single LAPACK solves of eta and its slope.
+    gamma_opt, where eta_max is certified by one more solve; a gain of
+    at most 1e-12 eta_max is rounding, and reported as gamma_opt = 0 and
+    xi = 0 too.  spec's own gamma field is ignored.  The system is a
+    cell stack of one (see the module docstring): one eigendecomposition
+    of H serves the endpoint, the grid (one batched solve for small
+    systems) and the refinement, whose steps are single LAPACK solves of
+    eta and its slope.
 
     Raises ValidationError for rates that are not > 0, and
     SingularSystemError, with its gamma named, for a solve that fails its
