@@ -451,8 +451,9 @@ def _scan_refine(solver, grid_points, refine_tol, rates=False):
 
     gammas[0] is the no-dephasing endpoint; a cell's refinement runs in
     log gamma over the neighbours of its best grid point.  A gain counts
-    only above rounding: unless eta_max - eta0 > 1e-12 eta_max, the cell
-    reports xi = 0 and gamma_opt = 0.  Returns one entry per cell: its
+    only above rounding: unless eta_max - eta0 > 1e-12, the cell reports
+    xi = 0 and gamma_opt = 0 (rounding in eta scales with
+    eta + eta_loss = 1, not with eta).  Returns one entry per cell: its
     EnaqtResult, or the SingularSystemError of a solve that failed.  With
     `rates`, returns the pair (entries, d xi/d log(kappa, mu) of shape
     (cells, 2)): by the envelope theorem, d eta/d log rate at gamma_opt
@@ -485,7 +486,7 @@ def _scan_refine(solver, grid_points, refine_tol, rates=False):
                                             _rates=rates)
         largest = float(np.nanmax(np.abs(slopes), initial=0.0))
         for i, (k, g, e) in enumerate(zip(go, g_best, final)):
-            if e - eta0[k] > 1e-12 * e:
+            if e - eta0[k] > 1e-12:
                 results[k] = EnaqtResult(float(eta0[k]), float(e), float(g),
                                          float(e - eta0[k]))
                 if rates:
@@ -542,8 +543,8 @@ def optimize_dephasing(spec: SystemSpec) -> EnaqtResult:
     secant search on d eta/d log gamma, in log gamma between the
     neighbours of the best grid point, to a bracket of REFINE_TOL, gives
     gamma_opt, where eta_max is certified by one more solve; a gain of
-    at most 1e-12 eta_max is rounding, and reported as gamma_opt = 0 and
-    xi = 0 too.  spec's own gamma field is ignored.  The system is a
+    at most 1e-12 is rounding, and reported as gamma_opt = 0 and xi = 0
+    too.  spec's own gamma field is ignored.  The system is a
     cell stack of one (see the module docstring): one eigendecomposition
     of H serves the endpoint, the grid (one batched solve for small
     systems) and the refinement, whose steps are single LAPACK solves of
@@ -579,11 +580,14 @@ def max_enaqt(topology, n: int, trap_site: int,
     d xi/d log kappa (or mu) of every cell, by the envelope theorem
     (_scan_refine), so the sweeps run _golden's secant search on the
     slope, and an optimum on a rate bound is settled by its end probe.
-    Where a cell has no slope (xi = 0, a point redone by the fallback
-    chain, or more than solver.DENSE_SOLVE_MAX_N sites) its seed runs
-    golden section.  Each sweep leaves one DEBUG record: the axis, the
-    seeds, the steps, the bisection steps, how many seeds ran golden
-    section, and the largest |d xi/d log rate| at the seeds' last points.
+    The solver's two direct kernels (maps up to solver.MAPS_MAX_N sites,
+    map-free up to solver.DIRECT_MAX_N) give these slopes; its GMRES
+    route above has no adjoint and gives none.  Where a cell has no slope
+    (xi = 0, a point redone by the fallback chain, or more than
+    DIRECT_MAX_N sites) its seed runs golden section.  Each sweep leaves
+    one DEBUG record: the axis, the seeds, the steps, the bisection steps,
+    how many seeds ran golden section, and the largest |d xi/d log rate|
+    at the seeds' last points.
 
     Sites are 1-based.
     """

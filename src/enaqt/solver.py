@@ -21,12 +21,21 @@ Every steady solve, single, over a gamma grid or over a stack of
 (kappa, mu) cells of one geometry, runs on one engine,
 EigenbasisSteadySolver, through one point path: it reduces the steady
 solve to the n site populations in the eigenbasis of H and solves that
-system directly (batched over all cells and rates of a call) up to
-DENSE_SOLVE_MAX_N sites and by GMRES above; it certifies every answer by
-one residual of the full generator and one acceptance rule; and it sends
-a rejected point, on its own cell's arrays, through one fallback chain:
-extended-precision refinement, then a sparse LU of the full generator.
-The solver also sizes the cell stacks of its callers (_stack_size).
+system by one of three kernels, chosen by the number of sites n:
+
+* up to MAPS_MAX_N sites, directly, with the system assembled through
+  n^2 x n^2 maps tabulated per cell ("maps"), batched over all cells and
+  rates of a call;
+* up to DIRECT_MAX_N sites, directly, with the system assembled without
+  maps ("map-free"), batched over the rates of a call in byte-bounded
+  chunks;
+* above, by GMRES, one point at a time ("gmres").
+
+It certifies every answer by one residual of the full generator and one
+acceptance rule; and it sends a rejected point, on its own cell's arrays,
+through one fallback chain: extended-precision refinement, then a sparse
+LU of the full generator.  The solver also sizes the cell stacks of its
+callers (_stack_size).
 """
 
 from __future__ import annotations
@@ -71,13 +80,23 @@ RESID_ACCEPT = 1e-9   # relative residual above which a fallback is rejected
 REAL_TOL = 1e-10      # allowed imaginary leakage in probabilities
 # Bytes of one (points x n^2) complex array of a batched direct solve,
 # which holds several such arrays at once; a call with more points than
-# that is solved in chunks of cells.
+# that is solved in chunks of cells.  The map-free kernel holds n^3
+# complex numbers per rate while it assembles K, and solves in chunks of
+# as many rates as fit these bytes: one rate from 17 sites on.  Chunks of
+# 1 MB and 4 MB timed the same on 65-point grids at n = 17-32.
 BATCH_BYTES = 2 ** 17
 # Largest n for which EigenbasisSteadySolver assembles the population
-# system (through an n^2 x n^2 map of 16 n^4 bytes) and solves it
-# directly; larger systems use its GMRES route.  The value was set for the
-# former dense n^2 x n^2 LU and has not been re-measured for this solve.
-DENSE_SOLVE_MAX_N = 16
+# system through n^2 x n^2 maps (16 n^4 bytes a cell); on 65-point grids
+# the maps kernel is 1.4-4x faster than the map-free one up to here.
+MAPS_MAX_N = 16
+# Largest n for which EigenbasisSteadySolver solves the population system
+# directly, assembled without maps at O(n^4) flops per rate; larger systems
+# use its GMRES route.  Measured: the largest n at which the map-free
+# kernel beat GMRES on an optimization, an 8-point curve and single solves
+# at weak and strong dephasing, in a process whose allocator keeps freed
+# memory; where every solve faults in its n^3 arrays afresh, GMRES wins
+# single strong-dephasing solves from about 30 sites (docs/decisions.md).
+DIRECT_MAX_N = 35
 # Bytes of the n^2 x n^2 maps (16 n^4 bytes a cell) of one cell stack;
 # see _stack_size.
 STACK_BYTES = 2 ** 18
@@ -302,8 +321,9 @@ def efficiency_gamma_grid(spec: SystemSpec, gammas) -> np.ndarray:
 
     The whole grid goes through one EigenbasisSteadySolver (see
     EigenbasisSteadySolver.eta_grid): one batched direct solve of the
-    population system up to DENSE_SOLVE_MAX_N sites, warm-started GMRES
-    along the grid above it.  spec's own gamma is ignored; callers that
+    population system up to MAPS_MAX_N sites, direct solves in chunks of
+    rates up to DIRECT_MAX_N sites, and warm-started GMRES along the grid
+    above that.  spec's own gamma is ignored; callers that
     solve several grids on one system call the solver's eta_grid.
 
     Raises ValidationError for a rate that is negative or not finite, and
@@ -330,15 +350,16 @@ def _geometry(spec):
 def _stack_size(n):
     """Cells per stack of n-site cells: as many as keep their n^2 x n^2
     maps (16 n^4 bytes a cell) within STACK_BYTES, and at least one: 26 at
-    n = 5, 4 at n = 8, and one from n = 10 on, so also above
-    DENSE_SOLVE_MAX_N sites, where a stack holds one cell."""
+    n = 5, 4 at n = 8, and one from n = 10 on, so also above MAPS_MAX_N
+    sites, where a stack holds one cell."""
     return max(1, STACK_BYTES // (16 * n ** 4))
 
 
 class _Cells(NamedTuple):
     """Per-cell arrays of EigenbasisSteadySolver, each with a leading cell
-    axis; see EigenbasisSteadySolver._build_maps for the last four, which
-    exist up to DENSE_SOLVE_MAX_N sites only."""
+    axis; see EigenbasisSteadySolver._build_maps for the last five:
+    weights0 exists up to DIRECT_MAX_N sites, kmap, emap and fmap up to
+    MAPS_MAX_N sites, and dmat above that."""
 
     c: np.ndarray          # -i(lam_p - conj lam_q), shape (cells, 1, n^2)
     s: np.ndarray          # S
@@ -352,6 +373,7 @@ class _Cells(NamedTuple):
     emap: np.ndarray | None = None
     fmap: np.ndarray | None = None
     weights0: np.ndarray | None = None
+    dmat: np.ndarray | None = None
 
 
 class EigenbasisSteadySolver:
@@ -379,20 +401,30 @@ class EigenbasisSteadySolver:
     The form matters at strong dephasing: p + 2*gamma*M(p) adds two
     O(|p|) terms whose sum is O(|p|/gamma), so that product loses about
     log10(gamma) digits.  In the form above |R| <= 1 for every gamma > 0
-    (Re c <= 0).  Up to DENSE_SOLVE_MAX_N sites the system matrix is
-    assembled explicitly,
+    (Re c <= 0).  Up to DIRECT_MAX_N sites the system matrix is
+    assembled explicitly, for many rates at once, and solved directly:
 
         K[l, j] = sum_pq C[l, j, p] R[p, q] conj(C[l, j, q]),
-        C[l, j, p] = S[l, p] S^-1[p, j],
+        C[l, j, p] = S[l, p] S^-1[p, j].
 
-    for many rates at once: the products C[l, j, p] conj(C[l, j, q]) are
-    tabulated once per solver as an n^2 x n^2 map, so a grid costs one
-    matrix product and one stacked solve (eta_grid).  Above it GMRES
+    Up to MAPS_MAX_N sites (kernel "maps") the products
+    C[l, j, p] conj(C[l, j, q]) are tabulated once per solver as an
+    n^2 x n^2 map, as are the maps of diag(S Y S^dag) and
+    S^-1 Diag(p) S^-dag, so a grid costs one matrix product per map and
+    one stacked solve (eta_grid).  Above it (kernel "map-free") a map
+    would hold 16 n^4 bytes, and K is assembled from C alone: with
+    D[p, (l, j)] = C[l, j, p] an n x n^2 matrix,
+
+        K[l, j] = sum_p D[p, (l, j)] T[p, (l, j)],
+        T = R @ conj D = conj(conj R @ D),
+
+    one matrix product of (rates x n, n) by (n, n^2) per chunk of rates,
+    at O(n^4) flops and n^3 numbers per rate; the two other products are
+    taken directly.  Above DIRECT_MAX_N sites (kernel "gmres") GMRES
     applies the operator at the cost of two dense n x n products per
-    matvec.  The full steady integral is
-    rebuilt the same way, -2*gamma*A^-1(Diag p) = Diag(p) -
-    S[(S^-1 Diag(p) S^-dag) o R]S^dag, which keeps its residual near
-    working precision.
+    matvec.  The full steady integral is rebuilt the same way,
+    -2*gamma*A^-1(Diag p) = Diag(p) - S[(S^-1 Diag(p) S^-dag) o R]S^dag,
+    which keeps its residual near working precision.
 
     eta and its slope d eta/d log gamma come from the same system
     K p = b.  eta = t^T p with t = 2*kappa on the trap sites, and only R
@@ -403,9 +435,9 @@ class EigenbasisSteadySolver:
         Z = 2 (W - c o S^-1 Diag(p) S^-dag) / (c - 2*gamma)^2,
 
     where (c - 2*gamma) Z / 2 is the Y of the rebuilt steady integral,
-    and d eta/d gamma = t^T K^-1 (db - dK p).  The assembled route solves
-    the adjoint K^T w = t in the same stacked call as K p = b and takes
-    w^T (db - dK p); the GMRES route solves the forward sensitivity
+    and d eta/d gamma = t^T K^-1 (db - dK p).  The two direct kernels
+    solve the adjoint K^T w = t in the same stacked call as K p = b and
+    take w^T (db - dK p); the GMRES route solves the forward sensitivity
     K dp = db - dK p with the same matvec and takes t^T dp.  The slope
     (eta(..., slope=True)) is a hint for a search: it is given only where
     the kernel's answer was certified, never for a point the fallback
@@ -426,7 +458,8 @@ class EigenbasisSteadySolver:
     not move.  The second because dL/d kappa (X) = -(P X + X P).  A scan
     whose grid starts at gamma = 0 gets both there in closed form
     (eta_grid(..., _rates=True)): at gamma = 0, K = I and w = t.  Rate
-    slopes are NaN where the gamma slope is, and on the GMRES route.
+    slopes are NaN where the gamma slope is, and on the GMRES route, which
+    has no adjoint.
 
     A solver is built from one SystemSpec, or from a cell stack: a
     sequence of specs that share one geometry and differ only in
@@ -435,9 +468,11 @@ class EigenbasisSteadySolver:
     each call of eta_grid or eta solves a (cells x rates) array of points
     at once: per cell, one matrix product applies a map, or S, S^dag or H,
     to all its rates together, and one stacked solve covers every point
-    (a single LAPACK solve for one cell and one rate).  Above
-    DENSE_SOLVE_MAX_N sites a stack holds one cell and its points are
-    solved one by one by GMRES, warm-started along the calls.
+    (a single LAPACK solve for one cell and one rate).  Above MAPS_MAX_N
+    sites a stack holds one cell; the map-free kernel solves its points
+    in chunks of rates of at most BATCH_BYTES of n^3 temporaries, and
+    above DIRECT_MAX_N sites GMRES solves them one by one, warm-started
+    along the calls.
 
     efficiency, eta and eta_grid run one point path (_points) for rates
     that are finite and >= 0 (ValidationError otherwise): (1) solve the
@@ -453,8 +488,10 @@ class EigenbasisSteadySolver:
     hint at mu = 0): a solver built from one spec raises it; a stack
     records it in `failed` under the cell's index, answers NaN for that
     cell from then on, and solves its other cells as before.  `routes`
-    counts the accepted points per method, and every point solved alone
-    (a one-point call, a GMRES point, a fallback) leaves a DEBUG record.
+    counts the accepted points per method.  `kernel` names the kernel
+    ("maps", "map-free" or "gmres"), and so does the DEBUG record that
+    every point solved alone (a one-point call, a GMRES point, a
+    fallback) and every eta_grid call of a direct kernel leaves.
     """
 
     GMRES_RESTART = 60
@@ -471,9 +508,11 @@ class EigenbasisSteadySolver:
                 "the cells of a stack must share one geometry and differ "
                 "only in kappa and mu")
         self.n = n = specs[0].n
-        if n > DENSE_SOLVE_MAX_N and len(specs) > 1:
+        if n > MAPS_MAX_N and len(specs) > 1:
             raise ValidationError(
-                f"a stack above {DENSE_SOLVE_MAX_N} sites holds one cell")
+                f"a stack above {MAPS_MAX_N} sites holds one cell")
+        self.kernel = ("maps" if n <= MAPS_MAX_N else
+                       "map-free" if n <= DIRECT_MAX_N else "gmres")
         self.specs = specs
         self.cells = cells = len(specs)
         h = np.stack([build_hamiltonian(s) for s in specs])
@@ -490,13 +529,14 @@ class EigenbasisSteadySolver:
             c.reshape(cells, 1, n * n), s, s.conj().transpose(0, 2, 1), sinv,
             -1j * h, -1j * h.conj().transpose(0, 2, 1), two_rates[:, :1],
             two_rates[:, 1:],
-            *(self._build_maps(s, sinv) if n <= DENSE_SOLVE_MAX_N else ()))
+            **(self._build_maps(s, sinv) if n <= DIRECT_MAX_N else {}))
         self._warm = None  # GMRES start: the last point's populations
         self.routes = Counter()  # accepted points per method
         self.failed = {}  # cell index -> SingularSystemError, stacks only
 
     def _build_maps(self, s, sinv):
-        """Tabulate, per cell, what the assembled route applies.
+        """Tabulate, per cell, what the direct kernels apply, as keyword
+        arguments of _Cells.
 
         Matrices X are flattened row-major (X[i, j] at i*n + j), and the
         maps act from the right on rows of points, so that all points of
@@ -507,12 +547,22 @@ class EigenbasisSteadySolver:
           weights0 = S^-1 rhs0 S^-dag for the initial site's rhs0.
         No n^3-per-rate temporaries arise (a 65-point grid at n = 10 would
         need 1 MB of them, returned to the system and faulted in again on
-        every call).
+        every call).  Above MAPS_MAX_N sites only weights0 and
+        dmat[p, lj] = C[l, j, p] = S[l, p] S^-1[p, j] (n^3 numbers) are
+        kept (see _assemble).
         """
         n = self.n
         nn = n * n
         cells = len(s)
         st, sinvt = s.transpose(0, 2, 1), sinv.transpose(0, 2, 1)
+        weights0 = (sinv @ self._rhs0.reshape(n, n)
+                    @ sinvt.conj()).reshape(cells, 1, nn)
+        if n > MAPS_MAX_N:
+            # from a contiguous S^T: the product is then laid out as dmat,
+            # and the reshape copies nothing
+            dmat = (np.ascontiguousarray(st)[:, :, :, None]
+                    * sinv[:, :, None, :]).reshape(cells, n, nn)
+            return {"weights0": weights0, "dmat": dmat}
         ct = (st[:, :, :, None] * sinv[:, :, None, :]).reshape(cells, n, nn)
         kmap = (ct[:, :, None, :] * ct.conj()[:, None, :, :]).reshape(
             cells, nn, nn)
@@ -520,9 +570,8 @@ class EigenbasisSteadySolver:
             cells, nn, n)
         fmap = (sinvt[:, :, :, None] * sinvt.conj()[:, :, None, :]).reshape(
             cells, n, nn)
-        weights0 = (sinv @ self._rhs0.reshape(n, n)
-                    @ sinvt.conj()).reshape(cells, 1, nn)
-        return kmap, emap, fmap, weights0
+        return {"kmap": kmap, "emap": emap, "fmap": fmap,
+                "weights0": weights0}
 
     def _select(self, cells):
         """The arrays of `cells`: all, an index array (copies) or a slice."""
@@ -535,9 +584,9 @@ class EigenbasisSteadySolver:
                 rates=False):
         """(X, diag X, dtrap, drates), X flattened, with L(X) = rhs at
         every point (step 1 of the point path), on the arrays a (see
-        _select): a direct solve of the assembled population system, or
-        _gmres above DENSE_SOLVE_MAX_N sites.  g2 = 2*gamma has shape
-        (cells, k, 1), or is a float for one point; X then has shape
+        _select): a direct solve of the population system assembled by
+        _assemble, or _gmres above DIRECT_MAX_N sites.  g2 = 2*gamma has
+        shape (cells, k, 1), or is a float for one point; X then has shape
         (cells, k, n^2) and diag X (cells, k, n).  With slope, dtrap holds
         d(sum of the trap populations)/d gamma at every point, shape
         (cells, k), else None (see the class docstring).  With rates,
@@ -548,7 +597,7 @@ class EigenbasisSteadySolver:
         NaN on the GMRES route.  Else drates is None.
         """
         n = self.n
-        if n > DENSE_SOLVE_MAX_N:
+        if self.kernel == "gmres":
             xs, pops, dtrap = self._gmres(g2, a, rhs, warm_start, stats,
                                           slope)
             return xs, pops, dtrap, (np.full((1, 1, 2), math.nan)
@@ -562,8 +611,8 @@ class EigenbasisSteadySolver:
         y = a.c - g2
         ratio = a.c / y
         y = np.divide(weights, y, out=y)
-        kmat = (ratio @ a.kmap).reshape(ratio.shape[:-1] + (n, n))
-        b = y @ a.emap
+        kmat = self._assemble(a, ratio)
+        b = self._diag(a, y)
         adjoint = None
         if kmat.size == n * n:
             # LAPACK directly: a third of np.linalg.solve's cost at n ~ 5.
@@ -589,14 +638,16 @@ class EigenbasisSteadySolver:
         else:
             pops = np.linalg.solve(kmat, b[..., None])[..., 0]
         del kmat
-        f = pops @ a.fmap  # S^-1 Diag(p) S^-dag
+        f = self._sandwich(a, pops)
         ratio *= f
         y -= ratio
         del ratio
         dtrap = drates = None
         if slope:
-            # db - dK p = Z @ emap with Z = 2 y / (c - 2 gamma), y as now
-            dtrap = (((2.0 * y / (a.c - g2)) @ a.emap) * adjoint).sum(axis=-1)
+            # db - dK p = diag(S Z S^dag) with Z = 2 y / (c - 2 gamma), y
+            # as now
+            dtrap = (self._diag(a, 2.0 * y / (a.c - g2)) * adjoint).sum(
+                axis=-1)
         if rates:
             drates = (self._rate_terms(a, y + f, g2, adjoint) if slope else
                       self._rate_terms(a, y[:, :1] + f[:, :1], 0.0,
@@ -617,7 +668,48 @@ class EigenbasisSteadySolver:
         vm = v.reshape(v.shape[:-1] + (n, n))
         q = pi @ vm + vm @ np.swapaxes(pi.conj(), -1, -2)
         terms = np.stack([q.reshape(v.shape), 2.0 * v]) / (a.c - g2)
-        return np.moveaxis(((terms @ a.emap) * adjoint).sum(axis=-1), 0, -1)
+        return np.moveaxis((self._diag(a, terms) * adjoint).sum(axis=-1), 0,
+                           -1)
+
+    # The three steps in which the two direct kernels differ: with the
+    # maps of _build_maps, or without them.
+
+    def _assemble(self, a, ratio):
+        """K at every point, shape (cells, k, n, n), from R (ratio,
+        flattened, shape (cells, k, n^2)): R @ kmap, or without the map
+        K[l, j] = sum_p D[p, lj] T[p, lj] with T = conj(conj R @ D), one
+        matrix product per cell for all its rates (see the class
+        docstring).  T is conjugated in place: a stored conj D would be a
+        second n^3 array to fault in for every solver."""
+        n = self.n
+        shape = ratio.shape[:-1] + (n, n)
+        if self.kernel == "maps":
+            return (ratio @ a.kmap).reshape(shape)
+        cells = len(a.s)
+        t = (ratio.conj().reshape(cells, -1, n) @ a.dmat).reshape(
+            cells, -1, n, n * n)
+        np.conjugate(t, out=t)
+        t *= a.dmat[:, None]
+        return t.sum(axis=2).reshape(shape)
+
+    def _diag(self, a, y):
+        """diag(S Y S^dag) at every point of Y (y, flattened, of shape
+        (..., cells, k, n^2))."""
+        if self.kernel == "maps":
+            return y @ a.emap
+        n = self.n
+        ym = y.reshape(y.shape[:-1] + (n, n))
+        return ((a.s[:, None] @ ym) * a.s.conj()[:, None]).sum(axis=-1)
+
+    def _sandwich(self, a, pops):
+        """S^-1 Diag(p) S^-dag, flattened, at every point of the
+        populations pops, shape (cells, k, n)."""
+        if self.kernel == "maps":
+            return pops @ a.fmap
+        n = self.n
+        f = ((a.sinv[:, None] * pops[..., None, :])
+             @ np.swapaxes(a.sinv.conj(), -1, -2)[:, None])
+        return f.reshape(pops.shape[:-1] + (n * n,))
 
     def _gmres(self, g2, a, rhs, warm_start, stats, slope=False):
         """_kernel for one point of one cell: p = diag(X) solves
@@ -799,8 +891,8 @@ class EigenbasisSteadySolver:
         record."""
         self.routes[route] += 1
         _log.debug("eigenbasis solve n=%d gamma=%g gmres_info=%s matvecs=%d "
-                   "route=%s", self.n, gamma, stats["info"], stats["matvecs"],
-                   route)
+                   "route=%s kernel=%s", self.n, gamma, stats["info"],
+                   stats["matvecs"], route, self.kernel)
 
     def _points(self, gammas, cells=None, rho0=None, warm_start=None,
                 slope=False, rates=False):
@@ -813,8 +905,10 @@ class EigenbasisSteadySolver:
         d eta/d log(kappa, mu) with `rates`, NaN likewise, else None: at
         every point with `slope`, shape (rows, k, 2), and without it at
         gammas[:, 0], which must be 0, in rate slopes[:, 0].  The points
-        form one _batch, one per chunk of cells beyond BATCH_BYTES, or one
-        per point above DENSE_SOLVE_MAX_N sites, warm-started from the last.
+        form one _batch, or one per chunk: of cells beyond BATCH_BYTES up
+        to MAPS_MAX_N sites, of rates beyond BATCH_BYTES of n^3 numbers
+        up to DIRECT_MAX_N sites, and of one rate above, warm-started from the
+        last.
         """
         if not (np.minimum.reduce(gammas, None) >= 0.0
                 and np.maximum.reduce(gammas, None) < math.inf):
@@ -827,16 +921,21 @@ class EigenbasisSteadySolver:
         rhs, bnorm = ((self._rhs0, 1.0) if rho0 is None
                       else (-rho0, float(np.linalg.norm(rho0))))
         rows, k = gammas.shape
-        gmres = self.n > DENSE_SOLVE_MAX_N
-        size = 0 if gmres else max(1, BATCH_BYTES // (16 * self.n ** 2 * k))
-        if size >= rows:
+        by_rate = self.kernel != "maps"  # one cell (ids = [0])
+        if not by_rate:
+            size = max(1, BATCH_BYTES // (16 * self.n ** 2 * k))
+        elif self.kernel == "map-free":
+            size = max(1, BATCH_BYTES // (16 * self.n ** 3))
+        else:
+            size = 1
+        if size >= (k if by_rate else rows):
             out = self._batch(gammas, cells, ids, rhs, bnorm, warm_start,
                               slope, rates)
         else:
             parts = []
-            for i in range(0, k if gmres else rows, max(size, 1)):
-                if gmres:  # one cell (ids = [0]), one point at a time
-                    at, sel = np.s_[:, i:i + 1], None
+            for i in range(0, k if by_rate else rows, size):
+                if by_rate:  # a chunk of rates
+                    at, sel = np.s_[:, i:i + size], cells
                 else:  # a chunk of cells
                     at = np.s_[i:i + size, :]
                     sel = (np.s_[i:i + size] if cells is None
@@ -844,13 +943,13 @@ class EigenbasisSteadySolver:
                 parts.append(self._batch(gammas[at], sel, ids[at[0]], rhs,
                                          bnorm, warm_start, slope, rates))
                 warm_start = parts[-1][3][0, -1]
-            if gmres:
-                self._warm = warm_start
             out = [None if arrays[0] is None else
-                   np.concatenate(arrays, axis=int(gmres))
+                   np.concatenate(arrays, axis=int(by_rate))
                    for arrays in zip(*(p[:4] + p[5:] for p in parts))]
             out.insert(4, [route for p in parts for route in p[4]])
         eta, eta_loss, resid, pops, redone, slopes, rslopes = out
+        if self.kernel == "gmres":
+            self._warm = pops[0, -1]
         if self.failed:
             lost = np.isin(ids, list(self.failed))
             eta[lost] = eta_loss[lost] = math.nan
@@ -876,10 +975,12 @@ class EigenbasisSteadySolver:
         for every cell: shape (cells, G), or (G,) for a solver built from
         one spec.
 
-        Up to DENSE_SOLVE_MAX_N sites the whole grid of every cell is one
-        batched direct solve; larger systems solve point by point along
+        Up to MAPS_MAX_N sites the whole grid of every cell is one
+        batched direct solve, up to DIRECT_MAX_N sites one direct solve
+        per chunk of rates, and larger systems solve point by point along
         the grid, warm-started.  Every point is certified, and redone if
-        rejected, by the point path (see the class docstring).  With
+        rejected, by the point path (see the class docstring); a direct
+        kernel leaves one DEBUG record per call.  With
         _rates, for a grid that starts at gamma = 0, the pair (eta,
         d eta/d log(kappa, mu) at gamma = 0), the latter of shape
         (cells, 2) or (2,), from the closed form at K = I: no extra solve.
@@ -888,10 +989,11 @@ class EigenbasisSteadySolver:
         etas, _, resid, _, redone, _, rates = self._points(
             np.broadcast_to(gammas, (self.cells, gammas.size)),
             warm_start=self._warm, rates=_rates)
-        if self.n <= DENSE_SOLVE_MAX_N:
+        if self.kernel != "gmres":
             _log.debug(
-                "batched solve n=%d points=%d max_residual=%.2e redone=%d",
-                self.n, etas.size, resid.max(), len(redone))
+                "batched solve n=%d points=%d max_residual=%.2e redone=%d "
+                "kernel=%s", self.n, etas.size, resid.max(), len(redone),
+                self.kernel)
         if _rates:
             rates = rates[:, 0]
             return (etas, rates) if self._stacked else (etas[0], rates[0])
@@ -908,7 +1010,7 @@ class EigenbasisSteadySolver:
         of rates per cell of the index array `cells` (every cell, in order,
         when None), and the result has its shape; all points are solved as
         one batch.  Points are certified as in eta_grid; above
-        DENSE_SOLVE_MAX_N sites each GMRES solve is warm-started from the
+        DIRECT_MAX_N sites each GMRES solve is warm-started from the
         populations of the previous point.  A slope is NaN where the
         certified eta came from the fallback chain (or the cell failed),
         and a rate slope also on the GMRES route: each is a hint for a

@@ -653,6 +653,18 @@ class TestRateSlopeSweeps:
         assert best.kappa == pytest.approx(100.0)
         assert all(math.isfinite(r[5]) for r in records[-2:])
 
+    def test_sweeps_run_on_slopes_above_sixteen_sites(self, caplog):
+        # the map-free kernel (17 to DIRECT_MAX_N sites) solves the
+        # adjoint, so every seed has rate slopes and none runs golden
+        # section, which the GMRES route above it still needs
+        with caplog.at_level(logging.DEBUG, logger="enaqt"):
+            best = max_enaqt("chain", 17, 1, 2)
+        records = [r.args for r in caplog.records
+                   if r.msg.startswith("max_enaqt sweep")]
+        assert len(records) == 2 * analysis.PLANE_SWEEPS
+        assert [r[4] for r in records] == [0] * len(records)
+        assert best.xi > 0.2
+
 
 def _scalar_golden(f, a, b, tol):
     """The one-bracket golden-section maximizer: the oracle for the

@@ -141,12 +141,14 @@ def test_table_enumerates_inequivalent_geometries(capsys):
 
 
 def test_table_reports_rounding_noise_as_no_gain(capsys):
-    # the mirror entry N=4 (trap 1, start 4) has no gain; its best cell
-    # once printed xi = 1.73e-19, rounding noise on an eta of 1e-15
-    _, out, _ = _run_capture(["table", "--n", "4"], capsys)
-    rows = {(r["trap"], r["init"]): r["xi_max"]
-            for r in csv.DictReader(io.StringIO(out))}
-    assert rows[("1", "4")] == "0"
+    # the mirror entries (trap 1, start N) have no gain; their best cells
+    # once printed xi = 1.73e-19 for N=4, rounding noise on an eta of
+    # 1e-15, and xi = 6.5e-19 for N=5, on an eta0 of 8.7e-17
+    for n in (4, 5):
+        _, out, _ = _run_capture(["table", "--n", str(n)], capsys)
+        rows = {(r["trap"], r["init"]): r["xi_max"]
+                for r in csv.DictReader(io.StringIO(out))}
+        assert rows[("1", str(n))] == "0"
 
 
 def test_table_worker_count_gives_identical_bytes(capsys):

@@ -26,7 +26,8 @@ from enaqt import (
     site_density,
     survival_probability,
 )
-from enaqt.solver import _stack_size
+import enaqt.solver as solver_module
+from enaqt.solver import DIRECT_MAX_N, _stack_size
 from dense_oracles import (
     dense_generator,
     dense_lu_branching,
@@ -391,15 +392,23 @@ def test_eigenbasis_engine_matches_dense_lu(topology, n, kappa):
 
 
 def test_engine_switches_above_sixteen_sites():
-    small = SystemSpec("chain", 16, (0,), 1, 1.0, 0.1, 0.5)
-    large = SystemSpec("chain", 17, (0,), 1, 1.0, 0.1, 0.5)
-    assert efficiency_direct(small).method == "direct-eigenbasis"
-    assert efficiency_direct(large).method == "direct-eigenbasis"
+    # maps up to 16 sites, map-free up to DIRECT_MAX_N, GMRES above; each
+    # kernel's certified answer is a "direct-eigenbasis" solve
+    for n, kernel in ((16, "maps"), (17, "map-free"),
+                      (DIRECT_MAX_N, "map-free"), (DIRECT_MAX_N + 1, "gmres")):
+        spec = SystemSpec("chain", n, (0,), 1, 1.0, 0.1, 0.5)
+        assert EigenbasisSteadySolver(spec).kernel == kernel
+        assert efficiency_direct(spec).method == "direct-eigenbasis"
+
+
+def _records(caplog, prefix):
+    return [r.args for r in caplog.records
+            if r.name == "enaqt" and r.msg.startswith(prefix)]
 
 
 def _solve_records(caplog):
-    return [r.args for r in caplog.records
-            if r.name == "enaqt" and r.msg.startswith("eigenbasis solve")]
+    # the fields before the trailing kernel name (see test_kernel_is_named)
+    return [args[:-1] for args in _records(caplog, "eigenbasis solve")]
 
 
 def test_gmres_converges_at_strong_dephasing(caplog):
@@ -437,7 +446,8 @@ def test_leakage_sends_the_solve_to_sparse_lu(caplog, monkeypatch):
 
 
 def test_failed_residual_sends_the_solve_to_sparse_lu(monkeypatch):
-    spec = SystemSpec("ring", 20, (0,), 7, 1.0, 0.1, 3.0)
+    # GMRES route: the patched matvec is the operator it solves with
+    spec = SystemSpec("ring", DIRECT_MAX_N + 1, (0,), 7, 1.0, 0.1, 3.0)
     monkeypatch.setattr(EigenbasisSteadySolver, "_population_matvec",
                         lambda self, a, g2: lambda p: p)
     rep = efficiency_direct(spec)
@@ -480,8 +490,8 @@ def test_dark_state_above_sixteen_sites_is_singular(n):
 
 
 def _batch_records(caplog):
-    return [r.args for r in caplog.records
-            if r.name == "enaqt" and r.msg.startswith("batched solve")]
+    # the fields before the trailing kernel name (see test_kernel_is_named)
+    return [args[:-1] for args in _records(caplog, "batched solve")]
 
 
 @pytest.mark.parametrize("kappa", [2.0 + 1e-9, 2.0])
@@ -654,10 +664,13 @@ def _central_slope(solver, gamma, h=1e-3):
 
 @pytest.mark.parametrize("spec, gammas", [
     # chain N=5, trap 2, start 4 (1-based), near criterion 4's optimum;
-    # assembled population system
+    # population system assembled through the maps
     (SystemSpec("chain", 5, (1,), 3, 100.0, 0.00276, 0.0), (0.1, 3.0, 300.0)),
-    # GMRES route: the forward-sensitivity solve
+    # assembled without the maps
     (SystemSpec("chain", 24, (0,), 1, 3.0, 0.1, 0.0), (0.1, 3.0, 300.0)),
+    # GMRES route: the forward-sensitivity solve
+    (SystemSpec("chain", DIRECT_MAX_N + 1, (0,), 1, 3.0, 0.1, 0.0),
+     (0.1, 3.0, 300.0)),
 ])
 def test_slope_matches_central_differences(spec, gammas):
     solver = EigenbasisSteadySolver(spec)
@@ -711,7 +724,9 @@ def _central_rate_slope(spec, gamma, rate, h=1e-3):
     # chain N=5, trap 2, start 4 (1-based), near criterion 4's optimum
     SystemSpec("chain", 5, (1,), 3, 100.0, 0.00276, 0.0),
     SystemSpec("ring", 4, (0,), 1, 1.0, 0.1, 0.0),
-], ids=["chain5", "ring4"])
+    # the map-free kernel's adjoint
+    SystemSpec("chain", 24, (0,), 1, 3.0, 0.1, 0.0),
+], ids=["chain5", "ring4", "chain24"])
 def test_rate_slopes_match_central_differences(spec):
     # d eta/d log kappa and d eta/d log mu from the adjoint of the slope
     # solve, at gamma = 0 as in a scan's first column and at two rates
@@ -745,10 +760,10 @@ def test_stack_rate_slopes_match_single_cells():
 
 
 def test_rate_slopes_are_nan_without_an_adjoint(monkeypatch):
-    # GMRES route (n > DENSE_SOLVE_MAX_N): no rate slopes at all, though
-    # eta and the gamma slope are still given
-    big = EigenbasisSteadySolver(SystemSpec("chain", 24, (0,), 1, 3.0, 0.1,
-                                            0.0))
+    # GMRES route (n > DIRECT_MAX_N): no rate slopes at all, though eta
+    # and the gamma slope are still given
+    big = EigenbasisSteadySolver(SystemSpec("chain", DIRECT_MAX_N + 1, (0,),
+                                            1, 3.0, 0.1, 0.0))
     eta, slope, rates = big.eta(0.3, _rates=True)
     assert math.isfinite(eta) and math.isfinite(slope)
     assert np.isnan(rates).all()
@@ -761,3 +776,75 @@ def test_rate_slopes_are_nan_without_an_adjoint(monkeypatch):
     assert np.isnan(rates[0, 1]).all()
     assert np.isfinite(rates[0, [0, 2]]).all()
     assert np.isfinite(etas).all()
+
+
+@pytest.mark.parametrize("n", [5, 16])
+def test_map_free_steps_match_the_maps(n, monkeypatch):
+    # the three steps in which the kernels differ, on one eigenbasis: K,
+    # diag(S Y S^dag) and S^-1 Diag(p) S^-dag; then whole grids
+    spec = SystemSpec("chain", n, (0,), 1, 3.0, 0.1, 0.0)
+    maps = EigenbasisSteadySolver(spec)
+    monkeypatch.setattr(solver_module, "MAPS_MAX_N", 0)
+    free = EigenbasisSteadySolver(spec)
+    assert (maps.kernel, free.kernel) == ("maps", "map-free")
+    gammas = np.array([0.0, 0.3, 2000.0])
+    g2 = 2.0 * gammas[:, None]
+    ratio = maps._all.c / (maps._all.c - g2)
+    rng = np.random.default_rng(11)
+    y = rng.normal(size=ratio.shape) + 1j * rng.normal(size=ratio.shape)
+    pops = rng.normal(size=(1, 3, n)) + 1j * rng.normal(size=(1, 3, n))
+    kmat = maps._assemble(maps._all, ratio)
+    np.testing.assert_allclose(free._assemble(free._all, ratio), kmat,
+                               rtol=0, atol=1e-13)
+    assert np.array_equal(kmat.reshape(1, 3, -1), ratio @ maps._all.kmap)
+    for step, arg in (("_diag", y), ("_sandwich", pops)):
+        want = getattr(maps, step)(maps._all, arg)
+        got = getattr(free, step)(free._all, arg)
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=1e-13 * np.abs(want).max())
+    np.testing.assert_allclose(free.eta_grid(gammas), maps.eta_grid(gammas),
+                               rtol=0, atol=1e-13)
+
+
+def test_map_free_grid_in_rate_chunks_matches_single_points(monkeypatch,
+                                                            caplog):
+    spec = SystemSpec("chain", 24, (0,), 1, 3.0, 0.1, 0.0)
+    solver = EigenbasisSteadySolver(spec)
+    gammas = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 7)])
+    # chunks of three rates
+    monkeypatch.setattr(solver_module, "BATCH_BYTES", 3 * 16 * 24 ** 3)
+    batch, chunks = EigenbasisSteadySolver._batch, []
+
+    def counting(self, gammas, *args):
+        chunks.append(gammas.shape)
+        return batch(self, gammas, *args)
+
+    monkeypatch.setattr(EigenbasisSteadySolver, "_batch", counting)
+    with caplog.at_level(logging.DEBUG, logger="enaqt"):
+        etas = solver.eta_grid(gammas)
+    assert chunks == [(1, 3), (1, 3), (1, 2)]
+    ((n, points, max_resid, redone),) = _batch_records(caplog)
+    assert (n, points, redone) == (24, 8, 0)
+    assert max_resid <= 1e-10
+    for gamma, eta in zip(gammas, etas):
+        assert eta == pytest.approx(solver.eta(gamma), abs=1e-14)
+
+
+@pytest.mark.parametrize("n, kernel", [
+    (5, "maps"), (24, "map-free"), (DIRECT_MAX_N + 1, "gmres")])
+def test_kernel_is_named(n, kernel, caplog):
+    # a one-point call leaves a point record; a grid leaves one batched
+    # record on a direct kernel, and one point record per rate where it is
+    # solved one rate at a time: on GMRES, and on the map-free kernel,
+    # whose chunks hold one rate at 24 sites
+    solver = EigenbasisSteadySolver(SystemSpec("chain", n, (0,), 1, 3.0, 0.1,
+                                               0.0))
+    assert solver.kernel == kernel
+    with caplog.at_level(logging.DEBUG, logger="enaqt"):
+        solver.eta(0.3)
+        solver.eta_grid([0.0, 0.3, 3.0])
+    points = _records(caplog, "eigenbasis solve")
+    grids = _records(caplog, "batched solve")
+    assert [r[-1] for r in points] == [kernel] * (1 if kernel == "maps"
+                                                  else 4)
+    assert [r[-1] for r in grids] == ([] if kernel == "gmres" else [kernel])
