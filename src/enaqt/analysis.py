@@ -19,16 +19,18 @@ beside each certified eta.
 Every dephasing optimization, whether of one system (optimize_dephasing),
 of the cells of a plane sweep, of max_enaqt's ranking grid and seeds, or
 of a semi-infinite truncation, runs one path (_scan_refine) over a cell
-stack, an EigenbasisSteadySolver built for up to solver._stack_size(n)
-(kappa, mu) cells of one geometry: one batched scan of the gamma grid for
-all cells, then one elementwise search (_golden, the only maximizer here)
-that refines every cell in lockstep, with one batched solve per step.
-_golden runs the secant search where f gives slopes, and golden section
-where it does not (a cell whose point was served by the solver's
-fallback chain).  max_enaqt's kappa and mu sweeps run on _golden too:
-_scan_refine gives their slopes d xi/d log kappa and d xi/d log mu by the
-envelope theorem, from the solves it makes anyway (see max_enaqt).  How
-many cells a stack holds is the solver's choice.
+stack, an EigenbasisSteadySolver built from one geometry spec and the
+arrays of up to solver._stack_size(n) kappas and mus (no spec per cell):
+one batched scan of the gamma grid for all cells, then one elementwise
+search (_golden, the only maximizer here) that refines every cell in
+lockstep, with one batched solve per step.  _golden runs the secant
+search where f gives slopes, and golden section where it does not (a
+cell whose point was served by the solver's fallback chain).
+max_enaqt's kappa and mu sweeps run on _golden too: _scan_refine gives
+their slopes d xi/d log kappa and d xi/d log mu by the envelope theorem,
+from the solves it makes anyway, and a seed whose xi is 0 at both first
+points of a sweep leaves the lockstep (see max_enaqt).  How many cells a
+stack holds is the solver's choice.
 """
 
 from __future__ import annotations
@@ -348,7 +350,8 @@ class _Secant:
 
 
 class _Found(NamedTuple):
-    """A _golden element whose first call met a point of slope 0."""
+    """A _golden element settled by its first call: at a point of slope
+    0, or, with x NaN, where f was flat at both points (see _element)."""
 
     x: float
     live: bool = False
@@ -358,13 +361,29 @@ class _Found(NamedTuple):
         return self.x
 
 
-def _element(a, b, c, d, values, slopes, tol):
+def _element(a, b, c, d, values, slopes, tol, flat_zero=False):
     """The _golden element of the bracket [a, b] after the first call,
-    which gave the values and slopes (None without) at c and d."""
+    which gave the values and slopes (None without) at c and d.
+
+    With flat_zero, a point of value 0 and no slope lies where f is flat
+    at 0, and shows no direction: an element with two such points stops
+    (result NaN), and one with one such point and a slope at the other
+    runs the secant search from the sloped point alone, on the side its
+    slope points to; its first step probes the end of that side.  Where
+    that side leads back to the zero point, it runs golden section."""
     fc, fd = values
-    if slopes is None or math.isnan(sum(slopes)) or b - a <= tol:
+    if slopes is None or b - a <= tol:
         return _Golden(a, b, c, d, fc, fd, tol)
     sc, sd = slopes
+    if math.isnan(sc + sd):
+        if flat_zero and fd == 0.0 and math.isnan(sd):
+            if fc == 0.0 and math.isnan(sc):
+                return _Found(math.nan)
+            if sc < 0.0:
+                return _Secant(a, c, None, sc, [(c, sc)] * 2, tol)
+        if flat_zero and fc == 0.0 and math.isnan(sc) and sd > 0.0:
+            return _Secant(d, b, sd, None, [(d, sd)] * 2, tol)
+        return _Golden(a, b, c, d, fc, fd, tol)
     if sc == 0.0 or sd == 0.0:
         return _Found(c if sc == 0.0 else d)
     if sc > 0 > sd:
@@ -374,7 +393,7 @@ def _element(a, b, c, d, values, slopes, tol):
     return _Secant(a, c, None, sc, [(d, sd), (c, sc)], tol)
 
 
-def _golden(f, a, b, tol, stats=None):
+def _golden(f, a, b, tol, stats=None, flat_zero=False):
     """Elementwise maximizer of f on each bracket [a[i], b[i]].
 
     f(x, idx) returns the values at the points x of the elements of the
@@ -395,7 +414,12 @@ def _golden(f, a, b, tol, stats=None):
     [a, b] that the signs at c and d leave, and yields the secant root of
     its final bracket, or the end where f still rises.  An element
     without a slope at c or d runs golden section; one that meets a point
-    without a slope later restarts golden section on its bracket.
+    without a slope later restarts golden section on its bracket.  With
+    flat_zero, f >= 0 is flat where it is 0 and has no slope there
+    (max_enaqt's xi): an element whose first two values are both 0 stops
+    and yields NaN, so that its caller keeps its own point, and one with
+    one such value runs the secant search from its sloped point where it
+    can (see _element).
     stats, a dict, receives the calls of f ("steps"), the bisection
     steps of all elements ("bisections"), how many elements ended in
     golden section ("golden"), and the largest |slope| at the last point
@@ -408,8 +432,8 @@ def _golden(f, a, b, tol, stats=None):
     d = [ai + _INVPHI * (bi - ai) for ai, bi in zip(a, b)]
     idx = np.arange(len(a))
     values, slopes = _split(f(np.array([c, d]).T, idx), len(a))
-    elements = [_element(*args) for args in zip(a, b, c, d, values, slopes,
-                                               tol)]
+    elements = [_element(*args, flat_zero=flat_zero)
+                for args in zip(a, b, c, d, values, slopes, tol)]
     # each element's last slope: the smaller of the first two, then the
     # slope of its latest point
     last = [math.nan if pair is None else min(pair, key=abs)
@@ -498,17 +522,22 @@ def _scan_refine(solver, grid_points, refine_tol, rates=False):
     return (results, xi_slopes) if rates else results
 
 
-def _optimize_cells(specs, grid_points=GRID_POINTS, refine_tol=REFINE_TOL,
-                    rates=False):
-    """_scan_refine over specs (one geometry, any rates) in stacks of
-    _stack_size cells; one entry per spec, in order, and with `rates` the
-    pair (entries, d xi/d log(kappa, mu) of shape (len(specs), 2))."""
-    if not specs:
+def _optimize_cells(spec, kappas, mus, grid_points=GRID_POINTS,
+                    refine_tol=REFINE_TOL, rates=False):
+    """_scan_refine over the cells (kappas[i], mus[i]) of the geometry of
+    spec (1-d rate arrays of one length; spec's own rates are ignored) in
+    stacks of _stack_size cells; one entry per cell, in order, and with
+    `rates` the pair (entries, d xi/d log(kappa, mu) of shape
+    (cells, 2))."""
+    kappas = np.asarray(kappas, dtype=float)
+    mus = np.asarray(mus, dtype=float)
+    if not kappas.size:
         return ([], np.empty((0, 2))) if rates else []
-    size = _stack_size(specs[0].n)
-    stacks = [_scan_refine(EigenbasisSteadySolver(specs[i:i + size]),
+    size = _stack_size(spec.n)
+    stacks = [_scan_refine(EigenbasisSteadySolver(spec, kappas[i:i + size],
+                                                  mus[i:i + size]),
                            grid_points, refine_tol, rates)
-              for i in range(0, len(specs), size)]
+              for i in range(0, kappas.size, size)]
     if not rates:
         return [res for stack in stacks for res in stack]
     return ([res for stack, _ in stacks for res in stack],
@@ -555,7 +584,7 @@ def optimize_dephasing(spec: SystemSpec) -> EnaqtResult:
     certification.
     """
     _check_positive_rates(spec.kappa, spec.mu)
-    return _raised(_optimize_cells([spec])[0])
+    return _raised(_optimize_cells(spec, [spec.kappa], [spec.mu])[0])
 
 
 def max_enaqt(topology, n: int, trap_site: int,
@@ -582,12 +611,18 @@ def max_enaqt(topology, n: int, trap_site: int,
     slope, and an optimum on a rate bound is settled by its end probe.
     The solver's two direct kernels (maps up to solver.MAPS_MAX_N sites,
     map-free up to solver.DIRECT_MAX_N) give these slopes; its GMRES
-    route above has no adjoint and gives none.  Where a cell has no slope
-    (xi = 0, a point redone by the fallback chain, or more than
-    DIRECT_MAX_N sites) its seed runs golden section.  Each sweep leaves
-    one DEBUG record: the axis, the seeds, the steps, the bisection steps,
-    how many seeds ran golden section, and the largest |d xi/d log rate|
-    at the seeds' last points.
+    route above has no adjoint and gives none.  xi = 0 (no gain) has no
+    slope either, and shows no direction: a seed with xi = 0 at both
+    first points of a sweep stops there and keeps its own rate, and one
+    with xi = 0 at one of them runs the secant search from the other, on
+    the side its slope points to (golden section where that side leads
+    back to the zero point).  So a geometry without any gain costs one
+    step per sweep, and reports the top seed's own grid cell.  Where a
+    cell has no slope for another reason (a point redone by the fallback
+    chain, or more than DIRECT_MAX_N sites) its seed runs golden section.
+    Each sweep leaves one DEBUG record: the axis, the seeds, the steps,
+    the bisection steps, how many seeds ran golden section, and the
+    largest |d xi/d log rate| at the seeds' last points.
 
     Sites are 1-based.
     """
@@ -602,9 +637,8 @@ def max_enaqt(topology, n: int, trap_site: int,
         # one result per broadcast (kappa, mu) pair, in row-major order, and
         # with `rates` their d xi/d log(kappa, mu), shape (pairs, 2)
         kappas, mus = np.broadcast_arrays(kappas, mus)
-        out = _optimize_cells([spec0.with_rates(kappa=kv, mu=mv)
-                               for kv, mv in zip(kappas.flat, mus.flat)],
-                              *search, rates=rates)
+        out = _optimize_cells(spec0, kappas.ravel(), mus.ravel(), *search,
+                              rates=rates)
         results, slopes = out if rates else (out, None)
         return [_raised(res) for res in results], slopes
 
@@ -649,11 +683,13 @@ def max_enaqt(topology, n: int, trap_site: int,
             center = _log(kk if axis == 0 else mm)
             stats = {}
             x = _golden(val, np.maximum(center - step, lo_log),
-                        np.minimum(center + step, hi_log), 1e-3, stats)
+                        np.minimum(center + step, hi_log), 1e-3, stats,
+                        flat_zero=True)
+            # a seed with xi = 0 at both first points keeps its own rate
             if axis == 0:
-                kk = _exp(x)
+                kk = np.where(np.isnan(x), kk, _exp(x))
             else:
-                mm = _exp(x)
+                mm = np.where(np.isnan(x), mm, _exp(x))
             _logger.debug(
                 "max_enaqt sweep axis=%s seeds=%d steps=%d bisections=%d "
                 "golden=%d max_abs_slope=%.2e", ("kappa", "mu")[axis],
@@ -895,7 +931,7 @@ def infinite_chain_enaqt(kappa: float, mu: float,
                 f"{SITE_CAP_INFINITE} sites ({n} needed, best delta "
                 f"{delta:.3e})", achieved_delta=delta)
         return EigenbasisSteadySolver(
-            [semi_infinite_spec(kappa, mu, 0.0, offset, *sizes)])
+            semi_infinite_spec(kappa, mu, 0.0, offset, *sizes), kappa, mu)
 
     def etas(sizes, gammas):
         # eta of the truncation at gammas, solving only the new rates
@@ -959,8 +995,8 @@ def _sweep_batch(task):
         results = [_attempt(infinite_chain_enaqt, kv, mv, offset)
                    for kv, mv in rates]
     else:
-        results = _optimize_cells([spec0.with_rates(kappa=kv, mu=mv)
-                                   for kv, mv in rates])
+        kappas, mus = np.array(rates, dtype=float).T
+        results = _optimize_cells(spec0, kappas, mus)
     return [(res.eta0, res.xi, res.gamma_opt, None)
             if isinstance(res, EnaqtResult)
             else (math.nan, math.nan, math.nan,

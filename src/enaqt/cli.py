@@ -3,7 +3,7 @@
 Subcommands map one-to-one onto the library layer:
 
     efficiency -> efficiency_direct       (one point)
-    curve      -> EigenbasisSteadySolver  (one solver, efficiency per gamma)
+    curve      -> EigenbasisSteadySolver  (one solver, one call for the grid)
     optimize   -> optimize_dephasing      (gamma_opt, xi)
     sweep      -> plane_sweep             (long-form rows, one per cell)
     table      -> max_enaqt               (all trap/init pairs for one N)
@@ -286,19 +286,17 @@ def run(cfg: RunConfig) -> list:
     if sub == "curve":
         gammas = [0.0] + _grid(cfg.gamma_min, cfg.gamma_max,
                                cfg.gamma_points, cfg.gamma_scale)
-        solver = EigenbasisSteadySolver(_spec(cfg))
-        records = []
-        for g in gammas:
-            eta, eta_loss, resid, method = solver.efficiency(g)[:4]
-            records.append({
-                "topology": cfg.topology, "n": cfg.n, "trap": cfg.trap,
-                "init": cfg.init, "kappa": cfg.kappa, "mu": cfg.mu,
-                "gamma": g,
-                "eta": eta, "eta_loss": eta_loss,
-                "method": method, "residual": resid,
-                "version": __version__,
-            })
-        return records
+        etas, losses, resids, methods = EigenbasisSteadySolver(
+            _spec(cfg)).efficiencies(gammas)
+        return [{
+            "topology": cfg.topology, "n": cfg.n, "trap": cfg.trap,
+            "init": cfg.init, "kappa": cfg.kappa, "mu": cfg.mu,
+            "gamma": g,
+            "eta": eta, "eta_loss": eta_loss,
+            "method": method, "residual": resid,
+            "version": __version__,
+        } for g, eta, eta_loss, resid, method in zip(
+            gammas, etas.tolist(), losses.tolist(), resids.tolist(), methods)]
     if sub == "optimize":
         res = optimize_dephasing(_spec(cfg))
         return [{

@@ -214,14 +214,18 @@ def build_attenuation(n, trap_sites, kappa, mu) -> np.ndarray:
     return np.diag(diag)
 
 
+def _hopping(spec: SystemSpec) -> np.ndarray:
+    """The hopping part of spec's H, which does not depend on the rates."""
+    if spec.topology is Topology.RING:
+        return build_ring_hamiltonian(spec.n, spec.v)
+    # The truncated-infinite geometry is an open chain.
+    return build_chain_hamiltonian(spec.n, spec.v)
+
+
 def build_hamiltonian(spec: SystemSpec) -> np.ndarray:
     """Total single-particle generator H = hopping + attenuation."""
-    if spec.topology is Topology.RING:
-        h0 = build_ring_hamiltonian(spec.n, spec.v)
-    else:
-        # The truncated-infinite geometry is an open chain.
-        h0 = build_chain_hamiltonian(spec.n, spec.v)
-    return h0 + build_attenuation(spec.n, spec.trap_sites, spec.kappa, spec.mu)
+    return _hopping(spec) + build_attenuation(spec.n, spec.trap_sites,
+                                              spec.kappa, spec.mu)
 
 
 def population_index(n: int, site: int) -> int:

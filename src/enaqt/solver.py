@@ -56,10 +56,10 @@ from .model import (
     DensityState,
     SystemSpec,
     _generator,
+    _hopping,
     _left,
     _right,
     as_density_vec,
-    build_hamiltonian,
     build_liouvillian,
     population_index,
     site_density,
@@ -342,11 +342,6 @@ def _accepted(resid, eta, eta_loss, bound):
             & (np.abs(eta_loss.imag) <= REAL_TOL))
 
 
-def _geometry(spec):
-    return (spec.topology, spec.n, spec.trap_sites, spec.initial_site,
-            spec.v, spec.offset)
-
-
 def _stack_size(n):
     """Cells per stack of n-site cells: as many as keep their n^2 x n^2
     maps (16 n^4 bytes a cell) within STACK_BYTES, and at least one: 26 at
@@ -357,9 +352,11 @@ def _stack_size(n):
 
 class _Cells(NamedTuple):
     """Per-cell arrays of EigenbasisSteadySolver, each with a leading cell
-    axis; see EigenbasisSteadySolver._build_maps for the last five:
-    weights0 exists up to DIRECT_MAX_N sites, kmap, emap and fmap up to
-    MAPS_MAX_N sites, and dmat above that."""
+    axis, built from one geometry and the rate arrays of its cells (so
+    two_kappa and two_mu are those arrays, doubled); see
+    EigenbasisSteadySolver._build_maps for the last five: weights0 exists
+    at every size, kmap, emap and fmap up to MAPS_MAX_N sites, and dmat
+    from there to DIRECT_MAX_N sites."""
 
     c: np.ndarray          # -i(lam_p - conj lam_q), shape (cells, 1, n^2)
     s: np.ndarray          # S
@@ -461,18 +458,23 @@ class EigenbasisSteadySolver:
     slopes are NaN where the gamma slope is, and on the GMRES route, which
     has no adjoint.
 
-    A solver is built from one SystemSpec, or from a cell stack: a
-    sequence of specs that share one geometry and differ only in
-    (kappa, mu), which gives every array a leading cell axis.  A stack is
-    built with one stacked eigendecomposition and one stacked map, and
-    each call of eta_grid or eta solves a (cells x rates) array of points
-    at once: per cell, one matrix product applies a map, or S, S^dag or H,
-    to all its rates together, and one stacked solve covers every point
-    (a single LAPACK solve for one cell and one rate).  Above MAPS_MAX_N
-    sites a stack holds one cell; the map-free kernel solves its points
-    in chunks of rates of at most BATCH_BYTES of n^3 temporaries, and
-    above DIRECT_MAX_N sites GMRES solves them one by one, warm-started
-    along the calls.
+    A solver is built from one SystemSpec, EigenbasisSteadySolver(spec),
+    or as a cell stack from the geometry of one spec and two rate arrays,
+    EigenbasisSteadySolver(spec, kappa, mu): cell i has the rates
+    (kappa[i], mu[i]) (finite and >= 0, else ValidationError), and spec's
+    own rates are ignored.  No spec is built per cell: H of every cell is
+    the geometry's hopping matrix plus one diagonal, -i(mu + kappa on the
+    traps), bit for bit as build_hamiltonian gives it, and every array
+    gets a leading cell axis.  A stack is built with one stacked
+    eigendecomposition and one stacked map, and each call of eta_grid or
+    eta solves a (cells x rates) array of points at once: per cell, one
+    matrix product applies a map, or S, S^dag or H, to all its rates
+    together, and one stacked solve covers every point (a single LAPACK
+    solve for one cell and one rate).  Above MAPS_MAX_N sites a stack
+    holds one cell; the map-free kernel solves its points in chunks of
+    rates of at most BATCH_BYTES of n^3 temporaries, and above
+    DIRECT_MAX_N sites GMRES solves them one by one, warm-started along
+    the calls.
 
     efficiency, eta and eta_grid run one point path (_points) for rates
     that are finite and >= 0 (ValidationError otherwise): (1) solve the
@@ -491,45 +493,58 @@ class EigenbasisSteadySolver:
     counts the accepted points per method.  `kernel` names the kernel
     ("maps", "map-free" or "gmres"), and so does the DEBUG record that
     every point solved alone (a one-point call, a GMRES point, a
-    fallback) and every eta_grid call of a direct kernel leaves.
+    fallback) and every eta_grid or efficiencies call of a direct kernel
+    leaves.  efficiencies gives what efficiency gives for each rate of a
+    grid, method included, from one call of the point path.
     """
 
     GMRES_RESTART = 60
     GMRES_MAXITER = 10
 
-    def __init__(self, spec):
-        self._stacked = not isinstance(spec, SystemSpec)
-        specs = [s if s.gamma == 0.0 else s.with_gamma(0.0)
-                 for s in (spec if self._stacked else [spec])]
-        if not specs:
-            raise ValidationError("a cell stack needs at least one spec")
-        if any(_geometry(s) != _geometry(specs[0]) for s in specs[1:]):
+    def __init__(self, spec, kappa=None, mu=None):
+        if not isinstance(spec, SystemSpec):
             raise ValidationError(
-                "the cells of a stack must share one geometry and differ "
-                "only in kappa and mu")
-        self.n = n = specs[0].n
-        if n > MAPS_MAX_N and len(specs) > 1:
+                f"a solver is built from one SystemSpec, got {spec!r}")
+        self._stacked = kappa is not None or mu is not None
+        if self._stacked:
+            kappa, mu = (np.array(v, dtype=float).reshape(-1)
+                         for v in np.broadcast_arrays(kappa, mu))
+            if kappa.size == 0:
+                raise ValidationError("a cell stack needs at least one cell")
+            for name, rates in (("kappa", kappa), ("mu", mu)):
+                good = np.isfinite(rates) & (rates >= 0.0)
+                if not good.all():
+                    raise ValidationError(
+                        f"{name}={float(rates[~good][0])!r} must be finite "
+                        "and >= 0")
+        else:
+            kappa, mu = np.array([spec.kappa]), np.array([spec.mu])
+        self.n = n = spec.n
+        if n > MAPS_MAX_N and kappa.size > 1:
             raise ValidationError(
                 f"a stack above {MAPS_MAX_N} sites holds one cell")
         self.kernel = ("maps" if n <= MAPS_MAX_N else
                        "map-free" if n <= DIRECT_MAX_N else "gmres")
-        self.specs = specs
-        self.cells = cells = len(specs)
-        h = np.stack([build_hamiltonian(s) for s in specs])
+        self.cells = cells = kappa.size
+        self.tidx = np.asarray(spec.trap_sites, dtype=int)
+        self._trap_indicator = np.zeros(n, dtype=complex)
+        self._trap_indicator[self.tidx] = 1.0
+        # H = hopping - i(mu + kappa on the traps), bit for bit as
+        # build_hamiltonian: the hopping part has a zero diagonal
+        h = np.repeat(_hopping(spec)[None], cells, axis=0)
+        sites = np.arange(n)
+        h.imag[:, sites, sites] -= (mu[:, None] + kappa[:, None]
+                                    * self._trap_indicator.real)
         lam, s = np.linalg.eig(h)
         sinv = np.linalg.inv(s)
         c = -1j * (lam[:, :, None] - lam[:, None, :].conj())
-        two_rates = 2.0 * np.array([[x.kappa, x.mu] for x in specs])
-        self.tidx = np.asarray(specs[0].trap_sites, dtype=int)
-        self._trap_indicator = np.zeros(n, dtype=complex)
-        self._trap_indicator[self.tidx] = 1.0
         self._ids = np.arange(cells)
-        self._rhs0 = -site_density(n, specs[0].initial_site)
+        self._init = spec.initial_site
+        self._rhs0 = -site_density(n, spec.initial_site)
         self._all = _Cells(
             c.reshape(cells, 1, n * n), s, s.conj().transpose(0, 2, 1), sinv,
-            -1j * h, -1j * h.conj().transpose(0, 2, 1), two_rates[:, :1],
-            two_rates[:, 1:],
-            **(self._build_maps(s, sinv) if n <= DIRECT_MAX_N else {}))
+            -1j * h, -1j * h.conj().transpose(0, 2, 1), 2.0 * kappa[:, None],
+            2.0 * mu[:, None], **self._build_maps(s, sinv))
         self._warm = None  # GMRES start: the last point's populations
         self.routes = Counter()  # accepted points per method
         self.failed = {}  # cell index -> SingularSystemError, stacks only
@@ -549,11 +564,17 @@ class EigenbasisSteadySolver:
         need 1 MB of them, returned to the system and faulted in again on
         every call).  Above MAPS_MAX_N sites only weights0 and
         dmat[p, lj] = C[l, j, p] = S[l, p] S^-1[p, j] (n^3 numbers) are
-        kept (see _assemble).
+        kept (see _assemble), and above DIRECT_MAX_N sites only weights0,
+        as the outer product of a column of S^-1 (see _gmres).
         """
         n = self.n
         nn = n * n
         cells = len(s)
+        if self.kernel == "gmres":
+            # rank one, -S^-1[:, i] conj(S^-1[:, i])^T: no n x n products
+            col = sinv[:, :, self._init]
+            return {"weights0": -(col[:, :, None] * col.conj()[:, None, :]
+                                  ).reshape(cells, 1, nn)}
         st, sinvt = s.transpose(0, 2, 1), sinv.transpose(0, 2, 1)
         weights0 = (sinv @ self._rhs0.reshape(n, n)
                     @ sinvt.conj()).reshape(cells, 1, nn)
@@ -714,18 +735,25 @@ class EigenbasisSteadySolver:
     def _gmres(self, g2, a, rhs, warm_start, stats, slope=False):
         """_kernel for one point of one cell: p = diag(X) solves
         (I + 2*gamma*M) p = diag(A^-1 rhs) by GMRES from warm_start, and
-        X = A^-1(rhs - 2*gamma*Diag p) is then rebuilt cancellation-free.
-        With slope, a second GMRES solve with the same matvec gives the
-        forward sensitivity dp/d gamma from db - dK p (see the class
-        docstring).
+        X = S (Y - F o R) S^dag + Diag(p) is then rebuilt cancellation-free,
+        with Y = (S^-1 rhs S^-dag) / (c - 2*gamma) and F = S^-1 Diag(p)
+        S^-dag.  With slope, a second GMRES solve with the same matvec
+        gives the forward sensitivity dp/d gamma from
+        db - dK p = diag(S Z S^dag), Z = 2 (Y - F o R) / (c - 2*gamma) (see
+        the class docstring).  Besides the matvecs a point costs four n x n
+        products (b, F and X), and one more with slope: S^-1 rhs S^-dag is
+        the solver's weights0 for the initial site's rhs.
         stats collects the GMRES info flag and the matvec count."""
         n = self.n
         s, sdag, sinv = a.s[0], a.sdag[0], a.sinv[0]
         c = a.c[0, 0].reshape(n, n)
-        weights = sinv @ rhs.reshape(n, n) @ sinv.conj().T
-        x = s @ (weights / (c - g2)) @ sdag
+        weights = (a.weights0 if rhs is self._rhs0 else
+                   sinv @ rhs.reshape(n, n) @ sinv.conj().T).reshape(n, n)
+        y = weights / (c - g2)
         dtrap = np.zeros((1, 1), dtype=complex) if slope else None
-        if g2 != 0.0:
+        if g2 == 0.0:
+            x = s @ y @ sdag
+        else:
             apply = self._population_matvec(a, g2)
 
             def matvec(p):
@@ -734,16 +762,16 @@ class EigenbasisSteadySolver:
 
             op = spla.LinearOperator((n, n), matvec=matvec, dtype=complex)
             pops, stats["info"] = spla.gmres(
-                op, x.diagonal(), x0=warm_start, rtol=1e-12, atol=0.0,
-                restart=self.GMRES_RESTART, maxiter=self.GMRES_MAXITER)
-            pmat = np.diag(pops)
-            fixed = (sinv @ pmat @ sinv.conj().T) * (c / (c - g2))
-            x += pmat - s @ fixed @ sdag
+                op, ((s @ y) * s.conj()).sum(axis=1), x0=warm_start,
+                rtol=1e-12, atol=0.0, restart=self.GMRES_RESTART,
+                maxiter=self.GMRES_MAXITER)
+            y -= ((sinv * pops) @ sinv.conj().T) * (c / (c - g2))
+            x = s @ y @ sdag
+            x.reshape(-1)[::n + 1] += pops
             if slope:
-                z = 2.0 * (weights / (c - g2) - fixed) / (c - g2)
                 dpops, info = spla.gmres(
-                    op, ((s @ z) * s.conj()).sum(axis=1), rtol=1e-12,
-                    atol=0.0, restart=self.GMRES_RESTART,
+                    op, ((s @ (2.0 * y / (c - g2))) * s.conj()).sum(axis=1),
+                    rtol=1e-12, atol=0.0, restart=self.GMRES_RESTART,
                     maxiter=self.GMRES_MAXITER)
                 dtrap[0, 0] = dpops[self.tidx].sum() if info == 0 else np.nan
         return (x.reshape(1, 1, n * n), x.diagonal().reshape(1, 1, n).copy(),
@@ -785,7 +813,7 @@ class EigenbasisSteadySolver:
     def _singular(self, k, gamma, message):
         """SingularSystemError of cell k at gamma, with the dark-state hint
         when the cell has mu = 0 (a dark state makes L exactly singular)."""
-        if self.specs[k].mu == 0:
+        if self._all.two_mu[k, 0] == 0:
             message += ("; with mu = 0 a dark state never decays -- "
                         "evaluate at mu = 1e-8 for the mu -> 0+ limit")
         return SingularSystemError(f"gamma={gamma:g}: {message}")
@@ -838,11 +866,12 @@ class EigenbasisSteadySolver:
         """The point path for the rates gammas[i, j] of cell ids[i] (cells
         as in _select): solve, certify, then the fallback chain for every
         rejected point.  Returns (eta, eta_loss, residual, populations,
-        route of each redone point, None where its cell failed, slope,
-        rate slopes): slope is d eta/d log gamma where the kernel's answer
-        was certified, NaN at every redone point, or None without `slope`;
-        rate slopes are d eta/d log(kappa, mu) on the points of _kernel's
-        drates, NaN likewise, or None without `rates`."""
+        (i, j, route) of each redone point, route None where its cell
+        failed, slope, rate slopes): slope is d eta/d log gamma where the
+        kernel's answer was certified, NaN at every redone point, or None
+        without `slope`; rate slopes are d eta/d log(kappa, mu) on the
+        points of _kernel's drates, NaN likewise, or None without
+        `rates`."""
         stats = {"info": None, "matvecs": 0}
         g2 = 2.0 * (gammas.item() if gammas.size == 1 else gammas[..., None])
         a = self._select(cells)
@@ -878,7 +907,7 @@ class EigenbasisSteadySolver:
                     if not self._stacked:
                         raise
                     self.failed[k] = err
-            redone.append(route)
+            redone.append((int(i), int(j), route))
         if len(redone) < gammas.size:
             if gammas.size == 1:
                 self._record(gammas.item(), "direct-eigenbasis", stats)
@@ -897,7 +926,7 @@ class EigenbasisSteadySolver:
     def _points(self, gammas, cells=None, rho0=None, warm_start=None,
                 slope=False, rates=False):
         """The one point path: (eta, eta_loss, residual, populations,
-        routes of the redone points, slopes, rate slopes) at the rates
+        (i, j, route) of the redone points, slopes, rate slopes) at the rates
         gammas[i, j] of cell cells[i] (of cell i when cells is None) from
         rho0 (the initial site when None), NaN for a failed cell.  slopes
         holds d eta/d log gamma (NaN where the point was redone or its cell
@@ -932,7 +961,7 @@ class EigenbasisSteadySolver:
             out = self._batch(gammas, cells, ids, rhs, bnorm, warm_start,
                               slope, rates)
         else:
-            parts = []
+            parts, redone = [], []
             for i in range(0, k if by_rate else rows, size):
                 if by_rate:  # a chunk of rates
                     at, sel = np.s_[:, i:i + size], cells
@@ -943,10 +972,12 @@ class EigenbasisSteadySolver:
                 parts.append(self._batch(gammas[at], sel, ids[at[0]], rhs,
                                          bnorm, warm_start, slope, rates))
                 warm_start = parts[-1][3][0, -1]
+                redone += [(r, j + i, route) if by_rate else (r + i, j, route)
+                           for r, j, route in parts[-1][4]]
             out = [None if arrays[0] is None else
                    np.concatenate(arrays, axis=int(by_rate))
                    for arrays in zip(*(p[:4] + p[5:] for p in parts))]
-            out.insert(4, [route for p in parts for route in p[4]])
+            out.insert(4, redone)
         eta, eta_loss, resid, pops, redone, slopes, rslopes = out
         if self.kernel == "gmres":
             self._warm = pops[0, -1]
@@ -967,8 +998,34 @@ class EigenbasisSteadySolver:
         eta, eta_loss, resid, pops, redone = self._points(
             np.array([[gamma]], dtype=float), self._ids[:1], rho0)[:5]
         return (float(eta[0, 0]), float(eta_loss[0, 0]), float(resid[0, 0]),
-                redone[0] if redone else "direct-eigenbasis",
+                redone[0][2] if redone else "direct-eigenbasis",
                 pops[0, 0].copy())
+
+    def efficiencies(self, gammas):
+        """(eta, eta_loss, residual, methods) at every rate of the 1-d
+        array gammas, on a one-cell solver: three arrays of shape (G,) and
+        a list of G methods, each as efficiency gives it for that rate
+        alone.  The grid is one call of the point path, solved as eta_grid
+        solves it."""
+        eta, eta_loss, resid, _, redone = self._grid(
+            np.asarray(gammas, dtype=float))[:5]
+        methods = ["direct-eigenbasis"] * eta.shape[1]
+        for _, j, route in redone:
+            methods[j] = route
+        return eta[0], eta_loss[0], resid[0], methods
+
+    def _grid(self, gammas, rates=False):
+        """_points at every rate of the 1-d array gammas for every cell,
+        warm-started where the last call ended; a direct kernel leaves one
+        DEBUG record."""
+        out = self._points(np.broadcast_to(gammas, (self.cells, gammas.size)),
+                           warm_start=self._warm, rates=rates)
+        if self.kernel != "gmres":
+            _log.debug(
+                "batched solve n=%d points=%d max_residual=%.2e redone=%d "
+                "kernel=%s", self.n, out[0].size, out[2].max(), len(out[4]),
+                self.kernel)
+        return out
 
     def eta_grid(self, gammas, _rates=False):
         """eta for the initial site at every rate of the 1-d array gammas,
@@ -985,15 +1042,8 @@ class EigenbasisSteadySolver:
         d eta/d log(kappa, mu) at gamma = 0), the latter of shape
         (cells, 2) or (2,), from the closed form at K = I: no extra solve.
         """
-        gammas = np.asarray(gammas, dtype=float)
-        etas, _, resid, _, redone, _, rates = self._points(
-            np.broadcast_to(gammas, (self.cells, gammas.size)),
-            warm_start=self._warm, rates=_rates)
-        if self.kernel != "gmres":
-            _log.debug(
-                "batched solve n=%d points=%d max_residual=%.2e redone=%d "
-                "kernel=%s", self.n, etas.size, resid.max(), len(redone),
-                self.kernel)
+        etas, _, _, _, _, _, rates = self._grid(
+            np.asarray(gammas, dtype=float), _rates)
         if _rates:
             rates = rates[:, 0]
             return (etas, rates) if self._stacked else (etas[0], rates[0])

@@ -404,9 +404,9 @@ def _spy_solver_sizes(monkeypatch):
     sizes = []
 
     class Spy(EigenbasisSteadySolver):
-        def __init__(self, specs):  # analysis builds from cell stacks
-            sizes.append(specs[0].n)
-            super().__init__(specs)
+        def __init__(self, spec, kappa, mu):  # analysis builds cell stacks
+            sizes.append(spec.n)
+            super().__init__(spec, kappa, mu)
 
     monkeypatch.setattr(analysis, "EigenbasisSteadySolver", Spy)
     return sizes
@@ -524,13 +524,16 @@ class TestSearchArguments:
     def test_tolerance_below_an_ulp_terminates(self):
         # the golden bracket cannot shrink below one ulp of log gamma; the
         # search stops there instead of looping
-        fine = analysis._optimize_cells([self.SPEC], 64, 1e-300)[0]
+        fine = analysis._optimize_cells(self.SPEC, [self.SPEC.kappa],
+                                        [self.SPEC.mu], 64, 1e-300)[0]
         ref = optimize_dephasing(self.SPEC)
         assert fine.gamma_opt == pytest.approx(ref.gamma_opt, rel=1e-3)
         assert fine.xi == pytest.approx(ref.xi, abs=1e-9)
 
     def test_single_point_grid(self):
-        res = analysis._optimize_cells([self.SPEC], 1, analysis.REFINE_TOL)[0]
+        res = analysis._optimize_cells(self.SPEC, [self.SPEC.kappa],
+                                       [self.SPEC.mu], 1,
+                                       analysis.REFINE_TOL)[0]
         assert res.eta0 == pytest.approx(dense_lu_branching(self.SPEC)[0],
                                          abs=1e-12)
 
@@ -584,7 +587,8 @@ class TestRateSlopeSweeps:
     ], ids=["chain5", "ring4"])
     def test_envelope_slope_matches_central_difference(self, spec):
         (res,), slopes = analysis._scan_refine(
-            EigenbasisSteadySolver([spec]), analysis.GRID_POINTS,
+            EigenbasisSteadySolver(spec, [spec.kappa], [spec.mu]),
+            analysis.GRID_POINTS,
             analysis.REFINE_TOL, rates=True)
         assert res.xi > 0.05
         h = 1e-3
@@ -596,7 +600,8 @@ class TestRateSlopeSweeps:
                 # sees xi and not where the refinement stopped
                 moved = spec.with_rates(**{rate: math.exp(x + dx)})
                 return analysis._optimize_cells(
-                    [moved], analysis.GRID_POINTS, 1e-8)[0].xi
+                    moved, [moved.kappa], [moved.mu], analysis.GRID_POINTS,
+                    1e-8)[0].xi
 
             want = (8.0 * (xi(h) - xi(-h)) - (xi(2 * h) - xi(-2 * h))) / (
                 12.0 * h)
@@ -605,19 +610,19 @@ class TestRateSlopeSweeps:
     def test_no_gain_no_slope(self):
         # trap 2, start 4 of the five-site chain has xi = 0 at kappa 1,
         # mu 0.1; a slope there would steer a sweep by rounding noise
-        specs = [SystemSpec("chain", 5, (1,), 3, 1.0, 0.1, 0.0),
-                 SystemSpec("chain", 5, (1,), 3, 100.0, 0.00276, 0.0)]
-        results, slopes = analysis._optimize_cells(specs, rates=True)
+        spec = SystemSpec("chain", 5, (1,), 3, 1.0, 0.1, 0.0)
+        cells = spec, [1.0, 100.0], [0.1, 0.00276]
+        results, slopes = analysis._optimize_cells(*cells, rates=True)
         assert results[0].xi == 0.0 and results[0].gamma_opt == 0.0
         assert np.isnan(slopes[0]).all()
         assert results[1].xi > 0.06 and np.isfinite(slopes[1]).all()
-        assert results == analysis._optimize_cells(specs)
+        assert results == analysis._optimize_cells(*cells)
 
     @pytest.mark.parametrize("geometry, calls", [
-        (("chain", 5, 2, 4), 37),
-        # antipodal ring: xi = 0 everywhere, so no slopes and every sweep
-        # runs golden section
-        (("ring", 4, 1, 3), 92),
+        (("chain", 5, 2, 4), 29),
+        # antipodal ring: xi = 0 everywhere, so every seed stops after the
+        # first step of each sweep
+        (("ring", 4, 1, 3), 8),
     ])
     def test_sweep_call_count(self, monkeypatch, geometry, calls):
         # the ranking grid, the sweep steps and the final optimizations;
@@ -644,7 +649,7 @@ class TestRateSlopeSweeps:
         assert all(r[1] == analysis.PLANE_STARTS for r in records)
         # steps: the calls of test_sweep_call_count less the ranking grid
         # and the final optimizations
-        assert sum(r[2] for r in records) == 37 - 2
+        assert sum(r[2] for r in records) == 29 - 2
         for axis, seeds, steps, bisections, golden, largest in records:
             assert 0 <= bisections < steps and 0 <= golden <= seeds
         # the last sweeps run on slopes: kappa ends on the bound 100,
@@ -652,6 +657,28 @@ class TestRateSlopeSweeps:
         assert records[-2][4] == records[-1][4] == 0
         assert best.kappa == pytest.approx(100.0)
         assert all(math.isfinite(r[5]) for r in records[-2:])
+
+    def test_seeds_without_gain_keep_their_points(self, caplog):
+        # the antipodal ring has xi = 0 everywhere: every seed stops after
+        # the first step of every sweep and keeps its own grid cell
+        with caplog.at_level(logging.DEBUG, logger="enaqt"):
+            best = max_enaqt("ring", 4, 1, 3)
+        records = [r.args for r in caplog.records
+                   if r.msg.startswith("max_enaqt sweep")]
+        assert len(records) == 2 * analysis.PLANE_SWEEPS
+        assert [(r[2], r[4]) for r in records] == [(1, 0)] * len(records)
+        grid = np.geomspace(*analysis.RATE_BOUNDS, analysis.PLANE_POINTS)
+        assert best.xi == 0.0
+        assert best.kappa in grid.tolist() and best.mu in grid.tolist()
+
+    def test_seed_with_one_zero_point_runs_on_its_slope(self, caplog):
+        # a seed of the five-site chain meets xi = 0 at one first point of
+        # the first kappa sweep; it runs the secant search from the other
+        with caplog.at_level(logging.DEBUG, logger="enaqt"):
+            max_enaqt("chain", 5, 2, 4)
+        first = next(r.args for r in caplog.records
+                     if r.msg.startswith("max_enaqt sweep"))
+        assert first[0] == "kappa" and first[4] == 0
 
     def test_sweeps_run_on_slopes_above_sixteen_sites(self, caplog):
         # the map-free kernel (17 to DIRECT_MAX_N sites) solves the
@@ -813,6 +840,30 @@ def test_slope_mode_takes_few_steps():
     assert stats["steps"] <= 8 and stats["bisections"] == 0
 
 
+def test_flat_zero_elements():
+    # f = max(0, 1 - (x - p)^2), without a slope where it is 0
+    peaks = np.array([10.0, -0.9, 0.9, 0.1])
+
+    def f(x, idx):
+        p = peaks[idx].reshape((-1,) + (1,) * (x.ndim - 1))
+        value = np.maximum(0.0, 1.0 - (x - p) ** 2)
+        return value, np.where(value > 0, -2.0 * (x - p), math.nan)
+
+    stats = {}
+    got = analysis._golden(f, np.full(4, -1.0), np.full(4, 1.0), 1e-6, stats,
+                           flat_zero=True)
+    # no gain at either first point: the element stops, and its caller
+    # keeps its own point; a zero at one first point: the secant search
+    # from the other, on the side its slope points to
+    assert math.isnan(got[0])
+    np.testing.assert_allclose(got[1:], peaks[1:], rtol=0, atol=1e-6)
+    assert stats["golden"] == 0
+    # without flat_zero, the first two run golden section
+    stats = {}
+    got = analysis._golden(f, np.full(4, -1.0), np.full(4, 1.0), 1e-6, stats)
+    assert stats["golden"] == 3
+
+
 @st.composite
 def _cells(draw):
     n = draw(st.integers(3, 9))
@@ -829,7 +880,7 @@ def _stack_etas(topology, n, trap, init, rates, gammas):
     """eta through one cell stack and through efficiency_direct."""
     specs = [SystemSpec(topology, n, (trap - 1,), init - 1, k, m, 0.0)
              for k, m in rates]
-    stacked = EigenbasisSteadySolver(specs).eta_grid(gammas)
+    stacked = EigenbasisSteadySolver(specs[0], *zip(*rates)).eta_grid(gammas)
     direct = np.array([[efficiency_direct(s.with_gamma(g)).eta
                         for g in gammas] for s in specs])
     return stacked, direct
@@ -919,9 +970,8 @@ class TestCellStacks:
                                   getattr(clean, name)[keep])
 
     def test_stack_cells_share_one_geometry(self):
-        with pytest.raises(ValidationError, match="geometry"):
-            EigenbasisSteadySolver([SystemSpec("chain", 4, (0,), 2, 1, 1, 0),
-                                    SystemSpec("chain", 4, (0,), 1, 1, 1, 0)])
+        # a stack is one spec's geometry and arrays of rates, so its cells
+        # share that geometry by construction; above 16 sites it holds one
         with pytest.raises(ValidationError, match="one cell"):
-            EigenbasisSteadySolver(
-                [semi_infinite_spec(1, 0.5, 0, 1, 9, 9)] * 2)
+            EigenbasisSteadySolver(semi_infinite_spec(1, 0.5, 0, 1, 9, 9),
+                                   [1.0, 1.0], [0.5, 0.5])

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import enaqt
@@ -372,3 +373,68 @@ def test_importing_the_cli_does_not_load_scipy_integrate():
         env={**os.environ, "PYTHONPATH": src}, capture_output=True,
         text=True, check=True).stdout
     assert loaded == "False\n"
+
+
+def _per_gamma_rows(cfg):
+    """The curve as one efficiency call per gamma, as (eta, eta_loss,
+    method) rows: the oracle of the batched curve."""
+    solver = enaqt.EigenbasisSteadySolver(cli._spec(cfg))
+    return [solver.efficiency(row["gamma"]) for row in run(cfg)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--topology", "chain", "--n", "8", "--trap", "1", "--init", "3",
+     "--kappa", "1", "--mu", "0.1"],
+    ["--topology", "ring", "--n", "6", "--trap", "1", "--init", "3",
+     "--kappa", "3", "--mu", "0.01", "--gamma-points", "12"],
+    # the map-free kernel, in chunks of one rate
+    ["--topology", "chain", "--n", "20", "--trap", "1", "--init", "2",
+     "--kappa", "3", "--mu", "0.1", "--gamma-points", "6"],
+], ids=["chain8", "ring6", "chain20"])
+def test_curve_is_one_batched_call_with_per_gamma_rows(argv, monkeypatch):
+    cfg = parse_config(["curve", *argv])
+    points = enaqt.EigenbasisSteadySolver._points
+    calls = []
+
+    def counting(self, gammas, *args, **kwargs):
+        calls.append(gammas.shape)
+        return points(self, gammas, *args, **kwargs)
+
+    monkeypatch.setattr(enaqt.EigenbasisSteadySolver, "_points", counting)
+    rows = run(cfg)
+    assert calls == [(1, cfg.gamma_points + 1)]
+    monkeypatch.undo()
+    for row, (eta, eta_loss, resid, method, _) in zip(rows,
+                                                       _per_gamma_rows(cfg)):
+        assert row["eta"] == pytest.approx(eta, abs=1e-12)
+        assert row["eta_loss"] == pytest.approx(eta_loss, abs=1e-12)
+        assert row["method"] == method == "direct-eigenbasis"
+        assert row["residual"] <= 1e-10
+
+
+def test_curve_reports_the_method_of_a_redone_point(monkeypatch):
+    # one point of the batch fails certification and ends on the sparse
+    # LU; only its row says so
+    cfg = parse_config(["curve", "--topology", "chain", "--n", "6",
+                        "--trap", "1", "--init", "3", "--kappa", "0.4",
+                        "--mu", "0.02", "--gamma-points", "5",
+                        "--gamma-min", "0.01", "--gamma-max", "100"])
+    certify = enaqt.EigenbasisSteadySolver._certify
+    bad = float(np.geomspace(0.01, 100.0, 5)[2])  # gamma = 1
+
+    def failing(self, xs, pops, g2, a, rhs, bnorm):
+        eta, eta_loss, resid, certified = certify(self, xs, pops, g2, a, rhs,
+                                                  bnorm)
+        hit = np.reshape(g2, np.shape(certified)) == 2.0 * bad
+        return eta, eta_loss, resid, certified & ~hit
+
+    monkeypatch.setattr(enaqt.EigenbasisSteadySolver, "_certify", failing)
+    rows = run(cfg)
+    assert [r["method"] for r in rows] == (
+        ["direct-eigenbasis"] * 3 + ["direct-sparse"]
+        + ["direct-eigenbasis"] * 2)
+    assert rows[3]["gamma"] == bad
+    for row, (eta, eta_loss, _, method, _) in zip(rows, _per_gamma_rows(cfg)):
+        assert row["eta"] == pytest.approx(eta, abs=1e-12)
+        assert row["eta_loss"] == pytest.approx(eta_loss, abs=1e-12)
+        assert row["method"] == method

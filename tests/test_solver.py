@@ -24,6 +24,7 @@ from enaqt import (
     propagate,
     semi_infinite_spec,
     site_density,
+    state_density,
     survival_probability,
 )
 import enaqt.solver as solver_module
@@ -631,7 +632,8 @@ def test_stack_redo_builds_nothing(monkeypatch):
     specs = [SystemSpec("chain", 5, (0,), 2, kappa, mu, 0.0)
              for kappa in (1e-4, 1.0, 100.0) for mu in (1e-8, 1e-4, 1.0)]
     gammas = np.concatenate([[0.0], np.geomspace(1e-4, 1e4, 64)])
-    solver = EigenbasisSteadySolver(specs)
+    solver = EigenbasisSteadySolver(specs[0], [s.kappa for s in specs],
+                                    [s.mu for s in specs])
     eig, calls = np.linalg.eig, []
 
     def counting(*args, **kwargs):
@@ -684,7 +686,9 @@ def test_stack_slopes_match_single_cells():
     specs = [SystemSpec("ring", 5, (0,), 2, kappa, mu, 0.0)
              for kappa, mu in ((1.0, 0.1), (100.0, 1e-3), (0.3, 3.0))]
     gammas = np.array([[0.0, 0.2], [3.0, 1e-4], [40.0, 1e4]])
-    etas, slopes = EigenbasisSteadySolver(specs).eta(gammas, slope=True)
+    etas, slopes = EigenbasisSteadySolver(
+        specs[0], [s.kappa for s in specs], [s.mu for s in specs]).eta(
+            gammas, slope=True)
     assert slopes[0, 0] == 0.0  # d eta/d log gamma vanishes at gamma = 0
     for spec, row, eta_row, slope_row in zip(specs, gammas, etas, slopes):
         single = EigenbasisSteadySolver(spec)
@@ -700,7 +704,7 @@ def test_redone_point_gives_no_slope(monkeypatch, n):
     # none, though its eta, from the fallback chain, is still reported
     spec = SystemSpec("chain", n, (0,), 2, 0.4, 0.02, 0.0)
     _fail_direct_solve_at(monkeypatch, 0.3)
-    solver = EigenbasisSteadySolver([spec])
+    solver = EigenbasisSteadySolver(spec, [spec.kappa], [spec.mu])
     etas, slopes = solver.eta(np.array([[0.1, 0.3, 3.0]]), slope=True)
     assert np.isnan(slopes[0, 1])
     assert np.isfinite(slopes[0, [0, 2]]).all()
@@ -743,7 +747,8 @@ def test_stack_rate_slopes_match_single_cells():
     specs = [SystemSpec("ring", 5, (0,), 2, kappa, mu, 0.0)
              for kappa, mu in ((1.0, 0.1), (100.0, 1e-3), (0.3, 3.0))]
     gammas = np.array([[0.0, 0.2], [3.0, 1e-4], [40.0, 1e4]])
-    stack = EigenbasisSteadySolver(specs)
+    stack = EigenbasisSteadySolver(specs[0], [s.kappa for s in specs],
+                                   [s.mu for s in specs])
     etas, slopes, rates = stack.eta(gammas, _rates=True)
     assert rates.shape == gammas.shape + (2,)
     grid = np.array([0.0, 0.2, 3.0])
@@ -771,8 +776,9 @@ def test_rate_slopes_are_nan_without_an_adjoint(monkeypatch):
     # a point redone by the fallback chain gives none either
     spec = SystemSpec("chain", 6, (0,), 2, 0.4, 0.02, 0.0)
     _fail_direct_solve_at(monkeypatch, 0.3)
-    etas, slopes, rates = EigenbasisSteadySolver([spec]).eta(
-        np.array([[0.1, 0.3, 3.0]]), _rates=True)
+    etas, slopes, rates = EigenbasisSteadySolver(
+        spec, [spec.kappa], [spec.mu]).eta(np.array([[0.1, 0.3, 3.0]]),
+                                           _rates=True)
     assert np.isnan(rates[0, 1]).all()
     assert np.isfinite(rates[0, [0, 2]]).all()
     assert np.isfinite(etas).all()
@@ -848,3 +854,77 @@ def test_kernel_is_named(n, kernel, caplog):
     assert [r[-1] for r in points] == [kernel] * (1 if kernel == "maps"
                                                   else 4)
     assert [r[-1] for r in grids] == ([] if kernel == "gmres" else [kernel])
+
+
+@st.composite
+def _rate_stacks(draw):
+    topology = draw(st.sampled_from(["chain", "ring"]))
+    n = draw(st.integers(2 if topology == "chain" else 3, 10))
+    trap, init = draw(st.lists(st.integers(0, n - 1), min_size=2,
+                               max_size=2, unique=True))
+    rates = draw(st.lists(st.tuples(st.floats(-4, 2), st.floats(-4, 2)),
+                          min_size=1, max_size=6))
+    gammas = np.concatenate([[0.0], np.sort(10.0 ** np.array(draw(st.lists(
+        st.floats(-4, 4), min_size=1, max_size=5))))])
+    kappas, mus = (10.0 ** np.array(axis) for axis in zip(*rates))
+    return (SystemSpec(topology, n, (trap,), init, 1.0, 1.0, 0.0), kappas,
+            mus, gammas)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(_rate_stacks())
+def test_stack_from_rate_arrays_equals_one_spec_solvers(stack):
+    # H of every cell is the hopping matrix plus one diagonal, bit for bit
+    # build_hamiltonian's, so each row is the one-spec solver's exactly
+    spec, kappas, mus, gammas = stack
+    etas = EigenbasisSteadySolver(spec, kappas, mus).eta_grid(gammas)
+    assert etas.shape == (kappas.size, gammas.size)
+    for row, kappa, mu in zip(etas, kappas, mus):
+        single = EigenbasisSteadySolver(spec.with_rates(kappa=kappa, mu=mu))
+        assert np.array_equal(row, single.eta_grid(gammas))
+
+
+_CHAIN4 = SystemSpec("chain", 4, (0,), 2, 1.0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("args, match", [
+    ((_CHAIN4, [1.0, math.nan], [0.1, 0.1]),
+     "kappa=nan must be finite and >= 0"),
+    ((_CHAIN4, [1.0, 2.0], [math.inf, 0.1]),
+     "mu=inf must be finite and >= 0"),
+    ((_CHAIN4, [1.0, -1e-3], [0.1, 0.1]),
+     "kappa=-0.001 must be finite and >= 0"),
+    ((_CHAIN4, [], []), "at least one cell"),
+    ((SystemSpec("chain", 17, (0,), 1, 1.0, 1.0, 0.0), [1.0, 2.0],
+      [0.1, 0.1]), "holds one cell"),
+    # the sequence-of-specs form is gone
+    (([_CHAIN4, _CHAIN4],), "one SystemSpec"),
+], ids=["nan", "inf", "negative", "empty", "two-cells-above-16", "specs"])
+def test_stack_rejects_bad_input(args, match):
+    with pytest.raises(ValidationError, match=match):
+        EigenbasisSteadySolver(*args)
+
+
+@pytest.mark.parametrize("n", [40, 48])
+def test_gmres_points_match_dense_lu(n):
+    # the GMRES kernel's point (b, F and X from four n x n products) from
+    # the initial site and from another initial state, and its slope
+    spec = SystemSpec("chain", n, (0,), n // 3, 3.0, 0.1, 0.0)
+    solver = EigenbasisSteadySolver(spec)
+    assert solver.kernel == "gmres"
+    psi = np.zeros(n)
+    psi[[1, n // 2]] = 1.0
+    rho0 = state_density(psi)
+    for gamma in (0.0, 0.3, 30.0):
+        lu = sla.lu_factor(dense_generator(spec.with_gamma(gamma)))
+        for start in (None, rho0):
+            x = sla.lu_solve(lu, -(site_density(n, spec.initial_site)
+                                   if start is None else start))
+            pops = x[::n + 1]
+            eta, eta_loss, resid, method, _ = solver.efficiency(gamma, start)
+            assert method == "direct-eigenbasis" and resid <= 1e-10
+            assert eta == pytest.approx(2.0 * 3.0 * pops[0].real, abs=1e-10)
+            assert eta_loss == pytest.approx(2.0 * 0.1 * pops.sum().real,
+                                             abs=1e-10)
+    slope = solver.eta(0.3, slope=True)[1]
+    assert slope == pytest.approx(_central_slope(solver, 0.3), rel=1e-6)
