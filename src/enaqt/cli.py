@@ -20,7 +20,8 @@ serialized with 12 significant digits, and identical configurations
 produce byte-identical output regardless of worker count.
 
 Exit codes: 0 success, 2 validation or usage, 3 solver failure
-(singular or stiff), 4 truncation not converged, 5 I/O failure.
+(singular system, or a trajectory off its probability budget), 4
+truncation not converged, 5 I/O failure.
 """
 
 from __future__ import annotations

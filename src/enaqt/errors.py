@@ -23,7 +23,8 @@ class SingularSystemError(EnaqtError):
 
 
 class StiffnessError(EnaqtError):
-    """Adaptive step size underflowed during time propagation."""
+    """A propagated trajectory misses its probability budget: the matrix
+    exponential lost accuracy, as at extreme dephasing over a long step."""
 
 
 class TruncationError(EnaqtError):

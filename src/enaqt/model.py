@@ -11,8 +11,10 @@ All rates are expressed in units of the coupling v, with hbar = 1, so time
 is measured in 1/v.
 
 Vectorization convention: row-major, vec index(n, m) = n*N + m, 0-based.
-The population of site s sits at index s*N + s.  _generator, the one
-generator of the package, applies L in this layout without forming it.
+The population of site s sits at index s*N + s.  L exists in two forms in
+this layout: _sparse_generator assembles it as one sparse Kronecker matrix
+(Superoperator, the sparse-LU fallback, propagate); _generator applies it
+without forming it (the residual that certifies every steady solve).
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ValidationError
 
@@ -157,8 +160,9 @@ def semi_infinite_spec(kappa, mu, gamma, offset=1, left=None, right=None):
     so the ballistic front never reaches the boundary within the survival
     horizon.
     """
-    if mu <= 0:
-        raise ValidationError("semi-infinite sizing needs mu > 0")
+    if not (math.isfinite(mu) and mu > 0):
+        raise ValidationError(
+            f"semi-infinite sizing needs a finite mu > 0, got mu={mu!r}")
     if left is None:
         left = math.ceil(16.0 / mu)
     if right is None:
@@ -321,9 +325,8 @@ def _generator(xs, g2, mh, mhd):
     """L(X) = -i(H X - X H^dag) - 2*gamma*X_offdiag for every X of xs,
     flattened as in _right, with mh = -iH and mhd = -iH^dag one per cell
     and g2 = 2*gamma (a number, or one per point broadcast against xs).
-    It serves Superoperator.apply, and the steady solver's residual in
-    double precision and, with mh, mhd and xs in clongdouble, in extended
-    precision for refinement."""
+    It serves the steady solver's residual in double precision and, with
+    mh, mhd and xs in clongdouble, in extended precision for refinement."""
     out = _left(mh, xs)
     out -= _right(xs, mhd)
     deph = g2 * xs
@@ -332,32 +335,40 @@ def _generator(xs, g2, mh, mhd):
     return out
 
 
-class Superoperator:
-    """Master-equation generator acting on vectorized density matrices.
-
-    apply runs _generator on the N x N matrix form of a state, so the
-    n^2 x n^2 matrix is never formed.  Its element formula is
+def _sparse_generator(mh, mhd, g2):
+    """L as a sparse n^2 x n^2 matrix, mh x I - I x mhd^T - g2 on the
+    coherences, from mh = -iH and mhd = -iH^dag (n x n) and g2 = 2*gamma.
+    Its element formula is
 
         L[(n,m),(p,q)] = -i H[n,p] d(m,q) + i conj(H[m,q]) d(n,p)
                          - 2 gamma (1 - d(n,m)) d(n,p) d(m,q)
 
-    with d the Kronecker delta.
-    """
+    with d the Kronecker delta."""
+    n = mh.shape[-1]
+    eye = sp.identity(n, format="csr")
+    return (sp.kron(sp.csr_matrix(mh), eye)
+            - sp.kron(eye, sp.csr_matrix(mhd.T))
+            - sp.diags(g2 * (1.0 - np.eye(n)).reshape(-1)))
 
-    representation = "matrix-free"
+
+class Superoperator:
+    """Master-equation generator acting on vectorized density matrices,
+    held as the sparse matrix of _sparse_generator."""
+
+    representation = "sparse"
 
     def __init__(self, n, gamma, hamiltonian):
         self.n = n
         self.gamma = gamma
         self.hamiltonian = hamiltonian
         self.dim = n * n
-        self._mh = -1j * hamiltonian[None]
-        self._mhd = -1j * hamiltonian.conj().T[None]
+        self.matrix = _sparse_generator(-1j * hamiltonian,
+                                        -1j * hamiltonian.conj().T,
+                                        2.0 * gamma)
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """Action of the generator on a vectorized state."""
-        return _generator(vec.reshape(1, 1, -1), 2.0 * self.gamma, self._mh,
-                          self._mhd).reshape(-1)
+        return self.matrix @ vec
 
 
 def build_liouvillian(spec: SystemSpec) -> Superoperator:

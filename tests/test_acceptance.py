@@ -255,7 +255,7 @@ def test_criterion_9_solver_cross_validation():
             a = efficiency_accumulator(spec, epsilon=eps)
             worst_pair = max(worst_pair, abs(a.eta - d.eta))
             worst_budget = max(worst_budget, abs(a.eta + a.eta_loss - 1.0))
-        traj = propagate(spec, horizon=8.0 / spec.mu, rtol=1e-10)
+        traj = propagate(spec, horizon=8.0 / spec.mu)
         worst_pair = max(worst_pair, abs(traj.eta_estimate - d.eta))
         worst_budget = max(
             worst_budget,

@@ -364,7 +364,7 @@ def test_infinite_site_cap_exits_four(monkeypatch, capsys):
 
 
 def test_importing_the_cli_does_not_load_scipy_integrate():
-    # propagate imports RK45 when called; loading scipy.integrate with the
+    # nothing in the package needs scipy.integrate; loading it with the
     # package would add about a quarter second and 18 MB to every start
     src = os.path.dirname(os.path.dirname(enaqt.__file__))
     loaded = subprocess.run(

@@ -22,6 +22,7 @@ from enaqt import (
     site_density,
     state_density,
 )
+from enaqt.model import _generator
 from dense_oracles import dense_generator
 
 
@@ -156,6 +157,12 @@ def test_semi_infinite_spec_geometry():
     assert spec.offset == 2
 
 
+@pytest.mark.parametrize("mu", [math.nan, math.inf])
+def test_semi_infinite_spec_rejects_non_finite_mu(mu):
+    with pytest.raises(ValidationError, match="finite mu > 0"):
+        semi_infinite_spec(1.0, mu, 0.0)
+
+
 def test_semi_infinite_default_sizing():
     spec = semi_infinite_spec(1.0, 0.1, 0.0)
     assert spec.trap_sites == tuple(range(160))  # ceil(16 / 0.1)
@@ -227,17 +234,23 @@ def test_dense_liouvillian_matches_element_formula(spec):
 
 
 def test_matrix_free_apply_matches_dense():
-    # n = 17 is above the steady solver's assembled population solve
+    # _generator certifies every steady solve; n = 17 is above the
+    # solver's map-assembled population solve
     rng = np.random.default_rng(7)
     for spec in (SystemSpec("ring", 5, (1,), 3, 0.3, 0.02, 0.8),
                  SystemSpec("chain", 17, (0, 9), 4, 1.3, 0.1, 2.5)):
-        free = build_liouvillian(spec)
-        assert free.representation == "matrix-free"
+        h = build_hamiltonian(spec)
+        mh, mhd = -1j * h[None], -1j * h.conj().T[None]
+        sup = build_liouvillian(spec)
+        assert sup.representation == "sparse"
         dense = dense_generator(spec)
         dim = spec.n ** 2
         for _ in range(5):
             vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-            assert np.allclose(free.apply(vec), dense @ vec, atol=1e-13)
+            free = _generator(vec.reshape(1, 1, -1), 2.0 * spec.gamma, mh,
+                              mhd).reshape(-1)
+            assert np.allclose(free, dense @ vec, atol=1e-13)
+            assert np.allclose(sup.apply(vec), dense @ vec, atol=1e-13)
 
 
 def test_trace_rate_identity():

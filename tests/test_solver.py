@@ -163,14 +163,15 @@ class TestPropagation:
             assert st.matrix[1, 1].real == pytest.approx(expected, abs=1e-7)
 
     def test_matches_matrix_exponential(self):
-        # oracle: expm of the dense generator at a fixed time
+        # oracle: rho(t) = V exp(lambda t) V^-1 rho0 from the eigenvectors
+        # of the dense Kronecker generator, not a matrix exponential
         spec = SystemSpec("chain", 3, (0,), 1, 0.3, 0.05, 0.6)
-        lmat = dense_generator(spec)
-        t = 4.0
-        rho_exact = sla.expm(lmat * t) @ site_density(3, 1)
-        traj = propagate(spec, horizon=t, store_states=True)
-        assert np.allclose(
-            traj.states[-1].vec, rho_exact, atol=1e-8)
+        lam, vecs = np.linalg.eig(dense_generator(spec))
+        coef = np.linalg.solve(vecs, site_density(3, 1))
+        traj = propagate(spec, horizon=4.0, store_states=True)
+        for st in traj.states[::32]:
+            rho_exact = vecs @ (np.exp(lam * st.time) * coef)
+            assert np.allclose(st.vec, rho_exact, rtol=0, atol=1e-12)
 
     def test_trace_decay_bound(self):
         # trace can never decay slower than the background-loss envelope
@@ -194,44 +195,64 @@ class TestPropagation:
                  + traj.traces[-1])
         assert total == pytest.approx(1.0, abs=1e-7)
 
-    def test_step_counters_populated(self):
-        traj = propagate(FIG1B, horizon=10.0)
-        assert traj.n_steps == len(traj.times) - 1 > 0
-        assert traj.n_rejected >= 0
+    def test_records_an_even_time_grid(self):
+        traj = propagate(FIG1B, horizon=10.0, store_states=True)
+        steps = solver_module.PROPAGATE_STEPS
+        assert np.array_equal(traj.times, np.linspace(0.0, 10.0, steps + 1))
+        assert len(traj.states) == len(traj.traces) == steps + 1
+        assert [st.time for st in traj.states] == list(traj.times)
 
-    @pytest.mark.parametrize("horizon", [1e-9, 10.0])
+    @pytest.mark.parametrize("horizon", [1.0, 10.0])
     def test_too_stiff_dephasing_raises_at_once(self, horizon):
-        # stable steps near 1e-14 fall below the step guard, which stops
-        # the run instead of taking 1e5 steps or more
+        # at gamma * dt of 4e11 and more the exponential loses the trace
+        # (by 1e-2 at horizon 10), which the probability budget shows
         start = time.perf_counter()
-        with pytest.raises(StiffnessError, match="too stiff"):
+        with pytest.raises(StiffnessError, match="probability budget"):
             propagate(FIG1B.with_gamma(1e14), horizon=horizon)
         assert time.perf_counter() - start < 1.0
 
     def test_stiff_dephasing_within_the_guard_completes(self):
-        # steps near 1e-12 pass the guard; the last one, clipped to the
-        # horizon, may be shorter and is exempt
-        traj = propagate(FIG1B.with_gamma(1e12), horizon=1e-9)
-        assert traj.times[-1] == 1e-9
-        assert traj.n_steps == len(traj.times) - 1
-        # the first step, min(0.1, horizon), is far too long
-        assert traj.n_rejected > 0
+        for gamma in (1e12, 1e14):
+            traj = propagate(FIG1B.with_gamma(gamma), horizon=1e-9)
+            assert traj.times[-1] == 1e-9
+            budget = (traj.trapped_cumulative + traj.loss_cumulative
+                      + traj.traces - 1.0)
+            assert np.abs(budget).max() < 1e-11
+            # strong dephasing freezes the populations (Zeno): only the
+            # background loss acts on the trace over so short a time
+            assert traj.traces[-1] == pytest.approx(
+                math.exp(-2 * FIG1B.mu * 1e-9), abs=1e-11)
 
     @pytest.mark.parametrize("kw", [
-        {"horizon": np.inf}, {"horizon": np.nan}, {"rtol": np.nan},
-        {"rtol": np.inf}, {"atol": -1.0}, {"atol": np.nan},
-        {"atol": np.inf},
+        {"horizon": np.inf}, {"horizon": np.nan}, {"horizon": 0.0},
+        {"horizon": -1.0},
+        {"spec": SystemSpec("chain", solver_module.PROPAGATE_MAX_N + 1,
+                            (0,), 1, 0.1, 0.01, 0.0)},
     ])
     def test_bad_arguments_rejected_before_integrating(self, kw,
                                                        monkeypatch):
-        # horizon = inf would never leave the step loop, so a guard that
-        # does not fire must fail here instead of reaching it
+        # a guard that does not fire must fail here instead of building
+        # the generator
         def unreachable(spec):
             raise AssertionError("propagate went on to integrate")
 
         monkeypatch.setattr("enaqt.solver.build_liouvillian", unreachable)
         with pytest.raises(ValidationError):
-            propagate(FIG1B, **{"horizon": 10.0, **kw})
+            propagate(**{"spec": FIG1B, "horizon": 10.0, **kw})
+
+    @pytest.mark.parametrize("n, trap, init, mu, gamma_opt", [
+        (4, 1, 2, 0.0880194, 10.1669),
+        (5, 1, 3, 0.0027613, 0.395941),
+    ], ids=["N4-(2,3)", "N5-(2,4)"])
+    def test_criterion_4_optima_match_direct(self, n, trap, init, mu,
+                                             gamma_opt):
+        # docs/decisions.md: at kappa = 100 the exact time route agrees
+        # with the steady solve at gamma = 0 and at gamma_opt
+        for gamma in (0.0, gamma_opt):
+            spec = SystemSpec("chain", n, (trap,), init, 100.0, mu, gamma)
+            traj = propagate(spec, horizon=2000.0)
+            assert traj.eta_estimate == pytest.approx(
+                efficiency_direct(spec).eta, abs=1e-9)
 
 
 @pytest.mark.parametrize("rho0", [np.zeros(9), np.full(9, np.nan),
