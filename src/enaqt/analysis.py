@@ -22,15 +22,14 @@ of a semi-infinite truncation, runs one path (_scan_refine) over a cell
 stack, an EigenbasisSteadySolver built from one geometry spec and the
 arrays of up to solver._stack_size(n) kappas and mus (no spec per cell):
 one batched scan of the gamma grid for all cells, then one elementwise
-search (_golden, the only maximizer here) that refines every cell in
-lockstep, with one batched solve per step.  _golden runs the secant
-search where f gives slopes, and golden section where it does not (a
-cell whose point was served by the solver's fallback chain).
-max_enaqt's kappa and mu sweeps run on _golden too: _scan_refine gives
-their slopes d xi/d log kappa and d xi/d log mu by the envelope theorem,
-from the solves it makes anyway, and a seed whose xi is 0 at both first
-points of a sweep leaves the lockstep (see max_enaqt).  How many cells a
-stack holds is the solver's choice.
+search (_maximize, the only maximizer here: a secant search on the slope
+with bisection) that refines every cell in lockstep, with one batched
+solve per step.  The solver gives a slope at every certified point, on
+every route.  max_enaqt's kappa and mu sweeps run on _maximize too:
+_scan_refine gives their slopes d xi/d log kappa and d xi/d log mu by
+the envelope theorem, from the solves it makes anyway, and a seed whose
+xi is 0 at both first points of a sweep leaves the lockstep (see
+max_enaqt).  How many cells a stack holds is the solver's choice.
 """
 
 from __future__ import annotations
@@ -180,7 +179,7 @@ def _geometry_spec(topology, n, trap, init, names) -> SystemSpec:
     """The chain or ring spec (kappa = mu = 1, gamma = 0) of 1-based sites
     trap and init, named names in errors; n is checked before the sites
     are compared with it."""
-    _check_site_count(topology, n)
+    n = _check_site_count(topology, n)
     trap0 = _site0(trap, n, names[0])
     init0 = _site0(init, n, names[1])
     if trap0 == init0:
@@ -210,85 +209,28 @@ def _log(x):
     return np.fromiter(map(math.log, x.flat), float, x.size).reshape(x.shape)
 
 
-class _Golden:
-    """One element of _golden in golden-section steps: the bracket
-    [a, b] and its interior points c < d, of values fc and fd."""
-
-    bisections = 0
-
-    def __init__(self, a, b, c, d, fc, fd, tol):
-        self.a, self.b, self.c, self.d = a, b, c, d
-        self.fc, self.fd, self.tol = fc, fd, tol
-        self.live = b - a > tol
-
-    def propose(self):
-        """Keep the side of the larger interior value (ties keep the
-        left); the new interior point."""
-        self.width = self.b - self.a
-        self.on_left = self.fc >= self.fd
-        if self.on_left:
-            self.b, self.d, self.fd = self.d, self.c, self.fc
-            self.c = self.b - _INVPHI * (self.b - self.a)
-            return self.c
-        self.a, self.c, self.fc = self.c, self.d, self.fd
-        self.d = self.a + _INVPHI * (self.b - self.a)
-        return self.d
-
-    def update(self, value, slope):
-        if self.on_left:
-            self.fc = value
-        else:
-            self.fd = value
-        self.live = self.tol < self.b - self.a < self.width
-        return self
-
-    def result(self):
-        return (self.a + self.b) / 2
-
-
-class _Restart(_Golden):
-    """_Golden on the bracket of a slope-mode element that met a point
-    without a slope; its two interior points take one step each."""
-
-    def __init__(self, a, b, tol, bisections):
-        super().__init__(a, b, b - _INVPHI * (b - a), a + _INVPHI * (b - a),
-                         None, None, tol)
-        self.bisections = bisections
-
-    def propose(self):
-        if self.fc is None:
-            return self.c
-        if self.fd is None:
-            return self.d
-        return super().propose()
-
-    def update(self, value, slope):
-        if self.fc is None:
-            self.fc = value
-        elif self.fd is None:
-            self.fd = value
-        else:
-            return super().update(value, slope)
-        return self
-
-
 class _Secant:
-    """One element of _golden in slope mode: a safeguarded secant search
-    for a root of the slope s = f' in the bracket [lo, hi].
+    """One element of _maximize: a safeguarded secant search for a root of
+    the slope s = f' in the bracket [lo, hi].
 
     A point with s > 0 becomes the left end and one with s < 0 the right
     end, so a maximum stays inside; a point with s = 0 is the answer.
     slo and shi are the slopes at the ends, None at an end of the
-    original bracket that was never evaluated.  A step takes the secant
-    through the last two points.  When the secant leaves the bracket, the
-    step evaluates the end on that side if it has no slope yet (the
-    bracket may be monotone; the end is the answer if f still rises
-    toward it) and bisects otherwise.  It also bisects when the secant
-    step is not below half the step before last, or when the last step
-    was a nudge: a secant that moves less than tol/2 is nudged tol/2
-    across the root instead, which collapses the bracket once the root is
-    that close.  Points keep tol/2 off the ends.  The result is the
-    secant root of the final bracket.
+    original bracket that was never evaluated, NaN at a flat zero (a
+    point of value 0 without a slope, where f is flat at 0 and shows no
+    direction): that point becomes the end on the side away from the last
+    sloped point, is never probed, and the next step bisects.  A step
+    takes the secant through the last two sloped points.  When the secant
+    leaves the bracket, the step evaluates the end on that side if it has
+    no slope yet (the bracket may be monotone; the end is the answer if f
+    still rises toward it) and bisects otherwise.  It also bisects when
+    the secant step is not below half the step before last, or when the
+    last step was a nudge: a secant that moves less than tol/2 is nudged
+    tol/2 across the root instead, which collapses the bracket once the
+    root is that close.  Points keep tol/2 off the ends.  A point with a
+    NaN value, or another point without a slope, ends the element
+    (unsloped).  The result is the secant root of the final bracket, its
+    midpoint where an end has no slope.
     """
 
     def __init__(self, lo, hi, slo, shi, points, tol):
@@ -299,8 +241,9 @@ class _Secant:
         self.steps = [2 * (hi - lo)] * 2
         self.answer = None
         self.live = hi - lo > tol
-        self.nudged = False
+        self.bisect = False
         self.bisections = 0
+        self.unsloped = False
 
     def propose(self):
         (x1, s1), (x2, s2) = self.points
@@ -312,13 +255,13 @@ class _Secant:
         if self.probe:
             self.u = hi if right else lo
             return self.u
-        if not inside or self.nudged or abs(u - x2) >= self.steps[-2] / 2:
+        if not inside or self.bisect or abs(u - x2) >= self.steps[-2] / 2:
             u = (lo + hi) / 2
             self.bisections += 1
-            self.nudged = False
+            self.bisect = False
         else:
-            self.nudged = abs(u - x2) < half
-            if self.nudged:
+            self.bisect = abs(u - x2) < half  # a nudge
+            if self.bisect:
                 u = x2 + (half if s2 > 0 else -half)
         self.u = u = min(max(u, lo + half), hi - half)
         self.steps.append(abs(u - x2))
@@ -326,17 +269,25 @@ class _Secant:
 
     def update(self, value, slope):
         u = self.u
-        if math.isnan(slope):  # no slope: golden section from here
-            return _Restart(self.lo, self.hi, self.tol, self.bisections)
         width = self.hi - self.lo
-        if slope == 0.0 or (self.probe and (slope > 0) == (u == self.hi)):
+        if math.isnan(value + slope):
+            if value != 0.0:  # a failed point, or one without a slope
+                self.live, self.unsloped = False, True
+                return self
+            self.bisect = True  # a flat zero
+            if u > self.points[1][0]:
+                self.hi, self.shi = u, math.nan
+            else:
+                self.lo, self.slo = u, math.nan
+        elif slope == 0.0 or (self.probe and (slope > 0) == (u == self.hi)):
             self.answer, self.live = u, False  # stationary, or an end max
             return self
-        if slope > 0:
-            self.lo, self.slo = u, slope
         else:
-            self.hi, self.shi = u, slope
-        self.points = [self.points[1], (u, slope)]
+            if slope > 0:
+                self.lo, self.slo = u, slope
+            else:
+                self.hi, self.shi = u, slope
+            self.points = [self.points[1], (u, slope)]
         self.live = self.tol < self.hi - self.lo and (
             self.probe or self.hi - self.lo < width)
         return self
@@ -344,16 +295,20 @@ class _Secant:
     def result(self):
         if self.answer is not None:
             return self.answer
-        if self.slo is None or self.shi is None or self.hi == self.lo:
+        if (self.slo is None or self.shi is None or self.hi == self.lo
+                or math.isnan(self.slo + self.shi)):
             return (self.lo + self.hi) / 2
         return self.lo - self.slo * (self.hi - self.lo) / (self.shi - self.slo)
 
 
 class _Found(NamedTuple):
-    """A _golden element settled by its first call: at a point of slope
-    0, or, with x NaN, where f was flat at both points (see _element)."""
+    """A _maximize element settled by its first call: at a point of slope
+    0, at the midpoint of a bracket no wider than tol or of one whose
+    first call met a point without a slope (unsloped), or, with x NaN,
+    where f was flat at 0 at both points (see _element)."""
 
     x: float
+    unsloped: bool = False
     live: bool = False
     bisections: int = 0
 
@@ -361,31 +316,32 @@ class _Found(NamedTuple):
         return self.x
 
 
-def _element(a, b, c, d, values, slopes, tol, flat_zero=False):
-    """The _golden element of the bracket [a, b] after the first call,
-    which gave the values and slopes (None without) at c and d.
+def _element(a, b, c, d, values, slopes, tol):
+    """The _maximize element of the bracket [a, b] after the first call,
+    which gave the values and slopes (NaN without) at c and d.
 
-    With flat_zero, a point of value 0 and no slope lies where f is flat
-    at 0, and shows no direction: an element with two such points stops
-    (result NaN), and one with one such point and a slope at the other
+    A point of value 0 without a slope is a flat zero and shows no
+    direction: an element with two stops (result NaN), and one with one
     runs the secant search from the sloped point alone, on the side its
-    slope points to; its first step probes the end of that side.  Where
-    that side leads back to the zero point, it runs golden section."""
-    fc, fd = values
-    if slopes is None or b - a <= tol:
-        return _Golden(a, b, c, d, fc, fd, tol)
-    sc, sd = slopes
-    if math.isnan(sc + sd):
-        if flat_zero and fd == 0.0 and math.isnan(sd):
-            if fc == 0.0 and math.isnan(sc):
-                return _Found(math.nan)
-            if sc < 0.0:
-                return _Secant(a, c, None, sc, [(c, sc)] * 2, tol)
-        if flat_zero and fc == 0.0 and math.isnan(sc) and sd > 0.0:
-            return _Secant(d, b, sd, None, [(d, sd)] * 2, tol)
-        return _Golden(a, b, c, d, fc, fd, tol)
+    slope points to; its first step probes the end of that side, or,
+    where that side leads back to the zero point, bisects toward it.  Any
+    other point without a slope ends the element at the midpoint."""
+    if b - a <= tol:
+        return _Found((a + b) / 2)
+    (fc, fd), (sc, sd) = values, slopes
+    zc, zd = (f == 0.0 and math.isnan(v) for f, v in ((fc, sc), (fd, sd)))
+    if zc and zd:
+        return _Found(math.nan)
+    if math.isnan(fc + sc) and not zc or math.isnan(fd + sd) and not zd:
+        return _Found((a + b) / 2, unsloped=True)
     if sc == 0.0 or sd == 0.0:
         return _Found(c if sc == 0.0 else d)
+    if zd:
+        return (_Secant(a, c, None, sc, [(c, sc)] * 2, tol) if sc < 0 else
+                _Secant(c, d, sc, math.nan, [(c, sc)] * 2, tol))
+    if zc:
+        return (_Secant(d, b, sd, None, [(d, sd)] * 2, tol) if sd > 0 else
+                _Secant(c, d, math.nan, sd, [(d, sd)] * 2, tol))
     if sc > 0 > sd:
         return _Secant(c, d, sc, sd, [(c, sc), (d, sd)], tol)
     if sd > 0 and (sc > 0 or fd > fc):  # the maximum is right of d
@@ -393,37 +349,35 @@ def _element(a, b, c, d, values, slopes, tol, flat_zero=False):
     return _Secant(a, c, None, sc, [(d, sd), (c, sc)], tol)
 
 
-def _golden(f, a, b, tol, stats=None, flat_zero=False):
+def _maximize(f, a, b, tol, stats=None):
     """Elementwise maximizer of f on each bracket [a[i], b[i]].
 
-    f(x, idx) returns the values at the points x of the elements of the
-    index array idx: x[r] belongs to element idx[r], and the first call
-    passes the two golden-section points c < d of every element, as x of
-    shape (len(idx), 2).  Each element shrinks its bracket until it is at
-    most tol[i] wide (tol may be one number).  The live elements step in
-    lockstep, one point each and one call of f per step; an element also
-    stops when a step leaves its bracket unchanged, which happens only
-    once it is a few ulps wide.
+    f(x, idx) returns the pair (values, slopes) at the points x of the
+    elements of the index array idx, the slopes being f' (NaN where there
+    is none): x[r] belongs to element idx[r], and the first call passes
+    the two golden-section points c < d of every element, as x of shape
+    (len(idx), 2).  Each element runs a safeguarded secant search on the
+    slope (_Secant) from the part of [a, b] that the signs at c and d
+    leave, and yields the secant root of its final bracket, or the end
+    where f still rises, once the bracket is at most tol[i] wide (tol
+    may be one number); a bracket no wider than tol from the start
+    yields its midpoint.
+    The live elements step in lockstep, one point each and one call of f
+    per step; an element also stops when a step leaves its bracket
+    unchanged, which happens only once it is a few ulps wide.
 
-    When f returns values only, every element runs golden section: it
-    keeps the side of the larger of its two interior values (ties keep
-    the left) and yields the midpoint of its final bracket.  When f
-    returns a pair (values, slopes), the slopes being f' at the points
-    (NaN where there is none), an element with slopes at c and d runs a
-    safeguarded secant search on the slope (_Secant) from the part of
-    [a, b] that the signs at c and d leave, and yields the secant root of
-    its final bracket, or the end where f still rises.  An element
-    without a slope at c or d runs golden section; one that meets a point
-    without a slope later restarts golden section on its bracket.  With
-    flat_zero, f >= 0 is flat where it is 0 and has no slope there
-    (max_enaqt's xi): an element whose first two values are both 0 stops
-    and yields NaN, so that its caller keeps its own point, and one with
-    one such value runs the secant search from its sloped point where it
-    can (see _element).
+    A point of value 0 without a slope is a flat zero (max_enaqt's xi
+    where there is no gain): an element whose first two points are both
+    flat zeros stops and yields NaN, so that its caller keeps its own
+    point, and one that meets a flat zero otherwise bisects toward it
+    (see _element and _Secant).  A point with a NaN value (a failed
+    cell), or without a slope otherwise, ends its element at its current
+    bracket's result.
     stats, a dict, receives the calls of f ("steps"), the bisection
-    steps of all elements ("bisections"), how many elements ended in
-    golden section ("golden"), and the largest |slope| at the last point
-    of each element ("max_abs_slope", NaN when there is none).
+    steps of all elements ("bisections"), how many elements ended on a
+    point without a slope other than a flat zero ("unsloped"), and the
+    largest |slope| at the last point of each element ("max_abs_slope",
+    NaN when there is none).
     """
     a = [float(v) for v in a]
     b = [float(v) for v in b]
@@ -431,46 +385,37 @@ def _golden(f, a, b, tol, stats=None, flat_zero=False):
     c = [bi - _INVPHI * (bi - ai) for ai, bi in zip(a, b)]
     d = [ai + _INVPHI * (bi - ai) for ai, bi in zip(a, b)]
     idx = np.arange(len(a))
-    values, slopes = _split(f(np.array([c, d]).T, idx), len(a))
-    elements = [_element(*args, flat_zero=flat_zero)
+    values, slopes = (v.tolist() for v in f(np.array([c, d]).T, idx))
+    elements = [_element(*args)
                 for args in zip(a, b, c, d, values, slopes, tol)]
     # each element's last slope: the smaller of the first two, then the
     # slope of its latest point
-    last = [math.nan if pair is None else min(pair, key=abs)
-            for pair in slopes]
+    last = [min(pair, key=abs) for pair in slopes]
     steps = 1
     live = [i for i, e in enumerate(elements) if e.live]
     while live:
         if len(live) < idx.size:
             idx = np.array(live)
         x = np.array([elements[i].propose() for i in live])
-        values, slopes = _split(f(x, idx), len(live))
+        values, slopes = (v.tolist() for v in f(x, idx))
         steps += 1
         for i, value, slope in zip(live, values, slopes):
             elements[i] = elements[i].update(value, slope)
-            last[i] = math.nan if slope is None else slope
+            last[i] = slope
         live = [i for i in live if elements[i].live]
     if stats is not None:
         stats["steps"] = steps
         stats["bisections"] = sum(e.bisections for e in elements)
-        stats["golden"] = sum(isinstance(e, _Golden) for e in elements)
+        stats["unsloped"] = sum(e.unsloped for e in elements)
         stats["max_abs_slope"] = max(
             (abs(v) for v in last if not math.isnan(v)), default=math.nan)
     return np.array([e.result() for e in elements])
 
 
-def _split(out, count):
-    """(values, slopes) as lists from what f returned; slopes are None
-    when f returned values only."""
-    if isinstance(out, tuple):
-        return out[0].tolist(), out[1].tolist()
-    return out.tolist(), [None] * count
-
-
 def _scan_refine(solver, grid_points, refine_tol, rates=False):
     """optimize_dephasing for every cell of the stack `solver`: one
-    batched scan of the grid, then one refinement (_golden on eta and its
-    slope d eta/d log gamma) of all cells whose best grid point is not
+    batched scan of the grid, then one refinement (_maximize on eta and
+    its slope d eta/d log gamma) of all cells whose best grid point is not
     gamma = 0, in lockstep, and one certified solve at the gammas found.
 
     gammas[0] is the no-dephasing endpoint; a cell's refinement runs in
@@ -483,11 +428,12 @@ def _scan_refine(solver, grid_points, refine_tol, rates=False):
     (cells, 2)): by the envelope theorem, d eta/d log rate at gamma_opt
     (from the certifying solve) less d eta/d log rate at gamma = 0 (from
     the scan's gamma = 0 column), NaN where xi = 0 or a rate slope is
-    missing (see EigenbasisSteadySolver.eta).  The callers build their
-    stacks in cells of solver._stack_size(n), which knows the memory of a
-    cell.  Leaves one DEBUG record: the cells refined, the refinement's
-    steps and bisection steps, and the largest |d eta/d log gamma| at the
-    gammas found (near 0 at an interior optimum).
+    missing, as at a failed cell (see EigenbasisSteadySolver.eta).  The
+    callers build their stacks in cells of solver._stack_size(n), which
+    knows the memory of a cell.  Leaves one DEBUG record: the cells
+    refined, the refinement's steps and bisection steps, and the largest
+    |d eta/d log gamma| at the gammas found (near 0 at an interior
+    optimum).
     """
     gammas = np.concatenate([[0.0], np.geomspace(*GAMMA_BOUNDS, grid_points)])
     etas, zero = (solver.eta_grid(gammas, _rates=True) if rates
@@ -501,10 +447,10 @@ def _scan_refine(solver, grid_points, refine_tol, rates=False):
     largest = 0.0
     if go.size:
         last = gammas.size - 1
-        x = _golden(lambda x, sel: solver.eta(_exp(x), go[sel], slope=True),
-                    _log(gammas[np.maximum(best[go] - 1, 1)]),
-                    _log(gammas[np.minimum(best[go] + 1, last)]), refine_tol,
-                    stats)
+        x = _maximize(
+            lambda x, sel: solver.eta(_exp(x), go[sel], slope=True),
+            _log(gammas[np.maximum(best[go] - 1, 1)]),
+            _log(gammas[np.minimum(best[go] + 1, last)]), refine_tol, stats)
         g_best = _exp(x)
         final, slopes, *at_opt = solver.eta(g_best, go, slope=True,
                                             _rates=rates)
@@ -593,8 +539,8 @@ def max_enaqt(topology, n: int, trap_site: int,
 
     Scans a PLANE_POINTS x PLANE_POINTS log grid over [1e-4, 1e2]^2, then
     refines by PLANE_SWEEPS coordinate sweeps of shrinking span, each a
-    1-d maximization (_golden) in log kappa or log mu on a bracket clipped
-    to RATE_BOUNDS.  The landscape can hold several local maxima (a
+    1-d maximization (_maximize) in log kappa or log mu on a bracket
+    clipped to RATE_BOUNDS.  The landscape can hold several local maxima (a
     dephasing-peak basin and a large-gamma plateau basin, sometimes
     more), so the sweeps restart from up to PLANE_STARTS well-separated
     top grid cells.  Every candidate is re-evaluated with the full
@@ -607,22 +553,20 @@ def max_enaqt(topology, n: int, trap_site: int,
     step of their kappa (or mu) sweeps evaluates one cell per seed as one
     stack, as do the final optimizations.  A sweep step also returns
     d xi/d log kappa (or mu) of every cell, by the envelope theorem
-    (_scan_refine), so the sweeps run _golden's secant search on the
+    (_scan_refine), so the sweeps run _maximize's secant search on the
     slope, and an optimum on a rate bound is settled by its end probe.
-    The solver's two direct kernels (maps up to solver.MAPS_MAX_N sites,
-    map-free up to solver.DIRECT_MAX_N) give these slopes; its GMRES
-    route above has no adjoint and gives none.  xi = 0 (no gain) has no
-    slope either, and shows no direction: a seed with xi = 0 at both
-    first points of a sweep stops there and keeps its own rate, and one
-    with xi = 0 at one of them runs the secant search from the other, on
-    the side its slope points to (golden section where that side leads
-    back to the zero point).  So a geometry without any gain costs one
-    step per sweep, and reports the top seed's own grid cell.  Where a
-    cell has no slope for another reason (a point redone by the fallback
-    chain, or more than DIRECT_MAX_N sites) its seed runs golden section.
-    Each sweep leaves one DEBUG record: the axis, the seeds, the steps,
-    the bisection steps, how many seeds ran golden section, and the
-    largest |d xi/d log rate| at the seeds' last points.
+    The solver gives these slopes on every route (its direct kernels,
+    its GMRES route above solver.DIRECT_MAX_N sites and its fallback
+    chain).  xi = 0 (no gain) has no slope, and shows no direction: a
+    seed with xi = 0 at both first points of a sweep stops there and
+    keeps its own rate, and one with xi = 0 at one of them runs the
+    secant search from the other, on the side its slope points to, and
+    bisects toward the zero point where that side leads back to it.  So
+    a geometry without any gain costs one step per sweep, and reports
+    the top seed's own grid cell.  Each sweep leaves one DEBUG record:
+    the axis, the seeds, the steps, the bisection steps, how many seeds
+    ended on a point without a slope other than xi = 0 (unsloped), and
+    the largest |d xi/d log rate| at the seeds' last points.
 
     Sites are 1-based.
     """
@@ -682,9 +626,8 @@ def max_enaqt(topology, n: int, trap_site: int,
 
             center = _log(kk if axis == 0 else mm)
             stats = {}
-            x = _golden(val, np.maximum(center - step, lo_log),
-                        np.minimum(center + step, hi_log), 1e-3, stats,
-                        flat_zero=True)
+            x = _maximize(val, np.maximum(center - step, lo_log),
+                          np.minimum(center + step, hi_log), 1e-3, stats)
             # a seed with xi = 0 at both first points keeps its own rate
             if axis == 0:
                 kk = np.where(np.isnan(x), kk, _exp(x))
@@ -692,9 +635,9 @@ def max_enaqt(topology, n: int, trap_site: int,
                 mm = np.where(np.isnan(x), mm, _exp(x))
             _logger.debug(
                 "max_enaqt sweep axis=%s seeds=%d steps=%d bisections=%d "
-                "golden=%d max_abs_slope=%.2e", ("kappa", "mu")[axis],
+                "unsloped=%d max_abs_slope=%.2e", ("kappa", "mu")[axis],
                 len(seeds), stats["steps"], stats["bisections"],
-                stats["golden"], stats["max_abs_slope"])
+                stats["unsloped"], stats["max_abs_slope"])
         step *= 0.35
 
     best = None
@@ -760,8 +703,7 @@ def dephased_efficiency_estimate(n: int, kappa: float, mu: float) -> float:
     Valid once dephasing has mixed the state across all N sites, so each
     site holds 1/N of the surviving population.
     """
-    if not isinstance(n, int) or n < 2:
-        raise ValidationError(f"n={n!r} must be an integer >= 2")
+    n = _check_site_count(Topology.CHAIN, n)
     _check_positive_rates(kappa, mu)
     return 1.0 / (1.0 + n * mu / kappa)
 
@@ -772,6 +714,7 @@ def chain_amplitude(n: int, l: int, m: int, t):
     Eigenstate sum with u_j(k) = sqrt(2/(N+1)) sin(pi*j*k/(N+1)) and
     lambda_k = 2 cos(pi*k/(N+1)).  t may be a scalar or an array.
     """
+    n = _check_site_count(Topology.CHAIN, n)
     l = _site0(l, n, "l") + 1
     m = _site0(m, n, "m") + 1
     k = np.arange(1, n + 1)
@@ -792,6 +735,7 @@ def average_population(topology, n: int, l: int, m: int) -> AveragePopulation:
     enhancements on the start site and, for even N, its antipode.
     """
     topology = Topology(topology)
+    n = _check_site_count(topology, n)
     l = _site0(l, n, "l") + 1
     m = _site0(m, n, "m") + 1
     if topology is Topology.CHAIN:
@@ -818,6 +762,7 @@ def enaqt_estimate(topology, n: int, kappa: float, mu: float,
     depends only on mu/kappa.  1-based sites.
     """
     topology = Topology(topology)
+    n = _check_site_count(topology, n)
     trap0 = _site0(trap, n, "trap")
     init0 = _site0(init, n, "init")
     if trap0 == init0:
@@ -870,8 +815,7 @@ def symmetry_split(spec: SystemSpec) -> tuple:
 def circle_max_enaqt(n: int, trap: int, init: int) -> float:
     """Maximum attainable xi on the ring: 0 for antipodal start/trap
     (even N at distance N/2), 1/2 otherwise.  1-based sites."""
-    if not isinstance(n, int) or n < 3:
-        raise ValidationError(f"ring needs n >= 3, got {n!r}")
+    n = _check_site_count(Topology.RING, n)
     trap0 = _site0(trap, n, "trap")
     init0 = _site0(init, n, "init")
     if trap0 == init0:

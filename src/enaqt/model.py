@@ -51,14 +51,20 @@ class Topology(str, Enum):
     SEMI_INFINITE = "semi-infinite"
 
 
-def _check_site_count(topology: Topology, n) -> None:
-    """ValidationError unless n is an int large enough for the topology
-    (>= 2 sites for chains, >= 3 for rings)."""
+def _check_site_count(topology: Topology, n) -> int:
+    """n as an int: ValidationError unless it is an integer (Python or
+    numpy, by operator.index: nothing truncated) large enough for the
+    topology (>= 2 sites for chains, >= 3 for rings)."""
+    try:
+        count = operator.index(n)
+    except TypeError:
+        raise ValidationError(f"n={n!r} invalid: must be an integer") from None
     min_n = 3 if topology is Topology.RING else 2
-    if not isinstance(n, int) or n < min_n:
+    if count < min_n:
         raise ValidationError(
-            f"n={n!r} invalid: {topology.value} needs at least "
+            f"n={count} invalid: {topology.value} needs at least "
             f"{min_n} sites")
+    return count
 
 
 @dataclass(frozen=True)
@@ -70,7 +76,8 @@ class SystemSpec:
     topology : Topology or str
         Chain, ring, or the truncated-infinite chain geometry.
     n : int
-        Number of sites (>= 2 for chains, >= 3 for rings).
+        Number of sites (>= 2 for chains, >= 3 for rings), a Python or
+        numpy integer, stored as int.
     trap_sites : iterable of int
         0-based sites carrying the trapping rate kappa.  Duplicates are
         dropped; the stored value is a sorted tuple.
@@ -110,8 +117,8 @@ class SystemSpec:
                 f", initial_site={self.initial_site!r}") from None
         object.__setattr__(self, "trap_sites", traps)
         object.__setattr__(self, "initial_site", init)
-        n = self.n
-        _check_site_count(self.topology, n)
+        n = _check_site_count(self.topology, self.n)
+        object.__setattr__(self, "n", n)
         for name in ("kappa", "mu", "gamma", "v"):
             val = getattr(self, name)
             if not math.isfinite(val):
@@ -182,8 +189,7 @@ def semi_infinite_spec(kappa, mu, gamma, offset=1, left=None, right=None):
 
 def build_chain_hamiltonian(n: int, v: float = 1.0) -> np.ndarray:
     """Open-chain hopping Hamiltonian: v on the two off-diagonals."""
-    if not isinstance(n, int) or n < 2:
-        raise ValidationError(f"chain needs n >= 2, got {n!r}")
+    n = _check_site_count(Topology.CHAIN, n)
     h = np.zeros((n, n), dtype=complex)
     idx = np.arange(n - 1)
     h[idx, idx + 1] = v
@@ -193,8 +199,7 @@ def build_chain_hamiltonian(n: int, v: float = 1.0) -> np.ndarray:
 
 def build_ring_hamiltonian(n: int, v: float = 1.0) -> np.ndarray:
     """Chain Hamiltonian closed into a ring by the (0, n-1) bond."""
-    if not isinstance(n, int) or n < 3:
-        raise ValidationError(f"ring needs n >= 3, got {n!r}")
+    n = _check_site_count(Topology.RING, n)
     h = build_chain_hamiltonian(n, v)
     h[0, n - 1] += v
     h[n - 1, 0] += v

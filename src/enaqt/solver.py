@@ -411,13 +411,18 @@ class EigenbasisSteadySolver:
         Z = 2 (W - c o S^-1 Diag(p) S^-dag) / (c - 2*gamma)^2,
 
     where (c - 2*gamma) Z / 2 is the Y of the rebuilt steady integral,
-    and d eta/d gamma = t^T K^-1 (db - dK p).  The two direct kernels
-    solve the adjoint K^T w = t in the same stacked call as K p = b and
-    take w^T (db - dK p); the GMRES route solves the forward sensitivity
-    K dp = db - dK p with the same matvec and takes t^T dp.  The slope
-    (eta(..., slope=True)) is a hint for a search: it is given only where
-    the kernel's answer was certified, never for a point the fallback
-    chain redid.
+    and d eta/d gamma = t^T K^-1 (db - dK p).  Every kernel solves the
+    adjoint K^T w = t and takes w^T (db - dK p): the two direct kernels
+    in the same stacked call as K p = b, the GMRES route by a second
+    GMRES solve whose transposed matvec,
+
+        K^T w = diag(S^-T [R o (S^T Diag(w) conj S)] conj S^-1),
+
+    also costs two n x n products.  The slope (eta(..., slope=True)) is a
+    hint for a search, given at every certified point: a point the
+    fallback chain redid, or one whose GMRES adjoint did not converge,
+    gets it, and the rate slopes below, from the adjoint of the full
+    generator (_full_slopes).
 
     The same adjoint w gives the slopes in the two other rates, with no
     further solve (eta(..., _rates=True), for max_enaqt's sweeps).  Let
@@ -433,9 +438,9 @@ class EigenbasisSteadySolver:
     H(kappa, mu) = H(kappa, 0) - i*mu*I: c moves to c - 2*mu and S does
     not move.  The second because dL/d kappa (X) = -(P X + X P).  A scan
     whose grid starts at gamma = 0 gets both there in closed form
-    (eta_grid(..., _rates=True)): at gamma = 0, K = I and w = t.  Rate
-    slopes are NaN where the gamma slope is, and on the GMRES route, which
-    has no adjoint.
+    (eta_grid(..., _rates=True)): at gamma = 0, K = I and w = t.  A
+    slope is NaN only at a failed cell, or where the full generator's
+    adjoint fails its residual.
 
     A solver is built from one SystemSpec, EigenbasisSteadySolver(spec),
     or as a cell stack from the geometry of one spec and two rate arrays,
@@ -584,24 +589,21 @@ class EigenbasisSteadySolver:
                 rates=False):
         """(X, diag X, dtrap, drates), X flattened, with L(X) = rhs at
         every point (step 1 of the point path), on the arrays a (see
-        _select): a direct solve of the population system assembled by
-        _assemble, or _gmres above DIRECT_MAX_N sites.  g2 = 2*gamma has
-        shape (cells, k, 1), or is a float for one point; X then has shape
-        (cells, k, n^2) and diag X (cells, k, n).  With slope, dtrap holds
-        d(sum of the trap populations)/d gamma at every point, shape
-        (cells, k), else None (see the class docstring).  With rates,
-        drates holds d(sum of the trap populations)/d(kappa, mu), shape
-        (cells, k, 2): at every point from the adjoint with slope, and
-        without it at the first rate only, which must be gamma = 0, where
-        K = I and the adjoint is the trap indicator (shape (cells, 1, 2));
-        NaN on the GMRES route.  Else drates is None.
+        _select): the population system K p = b is solved directly,
+        assembled by _assemble, or by GMRES above DIRECT_MAX_N sites
+        (_gmres), and the rest is one code for every kernel.  g2 =
+        2*gamma has shape (cells, k, 1), or is a float for one point; X
+        then has shape (cells, k, n^2) and diag X (cells, k, n).  With
+        slope, dtrap holds d(sum of the trap populations)/d gamma at every
+        point, shape (cells, k), from the adjoint K^T w = t (NaN where
+        GMRES did not converge on it), else None (see the class
+        docstring).  With rates, drates holds d(sum of the trap
+        populations)/d(kappa, mu), shape (cells, k, 2): at every point
+        from the adjoint with slope, and without it at the first rate
+        only, which must be gamma = 0, where K = I and the adjoint is the
+        trap indicator (shape (cells, 1, 2)).  Else drates is None.
         """
         n = self.n
-        if self.kernel == "gmres":
-            xs, pops, dtrap = self._gmres(g2, a, rhs, warm_start, stats,
-                                          slope)
-            return xs, pops, dtrap, (np.full((1, 1, 2), math.nan)
-                                     if rates else None)
         weights = (a.weights0 if rhs is self._rhs0 else
                    (a.sinv @ rhs.reshape(n, n)
                     @ np.swapaxes(a.sinv.conj(), -1, -2)
@@ -611,10 +613,12 @@ class EigenbasisSteadySolver:
         y = a.c - g2
         ratio = a.c / y
         y = np.divide(weights, y, out=y)
-        kmat = self._assemble(a, ratio)
+        kmat = None if self.kernel == "gmres" else self._assemble(a, ratio)
         b = self._diag(a, y)
         adjoint = None
-        if kmat.size == n * n:
+        if kmat is None:
+            pops, adjoint = self._gmres(g2, a, b, warm_start, stats, slope)
+        elif kmat.size == n * n:
             # LAPACK directly: a third of np.linalg.solve's cost at n ~ 5.
             # An exactly singular K (info > 0) leaves pops unsolved; the
             # residual check then rejects the point.
@@ -630,11 +634,10 @@ class EigenbasisSteadySolver:
                                         b.reshape(n))[2].reshape(b.shape)
         elif slope:
             # K p = b and the adjoint K^T w = t in one stacked solve
-            both = np.linalg.solve(
+            pops, adjoint = np.linalg.solve(
                 np.stack([kmat, np.swapaxes(kmat, -1, -2)]),
                 np.stack(np.broadcast_arrays(b, self._trap_indicator))[
                     ..., None])[..., 0]
-            pops, adjoint = both
         else:
             pops = np.linalg.solve(kmat, b[..., None])[..., 0]
         del kmat
@@ -711,55 +714,44 @@ class EigenbasisSteadySolver:
              @ np.swapaxes(a.sinv.conj(), -1, -2)[:, None])
         return f.reshape(pops.shape[:-1] + (n * n,))
 
-    def _gmres(self, g2, a, rhs, warm_start, stats, slope=False):
-        """_kernel for one point of one cell: p = diag(X) solves
-        (I + 2*gamma*M) p = diag(A^-1 rhs) by GMRES from warm_start, and
-        X = S (Y - F o R) S^dag + Diag(p) is then rebuilt cancellation-free,
-        with Y = (S^-1 rhs S^-dag) / (c - 2*gamma) and F = S^-1 Diag(p)
-        S^-dag.  With slope, a second GMRES solve with the same matvec
-        gives the forward sensitivity dp/d gamma from
-        db - dK p = diag(S Z S^dag), Z = 2 (Y - F o R) / (c - 2*gamma) (see
-        the class docstring).  Besides the matvecs a point costs four n x n
-        products (b, F and X), and one more with slope: S^-1 rhs S^-dag is
-        the solver's weights0 for the initial site's rhs.
-        stats collects the GMRES info flag and the matvec count."""
+    def _gmres(self, g2, a, b, warm_start, stats, slope=False):
+        """(p, w) for one point of one cell above DIRECT_MAX_N sites:
+        K p = b solved by GMRES from warm_start and, with slope, the
+        adjoint K^T w = t by GMRES from zero, w NaN where it did not
+        converge; w None without slope.  At gamma = 0, K = I: p = b and
+        w = t.  stats collects the info flag of the K p = b solve and the
+        matvecs of both."""
         n = self.n
-        s, sdag, sinv = a.s[0], a.sdag[0], a.sinv[0]
-        c = a.c[0, 0].reshape(n, n)
-        weights = (a.weights0 if rhs is self._rhs0 else
-                   sinv @ rhs.reshape(n, n) @ sinv.conj().T).reshape(n, n)
-        y = weights / (c - g2)
-        dtrap = np.zeros((1, 1), dtype=complex) if slope else None
         if g2 == 0.0:
-            x = s @ y @ sdag
-        else:
-            apply = self._population_matvec(a, g2)
+            return b, self._trap_indicator if slope else None
 
-            def matvec(p):
+        def solve(apply, rhs, x0):
+            def matvec(v):
                 stats["matvecs"] += 1
-                return apply(p)
+                return apply(v)
 
             op = spla.LinearOperator((n, n), matvec=matvec, dtype=complex)
-            pops, stats["info"] = spla.gmres(
-                op, ((s @ y) * s.conj()).sum(axis=1), x0=warm_start,
-                rtol=1e-12, atol=0.0, restart=self.GMRES_RESTART,
-                maxiter=self.GMRES_MAXITER)
-            y -= ((sinv * pops) @ sinv.conj().T) * (c / (c - g2))
-            x = s @ y @ sdag
-            x.reshape(-1)[::n + 1] += pops
-            if slope:
-                dpops, info = spla.gmres(
-                    op, ((s @ (2.0 * y / (c - g2))) * s.conj()).sum(axis=1),
-                    rtol=1e-12, atol=0.0, restart=self.GMRES_RESTART,
-                    maxiter=self.GMRES_MAXITER)
-                dtrap[0, 0] = dpops[self.tidx].sum() if info == 0 else np.nan
-        return (x.reshape(1, 1, n * n), x.diagonal().reshape(1, 1, n).copy(),
-                dtrap)
+            return spla.gmres(op, rhs, x0=x0, rtol=1e-12, atol=0.0,
+                              restart=self.GMRES_RESTART,
+                              maxiter=self.GMRES_MAXITER)
 
-    def _population_matvec(self, a, g2):
+        pops, stats["info"] = solve(self._population_matvec(a, g2),
+                                    b.reshape(n), warm_start)
+        if not slope:
+            return pops.reshape(b.shape), None
+        adjoint, info = solve(self._population_matvec(a, g2, True),
+                              self._trap_indicator, None)
+        return pops.reshape(b.shape), (
+            adjoint if info == 0 else np.full(n, math.nan)).reshape(b.shape)
+
+    def _population_matvec(self, a, g2, transpose=False):
         """p -> (I + 2*gamma*M) p for the one cell of the arrays a, in the
-        cancellation-free form; g2 = 2*gamma."""
-        s, sinv = a.s[0], a.sinv[0]
+        cancellation-free form diag(S [(S^-1 Diag(p) S^-dag) o R] S^dag),
+        g2 = 2*gamma; with transpose, its transpose, the same form with
+        S^-T and S^T in place of S and S^-1:
+        w -> diag(S^-T [(S^T Diag(w) conj S) o R] conj S^-1)."""
+        s, sinv = (a.sinv[0].T, a.s[0].T) if transpose else (a.s[0],
+                                                               a.sinv[0])
         c = a.c[0, 0].reshape(self.n, self.n)
         ratio = c / (c - g2)
 
@@ -797,46 +789,88 @@ class EigenbasisSteadySolver:
                         "evaluate at mu = 1e-8 for the mu -> 0+ limit")
         return SingularSystemError(f"gamma={gamma:g}: {message}")
 
-    def _fall_back(self, k, gamma, x, resid, rhs, bnorm, stats):
-        """(eta, eta_loss, residual, populations, route) of cell k at gamma
-        from the fallback chain (step 3 of the point path), on the cell's
-        own arrays, from its rejected answer x (flattened) of residual
-        resid."""
-        n = self.n
-        a = self._select(slice(k, k + 1))
-        g2 = 2.0 * gamma
+    def _full_solve(self, a, g2, rhs, bnorm, v, resid, stats, accept,
+                    lu=None):
+        """(v, residual, lu) with L v = rhs on the one cell of the arrays
+        a by the fallback chain, from the answer v of residual resid:
+        extended-precision refinement when resid is above RESID_TARGET and
+        no sparse LU lu of L is given, kept where accept(v, residual)
+        holds; else the refined solve by lu, factored here when None
+        (RuntimeError where L cannot be).  lu is None where the
+        refinement was kept."""
         mh, mhd = (m.astype(np.clongdouble) for m in (a.mh, a.mhd))
 
-        def apply_ld(v):
-            return _generator(v.reshape(1, 1, -1), g2, mh, mhd).reshape(-1)
+        def apply_ld(u):
+            return _generator(u.reshape(1, 1, -1), g2, mh, mhd).reshape(-1)
 
         def solve(r):
             return self._kernel(g2, a, r, None, stats)[0].reshape(-1)
 
-        route, accepted = "direct-eigenbasis", False
-        if resid > RESID_TARGET:
-            x, resid = _refine(apply_ld, solve, x, rhs, bnorm)
-            eta, eta_loss = (v.item() for v in self._branching(x[::n + 1], a))
-            accepted = _accepted(resid, eta, eta_loss, RESID_ACCEPT)
-        if not accepted:
-            route = "direct-sparse"
-            mat = _sparse_generator(a.mh[0], a.mhd[0], g2)
-            try:
-                lu = spla.splu(mat.tocsc())
-            except RuntimeError as exc:
-                raise self._singular(
-                    k, gamma, f"sparse fallback failed: {exc}") from exc
-            x, resid = _refine(apply_ld, lu.solve, lu.solve(rhs), rhs, bnorm)
-            eta, eta_loss = (v.item() for v in self._branching(x[::n + 1], a))
-            if not _accepted(resid, eta, eta_loss, RESID_ACCEPT):
-                what, v = (("trapped", eta) if abs(eta.imag) > REAL_TOL
-                           else ("lost", eta_loss))
-                raise self._singular(k, gamma, (
-                    f"residual {resid:.2e} after sparse fallback"
-                    if not resid <= RESID_ACCEPT else
-                    f"{what} probability has imaginary part {v.imag:.3e}; "
-                    "the solve is not trustworthy"))
-        return eta.real, eta_loss.real, resid, x[::n + 1], route
+        if lu is None and resid > RESID_TARGET:
+            v, resid = _refine(apply_ld, solve, v, rhs, bnorm)
+            if accept(v, resid):
+                return v, resid, None
+        if lu is None:
+            lu = spla.splu(_sparse_generator(a.mh[0], a.mhd[0], g2).tocsc())
+        return (*_refine(apply_ld, lu.solve, lu.solve(rhs), rhs, bnorm), lu)
+
+    def _fall_back(self, k, gamma, x, resid, rhs, bnorm, stats):
+        """(eta, eta_loss, residual, X, route, lu) of cell k at gamma from
+        the fallback chain (step 3 of the point path, _full_solve), on the
+        cell's own arrays, from its rejected answer x (flattened) of
+        residual resid, accepted by the acceptance rule at RESID_ACCEPT;
+        lu as _full_solve returns it."""
+        n = self.n
+        a = self._select(slice(k, k + 1))
+
+        def branching(v):
+            return [u.item() for u in self._branching(v[::n + 1], a)]
+
+        try:
+            x, resid, lu = self._full_solve(
+                a, 2.0 * gamma, rhs, bnorm, x, resid, stats,
+                lambda v, r: _accepted(r, *branching(v), RESID_ACCEPT))
+        except RuntimeError as exc:
+            raise self._singular(
+                k, gamma, f"sparse fallback failed: {exc}") from exc
+        eta, eta_loss = branching(x)
+        if lu is not None and not _accepted(resid, eta, eta_loss,
+                                            RESID_ACCEPT):
+            what, v = (("trapped", eta) if abs(eta.imag) > REAL_TOL
+                       else ("lost", eta_loss))
+            raise self._singular(k, gamma, (
+                f"residual {resid:.2e} after sparse fallback"
+                if not resid <= RESID_ACCEPT else
+                f"{what} probability has imaginary part {v.imag:.3e}; "
+                "the solve is not trustworthy"))
+        route = "direct-eigenbasis" if lu is None else "direct-sparse"
+        return eta.real, eta_loss.real, resid, x, route, lu
+
+    def _full_slopes(self, k, gamma, x, lu, stats):
+        """(d trap/d gamma, d trap/d(kappa, mu)) of cell k at gamma, at its
+        certified X (x, flattened), trap the sum of the trap populations,
+        from the adjoint of the full generator: L is complex symmetric
+        (H^T = H), so the adjoint w solves L w = vec(P), P the trap
+        projector, by the fallback chain from zero (sharing the sparse LU
+        lu of the point's own fallback), accepted at RESID_ACCEPT, else
+        every slope is NaN.  d trap/d gamma = 2 w.x_offdiag,
+        d trap/d mu = 2 w.x and d trap/d kappa = w.vec(P X + X P)."""
+        n = self.n
+        t = np.zeros(n * n, dtype=complex)
+        t[self.tidx * (n + 1)] = 1.0
+        try:
+            w, resid, _ = self._full_solve(
+                self._select(slice(k, k + 1)), 2.0 * gamma, t,
+                math.sqrt(self.tidx.size), np.zeros_like(t), math.inf, stats,
+                lambda v, r: r <= RESID_ACCEPT, lu)
+        except RuntimeError:
+            resid = math.nan
+        if not resid <= RESID_ACCEPT:
+            return math.nan, np.full(2, math.nan)
+        wx = (w * x).reshape(n, n)
+        traps = self._trap_indicator.real
+        return 2.0 * (wx.sum() - wx.trace()), np.array(
+            [(wx * (traps[:, None] + traps)).sum(), 2.0 * wx.sum()])
 
     def _batch(self, gammas, cells, ids, rhs, bnorm, warm_start,
                slope=False, rates=False):
@@ -844,11 +878,12 @@ class EigenbasisSteadySolver:
         as in _select): solve, certify, then the fallback chain for every
         rejected point.  Returns (eta, eta_loss, residual, populations,
         (i, j, route) of each redone point, route None where its cell
-        failed, slope, rate slopes): slope is d eta/d log gamma where the
-        kernel's answer was certified, NaN at every redone point, or None
-        without `slope`; rate slopes are d eta/d log(kappa, mu) on the
-        points of _kernel's drates, NaN likewise, or None without
-        `rates`."""
+        failed, slope, rate slopes): slope is d eta/d log gamma at every
+        point, or None without `slope`; rate slopes are d eta/d log(kappa,
+        mu) on the points of _kernel's drates, or None without `rates`.
+        A redone point, and one whose GMRES adjoint did not converge, gets
+        them from _full_slopes."""
+        n = self.n
         stats = {"info": None, "matvecs": 0}
         g2 = 2.0 * (gammas.item() if gammas.size == 1 else gammas[..., None])
         a = self._select(cells)
@@ -858,6 +893,35 @@ class EigenbasisSteadySolver:
             eta, eta_loss, resid, certified = self._certify(
                 xs, pops, g2, a, rhs, bnorm)
         eta, eta_loss = eta.real, eta_loss.real
+        redone, to_slope = [], []
+        for i, j in [] if certified.all() else np.argwhere(~certified):
+            k, gamma = int(ids[i]), float(gammas[i, j])
+            route = None
+            if k not in self.failed:
+                try:
+                    (eta[i, j], eta_loss[i, j], resid[i, j], x, route,
+                     lu) = self._fall_back(k, gamma, xs[i, j], resid[i, j],
+                                           rhs, bnorm, stats)
+                    pops[i, j] = x[::n + 1]
+                    self._record(gamma, route, stats)
+                    to_slope.append((i, j, x, lu))
+                except SingularSystemError as err:
+                    if not self._stacked:
+                        raise
+                    self.failed[k] = err
+            redone.append((int(i), int(j), route))
+        if slope and self.kernel == "gmres":  # an adjoint not converged
+            to_slope += [(i, j, xs[i, j], None)
+                         for i, j in np.argwhere(certified & np.isnan(dtrap))]
+        for i, j, x, lu in to_slope:
+            # only where the call asked for slopes
+            if slope or (rates and j < drates.shape[1]):
+                dt, dr = self._full_slopes(int(ids[i]), float(gammas[i, j]),
+                                           x, lu, stats)
+                if slope:
+                    dtrap[i, j] = dt
+                if rates:
+                    drates[i, j] = dr
         slopes = gammas * a.two_kappa * dtrap.real if slope else None
         rslopes = None
         if rates:
@@ -866,25 +930,6 @@ class EigenbasisSteadySolver:
             rslopes = (0.5 * a.two_kappa[..., None] * drates.real
                        * np.stack([a.two_kappa, a.two_mu], axis=-1))
             rslopes[..., 0] += eta[:, :rslopes.shape[1]]
-        redone = []
-        for i, j in [] if certified.all() else np.argwhere(~certified):
-            k, gamma = int(ids[i]), float(gammas[i, j])
-            route = None
-            if slope:
-                slopes[i, j] = math.nan
-            if rates and j < rslopes.shape[1]:
-                rslopes[i, j] = math.nan
-            if k not in self.failed:
-                try:
-                    (eta[i, j], eta_loss[i, j], resid[i, j], pops[i, j],
-                     route) = self._fall_back(k, gamma, xs[i, j], resid[i, j],
-                                              rhs, bnorm, stats)
-                    self._record(gamma, route, stats)
-                except SingularSystemError as err:
-                    if not self._stacked:
-                        raise
-                    self.failed[k] = err
-            redone.append((int(i), int(j), route))
         if len(redone) < gammas.size:
             if gammas.size == 1:
                 self._record(gammas.item(), "direct-eigenbasis", stats)
@@ -906,8 +951,8 @@ class EigenbasisSteadySolver:
         (i, j, route) of the redone points, slopes, rate slopes) at the rates
         gammas[i, j] of cell cells[i] (of cell i when cells is None) from
         rho0 (the initial site when None), NaN for a failed cell.  slopes
-        holds d eta/d log gamma (NaN where the point was redone or its cell
-        failed) with `slope`, else it is None.  Rate slopes hold
+        holds d eta/d log gamma (NaN where its cell failed) with `slope`,
+        else it is None.  Rate slopes hold
         d eta/d log(kappa, mu) with `rates`, NaN likewise, else None: at
         every point with `slope`, shape (rows, k, 2), and without it at
         gammas[:, 0], which must be 0, in rate slopes[:, 0].  The points
@@ -946,13 +991,15 @@ class EigenbasisSteadySolver:
                     at = np.s_[i:i + size, :]
                     sel = (np.s_[i:i + size] if cells is None
                            else cells[i:i + size])
-                parts.append(self._batch(gammas[at], sel, ids[at[0]], rhs,
-                                         bnorm, warm_start, slope, rates))
+                parts.append(self._batch(  # rates without slope: at 0
+                    gammas[at], sel, ids[at[0]], rhs, bnorm, warm_start, slope,
+                    rates and (slope or not by_rate or i == 0)))
                 warm_start = parts[-1][3][0, -1]
                 redone += [(r, j + i, route) if by_rate else (r + i, j, route)
                            for r, j, route in parts[-1][4]]
             out = [None if arrays[0] is None else
-                   np.concatenate(arrays, axis=int(by_rate))
+                   np.concatenate([v for v in arrays if v is not None],
+                                  axis=int(by_rate))
                    for arrays in zip(*(p[:4] + p[5:] for p in parts))]
             out.insert(4, redone)
         eta, eta_loss, resid, pops, redone, slopes, rslopes = out
@@ -1038,10 +1085,10 @@ class EigenbasisSteadySolver:
         when None), and the result has its shape; all points are solved as
         one batch.  Points are certified as in eta_grid; above
         DIRECT_MAX_N sites each GMRES solve is warm-started from the
-        populations of the previous point.  A slope is NaN where the
-        certified eta came from the fallback chain (or the cell failed),
-        and a rate slope also on the GMRES route: each is a hint for a
-        search, never a reported number.
+        populations of the previous point.  Every certified eta has its
+        slopes, from the kernel or, where the fallback chain redid the
+        point, from the full generator; a slope is NaN where the cell
+        failed.  Each is a hint for a search, never a reported number.
         """
         slope = slope or _rates
         if not self._stacked:

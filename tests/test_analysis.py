@@ -14,6 +14,8 @@ from enaqt import (
     TruncationError,
     ValidationError,
     average_population,
+    build_chain_hamiltonian,
+    build_ring_hamiltonian,
     chain_amplitude,
     circle_max_enaqt,
     dephased_efficiency_estimate,
@@ -165,6 +167,10 @@ class TestMaxEnaqt:
     def test_rejects_semi_infinite(self):
         with pytest.raises(ValidationError):
             max_enaqt("semi-infinite", 10, 1, 5)
+
+    def test_numpy_integer_site_count(self):
+        assert max_enaqt("chain", np.int64(5), 2, 4) == max_enaqt(
+            "chain", 5, 2, 4)
 
     @pytest.mark.parametrize("trap,init", [(1.5, 2), ("1", 2), (1, 2.0)])
     def test_non_integer_site_rejected(self, trap, init):
@@ -383,6 +389,37 @@ class TestPlaneSweep:
             plane_sweep("chain", 3, 1, 2, **grids)
 
 
+# every function that takes a site count, on a ring where it takes one
+_RING_COUNTS = {
+    "SystemSpec": lambda n: SystemSpec("ring", n, (0,), 1, 0.1, 0.1, 0.0),
+    "build_ring_hamiltonian": build_ring_hamiltonian,
+    "circle_max_enaqt": lambda n: circle_max_enaqt(n, 1, 2),
+    "enaqt_estimate": lambda n: enaqt_estimate("ring", n, 1.0, 0.1, 1, 2),
+    "average_population": lambda n: average_population("ring", n, 1, 2),
+    "max_enaqt": lambda n: max_enaqt("ring", n, 1, 2),
+}
+_CHAIN_COUNTS = {
+    "build_chain_hamiltonian": build_chain_hamiltonian,
+    "dephased_efficiency_estimate": lambda n: dephased_efficiency_estimate(
+        n, 1.0, 0.1),
+    "chain_amplitude": lambda n: chain_amplitude(n, 1, 2, 0.3),
+}
+
+
+@pytest.mark.parametrize("name, n, message", [
+    *((name, 2.5, "n=2.5 invalid: must be an integer")
+      for name in {**_RING_COUNTS, **_CHAIN_COUNTS}),
+    *((name, 2, "n=2 invalid: ring needs at least 3 sites")
+      for name in _RING_COUNTS),
+])
+def test_one_site_count_check(name, n, message):
+    # one check for every site count: operator.index, so that nothing is
+    # truncated, then the topology's minimum
+    call = {**_RING_COUNTS, **_CHAIN_COUNTS}[name]
+    with pytest.raises(ValidationError, match=message):
+        call(n)
+
+
 @pytest.mark.parametrize("search", [
     lambda *geometry: plane_sweep(*geometry, kappa_grid=[0.1],
                                   mu_grid=[0.1]),
@@ -517,13 +554,13 @@ class TestInfiniteChain:
 
 
 class TestSearchArguments:
-    """The scan and golden refinement at extreme search settings."""
+    """The scan and the refinement at extreme search settings."""
 
     SPEC = SystemSpec("chain", 5, (0,), 1, kappa=1.0, mu=0.1, gamma=0.0)
 
     def test_tolerance_below_an_ulp_terminates(self):
-        # the golden bracket cannot shrink below one ulp of log gamma; the
-        # search stops there instead of looping
+        # the bracket cannot shrink below one ulp of log gamma; the search
+        # stops there instead of looping
         fine = analysis._optimize_cells(self.SPEC, [self.SPEC.kappa],
                                         [self.SPEC.mu], 64, 1e-300)[0]
         ref = optimize_dephasing(self.SPEC)
@@ -650,8 +687,8 @@ class TestRateSlopeSweeps:
         # steps: the calls of test_sweep_call_count less the ranking grid
         # and the final optimizations
         assert sum(r[2] for r in records) == 29 - 2
-        for axis, seeds, steps, bisections, golden, largest in records:
-            assert 0 <= bisections < steps and 0 <= golden <= seeds
+        for axis, seeds, steps, bisections, unsloped, largest in records:
+            assert 0 <= bisections < steps and unsloped == 0
         # the last sweeps run on slopes: kappa ends on the bound 100,
         # where xi still rises, and mu inside the bracket
         assert records[-2][4] == records[-1][4] == 0
@@ -682,8 +719,7 @@ class TestRateSlopeSweeps:
 
     def test_sweeps_run_on_slopes_above_sixteen_sites(self, caplog):
         # the map-free kernel (17 to DIRECT_MAX_N sites) solves the
-        # adjoint, so every seed has rate slopes and none runs golden
-        # section, which the GMRES route above it still needs
+        # adjoint, so every seed has rate slopes and none ends without
         with caplog.at_level(logging.DEBUG, logger="enaqt"):
             best = max_enaqt("chain", 17, 1, 2)
         records = [r.args for r in caplog.records
@@ -691,57 +727,6 @@ class TestRateSlopeSweeps:
         assert len(records) == 2 * analysis.PLANE_SWEEPS
         assert [r[4] for r in records] == [0] * len(records)
         assert best.xi > 0.2
-
-
-def _scalar_golden(f, a, b, tol):
-    """The one-bracket golden-section maximizer: the oracle for the
-    elementwise analysis._golden."""
-    invphi = (5 ** 0.5 - 1) / 2
-    c, d = b - invphi * (b - a), a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return (a + b) / 2
-
-
-@st.composite
-def _brackets(draw):
-    count = draw(st.integers(1, 6))
-    elements = []
-    for _ in range(count):
-        a = draw(st.floats(-10, 10))
-        width = draw(st.floats(0.0, 5.0))
-        tol = 10.0 ** draw(st.floats(-9, 0))
-        peak = draw(st.floats(-12, 12))
-        # rounding makes plateaus, so ties between the two interior
-        # values occur and must keep the left side
-        digits = draw(st.integers(1, 12))
-        elements.append((a, a + width, tol, peak, digits))
-    return elements
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(_brackets())
-def test_elementwise_golden_matches_scalar_oracle(elements):
-    fns = [lambda x, p=p, k=k: round(-(x - p) ** 2 + 0.3 * math.sin(3 * x), k)
-           for _, _, _, p, k in elements]
-
-    def stacked(x, idx):
-        return np.array([[fns[i](v) for v in np.atleast_1d(row)]
-                         for i, row in zip(idx, x)]).reshape(x.shape)
-
-    got = analysis._golden(stacked, [e[0] for e in elements],
-                           [e[1] for e in elements], [e[2] for e in elements])
-    want = [_scalar_golden(fn, a, b, tol)
-            for fn, (a, b, tol, _, _) in zip(fns, elements)]
-    assert got.tolist() == want
 
 
 def _dense_argmax(f, a, b, tol):
@@ -763,8 +748,7 @@ def _dense_argmax(f, a, b, tol):
 def _sloped(draw):
     """Brackets with analytic functions and their exact slopes: concave
     (a quadratic with a sine ripple), a flat top (slope exactly 0 on a
-    plateau) or monotone (the maximum on an end); `holes` gives no slope
-    on part of the line, which sends an element to golden section."""
+    plateau) or monotone (the maximum on an end)."""
     count = draw(st.integers(1, 6))
     elements = []
     for _ in range(count):
@@ -774,8 +758,7 @@ def _sloped(draw):
         kind = draw(st.sampled_from(["concave", "plateau", "monotone"]))
         peak = draw(st.floats(-12, 12))
         shape = draw(st.floats(0.0, 1.0))
-        holes = draw(st.booleans())
-        elements.append((a, a + width, tol, kind, peak, shape, holes))
+        elements.append((a, a + width, tol, kind, peak, shape))
     return elements
 
 
@@ -797,36 +780,55 @@ def _sloped_function(kind, peak, shape):
 @given(_sloped())
 def test_slope_mode_maximizer_matches_dense_grid_oracle(elements):
     pairs = [_sloped_function(kind, peak, shape)
-             for _, _, _, kind, peak, shape, _ in elements]
-    holes = [e[6] for e in elements]
+             for _, _, _, kind, peak, shape in elements]
 
     def stacked(x, idx):
-        values = np.array([[pairs[i][0](v) for v in np.atleast_1d(row)]
-                           for i, row in zip(idx, x)]).reshape(x.shape)
-        slopes = np.array([[math.nan if holes[i] and math.sin(7 * v) > 0.6
-                            else pairs[i][1](v) for v in np.atleast_1d(row)]
-                           for i, row in zip(idx, x)]).reshape(x.shape)
-        return values, slopes
+        return tuple(np.array([[pairs[i][k](v) for v in np.atleast_1d(row)]
+                               for i, row in zip(idx, x)]).reshape(x.shape)
+                     for k in (0, 1))
 
     stats = {}
-    got = analysis._golden(stacked, [e[0] for e in elements],
-                           [e[1] for e in elements],
-                           [e[2] for e in elements], stats)
+    got = analysis._maximize(stacked, [e[0] for e in elements],
+                             [e[1] for e in elements],
+                             [e[2] for e in elements], stats)
     assert stats["steps"] >= 1 and stats["bisections"] >= 0
-    for x, (f, df), (a, b, tol, kind, _, _, _) in zip(got, pairs, elements):
+    assert stats["unsloped"] == 0
+    for x, (f, df), (a, b, tol, kind, _, _) in zip(got, pairs, elements):
         assert a <= x <= b
         best = _dense_argmax(f, a, b, tol)
-        # within tol of the maximizer, as golden section is; a flat top
-        # has many, and so has f where it rounds to its maximum, so there
-        # the value decides (|f''| <= 4 for every f)
+        # within tol of the maximizer; a flat top has many, and so has f
+        # where it rounds to its maximum, so there the value decides
+        # (|f''| <= 4 for every f)
         if kind != "plateau" and f(x) < f(best) - 1e-15 * abs(f(best)):
             assert abs(x - best) <= tol
         assert f(x) >= f(best) - (abs(df(best)) + 4 * tol) * tol - 1e-12
 
 
+def test_point_without_a_value_ends_its_element():
+    # f = -(x - p)^2, NaN (a failed cell) right of 0.3: the first element
+    # meets NaN at a step and ends at its bracket's result, the second
+    # at its first call and ends at the midpoint; the third never meets it
+    peaks = np.array([0.5, 0.0, -0.5])
+
+    def f(x, idx):
+        p = peaks[idx].reshape((-1,) + (1,) * (x.ndim - 1))
+        hole = x > 0.3
+        return (np.where(hole, math.nan, -(x - p) ** 2),
+                np.where(hole, math.nan, -2.0 * (x - p)))
+
+    stats = {}
+    got = analysis._maximize(f, [-1.0, -0.3, -1.0], [1.0, 0.9, 1.0], 1e-6,
+                             stats)
+    assert stats["unsloped"] == 2
+    assert 0.236 <= got[0] <= 1.0  # within the bracket left after c, d
+    assert got[1] == pytest.approx(0.3, abs=1e-15)
+    assert got[2] == pytest.approx(-0.5, abs=1e-6)
+
+
 def test_slope_mode_takes_few_steps():
     # the refinement of an optimization: a 0.585-wide bracket (two spacings
-    # of the 64-point grid) and REFINE_TOL; golden section needs 19 calls
+    # of the 64-point grid) and REFINE_TOL; golden section needed 19
+    # calls
     peaks = np.linspace(-0.29, 0.29, 40)
 
     def stacked(x, idx):
@@ -834,34 +836,33 @@ def test_slope_mode_takes_few_steps():
         return -np.expm1(x - p) ** 2, -2 * np.expm1(x - p) * np.exp(x - p)
 
     stats = {}
-    got = analysis._golden(stacked, np.full(40, -0.2925),
-                           np.full(40, 0.2925), analysis.REFINE_TOL, stats)
+    got = analysis._maximize(stacked, np.full(40, -0.2925),
+                             np.full(40, 0.2925), analysis.REFINE_TOL, stats)
     assert np.abs(got - peaks).max() <= analysis.REFINE_TOL
     assert stats["steps"] <= 8 and stats["bisections"] == 0
 
 
 def test_flat_zero_elements():
-    # f = max(0, 1 - (x - p)^2), without a slope where it is 0
-    peaks = np.array([10.0, -0.9, 0.9, 0.1])
+    # f = max(0, h - (x - p)^2), without a slope where it is 0
+    peaks = np.array([10.0, -0.9, 0.9, 0.1, -0.1])
+    heights = np.array([1.0, 1.0, 1.0, 1.0, 0.1])
 
     def f(x, idx):
-        p = peaks[idx].reshape((-1,) + (1,) * (x.ndim - 1))
-        value = np.maximum(0.0, 1.0 - (x - p) ** 2)
+        p, h = (v[idx].reshape((-1,) + (1,) * (x.ndim - 1))
+                for v in (peaks, heights))
+        value = np.maximum(0.0, h - (x - p) ** 2)
         return value, np.where(value > 0, -2.0 * (x - p), math.nan)
 
     stats = {}
-    got = analysis._golden(f, np.full(4, -1.0), np.full(4, 1.0), 1e-6, stats,
-                           flat_zero=True)
+    got = analysis._maximize(f, np.full(5, -1.0), np.full(5, 1.0), 1e-6,
+                             stats)
     # no gain at either first point: the element stops, and its caller
     # keeps its own point; a zero at one first point: the secant search
-    # from the other, on the side its slope points to
+    # from the other, on the side its slope points to; the last element's
+    # sloped point points back at its zero point, and bisects toward it
     assert math.isnan(got[0])
     np.testing.assert_allclose(got[1:], peaks[1:], rtol=0, atol=1e-6)
-    assert stats["golden"] == 0
-    # without flat_zero, the first two run golden section
-    stats = {}
-    got = analysis._golden(f, np.full(4, -1.0), np.full(4, 1.0), 1e-6, stats)
-    assert stats["golden"] == 3
+    assert stats["unsloped"] == 0
 
 
 @st.composite

@@ -130,6 +130,11 @@ class TestSystemSpecValidation:
         assert type(spec.trap_sites[0]) is int
         assert type(spec.initial_site) is int
 
+    def test_numpy_integer_site_count_stored_as_int(self):
+        spec = SystemSpec("chain", np.int64(5), (0,), 2, 0.1, 0.1, 0.0)
+        assert spec.n == 5 and type(spec.n) is int
+        assert spec == SystemSpec("chain", 5, (0,), 2, 0.1, 0.1, 0.0)
+
     def test_initial_on_single_trap_rejected(self):
         with pytest.raises(ValidationError):
             SystemSpec("chain", 3, (1,), 1, 0.1, 0.1, 0.0)

@@ -3,6 +3,7 @@
 import logging
 import math
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -566,15 +567,20 @@ def test_batched_grid_properties(system):
         assert single + lost == pytest.approx(1.0, abs=1e-9)
 
 
-def _fail_direct_solve_at(monkeypatch, gamma):
-    """Make the direct population solve fail its checks at gamma only."""
+def _fail_direct_solve_at(monkeypatch, gamma, resid=None):
+    """Make the direct population solve fail its checks at gamma only;
+    with resid, certification reports that residual there, and above
+    RESID_TARGET the fallback chain refines the kernel's answer before it
+    tries the sparse LU."""
     certify = EigenbasisSteadySolver._certify
 
     def failing(self, xs, pops, g2, a, rhs, bnorm):
-        eta, eta_loss, resid, certified = certify(self, xs, pops, g2, a, rhs,
-                                                  bnorm)
+        eta, eta_loss, residual, certified = certify(self, xs, pops, g2, a,
+                                                     rhs, bnorm)
         hit = np.reshape(g2, np.shape(certified)) == 2.0 * gamma
-        return eta, eta_loss, resid, certified & ~hit
+        if resid is not None:
+            residual = np.where(hit, resid, residual)
+        return eta, eta_loss, residual, certified & ~hit
 
     monkeypatch.setattr(EigenbasisSteadySolver, "_certify", failing)
 
@@ -691,7 +697,7 @@ def _central_slope(solver, gamma, h=1e-3):
     (SystemSpec("chain", 5, (1,), 3, 100.0, 0.00276, 0.0), (0.1, 3.0, 300.0)),
     # assembled without the maps
     (SystemSpec("chain", 24, (0,), 1, 3.0, 0.1, 0.0), (0.1, 3.0, 300.0)),
-    # GMRES route: the forward-sensitivity solve
+    # GMRES route: the adjoint by GMRES
     (SystemSpec("chain", DIRECT_MAX_N + 1, (0,), 1, 3.0, 0.1, 0.0),
      (0.1, 3.0, 300.0)),
 ])
@@ -719,18 +725,40 @@ def test_stack_slopes_match_single_cells():
             assert slope == pytest.approx(want[1], rel=1e-10, abs=1e-15)
 
 
-@pytest.mark.parametrize("n", [6, 20])
-def test_redone_point_gives_no_slope(monkeypatch, n):
-    # the slope is a search hint: a point that certification rejected has
-    # none, though its eta, from the fallback chain, is still reported
+@pytest.mark.parametrize("route, resid", [("direct-sparse", None),
+                                          ("direct-eigenbasis", 1e-8)],
+                         ids=["sparse", "refined"])
+@pytest.mark.parametrize("n", [6, 20, DIRECT_MAX_N + 1],
+                         ids=["maps", "map-free", "gmres"])
+def test_redone_point_gives_the_undisturbed_slopes(monkeypatch, n, route,
+                                                   resid):
+    # a point that certification rejected gets its slopes from the adjoint
+    # of the full generator, solved through the same fallback chain as its
+    # eta; they equal the kernel's, where the point is not redone
     spec = SystemSpec("chain", n, (0,), 2, 0.4, 0.02, 0.0)
-    _fail_direct_solve_at(monkeypatch, 0.3)
+    gammas = np.array([[0.1, 0.3, 3.0]])
+    want = EigenbasisSteadySolver(spec, [spec.kappa], [spec.mu]).eta(
+        gammas, _rates=True)
+    _fail_direct_solve_at(monkeypatch, 0.3, resid)
     solver = EigenbasisSteadySolver(spec, [spec.kappa], [spec.mu])
-    etas, slopes = solver.eta(np.array([[0.1, 0.3, 3.0]]), slope=True)
-    assert np.isnan(slopes[0, 1])
-    assert np.isfinite(slopes[0, [0, 2]]).all()
-    assert etas[0, 1] == pytest.approx(_sparse_lu_branching(
+    got = solver.eta(gammas, _rates=True)
+    assert solver.routes == Counter(["direct-eigenbasis"] * 2 + [route])
+    assert got[0][0, 1] == pytest.approx(_sparse_lu_branching(
         spec.with_gamma(0.3))[0], abs=1e-12)
+    for g, w in zip(got[1:], want[1:]):
+        np.testing.assert_allclose(g, w, rtol=1e-9, atol=0)
+
+
+def test_rate_slopes_of_a_redone_scan_point(monkeypatch):
+    # the scan's gamma = 0 column asks for rate slopes only: a redone
+    # point there gets them too
+    spec = SystemSpec("ring", 5, (0,), 2, 0.4, 0.02, 0.0)
+    gammas = [0.0, 0.3, 3.0]
+    want = EigenbasisSteadySolver(spec).eta_grid(gammas, _rates=True)
+    _fail_direct_solve_at(monkeypatch, 0.0)
+    got = EigenbasisSteadySolver(spec).eta_grid(gammas, _rates=True)
+    assert np.array_equal(got[0][1:], want[0][1:])
+    np.testing.assert_allclose(got[1], want[1], rtol=1e-9, atol=0)
 
 
 def _central_rate_slope(spec, gamma, rate, h=1e-3):
@@ -751,7 +779,9 @@ def _central_rate_slope(spec, gamma, rate, h=1e-3):
     SystemSpec("ring", 4, (0,), 1, 1.0, 0.1, 0.0),
     # the map-free kernel's adjoint
     SystemSpec("chain", 24, (0,), 1, 3.0, 0.1, 0.0),
-], ids=["chain5", "ring4", "chain24"])
+    # the GMRES route's adjoint
+    SystemSpec("chain", DIRECT_MAX_N + 1, (0,), 1, 3.0, 0.1, 0.0),
+], ids=["chain5", "ring4", "chain24", "gmres"])
 def test_rate_slopes_match_central_differences(spec):
     # d eta/d log kappa and d eta/d log mu from the adjoint of the slope
     # solve, at gamma = 0 as in a scan's first column and at two rates
@@ -785,24 +815,35 @@ def test_stack_rate_slopes_match_single_cells():
                                    rtol=1e-10, atol=1e-15)
 
 
-def test_rate_slopes_are_nan_without_an_adjoint(monkeypatch):
-    # GMRES route (n > DIRECT_MAX_N): no rate slopes at all, though eta
-    # and the gamma slope are still given
-    big = EigenbasisSteadySolver(SystemSpec("chain", DIRECT_MAX_N + 1, (0,),
-                                            1, 3.0, 0.1, 0.0))
-    eta, slope, rates = big.eta(0.3, _rates=True)
-    assert math.isfinite(eta) and math.isfinite(slope)
-    assert np.isnan(rates).all()
-    assert np.isnan(big.eta_grid([0.0, 1.0], _rates=True)[1]).all()
-    # a point redone by the fallback chain gives none either
-    spec = SystemSpec("chain", 6, (0,), 2, 0.4, 0.02, 0.0)
-    _fail_direct_solve_at(monkeypatch, 0.3)
-    etas, slopes, rates = EigenbasisSteadySolver(
-        spec, [spec.kappa], [spec.mu]).eta(np.array([[0.1, 0.3, 3.0]]),
-                                           _rates=True)
-    assert np.isnan(rates[0, 1]).all()
-    assert np.isfinite(rates[0, [0, 2]]).all()
-    assert np.isfinite(etas).all()
+def test_gmres_point_record_counts_the_adjoint_matvecs(caplog):
+    spec = SystemSpec("chain", DIRECT_MAX_N + 1, (0,), 1, 3.0, 0.1, 0.0)
+    with caplog.at_level(logging.DEBUG, logger="enaqt"):
+        EigenbasisSteadySolver(spec).eta(0.3)
+        EigenbasisSteadySolver(spec).eta(0.3, slope=True)
+    plain, sloped = (r[3] for r in _solve_records(caplog))
+    assert 0 < plain < sloped
+
+
+def test_gmres_adjoint_without_convergence_takes_the_fallback_route(
+        monkeypatch, caplog):
+    # where GMRES does not converge on the adjoint, the point's eta is
+    # still the kernel's, and its slopes come from the adjoint of the full
+    # generator, as at a redone point
+    spec = SystemSpec("chain", DIRECT_MAX_N + 1, (0,), 1, 3.0, 0.1, 0.0)
+    want = EigenbasisSteadySolver(spec).eta(0.3, _rates=True)
+    matvec = EigenbasisSteadySolver._population_matvec
+    monkeypatch.setattr(
+        EigenbasisSteadySolver, "_population_matvec",
+        lambda self, a, g2, transpose=False: (
+            np.zeros_like if transpose else matvec(self, a, g2)))
+    solver = EigenbasisSteadySolver(spec)
+    with caplog.at_level(logging.DEBUG, logger="enaqt"):
+        got = solver.eta(0.3, _rates=True)
+    ((_, _, info, _, route),) = _solve_records(caplog)
+    assert (info, route) == (0, "direct-eigenbasis")
+    assert got[0] == want[0]
+    assert got[1] == pytest.approx(want[1], rel=1e-9, abs=0)
+    np.testing.assert_allclose(got[2], want[2], rtol=1e-9, atol=0)
 
 
 @pytest.mark.parametrize("n", [5, 16])
