@@ -189,9 +189,10 @@ def _geometry_spec(topology, n, trap, init, names) -> SystemSpec:
 
 
 def _check_positive_rates(kappa, mu):
-    if not (kappa > 0 and mu > 0):
+    if not (0.0 < kappa < math.inf and 0.0 < mu < math.inf):
         raise ValidationError(
-            f"kappa and mu must be > 0, got kappa={kappa!r}, mu={mu!r}")
+            f"kappa and mu must be finite and > 0, got kappa={kappa!r}, "
+            f"mu={mu!r}")
 
 
 def _exp(x):
@@ -525,7 +526,7 @@ def optimize_dephasing(spec: SystemSpec) -> EnaqtResult:
     systems) and the refinement, whose steps are single LAPACK solves of
     eta and its slope.
 
-    Raises ValidationError for rates that are not > 0, and
+    Raises ValidationError for rates that are not finite and > 0, and
     SingularSystemError, with its gamma named, for a solve that fails its
     certification.
     """
@@ -875,7 +876,7 @@ def infinite_chain_enaqt(kappa: float, mu: float,
                 f"{SITE_CAP_INFINITE} sites ({n} needed, best delta "
                 f"{delta:.3e})", achieved_delta=delta)
         return EigenbasisSteadySolver(
-            semi_infinite_spec(kappa, mu, 0.0, offset, *sizes), kappa, mu)
+            semi_infinite_spec(kappa, mu, 0.0, offset, *sizes))
 
     def etas(sizes, gammas):
         # eta of the truncation at gammas, solving only the new rates

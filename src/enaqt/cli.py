@@ -287,8 +287,10 @@ def run(cfg: RunConfig) -> list:
     if sub == "curve":
         gammas = [0.0] + _grid(cfg.gamma_min, cfg.gamma_max,
                                cfg.gamma_points, cfg.gamma_scale)
-        etas, losses, resids, methods = EigenbasisSteadySolver(
-            _spec(cfg)).efficiencies(gammas)
+        solver = EigenbasisSteadySolver(_spec(cfg))
+        etas, losses, resids, methods = solver.efficiencies(gammas)
+        if solver.failed:
+            raise solver.failed[0]
         return [{
             "topology": cfg.topology, "n": cfg.n, "trap": cfg.trap,
             "init": cfg.init, "kappa": cfg.kappa, "mu": cfg.mu,

@@ -17,25 +17,25 @@ model._generator applies L without forming it in every residual and
 refinement of the steady solve; propagate densifies the sparse matrix of
 model._sparse_generator, which the sparse-LU fallback also factors.
 
-Every steady solve, single, over a gamma grid or over a stack of
+Every steady solve, single, over a gamma grid or over several
 (kappa, mu) cells of one geometry, runs on one engine,
-EigenbasisSteadySolver, through one point path: it reduces the steady
-solve to the n site populations in the eigenbasis of H and solves that
-system by one of three kernels, chosen by the number of sites n:
+EigenbasisSteadySolver, a cell stack (one cell for a single spec),
+through one point path: it reduces the steady solve to the n site
+populations in the eigenbasis of H and solves that system by one of three
+kernels, chosen by the number of sites n:
 
 * up to MAPS_MAX_N sites, directly, with the system assembled through
-  n^2 x n^2 maps tabulated per cell ("maps"), batched over all cells and
-  rates of a call;
+  n^2 x n^2 maps tabulated per cell ("maps");
 * up to DIRECT_MAX_N sites, directly, with the system assembled without
-  maps ("map-free"), batched over the rates of a call in byte-bounded
-  chunks;
+  maps ("map-free");
 * above, by GMRES, one point at a time ("gmres").
 
 It certifies every answer by one residual of the full generator and one
-acceptance rule; and it sends a rejected point, on its own cell's arrays,
+acceptance rule; it sends a rejected point, on its own cell's arrays,
 through one fallback chain: extended-precision refinement, then a sparse
-LU of the full generator.  The solver also sizes the cell stacks of its
-callers (_stack_size).
+LU of the full generator; and it records a point failing both in
+`failed` (efficiency_direct and efficiency_gamma_grid raise it).  The
+solver also sizes the cell stacks of its callers (_stack_size).
 """
 
 from __future__ import annotations
@@ -78,12 +78,12 @@ __all__ = [
 RESID_TARGET = 1e-10  # relative residual that certifies an answer outright
 RESID_ACCEPT = 1e-9   # relative residual above which a fallback is rejected
 REAL_TOL = 1e-10      # allowed imaginary leakage in probabilities
-# Bytes of one (points x n^2) complex array of a batched direct solve,
-# which holds several such arrays at once; a call with more points than
-# that is solved in chunks of cells.  The map-free kernel holds n^3
-# complex numbers per rate while it assembles K, and solves in chunks of
-# as many rates as fit these bytes: one rate from 17 sites on.  Chunks of
-# 1 MB and 4 MB timed the same on 65-point grids at n = 17-32.
+# Bytes of the points of one chunk of a call (all rates of as many cells
+# as fit, or as many rates of one cell): a direct solve holds several
+# (points x n^2) complex arrays at once up to MAPS_MAX_N sites, and n^3
+# complex numbers a point above, while it assembles K without maps (one
+# rate from 17 sites on).  Chunks of 1 MB and 4 MB timed the same on
+# 65-point grids at n = 17-32.
 BATCH_BYTES = 2 ** 17
 # Largest n for which EigenbasisSteadySolver assembles the population
 # system through n^2 x n^2 maps (16 n^4 bytes a cell); on 65-point grids
@@ -188,12 +188,15 @@ def efficiency_direct(spec: SystemSpec, rho0=None) -> EfficiencyReport:
     ValidationError
         If rho0 has the wrong size, a non-finite entry, or is zero.
     SingularSystemError
-        If the generator is singular (dark state at mu = 0) or the solve
-        residual or imaginary leakage is not acceptable.
+        The solver's `failed` entry, if the generator is singular (dark
+        state at mu = 0) or the residual or imaginary leakage of every
+        route is not acceptable.
     """
     vec0 = None if rho0 is None else as_density_vec(rho0, spec.n)
-    eta, eta_loss, resid, method = EigenbasisSteadySolver(spec).efficiency(
-        spec.gamma, rho0=vec0)[:4]
+    solver = EigenbasisSteadySolver(spec)
+    eta, eta_loss, resid, method = solver.efficiency(spec.gamma, rho0=vec0)
+    if solver.failed:
+        raise solver.failed[0]
     return EfficiencyReport(eta, eta_loss, method, resid)
 
 
@@ -298,20 +301,19 @@ def survival_probability(traj: Trajectory, t):
 def efficiency_gamma_grid(spec: SystemSpec, gammas) -> np.ndarray:
     """eta evaluated at each dephasing rate on the grid.
 
-    The whole grid goes through one EigenbasisSteadySolver (see
-    EigenbasisSteadySolver.eta_grid): one batched direct solve of the
-    population system up to MAPS_MAX_N sites, direct solves in chunks of
-    rates up to DIRECT_MAX_N sites, and warm-started GMRES along the grid
-    above that.  spec's own gamma is ignored; callers that
-    solve several grids on one system call the solver's eta_grid.
+    The whole grid is one call of a one-cell EigenbasisSteadySolver's
+    eta_grid; spec's own gamma is ignored.  Callers that solve several
+    grids on one system call the solver's eta_grid.
 
-    Raises ValidationError for a rate that is negative or not finite, and
-    the per-point solver error with the failing gamma attached.
+    Raises ValidationError for a grid that is not a non-empty 1-d
+    sequence or holds a rate that is negative or not finite, and the
+    solver's error where a point fails (see efficiency_direct).
     """
-    gammas = np.asarray(list(gammas), dtype=float)
-    if gammas.ndim != 1 or gammas.size == 0:
-        raise ValidationError("gamma grid must be a non-empty 1-d sequence")
-    return EigenbasisSteadySolver(spec).eta_grid(gammas)
+    solver = EigenbasisSteadySolver(spec)
+    etas = solver.eta_grid(list(gammas))
+    if solver.failed:
+        raise solver.failed[0]
+    return etas[0]
 
 
 def _accepted(resid, eta, eta_loss, bound):
@@ -442,44 +444,43 @@ class EigenbasisSteadySolver:
     slope is NaN only at a failed cell, or where the full generator's
     adjoint fails its residual.
 
-    A solver is built from one SystemSpec, EigenbasisSteadySolver(spec),
-    or as a cell stack from the geometry of one spec and two rate arrays,
-    EigenbasisSteadySolver(spec, kappa, mu): cell i has the rates
-    (kappa[i], mu[i]) (finite and >= 0, else ValidationError), and spec's
-    own rates are ignored.  No spec is built per cell: H of every cell is
-    the geometry's hopping matrix plus one diagonal, -i(mu + kappa on the
-    traps), bit for bit as build_hamiltonian gives it, and every array
-    gets a leading cell axis.  A stack is built with one stacked
-    eigendecomposition and one stacked map, and each call of eta_grid or
-    eta solves a (cells x rates) array of points at once: per cell, one
-    matrix product applies a map, or S, S^dag or H, to all its rates
-    together, and one stacked solve covers every point (a single LAPACK
-    solve for one cell and one rate).  Above MAPS_MAX_N sites a stack
-    holds one cell; the map-free kernel solves its points in chunks of
-    rates of at most BATCH_BYTES of n^3 temporaries, and above
-    DIRECT_MAX_N sites GMRES solves them one by one, warm-started along
-    the calls.
+    Every solver is a cell stack, built from the geometry of one spec and
+    two rate arrays, EigenbasisSteadySolver(spec, kappa, mu): cell i has the
+    rates (kappa[i], mu[i]) (finite and >= 0, else ValidationError).  Each
+    array defaults to spec's own rate, so EigenbasisSteadySolver(spec) is
+    the one-cell stack at spec's rates.  No spec is built per cell: H of
+    every cell is the geometry's hopping matrix plus one diagonal,
+    -i(mu + kappa on the traps), bit for bit as build_hamiltonian gives it,
+    and every array gets a leading cell axis.  A stack is built with one
+    stacked eigendecomposition and one stacked map, and each call of
+    eta_grid or eta solves a (cells x rates) array of points at once: per
+    cell, one matrix product applies a map, or S, S^dag or H, to all its
+    rates together, and one stacked solve covers every point (a single
+    LAPACK solve for one cell and one rate), in chunks of at most
+    BATCH_BYTES: all rates of as many cells as fit, or as many rates of one
+    cell.  Above MAPS_MAX_N sites a stack holds one cell and a chunk one
+    rate, and above DIRECT_MAX_N sites GMRES solves the points one by one,
+    warm-started along the calls.
 
-    efficiency, eta and eta_grid run one point path (_points) for rates
-    that are finite and >= 0 (ValidationError otherwise): (1) solve the
-    points (_kernel); (2) certify each answer by the one residual of the
-    full generator (_generator) and one acceptance rule (_accepted):
-    residual within RESID_TARGET, imaginary leakage of eta and eta_loss
-    within REAL_TOL; (3) send a rejected point, on its own cell's arrays
-    and from the answer it has, through one fallback chain (_fall_back):
+    efficiency, eta and eta_grid run one point path (_points) for rates that
+    are finite and >= 0 (ValidationError otherwise): (1) solve the points
+    (_kernel); (2) certify each answer by the one residual of the full
+    generator (_generator) and one acceptance rule (_accepted): residual
+    within RESID_TARGET, imaginary leakage of eta and eta_loss within
+    REAL_TOL; (3) send a rejected point, on its own cell's arrays and from
+    the answer it has, through one fallback chain (_fall_back):
     extended-precision refinement when its residual is above RESID_TARGET
-    (near-singular systems, mu ~ 1e-8), then a sparse LU of the cell's
-    full generator, each accepted at RESID_ACCEPT.  A point failing both
-    gets a SingularSystemError with its gamma named (and the dark-state
-    hint at mu = 0): a solver built from one spec raises it; a stack
-    records it in `failed` under the cell's index, answers NaN for that
-    cell from then on, and solves its other cells as before.  `routes`
-    counts the accepted points per method.  `kernel` names the kernel
-    ("maps", "map-free" or "gmres"), and so does the DEBUG record that
-    every point solved alone (a one-point call, a GMRES point, a
-    fallback) and every eta_grid or efficiencies call of a direct kernel
-    leaves.  efficiencies gives what efficiency gives for each rate of a
-    grid, method included, from one call of the point path.
+    (near-singular systems, mu ~ 1e-8), then a sparse LU of the cell's full
+    generator, each accepted at RESID_ACCEPT.  A point failing both gets a
+    SingularSystemError with its gamma named (and the dark-state hint at
+    mu = 0), which the solver never raises: it records it in `failed` under
+    the cell's index, answers NaN for that cell from then on, and solves its
+    other cells as before.  `routes` counts the accepted points per method.
+    `kernel` names the kernel ("maps", "map-free" or "gmres"), and so does
+    the DEBUG record that every point solved alone (a one-point call, a
+    GMRES point, a fallback) and every eta_grid or efficiencies call of a
+    direct kernel leaves.  efficiencies gives what efficiency gives for each
+    rate of a grid, method included, from one call of the point path.
     """
 
     GMRES_RESTART = 60
@@ -489,20 +490,18 @@ class EigenbasisSteadySolver:
         if not isinstance(spec, SystemSpec):
             raise ValidationError(
                 f"a solver is built from one SystemSpec, got {spec!r}")
-        self._stacked = kappa is not None or mu is not None
-        if self._stacked:
-            kappa, mu = (np.array(v, dtype=float).reshape(-1)
-                         for v in np.broadcast_arrays(kappa, mu))
-            if kappa.size == 0:
-                raise ValidationError("a cell stack needs at least one cell")
-            for name, rates in (("kappa", kappa), ("mu", mu)):
-                good = np.isfinite(rates) & (rates >= 0.0)
-                if not good.all():
-                    raise ValidationError(
-                        f"{name}={float(rates[~good][0])!r} must be finite "
-                        "and >= 0")
-        else:
-            kappa, mu = np.array([spec.kappa]), np.array([spec.mu])
+        rates = np.array(np.broadcast_arrays(
+            spec.kappa if kappa is None else kappa,
+            spec.mu if mu is None else mu), dtype=float).reshape(2, -1)
+        if rates.size == 0:
+            raise ValidationError("a cell stack needs at least one cell")
+        if not (np.minimum.reduce(rates, None) >= 0.0
+                and np.maximum.reduce(rates, None) < math.inf):
+            i, j = np.argwhere(~(np.isfinite(rates) & (rates >= 0.0)))[0]
+            raise ValidationError(f"{('kappa', 'mu')[i]}="
+                                  f"{float(rates[i, j])!r} must be finite "
+                                  "and >= 0")
+        kappa, mu = rates
         self.n = n = spec.n
         if n > MAPS_MAX_N and kappa.size > 1:
             raise ValidationError(
@@ -531,7 +530,7 @@ class EigenbasisSteadySolver:
             2.0 * mu[:, None], **self._build_maps(s, sinv))
         self._warm = None  # GMRES start: the last point's populations
         self.routes = Counter()  # accepted points per method
-        self.failed = {}  # cell index -> SingularSystemError, stacks only
+        self.failed = {}  # cell index -> SingularSystemError
 
     def _build_maps(self, s, sinv):
         """Tabulate, per cell, what the direct kernels apply, as keyword
@@ -579,9 +578,7 @@ class EigenbasisSteadySolver:
                 "weights0": weights0}
 
     def _select(self, cells):
-        """The arrays of `cells`: all, an index array (copies) or a slice."""
-        if cells is None:
-            return self._all
+        """The arrays of `cells`, an index array (copies) or a slice."""
         return _Cells._make(None if m is None else m[cells]
                             for m in self._all)
 
@@ -620,18 +617,16 @@ class EigenbasisSteadySolver:
             pops, adjoint = self._gmres(g2, a, b, warm_start, stats, slope)
         elif kmat.size == n * n:
             # LAPACK directly: a third of np.linalg.solve's cost at n ~ 5.
-            # An exactly singular K (info > 0) leaves pops unsolved; the
+            # One factorization for K p = b and, with slope, K^T w = t.  An
+            # exactly singular K (info > 0) gives a non-finite pops; the
             # residual check then rejects the point.
-            if slope:  # one factorization for K p = b and K^T w = t
-                lu, piv = sla.lapack.zgetrf(kmat.reshape(n, n))[:2]
-                pops, adjoint = (
-                    sla.lapack.zgetrs(lu, piv, v, trans=trans)[0].reshape(
+            lu, piv = sla.lapack.zgetrf(kmat.reshape(n, n))[:2]
+            pops = sla.lapack.zgetrs(lu, piv, b.reshape(n))[0].reshape(
+                b.shape)
+            if slope:
+                adjoint = sla.lapack.zgetrs(
+                    lu, piv, self._trap_indicator, trans=1)[0].reshape(
                         b.shape)
-                    for v, trans in ((b.reshape(n), 0),
-                                     (self._trap_indicator, 1)))
-            else:
-                pops = sla.lapack.zgesv(kmat.reshape(n, n),
-                                        b.reshape(n))[2].reshape(b.shape)
         elif slope:
             # K p = b and the adjoint K^T w = t in one stacked solve
             pops, adjoint = np.linalg.solve(
@@ -872,11 +867,12 @@ class EigenbasisSteadySolver:
         return 2.0 * (wx.sum() - wx.trace()), np.array(
             [(wx * (traps[:, None] + traps)).sum(), 2.0 * wx.sum()])
 
-    def _batch(self, gammas, cells, ids, rhs, bnorm, warm_start,
-               slope=False, rates=False):
-        """The point path for the rates gammas[i, j] of cell ids[i] (cells
-        as in _select): solve, certify, then the fallback chain for every
-        rejected point.  Returns (eta, eta_loss, residual, populations,
+    def _batch(self, gammas, a, ids, rhs, bnorm, warm_start, slope=False,
+               rates=False):
+        """The point path for the rates gammas[i, j] of cell ids[i], whose
+        arrays are a (see _select): solve, certify, then the fallback chain
+        for every rejected point; a point failing it records its error in
+        `failed`.  Returns (eta, eta_loss, residual, populations,
         (i, j, route) of each redone point, route None where its cell
         failed, slope, rate slopes): slope is d eta/d log gamma at every
         point, or None without `slope`; rate slopes are d eta/d log(kappa,
@@ -886,7 +882,6 @@ class EigenbasisSteadySolver:
         n = self.n
         stats = {"info": None, "matvecs": 0}
         g2 = 2.0 * (gammas.item() if gammas.size == 1 else gammas[..., None])
-        a = self._select(cells)
         with np.errstate(divide="ignore", invalid="ignore"):
             xs, pops, dtrap, drates = self._kernel(g2, a, rhs, warm_start,
                                                    stats, slope, rates)
@@ -906,8 +901,6 @@ class EigenbasisSteadySolver:
                     self._record(gamma, route, stats)
                     to_slope.append((i, j, x, lu))
                 except SingularSystemError as err:
-                    if not self._stacked:
-                        raise
                     self.failed[k] = err
             redone.append((int(i), int(j), route))
         if slope and self.kernel == "gmres":  # an adjoint not converged
@@ -945,64 +938,53 @@ class EigenbasisSteadySolver:
                    "route=%s kernel=%s", self.n, gamma, stats["info"],
                    stats["matvecs"], route, self.kernel)
 
-    def _points(self, gammas, cells=None, rho0=None, warm_start=None,
-                slope=False, rates=False):
+    def _points(self, gammas, ids, rho0=None, warm_start=None, slope=False,
+                rates=False):
         """The one point path: (eta, eta_loss, residual, populations,
-        (i, j, route) of the redone points, slopes, rate slopes) at the rates
-        gammas[i, j] of cell cells[i] (of cell i when cells is None) from
-        rho0 (the initial site when None), NaN for a failed cell.  slopes
-        holds d eta/d log gamma (NaN where its cell failed) with `slope`,
-        else it is None.  Rate slopes hold
-        d eta/d log(kappa, mu) with `rates`, NaN likewise, else None: at
-        every point with `slope`, shape (rows, k, 2), and without it at
-        gammas[:, 0], which must be 0, in rate slopes[:, 0].  The points
-        form one _batch, or one per chunk: of cells beyond BATCH_BYTES up
-        to MAPS_MAX_N sites, of rates beyond BATCH_BYTES of n^3 numbers
-        up to DIRECT_MAX_N sites, and of one rate above, warm-started from the
-        last.
-        """
+        (i, j, route) of the redone points, slopes, rate slopes) at the
+        rates gammas[i, j] of cell ids[i] (an index array) from rho0 (the
+        initial site when None), NaN for a failed cell.  slopes holds
+        d eta/d log gamma with `slope`, else it is None.  Rate slopes hold
+        d eta/d log(kappa, mu) with `rates`, else None: at every point
+        with `slope`, shape (rows, k, 2), and without it at gammas[:, 0],
+        which must be 0, in rate slopes[:, 0].  The points form one _batch
+        per chunk of at most BATCH_BYTES, at 16 n^2 bytes a point up to
+        MAPS_MAX_N sites and 16 n^3 above, each warm-started from the
+        last."""
         if not (np.minimum.reduce(gammas, None) >= 0.0
                 and np.maximum.reduce(gammas, None) < math.inf):
             bad = float(gammas[~((gammas >= 0.0) & (gammas < math.inf))][0])
             raise ValidationError(f"gamma={bad!r} must be finite and >= 0")
-        if cells is not None and len(cells) == self.cells and (
-                self.cells == 1 or (cells == self._ids).all()):
-            cells = None
-        ids = self._ids if cells is None else cells
+        every = ids is self._ids or ids.size == self.cells and (
+            self.cells == 1 or (ids == self._ids).all())
         rhs, bnorm = ((self._rhs0, 1.0) if rho0 is None
                       else (-rho0, float(np.linalg.norm(rho0))))
         rows, k = gammas.shape
-        by_rate = self.kernel != "maps"  # one cell (ids = [0])
-        if not by_rate:
-            size = max(1, BATCH_BYTES // (16 * self.n ** 2 * k))
-        elif self.kernel == "map-free":
-            size = max(1, BATCH_BYTES // (16 * self.n ** 3))
-        else:
-            size = 1
-        if size >= (k if by_rate else rows):
-            out = self._batch(gammas, cells, ids, rhs, bnorm, warm_start,
-                              slope, rates)
-        else:
-            parts, redone = [], []
-            for i in range(0, k if by_rate else rows, size):
-                if by_rate:  # a chunk of rates
-                    at, sel = np.s_[:, i:i + size], cells
-                else:  # a chunk of cells
-                    at = np.s_[i:i + size, :]
-                    sel = (np.s_[i:i + size] if cells is None
-                           else cells[i:i + size])
-                parts.append(self._batch(  # rates without slope: at 0
-                    gammas[at], sel, ids[at[0]], rhs, bnorm, warm_start, slope,
-                    rates and (slope or not by_rate or i == 0)))
-                warm_start = parts[-1][3][0, -1]
-                redone += [(r, j + i, route) if by_rate else (r + i, j, route)
-                           for r, j, route in parts[-1][4]]
-            out = [None if arrays[0] is None else
-                   np.concatenate([v for v in arrays if v is not None],
-                                  axis=int(by_rate))
-                   for arrays in zip(*(p[:4] + p[5:] for p in parts))]
-            out.insert(4, redone)
-        eta, eta_loss, resid, pops, redone, slopes, rslopes = out
+        # a chunk holds all rates of as many rows as fit, so that a cell's
+        # matrix products cover its whole row, or as many rates of one row
+        # as fit (chunks of a few rates of every row multiply the products:
+        # plane-search rounds ran 5 % slower, docs/decisions.md)
+        fit = max(1, BATCH_BYTES // (
+            16 * self.n ** (2 if self.kernel == "maps" else 3)))
+        dr, dk = max(1, fit // k), min(k, fit)
+        parts, redone = [], []
+        for r in range(0, rows, dr):
+            at = slice(r, r + dr)
+            a = (self._all if every and dr >= rows else
+                 self._select(at if every else ids[at]))
+            for j in range(0, k, dk):
+                part = self._batch(  # rates without slope: at 0
+                    gammas[at, j:j + dk], a, ids[at], rhs, bnorm, warm_start,
+                    slope, rates and (slope or j == 0))
+                warm_start = part[3][0, -1]
+                redone += [(i + r, c + j, route) for i, c, route in part[4]]
+                parts.append(part[:4] + part[5:])
+        # the chunks hold the points in row-major order
+        eta, eta_loss, resid, pops, slopes, rslopes = (
+            parts[0] if len(parts) == 1 else
+            [None if v[0] is None else np.concatenate(
+                [u.reshape((-1,) + u.shape[2:]) for u in v if u is not None]
+            ).reshape((rows, -1) + v[0].shape[2:]) for v in zip(*parts)])
         if self.kernel == "gmres":
             self._warm = pops[0, -1]
         if self.failed:
@@ -1013,37 +995,40 @@ class EigenbasisSteadySolver:
                     v[lost] = math.nan
         return eta, eta_loss, resid, pops, redone, slopes, rslopes
 
-    def efficiency(self, gamma, rho0=None):
-        """Returns (eta, eta_loss, residual, method, populations).
+    @staticmethod
+    def _report(out):
+        """(eta, eta_loss, residual, methods) of row 0 of the _points
+        result out; a method is None where the cell failed."""
+        eta, eta_loss, resid, _, redone = out[:5]
+        methods = ["direct-eigenbasis"] * eta.shape[1]
+        for i, j, route in redone:
+            if i == 0:
+                methods[j] = route
+        return eta[0], eta_loss[0], resid[0], methods
 
-        A single solve on a one-cell solver through the point path, from
-        rho0 (a flattened density matrix; the initial site when None).
-        """
-        eta, eta_loss, resid, pops, redone = self._points(
-            np.array([[gamma]], dtype=float), self._ids[:1], rho0)[:5]
-        return (float(eta[0, 0]), float(eta_loss[0, 0]), float(resid[0, 0]),
-                redone[0][2] if redone else "direct-eigenbasis",
-                pops[0, 0].copy())
+    def efficiency(self, gamma, rho0=None):
+        """Returns (eta, eta_loss, residual, method) of one solve of cell 0
+        through the point path, from rho0 (a flattened density matrix; the
+        initial site when None): what efficiencies gives for that rate."""
+        eta, eta_loss, resid, (method,) = self._report(self._points(
+            np.array([[gamma]], dtype=float), self._ids[:1], rho0))
+        return float(eta[0]), float(eta_loss[0]), float(resid[0]), method
 
     def efficiencies(self, gammas):
-        """(eta, eta_loss, residual, methods) at every rate of the 1-d
-        array gammas, on a one-cell solver: three arrays of shape (G,) and
-        a list of G methods, each as efficiency gives it for that rate
-        alone.  The grid is one call of the point path, solved as eta_grid
-        solves it."""
-        eta, eta_loss, resid, _, redone = self._grid(
-            np.asarray(gammas, dtype=float))[:5]
-        methods = ["direct-eigenbasis"] * eta.shape[1]
-        for _, j, route in redone:
-            methods[j] = route
-        return eta[0], eta_loss[0], resid[0], methods
+        """(eta, eta_loss, residual, methods) of cell 0 at every rate of
+        the 1-d array gammas: three arrays of shape (G,) and a list of G
+        methods, each as efficiency gives it for that rate alone.  The grid
+        is one call of the point path, solved as eta_grid solves it."""
+        return self._report(self._grid(np.asarray(gammas, dtype=float)))
 
     def _grid(self, gammas, rates=False):
         """_points at every rate of the 1-d array gammas for every cell,
         warm-started where the last call ended; a direct kernel leaves one
         DEBUG record."""
+        if gammas.ndim != 1 or gammas.size == 0:
+            raise ValidationError("gamma grid must be a non-empty 1-d sequence")
         out = self._points(np.broadcast_to(gammas, (self.cells, gammas.size)),
-                           warm_start=self._warm, rates=rates)
+                           self._ids, warm_start=self._warm, rates=rates)
         if self.kernel != "gmres":
             _log.debug(
                 "batched solve n=%d points=%d max_residual=%.2e redone=%d "
@@ -1053,58 +1038,42 @@ class EigenbasisSteadySolver:
 
     def eta_grid(self, gammas, _rates=False):
         """eta for the initial site at every rate of the 1-d array gammas,
-        for every cell: shape (cells, G), or (G,) for a solver built from
-        one spec.
-
-        Up to MAPS_MAX_N sites the whole grid of every cell is one
-        batched direct solve, up to DIRECT_MAX_N sites one direct solve
-        per chunk of rates, and larger systems solve point by point along
-        the grid, warm-started.  Every point is certified, and redone if
-        rejected, by the point path (see the class docstring); a direct
-        kernel leaves one DEBUG record per call.  With
+        for every cell: shape (cells, G), by the point path (see the class
+        docstring); a direct kernel leaves one DEBUG record per call.  With
         _rates, for a grid that starts at gamma = 0, the pair (eta,
         d eta/d log(kappa, mu) at gamma = 0), the latter of shape
-        (cells, 2) or (2,), from the closed form at K = I: no extra solve.
-        """
+        (cells, 2), from the closed form at K = I: no extra solve."""
         etas, _, _, _, _, _, rates = self._grid(
             np.asarray(gammas, dtype=float), _rates)
-        if _rates:
-            rates = rates[:, 0]
-            return (etas, rates) if self._stacked else (etas[0], rates[0])
-        return etas if self._stacked else etas[0]
+        return (etas, rates[:, 0]) if _rates else etas
 
     def eta(self, gamma, cells=None, slope=False, _rates=False):
-        """eta for the initial site at one rate per cell; with `slope`, the
-        pair (eta, d eta/d log gamma); with _rates, the triple (eta,
-        d eta/d log gamma, d eta/d log(kappa, mu)), the last with a
-        trailing axis of 2.
-
-        On a solver built from one spec, gamma is a number and so is the
-        result.  On a stack, gamma is an array with one row (or one entry)
-        of rates per cell of the index array `cells` (every cell, in order,
-        when None), and the result has its shape; all points are solved as
-        one batch.  Points are certified as in eta_grid; above
-        DIRECT_MAX_N sites each GMRES solve is warm-started from the
-        populations of the previous point.  Every certified eta has its
-        slopes, from the kernel or, where the fallback chain redid the
-        point, from the full generator; a slope is NaN where the cell
-        failed.  Each is a hint for a search, never a reported number.
-        """
+        """eta for the initial site at the rates gamma, in rows of one or
+        more rates per cell of the index array `cells` (every cell, in
+        order, when None); with `slope`, the pair (eta, d eta/d log gamma);
+        with _rates, the triple (eta, d eta/d log gamma,
+        d eta/d log(kappa, mu)), the last with a trailing axis of 2.  Each
+        has gamma's shape, and is a number where gamma is one.  All points
+        go through the point path in one call, GMRES warm-started from the
+        previous point.  Every certified eta has its slopes, from the
+        kernel or, where the fallback chain redid the point, from the full
+        generator; a slope is NaN where the cell failed.  Each is a hint
+        for a search, never a reported number."""
         slope = slope or _rates
-        if not self._stacked:
-            out = self._points(np.array([[gamma]], dtype=float),
-                               warm_start=self._warm, slope=slope,
-                               rates=_rates)
-            eta = float(out[0][0, 0])
-            if _rates:
-                return eta, float(out[5][0, 0]), out[6][0, 0]
-            return (eta, float(out[5][0, 0])) if slope else eta
         gamma = np.asarray(gamma, dtype=float)
-        rows = self.cells if cells is None else len(cells)
-        out = self._points(gamma.reshape(rows, -1), cells,
+        try:  # integer arithmetic only: no reduction on a good call
+            ids = self._ids if cells is None else self._ids[cells]
+            good = ids.ndim == 1 and gamma.size and ids.size and (
+                gamma.size % ids.size == 0)
+        except IndexError:
+            good = False
+        if not good:
+            raise ValidationError(
+                f"gamma must hold one non-empty row of rates per cell of "
+                f"cells={cells!r}, an index array of the {self.cells} cells")
+        out = self._points(gamma.reshape(ids.size, -1), ids,
                            warm_start=self._warm, slope=slope, rates=_rates)
-        eta = out[0].reshape(gamma.shape)
-        if _rates:
-            return (eta, out[5].reshape(gamma.shape),
-                    out[6].reshape(gamma.shape + (2,)))
-        return (eta, out[5].reshape(gamma.shape)) if slope else eta
+        got = [v.reshape(gamma.shape + v.shape[2:]) for v in out[:1] + (
+            out[5:7] if _rates else out[5:6] if slope else ())]
+        got = [v.item() if v.ndim == 0 else v for v in got]
+        return got[0] if len(got) == 1 else tuple(got)

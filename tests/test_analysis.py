@@ -315,6 +315,20 @@ class TestEnaqtEstimate:
             SystemSpec("chain", 5, (0,), 1, k, m, 0.0)).xi
         assert abs(est - actual) <= 0.2 * actual
 
+    @pytest.mark.parametrize("estimate", [
+        lambda: dephased_efficiency_estimate(3, 1.0, math.inf),
+        lambda: dephased_efficiency_estimate(3, math.inf, 1.0),
+        lambda: dephased_efficiency_estimate(3, 0.0, 1.0),
+        lambda: dephased_efficiency_estimate(3, 1.0, math.nan),
+        lambda: enaqt_estimate("chain", 4, math.inf, 1.0, 1, 2),
+        lambda: enaqt_estimate("ring", 4, 1.0, -0.1, 1, 2),
+    ], ids=["dephased-mu-inf", "dephased-kappa-inf", "dephased-kappa-0",
+            "dephased-mu-nan", "enaqt-kappa-inf", "enaqt-mu-negative"])
+    def test_estimates_reject_rates_not_finite_and_positive(self, estimate):
+        # an infinite rate gave 0.0 or 1.0 instead of an error
+        with pytest.raises(ValidationError, match="finite and > 0"):
+            estimate()
+
     def test_dephased_estimate_formula(self):
         assert dephased_efficiency_estimate(3, 1e-3, 1e-3) == pytest.approx(
             0.25, abs=1e-12)
@@ -441,7 +455,7 @@ def _spy_solver_sizes(monkeypatch):
     sizes = []
 
     class Spy(EigenbasisSteadySolver):
-        def __init__(self, spec, kappa, mu):  # analysis builds cell stacks
+        def __init__(self, spec, kappa=None, mu=None):
             sizes.append(spec.n)
             super().__init__(spec, kappa, mu)
 
@@ -495,7 +509,7 @@ class TestInfiniteChain:
 
         def etas(left, right):
             return EigenbasisSteadySolver(semi_infinite_spec(
-                6.3, 0.3, 0.0, 1, left, right)).eta_grid(gammas)
+                6.3, 0.3, 0.0, 1, left, right)).eta_grid(gammas)[0]
 
         base = etas(res.left, res.right)
         assert base[0] == pytest.approx(res.eta0, abs=1e-12)

@@ -404,8 +404,8 @@ def test_curve_is_one_batched_call_with_per_gamma_rows(argv, monkeypatch):
     rows = run(cfg)
     assert calls == [(1, cfg.gamma_points + 1)]
     monkeypatch.undo()
-    for row, (eta, eta_loss, resid, method, _) in zip(rows,
-                                                       _per_gamma_rows(cfg)):
+    for row, (eta, eta_loss, resid, method) in zip(rows,
+                                                    _per_gamma_rows(cfg)):
         assert row["eta"] == pytest.approx(eta, abs=1e-12)
         assert row["eta_loss"] == pytest.approx(eta_loss, abs=1e-12)
         assert row["method"] == method == "direct-eigenbasis"
@@ -434,7 +434,7 @@ def test_curve_reports_the_method_of_a_redone_point(monkeypatch):
         ["direct-eigenbasis"] * 3 + ["direct-sparse"]
         + ["direct-eigenbasis"] * 2)
     assert rows[3]["gamma"] == bad
-    for row, (eta, eta_loss, _, method, _) in zip(rows, _per_gamma_rows(cfg)):
+    for row, (eta, eta_loss, _, method) in zip(rows, _per_gamma_rows(cfg)):
         assert row["eta"] == pytest.approx(eta, abs=1e-12)
         assert row["eta_loss"] == pytest.approx(eta_loss, abs=1e-12)
         assert row["method"] == method

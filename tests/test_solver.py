@@ -29,6 +29,7 @@ from enaqt import (
     survival_probability,
 )
 import enaqt.solver as solver_module
+from enaqt.cli import main as cli_main
 from enaqt.solver import DIRECT_MAX_N, _stack_size
 from dense_oracles import (
     dense_generator,
@@ -322,7 +323,7 @@ def test_eigenbasis_solver_agrees_with_dense():
     spec = SystemSpec("chain", 12, (0, 1), 7, 0.3, 0.02, 0.0)
     solver = EigenbasisSteadySolver(spec)
     for gamma in (0.0, 0.1, 2.0):
-        eta, eta_loss, resid, method, _ = solver.efficiency(gamma)
+        eta, eta_loss, resid, method = solver.efficiency(gamma)
         dense_eta, dense_loss = dense_lu_branching(spec.with_gamma(gamma))
         assert eta == pytest.approx(dense_eta, abs=1e-9)
         assert eta_loss == pytest.approx(dense_loss, abs=1e-9)
@@ -527,7 +528,7 @@ def test_exceptional_point_is_redone(kappa, caplog):
     assert oracle == pytest.approx(0.964942668, abs=1e-9)
     solver = EigenbasisSteadySolver(spec)
     with caplog.at_level(logging.DEBUG, logger="enaqt"):
-        (grid_eta,) = solver.eta_grid([0.3])
+        ((grid_eta,),) = solver.eta_grid([0.3])
         single = solver.eta(0.3)
     ((n, points, _, redone),) = _batch_records(caplog)
     assert (n, points, redone) == (2, 1, 1)
@@ -556,7 +557,7 @@ def _small_systems(draw):
 def test_batched_grid_properties(system):
     spec, gammas = system
     solver = EigenbasisSteadySolver(spec)
-    etas = solver.eta_grid(gammas)
+    (etas,) = solver.eta_grid(gammas)
     for gamma, eta in zip(gammas, etas):
         assert eta == pytest.approx(
             dense_lu_branching(spec.with_gamma(gamma))[0], abs=1e-10)
@@ -604,7 +605,7 @@ def test_grid_redoes_only_the_failed_point(monkeypatch, caplog):
     monkeypatch.setattr(EigenbasisSteadySolver, "_branching", leaky)
     solver = EigenbasisSteadySolver(spec)
     with caplog.at_level(logging.DEBUG, logger="enaqt"):
-        etas = solver.eta_grid(gammas)
+        (etas,) = solver.eta_grid(gammas)
     assert len(calls) == 2
     assert solver.routes == {"direct-eigenbasis": 3, "direct-sparse": 1}
     ((n, points, max_resid, redone),) = _batch_records(caplog)
@@ -615,9 +616,12 @@ def test_grid_redoes_only_the_failed_point(monkeypatch, caplog):
             _sparse_lu_branching(spec.with_gamma(gamma))[0], abs=1e-12)
 
 
-def test_grid_point_failing_the_fallback_names_its_gamma(monkeypatch):
-    spec = SystemSpec("chain", 5, (0,), 3, 0.4, 0.02, 0.0)
-    _fail_direct_solve_at(monkeypatch, 0.3)
+_FAILING = SystemSpec("chain", 5, (0,), 3, 0.4, 0.02, 0.0)
+
+
+def _fail_the_fallback_at(monkeypatch, gamma):
+    """Make the point at gamma fail certification and every fallback."""
+    _fail_direct_solve_at(monkeypatch, gamma)
     branching = EigenbasisSteadySolver._branching
 
     def leaky(self, pops, a):
@@ -626,11 +630,44 @@ def test_grid_point_failing_the_fallback_names_its_gamma(monkeypatch):
         return eta, eta_loss + (1e-9j if pops.size == self.n else 0.0)
 
     monkeypatch.setattr(EigenbasisSteadySolver, "_branching", leaky)
+
+
+def test_grid_point_failing_the_fallback_names_its_gamma(monkeypatch):
+    # the solver records the error under its cell, and that cell answers
+    # NaN from then on
+    _fail_the_fallback_at(monkeypatch, 0.3)
+    solver = EigenbasisSteadySolver(_FAILING)
+    etas = solver.eta_grid([0.1, 0.3, 3.0])
+    assert etas.shape == (1, 3) and np.isnan(etas).all()
+    assert list(solver.failed) == [0]
     with pytest.raises(SingularSystemError,
                        match=r"gamma=0\.3: lost probability has imaginary"):
-        efficiency_gamma_grid(spec, [0.1, 0.3, 3.0])
-    with pytest.raises(SingularSystemError, match=r"gamma=0\.3: "):
-        EigenbasisSteadySolver(spec).eta(0.3)
+        raise solver.failed[0]
+    assert math.isnan(solver.eta(0.1))
+    eta, eta_loss, _, method = solver.efficiency(3.0)
+    assert math.isnan(eta) and math.isnan(eta_loss) and method is None
+
+
+@pytest.mark.parametrize("call", [
+    lambda: efficiency_direct(_FAILING.with_gamma(0.3)),
+    lambda: efficiency_gamma_grid(_FAILING, [0.1, 0.3, 3.0]),
+], ids=["efficiency_direct", "efficiency_gamma_grid"])
+def test_one_spec_callers_raise_the_failed_point(monkeypatch, call):
+    _fail_the_fallback_at(monkeypatch, 0.3)
+    with pytest.raises(SingularSystemError,
+                       match=r"gamma=0\.3: lost probability has imaginary"):
+        call()
+
+
+def test_cli_curve_exits_3_on_the_failed_point(monkeypatch, capsys):
+    _fail_the_fallback_at(monkeypatch, 0.3)
+    code = cli_main(["curve", "--n", "5", "--trap", "1", "--init", "4",
+                     "--kappa", "0.4", "--mu", "0.02", "--gamma-min", "0.3",
+                     "--gamma-max", "3", "--gamma-points", "3"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith(
+        "solver error: gamma=0.3: lost probability has imaginary")
 
 
 @pytest.mark.parametrize("gamma", [-0.3, np.nan, np.inf])
@@ -757,7 +794,7 @@ def test_rate_slopes_of_a_redone_scan_point(monkeypatch):
     want = EigenbasisSteadySolver(spec).eta_grid(gammas, _rates=True)
     _fail_direct_solve_at(monkeypatch, 0.0)
     got = EigenbasisSteadySolver(spec).eta_grid(gammas, _rates=True)
-    assert np.array_equal(got[0][1:], want[0][1:])
+    assert np.array_equal(got[0][0, 1:], want[0][0, 1:])
     np.testing.assert_allclose(got[1], want[1], rtol=1e-9, atol=0)
 
 
@@ -889,7 +926,7 @@ def test_map_free_grid_in_rate_chunks_matches_single_points(monkeypatch,
 
     monkeypatch.setattr(EigenbasisSteadySolver, "_batch", counting)
     with caplog.at_level(logging.DEBUG, logger="enaqt"):
-        etas = solver.eta_grid(gammas)
+        (etas,) = solver.eta_grid(gammas)
     assert chunks == [(1, 3), (1, 3), (1, 2)]
     ((n, points, max_resid, redone),) = _batch_records(caplog)
     assert (n, points, redone) == (24, 8, 0)
@@ -942,8 +979,15 @@ def test_stack_from_rate_arrays_equals_one_spec_solvers(stack):
     etas = EigenbasisSteadySolver(spec, kappas, mus).eta_grid(gammas)
     assert etas.shape == (kappas.size, gammas.size)
     for row, kappa, mu in zip(etas, kappas, mus):
-        single = EigenbasisSteadySolver(spec.with_rates(kappa=kappa, mu=mu))
-        assert np.array_equal(row, single.eta_grid(gammas))
+        one = spec.with_rates(kappa=kappa, mu=mu)
+        single = EigenbasisSteadySolver(one)
+        assert np.array_equal(row, single.eta_grid(gammas)[0])
+        # a solver built from one spec is the one-cell stack at its rates
+        cell = EigenbasisSteadySolver(one, [kappa], [mu])
+        assert np.array_equal(single.eta_grid(gammas), cell.eta_grid(gammas))
+        for got, want in zip(single.eta(gammas, _rates=True),
+                             cell.eta(gammas, _rates=True)):
+            assert np.array_equal(got, want)
 
 
 _CHAIN4 = SystemSpec("chain", 4, (0,), 2, 1.0, 1.0, 0.0)
@@ -967,6 +1011,65 @@ def test_stack_rejects_bad_input(args, match):
         EigenbasisSteadySolver(*args)
 
 
+def _two_cells():
+    return EigenbasisSteadySolver(_CHAIN4, [1.0, 2.0], [0.1, 0.1])
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: EigenbasisSteadySolver(_CHAIN4).eta_grid([]), "non-empty 1-d"),
+    (lambda: EigenbasisSteadySolver(_CHAIN4).efficiencies([]),
+     "non-empty 1-d"),
+    (lambda: _two_cells().eta_grid([[0.1, 0.2]]), "non-empty 1-d"),
+    (lambda: EigenbasisSteadySolver(_CHAIN4).eta([]), "one non-empty row"),
+    (lambda: _two_cells().eta([0.1, 0.2, 0.3]), "one non-empty row"),
+    (lambda: _two_cells().eta([[0.1], [0.2]], cells=[0, 5]), "one non-empty row"),
+    (lambda: _two_cells().eta([[0.1], [0.2]], cells=[0.0, 1.0]),
+     "one non-empty row"),
+    (lambda: _two_cells().eta([[0.1], [0.2]], cells=[[0], [1]]),
+     "one non-empty row"),
+    (lambda: _two_cells().eta([0.1], cells=[]), "one non-empty row"),
+], ids=["eta_grid-empty", "efficiencies-empty", "eta_grid-2d", "eta-empty",
+        "eta-rows", "cells-out-of-range", "cells-float", "cells-2d",
+        "cells-empty"])
+def test_solver_rejects_malformed_calls(call, match):
+    with pytest.raises(ValidationError, match=match):
+        call()
+
+
+@pytest.mark.parametrize("points, chunks", [
+    # whole rows: each cell's products cover all its rates
+    (16, [(2, 8), (1, 8)]),
+    # a row that does not fit goes in chunks of its rates
+    (3, [(1, 3), (1, 3), (1, 2)] * 3),
+], ids=["rows", "rates"])
+def test_maps_grid_in_chunks_equals_the_unchunked_grid(monkeypatch, points,
+                                                       chunks):
+    # the chunks change no bit of any answer or slope
+    spec = SystemSpec("ring", 5, (0,), 2, 1.0, 1.0, 0.0)
+    kappas, mus = [0.1, 1.0, 30.0], [1e-3, 0.1, 1.0]
+    gammas = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 7)])
+    rows = np.tile(gammas, (3, 1))
+
+    def solve():
+        solver = EigenbasisSteadySolver(spec, kappas, mus)
+        return (*solver.eta_grid(gammas, _rates=True),
+                *solver.eta(rows, _rates=True))
+
+    want = solve()
+    monkeypatch.setattr(solver_module, "BATCH_BYTES", points * 16 * 5 ** 2)
+    batch, got_chunks = EigenbasisSteadySolver._batch, []
+
+    def counting(self, gammas, *args):
+        got_chunks.append(gammas.shape)
+        return batch(self, gammas, *args)
+
+    monkeypatch.setattr(EigenbasisSteadySolver, "_batch", counting)
+    got = solve()
+    assert got_chunks == chunks * 2
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
 @pytest.mark.parametrize("n", [40, 48])
 def test_gmres_points_match_dense_lu(n):
     # the GMRES kernel's point (b, F and X from four n x n products) from
@@ -983,7 +1086,7 @@ def test_gmres_points_match_dense_lu(n):
             x = sla.lu_solve(lu, -(site_density(n, spec.initial_site)
                                    if start is None else start))
             pops = x[::n + 1]
-            eta, eta_loss, resid, method, _ = solver.efficiency(gamma, start)
+            eta, eta_loss, resid, method = solver.efficiency(gamma, start)
             assert method == "direct-eigenbasis" and resid <= 1e-10
             assert eta == pytest.approx(2.0 * 3.0 * pops[0].real, abs=1e-10)
             assert eta_loss == pytest.approx(2.0 * 0.1 * pops.sum().real,
