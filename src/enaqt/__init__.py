@@ -7,105 +7,13 @@ analysis layer (dephasing optimization, parameter-plane sweeps, analytic
 small-system and estimate formulas).
 """
 
-from .errors import (
-    EnaqtError,
-    SingularSystemError,
-    StiffnessError,
-    TruncationError,
-    ValidationError,
-)
-from .model import (
-    DensityState,
-    Superoperator,
-    SystemSpec,
-    Topology,
-    as_density_vec,
-    build_attenuation,
-    build_chain_hamiltonian,
-    build_hamiltonian,
-    build_liouvillian,
-    build_ring_hamiltonian,
-    population_index,
-    semi_infinite_spec,
-    site_density,
-    state_density,
-)
-from .solver import (
-    EfficiencyReport,
-    EigenbasisSteadySolver,
-    Trajectory,
-    efficiency_direct,
-    efficiency_gamma_grid,
-    propagate,
-    survival_probability,
-)
-from .analysis import (
-    AveragePopulation,
-    EnaqtResult,
-    InfiniteChainResult,
-    MaxEnaqt,
-    PlaneMap,
-    average_population,
-    chain_amplitude,
-    circle_max_enaqt,
-    dephased_efficiency_estimate,
-    efficiency_curve,
-    enaqt_estimate,
-    eta3_closed_form,
-    infinite_chain_enaqt,
-    max_enaqt,
-    no_enaqt_region,
-    optimize_dephasing,
-    plane_sweep,
-    symmetry_split,
-)
+from . import analysis, errors, model, solver
+from .errors import *
+from .model import *
+from .solver import *
+from .analysis import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "EnaqtError",
-    "ValidationError",
-    "SingularSystemError",
-    "StiffnessError",
-    "TruncationError",
-    "Topology",
-    "SystemSpec",
-    "semi_infinite_spec",
-    "DensityState",
-    "Superoperator",
-    "build_chain_hamiltonian",
-    "build_ring_hamiltonian",
-    "build_attenuation",
-    "build_hamiltonian",
-    "build_liouvillian",
-    "population_index",
-    "site_density",
-    "state_density",
-    "as_density_vec",
-    "EfficiencyReport",
-    "Trajectory",
-    "efficiency_direct",
-    "propagate",
-    "survival_probability",
-    "efficiency_gamma_grid",
-    "EigenbasisSteadySolver",
-    "EnaqtResult",
-    "InfiniteChainResult",
-    "MaxEnaqt",
-    "PlaneMap",
-    "AveragePopulation",
-    "efficiency_curve",
-    "optimize_dephasing",
-    "max_enaqt",
-    "eta3_closed_form",
-    "no_enaqt_region",
-    "dephased_efficiency_estimate",
-    "chain_amplitude",
-    "average_population",
-    "enaqt_estimate",
-    "symmetry_split",
-    "circle_max_enaqt",
-    "infinite_chain_enaqt",
-    "plane_sweep",
-]
+__all__ = ["__version__", *errors.__all__, *model.__all__, *solver.__all__,
+           *analysis.__all__]

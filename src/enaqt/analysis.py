@@ -195,6 +195,18 @@ def _check_positive_rates(kappa, mu):
             f"mu={mu!r}")
 
 
+def _check_rates(**rates):
+    """ValidationError naming the first rate that is not finite and >= 0."""
+    for name, val in rates.items():
+        if not (math.isfinite(val) and val >= 0):
+            raise ValidationError(f"{name}={val!r} must be finite and >= 0")
+
+
+def _check_offset(offset):
+    if not isinstance(offset, int) or offset < 1:
+        raise ValidationError(f"offset={offset!r} must be an integer >= 1")
+
+
 def _exp(x):
     """exp of every element of x by the C library's math.exp, which
     numpy's vectorized exp does not reproduce bit for bit; a searched
@@ -212,39 +224,70 @@ def _log(x):
 
 class _Secant:
     """One element of _maximize: a safeguarded secant search for a root of
-    the slope s = f' in the bracket [lo, hi].
+    the slope s = f' in the bracket [a, b], from the values and slopes
+    (NaN without) that the first call gave at c and d.
+
+    The first call settles the element (answer set, live False) at the
+    midpoint of a bracket no wider than tol, at a point of slope 0, at the
+    midpoint where it met a point without a slope (unsloped), or, with
+    answer NaN, where f was flat at 0 at both points.  A point of value 0
+    without a slope is such a flat zero and shows no direction: an element
+    with one runs the search from the sloped point alone, on the side its
+    slope points to; its first step probes the end of that side, or, where
+    that side leads back to the zero point, bisects toward it.  Otherwise
+    the signs at c and d leave the part of [a, b] that holds the maximum.
 
     A point with s > 0 becomes the left end and one with s < 0 the right
     end, so a maximum stays inside; a point with s = 0 is the answer.
     slo and shi are the slopes at the ends, None at an end of the
-    original bracket that was never evaluated, NaN at a flat zero (a
-    point of value 0 without a slope, where f is flat at 0 and shows no
-    direction): that point becomes the end on the side away from the last
-    sloped point, is never probed, and the next step bisects.  A step
-    takes the secant through the last two sloped points.  When the secant
-    leaves the bracket, the step evaluates the end on that side if it has
-    no slope yet (the bracket may be monotone; the end is the answer if f
-    still rises toward it) and bisects otherwise.  It also bisects when
-    the secant step is not below half the step before last, or when the
-    last step was a nudge: a secant that moves less than tol/2 is nudged
-    tol/2 across the root instead, which collapses the bracket once the
-    root is that close.  Points keep tol/2 off the ends.  A point with a
-    NaN value, or another point without a slope, ends the element
-    (unsloped).  The result is the secant root of the final bracket, its
-    midpoint where an end has no slope.
+    original bracket that was never evaluated, NaN at a flat zero: that
+    point becomes the end on the side away from the last sloped point, is
+    never probed, and the next step bisects.  A step takes the secant
+    through the last two sloped points.  When the secant leaves the
+    bracket, the step evaluates the end on that side if it has no slope
+    yet (the bracket may be monotone; the end is the answer if f still
+    rises toward it) and bisects otherwise.  It also bisects when the
+    secant step is not below half the step before last, or when the last
+    step was a nudge: a secant that moves less than tol/2 is nudged tol/2
+    across the root instead, which collapses the bracket once the root is
+    that close.  Points keep tol/2 off the ends.  A point with a NaN
+    value, or another point without a slope, ends the element (unsloped).
+    The result is the secant root of the final bracket, its midpoint where
+    an end has no slope.
     """
 
-    def __init__(self, lo, hi, slo, shi, points, tol):
-        self.lo, self.hi, self.slo, self.shi = lo, hi, slo, shi
-        self.points, self.tol = points, tol  # the last two (x, slope)
-        # a secant step must be below half the step before last; the
-        # first two may go anywhere in the bracket
-        self.steps = [2 * (hi - lo)] * 2
-        self.answer = None
-        self.live = hi - lo > tol
-        self.bisect = False
-        self.bisections = 0
-        self.unsloped = False
+    def __init__(self, a, b, c, d, values, slopes, tol):
+        self.tol, self.answer, self.live = tol, None, False
+        self.bisect, self.bisections, self.unsloped = False, 0, False
+        (fc, fd), (sc, sd) = values, slopes
+        zc, zd = (f == 0.0 and math.isnan(v) for f, v in ((fc, sc), (fd, sd)))
+        if b - a <= tol:
+            self.answer = (a + b) / 2
+        elif zc and zd:
+            self.answer = math.nan
+        elif math.isnan(fc + sc) and not zc or math.isnan(fd + sd) and not zd:
+            self.answer, self.unsloped = (a + b) / 2, True
+        elif sc == 0.0 or sd == 0.0:
+            self.answer = c if sc == 0.0 else d
+        else:
+            if zd:
+                bracket = (a, c, None, sc) if sc < 0 else (c, d, sc, math.nan)
+                points = [(c, sc)] * 2
+            elif zc:
+                bracket = (d, b, sd, None) if sd > 0 else (c, d, math.nan, sd)
+                points = [(d, sd)] * 2
+            elif sc > 0 > sd:
+                bracket, points = (c, d, sc, sd), [(c, sc), (d, sd)]
+            elif sd > 0 and (sc > 0 or fd > fc):  # the maximum is right of d
+                bracket, points = (d, b, sd, None), [(c, sc), (d, sd)]
+            else:
+                bracket, points = (a, c, None, sc), [(d, sd), (c, sc)]
+            self.lo, self.hi, self.slo, self.shi = bracket
+            self.points = points  # the last two (x, slope)
+            # a secant step must be below half the step before last; the
+            # first two may go anywhere in the bracket
+            self.steps = [2 * (self.hi - self.lo)] * 2
+            self.live = self.hi - self.lo > tol
 
     def propose(self):
         (x1, s1), (x2, s2) = self.points
@@ -274,7 +317,7 @@ class _Secant:
         if math.isnan(value + slope):
             if value != 0.0:  # a failed point, or one without a slope
                 self.live, self.unsloped = False, True
-                return self
+                return
             self.bisect = True  # a flat zero
             if u > self.points[1][0]:
                 self.hi, self.shi = u, math.nan
@@ -282,7 +325,7 @@ class _Secant:
                 self.lo, self.slo = u, math.nan
         elif slope == 0.0 or (self.probe and (slope > 0) == (u == self.hi)):
             self.answer, self.live = u, False  # stationary, or an end max
-            return self
+            return
         else:
             if slope > 0:
                 self.lo, self.slo = u, slope
@@ -291,7 +334,6 @@ class _Secant:
             self.points = [self.points[1], (u, slope)]
         self.live = self.tol < self.hi - self.lo and (
             self.probe or self.hi - self.lo < width)
-        return self
 
     def result(self):
         if self.answer is not None:
@@ -300,54 +342,6 @@ class _Secant:
                 or math.isnan(self.slo + self.shi)):
             return (self.lo + self.hi) / 2
         return self.lo - self.slo * (self.hi - self.lo) / (self.shi - self.slo)
-
-
-class _Found(NamedTuple):
-    """A _maximize element settled by its first call: at a point of slope
-    0, at the midpoint of a bracket no wider than tol or of one whose
-    first call met a point without a slope (unsloped), or, with x NaN,
-    where f was flat at 0 at both points (see _element)."""
-
-    x: float
-    unsloped: bool = False
-    live: bool = False
-    bisections: int = 0
-
-    def result(self):
-        return self.x
-
-
-def _element(a, b, c, d, values, slopes, tol):
-    """The _maximize element of the bracket [a, b] after the first call,
-    which gave the values and slopes (NaN without) at c and d.
-
-    A point of value 0 without a slope is a flat zero and shows no
-    direction: an element with two stops (result NaN), and one with one
-    runs the secant search from the sloped point alone, on the side its
-    slope points to; its first step probes the end of that side, or,
-    where that side leads back to the zero point, bisects toward it.  Any
-    other point without a slope ends the element at the midpoint."""
-    if b - a <= tol:
-        return _Found((a + b) / 2)
-    (fc, fd), (sc, sd) = values, slopes
-    zc, zd = (f == 0.0 and math.isnan(v) for f, v in ((fc, sc), (fd, sd)))
-    if zc and zd:
-        return _Found(math.nan)
-    if math.isnan(fc + sc) and not zc or math.isnan(fd + sd) and not zd:
-        return _Found((a + b) / 2, unsloped=True)
-    if sc == 0.0 or sd == 0.0:
-        return _Found(c if sc == 0.0 else d)
-    if zd:
-        return (_Secant(a, c, None, sc, [(c, sc)] * 2, tol) if sc < 0 else
-                _Secant(c, d, sc, math.nan, [(c, sc)] * 2, tol))
-    if zc:
-        return (_Secant(d, b, sd, None, [(d, sd)] * 2, tol) if sd > 0 else
-                _Secant(c, d, math.nan, sd, [(d, sd)] * 2, tol))
-    if sc > 0 > sd:
-        return _Secant(c, d, sc, sd, [(c, sc), (d, sd)], tol)
-    if sd > 0 and (sc > 0 or fd > fc):  # the maximum is right of d
-        return _Secant(d, b, sd, None, [(c, sc), (d, sd)], tol)
-    return _Secant(a, c, None, sc, [(d, sd), (c, sc)], tol)
 
 
 def _maximize(f, a, b, tol, stats=None):
@@ -371,9 +365,8 @@ def _maximize(f, a, b, tol, stats=None):
     where there is no gain): an element whose first two points are both
     flat zeros stops and yields NaN, so that its caller keeps its own
     point, and one that meets a flat zero otherwise bisects toward it
-    (see _element and _Secant).  A point with a NaN value (a failed
-    cell), or without a slope otherwise, ends its element at its current
-    bracket's result.
+    (see _Secant).  A point with a NaN value (a failed cell), or without
+    a slope otherwise, ends its element at its current bracket's result.
     stats, a dict, receives the calls of f ("steps"), the bisection
     steps of all elements ("bisections"), how many elements ended on a
     point without a slope other than a flat zero ("unsloped"), and the
@@ -387,7 +380,7 @@ def _maximize(f, a, b, tol, stats=None):
     d = [ai + _INVPHI * (bi - ai) for ai, bi in zip(a, b)]
     idx = np.arange(len(a))
     values, slopes = (v.tolist() for v in f(np.array([c, d]).T, idx))
-    elements = [_element(*args)
+    elements = [_Secant(*args)
                 for args in zip(a, b, c, d, values, slopes, tol)]
     # each element's last slope: the smaller of the first two, then the
     # slope of its latest point
@@ -401,7 +394,7 @@ def _maximize(f, a, b, tol, stats=None):
         values, slopes = (v.tolist() for v in f(x, idx))
         steps += 1
         for i, value, slope in zip(live, values, slopes):
-            elements[i] = elements[i].update(value, slope)
+            elements[i].update(value, slope)
             last[i] = slope
         live = [i for i in live if elements[i].live]
     if stats is not None:
@@ -478,8 +471,6 @@ def _optimize_cells(spec, kappas, mus, grid_points=GRID_POINTS,
     (cells, 2))."""
     kappas = np.asarray(kappas, dtype=float)
     mus = np.asarray(mus, dtype=float)
-    if not kappas.size:
-        return ([], np.empty((0, 2))) if rates else []
     size = _stack_size(spec.n)
     stacks = [_scan_refine(EigenbasisSteadySolver(spec, kappas[i:i + size],
                                                   mus[i:i + size]),
@@ -655,9 +646,7 @@ def eta3_closed_form(gamma: float, kappa: float, mu: float) -> float:
     with efficiency_direct to solver precision.  The denominator vanishes
     only at kappa = mu = gamma = 0, where the efficiency is undefined.
     """
-    for name, val in (("gamma", gamma), ("kappa", kappa), ("mu", mu)):
-        if not (math.isfinite(val) and val >= 0):
-            raise ValidationError(f"{name}={val!r} must be finite and >= 0")
+    _check_rates(gamma=gamma, kappa=kappa, mu=mu)
     k, m, g = kappa, mu, gamma
     a2 = 4 * k * m
     a1 = k * (2 + 2 * k * m + 8 * m**2)
@@ -687,9 +676,7 @@ def no_enaqt_region(kappa: float, mu: float) -> bool:
     convention is fixed by a dense gamma-scan oracle across the
     [1e-4, 1e2]^2 plane.
     """
-    for name, val in (("kappa", kappa), ("mu", mu)):
-        if not (math.isfinite(val) and val >= 0):
-            raise ValidationError(f"{name}={val!r} must be finite and >= 0")
+    _check_rates(kappa=kappa, mu=mu)
     k, m = kappa, mu
     poly = (-k**4 * m + 4 * k**3 * m**4 - 2 * k**3 * m**2 + 2 * k**3
             + k**2 * (20 * m**4 + 7 * m**2 + 9) * m
@@ -763,24 +750,21 @@ def enaqt_estimate(topology, n: int, kappa: float, mu: float,
     depends only on mu/kappa.  1-based sites.
     """
     topology = Topology(topology)
-    n = _check_site_count(topology, n)
-    trap0 = _site0(trap, n, "trap")
-    init0 = _site0(init, n, "init")
-    if trap0 == init0:
-        raise ValidationError("trap and init must differ")
+    if topology is Topology.SEMI_INFINITE:
+        raise ValidationError(
+            "estimate is defined for chain and ring only")
+    spec = _geometry_spec(topology, n, trap, init, ("trap", "init"))
     _check_positive_rates(kappa, mu)
+    n, (trap0,), init0 = spec.n, spec.trap_sites, spec.initial_site
     ratio = mu / kappa
     dephased = 1.0 / (1.0 + n * ratio)
     if topology is Topology.CHAIN:
         if init0 == n - 1 - trap0:
             return 0.0
         return dephased - 1.0 / (1.0 + (n + 1) * ratio)
-    if topology is Topology.RING:
-        if n % 2 == 0 and (init0 - trap0) % n == n // 2:
-            return 0.0
-        return dephased - 1.0 / (1.0 + n**2 * ratio / (n - 1))
-    raise ValidationError(
-        "estimate is defined for chain and ring only")
+    if n % 2 == 0 and (init0 - trap0) % n == n // 2:
+        return 0.0
+    return dephased - 1.0 / (1.0 + n**2 * ratio / (n - 1))
 
 
 def symmetry_split(spec: SystemSpec) -> tuple:
@@ -816,12 +800,9 @@ def symmetry_split(spec: SystemSpec) -> tuple:
 def circle_max_enaqt(n: int, trap: int, init: int) -> float:
     """Maximum attainable xi on the ring: 0 for antipodal start/trap
     (even N at distance N/2), 1/2 otherwise.  1-based sites."""
-    n = _check_site_count(Topology.RING, n)
-    trap0 = _site0(trap, n, "trap")
-    init0 = _site0(init, n, "init")
-    if trap0 == init0:
-        raise ValidationError("trap and init must differ")
-    if n % 2 == 0 and (init0 - trap0) % n == n // 2:
+    spec = _geometry_spec(Topology.RING, n, trap, init, ("trap", "init"))
+    n = spec.n
+    if n % 2 == 0 and (spec.initial_site - spec.trap_sites[0]) % n == n // 2:
         return 0.0
     return 0.5
 
@@ -853,10 +834,8 @@ def infinite_chain_enaqt(kappa: float, mu: float,
         raise ValidationError(
             f"mu={mu!r} below the cutoff {MU_CUTOFF_INFINITE} (truncated "
             "supports scale as 1/mu and are certified only above it)")
-    if not (math.isfinite(kappa) and kappa >= 0):
-        raise ValidationError(f"kappa={kappa!r} must be finite and >= 0")
-    if not isinstance(offset, int) or offset < 1:
-        raise ValidationError(f"offset={offset!r} must be an integer >= 1")
+    _check_rates(kappa=kappa)
+    _check_offset(offset)
     left = right = min(START_SITES, math.ceil(16.0 / mu))
     if kappa == 0.0:
         # Nothing traps, so eta = 0 for every gamma.
@@ -990,9 +969,7 @@ def plane_sweep(topology, n=None, trap=None, init=None,
             raise ValidationError(
                 f"{name} must lie within [{lo:g}, {RATE_BOUNDS[1]:g}]")
     if topology is Topology.SEMI_INFINITE:
-        if not isinstance(offset, int) or offset < 1:
-            raise ValidationError(
-                f"offset={offset!r} must be an integer >= 1")
+        _check_offset(offset)
         spec0, size = None, 1
     else:
         spec0 = _geometry_spec(topology, n, trap, init, ("trap", "init"))

@@ -255,13 +255,20 @@ def _spec(cfg: RunConfig, gamma: float = 0.0) -> SystemSpec:
                       kappa=cfg.kappa, mu=cfg.mu, gamma=gamma)
 
 
-def _grid(lo, hi, count, scale):
+def _grid(cfg: RunConfig, axis: str, scale: str) -> list:
+    """The grid of cfg's axis_min, axis_max and axis_points; a log grid
+    of two or more points needs both bounds finite and > 0."""
+    lo, hi = getattr(cfg, f"{axis}_min"), getattr(cfg, f"{axis}_max")
+    count = getattr(cfg, f"{axis}_points")
     if count == 1:
         return [float(lo)]
     if scale == "linear":
         return list(np.linspace(lo, hi, count))
-    if lo <= 0:
-        raise ValidationError(f"log grid needs positive bounds, got {lo!r}")
+    for end, bound in (("min", lo), ("max", hi)):
+        if not 0.0 < bound < math.inf:
+            raise ValidationError(
+                f"{axis}_grid must be finite and > 0 on a log scale, got "
+                f"{axis}_{end}={bound!r}")
     return list(np.geomspace(lo, hi, count))
 
 
@@ -285,8 +292,7 @@ def run(cfg: RunConfig) -> list:
             "version": __version__,
         }]
     if sub == "curve":
-        gammas = [0.0] + _grid(cfg.gamma_min, cfg.gamma_max,
-                               cfg.gamma_points, cfg.gamma_scale)
+        gammas = [0.0] + _grid(cfg, "gamma", cfg.gamma_scale)
         solver = EigenbasisSteadySolver(_spec(cfg))
         etas, losses, resids, methods = solver.efficiencies(gammas)
         if solver.failed:
@@ -313,9 +319,8 @@ def run(cfg: RunConfig) -> list:
         semi = cfg.topology == Topology.SEMI_INFINITE.value
         pm = plane_sweep(
             cfg.topology, cfg.n, cfg.trap, cfg.init,
-            kappa_grid=_grid(cfg.kappa_min, cfg.kappa_max,
-                             cfg.kappa_points, cfg.scale),
-            mu_grid=_grid(cfg.mu_min, cfg.mu_max, cfg.mu_points, cfg.scale),
+            kappa_grid=_grid(cfg, "kappa", cfg.scale),
+            mu_grid=_grid(cfg, "mu", cfg.scale),
             offset=cfg.offset, workers=cfg.workers)
         records = []
         for i, kv in enumerate(pm.kappa_grid):

@@ -4,6 +4,14 @@ Every error raised by this package derives from EnaqtError so callers can
 catch one base class.  The CLI maps each subclass to a distinct exit code.
 """
 
+__all__ = [
+    "EnaqtError",
+    "ValidationError",
+    "SingularSystemError",
+    "StiffnessError",
+    "TruncationError",
+]
+
 
 class EnaqtError(Exception):
     """Base class for all errors raised by this package."""

@@ -43,6 +43,7 @@ __all__ = [
     "population_index",
     "site_density",
     "state_density",
+    "as_density_vec",
 ]
 
 class Topology(str, Enum):
@@ -231,10 +232,25 @@ def _hopping(spec: SystemSpec) -> np.ndarray:
     return build_chain_hamiltonian(spec.n, spec.v)
 
 
+def _hamiltonians(spec: SystemSpec, kappa, mu) -> np.ndarray:
+    """H of every cell of spec's geometry, shape (cells, n, n), cell i at
+    the rates kappa[i] and mu[i] (1-d float arrays; spec's own rates are
+    ignored): the hopping part minus i(mu + kappa on the traps) on its
+    zero diagonal.  The one builder of H: build_hamiltonian gives its
+    single cell at spec's rates."""
+    sites = np.arange(spec.n)
+    traps = np.zeros(spec.n)
+    traps[list(spec.trap_sites)] = 1.0
+    h = np.repeat(_hopping(spec)[None], kappa.size, axis=0)
+    h.imag[:, sites, sites] -= mu[:, None] + kappa[:, None] * traps
+    return h
+
+
 def build_hamiltonian(spec: SystemSpec) -> np.ndarray:
-    """Total single-particle generator H = hopping + attenuation."""
-    return _hopping(spec) + build_attenuation(spec.n, spec.trap_sites,
-                                              spec.kappa, spec.mu)
+    """Total single-particle generator H = hopping + attenuation: the one
+    cell of _hamiltonians at spec's rates."""
+    return _hamiltonians(spec, np.array([spec.kappa], dtype=float),
+                         np.array([spec.mu], dtype=float))[0]
 
 
 def population_index(n: int, site: int) -> int:

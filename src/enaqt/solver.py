@@ -55,7 +55,7 @@ from .model import (
     DensityState,
     SystemSpec,
     _generator,
-    _hopping,
+    _hamiltonians,
     _left,
     _right,
     _sparse_generator,
@@ -448,15 +448,14 @@ class EigenbasisSteadySolver:
     two rate arrays, EigenbasisSteadySolver(spec, kappa, mu): cell i has the
     rates (kappa[i], mu[i]) (finite and >= 0, else ValidationError).  Each
     array defaults to spec's own rate, so EigenbasisSteadySolver(spec) is
-    the one-cell stack at spec's rates.  No spec is built per cell: H of
-    every cell is the geometry's hopping matrix plus one diagonal,
-    -i(mu + kappa on the traps), bit for bit as build_hamiltonian gives it,
-    and every array gets a leading cell axis.  A stack is built with one
-    stacked eigendecomposition and one stacked map, and each call of
-    eta_grid or eta solves a (cells x rates) array of points at once: per
-    cell, one matrix product applies a map, or S, S^dag or H, to all its
-    rates together, and one stacked solve covers every point (a single
-    LAPACK solve for one cell and one rate), in chunks of at most
+    the one-cell stack at spec's rates.  No spec is built per cell: the H
+    of every cell comes from model._hamiltonians, the builder behind
+    build_hamiltonian, and every array gets a leading cell axis.  A stack
+    is built with one stacked eigendecomposition and one stacked map, and
+    each call of eta_grid or eta solves a (cells x rates) array of points
+    at once: per cell, one matrix product applies a map, or S, S^dag or H,
+    to all its rates together, and one stacked solve covers every point (a
+    single LAPACK solve for one cell and one rate), in chunks of at most
     BATCH_BYTES: all rates of as many cells as fit, or as many rates of one
     cell.  Above MAPS_MAX_N sites a stack holds one cell and a chunk one
     rate, and above DIRECT_MAX_N sites GMRES solves the points one by one,
@@ -512,12 +511,7 @@ class EigenbasisSteadySolver:
         self.tidx = np.asarray(spec.trap_sites, dtype=int)
         self._trap_indicator = np.zeros(n, dtype=complex)
         self._trap_indicator[self.tidx] = 1.0
-        # H = hopping - i(mu + kappa on the traps), bit for bit as
-        # build_hamiltonian: the hopping part has a zero diagonal
-        h = np.repeat(_hopping(spec)[None], cells, axis=0)
-        sites = np.arange(n)
-        h.imag[:, sites, sites] -= (mu[:, None] + kappa[:, None]
-                                    * self._trap_indicator.real)
+        h = _hamiltonians(spec, kappa, mu)
         lam, s = np.linalg.eig(h)
         sinv = np.linalg.inv(s)
         c = -1j * (lam[:, :, None] - lam[:, None, :].conj())
@@ -740,19 +734,20 @@ class EigenbasisSteadySolver:
             adjoint if info == 0 else np.full(n, math.nan)).reshape(b.shape)
 
     def _population_matvec(self, a, g2, transpose=False):
-        """p -> (I + 2*gamma*M) p for the one cell of the arrays a, in the
-        cancellation-free form diag(S [(S^-1 Diag(p) S^-dag) o R] S^dag),
-        g2 = 2*gamma; with transpose, its transpose, the same form with
-        S^-T and S^T in place of S and S^-1:
+        """p -> (I + 2*gamma*M) p for the one cell of the arrays a of a
+        kernel without maps, in the cancellation-free form
+        diag(S [(S^-1 Diag(p) S^-dag) o R] S^dag) that _sandwich and _diag
+        apply, g2 = 2*gamma; with transpose, its transpose, the same form
+        with S^-T and S^T in place of S and S^-1:
         w -> diag(S^-T [(S^T Diag(w) conj S) o R] conj S^-1)."""
-        s, sinv = (a.sinv[0].T, a.s[0].T) if transpose else (a.s[0],
-                                                               a.sinv[0])
-        c = a.c[0, 0].reshape(self.n, self.n)
-        ratio = c / (c - g2)
+        if transpose:
+            a = a._replace(s=a.sinv.transpose(0, 2, 1),
+                           sinv=a.s.transpose(0, 2, 1))
+        ratio = a.c / (a.c - g2)
 
         def matvec(p):
-            w = ((sinv * p[None, :]) @ sinv.conj().T) * ratio
-            return ((s @ w) * s.conj()).sum(axis=1)
+            return self._diag(a, self._sandwich(a, p[None, None]) * ratio
+                              ).reshape(-1)
 
         return matvec
 

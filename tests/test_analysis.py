@@ -179,6 +179,17 @@ class TestMaxEnaqt:
             max_enaqt("chain", 3, trap, init)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: enaqt_estimate("chain", 4, 1.0, 0.1, 2, 2),
+    lambda: enaqt_estimate("ring", 5, 1.0, 0.1, 3, 3),
+    lambda: circle_max_enaqt(5, 2, 2),
+    lambda: max_enaqt("chain", 4, 3, 3),
+], ids=["estimate-chain", "estimate-ring", "circle", "max_enaqt"])
+def test_trap_on_the_initial_site_rejected(call):
+    with pytest.raises(ValidationError, match="must differ"):
+        call()
+
+
 def test_circle_max_enaqt_dichotomy():
     # antipodal start refocuses perfectly: no enhancement at all;
     # every other geometry saturates at 1/2
@@ -296,6 +307,22 @@ class TestEnaqtEstimate:
     def test_ring_antipode_zero(self):
         assert enaqt_estimate("ring", 4, 1e-3, 1e-3, 1, 3) == 0.0
         assert enaqt_estimate("ring", 6, 1e-3, 1e-3, 2, 5) == 0.0
+
+    def test_ring_off_the_antipode(self):
+        # dephased 1/(1 + N mu/kappa) less the coherent 1/(1 + mu/(kappa
+        # P)), P = (N - 1)/N^2 the trap's average population on an odd
+        # ring
+        kappa, mu = 1.0, 0.1
+        p = float(average_population("ring", 5, 1, 3))
+        assert p == pytest.approx(4 / 25, abs=1e-15)
+        assert enaqt_estimate("ring", 5, kappa, mu, 1, 3) == pytest.approx(
+            1 / (1 + 5 * mu / kappa) - 1 / (1 + mu / (kappa * p)),
+            rel=1e-14)
+
+    def test_semi_infinite_rejected(self):
+        with pytest.raises(ValidationError,
+                           match="defined for chain and ring only"):
+            enaqt_estimate("semi-infinite", 4, 1.0, 0.1, 1, 2)
 
     @pytest.mark.parametrize("n,trap,init", [(3, 1, 2), (4, 1, 2), (4, 1, 3)])
     def test_within_twenty_percent_small_n(self, n, trap, init):
@@ -877,6 +904,25 @@ def test_flat_zero_elements():
     assert math.isnan(got[0])
     np.testing.assert_allclose(got[1:], peaks[1:], rtol=0, atol=1e-6)
     assert stats["unsloped"] == 0
+
+
+def test_flat_zero_met_after_the_first_call():
+    # ramps that rise (fall) with slope 1 (-1) up to 0.4 (from -0.4) and
+    # are 0 without a slope beyond: both first points are sloped, the end
+    # probe meets the flat zero, and the bracket closes on the ramp's edge
+    # from the right (left)
+    sign = np.array([1.0, -1.0])
+
+    def f(x, idx):
+        s = sign[idx].reshape((-1,) + (1,) * (x.ndim - 1))
+        ramp = s * x < 0.4
+        return (np.where(ramp, s * x + 0.5, 0.0),
+                np.where(ramp, s, math.nan))
+
+    stats = {}
+    got = analysis._maximize(f, [-1.0, -1.0], [1.0, 1.0], 1e-6, stats)
+    np.testing.assert_allclose(got, [0.4, -0.4], rtol=0, atol=1e-6)
+    assert stats["unsloped"] == 0 and stats["bisections"] > 0
 
 
 @st.composite

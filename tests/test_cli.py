@@ -183,6 +183,30 @@ def test_sweep_non_finite_bound_is_validation_error(capsys):
     assert "kappa_grid must be finite" in err
 
 
+_CURVE = ["curve", "--n", "3", "--trap", "1", "--init", "2", "--kappa", "1",
+          "--mu", "0.1", "--gamma-points", "3"]
+_SWEEP = ["sweep", "--n", "3", "--trap", "1", "--init", "2",
+          "--kappa-points", "2", "--mu-points", "2"]
+
+
+@pytest.mark.parametrize("argv, bound", [
+    (_CURVE + ["--gamma-max", "0"], "gamma_max=0.0"),
+    (_CURVE + ["--gamma-max", "-5"], "gamma_max=-5.0"),
+    (_CURVE + ["--gamma-min", "inf"], "gamma_min=inf"),
+    (_SWEEP + ["--kappa-max", "0"], "kappa_max=0.0"),
+    (_SWEEP + ["--kappa-max", "-1"], "kappa_max=-1.0"),
+    (_SWEEP + ["--mu-min", "-0.5"], "mu_min=-0.5"),
+])
+def test_log_grid_bound_not_positive_is_validation_error(argv, bound,
+                                                         capsys):
+    # a log grid needs both bounds finite and > 0; the error names the
+    # bound, before any numpy warning or solve
+    code, out, err = _run_capture(argv, capsys)
+    assert code == cli.EXIT_VALIDATION
+    assert out == ""
+    assert f"must be finite and > 0 on a log scale, got {bound}" in err
+
+
 def test_sweep_on_a_two_site_ring_exits_two(capsys):
     # an invalid geometry is invalid input, as for optimize, not an
     # error row for every cell

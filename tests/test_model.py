@@ -83,6 +83,19 @@ def test_total_hamiltonian_combines_parts():
     assert h[0, 1] == 1
 
 
+@pytest.mark.parametrize("spec", [
+    SystemSpec("chain", 5, (0, 3), 2, kappa=0.7, mu=0.03, gamma=0.0),
+    SystemSpec("ring", 6, (4,), 1, kappa=0.0, mu=0.0, gamma=0.0),
+    SystemSpec("ring", 4, (0,), 2, kappa=3.0, mu=0.0, gamma=0.0),
+])
+def test_total_hamiltonian_is_hopping_plus_attenuation(spec):
+    hopping = (build_ring_hamiltonian if spec.topology is Topology.RING
+               else build_chain_hamiltonian)(spec.n)
+    want = hopping + build_attenuation(spec.n, spec.trap_sites, spec.kappa,
+                                       spec.mu)
+    assert build_hamiltonian(spec).tobytes() == want.tobytes()
+
+
 class TestSystemSpecValidation:
     def test_topology_coerced_from_string(self):
         spec = SystemSpec("ring", 4, (0,), 1, 0.1, 0.1, 0.0)

@@ -973,8 +973,8 @@ def _rate_stacks(draw):
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(_rate_stacks())
 def test_stack_from_rate_arrays_equals_one_spec_solvers(stack):
-    # H of every cell is the hopping matrix plus one diagonal, bit for bit
-    # build_hamiltonian's, so each row is the one-spec solver's exactly
+    # H of every cell comes from the builder of build_hamiltonian, so each
+    # row is the one-spec solver's exactly
     spec, kappas, mus, gammas = stack
     etas = EigenbasisSteadySolver(spec, kappas, mus).eta_grid(gammas)
     assert etas.shape == (kappas.size, gammas.size)
