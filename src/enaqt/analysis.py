@@ -747,7 +747,9 @@ def enaqt_estimate(topology, n: int, kappa: float, mu: float,
     Zero in the mirror (chain) and antipodal (ring) configurations, where
     coherent refocusing beats the dephased average; otherwise the
     difference of the dephased and coherent efficiency estimates, which
-    depends only on mu/kappa.  1-based sites.
+    depends only on mu/kappa: 1/(1 + N mu/kappa) less 1/(1 + mu/(kappa P)),
+    P the trap's average population (average_population) for a particle
+    started at init.  1-based sites.
     """
     topology = Topology(topology)
     if topology is Topology.SEMI_INFINITE:
@@ -756,15 +758,12 @@ def enaqt_estimate(topology, n: int, kappa: float, mu: float,
     spec = _geometry_spec(topology, n, trap, init, ("trap", "init"))
     _check_positive_rates(kappa, mu)
     n, (trap0,), init0 = spec.n, spec.trap_sites, spec.initial_site
-    ratio = mu / kappa
-    dephased = 1.0 / (1.0 + n * ratio)
-    if topology is Topology.CHAIN:
-        if init0 == n - 1 - trap0:
-            return 0.0
-        return dephased - 1.0 / (1.0 + (n + 1) * ratio)
-    if n % 2 == 0 and (init0 - trap0) % n == n // 2:
+    if (init0 == n - 1 - trap0 if topology is Topology.CHAIN
+            else n % 2 == 0 and (init0 - trap0) % n == n // 2):
         return 0.0
-    return dephased - 1.0 / (1.0 + n**2 * ratio / (n - 1))
+    ratio = mu / kappa
+    trapped = average_population(topology, n, trap0 + 1, init0 + 1).value
+    return 1.0 / (1.0 + n * ratio) - 1.0 / (1.0 + ratio / trapped)
 
 
 def symmetry_split(spec: SystemSpec) -> tuple:
@@ -823,8 +822,10 @@ def infinite_chain_enaqt(kappa: float, mu: float,
     reported gamma_opt joins the probe rates: if its eta moves, the
     truncation grows again and is optimized again.  truncation_delta is
     the largest probe change at the reported truncation, eta0 and eta_max
-    included.  mu >= 0.1 keeps the certified sizes tractable (the
-    support grows as 1/mu).
+    included.  The solvers of a probe step's four truncations are kept
+    until the step moves on, so the optimization and the probes of a new
+    gamma_opt build (and eigendecompose) none of them again.  mu >= 0.1
+    keeps the certified sizes tractable (the support grows as 1/mu).
 
     Raises TruncationError (carrying achieved_delta, the largest probe
     change of the last complete probe step) instead of building any
@@ -846,16 +847,19 @@ def infinite_chain_enaqt(kappa: float, mu: float,
 
     delta = math.inf
     known = {}  # (left, right) -> {gamma: eta} of every truncation solved
+    solvers = {}  # (left, right) -> solver, for the current probe step
 
     def truncation(sizes):
-        n = sizes[0] + offset + sizes[1]
-        if n > SITE_CAP_INFINITE:
-            raise TruncationError(
-                f"truncation not converged below {TRUNCATION_TOL:g} within "
-                f"{SITE_CAP_INFINITE} sites ({n} needed, best delta "
-                f"{delta:.3e})", achieved_delta=delta)
-        return EigenbasisSteadySolver(
-            semi_infinite_spec(kappa, mu, 0.0, offset, *sizes))
+        if sizes not in solvers:
+            n = sizes[0] + offset + sizes[1]
+            if n > SITE_CAP_INFINITE:
+                raise TruncationError(
+                    f"truncation not converged below {TRUNCATION_TOL:g} "
+                    f"within {SITE_CAP_INFINITE} sites ({n} needed, best "
+                    f"delta {delta:.3e})", achieved_delta=delta)
+            solvers[sizes] = EigenbasisSteadySolver(
+                semi_infinite_spec(kappa, mu, 0.0, offset, *sizes))
+        return solvers[sizes]
 
     def etas(sizes, gammas):
         # eta of the truncation at gammas, solving only the new rates
@@ -873,10 +877,16 @@ def infinite_chain_enaqt(kappa: float, mu: float,
     optimized = None  # the truncation the last optimization ran on
     while True:
         while True:
-            base = etas((left, right), gammas)
+            # the base truncation and its three probes; their solvers are
+            # kept while they are these, for the optimization and for the
+            # probes of a new gamma_opt
+            step = [(left, right), (2 * left, right), (left, 2 * right),
+                    (2 * left, 2 * right)]
+            for sizes in set(solvers) - set(step):
+                del solvers[sizes]
+            base = etas(step[0], gammas)
             moved = [float(np.max(np.abs(etas(sizes, gammas) - base)))
-                     for sizes in ((2 * left, right), (left, 2 * right),
-                                   (2 * left, 2 * right))]
+                     for sizes in step[1:]]
             delta = max(moved)
             if delta < TRUNCATION_TOL:
                 break

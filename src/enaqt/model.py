@@ -232,6 +232,16 @@ def _hopping(spec: SystemSpec) -> np.ndarray:
     return build_chain_hamiltonian(spec.n, spec.v)
 
 
+def _colouring(spec: SystemSpec):
+    """A 2-colouring c of spec's sites that its hopping respects, every
+    bond joining two colours: c_k = k mod 2 on every chain, semi-infinite
+    truncation and even ring; None on an odd ring, whose bond (0, n-1)
+    joins two sites of colour 0."""
+    if spec.topology is Topology.RING and spec.n % 2:
+        return None
+    return np.arange(spec.n) % 2
+
+
 def _hamiltonians(spec: SystemSpec, kappa, mu) -> np.ndarray:
     """H of every cell of spec's geometry, shape (cells, n, n), cell i at
     the rates kappa[i] and mu[i] (1-d float arrays; spec's own rates are

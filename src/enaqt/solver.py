@@ -28,7 +28,8 @@ kernels, chosen by the number of sites n:
   n^2 x n^2 maps tabulated per cell ("maps");
 * up to DIRECT_MAX_N sites, directly, with the system assembled without
   maps ("map-free");
-* above, by GMRES, one point at a time ("gmres").
+* above, by an in-house restarted GMRES (_restarted_gmres) in real
+  arithmetic, one point at a time ("gmres").
 
 It certifies every answer by one residual of the full generator and one
 acceptance rule; it sends a rejected point, on its own cell's arrays,
@@ -54,6 +55,7 @@ from .errors import SingularSystemError, StiffnessError, ValidationError
 from .model import (
     DensityState,
     SystemSpec,
+    _colouring,
     _generator,
     _hamiltonians,
     _left,
@@ -78,6 +80,8 @@ __all__ = [
 RESID_TARGET = 1e-10  # relative residual that certifies an answer outright
 RESID_ACCEPT = 1e-9   # relative residual above which a fallback is rejected
 REAL_TOL = 1e-10      # allowed imaginary leakage in probabilities
+GMRES_RTOL = 1e-12    # true residual, relative to |b|, that ends GMRES
+EPS = np.finfo(float).eps
 # Bytes of the points of one chunk of a call (all rates of as many cells
 # as fit, or as many rates of one cell): a direct solve holds several
 # (points x n^2) complex arrays at once up to MAPS_MAX_N sites, and n^3
@@ -316,6 +320,99 @@ def efficiency_gamma_grid(spec: SystemSpec, gammas) -> np.ndarray:
     return etas[0]
 
 
+def _eig(h, colours):
+    """(lam, S) with H = S diag(lam) S^-1 for every H of the stack h.  With
+    a 2-colouring c of the sites that the hopping respects
+    (model._colouring), D = diag(i^c) makes M = i D^-1 H D real: the rates
+    mu + kappa on the traps on its diagonal, +-v off it.  So one real
+    eigendecomposition M V = V diag(lam_M) gives lam = -i lam_M and S = D V,
+    at half the cost of the complex one at 80 sites and a third at 128;
+    stacks gain from n = 2, single cells from about 10 sites.  Without a
+    colouring (an odd ring), the complex eig of H."""
+    if colours is None:
+        return np.linalg.eig(h)
+    # H is hopping - i rates: M = hopping o (c_j - c_k) + rates
+    lam_m, v = np.linalg.eig(h.real * (colours[:, None] - colours) - h.imag)
+    return -1j * lam_m, np.where(colours, 1j, 1.0)[:, None] * v
+
+
+def _restarted_gmres(apply, b, x0, restart, maxiter):
+    """(x, info, matvecs): GMRES(restart) on apply(x) = b from x0 (zero
+    when None), in b's arithmetic (real or complex; apply must keep a real
+    vector real), at most maxiter cycles, stopped as scipy's gmres stops:
+    Arnoldi steps until the estimated residual meets an inner tolerance
+    (adapted from cycle to cycle), then the true residual b - apply(x) at
+    the end of the cycle; info is 0 once that is at most GMRES_RTOL |b|,
+    else the number of cycles run.  The basis is orthogonalised by
+    classical Gram-Schmidt with one re-orthogonalisation, two products
+    against the basis block each, and the Givens rotations act on Python
+    scalars.  A breakdown (a Krylov vector of zero norm) ends the cycle
+    and, unless its true residual meets the tolerance, the solve: info is
+    then non-zero, also where the breakdown leaves the Hessenberg system
+    singular (apply maps the basis to zero), whose last column is
+    dropped."""
+    n = b.size
+    restart = min(restart, n)
+    atol = GMRES_RTOL * math.sqrt(np.vdot(b, b).real)
+    x = np.zeros_like(b) if x0 is None else x0.astype(b.dtype)
+    r, matvecs = (b - apply(x), 1) if x.any() else (b.copy(), 0)
+    rnorm = math.sqrt(np.vdot(r, r).real)
+    if rnorm <= atol:
+        return x, 0, matvecs
+    basis = np.empty((restart + 1, n), dtype=b.dtype)
+    tri = np.zeros((restart, restart), dtype=b.dtype)
+    trtrs = sla.get_lapack_funcs("trtrs", (tri,))
+    ptol, factor = atol, 1.0
+    for cycle in range(1, maxiter + 1):
+        basis[0] = r / rnorm
+        g, rots = [rnorm], []
+        for j in range(restart):
+            w = apply(basis[j])
+            matvecs += 1
+            block = basis[:j + 1]
+            h0 = math.sqrt(np.vdot(w, w).real)
+            h = (block @ w.conj()).conj()
+            w = w - h @ block  # a new array: apply may return its argument
+            h2 = (block @ w.conj()).conj()
+            w -= h2 @ block
+            col = (h + h2).tolist()
+            hnext = math.sqrt(np.vdot(w, w).real)
+            breakdown = hnext <= EPS * h0
+            if breakdown:
+                hnext = 0.0
+            for k, (c, s) in enumerate(rots):
+                col[k], col[k + 1] = (c * col[k] + s * col[k + 1],
+                                      c * col[k + 1] - s.conjugate() * col[k])
+            rho = math.hypot(abs(col[j]), hnext)
+            if rho == 0.0:
+                break
+            phase = col[j] / abs(col[j]) if col[j] else 1.0
+            c, s = abs(col[j]) / rho, phase * hnext / rho
+            col[j] = phase * rho
+            rots.append((c, s))
+            tri[:j + 1, j] = col
+            g[j:] = [c * g[j], -s.conjugate() * g[j]]
+            if breakdown or abs(g[j + 1]) <= ptol:
+                break
+            basis[j + 1] = w / hnext
+        m = len(rots)
+        if m:
+            y = trtrs(tri[:m, :m], g[:m])[0]
+            x += y @ basis[:m]
+        r = b - apply(x)
+        matvecs += 1
+        rnorm = math.sqrt(np.vdot(r, r).real)
+        if rnorm <= atol:
+            return x, 0, matvecs
+        if breakdown:
+            return x, cycle, matvecs
+        presid = abs(g[m])
+        factor = (max(EPS, 0.25 * factor) if presid <= ptol
+                  else min(1.0, 1.5 * factor))
+        ptol = presid * min(factor, atol / rnorm)
+    return x, maxiter, matvecs
+
+
 def _accepted(resid, eta, eta_loss, bound):
     """The acceptance rule: residual within bound, and eta and eta_loss
     (still complex) with imaginary parts within REAL_TOL; elementwise."""
@@ -359,7 +456,10 @@ class EigenbasisSteadySolver:
     behind every single solve, gamma grid and optimization.
 
     One eigendecomposition H = S diag(lam) S^-1 of the n x n generator is
-    shared across all dephasing rates.  With c_pq = -i(lam_p - conj(lam_q))
+    shared across all dephasing rates.  It is a real one (_eig) wherever
+    the hopping is bipartite (chains, even rings, semi-infinite
+    truncations): D^-1 H D is -i times a real matrix for D = diag(i^c), c
+    a 2-colouring of the sites; an odd ring keeps the complex one.  With c_pq = -i(lam_p - conj(lam_q))
     the coherent part with uniform dephasing,
     A(X) = -i(H X - X H^dag) - 2*gamma*X, is diagonal in that basis:
 
@@ -399,8 +499,10 @@ class EigenbasisSteadySolver:
     one matrix product of (rates x n, n) by (n, n^2) per chunk of rates,
     at O(n^4) flops and n^3 numbers per rate; the two other products are
     taken directly.  Above DIRECT_MAX_N sites (kernel "gmres") GMRES
-    applies the operator at the cost of two dense n x n products per
-    matvec.  The full steady integral is rebuilt the same way,
+    applies the operator, real in real arithmetic (_restarted_gmres),
+    at the cost of two n x n by n x n/2 products per matvec where the
+    sublattice symmetry pairs the eigenvalues, two n x n products where it
+    does not (_population_matvec).  The full steady integral is rebuilt the same way,
     -2*gamma*A^-1(Diag p) = Diag(p) - S[(S^-1 Diag(p) S^-dag) o R]S^dag,
     which keeps its residual near working precision.
 
@@ -420,7 +522,7 @@ class EigenbasisSteadySolver:
 
         K^T w = diag(S^-T [R o (S^T Diag(w) conj S)] conj S^-1),
 
-    also costs two n x n products.  The slope (eta(..., slope=True)) is a
+    costs what a forward matvec costs.  The slope (eta(..., slope=True)) is a
     hint for a search, given at every certified point: a point the
     fallback chain redid, or one whose GMRES adjoint did not converge,
     gets it, and the rate slopes below, from the adjoint of the full
@@ -474,7 +576,9 @@ class EigenbasisSteadySolver:
     SingularSystemError with its gamma named (and the dark-state hint at
     mu = 0), which the solver never raises: it records it in `failed` under
     the cell's index, answers NaN for that cell from then on, and solves its
-    other cells as before.  `routes` counts the accepted points per method.
+    other cells as before.  `routes` counts the accepted points per method,
+    and `matvecs` the GMRES matvecs, forward and adjoint, fallbacks
+    included.
     `kernel` names the kernel ("maps", "map-free" or "gmres"), and so does
     the DEBUG record that every point solved alone (a one-point call, a
     GMRES point, a fallback) and every eta_grid or efficiencies call of a
@@ -512,7 +616,9 @@ class EigenbasisSteadySolver:
         self._trap_indicator = np.zeros(n, dtype=complex)
         self._trap_indicator[self.tidx] = 1.0
         h = _hamiltonians(spec, kappa, mu)
-        lam, s = np.linalg.eig(h)
+        self._colours = _colouring(spec)
+        lam, s = _eig(h, self._colours)
+        self._lam = lam[0]  # cell 0's, for _population_matvec
         sinv = np.linalg.inv(s)
         c = -1j * (lam[:, :, None] - lam[:, None, :].conj())
         self._ids = np.arange(cells)
@@ -524,6 +630,7 @@ class EigenbasisSteadySolver:
             2.0 * mu[:, None], **self._build_maps(s, sinv))
         self._warm = None  # GMRES start: the last point's populations
         self.routes = Counter()  # accepted points per method
+        self.matvecs = 0  # GMRES matvecs, forward and adjoint
         self.failed = {}  # cell index -> SingularSystemError
 
     def _build_maps(self, s, sinv):
@@ -608,7 +715,8 @@ class EigenbasisSteadySolver:
         b = self._diag(a, y)
         adjoint = None
         if kmat is None:
-            pops, adjoint = self._gmres(g2, a, b, warm_start, stats, slope)
+            pops, adjoint = self._gmres(g2, a, b, warm_start, stats, slope,
+                                        rhs is self._rhs0)
         elif kmat.size == n * n:
             # LAPACK directly: a third of np.linalg.solve's cost at n ~ 5.
             # One factorization for K p = b and, with slope, K^T w = t.  An
@@ -703,35 +811,37 @@ class EigenbasisSteadySolver:
              @ np.swapaxes(a.sinv.conj(), -1, -2)[:, None])
         return f.reshape(pops.shape[:-1] + (n * n,))
 
-    def _gmres(self, g2, a, b, warm_start, stats, slope=False):
+    def _gmres(self, g2, a, b, warm_start, stats, slope=False,
+               hermitian=False):
         """(p, w) for one point of one cell above DIRECT_MAX_N sites:
         K p = b solved by GMRES from warm_start and, with slope, the
         adjoint K^T w = t by GMRES from zero, w NaN where it did not
         converge; w None without slope.  At gamma = 0, K = I: p = b and
-        w = t.  stats collects the info flag of the K p = b solve and the
-        matvecs of both."""
+        w = t.  K is real (L maps Hermitian matrices to Hermitian ones),
+        and so are t and, for a `hermitian` right-hand side, b up to
+        rounding: those solves run in real arithmetic, on Re b.  stats
+        collects the info flag of the K p = b solve and the matvecs of
+        both."""
         n = self.n
         if g2 == 0.0:
             return b, self._trap_indicator if slope else None
-
-        def solve(apply, rhs, x0):
-            def matvec(v):
-                stats["matvecs"] += 1
-                return apply(v)
-
-            op = spla.LinearOperator((n, n), matvec=matvec, dtype=complex)
-            return spla.gmres(op, rhs, x0=x0, rtol=1e-12, atol=0.0,
-                              restart=self.GMRES_RESTART,
-                              maxiter=self.GMRES_MAXITER)
-
-        pops, stats["info"] = solve(self._population_matvec(a, g2),
-                                    b.reshape(n), warm_start)
+        rhs = b.reshape(n)
+        if hermitian:
+            rhs = rhs.real.copy()
+            warm_start = None if warm_start is None else warm_start.real
+        pops, stats["info"], count = _restarted_gmres(
+            self._population_matvec(a, g2), rhs, warm_start,
+            self.GMRES_RESTART, self.GMRES_MAXITER)
+        stats["matvecs"] += count
+        pops = pops.astype(complex).reshape(b.shape)
         if not slope:
-            return pops.reshape(b.shape), None
-        adjoint, info = solve(self._population_matvec(a, g2, True),
-                              self._trap_indicator, None)
-        return pops.reshape(b.shape), (
-            adjoint if info == 0 else np.full(n, math.nan)).reshape(b.shape)
+            return pops, None
+        adjoint, info, count = _restarted_gmres(
+            self._population_matvec(a, g2, True), self._trap_indicator.real,
+            None, self.GMRES_RESTART, self.GMRES_MAXITER)
+        stats["matvecs"] += count
+        return pops, (adjoint if info == 0 else np.full(n, math.nan)
+                      ).astype(complex).reshape(b.shape)
 
     def _population_matvec(self, a, g2, transpose=False):
         """p -> (I + 2*gamma*M) p for the one cell of the arrays a of a
@@ -739,15 +849,45 @@ class EigenbasisSteadySolver:
         diag(S [(S^-1 Diag(p) S^-dag) o R] S^dag) that _sandwich and _diag
         apply, g2 = 2*gamma; with transpose, its transpose, the same form
         with S^-T and S^T in place of S and S^-1:
-        w -> diag(S^-T [(S^T Diag(w) conj S) o R] conj S^-1)."""
-        if transpose:
-            a = a._replace(s=a.sinv.transpose(0, 2, 1),
-                           sinv=a.s.transpose(0, 2, 1))
-        ratio = a.c / (a.c - g2)
+        w -> diag(S^-T [(S^T Diag(w) conj S) o R] conj S^-1).
+
+        The operator is real, and for a real p the sum over the
+        eigenvalues halves: under the sublattice symmetry the eigenvalues
+        with negative real part are the partners -conj(lam) of those with
+        positive real part, and their terms are the conjugates of their
+        partners' terms.  So the result is the real part of the sum over
+        the eigenvalues with real part >= 0 alone, those > 0 counted twice
+        (every eigenvalue once on an odd ring, which has no colouring):
+        two products, n/2 x n by n x n and n x n/2 by n/2 x n, half the
+        flops of the full ones, on operands built once per point.  A
+        complex p costs two, for its real and imaginary parts."""
+        s, sinv = ((a.sinv[0].T, a.s[0].T) if transpose
+                   else (a.s[0], a.sinv[0]))
+        # the eigenvalues whose terms are summed, real part > 0 twice and
+        # = 0 (exactly: -i times a real eigenvalue of M) once
+        if self._colours is None:
+            kept, twice = slice(None), 1.0
+        else:
+            kept = np.flatnonzero(self._lam.real >= 0.0)
+            twice = np.where(self._lam[kept].real > 0.0, 2.0, 1.0)[:, None]
+        left = sinv[kept]
+        right = np.ascontiguousarray(sinv.conj().T)
+        ratio = (a.c / (a.c - g2)).reshape(self.n, self.n)[kept] * twice
+        s_kept = s[:, kept]
+        sconj = s.conj()
 
         def matvec(p):
-            return self._diag(a, self._sandwich(a, p[None, None]) * ratio
-                              ).reshape(-1)
+            # a complex p as the stack of its real and imaginary parts, not
+            # by calling matvec again: a closure that calls itself is a
+            # reference cycle, and would hold each point's operands until
+            # the cyclic collector ran (tens of MB over a gamma scan)
+            q = np.stack([p.real, p.imag]) if np.iscomplexobj(p) else p
+            y = (left * q[..., None, :]) @ right
+            y *= ratio
+            y = s_kept @ y
+            y *= sconj
+            out = y.real.sum(axis=-1)
+            return out if q is p else out[0] + 1j * out[1]
 
         return matvec
 
@@ -923,6 +1063,7 @@ class EigenbasisSteadySolver:
                 self._record(gammas.item(), "direct-eigenbasis", stats)
             else:
                 self.routes["direct-eigenbasis"] += gammas.size - len(redone)
+        self.matvecs += stats["matvecs"]
         return eta, eta_loss, resid, pops, redone, slopes, rslopes
 
     def _record(self, gamma, route, stats):

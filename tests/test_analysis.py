@@ -319,6 +319,38 @@ class TestEnaqtEstimate:
             1 / (1 + 5 * mu / kappa) - 1 / (1 + mu / (kappa * p)),
             rel=1e-14)
 
+    @pytest.mark.parametrize("topology, n, trap, init", [
+        ("ring", 4, 1, 2), ("ring", 6, 2, 4), ("ring", 6, 1, 2),
+        ("ring", 5, 1, 3), ("chain", 4, 1, 2), ("chain", 6, 2, 3)])
+    def test_coherent_term_uses_the_average_population(self, topology, n,
+                                                       trap, init):
+        # the coherent estimate 1/(1 + mu/(kappa P)) takes P, the trap's
+        # average population, from average_population on every geometry:
+        # (N - 2)/N^2 on an even ring off the antipode
+        kappa, mu = 1.0, 0.3
+        p = float(average_population(topology, n, trap, init))
+        assert enaqt_estimate(topology, n, kappa, mu, trap, init) == (
+            pytest.approx(1 / (1 + n * mu / kappa) - 1 / (1 + mu / (kappa * p)),
+                          rel=1e-14))
+
+    def test_even_ring_off_the_antipode(self):
+        # the trap's average population on the 4-ring, next to the start,
+        # is the time average of |U_21(t)|^2, 1/8, not the odd-ring
+        # (N - 1)/N^2 = 3/16
+        lam, vecs = np.linalg.eigh(build_ring_hamiltonian(4).real)
+        ts = np.arange(0.5, 4000.0, 1.0)
+        amps = (vecs[1] * np.exp(-1j * ts[:, None] * lam)) @ vecs[0]
+        time_avg = float(np.mean(np.abs(amps) ** 2))
+        assert time_avg == pytest.approx(0.125, abs=1e-3)
+        assert float(average_population("ring", 4, 2, 1)) == 0.125
+        # at kappa = mu = 1e-3: 1/5 - 1/9, against 0.0996 from
+        # optimize_dephasing (the odd-ring term gave 1/5 - 3/19 = 0.042)
+        est = enaqt_estimate("ring", 4, 1e-3, 1e-3, 1, 2)
+        assert est == pytest.approx(1 / 5 - 1 / 9, rel=1e-14)
+        xi = optimize_dephasing(SystemSpec("ring", 4, (0,), 1, 1e-3, 1e-3,
+                                           0.0)).xi
+        assert abs(est - xi) <= 0.2 * xi
+
     def test_semi_infinite_rejected(self):
         with pytest.raises(ValidationError,
                            match="defined for chain and ring only"):

@@ -22,7 +22,7 @@ from enaqt import (
     site_density,
     state_density,
 )
-from enaqt.model import _generator
+from enaqt.model import _colouring, _generator
 from dense_oracles import dense_generator
 
 
@@ -179,6 +179,24 @@ def test_semi_infinite_spec_geometry():
 def test_semi_infinite_spec_rejects_non_finite_mu(mu):
     with pytest.raises(ValidationError, match="finite mu > 0"):
         semi_infinite_spec(1.0, mu, 0.0)
+
+
+@pytest.mark.parametrize("spec", [
+    *(SystemSpec("chain", n, (0,), 1, 1.0, 0.1, 0.0) for n in range(2, 10)),
+    *(SystemSpec("ring", n, (0,), 1, 1.0, 0.1, 0.0) for n in range(3, 12)),
+    semi_infinite_spec(1.0, 0.5, 0.0, offset=2, left=7, right=5),
+    semi_infinite_spec(1.0, 0.5, 0.0, offset=1, left=4, right=4),
+], ids=lambda spec: f"{spec.topology.value}{spec.n}")
+def test_colouring_is_missing_exactly_for_odd_rings(spec):
+    # a 2-colouring of the sites that every bond of the hopping respects;
+    # an odd ring has none
+    colours = _colouring(spec)
+    if spec.topology is Topology.RING and spec.n % 2:
+        assert colours is None
+        return
+    assert set(colours.tolist()) == {0, 1} and colours.shape == (spec.n,)
+    bonds = np.argwhere(build_hamiltonian(spec).real != 0.0)
+    assert len(bonds) and (colours[bonds[:, 0]] != colours[bonds[:, 1]]).all()
 
 
 def test_semi_infinite_default_sizing():

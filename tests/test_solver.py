@@ -30,6 +30,7 @@ from enaqt import (
 )
 import enaqt.solver as solver_module
 from enaqt.cli import main as cli_main
+from enaqt.model import _colouring
 from enaqt.solver import DIRECT_MAX_N, _stack_size
 from dense_oracles import (
     dense_generator,
@@ -1093,3 +1094,151 @@ def test_gmres_points_match_dense_lu(n):
                                              abs=1e-10)
     slope = solver.eta(0.3, slope=True)[1]
     assert slope == pytest.approx(_central_slope(solver, 0.3), rel=1e-6)
+
+
+@st.composite
+def _geometries(draw):
+    # chains, even and odd rings and semi-infinite truncations of at most
+    # 40 sites, at random rates
+    kappa, mu = (10.0 ** draw(st.floats(-4, 2)) for _ in range(2))
+    kind = draw(st.sampled_from(["chain", "ring", "semi-infinite"]))
+    if kind == "semi-infinite":
+        left, right = draw(st.integers(1, 19)), draw(st.integers(1, 19))
+        return semi_infinite_spec(kappa, mu, 0.0, draw(st.integers(1, 2)),
+                                  left, right)
+    n = draw(st.integers(2 if kind == "chain" else 3, 40))
+    trap, init = draw(st.lists(st.integers(0, n - 1), min_size=2,
+                               max_size=2, unique=True))
+    return SystemSpec(kind, n, (trap,), init, kappa, mu, 0.0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_geometries())
+def test_eigendecomposition_through_the_sublattice(spec):
+    # the solver's (lam, S), real through the 2-colouring where the
+    # geometry has one, diagonalize H and give the complex eig's spectrum
+    h = build_hamiltonian(spec)
+    lam, s = solver_module._eig(h[None], _colouring(spec))
+    lam, s = lam[0], s[0]
+    solver = EigenbasisSteadySolver(spec)
+    assert np.array_equal(solver._all.s[0], s)
+    scale = np.linalg.norm(h, 2)
+    assert (np.linalg.norm(h @ s - s * lam, 2)
+            <= 1e-12 * scale * np.linalg.norm(s, 2))
+    want = np.linalg.eigvals(h)
+    gaps = np.abs(lam[:, None] - want[None, :])
+    assert gaps.min(axis=1).max() <= 1e-12 * max(1.0, scale)
+    assert gaps.min(axis=0).max() <= 1e-12 * max(1.0, scale)
+
+
+@pytest.mark.parametrize("kappa", [1.0, 3.0])
+def test_odd_ring_on_the_gmres_route_matches_dense_lu(kappa):
+    # an odd ring has no 2-colouring: its H keeps the complex eig
+    n = DIRECT_MAX_N + 2
+    for gamma in (0.0, 0.3, 2000.0):
+        spec = SystemSpec("ring", n, (0,), n // 3, kappa, 0.1, gamma)
+        solver = EigenbasisSteadySolver(spec)
+        assert solver.kernel == "gmres" and _colouring(spec) is None
+        eta, eta_loss, resid, method = solver.efficiency(gamma)
+        assert method == "direct-eigenbasis" and resid <= 1e-10
+        want = dense_lu_branching(spec)
+        assert eta == pytest.approx(want[0], abs=1e-10)
+        assert eta_loss == pytest.approx(want[1], abs=1e-10)
+
+
+@pytest.mark.parametrize("topology, n", [
+    ("chain", DIRECT_MAX_N + 1), ("chain", DIRECT_MAX_N + 2),
+    ("ring", DIRECT_MAX_N + 1), ("ring", DIRECT_MAX_N + 2)])
+def test_real_matvec_is_the_full_operator(topology, n):
+    # K and K^T by the sum over every eigenvalue pair (p, q), against the
+    # matvec on real vectors: half the sum where the sublattice symmetry
+    # pairs the eigenvalues (an odd chain adds a real eigenvalue of M,
+    # counted once), all of it on the odd ring
+    solver = EigenbasisSteadySolver(SystemSpec(topology, n, (0,), n // 3,
+                                               3.0, 0.1, 0.0))
+    a = solver._all
+    s, sinv = a.s[0], a.sinv[0]
+    rng = np.random.default_rng(n)
+    for gamma in (0.3, 30.0):
+        ratio = (a.c / (a.c - 2.0 * gamma)).reshape(n, n)
+        for transpose in (False, True):
+            left, right = (sinv.T, s.T) if transpose else (s, sinv)
+            matvec = solver._population_matvec(a, 2.0 * gamma, transpose)
+            for _ in range(2):
+                p = rng.normal(size=n)
+                want = np.diag(left @ ((right * p) @ right.conj().T * ratio)
+                               @ left.conj().T)
+                got = matvec(p)
+                assert got.dtype == float
+                assert np.abs(want.imag).max() <= 1e-12 * np.abs(want).max()
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_gmres_scan_of_a_long_chain_stays_within_its_matvecs(caplog):
+    # the 65-point scan of a chain of 80 sites: 618 matvecs with scipy's
+    # gmres, whose stopping rule the in-house GMRES keeps
+    spec = SystemSpec("chain", 80, (0,), 1, 3.0, 0.3, 0.0)
+    solver = EigenbasisSteadySolver(spec)
+    gammas = np.concatenate([[0.0], np.geomspace(1e-4, 1e4, 64)])
+    with caplog.at_level(logging.DEBUG, logger="enaqt"):
+        solver.eta_grid(gammas)
+    records = _solve_records(caplog)
+    assert len(records) == gammas.size
+    assert all(info in (None, 0) for _, _, info, _, _ in records)
+    matvecs = sum(r[3] for r in records)
+    assert matvecs <= 650
+    assert solver.matvecs == matvecs
+
+
+def test_matvecs_count_forward_and_adjoint_gmres_solves(caplog):
+    # the solver's counter adds up the matvecs of its points' records
+    spec = SystemSpec("chain", DIRECT_MAX_N + 1, (0,), 1, 3.0, 0.1, 0.0)
+    plain, sloped = EigenbasisSteadySolver(spec), EigenbasisSteadySolver(spec)
+    assert plain.matvecs == sloped.matvecs == 0
+    with caplog.at_level(logging.DEBUG, logger="enaqt"):
+        plain.eta(0.3)
+        sloped.eta(0.3, slope=True)
+        sloped.eta_grid([0.0, 3.0])
+    counts = [r[3] for r in _solve_records(caplog)]
+    assert plain.matvecs == counts[0] > 0
+    assert sloped.matvecs == sum(counts[1:]) > counts[1] > counts[0]
+    # the direct kernels run no GMRES
+    direct = EigenbasisSteadySolver(SystemSpec("chain", 24, (0,), 1, 3.0, 0.1,
+                                               0.0))
+    direct.eta_grid([0.0, 0.3, 3.0])
+    assert direct.matvecs == 0
+
+
+def _random_system(n, seed):
+    rng = np.random.default_rng(seed)
+    a = (np.eye(n) + 0.3 * (rng.normal(size=(n, n))
+                            + 1j * rng.normal(size=(n, n))) / math.sqrt(n))
+    return a, rng.normal(size=n) + 1j * rng.normal(size=n)
+
+
+@pytest.mark.parametrize("restart", [60, 4])
+def test_restarted_gmres_solves_a_nonsymmetric_system(restart):
+    a, b = _random_system(50, 3)
+    x, info, matvecs = solver_module._restarted_gmres(
+        lambda v: a @ v, b, None, restart, 50)
+    assert info == 0
+    assert np.linalg.norm(b - a @ x) <= 1e-12 * np.linalg.norm(b)
+    # one matvec per Arnoldi step, and one true residual per cycle
+    assert matvecs > (0 if restart == 60 else restart)
+    # from the exact solution: only the initial residual
+    y, info, matvecs = solver_module._restarted_gmres(
+        lambda v: a @ v, b, np.linalg.solve(a, b), restart, 50)
+    assert (info, matvecs) == (0, 1)
+
+
+def test_restarted_gmres_breakdowns():
+    b = np.arange(1.0, 41.0) + 0.5j
+    # a lucky breakdown: the identity's Krylov space is one vector, and
+    # its solve is exact
+    x, info, _ = solver_module._restarted_gmres(lambda v: v, b, None, 60, 10)
+    assert info == 0 and np.allclose(x, b, rtol=1e-15, atol=0)
+    # a zero Krylov vector with a singular Hessenberg system: no solve, and
+    # non-convergence reported
+    x, info, matvecs = solver_module._restarted_gmres(np.zeros_like, b, None,
+                                                      60, 10)
+    assert info != 0 and not x.any() and matvecs == 2
