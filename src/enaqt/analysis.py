@@ -202,9 +202,26 @@ def _check_rates(**rates):
             raise ValidationError(f"{name}={val!r} must be finite and >= 0")
 
 
-def _check_offset(offset):
-    if not isinstance(offset, int) or offset < 1:
+def _check_offset(offset) -> int:
+    """offset as an int: ValidationError unless it is an integer (Python
+    or numpy, by operator.index, as _site0) of at least 1."""
+    try:
+        count = operator.index(offset)
+    except TypeError:
+        count = 0
+    if count < 1:
         raise ValidationError(f"offset={offset!r} must be an integer >= 1")
+    return count
+
+
+def _pool_map(func, tasks, workers=None) -> list:
+    """[func(t) for t in tasks], in order: spread over a process pool of
+    `workers` processes when workers > 1 (func and the tasks must then
+    pickle), else in this process."""
+    if workers is not None and workers > 1:
+        with multiprocessing.Pool(workers) as pool:
+            return pool.map(func, tasks)
+    return [func(t) for t in tasks]
 
 
 def _exp(x):
@@ -836,7 +853,7 @@ def infinite_chain_enaqt(kappa: float, mu: float,
             f"mu={mu!r} below the cutoff {MU_CUTOFF_INFINITE} (truncated "
             "supports scale as 1/mu and are certified only above it)")
     _check_rates(kappa=kappa)
-    _check_offset(offset)
+    offset = _check_offset(offset)
     left = right = min(START_SITES, math.ceil(16.0 / mu))
     if kappa == 0.0:
         # Nothing traps, so eta = 0 for every gamma.
@@ -979,7 +996,7 @@ def plane_sweep(topology, n=None, trap=None, init=None,
             raise ValidationError(
                 f"{name} must lie within [{lo:g}, {RATE_BOUNDS[1]:g}]")
     if topology is Topology.SEMI_INFINITE:
-        _check_offset(offset)
+        offset = _check_offset(offset)
         spec0, size = None, 1
     else:
         spec0 = _geometry_spec(topology, n, trap, init, ("trap", "init"))
@@ -988,12 +1005,8 @@ def plane_sweep(topology, n=None, trap=None, init=None,
     cells = [(float(kv), float(mv)) for kv in kappa_grid for mv in mu_grid]
     tasks = [(spec0, offset, cells[i:i + size])
              for i in range(0, len(cells), size)]
-    if workers is not None and workers > 1:
-        with multiprocessing.Pool(workers) as pool:
-            batches = pool.map(_sweep_batch, tasks)
-    else:
-        batches = [_sweep_batch(t) for t in tasks]
-    rows = [row for batch in batches for row in batch]
+    rows = [row for batch in _pool_map(_sweep_batch, tasks, workers)
+            for row in batch]
 
     shape = (kappa_grid.size, mu_grid.size)
     eta0 = np.empty(shape)

@@ -9,13 +9,24 @@ Subcommands map one-to-one onto the library layer:
     table      -> max_enaqt               (all trap/init pairs for one N)
     infinite   -> infinite_chain_enaqt
 
-efficiency and curve run the solver's one point path (solve, certify,
-fall back), so each row carries its method and certified residual.
+_COMMANDS holds one row per subcommand: its help, the fields it accepts
+and the fields it requires.  The fields are RunConfig's, and each flag
+takes its type, or its choices, from the field's annotation.  Parameters
+may come from flags or from a key=value config file (--config): each line
+of the file becomes the flag it names, placed before the command line's
+flags and parsed by the same subparser, so config values meet the same
+checks as flags (a bad one exits 2 with argparse's message), and flags
+win.
+
+A record is the echoed inputs, then the library's result field by field
+(EfficiencyReport for efficiency and curve, EnaqtResult for optimize,
+InfiniteChainResult for infinite), then the package version.  efficiency
+and curve run the solver's one point path (solve, certify, fall back), so
+each row carries its method and certified residual.
 
 Site labels are 1-based here, matching the human-facing convention used
-everywhere in the analysis layer.  Parameters may come from flags or from
-a key=value config file (--config); flags win.  Output goes to stdout or,
-with --output, to a file written atomically (temp + rename).  Numbers are
+everywhere in the analysis layer.  Output goes to stdout or, with
+--output, to a file written atomically (temp + rename).  Numbers are
 serialized with 12 significant digits, and identical configurations
 produce byte-identical output regardless of worker count.
 
@@ -32,16 +43,17 @@ import functools
 import io
 import json
 import math
-import multiprocessing
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
+from typing import Literal, NamedTuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from . import __version__
 from .analysis import (
+    _pool_map,
     infinite_chain_enaqt,
     max_enaqt,
     optimize_dephasing,
@@ -54,7 +66,11 @@ from .errors import (
     ValidationError,
 )
 from .model import SystemSpec, Topology
-from .solver import EigenbasisSteadySolver, efficiency_direct
+from .solver import (
+    EfficiencyReport,
+    EigenbasisSteadySolver,
+    efficiency_direct,
+)
 
 __all__ = ["RunConfig", "parse_config", "run", "emit", "main"]
 
@@ -67,10 +83,11 @@ EXIT_IO = 5
 
 @dataclass
 class RunConfig:
-    """Validated parameters for one CLI invocation."""
+    """Validated parameters for one CLI invocation.  Each field's flag
+    takes its type, or its choices (a Literal), from the annotation."""
 
     subcommand: str
-    topology: str = "chain"
+    topology: Literal["chain", "ring", "semi-infinite"] = "chain"
     n: int | None = None
     trap: int | None = None
     init: int | None = None
@@ -80,46 +97,66 @@ class RunConfig:
     gamma_min: float = 1e-3
     gamma_max: float = 1e3
     gamma_points: int = 64
-    gamma_scale: str = "log"
+    gamma_scale: Literal["log", "linear"] = "log"
     kappa_min: float = 1e-4
     kappa_max: float = 1e2
     kappa_points: int = 48
     mu_min: float = 1e-4
     mu_max: float = 1e2
     mu_points: int = 48
-    scale: str = "log"
+    scale: Literal["log", "linear"] = "log"
     offset: int = 1
     workers: int | None = None
     output: str | None = None
-    format: str = "csv"
+    format: Literal["csv", "json"] = "csv"
 
 
-# Fields each subcommand accepts (from flags or config file) and requires.
+class _Command(NamedTuple):
+    """One subcommand: its help, the fields it accepts from flags or a
+    config file (besides _COMMON) and the fields it requires."""
+
+    help: str
+    accepts: tuple
+    requires: tuple
+
+
 _COMMON = ("output", "format")
-_ACCEPTED = {
-    "efficiency": ("topology", "n", "trap", "init", "kappa", "mu",
-                   "gamma") + _COMMON,
-    "curve": ("topology", "n", "trap", "init", "kappa", "mu", "gamma_min",
-              "gamma_max", "gamma_points", "gamma_scale") + _COMMON,
-    "optimize": ("topology", "n", "trap", "init", "kappa", "mu") + _COMMON,
-    "sweep": ("topology", "n", "trap", "init", "kappa_min", "kappa_max",
-              "kappa_points", "mu_min", "mu_max", "mu_points", "scale",
-              "offset", "workers") + _COMMON,
-    "table": ("n", "workers") + _COMMON,
-    "infinite": ("kappa", "mu", "offset") + _COMMON,
+_COMMANDS = {
+    "efficiency": _Command(
+        "solve one (topology, rates) point for eta, eta_loss",
+        ("topology", "n", "trap", "init", "kappa", "mu", "gamma"),
+        ("n", "trap", "init", "kappa", "mu", "gamma")),
+    "curve": _Command(
+        "eta over a gamma grid (gamma = 0 prepended)",
+        ("topology", "n", "trap", "init", "kappa", "mu", "gamma_min",
+         "gamma_max", "gamma_points", "gamma_scale"),
+        ("n", "trap", "init", "kappa", "mu")),
+    "optimize": _Command(
+        "gamma_opt, eta_max, xi for fixed kappa, mu",
+        ("topology", "n", "trap", "init", "kappa", "mu"),
+        ("n", "trap", "init", "kappa", "mu")),
+    "sweep": _Command(
+        "optimize every cell of a (kappa, mu) grid",
+        ("topology", "n", "trap", "init", "kappa_min", "kappa_max",
+         "kappa_points", "mu_min", "mu_max", "mu_points", "scale", "offset",
+         "workers"),
+        ("n", "trap", "init")),
+    "table": _Command(
+        "max ENAQT for every trap/init pair of an N-site chain",
+        ("n", "workers"), ("n",)),
+    "infinite": _Command(
+        "ENAQT next to the trapped half of an infinite chain",
+        ("kappa", "mu", "offset"), ("kappa", "mu")),
 }
-_REQUIRED = {
-    "efficiency": ("n", "trap", "init", "kappa", "mu", "gamma"),
-    "curve": ("n", "trap", "init", "kappa", "mu"),
-    "optimize": ("n", "trap", "init", "kappa", "mu"),
-    "sweep": ("n", "trap", "init"),
-    "table": ("n",),
-    "infinite": ("kappa", "mu"),
-}
-_INT_FIELDS = {"n", "trap", "init", "gamma_points", "kappa_points",
-               "mu_points", "offset", "workers"}
-_FLOAT_FIELDS = {"kappa", "mu", "gamma", "gamma_min", "gamma_max",
-                 "kappa_min", "kappa_max", "mu_min", "mu_max"}
+
+
+def _flag(hint) -> dict:
+    """argparse keywords for a RunConfig annotation: the choices of a
+    Literal, else the type (of an optional one, the type it wraps)."""
+    if get_origin(hint) is Literal:
+        return {"choices": get_args(hint)}
+    return {"type": next(t for t in (*get_args(hint), hint)
+                         if t is not type(None))}
 
 
 @functools.cache
@@ -133,45 +170,26 @@ def _build_parser() -> argparse.ArgumentParser:
                     "chains and rings with dephasing and loss.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add(p, *names):
-        for name in names:
-            flag = "--" + name.replace("_", "-")
-            if name == "topology":
-                p.add_argument(flag, choices=[t.value for t in Topology])
-            elif name in ("gamma_scale", "scale"):
-                p.add_argument(flag, choices=["log", "linear"])
-            elif name == "format":
-                p.add_argument(flag, choices=["csv", "json"])
-            elif name in _INT_FIELDS:
-                p.add_argument(flag, type=int)
-            elif name in _FLOAT_FIELDS:
-                p.add_argument(flag, type=float)
-            else:
-                p.add_argument(flag)
+    hints = get_type_hints(RunConfig)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for field in command.accepts + _COMMON:
+            p.add_argument("--" + field.replace("_", "-"),
+                           **_flag(hints[field]))
         p.add_argument("--config", metavar="FILE",
                        help="key=value file; flags override its values")
-
-    descriptions = {
-        "efficiency": "solve one (topology, rates) point for eta, eta_loss",
-        "curve": "eta over a gamma grid (gamma = 0 prepended)",
-        "optimize": "gamma_opt, eta_max, xi for fixed kappa, mu",
-        "sweep": "optimize every cell of a (kappa, mu) grid",
-        "table": "max ENAQT for every trap/init pair of an N-site chain",
-        "infinite": "ENAQT next to the trapped half of an infinite chain",
-    }
-    for name, accepted in _ACCEPTED.items():
-        add(sub.add_parser(name, help=descriptions[name]), *accepted)
     return parser
 
 
-def _load_config_file(path: str) -> dict:
+def _load_config_file(path: str, sub: str) -> list:
+    """The lines of a key = value config file as the flags of `sub` they
+    name (--key=value); a key that `sub` does not accept is an error."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read config file {path}: {exc}")
-    values = {}
+    flags = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -180,46 +198,37 @@ def _load_config_file(path: str) -> dict:
             raise ValidationError(
                 f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, val = line.partition("=")
-        values[key.strip().replace("-", "_")] = val.strip()
-    return values
+        key = key.strip().replace("-", "_")
+        if key not in _COMMANDS[sub].accepts + _COMMON:
+            raise ValidationError(
+                f"config key {key!r} is not accepted by '{sub}'")
+        flags.append("--" + key.replace("_", "-") + "=" + val.strip())
+    return flags
 
 
-def _coerce(key: str, raw: str):
-    try:
-        if key in _INT_FIELDS:
-            return int(raw)
-        if key in _FLOAT_FIELDS:
-            return float(raw)
-    except ValueError:
-        raise ValidationError(f"config value {key}={raw!r} is not a number")
-    return raw
-
-
-def parse_config(argv) -> RunConfig:
-    """Tokens (plus optional --config file) -> validated RunConfig."""
-    ns = _build_parser().parse_args(argv)
-    sub = ns.subcommand
-    accepted = set(_ACCEPTED[sub])
-    cfg = RunConfig(subcommand=sub)
-    if getattr(ns, "config", None):
-        for key, raw in _load_config_file(ns.config).items():
-            if key not in accepted:
-                raise ValidationError(
-                    f"config key {key!r} is not accepted by '{sub}'")
-            setattr(cfg, key, _coerce(key, raw))
-    for key in accepted:
-        val = getattr(ns, key, None)
-        if val is not None:
-            setattr(cfg, key, val)
+def parse_config(argv=None) -> RunConfig:
+    """Tokens (sys.argv[1:] when None) -> validated RunConfig.  The flags
+    of a --config file go right after the subcommand, before the tokens'
+    own flags, and the same subparser parses them all: config values meet
+    the checks of flags, and flags win."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser()
+    ns = parser.parse_args(argv)
+    if ns.config:
+        at = argv.index(ns.subcommand) + 1
+        ns = parser.parse_args(argv[:at]
+                               + _load_config_file(ns.config, ns.subcommand)
+                               + argv[at:])
+    cfg = RunConfig(**{key: val for key, val in vars(ns).items()
+                       if val is not None and key != "config"})
     _validate(cfg)
     return cfg
 
 
 def _validate(cfg: RunConfig):
-    required = _REQUIRED[cfg.subcommand]
-    if (cfg.subcommand == "sweep"
-            and cfg.topology == Topology.SEMI_INFINITE.value):
-        required = ()
+    semi = cfg.topology == Topology.SEMI_INFINITE.value
+    required = (() if semi and cfg.subcommand == "sweep"
+                else _COMMANDS[cfg.subcommand].requires)
     missing = [k for k in required if getattr(cfg, k) is None]
     if missing:
         raise ValidationError(
@@ -228,8 +237,8 @@ def _validate(cfg: RunConfig):
         val = getattr(cfg, key)
         if val is not None and (not math.isfinite(val) or val < 0):
             raise ValidationError(f"negative rate: {key} = {val!r}")
-    if cfg.subcommand in ("efficiency", "curve", "optimize", "sweep"):
-        if cfg.topology != Topology.SEMI_INFINITE.value:
+    if "topology" in _COMMANDS[cfg.subcommand].accepts:
+        if not semi:
             for key in ("trap", "init"):
                 site = getattr(cfg, key)
                 if not 1 <= site <= cfg.n:
@@ -272,101 +281,70 @@ def _grid(cfg: RunConfig, axis: str, scale: str) -> list:
     return list(np.geomspace(lo, hi, count))
 
 
+def _echo(cfg: RunConfig, *names) -> dict:
+    return {name: getattr(cfg, name) for name in names}
+
+
 def _table_job(args):
-    n, trap, init = args
-    res = max_enaqt("chain", n, trap, init)
-    return res.xi, res.kappa, res.mu
+    return max_enaqt("chain", *args)
 
 
 def run(cfg: RunConfig) -> list:
-    """Execute the configured subcommand; returns flat output records."""
+    """Execute the configured subcommand; returns flat output records:
+    the echoed inputs, then the library's result, then the version."""
     sub = cfg.subcommand
+    point = _echo(cfg, "topology", "n", "trap", "init", "kappa", "mu")
     if sub == "efficiency":
-        rep = efficiency_direct(_spec(cfg, cfg.gamma))
-        return [{
-            "topology": cfg.topology, "n": cfg.n, "trap": cfg.trap,
-            "init": cfg.init, "kappa": cfg.kappa, "mu": cfg.mu,
-            "gamma": cfg.gamma,
-            "eta": rep.eta, "eta_loss": rep.eta_loss,
-            "method": rep.method, "residual": rep.residual,
-            "version": __version__,
-        }]
-    if sub == "curve":
+        records = [{**point, "gamma": cfg.gamma,
+                    **asdict(efficiency_direct(_spec(cfg, cfg.gamma)))}]
+    elif sub == "curve":
         gammas = [0.0] + _grid(cfg, "gamma", cfg.gamma_scale)
         solver = EigenbasisSteadySolver(_spec(cfg))
         etas, losses, resids, methods = solver.efficiencies(gammas)
         if solver.failed:
             raise solver.failed[0]
-        return [{
-            "topology": cfg.topology, "n": cfg.n, "trap": cfg.trap,
-            "init": cfg.init, "kappa": cfg.kappa, "mu": cfg.mu,
-            "gamma": g,
-            "eta": eta, "eta_loss": eta_loss,
-            "method": method, "residual": resid,
-            "version": __version__,
-        } for g, eta, eta_loss, resid, method in zip(
-            gammas, etas.tolist(), losses.tolist(), resids.tolist(), methods)]
-    if sub == "optimize":
-        res = optimize_dephasing(_spec(cfg))
-        return [{
-            "topology": cfg.topology, "n": cfg.n, "trap": cfg.trap,
-            "init": cfg.init, "kappa": cfg.kappa, "mu": cfg.mu,
-            "eta0": res.eta0, "eta_max": res.eta_max,
-            "gamma_opt": res.gamma_opt, "xi": res.xi,
-            "method": "optimize_dephasing", "version": __version__,
-        }]
-    if sub == "sweep":
-        semi = cfg.topology == Topology.SEMI_INFINITE.value
+        # each point's report by EfficiencyReport's field names: an
+        # asdict of one report a point cost 125 us more a 13-point curve
+        names = [field.name for field in fields(EfficiencyReport)]
+        records = [{**point, "gamma": g, **dict(zip(names, rep))}
+                   for g, *rep in zip(gammas, etas.tolist(), losses.tolist(),
+                                      methods, resids.tolist())]
+    elif sub == "optimize":
+        records = [{**point, **asdict(optimize_dephasing(_spec(cfg))),
+                    "method": "optimize_dephasing"}]
+    elif sub == "sweep":
         pm = plane_sweep(
             cfg.topology, cfg.n, cfg.trap, cfg.init,
             kappa_grid=_grid(cfg, "kappa", cfg.scale),
             mu_grid=_grid(cfg, "mu", cfg.scale),
             offset=cfg.offset, workers=cfg.workers)
-        records = []
-        for i, kv in enumerate(pm.kappa_grid):
-            for j, mv in enumerate(pm.mu_grid):
-                err = pm.errors.get((i, j))
-                rec = {"topology": cfg.topology}
-                if semi:
-                    rec["offset"] = cfg.offset
-                else:
-                    rec.update(n=cfg.n, trap=cfg.trap, init=cfg.init)
-                rec.update(kappa=float(kv), mu=float(mv))
-                if err is None:
-                    rec.update(eta0=float(pm.eta0[i, j]),
-                               xi=float(pm.xi[i, j]),
-                               gamma_opt=float(pm.gamma_opt[i, j]))
-                else:
-                    rec.update(eta0=None, xi=None, gamma_opt=None)
-                rec.update(error=err or "", version=__version__)
-                records.append(rec)
-        return records
-    if sub == "table":
-        jobs = [(cfg.n, trap, init)
-                for trap in range(1, (cfg.n + 1) // 2 + 1)
-                for init in range(1, cfg.n + 1) if init != trap]
-        if cfg.workers is not None and cfg.workers > 1:
-            with multiprocessing.Pool(cfg.workers) as pool:
-                results = pool.map(_table_job, jobs)
-        else:
-            results = [_table_job(j) for j in jobs]
-        return [{
-            "topology": "chain", "n": n, "trap": trap, "init": init,
-            "xi_max": xi, "kappa_star": kv, "mu_star": mv,
-            "version": __version__,
-        } for (n, trap, init), (xi, kv, mv) in zip(jobs, results)]
-    if sub == "infinite":
-        res = infinite_chain_enaqt(cfg.kappa, cfg.mu, cfg.offset)
-        return [{
-            "topology": Topology.SEMI_INFINITE.value,
-            "kappa": cfg.kappa, "mu": cfg.mu, "offset": cfg.offset,
-            "eta0": res.eta0, "eta_max": res.eta_max,
-            "gamma_opt": res.gamma_opt, "xi": res.xi,
-            "left": res.left, "right": res.right, "n_total": res.n_total,
-            "truncation_delta": res.truncation_delta, "method": res.method,
-            "version": __version__,
-        }]
-    raise ValidationError(f"unknown subcommand {sub!r}")
+        where = (_echo(cfg, "topology", "offset")
+                 if cfg.topology == Topology.SEMI_INFINITE.value
+                 else _echo(cfg, "topology", "n", "trap", "init"))
+        records = [{**where, "kappa": float(kv), "mu": float(mv),
+                    **{key: None if (i, j) in pm.errors
+                       else float(getattr(pm, key)[i, j])
+                       for key in ("eta0", "xi", "gamma_opt")},
+                    "error": pm.errors.get((i, j), "")}
+                   for i, kv in enumerate(pm.kappa_grid)
+                   for j, mv in enumerate(pm.mu_grid)]
+    elif sub == "table":
+        pairs = [(trap, init) for trap in range(1, (cfg.n + 1) // 2 + 1)
+                 for init in range(1, cfg.n + 1) if init != trap]
+        best = _pool_map(_table_job, [(cfg.n, *pair) for pair in pairs],
+                         cfg.workers)
+        records = [{"topology": "chain", "n": cfg.n, "trap": trap,
+                    "init": init, "xi_max": res.xi, "kappa_star": res.kappa,
+                    "mu_star": res.mu}
+                   for (trap, init), res in zip(pairs, best)]
+    elif sub == "infinite":
+        records = [{"topology": Topology.SEMI_INFINITE.value,
+                    **_echo(cfg, "kappa", "mu", "offset"),
+                    **asdict(infinite_chain_enaqt(cfg.kappa, cfg.mu,
+                                                  cfg.offset))}]
+    else:
+        raise ValidationError(f"unknown subcommand {sub!r}")
+    return [{**rec, "version": __version__} for rec in records]
 
 
 def _csv_cell(value) -> str:
@@ -423,15 +401,10 @@ def emit(records: list, fmt: str, path: str | None) -> None:
 def main(argv=None) -> int:
     try:
         cfg = parse_config(argv)
+        emit(run(cfg), cfg.format, cfg.output)
     except SystemExit as exc:
         # argparse handled --help (0) or a usage error (2) itself.
         return int(exc.code or 0)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    try:
-        records = run(cfg)
-        emit(records, cfg.format, cfg.output)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

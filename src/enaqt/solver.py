@@ -560,8 +560,9 @@ class EigenbasisSteadySolver:
     single LAPACK solve for one cell and one rate), in chunks of at most
     BATCH_BYTES: all rates of as many cells as fit, or as many rates of one
     cell.  Above MAPS_MAX_N sites a stack holds one cell and a chunk one
-    rate, and above DIRECT_MAX_N sites GMRES solves the points one by one,
-    warm-started along the calls.
+    rate, and above DIRECT_MAX_N sites GMRES solves the points one by one
+    (a chunk of one point, whatever BATCH_BYTES), warm-started along the
+    calls.
 
     efficiency, eta and eta_grid run one point path (_points) for rates that
     are finite and >= 0 (ValidationError otherwise): (1) solve the points
@@ -1085,8 +1086,8 @@ class EigenbasisSteadySolver:
         with `slope`, shape (rows, k, 2), and without it at gammas[:, 0],
         which must be 0, in rate slopes[:, 0].  The points form one _batch
         per chunk of at most BATCH_BYTES, at 16 n^2 bytes a point up to
-        MAPS_MAX_N sites and 16 n^3 above, each warm-started from the
-        last."""
+        MAPS_MAX_N sites and 16 n^3 above, or of one point on the GMRES
+        kernel, each warm-started from the last."""
         if not (np.minimum.reduce(gammas, None) >= 0.0
                 and np.maximum.reduce(gammas, None) < math.inf):
             bad = float(gammas[~((gammas >= 0.0) & (gammas < math.inf))][0])
@@ -1099,8 +1100,9 @@ class EigenbasisSteadySolver:
         # a chunk holds all rates of as many rows as fit, so that a cell's
         # matrix products cover its whole row, or as many rates of one row
         # as fit (chunks of a few rates of every row multiply the products:
-        # plane-search rounds ran 5 % slower, docs/decisions.md)
-        fit = max(1, BATCH_BYTES // (
+        # plane-search rounds ran 5 % slower, docs/decisions.md); GMRES
+        # solves one point at a time
+        fit = 1 if self.kernel == "gmres" else max(1, BATCH_BYTES // (
             16 * self.n ** (2 if self.kernel == "maps" else 3)))
         dr, dk = max(1, fit // k), min(k, fit)
         parts, redone = [], []

@@ -539,6 +539,15 @@ class TestInfiniteChain:
         assert res.n_total == res.left + res.offset + res.right
         assert 0.0 < res.eta0 < 1.0
 
+    def test_numpy_integer_offset(self):
+        # an offset is checked by operator.index, as sites are
+        res = infinite_chain_enaqt(6.3, 0.5, np.int64(2))
+        assert res == infinite_chain_enaqt(6.3, 0.5, 2)
+        assert type(res.offset) is int and res.offset == 2
+        for bad in (2.0, 0, np.int64(0)):
+            with pytest.raises(ValidationError, match="offset"):
+                infinite_chain_enaqt(6.3, 0.5, bad)
+
     def test_fields_are_plain_numbers(self):
         res = infinite_chain_enaqt(2.0, 0.5)
         for name in ("eta0", "eta_max", "gamma_opt", "xi",
@@ -610,6 +619,14 @@ class TestInfiniteChain:
             infinite_chain_enaqt(6.3, 1.0)
         assert max(sizes) <= 10
         assert err.value.achieved_delta == math.inf
+
+    def test_semi_infinite_plane_sweep_takes_a_numpy_integer_offset(self):
+        grids = {"kappa_grid": [1.0, 6.3], "mu_grid": [0.5]}
+        pm = plane_sweep("semi-infinite", offset=np.int64(2), **grids)
+        want = plane_sweep("semi-infinite", offset=2, **grids)
+        assert not pm.errors
+        for name in ("eta0", "xi", "gamma_opt"):
+            assert np.array_equal(getattr(pm, name), getattr(want, name))
 
     def test_semi_infinite_plane_sweep_matches_cells(self):
         kappas, mus = [1.0, 6.3], [0.3, 1.0]

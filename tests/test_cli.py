@@ -1,11 +1,14 @@
 """Command-line interface tests."""
 
+import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
 import subprocess
 import sys
+import typing
 
 import numpy as np
 import pytest
@@ -462,3 +465,104 @@ def test_curve_reports_the_method_of_a_redone_point(monkeypatch):
         assert row["eta"] == pytest.approx(eta, abs=1e-12)
         assert row["eta_loss"] == pytest.approx(eta_loss, abs=1e-12)
         assert row["method"] == method
+
+
+@pytest.mark.parametrize("command, line, message", [
+    (OPTIMIZE_ARGS, "format = xml",
+     "argument --format: invalid choice: 'xml' (choose from 'csv', 'json')"),
+    (_CURVE, "gamma_scale = cubic",
+     "argument --gamma-scale: invalid choice: 'cubic' "
+     "(choose from 'log', 'linear')"),
+    (OPTIMIZE_ARGS, "topology = blob",
+     "argument --topology: invalid choice: 'blob' "
+     "(choose from 'chain', 'ring', 'semi-infinite')"),
+    (OPTIMIZE_ARGS, "n = x", "argument --n: invalid int value: 'x'"),
+], ids=["format", "gamma_scale", "topology", "n"])
+def test_config_values_meet_the_checks_of_flags(command, line, message,
+                                                tmp_path, capsys):
+    # a config line is parsed as the flag it names: a bad value exits 2
+    # with the message the flag gives
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(line + "\n")
+    code, out, err = _run_capture(command[:1] + ["--config", str(cfgfile)],
+                                  capsys)
+    assert (code, out) == (cli.EXIT_VALIDATION, "")
+    assert err.endswith(f"error: {message}\n")
+    key, _, val = (part.strip() for part in line.partition("="))
+    flag = "--" + key.replace("_", "-")
+    assert _run_capture(command + [flag, val], capsys) == (code, out, err)
+
+
+def test_config_file_not_utf8_exits_two(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_bytes(b"n = 3\nkappa = \xff\n")
+    code, out, err = _run_capture(["optimize", "--config", str(cfgfile)],
+                                  capsys)
+    assert (code, out) == (cli.EXIT_VALIDATION, "")
+    assert err.startswith(f"error: cannot read config file {cfgfile}: ")
+
+
+def _subparsers():
+    (action,) = [a for a in cli._build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_each_subcommand_parses_its_table_row():
+    # the flags of a subcommand are its row's fields plus output, format
+    # and config, each typed (or given choices) by its RunConfig annotation
+    hints = typing.get_type_hints(cli.RunConfig)
+    subparsers = _subparsers()
+    assert list(subparsers) == list(cli._COMMANDS)
+    for name, parser in subparsers.items():
+        flags = {a.dest: a for a in parser._actions if a.option_strings
+                 and a.dest != "help"}
+        fields = cli._COMMANDS[name].accepts + ("output", "format")
+        assert list(flags) == [*fields, "config"]
+        assert set(cli._COMMANDS[name].requires) <= set(fields)
+        for field in fields:
+            hint, action = hints[field], flags[field]
+            assert action.option_strings == ["--" + field.replace("_", "-")]
+            if typing.get_origin(hint) is typing.Literal:
+                assert (action.type, tuple(action.choices)) == (
+                    None, typing.get_args(hint))
+            else:
+                assert action.choices is None
+                assert action.type in (hint, *typing.get_args(hint))
+                assert action.type is not type(None)
+        assert (flags["config"].type, flags["config"].metavar) == (None,
+                                                                   "FILE")
+
+
+def test_topology_choices_are_the_model_topologies():
+    hint = typing.get_type_hints(cli.RunConfig)["topology"]
+    assert typing.get_args(hint) == tuple(t.value for t in enaqt.Topology)
+
+
+def test_records_are_echoed_inputs_plus_the_library_result():
+    cfg = parse_config(["efficiency", "--n", "4", "--trap", "1",
+                        "--init", "3", "--kappa", "0.2", "--mu", "0.05",
+                        "--gamma", "0.5"])
+    report = enaqt.efficiency_direct(enaqt.SystemSpec(
+        "chain", 4, (0,), 2, kappa=0.2, mu=0.05, gamma=0.5))
+    assert run(cfg) == [{
+        "topology": "chain", "n": 4, "trap": 1, "init": 3, "kappa": 0.2,
+        "mu": 0.05, "gamma": 0.5, **dataclasses.asdict(report),
+        "version": enaqt.__version__}]
+
+
+def test_module_entry_point_prints_csv():
+    # python -m enaqt.cli reads its tokens from sys.argv (main(None)), as
+    # the enaqt console script does
+    src = os.path.dirname(os.path.dirname(enaqt.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "enaqt.cli", "efficiency", "--n", "3",
+         "--trap", "1", "--init", "2", "--kappa", "0.1", "--mu", "0.01",
+         "--gamma", "0.5"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    (row,) = csv.DictReader(io.StringIO(proc.stdout))
+    assert (row["n"], row["gamma"], row["method"]) == (
+        "3", "0.5", "direct-eigenbasis")
+    assert 0.0 < float(row["eta"]) < 1.0

@@ -1071,6 +1071,27 @@ def test_maps_grid_in_chunks_equals_the_unchunked_grid(monkeypatch, points,
         assert np.array_equal(g, w)
 
 
+def test_gmres_chunks_hold_one_point_whatever_the_byte_budget(monkeypatch):
+    # a budget that fits several n^3 points still gives the GMRES kernel
+    # one point a chunk, so the results are the default run's bits
+    spec = SystemSpec("chain", 40, (0,), 1, 3.0, 0.1, 0.0)
+    gammas = [0.0, 0.5, 1.0, 2.0]
+    want = EigenbasisSteadySolver(spec).eta_grid(gammas)
+    monkeypatch.setattr(solver_module, "BATCH_BYTES", 2 ** 22)
+    batch, chunks = EigenbasisSteadySolver._batch, []
+
+    def counting(self, gammas, *args):
+        chunks.append(gammas.shape)
+        return batch(self, gammas, *args)
+
+    monkeypatch.setattr(EigenbasisSteadySolver, "_batch", counting)
+    solver = EigenbasisSteadySolver(spec)
+    assert solver.kernel == "gmres"
+    got = solver.eta_grid(gammas)
+    assert chunks == [(1, 1)] * len(gammas)
+    assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("n", [40, 48])
 def test_gmres_points_match_dense_lu(n):
     # the GMRES kernel's point (b, F and X from four n x n products) from
