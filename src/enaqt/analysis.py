@@ -433,13 +433,15 @@ def _scan_refine(solver, grid_points, refine_tol, rates=False):
     log gamma over the neighbours of its best grid point.  A gain counts
     only above rounding: unless eta_max - eta0 > 1e-12, the cell reports
     xi = 0 and gamma_opt = 0 (rounding in eta scales with
-    eta + eta_loss = 1, not with eta).  Returns one entry per cell: its
-    EnaqtResult, or the SingularSystemError of a solve that failed.  With
-    `rates`, returns the pair (entries, d xi/d log(kappa, mu) of shape
-    (cells, 2)): by the envelope theorem, d eta/d log rate at gamma_opt
-    (from the certifying solve) less d eta/d log rate at gamma = 0 (from
-    the scan's gamma = 0 column), NaN where xi = 0 or a rate slope is
-    missing, as at a failed cell (see EigenbasisSteadySolver.eta).  The
+    eta + eta_loss = 1, not with eta).  Returns the pair (entries,
+    xi_slopes) whatever `rates`.  entries holds one entry per cell: its
+    EnaqtResult, or the SingularSystemError of a solve that failed.
+    xi_slopes is None without `rates`, and with it d xi/d log(kappa, mu),
+    shape (cells, 2): by the envelope theorem, d eta/d log rate at
+    gamma_opt (from the certifying solve) less d eta/d log rate at
+    gamma = 0 (from the scan's gamma = 0 column), NaN where xi = 0 or a
+    rate slope is missing, as at a failed cell (see
+    EigenbasisSteadySolver.eta).  The
     callers build their stacks in cells of solver._stack_size(n), which
     knows the memory of a cell.  Leaves one DEBUG record: the cells
     refined, the refinement's steps and bisection steps, and the largest
@@ -475,17 +477,17 @@ def _scan_refine(solver, grid_points, refine_tol, rates=False):
     _logger.debug("scan_refine n=%d cells=%d refined=%d steps=%d "
                   "bisections=%d max_abs_slope=%.2e", solver.n, solver.cells,
                   go.size, stats["steps"], stats["bisections"], largest)
-    results = [solver.failed.get(k, res) for k, res in enumerate(results)]
-    return (results, xi_slopes) if rates else results
+    return [solver.failed.get(k, res)
+            for k, res in enumerate(results)], xi_slopes
 
 
 def _optimize_cells(spec, kappas, mus, grid_points=GRID_POINTS,
                     refine_tol=REFINE_TOL, rates=False):
     """_scan_refine over the cells (kappas[i], mus[i]) of the geometry of
     spec (1-d rate arrays of one length; spec's own rates are ignored) in
-    stacks of _stack_size cells; one entry per cell, in order, and with
-    `rates` the pair (entries, d xi/d log(kappa, mu) of shape
-    (cells, 2))."""
+    stacks of _stack_size cells: the pair (entries, xi_slopes) of
+    _scan_refine over all cells, in order, xi_slopes None without
+    `rates`."""
     kappas = np.asarray(kappas, dtype=float)
     mus = np.asarray(mus, dtype=float)
     size = _stack_size(spec.n)
@@ -493,10 +495,9 @@ def _optimize_cells(spec, kappas, mus, grid_points=GRID_POINTS,
                                                   mus[i:i + size]),
                            grid_points, refine_tol, rates)
               for i in range(0, kappas.size, size)]
-    if not rates:
-        return [res for stack in stacks for res in stack]
-    return ([res for stack, _ in stacks for res in stack],
-            np.concatenate([slopes for _, slopes in stacks]))
+    return ([res for results, _ in stacks for res in results],
+            np.concatenate([slopes for _, slopes in stacks]) if rates
+            else None)
 
 
 def _raised(result):
@@ -539,7 +540,7 @@ def optimize_dephasing(spec: SystemSpec) -> EnaqtResult:
     certification.
     """
     _check_positive_rates(spec.kappa, spec.mu)
-    return _raised(_optimize_cells(spec, [spec.kappa], [spec.mu])[0])
+    return _raised(_optimize_cells(spec, [spec.kappa], [spec.mu])[0][0])
 
 
 def max_enaqt(topology, n: int, trap_site: int,
@@ -590,9 +591,8 @@ def max_enaqt(topology, n: int, trap_site: int,
         # one result per broadcast (kappa, mu) pair, in row-major order, and
         # with `rates` their d xi/d log(kappa, mu), shape (pairs, 2)
         kappas, mus = np.broadcast_arrays(kappas, mus)
-        out = _optimize_cells(spec0, kappas.ravel(), mus.ravel(), *search,
-                              rates=rates)
-        results, slopes = out if rates else (out, None)
+        results, slopes = _optimize_cells(spec0, kappas.ravel(), mus.ravel(),
+                                          *search, rates=rates)
         return [_raised(res) for res in results], slopes
 
     def xi(kappas, mus, axis=None):
@@ -620,28 +620,24 @@ def max_enaqt(topology, n: int, trap_site: int,
             break
 
     lo_log, hi_log = math.log(RATE_BOUNDS[0]), math.log(RATE_BOUNDS[1])
-    kk = grid[[i for _, i, _ in seeds]]
-    mm = grid[[j for _, _, j in seeds]]
+    # (kappa, mu) of each seed; a sweep along axis moves column axis
+    seeds = grid[[(i, j) for _, i, j in seeds]]
     step = math.log(grid[1] / grid[0])
     for _ in range(PLANE_SWEEPS):
         for axis in (0, 1):
             def val(x, sel):
                 # x holds one row of points per live seed sel
                 v = _exp(x)
-                fixed = (mm if axis == 0 else kk)[sel].reshape(
+                fixed = seeds[sel, 1 - axis].reshape(
                     (-1,) + (1,) * (v.ndim - 1))
-                return (xi(v, fixed, axis) if axis == 0
-                        else xi(fixed, v, axis))
+                return xi(*((v, fixed) if axis == 0 else (fixed, v)), axis)
 
-            center = _log(kk if axis == 0 else mm)
+            center = _log(seeds[:, axis])
             stats = {}
             x = _maximize(val, np.maximum(center - step, lo_log),
                           np.minimum(center + step, hi_log), 1e-3, stats)
             # a seed with xi = 0 at both first points keeps its own rate
-            if axis == 0:
-                kk = np.where(np.isnan(x), kk, _exp(x))
-            else:
-                mm = np.where(np.isnan(x), mm, _exp(x))
+            seeds[:, axis] = np.where(np.isnan(x), seeds[:, axis], _exp(x))
             _logger.debug(
                 "max_enaqt sweep axis=%s seeds=%d steps=%d bisections=%d "
                 "unsloped=%d max_abs_slope=%.2e", ("kappa", "mu")[axis],
@@ -649,11 +645,9 @@ def max_enaqt(topology, n: int, trap_site: int,
                 stats["unsloped"], stats["max_abs_slope"])
         step *= 0.35
 
-    best = None
-    for final, kv, mv in zip(optimized(kk, mm)[0], kk, mm):
-        if best is None or final.xi > best[0]:
-            best = (final.xi, float(kv), float(mv))
-    return MaxEnaqt(*best)
+    finals = [res.xi for res in optimized(*seeds.T)[0]]
+    best = int(np.argmax(finals))  # the first of equal maxima
+    return MaxEnaqt(finals[best], *map(float, seeds[best]))
 
 
 def eta3_closed_form(gamma: float, kappa: float, mu: float) -> float:
@@ -916,7 +910,7 @@ def infinite_chain_enaqt(kappa: float, mu: float,
             break
         optimized = (left, right)
         solver = truncation(optimized)
-        res = _raised(_scan_refine(solver, GRID_POINTS, REFINE_TOL)[0])
+        res = _raised(_scan_refine(solver, GRID_POINTS, REFINE_TOL)[0][0])
         # the next probe step certifies the reported numbers themselves
         known[optimized].update({0.0: res.eta0, res.gamma_opt: res.eta_max})
         if res.gamma_opt not in gammas:
@@ -947,7 +941,7 @@ def _sweep_batch(task):
                    for kv, mv in rates]
     else:
         kappas, mus = np.array(rates, dtype=float).T
-        results = _optimize_cells(spec0, kappas, mus)
+        results, _ = _optimize_cells(spec0, kappas, mus)
     return [(res.eta0, res.xi, res.gamma_opt, None)
             if isinstance(res, EnaqtResult)
             else (math.nan, math.nan, math.nan,
@@ -1008,15 +1002,9 @@ def plane_sweep(topology, n=None, trap=None, init=None,
     rows = [row for batch in _pool_map(_sweep_batch, tasks, workers)
             for row in batch]
 
-    shape = (kappa_grid.size, mu_grid.size)
-    eta0 = np.empty(shape)
-    xi = np.empty(shape)
-    gamma_opt = np.empty(shape)
-    errors = {}
-    for idx, (e0, x, g, err) in enumerate(rows):
-        i, j = divmod(idx, mu_grid.size)
-        eta0[i, j], xi[i, j], gamma_opt[i, j] = e0, x, g
-        if err is not None:
-            errors[(i, j)] = err
+    eta0, xi, gamma_opt = np.array([row[:3] for row in rows]).T.reshape(
+        3, kappa_grid.size, mu_grid.size)
+    errors = {divmod(idx, mu_grid.size): row[3]
+              for idx, row in enumerate(rows) if row[3] is not None}
     return PlaneMap(kappa_grid=kappa_grid, mu_grid=mu_grid, eta0=eta0,
                     xi=xi, gamma_opt=gamma_opt, errors=errors)

@@ -65,7 +65,7 @@ from .errors import (
     TruncationError,
     ValidationError,
 )
-from .model import SystemSpec, Topology
+from .model import SystemSpec, Topology, _check_site_count
 from .solver import (
     EfficiencyReport,
     EigenbasisSteadySolver,
@@ -233,6 +233,8 @@ def _validate(cfg: RunConfig):
     if missing:
         raise ValidationError(
             f"'{cfg.subcommand}' needs {', '.join('--' + m for m in missing)}")
+    if cfg.subcommand == "table":
+        _check_site_count(Topology.CHAIN, cfg.n)
     for key in ("kappa", "mu", "gamma"):
         val = getattr(cfg, key)
         if val is not None and (not math.isfinite(val) or val < 0):

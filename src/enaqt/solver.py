@@ -561,8 +561,10 @@ class EigenbasisSteadySolver:
     BATCH_BYTES: all rates of as many cells as fit, or as many rates of one
     cell.  Above MAPS_MAX_N sites a stack holds one cell and a chunk one
     rate, and above DIRECT_MAX_N sites GMRES solves the points one by one
-    (a chunk of one point, whatever BATCH_BYTES), warm-started along the
-    calls.
+    (a chunk of one point, whatever BATCH_BYTES).  Each initial-site point
+    starts from the final populations of the last initial-site point
+    solved, in this call or an earlier one; the solver keeps them in one
+    place (_warm), so a solve from another rho0 moves no later start.
 
     efficiency, eta and eta_grid run one point path (_points) for rates that
     are finite and >= 0 (ValidationError otherwise): (1) solve the points
@@ -629,7 +631,7 @@ class EigenbasisSteadySolver:
             c.reshape(cells, 1, n * n), s, s.conj().transpose(0, 2, 1), sinv,
             -1j * h, -1j * h.conj().transpose(0, 2, 1), 2.0 * kappa[:, None],
             2.0 * mu[:, None], **self._build_maps(s, sinv))
-        self._warm = None  # GMRES start: the last point's populations
+        self._warm = None  # GMRES start: last initial-site populations
         self.routes = Counter()  # accepted points per method
         self.matvecs = 0  # GMRES matvecs, forward and adjoint
         self.failed = {}  # cell index -> SingularSystemError
@@ -684,8 +686,7 @@ class EigenbasisSteadySolver:
         return _Cells._make(None if m is None else m[cells]
                             for m in self._all)
 
-    def _kernel(self, g2, a, rhs, warm_start, stats, slope=False,
-                rates=False):
+    def _kernel(self, g2, a, rhs, stats, slope=False, rates=False):
         """(X, diag X, dtrap, drates), X flattened, with L(X) = rhs at
         every point (step 1 of the point path), on the arrays a (see
         _select): the population system K p = b is solved directly,
@@ -716,7 +717,7 @@ class EigenbasisSteadySolver:
         b = self._diag(a, y)
         adjoint = None
         if kmat is None:
-            pops, adjoint = self._gmres(g2, a, b, warm_start, stats, slope,
+            pops, adjoint = self._gmres(g2, a, b, stats, slope,
                                         rhs is self._rhs0)
         elif kmat.size == n * n:
             # LAPACK directly: a third of np.linalg.solve's cost at n ~ 5.
@@ -812,26 +813,26 @@ class EigenbasisSteadySolver:
              @ np.swapaxes(a.sinv.conj(), -1, -2)[:, None])
         return f.reshape(pops.shape[:-1] + (n * n,))
 
-    def _gmres(self, g2, a, b, warm_start, stats, slope=False,
-               hermitian=False):
+    def _gmres(self, g2, a, b, stats, slope=False, initial=False):
         """(p, w) for one point of one cell above DIRECT_MAX_N sites:
-        K p = b solved by GMRES from warm_start and, with slope, the
-        adjoint K^T w = t by GMRES from zero, w NaN where it did not
-        converge; w None without slope.  At gamma = 0, K = I: p = b and
-        w = t.  K is real (L maps Hermitian matrices to Hermitian ones),
-        and so are t and, for a `hermitian` right-hand side, b up to
-        rounding: those solves run in real arithmetic, on Re b.  stats
-        collects the info flag of the K p = b solve and the matvecs of
-        both."""
+        K p = b solved by GMRES and, with slope, the adjoint K^T w = t by
+        GMRES from zero, w NaN where it did not converge; w None without
+        slope.  At gamma = 0, K = I: p = b and w = t.  K is real (L maps
+        Hermitian matrices to Hermitian ones), and so are t and, for the
+        `initial` site's right-hand side, b up to rounding: those solves
+        run in real arithmetic, on Re b, and K p = b starts from the
+        solver's warm start (_warm, written by _batch); every other
+        right-hand side starts from zero.  stats collects the info flag of
+        the K p = b solve and the matvecs of both."""
         n = self.n
         if g2 == 0.0:
             return b, self._trap_indicator if slope else None
-        rhs = b.reshape(n)
-        if hermitian:
+        rhs, start = b.reshape(n), None
+        if initial:
             rhs = rhs.real.copy()
-            warm_start = None if warm_start is None else warm_start.real
+            start = None if self._warm is None else self._warm.real
         pops, stats["info"], count = _restarted_gmres(
-            self._population_matvec(a, g2), rhs, warm_start,
+            self._population_matvec(a, g2), rhs, start,
             self.GMRES_RESTART, self.GMRES_MAXITER)
         stats["matvecs"] += count
         pops = pops.astype(complex).reshape(b.shape)
@@ -935,7 +936,7 @@ class EigenbasisSteadySolver:
             return _generator(u.reshape(1, 1, -1), g2, mh, mhd).reshape(-1)
 
         def solve(r):
-            return self._kernel(g2, a, r, None, stats)[0].reshape(-1)
+            return self._kernel(g2, a, r, stats)[0].reshape(-1)
 
         if lu is None and resid > RESID_TARGET:
             v, resid = _refine(apply_ld, solve, v, rhs, bnorm)
@@ -1003,8 +1004,7 @@ class EigenbasisSteadySolver:
         return 2.0 * (wx.sum() - wx.trace()), np.array(
             [(wx * (traps[:, None] + traps)).sum(), 2.0 * wx.sum()])
 
-    def _batch(self, gammas, a, ids, rhs, bnorm, warm_start, slope=False,
-               rates=False):
+    def _batch(self, gammas, a, ids, rhs, bnorm, slope=False, rates=False):
         """The point path for the rates gammas[i, j] of cell ids[i], whose
         arrays are a (see _select): solve, certify, then the fallback chain
         for every rejected point; a point failing it records its error in
@@ -1014,13 +1014,15 @@ class EigenbasisSteadySolver:
         point, or None without `slope`; rate slopes are d eta/d log(kappa,
         mu) on the points of _kernel's drates, or None without `rates`.
         A redone point, and one whose GMRES adjoint did not converge, gets
-        them from _full_slopes."""
+        them from _full_slopes.  On the GMRES kernel, a point of the
+        initial site's right-hand side leaves its final populations as the
+        next point's warm start."""
         n = self.n
         stats = {"info": None, "matvecs": 0}
         g2 = 2.0 * (gammas.item() if gammas.size == 1 else gammas[..., None])
         with np.errstate(divide="ignore", invalid="ignore"):
-            xs, pops, dtrap, drates = self._kernel(g2, a, rhs, warm_start,
-                                                   stats, slope, rates)
+            xs, pops, dtrap, drates = self._kernel(g2, a, rhs, stats, slope,
+                                                   rates)
             eta, eta_loss, resid, certified = self._certify(
                 xs, pops, g2, a, rhs, bnorm)
         eta, eta_loss = eta.real, eta_loss.real
@@ -1039,6 +1041,10 @@ class EigenbasisSteadySolver:
                 except SingularSystemError as err:
                     self.failed[k] = err
             redone.append((int(i), int(j), route))
+        if self.kernel == "gmres" and rhs is self._rhs0:
+            # the one write of the warm start, at the point's final
+            # populations: the gamma = 0 point never reaches _gmres
+            self._warm = pops[0, -1]
         if slope and self.kernel == "gmres":  # an adjoint not converged
             to_slope += [(i, j, xs[i, j], None)
                          for i, j in np.argwhere(certified & np.isnan(dtrap))]
@@ -1075,8 +1081,7 @@ class EigenbasisSteadySolver:
                    "route=%s kernel=%s", self.n, gamma, stats["info"],
                    stats["matvecs"], route, self.kernel)
 
-    def _points(self, gammas, ids, rho0=None, warm_start=None, slope=False,
-                rates=False):
+    def _points(self, gammas, ids, rho0=None, slope=False, rates=False):
         """The one point path: (eta, eta_loss, residual, populations,
         (i, j, route) of the redone points, slopes, rate slopes) at the
         rates gammas[i, j] of cell ids[i] (an index array) from rho0 (the
@@ -1087,7 +1092,7 @@ class EigenbasisSteadySolver:
         which must be 0, in rate slopes[:, 0].  The points form one _batch
         per chunk of at most BATCH_BYTES, at 16 n^2 bytes a point up to
         MAPS_MAX_N sites and 16 n^3 above, or of one point on the GMRES
-        kernel, each warm-started from the last."""
+        kernel (warm-started as the class docstring says)."""
         if not (np.minimum.reduce(gammas, None) >= 0.0
                 and np.maximum.reduce(gammas, None) < math.inf):
             bad = float(gammas[~((gammas >= 0.0) & (gammas < math.inf))][0])
@@ -1112,9 +1117,8 @@ class EigenbasisSteadySolver:
                  self._select(at if every else ids[at]))
             for j in range(0, k, dk):
                 part = self._batch(  # rates without slope: at 0
-                    gammas[at, j:j + dk], a, ids[at], rhs, bnorm, warm_start,
-                    slope, rates and (slope or j == 0))
-                warm_start = part[3][0, -1]
+                    gammas[at, j:j + dk], a, ids[at], rhs, bnorm, slope,
+                    rates and (slope or j == 0))
                 redone += [(i + r, c + j, route) for i, c, route in part[4]]
                 parts.append(part[:4] + part[5:])
         # the chunks hold the points in row-major order
@@ -1123,8 +1127,6 @@ class EigenbasisSteadySolver:
             [None if v[0] is None else np.concatenate(
                 [u.reshape((-1,) + u.shape[2:]) for u in v if u is not None]
             ).reshape((rows, -1) + v[0].shape[2:]) for v in zip(*parts)])
-        if self.kernel == "gmres":
-            self._warm = pops[0, -1]
         if self.failed:
             lost = np.isin(ids, list(self.failed))
             eta[lost] = eta_loss[lost] = math.nan
@@ -1160,13 +1162,12 @@ class EigenbasisSteadySolver:
         return self._report(self._grid(np.asarray(gammas, dtype=float)))
 
     def _grid(self, gammas, rates=False):
-        """_points at every rate of the 1-d array gammas for every cell,
-        warm-started where the last call ended; a direct kernel leaves one
-        DEBUG record."""
+        """_points at every rate of the 1-d array gammas for every cell; a
+        direct kernel leaves one DEBUG record."""
         if gammas.ndim != 1 or gammas.size == 0:
             raise ValidationError("gamma grid must be a non-empty 1-d sequence")
         out = self._points(np.broadcast_to(gammas, (self.cells, gammas.size)),
-                           self._ids, warm_start=self._warm, rates=rates)
+                           self._ids, rates=rates)
         if self.kernel != "gmres":
             _log.debug(
                 "batched solve n=%d points=%d max_residual=%.2e redone=%d "
@@ -1192,11 +1193,12 @@ class EigenbasisSteadySolver:
         with _rates, the triple (eta, d eta/d log gamma,
         d eta/d log(kappa, mu)), the last with a trailing axis of 2.  Each
         has gamma's shape, and is a number where gamma is one.  All points
-        go through the point path in one call, GMRES warm-started from the
-        previous point.  Every certified eta has its slopes, from the
-        kernel or, where the fallback chain redid the point, from the full
-        generator; a slope is NaN where the cell failed.  Each is a hint
-        for a search, never a reported number."""
+        go through the point path in one call (on the GMRES kernel, each
+        initial-site point warm-started as the class docstring says).
+        Every certified eta has its slopes, from the kernel or, where the
+        fallback chain redid the point, from the full generator; a slope
+        is NaN where the cell failed.  Each is a hint for a search, never
+        a reported number."""
         slope = slope or _rates
         gamma = np.asarray(gamma, dtype=float)
         try:  # integer arithmetic only: no reduction on a good call
@@ -1209,8 +1211,8 @@ class EigenbasisSteadySolver:
             raise ValidationError(
                 f"gamma must hold one non-empty row of rates per cell of "
                 f"cells={cells!r}, an index array of the {self.cells} cells")
-        out = self._points(gamma.reshape(ids.size, -1), ids,
-                           warm_start=self._warm, slope=slope, rates=_rates)
+        out = self._points(gamma.reshape(ids.size, -1), ids, slope=slope,
+                           rates=_rates)
         got = [v.reshape(gamma.shape + v.shape[2:]) for v in out[:1] + (
             out[5:7] if _rates else out[5:6] if slope else ())]
         got = [v.item() if v.ndim == 0 else v for v in got]

@@ -452,6 +452,12 @@ class TestPlaneSweep:
         with pytest.raises(ValidationError):
             plane_sweep("semi-infinite", kappa_grid=[0.1], mu_grid=[0.01])
 
+    def test_two_dimensional_grid_rejected(self):
+        with pytest.raises(ValidationError,
+                           match="kappa_grid must be a non-empty 1-d"):
+            plane_sweep("chain", 3, 1, 2, kappa_grid=[[0.1, 1.0]],
+                        mu_grid=[0.1])
+
     @pytest.mark.parametrize("axis", ["kappa_grid", "mu_grid"])
     def test_non_finite_grid_rejected(self, axis):
         # NaN passes the ordering and bound checks, whose comparisons are
@@ -652,7 +658,7 @@ class TestSearchArguments:
         # the bracket cannot shrink below one ulp of log gamma; the search
         # stops there instead of looping
         fine = analysis._optimize_cells(self.SPEC, [self.SPEC.kappa],
-                                        [self.SPEC.mu], 64, 1e-300)[0]
+                                        [self.SPEC.mu], 64, 1e-300)[0][0]
         ref = optimize_dephasing(self.SPEC)
         assert fine.gamma_opt == pytest.approx(ref.gamma_opt, rel=1e-3)
         assert fine.xi == pytest.approx(ref.xi, abs=1e-9)
@@ -660,7 +666,7 @@ class TestSearchArguments:
     def test_single_point_grid(self):
         res = analysis._optimize_cells(self.SPEC, [self.SPEC.kappa],
                                        [self.SPEC.mu], 1,
-                                       analysis.REFINE_TOL)[0]
+                                       analysis.REFINE_TOL)[0][0]
         assert res.eta0 == pytest.approx(dense_lu_branching(self.SPEC)[0],
                                          abs=1e-12)
 
@@ -728,7 +734,7 @@ class TestRateSlopeSweeps:
                 moved = spec.with_rates(**{rate: math.exp(x + dx)})
                 return analysis._optimize_cells(
                     moved, [moved.kappa], [moved.mu], analysis.GRID_POINTS,
-                    1e-8)[0].xi
+                    1e-8)[0][0].xi
 
             want = (8.0 * (xi(h) - xi(-h)) - (xi(2 * h) - xi(-2 * h))) / (
                 12.0 * h)
@@ -743,7 +749,7 @@ class TestRateSlopeSweeps:
         assert results[0].xi == 0.0 and results[0].gamma_opt == 0.0
         assert np.isnan(slopes[0]).all()
         assert results[1].xi > 0.06 and np.isfinite(slopes[1]).all()
-        assert results == analysis._optimize_cells(*cells)
+        assert results == analysis._optimize_cells(*cells)[0]
 
     @pytest.mark.parametrize("geometry, calls", [
         (("chain", 5, 2, 4), 29),

@@ -221,6 +221,48 @@ def test_sweep_on_a_two_site_ring_exits_two(capsys):
     assert "ring needs at least 3 sites" in err
 
 
+@pytest.mark.parametrize("n", ["1", "0", "-3"])
+def test_table_of_fewer_than_two_sites_exits_two(n, capsys):
+    code, out, err = _run_capture(["table", "--n", n], capsys)
+    assert code == cli.EXIT_VALIDATION
+    assert out == ""
+    assert "chain needs at least 2 sites" in err
+
+
+def test_linear_grids_are_evenly_spaced():
+    curve = run(parse_config(_CURVE + [
+        "--gamma-scale", "linear", "--gamma-min", "0.5", "--gamma-max", "2",
+        "--gamma-points", "4"]))
+    assert [row["gamma"] for row in curve] == [0.0] + list(
+        np.linspace(0.5, 2.0, 4))
+    sweep = run(parse_config(_SWEEP + [
+        "--scale", "linear", "--kappa-min", "0.1", "--kappa-max", "1",
+        "--kappa-points", "3", "--mu-min", "0.1", "--mu-max", "0.5"]))
+    assert [(row["kappa"], row["mu"]) for row in sweep] == [
+        (k, m) for k in np.linspace(0.1, 1.0, 3) for m in (0.1, 0.5)]
+
+
+def test_one_point_gamma_grid_is_gamma_min():
+    curve = run(parse_config(_CURVE + ["--gamma-points", "1",
+                                       "--gamma-min", "0.2"]))
+    assert [row["gamma"] for row in curve] == [0.0, 0.2]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (_CURVE + ["--gamma-points", "0"], "gamma_points must be >= 1"),
+    (_SWEEP + ["--workers", "0"], "workers must be >= 1, got 0"),
+    (["efficiency", "--topology", "semi-infinite", "--n", "3", "--trap",
+      "1", "--init", "2", "--kappa", "1", "--mu", "0.1", "--gamma", "0"],
+     "semi-infinite topology is available for 'sweep' and 'infinite' "
+     "only"),
+])
+def test_bad_counts_and_topology_exit_two(argv, message, capsys):
+    code, out, err = _run_capture(argv, capsys)
+    assert code == cli.EXIT_VALIDATION
+    assert out == ""
+    assert message in err
+
+
 def test_output_file_written_atomically(tmp_path, capsys):
     target = tmp_path / "out.csv"
     code, out, _ = _run_capture(

@@ -243,6 +243,16 @@ class TestPropagation:
         with pytest.raises(ValidationError):
             propagate(**{"spec": FIG1B, "horizon": 10.0, **kw})
 
+    def test_default_horizon_is_fifty_over_mu(self):
+        spec = FIG1B.with_rates(mu=0.1)
+        got, want = propagate(spec), propagate(spec, horizon=50.0 / spec.mu)
+        for name in ("times", "traces", "trapped_cumulative",
+                     "loss_cumulative", "eta_estimate", "eta_loss_estimate",
+                     "tail_bound"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        with pytest.raises(ValidationError, match="horizon is required"):
+            propagate(FIG1B.with_rates(mu=0.0))
+
     @pytest.mark.parametrize("n, trap, init, mu, gamma_opt", [
         (4, 1, 2, 0.0880194, 10.1669),
         (5, 1, 3, 0.0027613, 0.395941),
@@ -1228,6 +1238,25 @@ def test_matvecs_count_forward_and_adjoint_gmres_solves(caplog):
                                                0.0))
     direct.eta_grid([0.0, 0.3, 3.0])
     assert direct.matvecs == 0
+
+
+def test_gmres_warm_start_follows_the_initial_site_points_only():
+    # a solve from another rho0 starts cold and leaves the warm start of
+    # the next initial-site scan where the last initial-site point left it
+    spec = SystemSpec("chain", 40, (0,), 1, 3.0, 0.1, 0.0)
+    rho0 = 0.5 * (site_density(40, 1) + site_density(40, 20))
+
+    def last_scan(other_solve):
+        solver = EigenbasisSteadySolver(spec)
+        solver.eta_grid([0.0, 0.3, 1.0])
+        if other_solve:
+            solver.efficiency(0.5, rho0)
+        before = solver.matvecs
+        return solver.eta_grid([3.0, 10.0]), solver.matvecs - before
+
+    got, want = last_scan(True), last_scan(False)
+    assert np.array_equal(got[0], want[0])
+    assert got[1] == want[1]  # the same matvecs: the same warm start
 
 
 def _random_system(n, seed):
