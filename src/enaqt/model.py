@@ -312,7 +312,14 @@ class DensityState:
 
 
 def as_density_vec(rho, n: int) -> np.ndarray:
-    """Normalize the accepted density inputs to a length-n^2 complex vector."""
+    """The one definition of an initial state: rho (a DensityState, a
+    length-n^2 vector or an n x n matrix) as a length-n^2 complex vector,
+    once it is a density matrix of at most unit trace.  rho must be
+    finite, non-zero, Hermitian and positive semidefinite within 1e-12,
+    and its trace at most 1 + 1e-12, so a decayed state that propagate
+    stored passes; else ValidationError names the failed property.  The
+    yields of such a state are real, and eta + eta_loss = tr rho when
+    mu > 0."""
     if rho is None:
         raise ValidationError("missing density matrix")
     if isinstance(rho, DensityState):
@@ -328,6 +335,20 @@ def as_density_vec(rho, n: int) -> np.ndarray:
         raise ValidationError("density matrix has non-finite entries")
     if not vec.any():
         raise ValidationError("density matrix is zero")
+    mat = vec.reshape(n, n)
+    skew = float(np.abs(mat - mat.conj().T).max())
+    if skew > 1e-12:
+        raise ValidationError(
+            f"density matrix is not Hermitian: |rho - rho^dag| reaches "
+            f"{skew:.3g}")
+    trace = float(mat.trace().real)
+    if trace > 1.0 + 1e-12:
+        raise ValidationError(f"density matrix has trace {trace:.15g} > 1")
+    lowest = float(np.linalg.eigvalsh(mat)[0])
+    if lowest < -1e-12:
+        raise ValidationError(
+            "density matrix is not positive semidefinite: eigenvalue "
+            f"{lowest:.3g}")
     return vec
 
 

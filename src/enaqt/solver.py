@@ -118,8 +118,9 @@ class EfficiencyReport:
     """Branching probabilities from one solve.
 
     eta is the probability the particle is ever trapped, eta_loss the
-    probability it is lost; for mu > 0 the two sum to 1.  residual is the
-    relative residual of the underlying linear solve (0 for propagation).
+    probability it is lost; for mu > 0 the two sum to tr rho0 (1 for the
+    initial site, at most 1 for any initial state, model.as_density_vec).
+    residual is the relative residual of the underlying linear solve.
     """
 
     eta: float
@@ -184,21 +185,24 @@ def efficiency_direct(spec: SystemSpec, rho0=None) -> EfficiencyReport:
     ----------
     spec : SystemSpec
     rho0 : optional
-        Initial density matrix (DensityState, vector, or matrix).  Defaults
-        to the particle localized on spec.initial_site.
+        Initial density matrix (DensityState, vector, or matrix), checked
+        once, by model.as_density_vec: Hermitian, positive semidefinite,
+        of trace at most 1.  Defaults to the particle localized on
+        spec.initial_site.
 
     Raises
     ------
     ValidationError
-        If rho0 has the wrong size, a non-finite entry, or is zero.
+        If rho0 has the wrong size, a non-finite entry, is zero, or is not
+        a density matrix of trace at most 1 (the message names the
+        property).
     SingularSystemError
         The solver's `failed` entry, if the generator is singular (dark
         state at mu = 0) or the residual or imaginary leakage of every
         route is not acceptable.
     """
-    vec0 = None if rho0 is None else as_density_vec(rho0, spec.n)
     solver = EigenbasisSteadySolver(spec)
-    eta, eta_loss, resid, method = solver.efficiency(spec.gamma, rho0=vec0)
+    eta, eta_loss, resid, method = solver.efficiency(spec.gamma, rho0=rho0)
     if solver.failed:
         raise solver.failed[0]
     return EfficiencyReport(eta, eta_loss, method, resid)
@@ -221,7 +225,10 @@ def propagate(spec: SystemSpec, rho0=None, horizon: float | None = None,
     ----------
     spec : SystemSpec
         At most PROPAGATE_MAX_N sites.
-    rho0 : optional initial density (defaults to the initial site).
+    rho0 : optional
+        Initial density matrix, checked as efficiency_direct checks it;
+        defaults to the initial site.  A state this function stored
+        (store_states), of trace below 1, is a valid rho0.
     horizon : float, optional
         Integration endpoint.  Defaults to 50/mu, by which the surviving
         trace is below e^-100.  Required explicitly when mu = 0.
@@ -232,8 +239,8 @@ def propagate(spec: SystemSpec, rho0=None, horizon: float | None = None,
     ------
     ValidationError
         If horizon is not finite and > 0, spec has more than
-        PROPAGATE_MAX_N sites, or rho0 is invalid (see
-        efficiency_direct); before anything is built.
+        PROPAGATE_MAX_N sites, or rho0 is not a density matrix of trace at
+        most 1 (see efficiency_direct); before anything is built.
     StiffnessError
         If the trajectory misses the probability budget, as at extreme
         gamma*dt (a 3-site chain misses it by 2.5e-8 at gamma = 1e8,
@@ -338,30 +345,30 @@ def _eig(h, colours):
 
 def _restarted_gmres(apply, b, x0, restart, maxiter):
     """(x, info, matvecs): GMRES(restart) on apply(x) = b from x0 (zero
-    when None), in b's arithmetic (real or complex; apply must keep a real
-    vector real), at most maxiter cycles, stopped as scipy's gmres stops:
+    when None), in real arithmetic (b, x0 and apply's values are float
+    vectors), at most maxiter cycles, stopped as scipy's gmres stops:
     Arnoldi steps until the estimated residual meets an inner tolerance
     (adapted from cycle to cycle), then the true residual b - apply(x) at
     the end of the cycle; info is 0 once that is at most GMRES_RTOL |b|,
     else the number of cycles run.  The basis is orthogonalised by
     classical Gram-Schmidt with one re-orthogonalisation, two products
     against the basis block each, and the Givens rotations act on Python
-    scalars.  A breakdown (a Krylov vector of zero norm) ends the cycle
-    and, unless its true residual meets the tolerance, the solve: info is
-    then non-zero, also where the breakdown leaves the Hessenberg system
+    scalars, each turning its column's diagonal entry a into sign(a) rho.
+    A breakdown (a Krylov vector of zero norm) ends the cycle and, unless
+    its true residual meets the tolerance, the solve: info is then
+    non-zero, also where the breakdown leaves the Hessenberg system
     singular (apply maps the basis to zero), whose last column is
     dropped."""
     n = b.size
     restart = min(restart, n)
-    atol = GMRES_RTOL * math.sqrt(np.vdot(b, b).real)
-    x = np.zeros_like(b) if x0 is None else x0.astype(b.dtype)
+    atol = GMRES_RTOL * math.sqrt(np.vdot(b, b))
+    x = np.zeros_like(b) if x0 is None else x0.astype(float)
     r, matvecs = (b - apply(x), 1) if x.any() else (b.copy(), 0)
-    rnorm = math.sqrt(np.vdot(r, r).real)
+    rnorm = math.sqrt(np.vdot(r, r))
     if rnorm <= atol:
         return x, 0, matvecs
-    basis = np.empty((restart + 1, n), dtype=b.dtype)
-    tri = np.zeros((restart, restart), dtype=b.dtype)
-    trtrs = sla.get_lapack_funcs("trtrs", (tri,))
+    basis = np.empty((restart + 1, n))
+    tri = np.zeros((restart, restart))
     ptol, factor = atol, 1.0
     for cycle in range(1, maxiter + 1):
         basis[0] = r / rnorm
@@ -370,38 +377,38 @@ def _restarted_gmres(apply, b, x0, restart, maxiter):
             w = apply(basis[j])
             matvecs += 1
             block = basis[:j + 1]
-            h0 = math.sqrt(np.vdot(w, w).real)
-            h = (block @ w.conj()).conj()
+            h0 = math.sqrt(np.vdot(w, w))
+            h = block @ w
             w = w - h @ block  # a new array: apply may return its argument
-            h2 = (block @ w.conj()).conj()
+            h2 = block @ w
             w -= h2 @ block
             col = (h + h2).tolist()
-            hnext = math.sqrt(np.vdot(w, w).real)
+            hnext = math.sqrt(np.vdot(w, w))
             breakdown = hnext <= EPS * h0
             if breakdown:
                 hnext = 0.0
             for k, (c, s) in enumerate(rots):
                 col[k], col[k + 1] = (c * col[k] + s * col[k + 1],
-                                      c * col[k + 1] - s.conjugate() * col[k])
-            rho = math.hypot(abs(col[j]), hnext)
+                                      c * col[k + 1] - s * col[k])
+            rho = math.hypot(col[j], hnext)
             if rho == 0.0:
                 break
-            phase = col[j] / abs(col[j]) if col[j] else 1.0
-            c, s = abs(col[j]) / rho, phase * hnext / rho
-            col[j] = phase * rho
+            sign = -1.0 if col[j] < 0.0 else 1.0
+            c, s = abs(col[j]) / rho, sign * hnext / rho
+            col[j] = sign * rho
             rots.append((c, s))
             tri[:j + 1, j] = col
-            g[j:] = [c * g[j], -s.conjugate() * g[j]]
+            g[j:] = [c * g[j], -s * g[j]]
             if breakdown or abs(g[j + 1]) <= ptol:
                 break
             basis[j + 1] = w / hnext
         m = len(rots)
         if m:
-            y = trtrs(tri[:m, :m], g[:m])[0]
+            y = sla.lapack.dtrtrs(tri[:m, :m], g[:m])[0]
             x += y @ basis[:m]
         r = b - apply(x)
         matvecs += 1
-        rnorm = math.sqrt(np.vdot(r, r).real)
+        rnorm = math.sqrt(np.vdot(r, r))
         if rnorm <= atol:
             return x, 0, matvecs
         if breakdown:
@@ -499,10 +506,15 @@ class EigenbasisSteadySolver:
     one matrix product of (rates x n, n) by (n, n^2) per chunk of rates,
     at O(n^4) flops and n^3 numbers per rate; the two other products are
     taken directly.  Above DIRECT_MAX_N sites (kernel "gmres") GMRES
-    applies the operator, real in real arithmetic (_restarted_gmres),
-    at the cost of two n x n by n x n/2 products per matvec where the
-    sublattice symmetry pairs the eigenvalues, two n x n products where it
-    does not (_population_matvec).  The full steady integral is rebuilt the same way,
+    applies the operator, which is real, in real arithmetic only
+    (_restarted_gmres): every right-hand side it meets is real, because
+    every initial state is Hermitian (model.as_density_vec checks a rho0
+    once per call) and so is every residual the refinement solves for.
+    A matvec costs two n x n by n x n/2 products where the sublattice
+    symmetry pairs the eigenvalues, two n x n products where it does not
+    (_population_matvec).  The direct kernels keep complex arithmetic,
+    and the leakage check still certifies their numerics.  The full
+    steady integral is rebuilt the same way,
     -2*gamma*A^-1(Diag p) = Diag(p) - S[(S^-1 Diag(p) S^-dag) o R]S^dag,
     which keeps its residual near working precision.
 
@@ -818,22 +830,21 @@ class EigenbasisSteadySolver:
         K p = b solved by GMRES and, with slope, the adjoint K^T w = t by
         GMRES from zero, w NaN where it did not converge; w None without
         slope.  At gamma = 0, K = I: p = b and w = t.  K is real (L maps
-        Hermitian matrices to Hermitian ones), and so are t and, for the
-        `initial` site's right-hand side, b up to rounding: those solves
-        run in real arithmetic, on Re b, and K p = b starts from the
-        solver's warm start (_warm, written by _batch); every other
-        right-hand side starts from zero.  stats collects the info flag of
-        the K p = b solve and the matvecs of both."""
+        Hermitian matrices to Hermitian ones), and so are t and every b
+        up to rounding: the initial site's, that of a rho0, which
+        model.as_density_vec has checked to be Hermitian, and that of a
+        refinement step, the residual of a Hermitian answer.  So every
+        solve runs in real arithmetic, on Re b.  `initial` (the initial
+        site's right-hand side) only picks the start: the solver's warm
+        start (_warm, written by _batch), else zero.  stats collects the
+        info flag of the K p = b solve and the matvecs of both."""
         n = self.n
         if g2 == 0.0:
             return b, self._trap_indicator if slope else None
-        rhs, start = b.reshape(n), None
-        if initial:
-            rhs = rhs.real.copy()
-            start = None if self._warm is None else self._warm.real
         pops, stats["info"], count = _restarted_gmres(
-            self._population_matvec(a, g2), rhs, start,
-            self.GMRES_RESTART, self.GMRES_MAXITER)
+            self._population_matvec(a, g2), b.reshape(n).real.copy(),
+            self._warm if initial else None, self.GMRES_RESTART,
+            self.GMRES_MAXITER)
         stats["matvecs"] += count
         pops = pops.astype(complex).reshape(b.shape)
         if not slope:
@@ -846,11 +857,11 @@ class EigenbasisSteadySolver:
                       ).astype(complex).reshape(b.shape)
 
     def _population_matvec(self, a, g2, transpose=False):
-        """p -> (I + 2*gamma*M) p for the one cell of the arrays a of a
-        kernel without maps, in the cancellation-free form
-        diag(S [(S^-1 Diag(p) S^-dag) o R] S^dag) that _sandwich and _diag
-        apply, g2 = 2*gamma; with transpose, its transpose, the same form
-        with S^-T and S^T in place of S and S^-1:
+        """p -> (I + 2*gamma*M) p for a real vector p and the one cell of
+        the arrays a of a kernel without maps, in the cancellation-free
+        form diag(S [(S^-1 Diag(p) S^-dag) o R] S^dag) that _sandwich and
+        _diag apply, g2 = 2*gamma; with transpose, its transpose, the same
+        form with S^-T and S^T in place of S and S^-1:
         w -> diag(S^-T [(S^T Diag(w) conj S) o R] conj S^-1).
 
         The operator is real, and for a real p the sum over the
@@ -861,8 +872,7 @@ class EigenbasisSteadySolver:
         the eigenvalues with real part >= 0 alone, those > 0 counted twice
         (every eigenvalue once on an odd ring, which has no colouring):
         two products, n/2 x n by n x n and n x n/2 by n/2 x n, half the
-        flops of the full ones, on operands built once per point.  A
-        complex p costs two, for its real and imaginary parts."""
+        flops of the full ones, on operands built once per point."""
         s, sinv = ((a.sinv[0].T, a.s[0].T) if transpose
                    else (a.s[0], a.sinv[0]))
         # the eigenvalues whose terms are summed, real part > 0 twice and
@@ -879,17 +889,11 @@ class EigenbasisSteadySolver:
         sconj = s.conj()
 
         def matvec(p):
-            # a complex p as the stack of its real and imaginary parts, not
-            # by calling matvec again: a closure that calls itself is a
-            # reference cycle, and would hold each point's operands until
-            # the cyclic collector ran (tens of MB over a gamma scan)
-            q = np.stack([p.real, p.imag]) if np.iscomplexobj(p) else p
-            y = (left * q[..., None, :]) @ right
+            y = (left * p) @ right
             y *= ratio
             y = s_kept @ y
             y *= sconj
-            out = y.real.sum(axis=-1)
-            return out if q is p else out[0] + 1j * out[1]
+            return y.real.sum(axis=-1)
 
         return matvec
 
@@ -1008,11 +1012,11 @@ class EigenbasisSteadySolver:
         """The point path for the rates gammas[i, j] of cell ids[i], whose
         arrays are a (see _select): solve, certify, then the fallback chain
         for every rejected point; a point failing it records its error in
-        `failed`.  Returns (eta, eta_loss, residual, populations,
-        (i, j, route) of each redone point, route None where its cell
-        failed, slope, rate slopes): slope is d eta/d log gamma at every
-        point, or None without `slope`; rate slopes are d eta/d log(kappa,
-        mu) on the points of _kernel's drates, or None without `rates`.
+        `failed`.  Returns (eta, eta_loss, residual, (i, j, route) of each
+        redone point, route None where its cell failed, slope, rate
+        slopes): slope is d eta/d log gamma at every point, or None
+        without `slope`; rate slopes are d eta/d log(kappa, mu) on the
+        points of _kernel's drates, or None without `rates`.
         A redone point, and one whose GMRES adjoint did not converge, gets
         them from _full_slopes.  On the GMRES kernel, a point of the
         initial site's right-hand side leaves its final populations as the
@@ -1044,7 +1048,7 @@ class EigenbasisSteadySolver:
         if self.kernel == "gmres" and rhs is self._rhs0:
             # the one write of the warm start, at the point's final
             # populations: the gamma = 0 point never reaches _gmres
-            self._warm = pops[0, -1]
+            self._warm = pops[0, -1].real
         if slope and self.kernel == "gmres":  # an adjoint not converged
             to_slope += [(i, j, xs[i, j], None)
                          for i, j in np.argwhere(certified & np.isnan(dtrap))]
@@ -1071,7 +1075,7 @@ class EigenbasisSteadySolver:
             else:
                 self.routes["direct-eigenbasis"] += gammas.size - len(redone)
         self.matvecs += stats["matvecs"]
-        return eta, eta_loss, resid, pops, redone, slopes, rslopes
+        return eta, eta_loss, resid, redone, slopes, rslopes
 
     def _record(self, gamma, route, stats):
         """Count a point solved alone in routes and leave its DEBUG
@@ -1082,10 +1086,11 @@ class EigenbasisSteadySolver:
                    stats["matvecs"], route, self.kernel)
 
     def _points(self, gammas, ids, rho0=None, slope=False, rates=False):
-        """The one point path: (eta, eta_loss, residual, populations,
-        (i, j, route) of the redone points, slopes, rate slopes) at the
-        rates gammas[i, j] of cell ids[i] (an index array) from rho0 (the
-        initial site when None), NaN for a failed cell.  slopes holds
+        """The one point path: (eta, eta_loss, residual, (i, j, route) of
+        the redone points, slopes, rate slopes) at the rates gammas[i, j]
+        of cell ids[i] (an index array) from rho0 (the initial site when
+        None, else as_density_vec's vector), NaN for a failed cell.  The
+        populations stay in _batch (the warm start).  slopes holds
         d eta/d log gamma with `slope`, else it is None.  Rate slopes hold
         d eta/d log(kappa, mu) with `rates`, else None: at every point
         with `slope`, shape (rows, k, 2), and without it at gammas[:, 0],
@@ -1119,10 +1124,10 @@ class EigenbasisSteadySolver:
                 part = self._batch(  # rates without slope: at 0
                     gammas[at, j:j + dk], a, ids[at], rhs, bnorm, slope,
                     rates and (slope or j == 0))
-                redone += [(i + r, c + j, route) for i, c, route in part[4]]
-                parts.append(part[:4] + part[5:])
+                redone += [(i + r, c + j, route) for i, c, route in part[3]]
+                parts.append(part[:3] + part[4:])
         # the chunks hold the points in row-major order
-        eta, eta_loss, resid, pops, slopes, rslopes = (
+        eta, eta_loss, resid, slopes, rslopes = (
             parts[0] if len(parts) == 1 else
             [None if v[0] is None else np.concatenate(
                 [u.reshape((-1,) + u.shape[2:]) for u in v if u is not None]
@@ -1133,13 +1138,13 @@ class EigenbasisSteadySolver:
             for v in (slopes, rslopes):
                 if v is not None:
                     v[lost] = math.nan
-        return eta, eta_loss, resid, pops, redone, slopes, rslopes
+        return eta, eta_loss, resid, redone, slopes, rslopes
 
     @staticmethod
     def _report(out):
         """(eta, eta_loss, residual, methods) of row 0 of the _points
         result out; a method is None where the cell failed."""
-        eta, eta_loss, resid, _, redone = out[:5]
+        eta, eta_loss, resid, redone = out[:4]
         methods = ["direct-eigenbasis"] * eta.shape[1]
         for i, j, route in redone:
             if i == 0:
@@ -1148,8 +1153,12 @@ class EigenbasisSteadySolver:
 
     def efficiency(self, gamma, rho0=None):
         """Returns (eta, eta_loss, residual, method) of one solve of cell 0
-        through the point path, from rho0 (a flattened density matrix; the
-        initial site when None): what efficiencies gives for that rate."""
+        through the point path, from rho0 (the initial site when None; else
+        any input model.as_density_vec takes, checked by it, so
+        ValidationError unless it is a density matrix of trace at most 1):
+        what efficiencies gives for that rate."""
+        if rho0 is not None:
+            rho0 = as_density_vec(rho0, self.n)
         eta, eta_loss, resid, (method,) = self._report(self._points(
             np.array([[gamma]], dtype=float), self._ids[:1], rho0))
         return float(eta[0]), float(eta_loss[0]), float(resid[0]), method
@@ -1171,7 +1180,7 @@ class EigenbasisSteadySolver:
         if self.kernel != "gmres":
             _log.debug(
                 "batched solve n=%d points=%d max_residual=%.2e redone=%d "
-                "kernel=%s", self.n, out[0].size, out[2].max(), len(out[4]),
+                "kernel=%s", self.n, out[0].size, out[2].max(), len(out[3]),
                 self.kernel)
         return out
 
@@ -1182,7 +1191,7 @@ class EigenbasisSteadySolver:
         _rates, for a grid that starts at gamma = 0, the pair (eta,
         d eta/d log(kappa, mu) at gamma = 0), the latter of shape
         (cells, 2), from the closed form at K = I: no extra solve."""
-        etas, _, _, _, _, _, rates = self._grid(
+        etas, _, _, _, _, rates = self._grid(
             np.asarray(gammas, dtype=float), _rates)
         return (etas, rates[:, 0]) if _rates else etas
 
@@ -1214,6 +1223,6 @@ class EigenbasisSteadySolver:
         out = self._points(gamma.reshape(ids.size, -1), ids, slope=slope,
                            rates=_rates)
         got = [v.reshape(gamma.shape + v.shape[2:]) for v in out[:1] + (
-            out[5:7] if _rates else out[5:6] if slope else ())]
+            out[4:6] if _rates else out[4:5] if slope else ())]
         got = [v.item() if v.ndim == 0 else v for v in got]
         return got[0] if len(got) == 1 else tuple(got)

@@ -280,6 +280,65 @@ def test_zero_or_non_finite_initial_state_rejected(route, rho0):
         route(FIG1B, rho0=rho0)
 
 
+def _initial_state(n, entries):
+    rho = np.zeros((n, n), dtype=complex)
+    for (i, j), value in entries.items():
+        rho[i, j] = value
+    return rho
+
+
+# rho0 that are not density matrices of trace at most 1, each with the
+# property its error names (0-based sites: start 3 is site 2)
+_NOT_A_STATE = {
+    "one-sided coherence": ({(2, 2): 1.0, (2, 1): 0.5}, "not Hermitian"),
+    "one-sided imaginary coherence": ({(2, 2): 1.0, (2, 1): 0.5j},
+                                      "not Hermitian"),
+    "trace 5": ({(2, 2): 5.0}, "trace 5 > 1"),
+    "negative eigenvalue": ({(2, 2): 1.5, (1, 1): -0.5},
+                            "not positive semidefinite"),
+}
+
+
+_ROUTES = {
+    "efficiency_direct": efficiency_direct,
+    "solver": lambda spec, rho0: EigenbasisSteadySolver(spec).efficiency(
+        spec.gamma, rho0),
+    "propagate": lambda spec, rho0: propagate(spec, rho0, horizon=10.0),
+}
+
+
+@pytest.mark.parametrize("case", list(_NOT_A_STATE))
+@pytest.mark.parametrize("route, n", [  # maps, map-free and GMRES kernels
+    (route, n) for route in _ROUTES for n in (4, 20, 40)
+    if route != "propagate" or n <= solver_module.PROPAGATE_MAX_N])
+def test_initial_state_must_be_a_density_matrix(route, n, case):
+    # unchecked, the one-sided coherence raised SingularSystemError and
+    # the others gave certified numbers (eta = 1.966 from trace 5 on 4
+    # sites)
+    spec = SystemSpec("chain", n, (0,), 2, 1.0, 0.1, 0.5)
+    entries, message = _NOT_A_STATE[case]
+    with pytest.raises(ValidationError, match=message):
+        _ROUTES[route](spec, _initial_state(n, entries))
+
+
+@pytest.mark.parametrize("n", [4, 20])
+def test_stored_decayed_states_are_initial_states(n):
+    # every state propagate stores, of trace below 1, is a valid rho0, and
+    # the yields from it are what is left to come: eta + eta_loss = tr rho
+    spec = SystemSpec("chain", n, (0,), 2, 1.0, 0.1, 0.5)
+    traj = propagate(spec, horizon=8.0, store_states=True)
+    for state in traj.states:
+        solver_module.as_density_vec(state, n)
+    state = traj.states[-1]
+    assert 0.0 < state.trace < 0.9
+    rep = efficiency_direct(spec, state)
+    assert rep.eta + rep.eta_loss == pytest.approx(state.trace, abs=1e-9)
+    assert traj.trapped_cumulative[-1] + rep.eta == pytest.approx(
+        efficiency_direct(spec).eta, abs=1e-9)
+    assert EigenbasisSteadySolver(spec).efficiency(0.5, state)[0] == rep.eta
+    propagate(spec, state, horizon=1.0)
+
+
 def test_survival_probability_basics():
     spec = SystemSpec("chain", 3, (0,), 1, 0.1, 0.05, 0.2)
     traj = propagate(spec, horizon=30.0)
@@ -406,7 +465,7 @@ def test_population_matvec_is_the_reduced_operator(gamma):
             - 2.0 * gamma * np.eye(24 * 24))
     rng = np.random.default_rng(7)
     for _ in range(3):
-        p = rng.normal(size=24) + 1j * rng.normal(size=24)
+        p = rng.normal(size=24)
         ainv = np.linalg.solve(amat, np.diag(p).reshape(-1)).reshape(24, 24)
         naive = p + 2.0 * gamma * ainv.diagonal()
         got = solver._population_matvec(solver._all, 2.0 * gamma)(p)
@@ -1259,11 +1318,67 @@ def test_gmres_warm_start_follows_the_initial_site_points_only():
     assert got[1] == want[1]  # the same matvecs: the same warm start
 
 
+def _recording_matvec(monkeypatch, dtypes, fake=None):
+    # the solver's matvec, or fake(p) in its place, noting the dtype of
+    # every vector it is applied to
+    matvec = EigenbasisSteadySolver._population_matvec
+
+    def recording(self, a, g2, transpose=False):
+        apply = fake or matvec(self, a, g2, transpose)
+
+        def noted(p):
+            dtypes.add(p.dtype)
+            return apply(p)
+
+        return noted
+
+    monkeypatch.setattr(EigenbasisSteadySolver, "_population_matvec",
+                        recording)
+
+
+def test_gmres_solves_from_another_state_in_real_arithmetic(monkeypatch):
+    # a rho0 with coherences on a 40-site chain: the GMRES route solves on
+    # Re b, as for the initial site, and matches dense LU
+    n = 40
+    spec = SystemSpec("chain", n, (0,), 1, 3.0, 0.1, 0.0)
+    psi = np.zeros(n, dtype=complex)
+    psi[[1, n // 2]] = 1.0, 1j
+    rho0 = state_density(psi)
+    dtypes = set()
+    _recording_matvec(monkeypatch, dtypes)
+    solver = EigenbasisSteadySolver(spec)
+    assert solver.kernel == "gmres"
+    for gamma in (0.3, 30.0):
+        x = sla.lu_solve(sla.lu_factor(dense_generator(spec.with_gamma(
+            gamma))), -rho0)
+        pops = x[::n + 1].real
+        eta, eta_loss, resid, method = solver.efficiency(gamma, rho0)
+        assert method == "direct-eigenbasis" and resid <= 1e-10
+        assert eta == pytest.approx(2.0 * 3.0 * pops[0], abs=1e-10)
+        assert eta_loss == pytest.approx(2.0 * 0.1 * pops.sum(), abs=1e-10)
+    assert dtypes == {np.dtype(float)}
+
+
+def test_gmres_refinement_steps_run_in_real_arithmetic(monkeypatch):
+    # the fallback forced by an identity matvec, as in
+    # test_failed_residual_sends_the_solve_to_sparse_lu, on a 40-site
+    # chain: its refinement steps solve residuals through GMRES on float
+    # vectors only, and the sparse LU's answer matches dense LU
+    spec = SystemSpec("chain", 40, (0,), 1, 1.0, 0.1, 3.0)
+    dtypes = set()
+    _recording_matvec(monkeypatch, dtypes, fake=lambda p: p)
+    rep = efficiency_direct(spec)
+    assert rep.method == "direct-sparse"
+    assert dtypes == {np.dtype(float)}
+    eta, eta_loss = dense_lu_branching(spec)
+    assert rep.eta == pytest.approx(eta, abs=1e-10)
+    assert rep.eta_loss == pytest.approx(eta_loss, abs=1e-10)
+
+
 def _random_system(n, seed):
     rng = np.random.default_rng(seed)
-    a = (np.eye(n) + 0.3 * (rng.normal(size=(n, n))
-                            + 1j * rng.normal(size=(n, n))) / math.sqrt(n))
-    return a, rng.normal(size=n) + 1j * rng.normal(size=n)
+    a = np.eye(n) + 0.3 * rng.normal(size=(n, n)) / math.sqrt(n)
+    return a, rng.normal(size=n)
 
 
 @pytest.mark.parametrize("restart", [60, 4])
@@ -1282,7 +1397,7 @@ def test_restarted_gmres_solves_a_nonsymmetric_system(restart):
 
 
 def test_restarted_gmres_breakdowns():
-    b = np.arange(1.0, 41.0) + 0.5j
+    b = np.arange(1.0, 41.0)
     # a lucky breakdown: the identity's Krylov space is one vector, and
     # its solve is exact
     x, info, _ = solver_module._restarted_gmres(lambda v: v, b, None, 60, 10)
