@@ -54,7 +54,6 @@ from .model import (
 from .solver import (
     EigenbasisSteadySolver,
     _stack_size,
-    efficiency_direct,
     efficiency_gamma_grid,
 )
 
@@ -784,7 +783,9 @@ def symmetry_split(spec: SystemSpec) -> tuple:
     generator commutes with inversion.  |S/A> = (|m> +/- |mirror of m>)/sqrt2
     built from spec.initial_site; the odd component never reaches the
     (even) middle site, so eta_A -> 0 as mu -> 0+, and the site-localized
-    efficiency equals (eta_S + eta_A)/2 at any gamma.
+    efficiency equals (eta_S + eta_A)/2 at any gamma.  One solver (one
+    eigendecomposition of H) solves both sectors, and its `failed` entry
+    is raised as efficiency_direct raises it.
     """
     if spec.topology is not Topology.CHAIN:
         raise ValidationError("inversion split requires a chain")
@@ -798,12 +799,15 @@ def symmetry_split(spec: SystemSpec) -> tuple:
             f"{mid} (0-based), got {spec.trap_sites}")
     tau = spec.initial_site
     mirror = spec.n - 1 - tau
+    solver = EigenbasisSteadySolver(spec)
     etas = []
     for sign in (1.0, -1.0):
         psi = np.zeros(spec.n, dtype=complex)
         psi[tau] += 1.0
         psi[mirror] += sign
-        etas.append(efficiency_direct(spec, rho0=state_density(psi)).eta)
+        etas.append(solver.efficiency(spec.gamma, state_density(psi))[0])
+    if solver.failed:
+        raise solver.failed[0]
     return etas[0], etas[1]
 
 

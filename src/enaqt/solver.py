@@ -28,15 +28,17 @@ kernels, chosen by the number of sites n:
   n^2 x n^2 maps tabulated per cell ("maps");
 * up to DIRECT_MAX_N sites, directly, with the system assembled without
   maps ("map-free");
-* above, by an in-house restarted GMRES (_restarted_gmres) in real
-  arithmetic, one point at a time ("gmres").
+* above, by an in-house restarted GMRES (_restarted_gmres), one point at
+  a time ("gmres").
 
-It certifies every answer by one residual of the full generator and one
-acceptance rule; it sends a rejected point, on its own cell's arrays,
-through one fallback chain: extended-precision refinement, then a sparse
-LU of the full generator; and it records a point failing both in
-`failed` (efficiency_direct and efficiency_gamma_grid raise it).  The
-solver also sizes the cell stacks of its callers (_stack_size).
+The population system is real on every kernel (L maps Hermitian matrices
+to Hermitian ones), and each kernel solves it in real arithmetic.  The
+solver certifies every answer by one rule, the residual of the full
+generator; it sends a rejected point, on its own cell's arrays, through
+one fallback chain: extended-precision refinement, then a sparse LU of
+the full generator; and it records a point failing both in `failed`
+(efficiency_direct and efficiency_gamma_grid raise it).  The solver also
+sizes the cell stacks of its callers (_stack_size).
 """
 
 from __future__ import annotations
@@ -79,7 +81,6 @@ __all__ = [
 
 RESID_TARGET = 1e-10  # relative residual that certifies an answer outright
 RESID_ACCEPT = 1e-9   # relative residual above which a fallback is rejected
-REAL_TOL = 1e-10      # allowed imaginary leakage in probabilities
 GMRES_RTOL = 1e-12    # true residual, relative to |b|, that ends GMRES
 EPS = np.finfo(float).eps
 # Bytes of the points of one chunk of a call (all rates of as many cells
@@ -198,8 +199,7 @@ def efficiency_direct(spec: SystemSpec, rho0=None) -> EfficiencyReport:
         property).
     SingularSystemError
         The solver's `failed` entry, if the generator is singular (dark
-        state at mu = 0) or the residual or imaginary leakage of every
-        route is not acceptable.
+        state at mu = 0) or the residual of every route is not acceptable.
     """
     solver = EigenbasisSteadySolver(spec)
     eta, eta_loss, resid, method = solver.efficiency(spec.gamma, rho0=rho0)
@@ -420,13 +420,6 @@ def _restarted_gmres(apply, b, x0, restart, maxiter):
     return x, maxiter, matvecs
 
 
-def _accepted(resid, eta, eta_loss, bound):
-    """The acceptance rule: residual within bound, and eta and eta_loss
-    (still complex) with imaginary parts within REAL_TOL; elementwise."""
-    return ((resid <= bound) & (np.abs(eta.imag) <= REAL_TOL)
-            & (np.abs(eta_loss.imag) <= REAL_TOL))
-
-
 def _stack_size(n):
     """Cells per stack of n-site cells: as many as keep their n^2 x n^2
     maps (16 n^4 bytes a cell) within STACK_BYTES, and at least one: 26 at
@@ -506,15 +499,19 @@ class EigenbasisSteadySolver:
     one matrix product of (rates x n, n) by (n, n^2) per chunk of rates,
     at O(n^4) flops and n^3 numbers per rate; the two other products are
     taken directly.  Above DIRECT_MAX_N sites (kernel "gmres") GMRES
-    applies the operator, which is real, in real arithmetic only
-    (_restarted_gmres): every right-hand side it meets is real, because
-    every initial state is Hermitian (model.as_density_vec checks a rho0
-    once per call) and so is every residual the refinement solves for.
-    A matvec costs two n x n by n x n/2 products where the sublattice
-    symmetry pairs the eigenvalues, two n x n products where it does not
-    (_population_matvec).  The direct kernels keep complex arithmetic,
-    and the leakage check still certifies their numerics.  The full
-    steady integral is rebuilt the same way,
+    applies the operator (_restarted_gmres).  A matvec costs two n x n by
+    n x n/2 products where the sublattice symmetry pairs the eigenvalues,
+    two n x n products where it does not (_population_matvec).
+
+    K is real, because L maps Hermitian matrices to Hermitian ones, and
+    so is every right-hand side b a kernel meets: every initial state is
+    Hermitian (model.as_density_vec checks a rho0 once per call), and so
+    is every residual the refinement solves for.  So K, b, the
+    populations p and the adjoint w below are real on every kernel: the
+    direct kernels keep the real parts of the K and b they assemble and
+    solve by dgetrf/dgetrs (one point) or a real stacked solve, and
+    GMRES runs in real arithmetic only.  The full steady integral is
+    rebuilt the same way,
     -2*gamma*A^-1(Diag p) = Diag(p) - S[(S^-1 Diag(p) S^-dag) o R]S^dag,
     which keeps its residual near working precision.
 
@@ -580,20 +577,20 @@ class EigenbasisSteadySolver:
 
     efficiency, eta and eta_grid run one point path (_points) for rates that
     are finite and >= 0 (ValidationError otherwise): (1) solve the points
-    (_kernel); (2) certify each answer by the one residual of the full
-    generator (_generator) and one acceptance rule (_accepted): residual
-    within RESID_TARGET, imaginary leakage of eta and eta_loss within
-    REAL_TOL; (3) send a rejected point, on its own cell's arrays and from
-    the answer it has, through one fallback chain (_fall_back):
-    extended-precision refinement when its residual is above RESID_TARGET
-    (near-singular systems, mu ~ 1e-8), then a sparse LU of the cell's full
-    generator, each accepted at RESID_ACCEPT.  A point failing both gets a
-    SingularSystemError with its gamma named (and the dark-state hint at
+    (_kernel); (2) certify each answer by one rule, the residual of the
+    full generator (_generator) within RESID_TARGET; (3) send a rejected
+    point, on its own cell's arrays and from the answer it has, through
+    one fallback chain (_fall_back): extended-precision refinement when
+    its residual is above RESID_TARGET (near-singular systems,
+    mu ~ 1e-8), then a sparse LU of the cell's full generator, each
+    accepted by the same rule at RESID_ACCEPT.  A point failing both gets
+    a SingularSystemError with its gamma named (and the dark-state hint at
     mu = 0), which the solver never raises: it records it in `failed` under
-    the cell's index, answers NaN for that cell from then on, and solves its
-    other cells as before.  `routes` counts the accepted points per method,
-    and `matvecs` the GMRES matvecs, forward and adjoint, fallbacks
-    included.
+    the cell's index, answers NaN with method None for every point of
+    that cell in that call and from then on, and solves its other cells
+    as before.  `routes` counts the accepted points per method, none of
+    them a point the cell answers NaN for, and `matvecs` the GMRES
+    matvecs, forward and adjoint, fallbacks included.
     `kernel` names the kernel ("maps", "map-free" or "gmres"), and so does
     the DEBUG record that every point solved alone (a one-point call, a
     GMRES point, a fallback) and every eta_grid or efficiencies call of a
@@ -628,7 +625,7 @@ class EigenbasisSteadySolver:
                        "map-free" if n <= DIRECT_MAX_N else "gmres")
         self.cells = cells = kappa.size
         self.tidx = np.asarray(spec.trap_sites, dtype=int)
-        self._trap_indicator = np.zeros(n, dtype=complex)
+        self._trap_indicator = np.zeros(n)
         self._trap_indicator[self.tidx] = 1.0
         h = _hamiltonians(spec, kappa, mu)
         self._colours = _colouring(spec)
@@ -736,11 +733,11 @@ class EigenbasisSteadySolver:
             # One factorization for K p = b and, with slope, K^T w = t.  An
             # exactly singular K (info > 0) gives a non-finite pops; the
             # residual check then rejects the point.
-            lu, piv = sla.lapack.zgetrf(kmat.reshape(n, n))[:2]
-            pops = sla.lapack.zgetrs(lu, piv, b.reshape(n))[0].reshape(
+            lu, piv = sla.lapack.dgetrf(kmat.reshape(n, n))[:2]
+            pops = sla.lapack.dgetrs(lu, piv, b.reshape(n))[0].reshape(
                 b.shape)
             if slope:
-                adjoint = sla.lapack.zgetrs(
+                adjoint = sla.lapack.dgetrs(
                     lu, piv, self._trap_indicator, trans=1)[0].reshape(
                         b.shape)
         elif slope:
@@ -789,31 +786,32 @@ class EigenbasisSteadySolver:
     # maps of _build_maps, or without them.
 
     def _assemble(self, a, ratio):
-        """K at every point, shape (cells, k, n, n), from R (ratio,
-        flattened, shape (cells, k, n^2)): R @ kmap, or without the map
-        K[l, j] = sum_p D[p, lj] T[p, lj] with T = conj(conj R @ D), one
-        matrix product per cell for all its rates (see the class
-        docstring).  T is conjugated in place: a stored conj D would be a
-        second n^3 array to fault in for every solver."""
+        """K at every point, real, shape (cells, k, n, n), from R (ratio,
+        flattened, shape (cells, k, n^2)): Re(R @ kmap), or without the
+        map K[l, j] = sum_p Re(D[p, lj] T[p, lj]) with
+        T = conj(conj R @ D), one matrix product per cell for all its
+        rates (see the class docstring).  T is conjugated in place: a
+        stored conj D would be a second n^3 array to fault in for every
+        solver."""
         n = self.n
         shape = ratio.shape[:-1] + (n, n)
         if self.kernel == "maps":
-            return (ratio @ a.kmap).reshape(shape)
+            return (ratio @ a.kmap).real.reshape(shape)
         cells = len(a.s)
         t = (ratio.conj().reshape(cells, -1, n) @ a.dmat).reshape(
             cells, -1, n, n * n)
         np.conjugate(t, out=t)
         t *= a.dmat[:, None]
-        return t.sum(axis=2).reshape(shape)
+        return t.real.sum(axis=2).reshape(shape)
 
     def _diag(self, a, y):
-        """diag(S Y S^dag) at every point of Y (y, flattened, of shape
-        (..., cells, k, n^2))."""
+        """diag(S Y S^dag), real, at every point of Y (y, flattened, of
+        shape (..., cells, k, n^2))."""
         if self.kernel == "maps":
-            return y @ a.emap
+            return (y @ a.emap).real
         n = self.n
         ym = y.reshape(y.shape[:-1] + (n, n))
-        return ((a.s[:, None] @ ym) * a.s.conj()[:, None]).sum(axis=-1)
+        return ((a.s[:, None] @ ym) * a.s.conj()[:, None]).real.sum(axis=-1)
 
     def _sandwich(self, a, pops):
         """S^-1 Diag(p) S^-dag, flattened, at every point of the
@@ -829,32 +827,28 @@ class EigenbasisSteadySolver:
         """(p, w) for one point of one cell above DIRECT_MAX_N sites:
         K p = b solved by GMRES and, with slope, the adjoint K^T w = t by
         GMRES from zero, w NaN where it did not converge; w None without
-        slope.  At gamma = 0, K = I: p = b and w = t.  K is real (L maps
-        Hermitian matrices to Hermitian ones), and so are t and every b
-        up to rounding: the initial site's, that of a rho0, which
-        model.as_density_vec has checked to be Hermitian, and that of a
-        refinement step, the residual of a Hermitian answer.  So every
-        solve runs in real arithmetic, on Re b.  `initial` (the initial
-        site's right-hand side) only picks the start: the solver's warm
-        start (_warm, written by _batch), else zero.  stats collects the
-        info flag of the K p = b solve and the matvecs of both."""
+        slope.  At gamma = 0, K = I: p = b and w = t.  Every solve runs
+        in real arithmetic (see the class docstring).  `initial` (the
+        initial site's right-hand side) only picks the start: the solver's
+        warm start (_warm, written by _batch), else zero.  stats collects
+        the info flag of the K p = b solve and the matvecs of both."""
         n = self.n
         if g2 == 0.0:
             return b, self._trap_indicator if slope else None
         pops, stats["info"], count = _restarted_gmres(
-            self._population_matvec(a, g2), b.reshape(n).real.copy(),
+            self._population_matvec(a, g2), b.reshape(n),
             self._warm if initial else None, self.GMRES_RESTART,
             self.GMRES_MAXITER)
         stats["matvecs"] += count
-        pops = pops.astype(complex).reshape(b.shape)
+        pops = pops.reshape(b.shape)
         if not slope:
             return pops, None
         adjoint, info, count = _restarted_gmres(
-            self._population_matvec(a, g2, True), self._trap_indicator.real,
+            self._population_matvec(a, g2, True), self._trap_indicator,
             None, self.GMRES_RESTART, self.GMRES_MAXITER)
         stats["matvecs"] += count
         return pops, (adjoint if info == 0 else np.full(n, math.nan)
-                      ).astype(complex).reshape(b.shape)
+                      ).reshape(b.shape)
 
     def _population_matvec(self, a, g2, transpose=False):
         """p -> (I + 2*gamma*M) p for a real vector p and the one cell of
@@ -898,24 +892,22 @@ class EigenbasisSteadySolver:
         return matvec
 
     def _branching(self, pops, a):
-        """(eta, eta_loss), still complex, from the populations pops,
-        (cells, k, n) or one cell's (n,), of the cells of the arrays a."""
+        """(eta, eta_loss) from the real populations pops, (cells, k, n) or
+        one cell's (n,), of the cells of the arrays a."""
         return (a.two_kappa * pops[..., self.tidx].sum(axis=-1),
                 a.two_mu * pops.sum(axis=-1))
 
     def _certify(self, xs, pops, g2, a, rhs, bnorm):
         """(eta, eta_loss, residual, certified) of the answers xs (step 2
         of the point path): the residual of the full generator relative to
-        bnorm = |rhs|, and the acceptance rule at RESID_TARGET."""
+        bnorm = |rhs|, certified within RESID_TARGET."""
         r = _generator(xs, g2, a.mh, a.mhd)
         r -= rhs
         r = r.view(float)  # real and imaginary parts, interleaved
         resid = np.sqrt((r * r).sum(axis=-1))
         if bnorm != 1.0:
             resid /= bnorm
-        eta, eta_loss = self._branching(pops, a)
-        return eta, eta_loss, resid, _accepted(resid, eta, eta_loss,
-                                               RESID_TARGET)
+        return (*self._branching(pops, a), resid, resid <= RESID_TARGET)
 
     def _singular(self, k, gamma, message):
         """SingularSystemError of cell k at gamma, with the dark-state hint
@@ -925,14 +917,13 @@ class EigenbasisSteadySolver:
                         "evaluate at mu = 1e-8 for the mu -> 0+ limit")
         return SingularSystemError(f"gamma={gamma:g}: {message}")
 
-    def _full_solve(self, a, g2, rhs, bnorm, v, resid, stats, accept,
-                    lu=None):
+    def _full_solve(self, a, g2, rhs, bnorm, v, resid, stats, lu=None):
         """(v, residual, lu) with L v = rhs on the one cell of the arrays
         a by the fallback chain, from the answer v of residual resid:
         extended-precision refinement when resid is above RESID_TARGET and
-        no sparse LU lu of L is given, kept where accept(v, residual)
-        holds; else the refined solve by lu, factored here when None
-        (RuntimeError where L cannot be).  lu is None where the
+        no sparse LU lu of L is given, kept where its residual is within
+        RESID_ACCEPT; else the refined solve by lu, factored here when
+        None (RuntimeError where L cannot be).  lu is None where the
         refinement was kept."""
         mh, mhd = (m.astype(np.clongdouble) for m in (a.mh, a.mhd))
 
@@ -944,7 +935,7 @@ class EigenbasisSteadySolver:
 
         if lu is None and resid > RESID_TARGET:
             v, resid = _refine(apply_ld, solve, v, rhs, bnorm)
-            if accept(v, resid):
+            if resid <= RESID_ACCEPT:
                 return v, resid, None
         if lu is None:
             lu = spla.splu(_sparse_generator(a.mh[0], a.mhd[0], g2).tocsc())
@@ -954,33 +945,22 @@ class EigenbasisSteadySolver:
         """(eta, eta_loss, residual, X, route, lu) of cell k at gamma from
         the fallback chain (step 3 of the point path, _full_solve), on the
         cell's own arrays, from its rejected answer x (flattened) of
-        residual resid, accepted by the acceptance rule at RESID_ACCEPT;
-        lu as _full_solve returns it."""
-        n = self.n
+        residual resid, accepted within RESID_ACCEPT; lu as _full_solve
+        returns it.  X is complex, and its residual bounds the imaginary
+        parts of the populations, which are dropped."""
         a = self._select(slice(k, k + 1))
-
-        def branching(v):
-            return [u.item() for u in self._branching(v[::n + 1], a)]
-
         try:
-            x, resid, lu = self._full_solve(
-                a, 2.0 * gamma, rhs, bnorm, x, resid, stats,
-                lambda v, r: _accepted(r, *branching(v), RESID_ACCEPT))
+            x, resid, lu = self._full_solve(a, 2.0 * gamma, rhs, bnorm, x,
+                                            resid, stats)
         except RuntimeError as exc:
             raise self._singular(
                 k, gamma, f"sparse fallback failed: {exc}") from exc
-        eta, eta_loss = branching(x)
-        if lu is not None and not _accepted(resid, eta, eta_loss,
-                                            RESID_ACCEPT):
-            what, v = (("trapped", eta) if abs(eta.imag) > REAL_TOL
-                       else ("lost", eta_loss))
-            raise self._singular(k, gamma, (
-                f"residual {resid:.2e} after sparse fallback"
-                if not resid <= RESID_ACCEPT else
-                f"{what} probability has imaginary part {v.imag:.3e}; "
-                "the solve is not trustworthy"))
+        if lu is not None and not resid <= RESID_ACCEPT:
+            raise self._singular(
+                k, gamma, f"residual {resid:.2e} after sparse fallback")
+        eta, eta_loss = self._branching(x[::self.n + 1].real, a)
         route = "direct-eigenbasis" if lu is None else "direct-sparse"
-        return eta.real, eta_loss.real, resid, x, route, lu
+        return eta.item(), eta_loss.item(), resid, x, route, lu
 
     def _full_slopes(self, k, gamma, x, lu, stats):
         """(d trap/d gamma, d trap/d(kappa, mu)) of cell k at gamma, at its
@@ -998,13 +978,13 @@ class EigenbasisSteadySolver:
             w, resid, _ = self._full_solve(
                 self._select(slice(k, k + 1)), 2.0 * gamma, t,
                 math.sqrt(self.tidx.size), np.zeros_like(t), math.inf, stats,
-                lambda v, r: r <= RESID_ACCEPT, lu)
+                lu)
         except RuntimeError:
             resid = math.nan
         if not resid <= RESID_ACCEPT:
             return math.nan, np.full(2, math.nan)
-        wx = (w * x).reshape(n, n)
-        traps = self._trap_indicator.real
+        wx = (w * x).real.reshape(n, n)  # a real sum: w and X Hermitian
+        traps = self._trap_indicator
         return 2.0 * (wx.sum() - wx.trace()), np.array(
             [(wx * (traps[:, None] + traps)).sum(), 2.0 * wx.sum()])
 
@@ -1029,7 +1009,6 @@ class EigenbasisSteadySolver:
                                                    rates)
             eta, eta_loss, resid, certified = self._certify(
                 xs, pops, g2, a, rhs, bnorm)
-        eta, eta_loss = eta.real, eta_loss.real
         redone, to_slope = [], []
         for i, j in [] if certified.all() else np.argwhere(~certified):
             k, gamma = int(ids[i]), float(gammas[i, j])
@@ -1039,7 +1018,7 @@ class EigenbasisSteadySolver:
                     (eta[i, j], eta_loss[i, j], resid[i, j], x, route,
                      lu) = self._fall_back(k, gamma, xs[i, j], resid[i, j],
                                            rhs, bnorm, stats)
-                    pops[i, j] = x[::n + 1]
+                    pops[i, j] = x[::n + 1].real
                     self._record(gamma, route, stats)
                     to_slope.append((i, j, x, lu))
                 except SingularSystemError as err:
@@ -1048,7 +1027,7 @@ class EigenbasisSteadySolver:
         if self.kernel == "gmres" and rhs is self._rhs0:
             # the one write of the warm start, at the point's final
             # populations: the gamma = 0 point never reaches _gmres
-            self._warm = pops[0, -1].real
+            self._warm = pops[0, -1]
         if slope and self.kernel == "gmres":  # an adjoint not converged
             to_slope += [(i, j, xs[i, j], None)
                          for i, j in np.argwhere(certified & np.isnan(dtrap))]
@@ -1061,26 +1040,22 @@ class EigenbasisSteadySolver:
                     dtrap[i, j] = dt
                 if rates:
                     drates[i, j] = dr
-        slopes = gammas * a.two_kappa * dtrap.real if slope else None
+        slopes = gammas * a.two_kappa * dtrap if slope else None
         rslopes = None
         if rates:
             # d eta/d log kappa = eta + kappa 2 kappa d trap/d kappa and
             # d eta/d log mu = mu 2 kappa d trap/d mu
-            rslopes = (0.5 * a.two_kappa[..., None] * drates.real
+            rslopes = (0.5 * a.two_kappa[..., None] * drates
                        * np.stack([a.two_kappa, a.two_mu], axis=-1))
             rslopes[..., 0] += eta[:, :rslopes.shape[1]]
-        if len(redone) < gammas.size:
-            if gammas.size == 1:
-                self._record(gammas.item(), "direct-eigenbasis", stats)
-            else:
-                self.routes["direct-eigenbasis"] += gammas.size - len(redone)
+        if gammas.size == 1 and not redone:  # None: its cell had failed
+            self._record(gammas.item(), None if int(ids[0]) in self.failed
+                         else "direct-eigenbasis", stats)
         self.matvecs += stats["matvecs"]
         return eta, eta_loss, resid, redone, slopes, rslopes
 
     def _record(self, gamma, route, stats):
-        """Count a point solved alone in routes and leave its DEBUG
-        record."""
-        self.routes[route] += 1
+        """Leave the DEBUG record of a point solved alone."""
         _log.debug("eigenbasis solve n=%d gamma=%g gmres_info=%s matvecs=%d "
                    "route=%s kernel=%s", self.n, gamma, stats["info"],
                    stats["matvecs"], route, self.kernel)
@@ -1089,8 +1064,9 @@ class EigenbasisSteadySolver:
         """The one point path: (eta, eta_loss, residual, (i, j, route) of
         the redone points, slopes, rate slopes) at the rates gammas[i, j]
         of cell ids[i] (an index array) from rho0 (the initial site when
-        None, else as_density_vec's vector), NaN for a failed cell.  The
-        populations stay in _batch (the warm start).  slopes holds
+        None, else as_density_vec's vector), NaN, and route None, for a
+        cell failed by the end of the call; the other points are counted
+        in `routes`.  The populations stay in _batch (the warm start).  slopes holds
         d eta/d log gamma with `slope`, else it is None.  Rate slopes hold
         d eta/d log(kappa, mu) with `rates`, else None: at every point
         with `slope`, shape (rows, k, 2), and without it at gammas[:, 0],
@@ -1132,20 +1108,28 @@ class EigenbasisSteadySolver:
             [None if v[0] is None else np.concatenate(
                 [u.reshape((-1,) + u.shape[2:]) for u in v if u is not None]
             ).reshape((rows, -1) + v[0].shape[2:]) for v in zip(*parts)])
+        kept = rows * k  # the points of cells that have not failed
         if self.failed:
             lost = np.isin(ids, list(self.failed))
             eta[lost] = eta_loss[lost] = math.nan
             for v in (slopes, rslopes):
                 if v is not None:
                     v[lost] = math.nan
+            redone = [(i, j, None if lost[i] else route)
+                      for i, j, route in redone]
+            kept -= k * int(lost.sum())
+        routes = [route for *_, route in redone if route is not None]
+        self.routes.update(routes)
+        if kept > len(routes):
+            self.routes["direct-eigenbasis"] += kept - len(routes)
         return eta, eta_loss, resid, redone, slopes, rslopes
 
-    @staticmethod
-    def _report(out):
-        """(eta, eta_loss, residual, methods) of row 0 of the _points
-        result out; a method is None where the cell failed."""
+    def _report(self, out):
+        """(eta, eta_loss, residual, methods) of row 0, cell 0's, of the
+        _points result out; every method is None where cell 0 failed."""
         eta, eta_loss, resid, redone = out[:4]
-        methods = ["direct-eigenbasis"] * eta.shape[1]
+        methods = [None if 0 in self.failed else "direct-eigenbasis"
+                   ] * eta.shape[1]
         for i, j, route in redone:
             if i == 0:
                 methods[j] = route

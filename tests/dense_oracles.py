@@ -23,9 +23,10 @@ from enaqt import (
     population_index,
     site_density,
 )
-from enaqt.solver import REAL_TOL, RESID_ACCEPT, RESID_TARGET, _refine
+from enaqt.solver import RESID_ACCEPT, RESID_TARGET, _refine
 
 RCOND_FLOOR = 1e-12   # reciprocal condition estimate below which we refuse
+REAL_TOL = 1e-10      # imaginary part of a probability above which we refuse
 
 
 def dense_generator(spec: SystemSpec) -> np.ndarray:

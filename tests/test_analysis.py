@@ -29,9 +29,11 @@ from enaqt import (
     optimize_dephasing,
     plane_sweep,
     semi_infinite_spec,
+    state_density,
     symmetry_split,
 )
 from enaqt import analysis
+import enaqt.solver as solver_module
 from dense_oracles import dense_lu_branching, sparse_lu_branching
 
 FIG1B = SystemSpec("chain", 3, (0,), 1, kappa=0.1, mu=0.01, gamma=0.0)
@@ -411,6 +413,27 @@ class TestSymmetrySplit:
             eta_s, eta_a = symmetry_split(spec)
             assert abs(eta_a) < 1e-3
             assert 0.5 * (eta_s + eta_a) == pytest.approx(0.5, abs=1e-3)
+
+    @pytest.mark.parametrize("n, gamma", [(7, 0.7), (41, 0.3)])
+    def test_one_solver_for_both_sectors(self, monkeypatch, n, gamma):
+        # one eigendecomposition for the two sectors, and for each the eta
+        # that efficiency_direct gives, bit for bit
+        spec = SystemSpec("chain", n, (n // 2,), 1, 0.3, 0.05, gamma)
+        want = []
+        for sign in (1.0, -1.0):
+            psi = np.zeros(n, dtype=complex)
+            psi[[1, n - 2]] = 1.0, sign
+            want.append(efficiency_direct(
+                spec, rho0=state_density(psi)).eta)
+        eig, calls = solver_module._eig, []
+
+        def counting(*args):
+            calls.append(args)
+            return eig(*args)
+
+        monkeypatch.setattr(solver_module, "_eig", counting)
+        assert symmetry_split(spec) == tuple(want)
+        assert len(calls) == 1
 
     def test_dephasing_recovers_dark_half(self):
         spec = SystemSpec("chain", 3, (1,), 0, 1.0, 1e-6, 1.0)
@@ -1058,7 +1081,6 @@ class TestCellStacks:
                             mu_grid=self.MUS)
         bad_kappa = self.KAPPAS[2]
         certify = EigenbasisSteadySolver._certify
-        branching = EigenbasisSteadySolver._branching
 
         def uncertified(self, xs, pops, g2, a, rhs, bnorm):
             # every point of the cells at bad_kappa fails its batch checks
@@ -1067,13 +1089,12 @@ class TestCellStacks:
             hit = a.two_kappa == 2.0 * bad_kappa  # shape (cells, 1)
             return eta, eta_loss, resid, certified & ~hit
 
-        def leaky(self, pops, a):
-            # every answer for a cell at bad_kappa leaks
-            eta, eta_loss = branching(self, pops, a)
-            return eta, eta_loss + 1e-9j * (a.two_kappa == 2.0 * bad_kappa)
+        def failing_splu(matrix):
+            # the sparse LU of their fallback chain cannot be factored
+            raise RuntimeError("factor is exactly singular")
 
         monkeypatch.setattr(EigenbasisSteadySolver, "_certify", uncertified)
-        monkeypatch.setattr(EigenbasisSteadySolver, "_branching", leaky)
+        monkeypatch.setattr("enaqt.solver.spla.splu", failing_splu)
         pm = plane_sweep("chain", 4, 1, 3, kappa_grid=self.KAPPAS,
                          mu_grid=self.MUS)
         assert sorted(pm.errors) == [(2, j) for j in range(len(self.MUS))]

@@ -516,22 +516,21 @@ def test_gmres_converges_at_strong_dephasing(caplog):
     assert rep.method == route
 
 
-def test_leakage_sends_the_solve_to_sparse_lu(caplog, monkeypatch):
-    # a solve with a certified residual but imaginary leakage above
-    # REAL_TOL must not be rejected outright: the sparse LU redoes it
-    spec = SystemSpec("chain", 24, (0,), 1, 3.0, 0.1, 0.5)
-    branching = EigenbasisSteadySolver._branching
-    calls = []
-
-    def leaky(self, pops, a):
-        eta, eta_loss = branching(self, pops, a)
-        calls.append(eta_loss)
-        return eta, eta_loss + (1e-9j if len(calls) == 1 else 0.0)
-
-    monkeypatch.setattr(EigenbasisSteadySolver, "_branching", leaky)
+@pytest.mark.parametrize("spec, step, identity", [
+    (SystemSpec("chain", 24, (0,), 1, 3.0, 0.1, 0.5), "_assemble",
+     lambda self, a, ratio: np.broadcast_to(
+         np.eye(self.n), ratio.shape[:-1] + (self.n, self.n))),
+    (SystemSpec("ring", DIRECT_MAX_N + 1, (0,), 7, 1.0, 0.1, 3.0),
+     "_population_matvec", lambda self, a, g2: lambda p: p),
+], ids=["map-free", "gmres"])
+def test_failed_residual_sends_the_solve_to_sparse_lu(caplog, monkeypatch,
+                                                      spec, step, identity):
+    # the patched step makes K the identity in the kernel's solve and in
+    # its refinement steps: the residual rejects both, and the sparse LU
+    # redoes the point
+    monkeypatch.setattr(EigenbasisSteadySolver, step, identity)
     with caplog.at_level(logging.DEBUG, logger="enaqt"):
         rep = efficiency_direct(spec)
-    assert len(calls) == 2
     assert rep.method == "direct-sparse"
     assert _solve_records(caplog)[0][4] == "direct-sparse"
     eta, eta_loss = _sparse_lu_branching(spec)
@@ -539,27 +538,24 @@ def test_leakage_sends_the_solve_to_sparse_lu(caplog, monkeypatch):
     assert rep.eta_loss == pytest.approx(eta_loss, abs=1e-12)
 
 
-def test_failed_residual_sends_the_solve_to_sparse_lu(monkeypatch):
-    # GMRES route: the patched matvec is the operator it solves with
-    spec = SystemSpec("ring", DIRECT_MAX_N + 1, (0,), 7, 1.0, 0.1, 3.0)
-    monkeypatch.setattr(EigenbasisSteadySolver, "_population_matvec",
-                        lambda self, a, g2: lambda p: p)
-    rep = efficiency_direct(spec)
-    assert rep.method == "direct-sparse"
-    assert rep.eta == pytest.approx(_sparse_lu_branching(spec)[0],
-                                    abs=1e-12)
+class _WrongLU:
+    """A sparse LU whose every solve answers zero."""
+
+    def __init__(self, matrix):
+        pass
+
+    def solve(self, rhs):
+        return np.zeros_like(rhs)
 
 
-def test_leakage_after_fallback_raises(monkeypatch):
+def test_wrong_sparse_lu_answer_raises(monkeypatch):
+    # the residual after the sparse fallback is the one check of its
+    # answer: a wrong one (here zero, of residual 1) fails the point
     spec = SystemSpec("chain", 24, (0,), 1, 3.0, 0.1, 0.5)
-    branching = EigenbasisSteadySolver._branching
-
-    def leaky(self, pops, a):
-        eta, eta_loss = branching(self, pops, a)
-        return eta, eta_loss + 1e-9j
-
-    monkeypatch.setattr(EigenbasisSteadySolver, "_branching", leaky)
-    with pytest.raises(SingularSystemError, match="imaginary part"):
+    _fail_direct_solve_at(monkeypatch, 0.5)
+    monkeypatch.setattr("enaqt.solver.spla.splu", _WrongLU)
+    with pytest.raises(SingularSystemError, match=(
+            r"^gamma=0\.5: residual 1\.00e\+00 after sparse fallback$")):
         efficiency_direct(spec)
 
 
@@ -659,24 +655,12 @@ def _fail_direct_solve_at(monkeypatch, gamma, resid=None):
 def test_grid_redoes_only_the_failed_point(monkeypatch, caplog):
     spec = SystemSpec("ring", 6, (0,), 2, 0.4, 0.02, 0.0)
     gammas = [0.0, 0.1, 0.3, 3.0]
+    # the failed point's residual is certified in truth, so the fallback
+    # chain skips the refinement and ends it on the sparse LU
     _fail_direct_solve_at(monkeypatch, 0.3)
-    # the failed point's own first answer leaks too, so it ends on the
-    # sparse LU
-    branching = EigenbasisSteadySolver._branching
-    calls = []
-
-    def leaky(self, pops, a):
-        eta, eta_loss = branching(self, pops, a)
-        calls.append(eta_loss)
-        if len(calls) == 1:
-            eta_loss = eta_loss + 1e-9j * (np.asarray(gammas) == 0.3)
-        return eta, eta_loss
-
-    monkeypatch.setattr(EigenbasisSteadySolver, "_branching", leaky)
     solver = EigenbasisSteadySolver(spec)
     with caplog.at_level(logging.DEBUG, logger="enaqt"):
         (etas,) = solver.eta_grid(gammas)
-    assert len(calls) == 2
     assert solver.routes == {"direct-eigenbasis": 3, "direct-sparse": 1}
     ((n, points, max_resid, redone),) = _batch_records(caplog)
     assert (n, points, redone) == (6, 4, 1)
@@ -689,33 +673,37 @@ def test_grid_redoes_only_the_failed_point(monkeypatch, caplog):
 _FAILING = SystemSpec("chain", 5, (0,), 3, 0.4, 0.02, 0.0)
 
 
+def _failing_splu(matrix):
+    raise RuntimeError("factor is exactly singular")
+
+
 def _fail_the_fallback_at(monkeypatch, gamma):
-    """Make the point at gamma fail certification and every fallback."""
+    """Make the point at gamma fail certification, and the sparse LU that
+    its fallback chain then factors raise."""
     _fail_direct_solve_at(monkeypatch, gamma)
-    branching = EigenbasisSteadySolver._branching
-
-    def leaky(self, pops, a):
-        # every answer of a point solved alone leaks
-        eta, eta_loss = branching(self, pops, a)
-        return eta, eta_loss + (1e-9j if pops.size == self.n else 0.0)
-
-    monkeypatch.setattr(EigenbasisSteadySolver, "_branching", leaky)
+    monkeypatch.setattr("enaqt.solver.spla.splu", _failing_splu)
 
 
-def test_grid_point_failing_the_fallback_names_its_gamma(monkeypatch):
+def test_grid_point_failing_the_fallback_names_its_gamma(monkeypatch,
+                                                         caplog):
     # the solver records the error under its cell, and that cell answers
-    # NaN from then on
+    # NaN, with method None, from then on; routes counts none of its
+    # points, also those certified in the call in which it failed
     _fail_the_fallback_at(monkeypatch, 0.3)
     solver = EigenbasisSteadySolver(_FAILING)
     etas = solver.eta_grid([0.1, 0.3, 3.0])
     assert etas.shape == (1, 3) and np.isnan(etas).all()
     assert list(solver.failed) == [0]
     with pytest.raises(SingularSystemError,
-                       match=r"gamma=0\.3: lost probability has imaginary"):
+                       match=r"gamma=0\.3: sparse fallback failed"):
         raise solver.failed[0]
     assert math.isnan(solver.eta(0.1))
-    eta, eta_loss, _, method = solver.efficiency(3.0)
+    with caplog.at_level(logging.DEBUG, logger="enaqt"):
+        eta, eta_loss, _, method = solver.efficiency(3.0)
     assert math.isnan(eta) and math.isnan(eta_loss) and method is None
+    assert _solve_records(caplog)[-1][4] is None
+    assert solver.efficiencies([0.1, 3.0])[3] == [None, None]
+    assert solver.routes == Counter()
 
 
 @pytest.mark.parametrize("call", [
@@ -725,7 +713,7 @@ def test_grid_point_failing_the_fallback_names_its_gamma(monkeypatch):
 def test_one_spec_callers_raise_the_failed_point(monkeypatch, call):
     _fail_the_fallback_at(monkeypatch, 0.3)
     with pytest.raises(SingularSystemError,
-                       match=r"gamma=0\.3: lost probability has imaginary"):
+                       match=r"gamma=0\.3: sparse fallback failed"):
         call()
 
 
@@ -737,7 +725,7 @@ def test_cli_curve_exits_3_on_the_failed_point(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
     assert captured.err.startswith(
-        "solver error: gamma=0.3: lost probability has imaginary")
+        "solver error: gamma=0.3: sparse fallback failed")
 
 
 @pytest.mark.parametrize("gamma", [-0.3, np.nan, np.inf])
@@ -971,7 +959,8 @@ def test_map_free_steps_match_the_maps(n, monkeypatch):
     kmat = maps._assemble(maps._all, ratio)
     np.testing.assert_allclose(free._assemble(free._all, ratio), kmat,
                                rtol=0, atol=1e-13)
-    assert np.array_equal(kmat.reshape(1, 3, -1), ratio @ maps._all.kmap)
+    assert np.array_equal(kmat.reshape(1, 3, -1),
+                          (ratio @ maps._all.kmap).real)
     for step, arg in (("_diag", y), ("_sandwich", pops)):
         want = getattr(maps, step)(maps._all, arg)
         got = getattr(free, step)(free._all, arg)
@@ -1373,6 +1362,43 @@ def test_gmres_refinement_steps_run_in_real_arithmetic(monkeypatch):
     eta, eta_loss = dense_lu_branching(spec)
     assert rep.eta == pytest.approx(eta, abs=1e-10)
     assert rep.eta_loss == pytest.approx(eta_loss, abs=1e-10)
+
+
+@pytest.mark.parametrize("n, entries", [
+    (5, {"dgetrf", "dgetrs", "solve"}),
+    (24, {"dgetrf", "dgetrs"}),
+    (40, {"_restarted_gmres"}),
+], ids=["maps", "map-free", "gmres"])
+def test_population_system_reaches_the_solve_in_float64(monkeypatch, n,
+                                                        entries):
+    # K, b, the populations p and the adjoint w are real on every kernel:
+    # every floating array that enters or leaves the population solve (one
+    # point, a stacked grid, or GMRES) is float64
+    solver = EigenbasisSteadySolver(SystemSpec("chain", n, (0,), 1, 3.0,
+                                               0.1, 0.0))
+    seen = {}
+
+    def recording(name, solve):
+        def recorded(*args, **kwargs):
+            out = solve(*args, **kwargs)
+            seen.setdefault(name, set()).update(
+                v.dtype for v in args + (out if isinstance(out, tuple)
+                                         else (out,))
+                if isinstance(v, np.ndarray)
+                and np.issubdtype(v.dtype, np.inexact))
+            return out
+
+        return recorded
+
+    for owner, name in ((sla.lapack, "dgetrf"), (sla.lapack, "dgetrs"),
+                        (np.linalg, "solve"),
+                        (solver_module, "_restarted_gmres")):
+        monkeypatch.setattr(owner, name, recording(name,
+                                                   getattr(owner, name)))
+    solver.eta(0.3, slope=True)
+    solver.eta(np.array([0.3, 3.0]), slope=True)
+    assert set(seen) == entries
+    assert set().union(*seen.values()) == {np.dtype(float)}
 
 
 def _random_system(n, seed):
