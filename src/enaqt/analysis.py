@@ -11,10 +11,10 @@ truncated realization of the half-infinite chain.
 
 Site labels in this module are 1-based (sites 1..N, the trap at tau, the
 mirror of m at N+1-m); everything below translates to the 0-based model
-layer.  Dephasing optimization searches gamma in [0, 1e4]: a 64-point log
-grid plus the gamma = 0 endpoint, refined in log space by a safeguarded
-secant search on the slope d eta/d log gamma, which the solver returns
-beside each certified eta.
+layer.  Dephasing optimization searches gamma in [0, 1e4]: a 16-point log
+grid (GRID_POINTS) plus the gamma = 0 endpoint, each grid-local maximum
+refined in log space by a safeguarded secant search on the slope
+d eta/d log gamma, which the solver returns beside each certified eta.
 
 Every dephasing optimization, whether of one system (optimize_dephasing),
 of the cells of a plane sweep, of max_enaqt's ranking grid and seeds, or
@@ -23,13 +23,14 @@ stack, an EigenbasisSteadySolver built from one geometry spec and the
 arrays of up to solver._stack_size(n) kappas and mus (no spec per cell):
 one batched scan of the gamma grid for all cells, then one elementwise
 search (_maximize, the only maximizer here: a secant search on the slope
-with bisection) that refines every cell in lockstep, with one batched
-solve per step.  The solver gives a slope at every certified point, on
-every route.  max_enaqt's kappa and mu sweeps run on _maximize too:
-_scan_refine gives their slopes d xi/d log kappa and d xi/d log mu by
-the envelope theorem, from the solves it makes anyway, and a seed whose
-xi is 0 at both first points of a sweep leaves the lockstep (see
-max_enaqt).  How many cells a stack holds is the solver's choice.
+with bisection) that refines every grid-local maximum of every cell in
+lockstep, with one batched solve per step.  The solver gives a slope at
+every certified point, on every route.  max_enaqt's kappa and mu sweeps
+run on _maximize too: _scan_refine gives their slopes d xi/d log kappa
+and d xi/d log mu by the envelope theorem, from the solves it makes
+anyway, and a seed whose xi is 0 at both first points of a sweep leaves
+the lockstep (see max_enaqt).  How many cells a stack holds is the
+solver's choice.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ MU_CUTOFF_INFINITE = 0.1
 TRUNCATION_TOL = 1e-4
 SITE_CAP_INFINITE = 4096
 START_SITES = 4      # each side of the first semi-infinite truncation
-GRID_POINTS = 64     # log-spaced gamma grid of an optimization
+GRID_POINTS = 16     # log-spaced gamma grid of an optimization
 REFINE_TOL = 1e-4    # final bracket of an optimization, in log gamma
 PLANE_POINTS = 13    # max_enaqt's ranking grid, points per rate axis
 PLANE_SWEEPS = 3     # max_enaqt's coordinate sweeps per seed
@@ -425,27 +426,33 @@ def _maximize(f, a, b, tol, stats=None):
 def _scan_refine(solver, grid_points, refine_tol, rates=False):
     """optimize_dephasing for every cell of the stack `solver`: one
     batched scan of the grid, then one refinement (_maximize on eta and
-    its slope d eta/d log gamma) of all cells whose best grid point is not
-    gamma = 0, in lockstep, and one certified solve at the gammas found.
+    its slope d eta/d log gamma) of every grid-local maximum of every
+    cell, all in lockstep, and one certified solve at the gammas found.
 
-    gammas[0] is the no-dephasing endpoint; a cell's refinement runs in
-    log gamma over the neighbours of its best grid point.  A gain counts
-    only above rounding: unless eta_max - eta0 > 1e-12, the cell reports
-    xi = 0 and gamma_opt = 0 (rounding in eta scales with
-    eta + eta_loss = 1, not with eta).  Returns the pair (entries,
-    xi_slopes) whatever `rates`.  entries holds one entry per cell: its
-    EnaqtResult, or the SingularSystemError of a solve that failed.
-    xi_slopes is None without `rates`, and with it d xi/d log(kappa, mu),
-    shape (cells, 2): by the envelope theorem, d eta/d log rate at
-    gamma_opt (from the certifying solve) less d eta/d log rate at
-    gamma = 0 (from the scan's gamma = 0 column), NaN where xi = 0 or a
-    rate slope is missing, as at a failed cell (see
-    EigenbasisSteadySolver.eta).  The
-    callers build their stacks in cells of solver._stack_size(n), which
-    knows the memory of a cell.  Leaves one DEBUG record: the cells
-    refined, the refinement's steps and bisection steps, and the largest
-    |d eta/d log gamma| at the gammas found (near 0 at an interior
-    optimum).
+    gammas[0] is the no-dephasing endpoint.  A grid point j >= 1 is a
+    local maximum when eta[j] >= eta[j-1] and eta[j] > eta[j+1], the last
+    point when it rises, whether or not it beats gamma = 0: a narrow peak
+    can rise above eta0 between samples that all stay below it.  A
+    maximum whose rise and fall are both at most 1e-12 is rounding and
+    gets no bracket; a cell's best grid point keeps its bracket whenever
+    it is not gamma = 0.  Each bracket runs in log gamma over the
+    neighbours of its grid point, and each cell reports the best of its
+    brackets' certified answers.  A gain counts only above rounding:
+    unless eta_max - eta0 > 1e-12, the cell reports xi = 0 and
+    gamma_opt = 0 (rounding in eta scales with eta + eta_loss = 1, not
+    with eta).  Returns the pair (entries, xi_slopes) whatever `rates`.
+    entries holds one entry per cell: its EnaqtResult, or the
+    SingularSystemError of a solve that failed.  xi_slopes is None
+    without `rates`, and with it d xi/d log(kappa, mu), shape (cells, 2):
+    by the envelope theorem, d eta/d log rate at gamma_opt (from the
+    certifying solve) less d eta/d log rate at gamma = 0 (from the scan's
+    gamma = 0 column), NaN where xi = 0 or a rate slope is missing, as at
+    a failed cell (see EigenbasisSteadySolver.eta).  The callers build
+    their stacks in cells of solver._stack_size(n), which knows the
+    memory of a cell.  Leaves one DEBUG record: the cells refined, the
+    brackets refined, the refinement's steps and bisection steps, and the
+    largest |d eta/d log gamma| at the gammas the cells keep (near 0 at
+    an interior optimum).
     """
     gammas = np.concatenate([[0.0], np.geomspace(*GAMMA_BOUNDS, grid_points)])
     etas, zero = (solver.eta_grid(gammas, _rates=True) if rates
@@ -453,29 +460,46 @@ def _scan_refine(solver, grid_points, refine_tol, rates=False):
     eta0 = etas[:, 0]
     results = [EnaqtResult(float(e), float(e), 0.0, 0.0) for e in eta0]
     xi_slopes = np.full((solver.cells, 2), math.nan) if rates else None
+    last = gammas.size - 1
+    # rise and fall of every grid point j >= 1 (column j - 1); the last
+    # point has no fall
+    rise = np.diff(etas, axis=1)
+    fall = np.zeros_like(rise)
+    fall[:, :-1] = -rise[:, 1:]
+    peak = (rise >= 0.0) & (fall > 0.0)
+    peak[:, -1] = rise[:, -1] >= 0.0
+    peak &= np.maximum(rise, fall) > 1e-12
     best = np.argmax(etas, axis=1)
-    go = np.flatnonzero(best > 0)
+    peak[best > 0, best[best > 0] - 1] = True
+    cell, point = np.nonzero(peak)
+    point += 1
     stats = {"steps": 0, "bisections": 0}
     largest = 0.0
-    if go.size:
-        last = gammas.size - 1
+    if cell.size:
         x = _maximize(
-            lambda x, sel: solver.eta(_exp(x), go[sel], slope=True),
-            _log(gammas[np.maximum(best[go] - 1, 1)]),
-            _log(gammas[np.minimum(best[go] + 1, last)]), refine_tol, stats)
+            lambda x, sel: solver.eta(_exp(x), cell[sel], slope=True),
+            _log(gammas[np.maximum(point - 1, 1)]),
+            _log(gammas[np.minimum(point + 1, last)]), refine_tol, stats)
         g_best = _exp(x)
-        final, slopes, *at_opt = solver.eta(g_best, go, slope=True,
+        final, slopes, *at_opt = solver.eta(g_best, cell, slope=True,
                                             _rates=rates)
-        largest = float(np.nanmax(np.abs(slopes), initial=0.0))
-        for i, (k, g, e) in enumerate(zip(go, g_best, final)):
+        kept = {}  # cell -> its best bracket, the first of equal answers
+        for i, k in enumerate(cell.tolist()):
+            if k not in kept or final[i] > final[kept[k]]:
+                kept[k] = i
+        at = list(kept.values())
+        largest = float(np.nanmax(np.abs(slopes[at]), initial=0.0))
+        for k, i in kept.items():
+            g, e = g_best[i], final[i]
             if e - eta0[k] > 1e-12:
                 results[k] = EnaqtResult(float(eta0[k]), float(e), float(g),
                                          float(e - eta0[k]))
                 if rates:
                     xi_slopes[k] = at_opt[0][i] - zero[k]
-    _logger.debug("scan_refine n=%d cells=%d refined=%d steps=%d "
-                  "bisections=%d max_abs_slope=%.2e", solver.n, solver.cells,
-                  go.size, stats["steps"], stats["bisections"], largest)
+    _logger.debug("scan_refine n=%d cells=%d refined=%d brackets=%d "
+                  "steps=%d bisections=%d max_abs_slope=%.2e", solver.n,
+                  solver.cells, np.unique(cell).size, cell.size,
+                  stats["steps"], stats["bisections"], largest)
     return [solver.failed.get(k, res)
             for k, res in enumerate(results)], xi_slopes
 
@@ -522,17 +546,17 @@ def optimize_dephasing(spec: SystemSpec) -> EnaqtResult:
     """Maximize eta over gamma in [0, 1e4] for fixed (kappa, mu).
 
     The gamma = 0 endpoint is always evaluated with the grid of
-    GRID_POINTS log-spaced rates; when no interior point beats it the
-    result reports gamma_opt = 0 and xi = 0.  Otherwise a safeguarded
-    secant search on d eta/d log gamma, in log gamma between the
-    neighbours of the best grid point, to a bracket of REFINE_TOL, gives
-    gamma_opt, where eta_max is certified by one more solve; a gain of
-    at most 1e-12 is rounding, and reported as gamma_opt = 0 and xi = 0
-    too.  spec's own gamma field is ignored.  The system is a
-    cell stack of one (see the module docstring): one eigendecomposition
-    of H serves the endpoint, the grid (one batched solve for small
-    systems) and the refinement, whose steps are single LAPACK solves of
-    eta and its slope.
+    GRID_POINTS log-spaced rates.  Every grid-local maximum (see
+    _scan_refine), whether or not it beats gamma = 0, is refined by a
+    safeguarded secant search on d eta/d log gamma, in log gamma between
+    its neighbours, to a bracket of REFINE_TOL, and eta_max is certified
+    at the gammas found by one more solve.  gamma_opt is the best of
+    them; when none beats gamma = 0 by more than 1e-12 (rounding), the
+    result reports gamma_opt = 0 and xi = 0.  spec's own gamma field is
+    ignored.  The system is a cell stack of one (see the module
+    docstring): one eigendecomposition of H serves the endpoint, the grid
+    (one batched solve for small systems) and the refinement, whose steps
+    solve eta and its slope at one point of every bracket at once.
 
     Raises ValidationError for rates that are not finite and > 0, and
     SingularSystemError, with its gamma named, for a solve that fails its
@@ -556,9 +580,9 @@ def max_enaqt(topology, n: int, trap_site: int,
     optimizer, so the reported xi carries the production solve's
     accuracy; kappa and mu are resolved to about the final sweep span.
 
-    The ranking grid is optimized in cell stacks (a coarse 32-point gamma
-    grid and a 1e-3 refinement tolerance; gamma is refined on the slope
-    as in optimize_dephasing), and the seeds refine in lockstep: each
+    The ranking grid is optimized in cell stacks (the GRID_POINTS gamma
+    grid and a coarse 1e-3 refinement tolerance; gamma is refined on the
+    slope as in optimize_dephasing), and the seeds refine in lockstep: each
     step of their kappa (or mu) sweeps evaluates one cell per seed as one
     stack, as do the final optimizations.  A sweep step also returns
     d xi/d log kappa (or mu) of every cell, by the envelope theorem
@@ -595,10 +619,10 @@ def max_enaqt(topology, n: int, trap_site: int,
         return [_raised(res) for res in results], slopes
 
     def xi(kappas, mus, axis=None):
-        # coarse xi for ranking: 32-point grid, 1e-3 refinement tolerance;
-        # with an axis, the pair (xi, d xi/d log kappa (0) or mu (1))
+        # coarse xi for ranking: 1e-3 refinement tolerance; with an axis,
+        # the pair (xi, d xi/d log kappa (0) or mu (1))
         shape = np.broadcast_shapes(np.shape(kappas), np.shape(mus))
-        results, slopes = optimized(kappas, mus, 32, 1e-3,
+        results, slopes = optimized(kappas, mus, GRID_POINTS, 1e-3,
                                     rates=axis is not None)
         values = np.array([res.xi for res in results]).reshape(shape)
         return values if axis is None else (

@@ -641,6 +641,7 @@ class EigenbasisSteadySolver:
             -1j * h, -1j * h.conj().transpose(0, 2, 1), 2.0 * kappa[:, None],
             2.0 * mu[:, None], **self._build_maps(s, sinv))
         self._warm = None  # GMRES start: last initial-site populations
+        self._operands = {}  # transpose -> _population_matvec's operands
         self.routes = Counter()  # accepted points per method
         self.matvecs = 0  # GMRES matvecs, forward and adjoint
         self.failed = {}  # cell index -> SingularSystemError
@@ -726,7 +727,7 @@ class EigenbasisSteadySolver:
         b = self._diag(a, y)
         adjoint = None
         if kmat is None:
-            pops, adjoint = self._gmres(g2, a, b, stats, slope,
+            pops, adjoint = self._gmres(g2, b, stats, slope,
                                         rhs is self._rhs0)
         elif kmat.size == n * n:
             # LAPACK directly: a third of np.linalg.solve's cost at n ~ 5.
@@ -823,8 +824,8 @@ class EigenbasisSteadySolver:
              @ np.swapaxes(a.sinv.conj(), -1, -2)[:, None])
         return f.reshape(pops.shape[:-1] + (n * n,))
 
-    def _gmres(self, g2, a, b, stats, slope=False, initial=False):
-        """(p, w) for one point of one cell above DIRECT_MAX_N sites:
+    def _gmres(self, g2, b, stats, slope=False, initial=False):
+        """(p, w) for one point of the one cell above DIRECT_MAX_N sites:
         K p = b solved by GMRES and, with slope, the adjoint K^T w = t by
         GMRES from zero, w NaN where it did not converge; w None without
         slope.  At gamma = 0, K = I: p = b and w = t.  Every solve runs
@@ -836,7 +837,7 @@ class EigenbasisSteadySolver:
         if g2 == 0.0:
             return b, self._trap_indicator if slope else None
         pops, stats["info"], count = _restarted_gmres(
-            self._population_matvec(a, g2), b.reshape(n),
+            self._population_matvec(g2), b.reshape(n),
             self._warm if initial else None, self.GMRES_RESTART,
             self.GMRES_MAXITER)
         stats["matvecs"] += count
@@ -844,18 +845,18 @@ class EigenbasisSteadySolver:
         if not slope:
             return pops, None
         adjoint, info, count = _restarted_gmres(
-            self._population_matvec(a, g2, True), self._trap_indicator,
+            self._population_matvec(g2, True), self._trap_indicator,
             None, self.GMRES_RESTART, self.GMRES_MAXITER)
         stats["matvecs"] += count
         return pops, (adjoint if info == 0 else np.full(n, math.nan)
                       ).reshape(b.shape)
 
-    def _population_matvec(self, a, g2, transpose=False):
-        """p -> (I + 2*gamma*M) p for a real vector p and the one cell of
-        the arrays a of a kernel without maps, in the cancellation-free
-        form diag(S [(S^-1 Diag(p) S^-dag) o R] S^dag) that _sandwich and
-        _diag apply, g2 = 2*gamma; with transpose, its transpose, the same
-        form with S^-T and S^T in place of S and S^-1:
+    def _population_matvec(self, g2, transpose=False):
+        """p -> (I + 2*gamma*M) p for a real vector p and cell 0 of a
+        solver without maps, in the cancellation-free form
+        diag(S [(S^-1 Diag(p) S^-dag) o R] S^dag) that _sandwich and _diag
+        apply, g2 = 2*gamma; with transpose, its transpose, the same form
+        with S^-T and S^T in place of S and S^-1:
         w -> diag(S^-T [(S^T Diag(w) conj S) o R] conj S^-1).
 
         The operator is real, and for a real p the sum over the
@@ -866,21 +867,12 @@ class EigenbasisSteadySolver:
         the eigenvalues with real part >= 0 alone, those > 0 counted twice
         (every eigenvalue once on an odd ring, which has no colouring):
         two products, n/2 x n by n x n and n x n/2 by n/2 x n, half the
-        flops of the full ones, on operands built once per point."""
-        s, sinv = ((a.sinv[0].T, a.s[0].T) if transpose
-                   else (a.s[0], a.sinv[0]))
-        # the eigenvalues whose terms are summed, real part > 0 twice and
-        # = 0 (exactly: -i times a real eigenvalue of M) once
-        if self._colours is None:
-            kept, twice = slice(None), 1.0
-        else:
-            kept = np.flatnonzero(self._lam.real >= 0.0)
-            twice = np.where(self._lam[kept].real > 0.0, 2.0, 1.0)[:, None]
-        left = sinv[kept]
-        right = np.ascontiguousarray(sinv.conj().T)
-        ratio = (a.c / (a.c - g2)).reshape(self.n, self.n)[kept] * twice
-        s_kept = s[:, kept]
-        sconj = s.conj()
+        flops of the full ones.  Only R depends on gamma, and only its
+        kept rows are computed; the other operands are built once per
+        solver and direction (_matvec_operands)."""
+        left, right, s_kept, sconj, c_kept, twice = self._matvec_operands(
+            transpose)
+        ratio = c_kept / (c_kept - g2) * twice
 
         def matvec(p):
             y = (left * p) @ right
@@ -890,6 +882,27 @@ class EigenbasisSteadySolver:
             return y.real.sum(axis=-1)
 
         return matvec
+
+    def _matvec_operands(self, transpose):
+        """The gamma-independent operands of _population_matvec in the
+        direction `transpose`, built on first use and kept: the kept rows
+        of S^-1, a contiguous S^-dag, the kept columns of S, conj S, the
+        kept rows of c and the weights of their terms."""
+        if transpose not in self._operands:
+            s, sinv = ((self._all.sinv[0].T, self._all.s[0].T) if transpose
+                       else (self._all.s[0], self._all.sinv[0]))
+            # the eigenvalues whose terms are summed, real part > 0 twice
+            # and = 0 (exactly: -i times a real eigenvalue of M) once
+            if self._colours is None:
+                kept, twice = slice(None), 1.0
+            else:
+                kept = np.flatnonzero(self._lam.real >= 0.0)
+                twice = np.where(self._lam[kept].real > 0.0, 2.0, 1.0)[:, None]
+            self._operands[transpose] = (
+                sinv[kept], np.ascontiguousarray(sinv.conj().T), s[:, kept],
+                s.conj(), self._all.c[0, 0].reshape(self.n, self.n)[kept],
+                twice)
+        return self._operands[transpose]
 
     def _branching(self, pops, a):
         """(eta, eta_loss) from the real populations pops, (cells, k, n) or

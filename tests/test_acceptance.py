@@ -27,6 +27,7 @@ from enaqt import (
     propagate,
     symmetry_split,
 )
+from enaqt import analysis
 from dense_oracles import efficiency_accumulator
 
 
@@ -165,6 +166,36 @@ def test_criterion_4_table_regression_extended():
         print(f"    N={n} trap={trap} init={init}: table says "
               f"{expected:g}, solver finds {got:.6f} ({kind})")
     assert ok
+
+
+@pytest.mark.skipif(not os.environ.get("ENAQT_EXTENDED_TABLE"),
+                    reason="survey of the scan: set ENAQT_EXTENDED_TABLE=1")
+def test_coarse_gamma_scan_survey():
+    # the GRID_POINTS scan against a 64-point one on 103 geometries (the
+    # table chains and the rings of 4-8 sites at every distance) x 144
+    # (kappa, mu) cells of a 12 x 12 log grid over RATE_BOUNDS
+    t0 = time.perf_counter()
+    geometries = [("chain", n, trap, init)
+                  for table in (TABLE, TABLE_EXTENDED)
+                  for n, row in table.items() for trap, init in row]
+    geometries += [("ring", n, 1, 1 + d)
+                   for n in range(4, 9) for d in range(1, n // 2 + 1)]
+    grid = np.geomspace(*analysis.RATE_BOUNDS, 12)
+    kappas, mus = (v.ravel() for v in np.meshgrid(grid, grid, indexing="ij"))
+    worst = 0.0
+    for geometry in geometries:
+        spec = analysis._geometry_spec(*geometry, ("trap", "init"))
+        coarse, fine = (
+            [res.xi for res in analysis._optimize_cells(
+                spec, kappas, mus, points, analysis.REFINE_TOL)[0]]
+            for points in (analysis.GRID_POINTS, 64))
+        worst = max(worst, float(np.max(np.abs(np.subtract(coarse, fine)))))
+    dt = time.perf_counter() - t0
+    _report("scan", worst <= 1e-9,
+            f"{len(geometries)} geometries x {kappas.size} cells: "
+            f"max |xi - xi(64 points)| = {worst:.1e} ({dt:.1f}s)")
+    assert len(geometries) == 103
+    assert worst <= 1e-9
 
 
 def test_criterion_5_weak_rate_limits():

@@ -721,14 +721,77 @@ class TestSlopeRefinement:
             res = optimize_dephasing(self.SPEC)
         (record,) = [r for r in caplog.records
                      if r.msg.startswith("scan_refine")]
-        n, cells, refined, steps, bisections, largest = record.args
-        assert (n, cells, refined) == (5, 1, 1)
+        n, cells, refined, brackets, steps, bisections, largest = record.args
+        assert (n, cells, refined, brackets) == (5, 1, 1, 1)
         assert 2 <= steps <= 8 and bisections == 0
         # a stationarity certificate: the slope at the reported gamma_opt
         solver = EigenbasisSteadySolver(self.SPEC)
         assert largest == pytest.approx(
             abs(solver.eta(res.gamma_opt, slope=True)[1]), abs=1e-13)
         assert largest < 1e-9
+
+
+def _scan_record(caplog, spec):
+    """optimize_dephasing(spec) and the args of its scan_refine record."""
+    with caplog.at_level(logging.DEBUG, logger="enaqt"):
+        res = optimize_dephasing(spec)
+    (record,) = [r.args for r in caplog.records
+                 if r.msg.startswith("scan_refine")]
+    return res, record
+
+
+class TestEveryLocalMaximum:
+    """The coarse gamma scan refines every grid-local maximum, whether or
+    not it beats gamma = 0, and skips rises and falls of rounding."""
+
+    SURVEY = np.geomspace(*analysis.RATE_BOUNDS, 12)
+
+    # The cells of the 12 x 12 survey grid over RATE_BOUNDS where a
+    # 16-point scan that refines its best grid point alone reports
+    # xi = 0: a narrow peak whose samples all stay below eta0.  xi is the
+    # 64-point scan's.  1-based (trap, init); kappa and mu are indices
+    # into SURVEY.
+    @pytest.mark.parametrize("n, trap, init, i, j, xi", [
+        (5, 2, 4, 9, 0, 4.115413445937577e-05),
+        (5, 2, 4, 9, 1, 1.3996544504679687e-04),
+        (5, 2, 4, 9, 2, 4.392045887154916e-04),
+        (5, 2, 4, 9, 3, 1.0295510457973833e-03),
+        (5, 2, 4, 9, 4, 5.151872333538643e-04),
+        (8, 2, 1, 8, 0, 3.186834157820062e-05),
+        (8, 2, 1, 8, 1, 1.2272690855197332e-04),
+        (8, 2, 3, 8, 5, 8.416057892572937e-04),
+    ])
+    def test_narrow_peak_below_eta0_on_the_grid(self, n, trap, init, i, j,
+                                                 xi):
+        spec = SystemSpec("chain", n, (trap - 1,), init - 1,
+                          self.SURVEY[i], self.SURVEY[j], 0.0)
+        assert optimize_dephasing(spec).xi == pytest.approx(xi, abs=1e-9)
+
+    def test_two_peaks_are_both_refined(self, caplog):
+        # ring 8 (1, 2): eta(gamma) peaks at gamma 0.0126 and 19.8, and
+        # the second is higher
+        spec = SystemSpec("ring", 8, (0,), 1, 100.0, 0.0152, 0.0)
+        res, (_, cells, refined, brackets, *_) = _scan_record(caplog, spec)
+        assert (cells, refined, brackets) == (1, 1, 2)
+        assert res.gamma_opt == pytest.approx(19.8, rel=1e-2)
+        solver = EigenbasisSteadySolver(spec)
+        low = analysis._maximize(
+            lambda x, sel: solver.eta(analysis._exp(x), sel, slope=True),
+            [math.log(0.005)], [math.log(0.03)], analysis.REFINE_TOL)
+        eta_low = solver.eta(math.exp(low[0]))
+        assert res.eta0 < eta_low < res.eta_max - 1e-3
+
+    @pytest.mark.parametrize("n, trap, init, kappa, mu", [
+        (5, 1, 5, 1e-4, 10.0),  # eta ~ 2.6e-14 with a rise of 2e-21
+        (10, 10, 2, 1.0, 10.0),  # eta ~ 1e-18: every grid value rounding
+    ])
+    def test_rounding_flat_curve_gets_no_bracket(self, caplog, n, trap,
+                                                 init, kappa, mu):
+        spec = SystemSpec("chain", n, (trap - 1,), init - 1, kappa, mu, 0.0)
+        res, (_, _, refined, brackets, steps, *_) = _scan_record(caplog,
+                                                                  spec)
+        assert (refined, brackets, steps) == (0, 0, 0)
+        assert (res.xi, res.gamma_opt) == (0.0, 0.0)
 
 
 class TestRateSlopeSweeps:

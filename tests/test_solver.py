@@ -468,7 +468,7 @@ def test_population_matvec_is_the_reduced_operator(gamma):
         p = rng.normal(size=24)
         ainv = np.linalg.solve(amat, np.diag(p).reshape(-1)).reshape(24, 24)
         naive = p + 2.0 * gamma * ainv.diagonal()
-        got = solver._population_matvec(solver._all, 2.0 * gamma)(p)
+        got = solver._population_matvec(2.0 * gamma)(p)
         assert np.linalg.norm(got - naive) <= 1e-12 * np.linalg.norm(naive)
 
 
@@ -521,7 +521,7 @@ def test_gmres_converges_at_strong_dephasing(caplog):
      lambda self, a, ratio: np.broadcast_to(
          np.eye(self.n), ratio.shape[:-1] + (self.n, self.n))),
     (SystemSpec("ring", DIRECT_MAX_N + 1, (0,), 7, 1.0, 0.1, 3.0),
-     "_population_matvec", lambda self, a, g2: lambda p: p),
+     "_population_matvec", lambda self, g2: lambda p: p),
 ], ids=["map-free", "gmres"])
 def test_failed_residual_sends_the_solve_to_sparse_lu(caplog, monkeypatch,
                                                       spec, step, identity):
@@ -929,8 +929,8 @@ def test_gmres_adjoint_without_convergence_takes_the_fallback_route(
     matvec = EigenbasisSteadySolver._population_matvec
     monkeypatch.setattr(
         EigenbasisSteadySolver, "_population_matvec",
-        lambda self, a, g2, transpose=False: (
-            np.zeros_like if transpose else matvec(self, a, g2)))
+        lambda self, g2, transpose=False: (
+            np.zeros_like if transpose else matvec(self, g2)))
     solver = EigenbasisSteadySolver(spec)
     with caplog.at_level(logging.DEBUG, logger="enaqt"):
         got = solver.eta(0.3, _rates=True)
@@ -1242,7 +1242,7 @@ def test_real_matvec_is_the_full_operator(topology, n):
         ratio = (a.c / (a.c - 2.0 * gamma)).reshape(n, n)
         for transpose in (False, True):
             left, right = (sinv.T, s.T) if transpose else (s, sinv)
-            matvec = solver._population_matvec(a, 2.0 * gamma, transpose)
+            matvec = solver._population_matvec(2.0 * gamma, transpose)
             for _ in range(2):
                 p = rng.normal(size=n)
                 want = np.diag(left @ ((right * p) @ right.conj().T * ratio)
@@ -1312,8 +1312,8 @@ def _recording_matvec(monkeypatch, dtypes, fake=None):
     # every vector it is applied to
     matvec = EigenbasisSteadySolver._population_matvec
 
-    def recording(self, a, g2, transpose=False):
-        apply = fake or matvec(self, a, g2, transpose)
+    def recording(self, g2, transpose=False):
+        apply = fake or matvec(self, g2, transpose)
 
         def noted(p):
             dtypes.add(p.dtype)
