@@ -48,9 +48,9 @@ from .errors import EnaqtError, TruncationError, ValidationError
 from .model import (
     SystemSpec,
     Topology,
+    _check_offset,
     _check_site_count,
     semi_infinite_spec,
-    state_density,
 )
 from .solver import (
     EigenbasisSteadySolver,
@@ -63,7 +63,6 @@ __all__ = [
     "InfiniteChainResult",
     "MaxEnaqt",
     "PlaneMap",
-    "AveragePopulation",
     "efficiency_curve",
     "optimize_dephasing",
     "max_enaqt",
@@ -152,18 +151,6 @@ class PlaneMap:
     errors: dict
 
 
-@dataclass(frozen=True)
-class AveragePopulation:
-    """Infinite-time average population of site l for a start at site m."""
-
-    l: int
-    m: int
-    value: float
-
-    def __float__(self):
-        return self.value
-
-
 def _site0(label, n: int, what: str) -> int:
     try:  # operator.index, as SystemSpec: nothing truncated
         s = operator.index(label)
@@ -200,18 +187,6 @@ def _check_rates(**rates):
     for name, val in rates.items():
         if not (math.isfinite(val) and val >= 0):
             raise ValidationError(f"{name}={val!r} must be finite and >= 0")
-
-
-def _check_offset(offset) -> int:
-    """offset as an int: ValidationError unless it is an integer (Python
-    or numpy, by operator.index, as _site0) of at least 1."""
-    try:
-        count = operator.index(offset)
-    except TypeError:
-        count = 0
-    if count < 1:
-        raise ValidationError(f"offset={offset!r} must be an integer >= 1")
-    return count
 
 
 def _pool_map(func, tasks, workers=None) -> list:
@@ -537,7 +512,7 @@ def efficiency_curve(spec: SystemSpec, gamma_grid) -> list:
     EigenbasisSteadySolver (efficiency_gamma_grid), and every value is
     certified by its own full-generator residual.
     """
-    gammas = np.asarray(list(gamma_grid), dtype=float)
+    gammas = np.asarray(gamma_grid, dtype=float)
     etas = efficiency_gamma_grid(spec, gammas)
     return [(float(g), float(e)) for g, e in zip(gammas, etas)]
 
@@ -749,7 +724,7 @@ def chain_amplitude(n: int, l: int, m: int, t):
     return complex(out) if t_arr.ndim == 0 else out
 
 
-def average_population(topology, n: int, l: int, m: int) -> AveragePopulation:
+def average_population(topology, n: int, l: int, m: int) -> float:
     """Infinite-time-averaged population of site l for a particle started
     at site m, on the bare (lossless, trapless) geometry.  1-based sites.
 
@@ -771,7 +746,7 @@ def average_population(topology, n: int, l: int, m: int) -> AveragePopulation:
     else:
         raise ValidationError(
             "average population is defined for chain and ring only")
-    return AveragePopulation(l=l, m=m, value=float(value))
+    return float(value)
 
 
 def enaqt_estimate(topology, n: int, kappa: float, mu: float,
@@ -796,7 +771,7 @@ def enaqt_estimate(topology, n: int, kappa: float, mu: float,
             else n % 2 == 0 and (init0 - trap0) % n == n // 2):
         return 0.0
     ratio = mu / kappa
-    trapped = average_population(topology, n, trap0 + 1, init0 + 1).value
+    trapped = average_population(topology, n, trap0 + 1, init0 + 1)
     return 1.0 / (1.0 + n * ratio) - 1.0 / (1.0 + ratio / trapped)
 
 
@@ -826,10 +801,10 @@ def symmetry_split(spec: SystemSpec) -> tuple:
     solver = EigenbasisSteadySolver(spec)
     etas = []
     for sign in (1.0, -1.0):
-        psi = np.zeros(spec.n, dtype=complex)
-        psi[tau] += 1.0
-        psi[mirror] += sign
-        etas.append(solver.efficiency(spec.gamma, state_density(psi))[0])
+        psi = np.zeros(spec.n)
+        psi[[tau, mirror]] = 1.0, sign
+        rho = np.outer(psi, psi) / 2.0
+        etas.append(solver.efficiency(spec.gamma, rho)[0])
     if solver.failed:
         raise solver.failed[0]
     return etas[0], etas[1]
@@ -1000,9 +975,9 @@ def plane_sweep(topology, n=None, trap=None, init=None,
     """
     topology = Topology(topology)
     kappa_grid = (np.geomspace(*RATE_BOUNDS, 48) if kappa_grid is None
-                  else np.asarray(list(kappa_grid), dtype=float))
+                  else np.array(kappa_grid, dtype=float))
     mu_grid = (np.geomspace(*RATE_BOUNDS, 48) if mu_grid is None
-               else np.asarray(list(mu_grid), dtype=float))
+               else np.array(mu_grid, dtype=float))
     for name, grid in (("kappa_grid", kappa_grid), ("mu_grid", mu_grid)):
         if grid.ndim != 1 or grid.size == 0:
             raise ValidationError(f"{name} must be a non-empty 1-d sequence")

@@ -32,17 +32,10 @@ from .errors import ValidationError
 __all__ = [
     "Topology",
     "SystemSpec",
-    "DensityState",
     "Superoperator",
     "semi_infinite_spec",
-    "build_chain_hamiltonian",
-    "build_ring_hamiltonian",
-    "build_attenuation",
     "build_hamiltonian",
     "build_liouvillian",
-    "population_index",
-    "site_density",
-    "state_density",
     "as_density_vec",
 ]
 
@@ -65,6 +58,18 @@ def _check_site_count(topology: Topology, n) -> int:
         raise ValidationError(
             f"n={count} invalid: {topology.value} needs at least "
             f"{min_n} sites")
+    return count
+
+
+def _check_offset(offset) -> int:
+    """offset as an int: ValidationError unless it is an integer (Python
+    or numpy, by operator.index: nothing truncated) of at least 1."""
+    try:
+        count = operator.index(offset)
+    except TypeError:
+        count = 0
+    if count < 1:
+        raise ValidationError(f"offset={offset!r} must be an integer >= 1")
     return count
 
 
@@ -93,8 +98,9 @@ class SystemSpec:
         Nearest-neighbour coupling strength.  Defaults to 1, which sets
         the energy scale.
     offset : int, optional
-        Distance of the initial site from the trap-region edge.  Only
-        meaningful for the semi-infinite topology, where it must be >= 1.
+        Distance of the initial site from the trap-region edge: given for
+        the semi-infinite topology only, as an integer >= 1 (Python or
+        numpy), stored as int.
     """
 
     topology: Topology
@@ -137,16 +143,14 @@ class SystemSpec:
             raise ValidationError(
                 f"initial site {self.initial_site} coincides with the trap")
         if self.topology is Topology.SEMI_INFINITE:
-            if self.offset is None or self.offset < 1:
-                raise ValidationError(
-                    "semi-infinite topology requires offset >= 1")
+            object.__setattr__(self, "offset", _check_offset(self.offset))
             if not traps:
                 raise ValidationError(
                     "semi-infinite topology requires a trap region")
-
-    def with_gamma(self, gamma: float) -> "SystemSpec":
-        """Copy of this spec at a different dephasing rate."""
-        return replace(self, gamma=float(gamma))
+        elif self.offset is not None:
+            raise ValidationError(
+                f"offset={self.offset!r} is given for the semi-infinite "
+                "topology only")
 
     def with_rates(self, kappa=None, mu=None, gamma=None) -> "SystemSpec":
         kw = {}
@@ -171,6 +175,7 @@ def semi_infinite_spec(kappa, mu, gamma, offset=1, left=None, right=None):
     if not (math.isfinite(mu) and mu > 0):
         raise ValidationError(
             f"semi-infinite sizing needs a finite mu > 0, got mu={mu!r}")
+    offset = _check_offset(offset)
     if left is None:
         left = math.ceil(16.0 / mu)
     if right is None:
@@ -188,48 +193,17 @@ def semi_infinite_spec(kappa, mu, gamma, offset=1, left=None, right=None):
     )
 
 
-def build_chain_hamiltonian(n: int, v: float = 1.0) -> np.ndarray:
-    """Open-chain hopping Hamiltonian: v on the two off-diagonals."""
-    n = _check_site_count(Topology.CHAIN, n)
-    h = np.zeros((n, n), dtype=complex)
-    idx = np.arange(n - 1)
-    h[idx, idx + 1] = v
-    h[idx + 1, idx] = v
-    return h
-
-
-def build_ring_hamiltonian(n: int, v: float = 1.0) -> np.ndarray:
-    """Chain Hamiltonian closed into a ring by the (0, n-1) bond."""
-    n = _check_site_count(Topology.RING, n)
-    h = build_chain_hamiltonian(n, v)
-    h[0, n - 1] += v
-    h[n - 1, 0] += v
-    return h
-
-
-def build_attenuation(n, trap_sites, kappa, mu) -> np.ndarray:
-    """Anti-hermitian attenuation term -i(mu + kappa) / -i*mu on the diagonal.
-
-    Trap sites decay at mu + kappa, all other sites at mu.  Returned as a
-    dense complex matrix so it can be added directly to the hopping part.
-    """
-    if kappa < 0 or mu < 0:
-        raise ValidationError(f"rates must be >= 0, got kappa={kappa}, mu={mu}")
-    traps = sorted({int(t) for t in trap_sites})
-    for t in traps:
-        if not 0 <= t < n:
-            raise ValidationError(f"trap site {t} outside [0, {n})")
-    diag = np.full(n, -1j * mu, dtype=complex)
-    diag[traps] += -1j * kappa
-    return np.diag(diag)
-
-
 def _hopping(spec: SystemSpec) -> np.ndarray:
-    """The hopping part of spec's H, which does not depend on the rates."""
+    """The hopping part of spec's H, which does not depend on the rates:
+    v on the bonds (k, k+1) of an open chain (the truncated-infinite
+    geometry is one), which a ring closes by the (0, n-1) bond."""
+    n = spec.n
+    h = np.zeros((n, n), dtype=complex)
+    k = np.arange(n - 1)
+    h[k, k + 1] = h[k + 1, k] = spec.v
     if spec.topology is Topology.RING:
-        return build_ring_hamiltonian(spec.n, spec.v)
-    # The truncated-infinite geometry is an open chain.
-    return build_chain_hamiltonian(spec.n, spec.v)
+        h[[0, n - 1], [n - 1, 0]] += spec.v
+    return h
 
 
 def _colouring(spec: SystemSpec):
@@ -263,74 +237,30 @@ def build_hamiltonian(spec: SystemSpec) -> np.ndarray:
                          np.array([spec.mu], dtype=float))[0]
 
 
-def population_index(n: int, site: int) -> int:
-    """Vec index of the population rho[site, site] under row-major layout."""
-    return site * n + site
-
-
-def site_density(n: int, site: int) -> np.ndarray:
+def _site_density(n: int, site: int) -> np.ndarray:
     """Vectorized density matrix of a particle localized on one site."""
-    if not 0 <= site < n:
-        raise ValidationError(f"site {site} outside [0, {n})")
     rho = np.zeros(n * n, dtype=complex)
-    rho[population_index(n, site)] = 1.0
+    rho[site * (n + 1)] = 1.0
     return rho
 
 
-def state_density(state: np.ndarray) -> np.ndarray:
-    """Vectorized |psi><psi| for a normalized state vector."""
-    psi = np.asarray(state, dtype=complex)
-    norm = np.linalg.norm(psi)
-    if norm == 0:
-        raise ValidationError("zero state vector")
-    psi = psi / norm
-    return np.outer(psi, psi.conj()).reshape(-1)
-
-
-@dataclass(frozen=True)
-class DensityState:
-    """Vectorized density matrix with its time stamp.
-
-    vec holds rho[n, m] at index n*N + m.  Solver routines accept either a
-    DensityState, a length-N^2 vector, or an N x N matrix.
-    """
-
-    vec: np.ndarray
-    time: float = 0.0
-
-    @property
-    def n(self) -> int:
-        return int(round(math.sqrt(self.vec.size)))
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.vec.reshape(self.n, self.n)
-
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
-
-
 def as_density_vec(rho, n: int) -> np.ndarray:
-    """The one definition of an initial state: rho (a DensityState, a
-    length-n^2 vector or an n x n matrix) as a length-n^2 complex vector,
-    once it is a density matrix of at most unit trace.  rho must be
-    finite, non-zero, Hermitian and positive semidefinite within 1e-12,
-    and its trace at most 1 + 1e-12, so a decayed state that propagate
-    stored passes; else ValidationError names the failed property.  The
-    yields of such a state are real, and eta + eta_loss = tr rho when
-    mu > 0."""
+    """The one definition of an initial state: rho (a length-n^2 vector,
+    row-major, or an n x n matrix) as a length-n^2 complex vector, once
+    it is a density matrix of at most unit trace.  rho must have one of
+    those two shapes and be finite, non-zero, Hermitian and positive
+    semidefinite within 1e-12, and its trace at most 1 + 1e-12, so a
+    decayed state that propagate recorded passes; else ValidationError
+    names the failed property.  The yields of such a state are real, and
+    eta + eta_loss = tr rho when mu > 0."""
     if rho is None:
         raise ValidationError("missing density matrix")
-    if isinstance(rho, DensityState):
-        vec = rho.vec
-    else:
-        arr = np.asarray(rho, dtype=complex)
-        vec = arr.reshape(-1) if arr.ndim == 2 else arr
-    if vec.size != n * n:
+    vec = np.array(rho, dtype=complex)
+    if vec.shape not in ((n * n,), (n, n)):
         raise ValidationError(
-            f"density size {vec.size} does not match n^2 = {n * n}")
-    vec = np.array(vec, dtype=complex)
+            f"density matrix of shape {vec.shape} is neither ({n * n},) "
+            f"nor ({n}, {n})")
+    vec = vec.reshape(-1)
     if not np.isfinite(vec).all():
         raise ValidationError("density matrix has non-finite entries")
     if not vec.any():

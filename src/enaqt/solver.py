@@ -55,18 +55,16 @@ import scipy.sparse.linalg as spla
 
 from .errors import SingularSystemError, StiffnessError, ValidationError
 from .model import (
-    DensityState,
     SystemSpec,
     _colouring,
     _generator,
     _hamiltonians,
     _left,
     _right,
+    _site_density,
     _sparse_generator,
     as_density_vec,
     build_liouvillian,
-    population_index,
-    site_density,
 )
 
 __all__ = [
@@ -74,7 +72,6 @@ __all__ = [
     "Trajectory",
     "efficiency_direct",
     "propagate",
-    "survival_probability",
     "efficiency_gamma_grid",
     "EigenbasisSteadySolver",
 ]
@@ -134,14 +131,16 @@ class EfficiencyReport:
 class Trajectory:
     """Time evolution record produced by propagate().
 
-    states is None unless propagate() was asked to store them.
-    trapped_cumulative[i] is 2*kappa * int_0^t_i of the trap populations, a
-    non-decreasing sequence; eta_estimate adds the tail estimate
-    trace/2 at the horizon, which is bounded by the remaining trace.
+    states[i] is the density matrix at times[i], of shape (steps + 1, n,
+    n) in all, a view of the propagated array that trapped_cumulative and
+    loss_cumulative also view.  trapped_cumulative[i] is 2*kappa *
+    int_0^t_i of the trap populations, a non-decreasing sequence;
+    eta_estimate adds the tail estimate trace/2 at the horizon, which is
+    bounded by the remaining trace.
     """
 
     times: np.ndarray
-    states: list[DensityState] | None
+    states: np.ndarray
     traces: np.ndarray
     trapped_cumulative: np.ndarray
     loss_cumulative: np.ndarray
@@ -186,15 +185,15 @@ def efficiency_direct(spec: SystemSpec, rho0=None) -> EfficiencyReport:
     ----------
     spec : SystemSpec
     rho0 : optional
-        Initial density matrix (DensityState, vector, or matrix), checked
-        once, by model.as_density_vec: Hermitian, positive semidefinite,
-        of trace at most 1.  Defaults to the particle localized on
-        spec.initial_site.
+        Initial density matrix (a length-n^2 vector or an n x n matrix),
+        checked once, by model.as_density_vec: Hermitian, positive
+        semidefinite, of trace at most 1.  Defaults to the particle
+        localized on spec.initial_site.
 
     Raises
     ------
     ValidationError
-        If rho0 has the wrong size, a non-finite entry, is zero, or is not
+        If rho0 has the wrong shape, a non-finite entry, is zero, or is not
         a density matrix of trace at most 1 (the message names the
         property).
     SingularSystemError
@@ -208,8 +207,8 @@ def efficiency_direct(spec: SystemSpec, rho0=None) -> EfficiencyReport:
     return EfficiencyReport(eta, eta_loss, method, resid)
 
 
-def propagate(spec: SystemSpec, rho0=None, horizon: float | None = None,
-              store_states: bool = False) -> Trajectory:
+def propagate(spec: SystemSpec, rho0=None,
+              horizon: float | None = None) -> Trajectory:
     """Exact time evolution of the master equation on an even time grid.
 
     The generator is augmented by one row 2*kappa on the trap populations
@@ -227,13 +226,11 @@ def propagate(spec: SystemSpec, rho0=None, horizon: float | None = None,
         At most PROPAGATE_MAX_N sites.
     rho0 : optional
         Initial density matrix, checked as efficiency_direct checks it;
-        defaults to the initial site.  A state this function stored
-        (store_states), of trace below 1, is a valid rho0.
+        defaults to the initial site.  A state this function recorded
+        (Trajectory.states), of trace below 1, is a valid rho0.
     horizon : float, optional
         Integration endpoint.  Defaults to 50/mu, by which the surviving
         trace is below e^-100.  Required explicitly when mu = 0.
-    store_states : bool, optional
-        Keep the full state at every recorded time.
 
     Raises
     ------
@@ -256,14 +253,13 @@ def propagate(spec: SystemSpec, rho0=None, horizon: float | None = None,
     if n > PROPAGATE_MAX_N:
         raise ValidationError(
             f"propagate takes at most {PROPAGATE_MAX_N} sites, got n={n}")
-    vec0 = (site_density(n, spec.initial_site) if rho0 is None
+    vec0 = (_site_density(n, spec.initial_site) if rho0 is None
             else as_density_vec(rho0, n))
     m = n * n
     didx = np.arange(0, m, n + 1)
     gen = np.zeros((m + 2, m + 2), dtype=complex)
     gen[:m, :m] = build_liouvillian(spec).matrix.toarray()
-    gen[m, [population_index(n, t) for t in spec.trap_sites]] = (
-        2.0 * spec.kappa)
+    gen[m, didx[list(spec.trap_sites)]] = 2.0 * spec.kappa
     gen[m + 1, didx] = 2.0 * spec.mu
     step = sla.expm(gen * (horizon / PROPAGATE_STEPS))
     ys = np.empty((PROPAGATE_STEPS + 1, m + 2), dtype=complex)
@@ -280,12 +276,10 @@ def propagate(spec: SystemSpec, rho0=None, horizon: float | None = None,
             f"probability budget missed by {miss[worst]:.2e} at "
             f"t={times[worst]:.3g}: the matrix exponential is inaccurate "
             "at this gamma*dt; reduce the horizon or use the direct solver")
-    states = ([DensityState(y[:m].copy(), t) for t, y in zip(times, ys)]
-              if store_states else None)
     trace_final = traces[-1]
     return Trajectory(
         times=times,
-        states=states,
+        states=ys[:, :m].reshape(-1, n, n),
         traces=traces,
         trapped_cumulative=trapped,
         loss_cumulative=lost,
@@ -293,20 +287,6 @@ def propagate(spec: SystemSpec, rho0=None, horizon: float | None = None,
         eta_loss_estimate=lost[-1] + trace_final / 2.0,
         tail_bound=trace_final,
     )
-
-
-def survival_probability(traj: Trajectory, t):
-    """Surviving norm tr rho(t), linearly interpolated between steps.
-
-    t must lie within the trajectory's time range.
-    """
-    t_arr = np.asarray(t, dtype=float)
-    t0, t1 = traj.times[0], traj.times[-1]
-    if np.any(t_arr < t0) or np.any(t_arr > t1):
-        raise ValidationError(
-            f"time {t!r} outside trajectory range [{t0:g}, {t1:g}]")
-    out = np.clip(np.interp(t_arr, traj.times, traj.traces), 0.0, 1.0)
-    return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
 
 def efficiency_gamma_grid(spec: SystemSpec, gammas) -> np.ndarray:
@@ -321,7 +301,7 @@ def efficiency_gamma_grid(spec: SystemSpec, gammas) -> np.ndarray:
     solver's error where a point fails (see efficiency_direct).
     """
     solver = EigenbasisSteadySolver(spec)
-    etas = solver.eta_grid(list(gammas))
+    etas = solver.eta_grid(gammas)
     if solver.failed:
         raise solver.failed[0]
     return etas[0]
@@ -635,7 +615,7 @@ class EigenbasisSteadySolver:
         c = -1j * (lam[:, :, None] - lam[:, None, :].conj())
         self._ids = np.arange(cells)
         self._init = spec.initial_site
-        self._rhs0 = -site_density(n, spec.initial_site)
+        self._rhs0 = -_site_density(n, spec.initial_site)
         self._all = _Cells(
             c.reshape(cells, 1, n * n), s, s.conj().transpose(0, 2, 1), sinv,
             -1j * h, -1j * h.conj().transpose(0, 2, 1), 2.0 * kappa[:, None],

@@ -20,13 +20,18 @@ from enaqt import (
     SingularSystemError,
     SystemSpec,
     build_hamiltonian,
-    population_index,
-    site_density,
 )
+from enaqt.model import _site_density
 from enaqt.solver import RESID_ACCEPT, RESID_TARGET, _refine
 
 RCOND_FLOOR = 1e-12   # reciprocal condition estimate below which we refuse
 REAL_TOL = 1e-10      # imaginary part of a probability above which we refuse
+
+
+def hopping(topology, n: int) -> np.ndarray:
+    """The hopping part of H on a chain or ring of n sites: H at zero
+    rates."""
+    return build_hamiltonian(SystemSpec(topology, n, (), 0, 0.0, 0.0, 0.0))
 
 
 def dense_generator(spec: SystemSpec) -> np.ndarray:
@@ -84,8 +89,8 @@ def _gated_solve(mat: np.ndarray, rhs: np.ndarray):
 def _branching(spec: SystemSpec, x: np.ndarray):
     """eta, eta_loss from the steady integral vector x."""
     n = spec.n
-    pops = x[[population_index(n, s) for s in range(n)]]
-    trap_pop = sum(x[population_index(n, t)] for t in spec.trap_sites)
+    pops = x[:: n + 1]
+    trap_pop = sum(x[t * (n + 1)] for t in spec.trap_sites)
     eta = _real_checked(2.0 * spec.kappa * trap_pop, "trapped probability")
     eta_loss = _real_checked(2.0 * spec.mu * pops.sum(), "lost probability")
     return eta, eta_loss
@@ -94,7 +99,7 @@ def _branching(spec: SystemSpec, x: np.ndarray):
 def dense_lu_branching(spec):
     """(eta, eta_loss) from the gated LU of the dense n^2 x n^2 generator."""
     lmat = dense_generator(spec)
-    x, _ = _gated_solve(lmat, -site_density(spec.n, spec.initial_site))
+    x, _ = _gated_solve(lmat, -_site_density(spec.n, spec.initial_site))
     return _branching(spec, x)
 
 
@@ -107,7 +112,7 @@ def sparse_lu_branching(spec):
     mat = (-1j * sp.kron(h, eye) + 1j * sp.kron(eye, h.conj())
            - sp.diags(2.0 * spec.gamma * (1.0 - np.eye(n)).reshape(-1))
            ).tocsc()
-    rhs = -site_density(n, spec.initial_site)
+    rhs = -_site_density(n, spec.initial_site)
     x = spla.splu(mat).solve(rhs)
     resid = np.linalg.norm(mat @ x - rhs) / np.linalg.norm(rhs)
     if resid > RESID_ACCEPT:
@@ -132,13 +137,13 @@ def efficiency_accumulator(spec, epsilon: float = 1.0) -> EfficiencyReport:
     mat = np.zeros((dim, dim), dtype=complex)
     mat[: n * n, : n * n] = dense_generator(spec)
     for t in spec.trap_sites:
-        mat[dim - 1, population_index(n, t)] = 2.0 * spec.kappa
+        mat[dim - 1, t * (n + 1)] = 2.0 * spec.kappa
     mat[dim - 1, dim - 1] = epsilon
     rhs = np.zeros(dim, dtype=complex)
-    rhs[: n * n] = epsilon * site_density(n, spec.initial_site)
+    rhs[: n * n] = epsilon * _site_density(n, spec.initial_site)
     sigma, resid = _gated_solve(mat, rhs)
     eta = _real_checked(sigma[dim - 1], "trapped probability")
     x = -sigma[: n * n] / epsilon
-    pops = x[[population_index(n, s) for s in range(n)]]
+    pops = x[:: n + 1]
     eta_loss = _real_checked(2.0 * spec.mu * pops.sum(), "lost probability")
     return EfficiencyReport(eta, eta_loss, "accumulator", resid)

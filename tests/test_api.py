@@ -12,18 +12,14 @@ PUBLIC = {
     "EnaqtError", "SingularSystemError", "StiffnessError", "TruncationError",
     "ValidationError",
     # model
-    "DensityState", "Superoperator", "SystemSpec", "Topology",
-    "as_density_vec", "build_attenuation", "build_chain_hamiltonian",
-    "build_hamiltonian", "build_liouvillian", "build_ring_hamiltonian",
-    "population_index", "semi_infinite_spec", "site_density",
-    "state_density",
+    "Superoperator", "SystemSpec", "Topology", "as_density_vec",
+    "build_hamiltonian", "build_liouvillian", "semi_infinite_spec",
     # solver
     "EfficiencyReport", "EigenbasisSteadySolver", "Trajectory",
     "efficiency_direct", "efficiency_gamma_grid", "propagate",
-    "survival_probability",
     # analysis
-    "AveragePopulation", "EnaqtResult", "InfiniteChainResult", "MaxEnaqt",
-    "PlaneMap", "average_population", "chain_amplitude", "circle_max_enaqt",
+    "EnaqtResult", "InfiniteChainResult", "MaxEnaqt", "PlaneMap",
+    "average_population", "chain_amplitude", "circle_max_enaqt",
     "dephased_efficiency_estimate", "efficiency_curve", "enaqt_estimate",
     "eta3_closed_form", "infinite_chain_enaqt", "max_enaqt",
     "no_enaqt_region", "optimize_dephasing", "plane_sweep",
@@ -47,7 +43,7 @@ def test_every_public_name_resolves():
 
 def test_public_names_are_the_known_set():
     assert set(enaqt.__all__) == PUBLIC
-    assert len(PUBLIC) == 45
+    assert len(PUBLIC) == 36
     public = {name for name in vars(enaqt) if not name.startswith("_")}
     # the package also exposes its modules (cli once imported), and
     # nothing else

@@ -6,28 +6,21 @@ import numpy as np
 import pytest
 
 from enaqt import (
-    DensityState,
     SystemSpec,
     Topology,
     ValidationError,
     as_density_vec,
-    build_attenuation,
-    build_chain_hamiltonian,
     build_hamiltonian,
     build_liouvillian,
-    build_ring_hamiltonian,
-    population_index,
     propagate,
     semi_infinite_spec,
-    site_density,
-    state_density,
 )
-from enaqt.model import _colouring, _generator
-from dense_oracles import dense_generator
+from enaqt.model import _colouring, _generator, _site_density
+from dense_oracles import dense_generator, hopping
 
 
 def test_chain_hamiltonian_matrix():
-    h = build_chain_hamiltonian(3)
+    h = hopping("chain", 3)
     expected = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex)
     assert np.array_equal(h, expected)
 
@@ -35,7 +28,7 @@ def test_chain_hamiltonian_matrix():
 def test_chain_eigenvalues_match_cosine_formula():
     # spectrum of the open chain: 2 cos(pi k / (N+1)), k = 1..N
     for n in range(2, 9):
-        evals = np.sort(np.linalg.eigvalsh(build_chain_hamiltonian(n).real))
+        evals = np.sort(np.linalg.eigvalsh(hopping("chain", n).real))
         k = np.arange(1, n + 1)
         expected = np.sort(2 * np.cos(np.pi * k / (n + 1)))
         assert np.allclose(evals, expected, atol=1e-12)
@@ -44,35 +37,36 @@ def test_chain_eigenvalues_match_cosine_formula():
 def test_ring_eigenvalues_match_cosine_formula():
     # ring spectrum: 2 cos(2 pi k / N)
     for n in range(3, 9):
-        evals = np.sort(np.linalg.eigvalsh(build_ring_hamiltonian(n).real))
+        evals = np.sort(np.linalg.eigvalsh(hopping("ring", n).real))
         k = np.arange(n)
         expected = np.sort(2 * np.cos(2 * np.pi * k / n))
         assert np.allclose(evals, expected, atol=1e-12)
 
 
 def test_ring_closes_the_loop():
-    h = build_ring_hamiltonian(5)
+    h = hopping("ring", 5)
     assert h[0, 4] == 1 and h[4, 0] == 1
     assert h[0, 2] == 0
 
 
 def test_ring_commutes_with_cyclic_shift():
     n = 6
-    h = build_ring_hamiltonian(n)
+    h = hopping("ring", n)
     shift = np.roll(np.eye(n), 1, axis=0)
     assert np.allclose(shift @ h @ shift.T, h)
 
 
 def test_attenuation_diagonal():
-    a = build_attenuation(4, (0, 2), kappa=0.5, mu=0.1)
+    spec = SystemSpec("chain", 4, (0, 2), 1, kappa=0.5, mu=0.1, gamma=0.0)
+    a = build_hamiltonian(spec) - hopping("chain", 4)
     diag = np.diagonal(a)
     assert np.allclose(diag, [-0.6j, -0.1j, -0.6j, -0.1j])
     assert np.count_nonzero(a - np.diag(diag)) == 0
 
 
 def test_attenuation_repeated_trap_not_double_counted():
-    a = build_attenuation(3, (1, 1), kappa=1.0, mu=0.0)
-    assert a[1, 1] == -1j
+    spec = SystemSpec("chain", 3, (1, 1), 0, kappa=1.0, mu=0.0, gamma=0.0)
+    assert build_hamiltonian(spec)[1, 1] == -1j
 
 
 def test_total_hamiltonian_combines_parts():
@@ -87,12 +81,24 @@ def test_total_hamiltonian_combines_parts():
     SystemSpec("chain", 5, (0, 3), 2, kappa=0.7, mu=0.03, gamma=0.0),
     SystemSpec("ring", 6, (4,), 1, kappa=0.0, mu=0.0, gamma=0.0),
     SystemSpec("ring", 4, (0,), 2, kappa=3.0, mu=0.0, gamma=0.0),
+    SystemSpec("ring", 3, (0, 1), 2, kappa=0.3, mu=0.2, gamma=0.0, v=-0.5),
+    semi_infinite_spec(1.7, 0.4, 0.0, offset=2, left=3, right=2),
 ])
 def test_total_hamiltonian_is_hopping_plus_attenuation(spec):
-    hopping = (build_ring_hamiltonian if spec.topology is Topology.RING
-               else build_chain_hamiltonian)(spec.n)
-    want = hopping + build_attenuation(spec.n, spec.trap_sites, spec.kappa,
-                                       spec.mu)
+    # byte for byte its element formula: v on each bond, (k, k+1) and on a
+    # ring (0, n-1), and the zero diagonal less i(mu + kappa [site traps])
+    n = spec.n
+    bonds = {(k, k + 1) for k in range(n - 1)}
+    if spec.topology is Topology.RING:
+        bonds.add((0, n - 1))
+    want = np.zeros((n, n), dtype=complex)
+    for a in range(n):
+        for b in range(n):
+            if a == b:
+                trap = 1.0 if a in spec.trap_sites else 0.0
+                want[a, b] = complex(0.0, 0.0 - (spec.mu + spec.kappa * trap))
+            elif (min(a, b), max(a, b)) in bonds:
+                want[a, b] = spec.v
     assert build_hamiltonian(spec).tobytes() == want.tobytes()
 
 
@@ -160,6 +166,24 @@ class TestSystemSpecValidation:
         with pytest.raises(ValidationError):
             SystemSpec("semi-infinite", 10, (0, 1), 3, 0.1, 0.1, 0.0)
 
+    @pytest.mark.parametrize("topology, offset, message", [
+        ("semi-infinite", 1.5, "offset=1.5 must be an integer >= 1"),
+        ("semi-infinite", 0, "offset=0 must be an integer >= 1"),
+        ("chain", 7, "offset=7 is given for the semi-infinite topology only"),
+    ], ids=["float", "zero", "chain"])
+    def test_offset_checked_once(self, topology, offset, message):
+        # a float offset was stored as given, and a chain's was ignored
+        with pytest.raises(ValidationError, match=message):
+            SystemSpec(topology, 6, (0, 1), 2, 1, 0.1, 0.5, offset=offset)
+        spec = SystemSpec("semi-infinite", 6, (0, 1), 2, 1, 0.1, 0.5,
+                          offset=np.int64(1))
+        assert spec.offset == 1 and type(spec.offset) is int
+        if topology == "semi-infinite":
+            # not as a non-integer n or initial site
+            with pytest.raises(ValidationError, match=message):
+                semi_infinite_spec(1.0, 0.5, 0.0, offset=offset, left=3,
+                                   right=3)
+
     def test_with_rates_copies(self):
         spec = SystemSpec("chain", 3, (0,), 1, 0.1, 0.01, 0.0)
         other = spec.with_rates(mu=0.5)
@@ -206,37 +230,21 @@ def test_semi_infinite_default_sizing():
 
 
 def test_population_index_row_major():
-    assert population_index(4, 0) == 0
-    assert population_index(4, 2) == 10
-    vec = site_density(4, 2)
+    # the population of site s sits at vec index s*n + s
+    vec = _site_density(4, 2)
     assert vec[10] == 1.0 and vec.sum() == 1.0
-
-
-def test_state_density_normalizes():
-    vec = state_density(np.array([3.0, 4.0]))
-    rho = vec.reshape(2, 2)
-    assert np.trace(rho).real == pytest.approx(1.0)
-    assert rho[0, 0].real == pytest.approx(9 / 25)
-    with pytest.raises(ValidationError):
-        state_density(np.zeros(3))
+    pops = np.array([0.1, 0.2, 0.3, 0.4])
+    assert np.array_equal(as_density_vec(np.diag(pops), 4)[::5], pops)
 
 
 def test_as_density_vec_accepts_all_forms():
     mat = np.eye(3, dtype=complex) / 3
-    state = DensityState(mat.reshape(-1))
-    for form in (mat, mat.reshape(-1), state):
+    for form in (mat, mat.reshape(-1)):
         out = as_density_vec(form, 3)
         assert out.shape == (9,)
+        assert np.array_equal(out, mat.reshape(-1))
     with pytest.raises(ValidationError):
         as_density_vec(mat, 4)
-
-
-def test_density_state_properties():
-    mat = np.diag([0.25, 0.75]).astype(complex)
-    st = DensityState(mat.reshape(-1), time=2.5)
-    assert st.n == 2
-    assert st.trace == pytest.approx(1.0)
-    assert np.array_equal(st.matrix, mat)
 
 
 def _liouvillian_element(h, gamma, n, row, col):
@@ -313,9 +321,9 @@ def test_liouvillian_spectrum_damped(n):
 
 def test_conservative_evolution_when_all_rates_zero():
     spec = SystemSpec("chain", 4, (), 1, 0.0, 0.0, 0.0)
-    traj = propagate(spec, horizon=50.0, store_states=True)
+    traj = propagate(spec, horizon=50.0)
     assert np.allclose(traj.traces, 1.0, atol=1e-8)
-    final = traj.states[-1].matrix
+    final = traj.states[-1]
     assert np.allclose(final, final.conj().T, atol=1e-8)
     # purity is preserved under purely coherent evolution
     assert np.trace(final @ final).real == pytest.approx(1.0, abs=1e-7)

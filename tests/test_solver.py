@@ -19,18 +19,16 @@ from enaqt import (
     SystemSpec,
     ValidationError,
     build_hamiltonian,
+    efficiency_curve,
     efficiency_direct,
     efficiency_gamma_grid,
     optimize_dephasing,
     propagate,
     semi_infinite_spec,
-    site_density,
-    state_density,
-    survival_probability,
 )
 import enaqt.solver as solver_module
 from enaqt.cli import main as cli_main
-from enaqt.model import _colouring
+from enaqt.model import _colouring, _site_density
 from enaqt.solver import DIRECT_MAX_N, _stack_size
 from dense_oracles import (
     dense_generator,
@@ -119,7 +117,7 @@ def test_ring_shift_invariance():
 
 def test_custom_initial_density():
     spec = SystemSpec("chain", 3, (0,), 2, 0.1, 0.01, 0.2)
-    rho0 = site_density(3, 2)
+    rho0 = _site_density(3, 2)
     assert efficiency_direct(spec, rho0=rho0).eta == pytest.approx(
         efficiency_direct(spec).eta, abs=1e-14)
 
@@ -160,21 +158,23 @@ class TestPropagation:
     def test_two_site_rabi_oscillation(self):
         # closed two-site system: population oscillates as sin^2(V t)
         spec = SystemSpec("chain", 2, (), 0, 0.0, 0.0, 0.0)
-        traj = propagate(spec, horizon=6.0, store_states=True)
-        for st in traj.states[:: max(1, len(traj.states) // 20)]:
-            expected = np.sin(st.time) ** 2
-            assert st.matrix[1, 1].real == pytest.approx(expected, abs=1e-7)
+        traj = propagate(spec, horizon=6.0)
+        every = max(1, len(traj.states) // 20)
+        for t, rho in zip(traj.times[::every], traj.states[::every]):
+            expected = np.sin(t) ** 2
+            assert rho[1, 1].real == pytest.approx(expected, abs=1e-7)
 
     def test_matches_matrix_exponential(self):
         # oracle: rho(t) = V exp(lambda t) V^-1 rho0 from the eigenvectors
         # of the dense Kronecker generator, not a matrix exponential
         spec = SystemSpec("chain", 3, (0,), 1, 0.3, 0.05, 0.6)
         lam, vecs = np.linalg.eig(dense_generator(spec))
-        coef = np.linalg.solve(vecs, site_density(3, 1))
-        traj = propagate(spec, horizon=4.0, store_states=True)
-        for st in traj.states[::32]:
-            rho_exact = vecs @ (np.exp(lam * st.time) * coef)
-            assert np.allclose(st.vec, rho_exact, rtol=0, atol=1e-12)
+        coef = np.linalg.solve(vecs, _site_density(3, 1))
+        traj = propagate(spec, horizon=4.0)
+        for t, rho in zip(traj.times[::32], traj.states[::32]):
+            rho_exact = vecs @ (np.exp(lam * t) * coef)
+            assert np.allclose(rho.reshape(-1), rho_exact, rtol=0,
+                               atol=1e-12)
 
     def test_trace_decay_bound(self):
         # trace can never decay slower than the background-loss envelope
@@ -199,11 +199,16 @@ class TestPropagation:
         assert total == pytest.approx(1.0, abs=1e-7)
 
     def test_records_an_even_time_grid(self):
-        traj = propagate(FIG1B, horizon=10.0, store_states=True)
+        traj = propagate(FIG1B, horizon=10.0)
         steps = solver_module.PROPAGATE_STEPS
         assert np.array_equal(traj.times, np.linspace(0.0, 10.0, steps + 1))
-        assert len(traj.states) == len(traj.traces) == steps + 1
-        assert [st.time for st in traj.states] == list(traj.times)
+        assert traj.traces.shape == (steps + 1,)
+        # states[i], the matrix at times[i], is a view of the propagated
+        # array, as the cumulative yields are: no copy
+        assert traj.states.shape == (steps + 1, 3, 3)
+        assert np.may_share_memory(traj.states, traj.trapped_cumulative)
+        assert np.array_equal(np.trace(traj.states, axis1=1, axis2=2).real,
+                              traj.traces)
 
     @pytest.mark.parametrize("horizon", [1.0, 10.0])
     def test_too_stiff_dephasing_raises_at_once(self, horizon):
@@ -211,12 +216,12 @@ class TestPropagation:
         # (by 1e-2 at horizon 10), which the probability budget shows
         start = time.perf_counter()
         with pytest.raises(StiffnessError, match="probability budget"):
-            propagate(FIG1B.with_gamma(1e14), horizon=horizon)
+            propagate(FIG1B.with_rates(gamma=1e14), horizon=horizon)
         assert time.perf_counter() - start < 1.0
 
     def test_stiff_dephasing_within_the_guard_completes(self):
         for gamma in (1e12, 1e14):
-            traj = propagate(FIG1B.with_gamma(gamma), horizon=1e-9)
+            traj = propagate(FIG1B.with_rates(gamma=gamma), horizon=1e-9)
             assert traj.times[-1] == 1e-9
             budget = (traj.trapped_cumulative + traj.loss_cumulative
                       + traj.traces - 1.0)
@@ -296,7 +301,12 @@ _NOT_A_STATE = {
     "trace 5": ({(2, 2): 5.0}, "trace 5 > 1"),
     "negative eigenvalue": ({(2, 2): 1.5, (1, 1): -0.5},
                             "not positive semidefinite"),
+    # a valid state, but of a shape that is neither (n^2,) nor (n, n)
+    "batch of one": ({(2, 2): 1.0}, r"shape \(1, (\d+), \1\)"),
+    "column": ({(2, 2): 1.0}, r"shape \((\d+), 1\)"),
 }
+_SHAPES = {"batch of one": lambda rho: rho[None],
+           "column": lambda rho: rho.reshape(-1, 1)}
 
 
 _ROUTES = {
@@ -317,8 +327,9 @@ def test_initial_state_must_be_a_density_matrix(route, n, case):
     # sites)
     spec = SystemSpec("chain", n, (0,), 2, 1.0, 0.1, 0.5)
     entries, message = _NOT_A_STATE[case]
+    rho0 = _SHAPES.get(case, np.asarray)(_initial_state(n, entries))
     with pytest.raises(ValidationError, match=message):
-        _ROUTES[route](spec, _initial_state(n, entries))
+        _ROUTES[route](spec, rho0)
 
 
 @pytest.mark.parametrize("n", [4, 20])
@@ -326,30 +337,20 @@ def test_stored_decayed_states_are_initial_states(n):
     # every state propagate stores, of trace below 1, is a valid rho0, and
     # the yields from it are what is left to come: eta + eta_loss = tr rho
     spec = SystemSpec("chain", n, (0,), 2, 1.0, 0.1, 0.5)
-    traj = propagate(spec, horizon=8.0, store_states=True)
+    traj = propagate(spec, horizon=8.0)
+    assert traj.states.shape == (solver_module.PROPAGATE_STEPS + 1, n, n)
+    assert np.may_share_memory(traj.states, traj.trapped_cumulative)
     for state in traj.states:
         solver_module.as_density_vec(state, n)
     state = traj.states[-1]
-    assert 0.0 < state.trace < 0.9
+    trace = np.trace(state).real
+    assert 0.0 < trace < 0.9
     rep = efficiency_direct(spec, state)
-    assert rep.eta + rep.eta_loss == pytest.approx(state.trace, abs=1e-9)
+    assert rep.eta + rep.eta_loss == pytest.approx(trace, abs=1e-9)
     assert traj.trapped_cumulative[-1] + rep.eta == pytest.approx(
         efficiency_direct(spec).eta, abs=1e-9)
     assert EigenbasisSteadySolver(spec).efficiency(0.5, state)[0] == rep.eta
     propagate(spec, state, horizon=1.0)
-
-
-def test_survival_probability_basics():
-    spec = SystemSpec("chain", 3, (0,), 1, 0.1, 0.05, 0.2)
-    traj = propagate(spec, horizon=30.0)
-    assert survival_probability(traj, 0.0) == pytest.approx(1.0, abs=1e-10)
-    times = np.linspace(0.0, 30.0, 40)
-    surv = survival_probability(traj, times)
-    assert np.all(np.diff(surv) <= 1e-9)
-    with pytest.raises(ValidationError):
-        survival_probability(traj, -1.0)
-    with pytest.raises(ValidationError):
-        survival_probability(traj, 31.0)
 
 
 def test_three_methods_agree():
@@ -377,11 +378,11 @@ def test_gamma_grid_matches_pointwise():
     gammas = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 25)])
     etas = efficiency_gamma_grid(FIG1B, gammas)
     for g, eta in zip(gammas[::5], etas[::5]):
-        single = dense_lu_branching(FIG1B.with_gamma(float(g)))[0]
+        single = dense_lu_branching(FIG1B.with_rates(gamma=float(g)))[0]
         assert eta == pytest.approx(single, abs=1e-10)
     # spec's own gamma is ignored
-    assert np.array_equal(efficiency_gamma_grid(FIG1B.with_gamma(7.0), gammas),
-                          etas)
+    assert np.array_equal(
+        efficiency_gamma_grid(FIG1B.with_rates(gamma=7.0), gammas), etas)
 
 
 def test_gamma_grid_rejects_negative():
@@ -394,7 +395,8 @@ def test_eigenbasis_solver_agrees_with_dense():
     solver = EigenbasisSteadySolver(spec)
     for gamma in (0.0, 0.1, 2.0):
         eta, eta_loss, resid, method = solver.efficiency(gamma)
-        dense_eta, dense_loss = dense_lu_branching(spec.with_gamma(gamma))
+        dense_eta, dense_loss = dense_lu_branching(
+            spec.with_rates(gamma=gamma))
         assert eta == pytest.approx(dense_eta, abs=1e-9)
         assert eta_loss == pytest.approx(dense_loss, abs=1e-9)
         assert resid < 1e-9
@@ -423,7 +425,7 @@ def _sparse_lu_branching(spec):
     off = (1.0 - np.eye(n)).reshape(-1)
     lmat = (-1j * sp.kron(h, eye) + 1j * sp.kron(eye, h.conj())
             - sp.diags(2.0 * spec.gamma * off))
-    x = spla.splu(lmat.tocsc()).solve(-site_density(n, spec.initial_site))
+    x = spla.splu(lmat.tocsc()).solve(-_site_density(n, spec.initial_site))
     pops = x.reshape(n, n).diagonal()
     return (2.0 * spec.kappa * pops[list(spec.trap_sites)].sum().real,
             2.0 * spec.mu * pops.sum().real)
@@ -447,7 +449,7 @@ def test_long_chain_optimization_near_kappa_one_is_certified():
     res = optimize_dephasing(spec)
     assert res.eta0 == pytest.approx(
         _sparse_lu_branching(spec)[0], abs=1e-10)
-    at_opt = spec.with_gamma(res.gamma_opt)
+    at_opt = spec.with_rates(gamma=res.gamma_opt)
     eta, eta_loss = _sparse_lu_branching(at_opt)
     assert res.eta_max == pytest.approx(eta, abs=1e-10)
     rep = efficiency_direct(at_opt)
@@ -590,7 +592,7 @@ def test_exceptional_point_is_redone(kappa, caplog):
     # 6e4 at 2 + 1e-9 (the direct population solve is 7e-9 off) and 2e8
     # at 2; the residual must send the point to the single-solve fallback
     spec = SystemSpec("chain", 2, (0,), 1, kappa, 0.01, 0.0)
-    oracle = dense_lu_branching(spec.with_gamma(0.3))[0]
+    oracle = dense_lu_branching(spec.with_rates(gamma=0.3))[0]
     assert oracle == pytest.approx(0.964942668, abs=1e-9)
     solver = EigenbasisSteadySolver(spec)
     with caplog.at_level(logging.DEBUG, logger="enaqt"):
@@ -626,7 +628,7 @@ def test_batched_grid_properties(system):
     (etas,) = solver.eta_grid(gammas)
     for gamma, eta in zip(gammas, etas):
         assert eta == pytest.approx(
-            dense_lu_branching(spec.with_gamma(gamma))[0], abs=1e-10)
+            dense_lu_branching(spec.with_rates(gamma=gamma))[0], abs=1e-10)
         # non-negative up to rounding: where the true eta is ~1e-30, the
         # computed one is off by up to ~1e-16 either way
         assert eta >= -1e-15
@@ -667,7 +669,7 @@ def test_grid_redoes_only_the_failed_point(monkeypatch, caplog):
     assert max_resid <= 1e-10
     for gamma, eta in zip(gammas, etas):
         assert eta == pytest.approx(
-            _sparse_lu_branching(spec.with_gamma(gamma))[0], abs=1e-12)
+            _sparse_lu_branching(spec.with_rates(gamma=gamma))[0], abs=1e-12)
 
 
 _FAILING = SystemSpec("chain", 5, (0,), 3, 0.4, 0.02, 0.0)
@@ -707,7 +709,7 @@ def test_grid_point_failing_the_fallback_names_its_gamma(monkeypatch,
 
 
 @pytest.mark.parametrize("call", [
-    lambda: efficiency_direct(_FAILING.with_gamma(0.3)),
+    lambda: efficiency_direct(_FAILING.with_rates(gamma=0.3)),
     lambda: efficiency_gamma_grid(_FAILING, [0.1, 0.3, 3.0]),
 ], ids=["efficiency_direct", "efficiency_gamma_grid"])
 def test_one_spec_callers_raise_the_failed_point(monkeypatch, call):
@@ -839,7 +841,7 @@ def test_redone_point_gives_the_undisturbed_slopes(monkeypatch, n, route,
     got = solver.eta(gammas, _rates=True)
     assert solver.routes == Counter(["direct-eigenbasis"] * 2 + [route])
     assert got[0][0, 1] == pytest.approx(_sparse_lu_branching(
-        spec.with_gamma(0.3))[0], abs=1e-12)
+        spec.with_rates(gamma=0.3))[0], abs=1e-12)
     for g, w in zip(got[1:], want[1:]):
         np.testing.assert_allclose(g, w, rtol=1e-9, atol=0)
 
@@ -1087,9 +1089,13 @@ def _two_cells():
     (lambda: _two_cells().eta([[0.1], [0.2]], cells=[[0], [1]]),
      "one non-empty row"),
     (lambda: _two_cells().eta([0.1], cells=[]), "one non-empty row"),
+    # a scalar is no grid: ValidationError, not list()'s TypeError
+    (lambda: efficiency_gamma_grid(_CHAIN4, 0.5), "non-empty 1-d"),
+    (lambda: efficiency_curve(_CHAIN4, 0.5), "non-empty 1-d"),
 ], ids=["eta_grid-empty", "efficiencies-empty", "eta_grid-2d", "eta-empty",
         "eta-rows", "cells-out-of-range", "cells-float", "cells-2d",
-        "cells-empty"])
+        "cells-empty", "efficiency_gamma_grid-scalar",
+        "efficiency_curve-scalar"])
 def test_solver_rejects_malformed_calls(call, match):
     with pytest.raises(ValidationError, match=match):
         call()
@@ -1159,11 +1165,11 @@ def test_gmres_points_match_dense_lu(n):
     assert solver.kernel == "gmres"
     psi = np.zeros(n)
     psi[[1, n // 2]] = 1.0
-    rho0 = state_density(psi)
+    rho0 = np.outer(psi, psi).reshape(-1) / 2.0
     for gamma in (0.0, 0.3, 30.0):
-        lu = sla.lu_factor(dense_generator(spec.with_gamma(gamma)))
+        lu = sla.lu_factor(dense_generator(spec.with_rates(gamma=gamma)))
         for start in (None, rho0):
-            x = sla.lu_solve(lu, -(site_density(n, spec.initial_site)
+            x = sla.lu_solve(lu, -(_site_density(n, spec.initial_site)
                                    if start is None else start))
             pops = x[::n + 1]
             eta, eta_loss, resid, method = solver.efficiency(gamma, start)
@@ -1292,7 +1298,7 @@ def test_gmres_warm_start_follows_the_initial_site_points_only():
     # a solve from another rho0 starts cold and leaves the warm start of
     # the next initial-site scan where the last initial-site point left it
     spec = SystemSpec("chain", 40, (0,), 1, 3.0, 0.1, 0.0)
-    rho0 = 0.5 * (site_density(40, 1) + site_density(40, 20))
+    rho0 = 0.5 * (_site_density(40, 1) + _site_density(40, 20))
 
     def last_scan(other_solve):
         solver = EigenbasisSteadySolver(spec)
@@ -1332,14 +1338,14 @@ def test_gmres_solves_from_another_state_in_real_arithmetic(monkeypatch):
     spec = SystemSpec("chain", n, (0,), 1, 3.0, 0.1, 0.0)
     psi = np.zeros(n, dtype=complex)
     psi[[1, n // 2]] = 1.0, 1j
-    rho0 = state_density(psi)
+    rho0 = np.outer(psi, psi.conj()).reshape(-1) / 2.0
     dtypes = set()
     _recording_matvec(monkeypatch, dtypes)
     solver = EigenbasisSteadySolver(spec)
     assert solver.kernel == "gmres"
     for gamma in (0.3, 30.0):
-        x = sla.lu_solve(sla.lu_factor(dense_generator(spec.with_gamma(
-            gamma))), -rho0)
+        x = sla.lu_solve(sla.lu_factor(dense_generator(
+            spec.with_rates(gamma=gamma))), -rho0)
         pops = x[::n + 1].real
         eta, eta_loss, resid, method = solver.efficiency(gamma, rho0)
         assert method == "direct-eigenbasis" and resid <= 1e-10
