@@ -50,6 +50,10 @@ from .model import (
     Topology,
     _check_offset,
     _check_site_count,
+    _geometry_spec,
+    _rate,
+    _site0,
+    _topology,
     semi_infinite_spec,
 )
 from .solver import (
@@ -151,50 +155,27 @@ class PlaneMap:
     errors: dict
 
 
-def _site0(label, n: int, what: str) -> int:
-    try:  # operator.index, as SystemSpec: nothing truncated
-        s = operator.index(label)
-    except TypeError:
-        raise ValidationError(
-            f"{what} must be an integer, got {label!r}") from None
-    if not 1 <= s <= n:
-        raise ValidationError(f"{what} {s} outside 1..{n}")
-    return s - 1
-
-
-def _geometry_spec(topology, n, trap, init, names) -> SystemSpec:
-    """The chain or ring spec (kappa = mu = 1, gamma = 0) of 1-based sites
-    trap and init, named names in errors; n is checked before the sites
-    are compared with it."""
-    n = _check_site_count(topology, n)
-    trap0 = _site0(trap, n, names[0])
-    init0 = _site0(init, n, names[1])
-    if trap0 == init0:
-        raise ValidationError(f"{names[0]} and {names[1]} must differ")
-    return SystemSpec(topology, n, (trap0,), init0,
-                      kappa=1.0, mu=1.0, gamma=0.0)
-
-
 def _check_positive_rates(kappa, mu):
-    if not (0.0 < kappa < math.inf and 0.0 < mu < math.inf):
+    """ValidationError unless kappa and mu are rates (model._rate) > 0."""
+    if not (_rate("kappa", kappa) > 0 and _rate("mu", mu) > 0):
         raise ValidationError(
             f"kappa and mu must be finite and > 0, got kappa={kappa!r}, "
             f"mu={mu!r}")
 
 
-def _check_rates(**rates):
-    """ValidationError naming the first rate that is not finite and >= 0."""
-    for name, val in rates.items():
-        if not (math.isfinite(val) and val >= 0):
-            raise ValidationError(f"{name}={val!r} must be finite and >= 0")
-
-
 def _pool_map(func, tasks, workers=None) -> list:
     """[func(t) for t in tasks], in order: spread over a process pool of
     `workers` processes when workers > 1 (func and the tasks must then
-    pickle), else in this process."""
-    if workers is not None and workers > 1:
-        with multiprocessing.Pool(workers) as pool:
+    pickle), else in this process.  workers, when given, must be an
+    integer >= 1 (ValidationError, before any task runs)."""
+    try:
+        count = 1 if workers is None else operator.index(workers)
+    except TypeError:
+        count = 0
+    if count < 1:
+        raise ValidationError(f"workers must be >= 1, got {workers!r}")
+    if count > 1:
+        with multiprocessing.Pool(count) as pool:
             return pool.map(func, tasks)
     return [func(t) for t in tasks]
 
@@ -398,7 +379,7 @@ def _maximize(f, a, b, tol, stats=None):
     return np.array([e.result() for e in elements])
 
 
-def _scan_refine(solver, grid_points, refine_tol, rates=False):
+def _scan_refine(solver, refine_tol=REFINE_TOL, rates=False):
     """optimize_dephasing for every cell of the stack `solver`: one
     batched scan of the grid, then one refinement (_maximize on eta and
     its slope d eta/d log gamma) of every grid-local maximum of every
@@ -429,7 +410,7 @@ def _scan_refine(solver, grid_points, refine_tol, rates=False):
     largest |d eta/d log gamma| at the gammas the cells keep (near 0 at
     an interior optimum).
     """
-    gammas = np.concatenate([[0.0], np.geomspace(*GAMMA_BOUNDS, grid_points)])
+    gammas = np.concatenate([[0.0], np.geomspace(*GAMMA_BOUNDS, GRID_POINTS)])
     etas, zero = (solver.eta_grid(gammas, _rates=True) if rates
                   else (solver.eta_grid(gammas), None))
     eta0 = etas[:, 0]
@@ -479,8 +460,7 @@ def _scan_refine(solver, grid_points, refine_tol, rates=False):
             for k, res in enumerate(results)], xi_slopes
 
 
-def _optimize_cells(spec, kappas, mus, grid_points=GRID_POINTS,
-                    refine_tol=REFINE_TOL, rates=False):
+def _optimize_cells(spec, kappas, mus, refine_tol=REFINE_TOL, rates=False):
     """_scan_refine over the cells (kappas[i], mus[i]) of the geometry of
     spec (1-d rate arrays of one length; spec's own rates are ignored) in
     stacks of _stack_size cells: the pair (entries, xi_slopes) of
@@ -491,7 +471,7 @@ def _optimize_cells(spec, kappas, mus, grid_points=GRID_POINTS,
     size = _stack_size(spec.n)
     stacks = [_scan_refine(EigenbasisSteadySolver(spec, kappas[i:i + size],
                                                   mus[i:i + size]),
-                           grid_points, refine_tol, rates)
+                           refine_tol, rates)
               for i in range(0, kappas.size, size)]
     return ([res for results, _ in stacks for res in results],
             np.concatenate([slopes for _, slopes in stacks]) if rates
@@ -512,9 +492,8 @@ def efficiency_curve(spec: SystemSpec, gamma_grid) -> list:
     EigenbasisSteadySolver (efficiency_gamma_grid), and every value is
     certified by its own full-generator residual.
     """
-    gammas = np.asarray(gamma_grid, dtype=float)
-    etas = efficiency_gamma_grid(spec, gammas)
-    return [(float(g), float(e)) for g, e in zip(gammas, etas)]
+    etas = efficiency_gamma_grid(spec, gamma_grid)  # checks the grid
+    return [(float(g), float(e)) for g, e in zip(gamma_grid, etas)]
 
 
 def optimize_dephasing(spec: SystemSpec) -> EnaqtResult:
@@ -578,10 +557,6 @@ def max_enaqt(topology, n: int, trap_site: int,
 
     Sites are 1-based.
     """
-    topology = Topology(topology)
-    if topology is Topology.SEMI_INFINITE:
-        raise ValidationError(
-            "use infinite_chain_enaqt for the semi-infinite geometry")
     spec0 = _geometry_spec(topology, n, trap_site, initial_site,
                            ("trap_site", "initial_site"))
 
@@ -597,7 +572,7 @@ def max_enaqt(topology, n: int, trap_site: int,
         # coarse xi for ranking: 1e-3 refinement tolerance; with an axis,
         # the pair (xi, d xi/d log kappa (0) or mu (1))
         shape = np.broadcast_shapes(np.shape(kappas), np.shape(mus))
-        results, slopes = optimized(kappas, mus, GRID_POINTS, 1e-3,
+        results, slopes = optimized(kappas, mus, 1e-3,
                                     rates=axis is not None)
         values = np.array([res.xi for res in results]).reshape(shape)
         return values if axis is None else (
@@ -655,7 +630,8 @@ def eta3_closed_form(gamma: float, kappa: float, mu: float) -> float:
     with efficiency_direct to solver precision.  The denominator vanishes
     only at kappa = mu = gamma = 0, where the efficiency is undefined.
     """
-    _check_rates(gamma=gamma, kappa=kappa, mu=mu)
+    for name, rate in (("gamma", gamma), ("kappa", kappa), ("mu", mu)):
+        _rate(name, rate)
     k, m, g = kappa, mu, gamma
     a2 = 4 * k * m
     a1 = k * (2 + 2 * k * m + 8 * m**2)
@@ -685,7 +661,8 @@ def no_enaqt_region(kappa: float, mu: float) -> bool:
     convention is fixed by a dense gamma-scan oracle across the
     [1e-4, 1e2]^2 plane.
     """
-    _check_rates(kappa=kappa, mu=mu)
+    _rate("kappa", kappa)
+    _rate("mu", mu)
     k, m = kappa, mu
     poly = (-k**4 * m + 4 * k**3 * m**4 - 2 * k**3 * m**2 + 2 * k**3
             + k**2 * (20 * m**4 + 7 * m**2 + 9) * m
@@ -731,7 +708,7 @@ def average_population(topology, n: int, l: int, m: int) -> float:
     Chain: (1/(N+1)) (1 + d_lm/2 + d_{l,N+1-m}/2).  Ring: flat 1/N plus
     enhancements on the start site and, for even N, its antipode.
     """
-    topology = Topology(topology)
+    topology = _topology(topology)
     n = _check_site_count(topology, n)
     l = _site0(l, n, "l") + 1
     m = _site0(m, n, "m") + 1
@@ -760,18 +737,14 @@ def enaqt_estimate(topology, n: int, kappa: float, mu: float,
     P the trap's average population (average_population) for a particle
     started at init.  1-based sites.
     """
-    topology = Topology(topology)
-    if topology is Topology.SEMI_INFINITE:
-        raise ValidationError(
-            "estimate is defined for chain and ring only")
-    spec = _geometry_spec(topology, n, trap, init, ("trap", "init"))
+    spec = _geometry_spec(topology, n, trap, init, kappa=kappa, mu=mu)
     _check_positive_rates(kappa, mu)
     n, (trap0,), init0 = spec.n, spec.trap_sites, spec.initial_site
-    if (init0 == n - 1 - trap0 if topology is Topology.CHAIN
+    if (init0 == n - 1 - trap0 if spec.topology is Topology.CHAIN
             else n % 2 == 0 and (init0 - trap0) % n == n // 2):
         return 0.0
     ratio = mu / kappa
-    trapped = average_population(topology, n, trap0 + 1, init0 + 1)
+    trapped = average_population(spec.topology, n, trap0 + 1, init0 + 1)
     return 1.0 / (1.0 + n * ratio) - 1.0 / (1.0 + ratio / trapped)
 
 
@@ -813,7 +786,7 @@ def symmetry_split(spec: SystemSpec) -> tuple:
 def circle_max_enaqt(n: int, trap: int, init: int) -> float:
     """Maximum attainable xi on the ring: 0 for antipodal start/trap
     (even N at distance N/2), 1/2 otherwise.  1-based sites."""
-    spec = _geometry_spec(Topology.RING, n, trap, init, ("trap", "init"))
+    spec = _geometry_spec(Topology.RING, n, trap, init)
     n = spec.n
     if n % 2 == 0 and (spec.initial_site - spec.trap_sites[0]) % n == n // 2:
         return 0.0
@@ -845,11 +818,11 @@ def infinite_chain_enaqt(kappa: float, mu: float,
     change of the last complete probe step) instead of building any
     truncation of more than SITE_CAP_INFINITE sites.
     """
-    if not (math.isfinite(mu) and mu >= MU_CUTOFF_INFINITE):
+    _rate("kappa", kappa)
+    if not _rate("mu", mu) >= MU_CUTOFF_INFINITE:
         raise ValidationError(
             f"mu={mu!r} below the cutoff {MU_CUTOFF_INFINITE} (truncated "
             "supports scale as 1/mu and are certified only above it)")
-    _check_rates(kappa=kappa)
     offset = _check_offset(offset)
     left = right = min(START_SITES, math.ceil(16.0 / mu))
     if kappa == 0.0:
@@ -913,7 +886,7 @@ def infinite_chain_enaqt(kappa: float, mu: float,
             break
         optimized = (left, right)
         solver = truncation(optimized)
-        res = _raised(_scan_refine(solver, GRID_POINTS, REFINE_TOL)[0][0])
+        res = _raised(_scan_refine(solver)[0][0])
         # the next probe step certifies the reported numbers themselves
         known[optimized].update({0.0: res.eta0, res.gamma_opt: res.eta_max})
         if res.gamma_opt not in gammas:
@@ -973,16 +946,14 @@ def plane_sweep(topology, n=None, trap=None, init=None,
     For the semi-infinite topology, n/trap/init are ignored (geometry is
     set by offset) and the mu grid must respect the 0.1 cutoff.
     """
-    topology = Topology(topology)
+    topology = _topology(topology)
     kappa_grid = (np.geomspace(*RATE_BOUNDS, 48) if kappa_grid is None
-                  else np.array(kappa_grid, dtype=float))
+                  else np.array(_rate("kappa_grid", kappa_grid, True)))
     mu_grid = (np.geomspace(*RATE_BOUNDS, 48) if mu_grid is None
-               else np.array(mu_grid, dtype=float))
+               else np.array(_rate("mu_grid", mu_grid, True)))
     for name, grid in (("kappa_grid", kappa_grid), ("mu_grid", mu_grid)):
         if grid.ndim != 1 or grid.size == 0:
             raise ValidationError(f"{name} must be a non-empty 1-d sequence")
-        if not np.all(np.isfinite(grid)):
-            raise ValidationError(f"{name} must be finite")
         if np.any(np.diff(grid) <= 0):
             raise ValidationError(f"{name} must be strictly increasing")
         lo = (MU_CUTOFF_INFINITE
@@ -996,8 +967,8 @@ def plane_sweep(topology, n=None, trap=None, init=None,
         offset = _check_offset(offset)
         spec0, size = None, 1
     else:
-        spec0 = _geometry_spec(topology, n, trap, init, ("trap", "init"))
-        size = _stack_size(n)
+        spec0 = _geometry_spec(topology, n, trap, init)
+        size = _stack_size(spec0.n)
 
     cells = [(float(kv), float(mv)) for kv in kappa_grid for mv in mu_grid]
     tasks = [(spec0, offset, cells[i:i + size])

@@ -38,6 +38,7 @@ truncation not converged, 5 I/O failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
@@ -65,7 +66,7 @@ from .errors import (
     TruncationError,
     ValidationError,
 )
-from .model import SystemSpec, Topology, _check_site_count
+from .model import SystemSpec, Topology, _check_site_count, _geometry_spec
 from .solver import (
     EfficiencyReport,
     EigenbasisSteadySolver,
@@ -226,6 +227,11 @@ def parse_config(argv=None) -> RunConfig:
 
 
 def _validate(cfg: RunConfig):
+    """The checks that no library function makes: the flags a subcommand
+    requires, table's n (before its pairs are built), the subcommands
+    that take the semi-infinite topology, and a gamma grid of at least
+    one point besides curve's gamma = 0.  The library checks the rest
+    (rates, sites, grids, workers) where it first reads them."""
     semi = cfg.topology == Topology.SEMI_INFINITE.value
     required = (() if semi and cfg.subcommand == "sweep"
                 else _COMMANDS[cfg.subcommand].requires)
@@ -235,44 +241,28 @@ def _validate(cfg: RunConfig):
             f"'{cfg.subcommand}' needs {', '.join('--' + m for m in missing)}")
     if cfg.subcommand == "table":
         _check_site_count(Topology.CHAIN, cfg.n)
-    for key in ("kappa", "mu", "gamma"):
-        val = getattr(cfg, key)
-        if val is not None and (not math.isfinite(val) or val < 0):
-            raise ValidationError(f"negative rate: {key} = {val!r}")
-    if "topology" in _COMMANDS[cfg.subcommand].accepts:
-        if not semi:
-            for key in ("trap", "init"):
-                site = getattr(cfg, key)
-                if not 1 <= site <= cfg.n:
-                    raise ValidationError(
-                        f"invalid site index: {key} = {site} "
-                        f"outside 1..{cfg.n}")
-            if cfg.trap == cfg.init:
-                raise ValidationError(
-                    f"coincident trap and initial site ({cfg.trap})")
-        elif cfg.subcommand != "sweep":
-            raise ValidationError(
-                "semi-infinite topology is available for 'sweep' and "
-                "'infinite' only")
-    for key in ("gamma_points", "kappa_points", "mu_points"):
-        if getattr(cfg, key) < 1:
-            raise ValidationError(f"{key} must be >= 1")
-    if cfg.workers is not None and cfg.workers < 1:
-        raise ValidationError(f"workers must be >= 1, got {cfg.workers}")
+    if semi and cfg.subcommand != "sweep":
+        raise ValidationError(
+            "semi-infinite topology is available for 'sweep' and "
+            "'infinite' only")
+    if cfg.gamma_points < 1:
+        raise ValidationError("gamma_points must be >= 1")
 
 
 def _spec(cfg: RunConfig, gamma: float = 0.0) -> SystemSpec:
-    return SystemSpec(cfg.topology, cfg.n, (cfg.trap - 1,), cfg.init - 1,
-                      kappa=cfg.kappa, mu=cfg.mu, gamma=gamma)
+    return _geometry_spec(cfg.topology, cfg.n, cfg.trap, cfg.init,
+                          kappa=cfg.kappa, mu=cfg.mu, gamma=gamma)
 
 
 def _grid(cfg: RunConfig, axis: str, scale: str) -> list:
-    """The grid of cfg's axis_min, axis_max and axis_points; a log grid
-    of two or more points needs both bounds finite and > 0."""
+    """The grid of cfg's axis_min, axis_max and axis_points: [axis_min]
+    for one point, none for fewer (an empty grid, which the library
+    rejects); a log grid of two or more points needs both bounds finite
+    and > 0."""
     lo, hi = getattr(cfg, f"{axis}_min"), getattr(cfg, f"{axis}_max")
     count = getattr(cfg, f"{axis}_points")
-    if count == 1:
-        return [float(lo)]
+    if count <= 1:
+        return [float(lo)] * count
     if scale == "linear":
         return list(np.linspace(lo, hi, count))
     for end, bound in (("min", lo), ("max", hi)):
@@ -393,10 +383,8 @@ def emit(records: list, fmt: str, path: str | None) -> None:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
-        try:
+        with contextlib.suppress(OSError):
             os.unlink(tmp)
-        except OSError:
-            pass
         raise
 
 

@@ -45,6 +45,44 @@ class Topology(str, Enum):
     SEMI_INFINITE = "semi-infinite"
 
 
+def _topology(value) -> Topology:
+    """value as a Topology (a member or its name): ValidationError naming
+    the choices otherwise.  The one place that parses a topology."""
+    try:
+        return Topology(value)
+    except ValueError:
+        raise ValidationError(f"topology={value!r} invalid: choose from "
+                              f"{', '.join(Topology)}") from None
+
+
+def _rate(name, value, array=False):
+    """value once it is a rate, or with `array` an array of rates: every
+    entry a real number, finite and >= 0.  A float is returned as it is
+    (one math.isfinite), anything else as a float array, 0-d for a number
+    (one np.minimum.reduce and one np.maximum.reduce, so a good call makes
+    no other reduction; an empty array passes).  Otherwise
+    ValidationError `{name}={v!r} must be finite and >= 0`, v the first
+    bad entry, or value itself where it is not a number (an array without
+    `array`) or an array of numbers.  The one check of a rate."""
+    if isinstance(value, float):
+        if math.isfinite(value) and value >= 0:
+            return value
+    else:
+        try:
+            rates = np.asarray(value)
+        except ValueError:  # a ragged sequence
+            rates = None
+        if (rates is not None and rates.dtype.kind in "biuf"
+                and (array or rates.ndim == 0)):
+            rates = rates.astype(float, copy=False)
+            if (np.minimum.reduce(rates, None, initial=math.inf) >= 0.0
+                    and np.maximum.reduce(rates, None, initial=0.0)
+                    < math.inf):
+                return rates
+            value = float(rates[~((rates >= 0.0) & (rates < math.inf))][0])
+    raise ValidationError(f"{name}={value!r} must be finite and >= 0")
+
+
 def _check_site_count(topology: Topology, n) -> int:
     """n as an int: ValidationError unless it is an integer (Python or
     numpy, by operator.index: nothing truncated) large enough for the
@@ -71,6 +109,20 @@ def _check_offset(offset) -> int:
     if count < 1:
         raise ValidationError(f"offset={offset!r} must be an integer >= 1")
     return count
+
+
+def _site0(label, n: int, what: str) -> int:
+    """The 0-based site of the 1-based label `what` on n sites:
+    ValidationError unless it is an integer (by operator.index, as
+    SystemSpec takes sites: nothing truncated) in 1..n."""
+    try:
+        s = operator.index(label)
+    except TypeError:
+        raise ValidationError(
+            f"{what} must be an integer, got {label!r}") from None
+    if not 1 <= s <= n:
+        raise ValidationError(f"{what} {s} outside 1..{n}")
+    return s - 1
 
 
 @dataclass(frozen=True)
@@ -114,7 +166,7 @@ class SystemSpec:
     offset: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "topology", Topology(self.topology))
+        object.__setattr__(self, "topology", _topology(self.topology))
         try:  # operator.index: ints and numpy integers, nothing truncated
             traps = tuple(sorted({operator.index(t) for t in self.trap_sites}))
             init = operator.index(self.initial_site)
@@ -126,12 +178,10 @@ class SystemSpec:
         object.__setattr__(self, "initial_site", init)
         n = _check_site_count(self.topology, self.n)
         object.__setattr__(self, "n", n)
-        for name in ("kappa", "mu", "gamma", "v"):
-            val = getattr(self, name)
-            if not math.isfinite(val):
-                raise ValidationError(f"{name}={val!r} must be finite")
-            if name != "v" and val < 0:
-                raise ValidationError(f"{name}={val!r} must be >= 0")
+        for name in ("kappa", "mu", "gamma"):
+            _rate(name, getattr(self, name))
+        if not math.isfinite(self.v):
+            raise ValidationError(f"v={self.v!r} must be finite")
         for s in traps + (self.initial_site,):
             if not 0 <= s < n:
                 raise ValidationError(
@@ -140,8 +190,8 @@ class SystemSpec:
                 and len(traps) == 1 and self.initial_site in traps):
             # The efficiency gain is undefined when the particle starts
             # on the single trap site.
-            raise ValidationError(
-                f"initial site {self.initial_site} coincides with the trap")
+            raise ValidationError("the initial site and the single trap "
+                                  "must differ")
         if self.topology is Topology.SEMI_INFINITE:
             object.__setattr__(self, "offset", _check_offset(self.offset))
             if not traps:
@@ -153,14 +203,11 @@ class SystemSpec:
                 "topology only")
 
     def with_rates(self, kappa=None, mu=None, gamma=None) -> "SystemSpec":
-        kw = {}
-        if kappa is not None:
-            kw["kappa"] = float(kappa)
-        if mu is not None:
-            kw["mu"] = float(mu)
-        if gamma is not None:
-            kw["gamma"] = float(gamma)
-        return replace(self, **kw)
+        """A copy with each rate that is given (not None) replaced, and
+        checked as SystemSpec checks its rates."""
+        rates = {"kappa": kappa, "mu": mu, "gamma": gamma}
+        return replace(self, **{name: rate for name, rate in rates.items()
+                                if rate is not None})
 
 
 def semi_infinite_spec(kappa, mu, gamma, offset=1, left=None, right=None):
@@ -170,20 +217,19 @@ def semi_infinite_spec(kappa, mu, gamma, offset=1, left=None, right=None):
     the trap edge; `right` further sites extend the free region.  Callers
     that do not pass explicit sizes get left = right = ceil(16/mu), sized
     so the ballistic front never reaches the boundary within the survival
-    horizon.
+    horizon; only then must mu be > 0.
     """
-    if not (math.isfinite(mu) and mu > 0):
-        raise ValidationError(
-            f"semi-infinite sizing needs a finite mu > 0, got mu={mu!r}")
+    if left is None or right is None:
+        if not _rate("mu", mu) > 0:
+            raise ValidationError(
+                f"semi-infinite sizing needs mu > 0, got mu={mu!r}")
+        side = math.ceil(16.0 / mu)
+        left = side if left is None else left
+        right = side if right is None else right
     offset = _check_offset(offset)
-    if left is None:
-        left = math.ceil(16.0 / mu)
-    if right is None:
-        right = math.ceil(16.0 / mu)
-    n = left + offset + right
     return SystemSpec(
         topology=Topology.SEMI_INFINITE,
-        n=n,
+        n=left + offset + right,
         trap_sites=tuple(range(left)),
         initial_site=left - 1 + offset,
         kappa=kappa,
@@ -191,6 +237,25 @@ def semi_infinite_spec(kappa, mu, gamma, offset=1, left=None, right=None):
         gamma=gamma,
         offset=offset,
     )
+
+
+def _geometry_spec(topology, n, trap, init, names=("trap", "init"),
+                   kappa=1.0, mu=1.0, gamma=0.0) -> SystemSpec:
+    """The one builder of a chain or ring spec from 1-based labels: the
+    single trap `trap` and the initial site `init`, called names[0] and
+    names[1] in errors, at the given rates.  n is checked before the
+    sites are compared with it (SystemSpec checks that they differ); the
+    semi-infinite topology raises ValidationError (it has no such
+    labels: semi_infinite_spec builds it)."""
+    topology = _topology(topology)
+    if topology is Topology.SEMI_INFINITE:
+        raise ValidationError("defined for chain and ring only, not "
+                              "semi-infinite (see infinite_chain_enaqt)")
+    n = _check_site_count(topology, n)
+    trap0 = _site0(trap, n, names[0])
+    init0 = _site0(init, n, names[1])
+    return SystemSpec(topology, n, (trap0,), init0, kappa=kappa, mu=mu,
+                      gamma=gamma)
 
 
 def _hopping(spec: SystemSpec) -> np.ndarray:
@@ -253,9 +318,11 @@ def as_density_vec(rho, n: int) -> np.ndarray:
     decayed state that propagate recorded passes; else ValidationError
     names the failed property.  The yields of such a state are real, and
     eta + eta_loss = tr rho when mu > 0."""
-    if rho is None:
-        raise ValidationError("missing density matrix")
-    vec = np.array(rho, dtype=complex)
+    try:
+        vec = np.array(rho, dtype=complex)
+    except (TypeError, ValueError):
+        raise ValidationError(
+            "density matrix is not an array of numbers") from None
     if vec.shape not in ((n * n,), (n, n)):
         raise ValidationError(
             f"density matrix of shape {vec.shape} is neither ({n * n},) "

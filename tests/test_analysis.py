@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from enaqt import (
     EigenbasisSteadySolver,
     EnaqtResult,
+    SingularSystemError,
     SystemSpec,
     TruncationError,
     ValidationError,
@@ -36,6 +37,22 @@ from dense_oracles import dense_lu_branching, hopping, sparse_lu_branching
 FIG1B = SystemSpec("chain", 3, (0,), 1, kappa=0.1, mu=0.01, gamma=0.0)
 
 
+def _fail_every_solve(monkeypatch):
+    """Make every point fail certification, and the sparse LU that its
+    fallback chain then factors raise: every cell of every solver fails."""
+    certify = EigenbasisSteadySolver._certify
+
+    def uncertified(self, *args):
+        eta, eta_loss, resid, certified = certify(self, *args)
+        return eta, eta_loss, resid, np.zeros_like(certified)
+
+    def failing_splu(matrix):
+        raise RuntimeError("factor is exactly singular")
+
+    monkeypatch.setattr(EigenbasisSteadySolver, "_certify", uncertified)
+    monkeypatch.setattr("enaqt.solver.spla.splu", failing_splu)
+
+
 class TestClosedForm:
     def test_symmetric_point(self):
         # oracle: rational steady-state solution at gamma=kappa=mu=1,
@@ -59,6 +76,11 @@ class TestClosedForm:
     def test_rejects_negative_rates(self):
         with pytest.raises(ValidationError):
             eta3_closed_form(-1.0, 0.1, 0.1)
+
+    def test_undefined_without_any_rate(self):
+        with pytest.raises(ValidationError,
+                           match="undefined at kappa = mu = gamma = 0"):
+            eta3_closed_form(0.0, 0.0, 0.0)
 
 
 class TestNoEnaqtRegion:
@@ -114,6 +136,12 @@ class TestOptimizeDephasing:
             optimize_dephasing(SystemSpec("chain", 3, (0,), 1, 0.0, 0.01, 0.0))
         with pytest.raises(ValidationError):
             optimize_dephasing(SystemSpec("chain", 3, (0,), 1, 0.1, 0.0, 0.0))
+
+    def test_failed_solve_is_raised(self, monkeypatch):
+        _fail_every_solve(monkeypatch)
+        with pytest.raises(SingularSystemError,
+                           match="sparse fallback failed"):
+            optimize_dephasing(FIG1B)
 
     def test_result_is_frozen(self):
         res = optimize_dephasing(FIG1B)
@@ -262,6 +290,11 @@ class TestAveragePopulation:
         with pytest.raises(ValidationError, match="must be an integer"):
             average_population("chain", 3, l, m)
 
+    def test_semi_infinite_rejected(self):
+        with pytest.raises(ValidationError,
+                           match="defined for chain and ring only"):
+            average_population("semi-infinite", 4, 1, 2)
+
     def test_matches_time_average_spot(self):
         # midpoint-rule time average of |U_lm|^2 over T=2000
         n, l, m = 4, 2, 3
@@ -377,8 +410,9 @@ class TestEnaqtEstimate:
     ], ids=["dephased-mu-inf", "dephased-kappa-inf", "dephased-kappa-0",
             "dephased-mu-nan", "enaqt-kappa-inf", "enaqt-mu-negative"])
     def test_estimates_reject_rates_not_finite_and_positive(self, estimate):
-        # an infinite rate gave 0.0 or 1.0 instead of an error
-        with pytest.raises(ValidationError, match="finite and > 0"):
+        # an infinite rate gave 0.0 or 1.0 instead of an error; the model's
+        # rate check (finite and >= 0) comes before the > 0 rule
+        with pytest.raises(ValidationError, match="finite and >=? 0"):
             estimate()
 
     def test_dephased_estimate_formula(self):
@@ -425,6 +459,11 @@ class TestSymmetrySplit:
         monkeypatch.setattr(solver_module, "_eig", counting)
         assert symmetry_split(spec) == tuple(want)
         assert len(calls) == 1
+
+    def test_failed_solve_is_raised(self, monkeypatch):
+        _fail_every_solve(monkeypatch)
+        with pytest.raises(SingularSystemError):
+            symmetry_split(SystemSpec("chain", 5, (2,), 0, 0.1, 0.01, 1.0))
 
     def test_dephasing_recovers_dark_half(self):
         spec = SystemSpec("chain", 3, (1,), 0, 1.0, 1e-6, 1.0)
@@ -486,7 +525,8 @@ class TestPlaneSweep:
         # all False for it
         grids = {"kappa_grid": [0.1, 1.0], "mu_grid": [0.1, 1.0]}
         grids[axis] = [0.1, float("nan")]
-        with pytest.raises(ValidationError, match=f"{axis} must be finite"):
+        with pytest.raises(ValidationError,
+                           match=f"{axis}=nan must be finite"):
             plane_sweep("chain", 3, 1, 2, **grids)
 
 
@@ -646,6 +686,39 @@ class TestInfiniteChain:
         assert max(sizes) <= 10
         assert err.value.achieved_delta == math.inf
 
+    def test_failed_probe_is_raised(self, monkeypatch):
+        _fail_every_solve(monkeypatch)
+        with pytest.raises(SingularSystemError):
+            infinite_chain_enaqt(6.3, 1.0)
+
+    def test_both_sides_grow_when_only_both_doubled_moved(self,
+                                                          monkeypatch):
+        # (6.3, 1.0) certifies at (4, 4).  No input moves the (8, 8) probe
+        # of that step alone, so it is built at twice kappa: both sides
+        # double, and (16, 16) certifies the same numbers
+        want = infinite_chain_enaqt(6.3, 1.0)
+        assert (want.left, want.right) == (4, 4)
+        build = analysis.semi_infinite_spec
+
+        def moved(kappa, mu, gamma, offset, left, right):
+            return build(2 * kappa if (left, right) == (8, 8) else kappa,
+                         mu, gamma, offset, left, right)
+
+        monkeypatch.setattr(analysis, "semi_infinite_spec", moved)
+        res = infinite_chain_enaqt(6.3, 1.0)
+        assert (res.left, res.right) == (16, 16)
+        for name in ("eta0", "eta_max"):
+            assert getattr(res, name) == pytest.approx(
+                getattr(want, name), abs=analysis.TRUNCATION_TOL)
+
+    def test_semi_infinite_plane_sweep_records_a_failed_cell(self,
+                                                             monkeypatch):
+        monkeypatch.setattr(analysis, "SITE_CAP_INFINITE", 10)
+        pm = plane_sweep("semi-infinite", kappa_grid=[6.3], mu_grid=[1.0])
+        assert list(pm.errors) == [(0, 0)]
+        assert pm.errors[(0, 0)].startswith("TruncationError: ")
+        assert np.isnan(pm.xi).all() and np.isnan(pm.eta0).all()
+
     def test_semi_infinite_plane_sweep_takes_a_numpy_integer_offset(self):
         grids = {"kappa_grid": [1.0, 6.3], "mu_grid": [0.5]}
         pm = plane_sweep("semi-infinite", offset=np.int64(2), **grids)
@@ -674,19 +747,20 @@ class TestSearchArguments:
 
     SPEC = SystemSpec("chain", 5, (0,), 1, kappa=1.0, mu=0.1, gamma=0.0)
 
-    def test_tolerance_below_an_ulp_terminates(self):
+    def test_tolerance_below_an_ulp_terminates(self, monkeypatch):
         # the bracket cannot shrink below one ulp of log gamma; the search
         # stops there instead of looping
-        fine = analysis._optimize_cells(self.SPEC, [self.SPEC.kappa],
-                                        [self.SPEC.mu], 64, 1e-300)[0][0]
         ref = optimize_dephasing(self.SPEC)
+        monkeypatch.setattr(analysis, "GRID_POINTS", 64)
+        fine = analysis._optimize_cells(self.SPEC, [self.SPEC.kappa],
+                                        [self.SPEC.mu], 1e-300)[0][0]
         assert fine.gamma_opt == pytest.approx(ref.gamma_opt, rel=1e-3)
         assert fine.xi == pytest.approx(ref.xi, abs=1e-9)
 
-    def test_single_point_grid(self):
+    def test_single_point_grid(self, monkeypatch):
+        monkeypatch.setattr(analysis, "GRID_POINTS", 1)
         res = analysis._optimize_cells(self.SPEC, [self.SPEC.kappa],
-                                       [self.SPEC.mu], 1,
-                                       analysis.REFINE_TOL)[0][0]
+                                       [self.SPEC.mu])[0][0]
         assert res.eta0 == pytest.approx(dense_lu_branching(self.SPEC)[0],
                                          abs=1e-12)
 
@@ -804,8 +878,7 @@ class TestRateSlopeSweeps:
     def test_envelope_slope_matches_central_difference(self, spec):
         (res,), slopes = analysis._scan_refine(
             EigenbasisSteadySolver(spec, [spec.kappa], [spec.mu]),
-            analysis.GRID_POINTS,
-            analysis.REFINE_TOL, rates=True)
+            rates=True)
         assert res.xi > 0.05
         h = 1e-3
         for rate, got in zip(("kappa", "mu"), slopes[0]):
@@ -816,8 +889,7 @@ class TestRateSlopeSweeps:
                 # sees xi and not where the refinement stopped
                 moved = spec.with_rates(**{rate: math.exp(x + dx)})
                 return analysis._optimize_cells(
-                    moved, [moved.kappa], [moved.mu], analysis.GRID_POINTS,
-                    1e-8)[0][0].xi
+                    moved, [moved.kappa], [moved.mu], 1e-8)[0][0].xi
 
             want = (8.0 * (xi(h) - xi(-h)) - (xi(2 * h) - xi(-2 * h))) / (
                 12.0 * h)

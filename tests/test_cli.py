@@ -59,7 +59,7 @@ def test_coincident_sites_rejected(capsys):
         ["efficiency", "--n", "3", "--trap", "2", "--init", "2",
          "--kappa", "0.1", "--mu", "0.01", "--gamma", "0"], capsys)
     assert code == cli.EXIT_VALIDATION
-    assert "coincident" in err
+    assert "the initial site and the single trap must differ" in err
 
 
 def test_negative_rate_rejected(capsys):
@@ -67,7 +67,7 @@ def test_negative_rate_rejected(capsys):
         ["efficiency", "--n", "3", "--trap", "1", "--init", "2",
          "--kappa", "-0.1", "--mu", "0.01", "--gamma", "0"], capsys)
     assert code == cli.EXIT_VALIDATION
-    assert "negative rate" in err
+    assert "kappa=-0.1 must be finite and >= 0" in err
 
 
 def test_site_out_of_range_rejected(capsys):
@@ -75,7 +75,7 @@ def test_site_out_of_range_rejected(capsys):
         ["efficiency", "--n", "3", "--trap", "4", "--init", "2",
          "--kappa", "0.1", "--mu", "0.01", "--gamma", "0"], capsys)
     assert code == cli.EXIT_VALIDATION
-    assert "site index" in err
+    assert "trap 4 outside 1..3" in err
 
 
 def test_unknown_subcommand_exits_two(capsys):
@@ -533,6 +533,31 @@ def test_config_values_meet_the_checks_of_flags(command, line, message,
     key, _, val = (part.strip() for part in line.partition("="))
     flag = "--" + key.replace("_", "-")
     assert _run_capture(command + [flag, val], capsys) == (code, out, err)
+
+
+def test_config_line_without_equals_exits_two(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("n 3\n")
+    code, out, err = _run_capture(["optimize", "--config", str(cfgfile)],
+                                  capsys)
+    assert (code, out) == (cli.EXIT_VALIDATION, "")
+    assert f"{cfgfile}:1: expected key=value, got 'n 3'" in err
+
+
+def test_run_rejects_an_unknown_subcommand():
+    # parse_config makes no such RunConfig, but run takes any
+    with pytest.raises(ValidationError, match="unknown subcommand 'nope'"):
+        run(cli.RunConfig("nope"))
+
+
+def test_failed_write_removes_its_temp_file(tmp_path, monkeypatch):
+    def failing(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli.os, "replace", failing)
+    with pytest.raises(OSError, match="disk full"):
+        cli.emit([{"x": 1.0}], "csv", str(tmp_path / "out.csv"))
+    assert os.listdir(tmp_path) == []
 
 
 def test_config_file_not_utf8_exits_two(tmp_path, capsys):

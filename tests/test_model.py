@@ -117,7 +117,7 @@ class TestSystemSpecValidation:
 
     @pytest.mark.parametrize("field,value", [
         ("kappa", -0.1), ("mu", -1.0), ("gamma", -2.0),
-        ("kappa", math.inf), ("mu", math.nan),
+        ("kappa", math.inf), ("mu", math.nan), ("v", math.nan),
     ])
     def test_bad_rates_rejected(self, field, value):
         kw = dict(kappa=0.1, mu=0.1, gamma=0.0)
@@ -199,9 +199,20 @@ def test_semi_infinite_spec_geometry():
     assert spec.offset == 2
 
 
+def test_semi_infinite_spec_needs_mu_only_to_size_a_side():
+    # given both sizes, mu = 0 is a valid rate; without one, mu sizes it
+    spec = semi_infinite_spec(1.0, 0.0, 0.0, 1, 4, 4)
+    assert (spec.n, spec.mu) == (9, 0.0)
+    for sizes in ((), (4,)):
+        with pytest.raises(ValidationError,
+                           match="sizing needs mu > 0, got mu=0.0"):
+            semi_infinite_spec(1.0, 0.0, 0.0, 1, *sizes)
+
+
 @pytest.mark.parametrize("mu", [math.nan, math.inf])
 def test_semi_infinite_spec_rejects_non_finite_mu(mu):
-    with pytest.raises(ValidationError, match="finite mu > 0"):
+    # the model's one rate check, before mu sizes the sides
+    with pytest.raises(ValidationError, match=f"mu={mu!r} must be finite"):
         semi_infinite_spec(1.0, mu, 0.0)
 
 
@@ -235,6 +246,18 @@ def test_population_index_row_major():
     assert vec[10] == 1.0 and vec.sum() == 1.0
     pops = np.array([0.1, 0.2, 0.3, 0.4])
     assert np.array_equal(as_density_vec(np.diag(pops), 4)[::5], pops)
+
+
+def test_missing_density_matrix_rejected():
+    # None is an array of no shape, which the shape check rejects
+    with pytest.raises(ValidationError,
+                       match=r"density matrix of shape \(\) is neither"):
+        as_density_vec(None, 3)
+
+
+def test_semi_infinite_spec_needs_a_trap_region():
+    with pytest.raises(ValidationError, match="requires a trap region"):
+        SystemSpec("semi-infinite", 5, (), 2, 1.0, 0.5, 0.0, offset=1)
 
 
 def test_as_density_vec_accepts_all_forms():

@@ -210,26 +210,30 @@ class TestPropagation:
         assert np.array_equal(np.trace(traj.states, axis1=1, axis2=2).real,
                               traj.traces)
 
-    @pytest.mark.parametrize("horizon", [1.0, 10.0])
-    def test_too_stiff_dephasing_raises_at_once(self, horizon):
+    @pytest.mark.parametrize("gamma, horizon", [
+        (1e14, 1.0), (1e14, 10.0), (1e14, 1e-9), (1e16, 1e-9),
+    ], ids=["1.0", "10.0", "1e14-1e-09", "1e16-1e-09"])
+    def test_too_stiff_dephasing_raises_at_once(self, gamma, horizon):
         # at gamma * dt of 4e11 and more the exponential loses the trace
-        # (by 1e-2 at horizon 10), which the probability budget shows
+        # (by 1e-2 at horizon 10), which the probability budget shows; at
+        # horizon 1e-9 it misses 9 % (gamma 1e14) and 100 % (1e16) of the
+        # 2e-11 that decays, which only a budget relative to what decayed
+        # shows
         start = time.perf_counter()
         with pytest.raises(StiffnessError, match="probability budget"):
-            propagate(FIG1B.with_rates(gamma=1e14), horizon=horizon)
+            propagate(FIG1B.with_rates(gamma=gamma), horizon=horizon)
         assert time.perf_counter() - start < 1.0
 
     def test_stiff_dephasing_within_the_guard_completes(self):
-        for gamma in (1e12, 1e14):
-            traj = propagate(FIG1B.with_rates(gamma=gamma), horizon=1e-9)
-            assert traj.times[-1] == 1e-9
-            budget = (traj.trapped_cumulative + traj.loss_cumulative
-                      + traj.traces - 1.0)
-            assert np.abs(budget).max() < 1e-11
-            # strong dephasing freezes the populations (Zeno): only the
-            # background loss acts on the trace over so short a time
-            assert traj.traces[-1] == pytest.approx(
-                math.exp(-2 * FIG1B.mu * 1e-9), abs=1e-11)
+        traj = propagate(FIG1B.with_rates(gamma=1e12), horizon=1e-9)
+        assert traj.times[-1] == 1e-9
+        budget = (traj.trapped_cumulative + traj.loss_cumulative
+                  + traj.traces - 1.0)
+        assert np.abs(budget).max() < 1e-11
+        # strong dephasing freezes the populations (Zeno): only the
+        # background loss acts on the trace over so short a time
+        assert traj.traces[-1] == pytest.approx(
+            math.exp(-2 * FIG1B.mu * 1e-9), abs=1e-11)
 
     @pytest.mark.parametrize("kw", [
         {"horizon": np.inf}, {"horizon": np.nan}, {"horizon": 0.0},
@@ -717,6 +721,27 @@ def test_one_spec_callers_raise_the_failed_point(monkeypatch, call):
     with pytest.raises(SingularSystemError,
                        match=r"gamma=0\.3: sparse fallback failed"):
         call()
+
+
+def test_redone_point_without_an_adjoint_has_no_slopes(monkeypatch):
+    # the fallback chain redoes the point at 0.3; the adjoint solve of the
+    # full generator then fails, so that point's slopes are NaN while its
+    # eta stands
+    _fail_direct_solve_at(monkeypatch, 0.3)
+    full_solve = EigenbasisSteadySolver._full_solve
+
+    def no_adjoint(self, a, g2, rhs, bnorm, v, resid, *args):
+        if resid == math.inf:  # _full_slopes' solve, from zero
+            raise RuntimeError("factor is exactly singular")
+        return full_solve(self, a, g2, rhs, bnorm, v, resid, *args)
+
+    monkeypatch.setattr(EigenbasisSteadySolver, "_full_solve", no_adjoint)
+    solver = EigenbasisSteadySolver(_FAILING)
+    eta, slope, rates = solver.eta([0.1, 0.3], slope=True, _rates=True)
+    assert solver.routes == {"direct-eigenbasis": 1, "direct-sparse": 1}
+    assert np.isfinite(eta).all()
+    assert math.isnan(slope[1]) and np.isnan(rates[1]).all()
+    assert math.isfinite(slope[0]) and np.isfinite(rates[0]).all()
 
 
 def test_cli_curve_exits_3_on_the_failed_point(monkeypatch, capsys):
@@ -1439,3 +1464,14 @@ def test_restarted_gmres_breakdowns():
     x, info, matvecs = solver_module._restarted_gmres(np.zeros_like, b, None,
                                                       60, 10)
     assert info != 0 and not x.any() and matvecs == 2
+
+
+def test_restarted_gmres_out_of_cycles_reports_them():
+    # a Krylov space of two vectors cannot solve this system in three
+    # cycles: info is the number of cycles run
+    a, b = _random_system(50, 3)
+    x, info, matvecs = solver_module._restarted_gmres(
+        lambda v: a @ v, b, None, 2, 3)
+    assert info == 3 and matvecs == 9
+    assert np.linalg.norm(b - a @ x) > solver_module.GMRES_RTOL * (
+        np.linalg.norm(b))
