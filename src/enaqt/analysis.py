@@ -20,17 +20,19 @@ Every dephasing optimization, whether of one system (optimize_dephasing),
 of the cells of a plane sweep, of max_enaqt's ranking grid and seeds, or
 of a semi-infinite truncation, runs one path (_scan_refine) over a cell
 stack, an EigenbasisSteadySolver built from one geometry spec and the
-arrays of up to solver._stack_size(n) kappas and mus (no spec per cell):
-one batched scan of the gamma grid for all cells, then one elementwise
-search (_maximize, the only maximizer here: a secant search on the slope
-with bisection) that refines every grid-local maximum of every cell in
-lockstep, with one batched solve per step.  The solver gives a slope at
-every certified point, on every route.  max_enaqt's kappa and mu sweeps
-run on _maximize too: _scan_refine gives their slopes d xi/d log kappa
-and d xi/d log mu by the envelope theorem, from the solves it makes
-anyway, and a seed whose xi is 0 at both first points of a sweep leaves
-the lockstep (see max_enaqt).  How many cells a stack holds is the
-solver's choice.
+rate arrays of its cells (no spec per cell), whole kappa rows of them,
+each row one eigendecomposition for all its mus: one batched scan of the
+gamma grid for all cells, then one elementwise search (_maximize, the
+only maximizer here: a secant search on the slope with bisection) that
+refines every grid-local maximum of every cell in lockstep, with one
+batched solve per step.  The solver gives a slope at every certified
+point, on every route.  max_enaqt's kappa and mu sweeps run on _maximize
+too: _scan_refine gives their slopes d xi/d log kappa and d xi/d log mu
+by the envelope theorem, from the solves it makes anyway, and a seed
+whose xi is 0 at both first points of a sweep leaves the lockstep (see
+max_enaqt).  How many rows a stack holds is the solver's choice
+(solver._stacks): a 16 x 16 plane sweep and max_enaqt's 13 x 13 ranking
+grid are each one stack up to 5 sites.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ from .model import (
 )
 from .solver import (
     EigenbasisSteadySolver,
-    _stack_size,
+    _stacks,
     efficiency_gamma_grid,
 )
 
@@ -390,10 +392,11 @@ def _scan_refine(solver, refine_tol=REFINE_TOL, rates=False):
     point when it rises, whether or not it beats gamma = 0: a narrow peak
     can rise above eta0 between samples that all stay below it.  A
     maximum whose rise and fall are both at most 1e-12 is rounding and
-    gets no bracket; a cell's best grid point keeps its bracket whenever
-    it is not gamma = 0.  Each bracket runs in log gamma over the
-    neighbours of its grid point, and each cell reports the best of its
-    brackets' certified answers.  A gain counts only above rounding:
+    gets no bracket, and so is a cell's best grid point (which is
+    bracketed when it is not gamma = 0, also where the next point ties
+    it), so that the noise of a flat curve is never refined.  Each
+    bracket runs in log gamma over the neighbours of its grid point, and
+    each cell reports the best of its brackets' certified answers.  A gain counts only above rounding:
     unless eta_max - eta0 > 1e-12, the cell reports xi = 0 and
     gamma_opt = 0 (rounding in eta scales with eta + eta_loss = 1, not
     with eta).  Returns the pair (entries, xi_slopes) whatever `rates`.
@@ -404,11 +407,11 @@ def _scan_refine(solver, refine_tol=REFINE_TOL, rates=False):
     certifying solve) less d eta/d log rate at gamma = 0 (from the scan's
     gamma = 0 column), NaN where xi = 0 or a rate slope is missing, as at
     a failed cell (see EigenbasisSteadySolver.eta).  The callers build
-    their stacks in cells of solver._stack_size(n), which knows the
-    memory of a cell.  Leaves one DEBUG record: the cells refined, the
-    brackets refined, the refinement's steps and bisection steps, and the
-    largest |d eta/d log gamma| at the gammas the cells keep (near 0 at
-    an interior optimum).
+    their stacks by solver._stacks, which knows the memory of a kappa
+    row.  Leaves one DEBUG record: the cells, the cells and the brackets
+    refined, the refinement's steps and bisection steps, the largest
+    |d eta/d log gamma| at the gammas the cells keep (near 0 at an
+    interior optimum), and the rows (eigendecompositions) of the stack.
     """
     gammas = np.concatenate([[0.0], np.geomspace(*GAMMA_BOUNDS, GRID_POINTS)])
     etas, zero = (solver.eta_grid(gammas, _rates=True) if rates
@@ -424,9 +427,9 @@ def _scan_refine(solver, refine_tol=REFINE_TOL, rates=False):
     fall[:, :-1] = -rise[:, 1:]
     peak = (rise >= 0.0) & (fall > 0.0)
     peak[:, -1] = rise[:, -1] >= 0.0
-    peak &= np.maximum(rise, fall) > 1e-12
     best = np.argmax(etas, axis=1)
     peak[best > 0, best[best > 0] - 1] = True
+    peak &= np.maximum(rise, fall) > 1e-12
     cell, point = np.nonzero(peak)
     point += 1
     stats = {"steps": 0, "bisections": 0}
@@ -453,9 +456,9 @@ def _scan_refine(solver, refine_tol=REFINE_TOL, rates=False):
                 if rates:
                     xi_slopes[k] = at_opt[0][i] - zero[k]
     _logger.debug("scan_refine n=%d cells=%d refined=%d brackets=%d "
-                  "steps=%d bisections=%d max_abs_slope=%.2e", solver.n,
-                  solver.cells, np.unique(cell).size, cell.size,
-                  stats["steps"], stats["bisections"], largest)
+                  "steps=%d bisections=%d max_abs_slope=%.2e rows=%d",
+                  solver.n, solver.cells, np.unique(cell).size, cell.size,
+                  stats["steps"], stats["bisections"], largest, solver.rows)
     return [solver.failed.get(k, res)
             for k, res in enumerate(results)], xi_slopes
 
@@ -463,16 +466,14 @@ def _scan_refine(solver, refine_tol=REFINE_TOL, rates=False):
 def _optimize_cells(spec, kappas, mus, refine_tol=REFINE_TOL, rates=False):
     """_scan_refine over the cells (kappas[i], mus[i]) of the geometry of
     spec (1-d rate arrays of one length; spec's own rates are ignored) in
-    stacks of _stack_size cells: the pair (entries, xi_slopes) of
-    _scan_refine over all cells, in order, xi_slopes None without
-    `rates`."""
+    the stacks of solver._stacks, whole kappa rows: the pair (entries,
+    xi_slopes) of _scan_refine over all cells, in order, xi_slopes None
+    without `rates`."""
     kappas = np.asarray(kappas, dtype=float)
     mus = np.asarray(mus, dtype=float)
-    size = _stack_size(spec.n)
-    stacks = [_scan_refine(EigenbasisSteadySolver(spec, kappas[i:i + size],
-                                                  mus[i:i + size]),
+    stacks = [_scan_refine(EigenbasisSteadySolver(spec, kappas[at], mus[at]),
                            refine_tol, rates)
-              for i in range(0, kappas.size, size)]
+              for at in _stacks(spec.n, kappas)]
     return ([res for results, _ in stacks for res in results],
             np.concatenate([slopes for _, slopes in stacks]) if rates
             else None)
@@ -534,14 +535,16 @@ def max_enaqt(topology, n: int, trap_site: int,
     optimizer, so the reported xi carries the production solve's
     accuracy; kappa and mu are resolved to about the final sweep span.
 
-    The ranking grid is optimized in cell stacks (the GRID_POINTS gamma
-    grid and a coarse 1e-3 refinement tolerance; gamma is refined on the
-    slope as in optimize_dephasing), and the seeds refine in lockstep: each
-    step of their kappa (or mu) sweeps evaluates one cell per seed as one
-    stack, as do the final optimizations.  A sweep step also returns
-    d xi/d log kappa (or mu) of every cell, by the envelope theorem
-    (_scan_refine), so the sweeps run _maximize's secant search on the
-    slope, and an optimum on a rate bound is settled by its end probe.
+    The ranking grid is optimized as one cell stack of its PLANE_POINTS
+    kappa rows up to 5 sites, in stacks of whole rows above (the
+    GRID_POINTS gamma grid and a coarse 1e-3 refinement tolerance; gamma
+    is refined on the slope as in optimize_dephasing), and the seeds
+    refine in lockstep: each step of their kappa (or mu) sweeps evaluates
+    one cell per seed as one stack, as do the final optimizations.  A
+    sweep step also returns d xi/d log kappa (or mu) of every cell, by
+    the envelope theorem (_scan_refine), so the sweeps run _maximize's
+    secant search on the slope, and an optimum on a rate bound is
+    settled by its end probe.
     The solver gives these slopes on every route (its direct kernels,
     its GMRES route above solver.DIRECT_MAX_N sites and its fallback
     chain).  xi = 0 (no gain) has no slope, and shows no direction: a
@@ -686,16 +689,24 @@ def chain_amplitude(n: int, l: int, m: int, t):
     """Coherent amplitude U_lm(t) on the bare open chain (1-based sites).
 
     Eigenstate sum with u_j(k) = sqrt(2/(N+1)) sin(pi*j*k/(N+1)) and
-    lambda_k = 2 cos(pi*k/(N+1)).  t may be a scalar or an array.
+    lambda_k = 2 cos(pi*k/(N+1)).  t may be a scalar or an array of
+    finite real times, negative ones included (ValidationError otherwise).
     """
     n = _check_site_count(Topology.CHAIN, n)
     l = _site0(l, n, "l") + 1
     m = _site0(m, n, "m") + 1
+    try:
+        t_arr = np.asarray(t)
+    except ValueError:  # a ragged sequence
+        t_arr = None
+    if (t_arr is None or t_arr.dtype.kind not in "biuf"
+            or not np.isfinite(t_arr).all()):
+        raise ValidationError(f"t={t!r} must be finite real times")
+    t_arr = t_arr.astype(float, copy=False)
     k = np.arange(1, n + 1)
     u_l = np.sin(np.pi * l * k / (n + 1))
     u_m = np.sin(np.pi * m * k / (n + 1))
     lam = 2.0 * np.cos(np.pi * k / (n + 1))
-    t_arr = np.asarray(t, dtype=float)
     phases = np.exp(-1j * t_arr[..., None] * lam)
     out = (2.0 / (n + 1)) * (phases * (u_l * u_m)).sum(axis=-1)
     return complex(out) if t_arr.ndim == 0 else out
@@ -932,9 +943,10 @@ def plane_sweep(topology, n=None, trap=None, init=None,
 
     Defaults to 48-point log grids over [1e-4, 1e2].  The cells, in grid
     order (mu fastest), are cut into batches: chain and ring cells into
-    cell stacks of _stack_size(n) cells, each optimized by one batched
-    scan and one lockstep refinement (see the module docstring),
-    and semi-infinite cells one by one, each with its own truncation.
+    cell stacks of whole kappa rows (solver._stacks: one
+    eigendecomposition per row), each optimized by one batched scan and
+    one lockstep refinement (see the module docstring), and semi-infinite
+    cells one by one, each with its own truncation.
     The batches depend only on the grid and the geometry; with
     workers > 1 they are the tasks of a process pool, and the map is
     identical for any worker count.  Per-cell failures are recorded in
@@ -963,16 +975,14 @@ def plane_sweep(topology, n=None, trap=None, init=None,
         if grid[0] < lo * (1 - 1e-12) or grid[-1] > RATE_BOUNDS[1] * (1 + 1e-12):
             raise ValidationError(
                 f"{name} must lie within [{lo:g}, {RATE_BOUNDS[1]:g}]")
+    cells = [(float(kv), float(mv)) for kv in kappa_grid for mv in mu_grid]
     if topology is Topology.SEMI_INFINITE:
         offset = _check_offset(offset)
-        spec0, size = None, 1
+        spec0, stacks = None, [slice(i, i + 1) for i in range(len(cells))]
     else:
         spec0 = _geometry_spec(topology, n, trap, init)
-        size = _stack_size(spec0.n)
-
-    cells = [(float(kv), float(mv)) for kv in kappa_grid for mv in mu_grid]
-    tasks = [(spec0, offset, cells[i:i + size])
-             for i in range(0, len(cells), size)]
+        stacks = _stacks(spec0.n, np.repeat(kappa_grid, mu_grid.size))
+    tasks = [(spec0, offset, cells[at]) for at in stacks]
     rows = [row for batch in _pool_map(_sweep_batch, tasks, workers)
             for row in batch]
 

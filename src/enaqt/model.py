@@ -180,8 +180,12 @@ class SystemSpec:
         object.__setattr__(self, "n", n)
         for name in ("kappa", "mu", "gamma"):
             _rate(name, getattr(self, name))
-        if not math.isfinite(self.v):
-            raise ValidationError(f"v={self.v!r} must be finite")
+        try:  # a real number: math.isfinite refuses str, None, complex
+            finite = math.isfinite(self.v)
+        except TypeError:
+            finite = False
+        if not finite:
+            raise ValidationError(f"v={self.v!r} must be a finite number")
         for s in traps + (self.initial_site,):
             if not 0 <= s < n:
                 raise ValidationError(

@@ -25,7 +25,7 @@ populations in the eigenbasis of H and solves that system by one of three
 kernels, chosen by the number of sites n:
 
 * up to MAPS_MAX_N sites, directly, with the system assembled through
-  n^2 x n^2 maps tabulated per cell ("maps");
+  n^2 x n^2 maps tabulated per kappa row ("maps");
 * up to DIRECT_MAX_N sites, directly, with the system assembled without
   maps ("map-free");
 * above, by an in-house restarted GMRES (_restarted_gmres), one point at
@@ -37,12 +37,16 @@ solver certifies every answer by one rule, the residual of the full
 generator; it sends a rejected point, on its own cell's arrays, through
 one fallback chain: extended-precision refinement, then a sparse LU of
 the full generator; and it records a point failing both in `failed`
-(efficiency_direct and efficiency_gamma_grid raise it).  The solver also
-sizes the cell stacks of its callers (_stack_size).
+(efficiency_direct and efficiency_gamma_grid raise it).  Since
+H(kappa, mu) = H(kappa, 0) - i*mu*I, a stack takes its eigendecomposition
+and maps once per distinct kappa (a row), and every cell is its row
+shifted by its mu.  The solver also sizes the cell stacks of its callers
+in whole rows (_stack_size, _stacks).
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from collections import Counter
@@ -100,8 +104,8 @@ MAPS_MAX_N = 16
 # memory; where every solve faults in its n^3 arrays afresh, GMRES wins
 # single strong-dephasing solves from about 30 sites (docs/decisions.md).
 DIRECT_MAX_N = 35
-# Bytes of the n^2 x n^2 maps (16 n^4 bytes a cell) of one cell stack;
-# see _stack_size.
+# Bytes of the n^2 x n^2 maps (16 n^4 bytes a kappa row) of one cell
+# stack; see _stack_size.
 STACK_BYTES = 2 ** 18
 # Steps of one matrix exponential by which propagate crosses its horizon.
 PROPAGATE_STEPS = 256
@@ -410,20 +414,51 @@ def _restarted_gmres(apply, b, x0, restart, maxiter):
 
 
 def _stack_size(n):
-    """Cells per stack of n-site cells: as many as keep their n^2 x n^2
-    maps (16 n^4 bytes a cell) within STACK_BYTES, and at least one: 26 at
-    n = 5, 4 at n = 8, and one from n = 10 on, so also above MAPS_MAX_N
-    sites, where a stack holds one cell."""
+    """Kappa rows per stack of n-site cells: as many as keep their
+    n^2 x n^2 maps (16 n^4 bytes a row) within STACK_BYTES, and at least
+    one: 26 at n = 5, 4 at n = 8, and one from n = 10 on.  A row holds any
+    number of mu cells, but above MAPS_MAX_N sites a stack holds one cell
+    (_stacks)."""
     return max(1, STACK_BYTES // (16 * n ** 4))
 
 
+def _stacks(n, kappas):
+    """The stacks of the n-site cells at the rates kappas (a 1-d array,
+    one per cell, in order), as slices of the cells: whole runs of equal
+    kappa (rows), _stack_size(n) runs a stack, and one cell a stack above
+    MAPS_MAX_N sites."""
+    first = (range(kappas.size) if n > MAPS_MAX_N else
+             [0, *(np.flatnonzero(kappas[1:] != kappas[:-1]) + 1).tolist()])
+    cuts = [*first[::_stack_size(n)], kappas.size]
+    return [slice(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
+
+
+class _Rows(NamedTuple):
+    """The arrays of EigenbasisSteadySolver that do not depend on mu, one
+    per kappa row (a leading row axis), tabulated for the cell (kappa, 0):
+    H(kappa, mu) = H(kappa, 0) - i*mu*I leaves S, S^-1 and the maps as
+    they are.  See EigenbasisSteadySolver._build_maps for the last five:
+    weights0 exists at every size, kmap, emap and fmap up to MAPS_MAX_N
+    sites, and dmat from there to DIRECT_MAX_N sites."""
+
+    s: np.ndarray          # S
+    sdag: np.ndarray       # S^dag
+    sinv: np.ndarray       # S^-1
+    two_kappa: np.ndarray  # shape (rows, 1)
+    weights0: np.ndarray   # S^-1 rhs0 S^-dag, shape (rows, 1, n^2)
+    kmap: np.ndarray | None = None
+    emap: np.ndarray | None = None
+    fmap: np.ndarray | None = None
+    dmat: np.ndarray | None = None
+
+
 class _Cells(NamedTuple):
-    """Per-cell arrays of EigenbasisSteadySolver, each with a leading cell
-    axis, built from one geometry and the rate arrays of its cells (so
-    two_kappa and two_mu are those arrays, doubled); see
-    EigenbasisSteadySolver._build_maps for the last five: weights0 exists
-    at every size, kmap, emap and fmap up to MAPS_MAX_N sites, and dmat
-    from there to DIRECT_MAX_N sites."""
+    """The arrays of a chunk of cells of EigenbasisSteadySolver
+    (EigenbasisSteadySolver._select), each with a leading cell axis,
+    except the maps: each cell's c, -iH and -iH^dag, its row's shifted by
+    its mu, and its row's arrays of _Rows.  The maps are never gathered:
+    a chunk holds the rows' own, and `runs` tells which rows its cells are
+    on (_by_row)."""
 
     c: np.ndarray          # -i(lam_p - conj lam_q), shape (cells, 1, n^2)
     s: np.ndarray          # S
@@ -433,11 +468,49 @@ class _Cells(NamedTuple):
     mhd: np.ndarray        # -iH^dag
     two_kappa: np.ndarray  # shape (cells, 1)
     two_mu: np.ndarray     # shape (cells, 1)
-    kmap: np.ndarray | None = None
+    weights0: np.ndarray   # S^-1 rhs0 S^-dag, shape (cells, 1, n^2)
+    runs: tuple            # (r0, r1, lo, hi): the cells lo:hi on rows r0:r1
+    kmap: np.ndarray | None = None  # one per row, as the next three
     emap: np.ndarray | None = None
     fmap: np.ndarray | None = None
-    weights0: np.ndarray | None = None
     dmat: np.ndarray | None = None
+
+
+def _runs(row):
+    """The runs (r0, r1, lo, hi) of the row indices `row` of a chunk's
+    cells: the cells lo:hi all on row r0 (r1 = r0 + 1), or each on the next
+    row (r1 - r0 = hi - lo), so that maps[r0:r1] is a view of their maps
+    that broadcasts against them.  A run of one cell is both, and a cell
+    on the row after it joins it."""
+    rows = row.tolist()
+    cut = [0, *(np.flatnonzero(row[1:] != row[:-1]) + 1).tolist(), len(rows)]
+    runs = []
+    for lo, hi in zip(cut[:-1], cut[1:]):
+        r = rows[lo]
+        if (hi - lo == 1 and runs and runs[-1][1] == r
+                and runs[-1][1] - runs[-1][0] == runs[-1][3] - runs[-1][2]):
+            runs[-1][1:4:2] = r + 1, hi
+        else:
+            runs.append([r, r + 1, lo, hi])
+    return tuple(map(tuple, runs))
+
+
+def _by_row(a, x, maps):
+    """x @ maps[row] for every cell of the chunk a, row its row, along the
+    cell axis (-3) of x: per run (r0, r1, lo, hi) of a, one matmul of the
+    cells lo:hi by the view maps[r0:r1] (_runs), one matrix product per
+    cell over all its points, by its row's map as it is (no copy per
+    cell).  OpenBLAS gives a row of a product different bits for a
+    different row count, so a point's result then does not depend on its
+    chunk."""
+    if len(a.runs) == 1:
+        (r0, r1, _, _), = a.runs
+        return x @ maps[r0:r1]
+    out = np.empty(x.shape[:-1] + maps.shape[-1:], complex)
+    for r0, r1, lo, hi in a.runs:
+        np.matmul(x[..., lo:hi, :, :], maps[r0:r1],
+                  out=out[..., lo:hi, :, :])
+    return out
 
 
 class EigenbasisSteadySolver:
@@ -548,21 +621,28 @@ class EigenbasisSteadySolver:
     two rate arrays, EigenbasisSteadySolver(spec, kappa, mu): cell i has the
     rates (kappa[i], mu[i]) (finite and >= 0, else ValidationError).  Each
     array defaults to spec's own rate, so EigenbasisSteadySolver(spec) is
-    the one-cell stack at spec's rates.  No spec is built per cell: the H
-    of every cell comes from model._hamiltonians, the builder behind
-    build_hamiltonian, and every array gets a leading cell axis.  A stack
-    is built with one stacked eigendecomposition and one stacked map, and
-    each call of eta_grid or eta solves a (cells x rates) array of points
-    at once: per cell, one matrix product applies a map, or S, S^dag or H,
-    to all its rates together, and one stacked solve covers every point (a
-    single LAPACK solve for one cell and one rate), in chunks of at most
-    BATCH_BYTES: all rates of as many cells as fit, or as many rates of one
-    cell.  Above MAPS_MAX_N sites a stack holds one cell and a chunk one
-    rate, and above DIRECT_MAX_N sites GMRES solves the points one by one
-    (a chunk of one point, whatever BATCH_BYTES).  Each initial-site point
-    starts from the final populations of the last initial-site point
-    solved, in this call or an earlier one; the solver keeps them in one
-    place (_warm), so a solve from another rho0 moves no later start.
+    the one-cell stack at spec's rates.  No spec is built per cell.  Since
+    H(kappa, mu) = H(kappa, 0) - i*mu*I, S, S^-1 and the maps do not
+    depend on mu: the stack tabulates them once per distinct kappa (`rows`
+    of them, _Rows), from one stacked eigendecomposition of the H that
+    model._hamiltonians, the builder behind build_hamiltonian, gives at
+    mu = 0.  A cell keeps its row and what depends on its mu, its row's
+    shifted: c - 2*mu, and -iH and -iH^dag of H(kappa, 0) - i*mu*I,
+    bitwise the H of model._hamiltonians at its rates, so that every
+    residual is its own full generator's.  Each call of eta_grid or eta
+    solves a (cells x rates) array of points at once: per cell, one matrix
+    product applies its row's map, or S, S^dag or H, to all its rates
+    together (_by_row: never one product of several cells, so a point's
+    result does not depend on its chunk), and one stacked solve covers
+    every point (a single LAPACK solve for one cell and one rate), in
+    chunks of at most BATCH_BYTES: all rates of as many cells as fit, or
+    as many rates of one cell.  Above MAPS_MAX_N sites a stack holds one
+    cell and a chunk one rate, and above DIRECT_MAX_N sites GMRES solves
+    the points one by one (a chunk of one point, whatever BATCH_BYTES).
+    Each initial-site point starts from the final populations of the last
+    initial-site point solved, in this call or an earlier one; the solver
+    keeps them in one place (_warm), so a solve from another rho0 moves no
+    later start.
 
     efficiency, eta and eta_grid run one point path (_points) for rates that
     are finite and >= 0 (ValidationError otherwise): (1) solve the points
@@ -615,19 +695,36 @@ class EigenbasisSteadySolver:
         self.tidx = np.asarray(spec.trap_sites, dtype=int)
         self._trap_indicator = np.zeros(n)
         self._trap_indicator[self.tidx] = 1.0
-        h = _hamiltonians(spec, kappa, mu)
+        # one row per distinct kappa, the cell (kappa, 0), in the order of
+        # the cells (cells of distinct kappas then apply their maps in one
+        # matmul, _runs)
+        first = {}
+        self._row = row = np.array([first.setdefault(k, len(first))
+                                    for k in kappa.tolist()])
+        kappas = np.array(list(first))
+        self.rows = rows = kappas.size
+        h = _hamiltonians(spec, kappas, np.zeros(rows))
         self._colours = _colouring(spec)
         lam, s = _eig(h, self._colours)
-        self._lam = lam[0]  # cell 0's, for _population_matvec
+        # cell 0's row's, for _population_matvec: mu moves no real part
+        self._lam = lam[0]
         sinv = np.linalg.inv(s)
         c = -1j * (lam[:, :, None] - lam[:, None, :].conj())
         self._ids = np.arange(cells)
         self._init = spec.initial_site
         self._rhs0 = -_site_density(n, spec.initial_site)
-        self._all = _Cells(
-            c.reshape(cells, 1, n * n), s, s.conj().transpose(0, 2, 1), sinv,
-            -1j * h, -1j * h.conj().transpose(0, 2, 1), 2.0 * kappa[:, None],
-            2.0 * mu[:, None], **self._build_maps(s, sinv))
+        self._rows = _Rows(s, s.conj().transpose(0, 2, 1), sinv,
+                           2.0 * kappas[:, None], **self._build_maps(s, sinv))
+        # what depends on mu, per cell, its row's shifted: c - 2*mu, and
+        # H - i*mu*I, bitwise the H of model._hamiltonians at its rates
+        c = c.reshape(rows, 1, n * n)
+        if rows < cells:  # else each cell is its own row, in order
+            c, h = c[row], h[row]
+        self._two_mu = 2.0 * mu[:, None]
+        self._c = c - self._two_mu[:, :, None]
+        diag = np.arange(n)
+        h.imag[:, diag, diag] -= mu[:, None]
+        self._mh, self._mhd = -1j * h, -1j * h.conj().transpose(0, 2, 1)
         self._warm = None  # GMRES start: last initial-site populations
         self._operands = {}  # transpose -> _population_matvec's operands
         self.routes = Counter()  # accepted points per method
@@ -635,8 +732,8 @@ class EigenbasisSteadySolver:
         self.failed = {}  # cell index -> SingularSystemError
 
     def _build_maps(self, s, sinv):
-        """Tabulate, per cell, what the direct kernels apply, as keyword
-        arguments of _Cells.
+        """Tabulate, per row, what the direct kernels apply, as keyword
+        arguments of _Rows (s and sinv hold one S and S^-1 per row).
 
         Matrices X are flattened row-major (X[i, j] at i*n + j), and the
         maps act from the right on rows of points, so that all points of
@@ -654,35 +751,51 @@ class EigenbasisSteadySolver:
         """
         n = self.n
         nn = n * n
-        cells = len(s)
+        rows = len(s)
         if self.kernel == "gmres":
             # rank one, -S^-1[:, i] conj(S^-1[:, i])^T: no n x n products
             col = sinv[:, :, self._init]
             return {"weights0": -(col[:, :, None] * col.conj()[:, None, :]
-                                  ).reshape(cells, 1, nn)}
+                                  ).reshape(rows, 1, nn)}
         st, sinvt = s.transpose(0, 2, 1), sinv.transpose(0, 2, 1)
         weights0 = (sinv @ self._rhs0.reshape(n, n)
-                    @ sinvt.conj()).reshape(cells, 1, nn)
+                    @ sinvt.conj()).reshape(rows, 1, nn)
         if n > MAPS_MAX_N:
             # from a contiguous S^T: the product is then laid out as dmat,
             # and the reshape copies nothing
             dmat = (np.ascontiguousarray(st)[:, :, :, None]
-                    * sinv[:, :, None, :]).reshape(cells, n, nn)
+                    * sinv[:, :, None, :]).reshape(rows, n, nn)
             return {"weights0": weights0, "dmat": dmat}
-        ct = (st[:, :, :, None] * sinv[:, :, None, :]).reshape(cells, n, nn)
+        ct = (st[:, :, :, None] * sinv[:, :, None, :]).reshape(rows, n, nn)
         kmap = (ct[:, :, None, :] * ct.conj()[:, None, :, :]).reshape(
-            cells, nn, nn)
+            rows, nn, nn)
         emap = (st[:, :, None, :] * st.conj()[:, None, :, :]).reshape(
-            cells, nn, n)
+            rows, nn, n)
         fmap = (sinvt[:, :, :, None] * sinvt.conj()[:, :, None, :]).reshape(
-            cells, n, nn)
+            rows, n, nn)
         return {"kmap": kmap, "emap": emap, "fmap": fmap,
                 "weights0": weights0}
 
     def _select(self, cells):
-        """The arrays of `cells`, an index array (copies) or a slice."""
-        return _Cells._make(None if m is None else m[cells]
-                            for m in self._all)
+        """The arrays of `cells`, an index array or a slice (see _Cells):
+        views where they can be (the cells' own for a slice, the rows'
+        where each cell is on the next row, as a single cell is), else
+        gathered copies, and the rows' own maps."""
+        r, row = self._rows, self._row[cells]
+        runs = _runs(row)
+        (r0, r1, _, _), *more = runs
+        at = row if more or r1 - r0 < row.size else slice(r0, r1)
+        return _Cells(self._c[cells], r.s[at], r.sdag[at], r.sinv[at],
+                      self._mh[cells], self._mhd[cells], r.two_kappa[at],
+                      self._two_mu[cells], r.weights0[at], runs, r.kmap,
+                      r.emap, r.fmap, r.dmat)
+
+    @functools.cached_property
+    def _all(self):
+        """The arrays of every cell (_select), built on first use: a
+        stack whose chunks each hold only some of its cells never needs
+        them."""
+        return self._select(slice(None))
 
     def _kernel(self, g2, a, rhs, stats, slope=False, rates=False):
         """(X, diag X, dtrap, drates), X flattened, with L(X) = rhs at
@@ -779,13 +892,13 @@ class EigenbasisSteadySolver:
         flattened, shape (cells, k, n^2)): Re(R @ kmap), or without the
         map K[l, j] = sum_p Re(D[p, lj] T[p, lj]) with
         T = conj(conj R @ D), one matrix product per cell for all its
-        rates (see the class docstring).  T is conjugated in place: a
-        stored conj D would be a second n^3 array to fault in for every
-        solver."""
+        rates (see the class docstring); a stack without maps holds one
+        cell, so D is its one row's.  T is conjugated in place: a stored
+        conj D would be a second n^3 array to fault in for every solver."""
         n = self.n
         shape = ratio.shape[:-1] + (n, n)
         if self.kernel == "maps":
-            return (ratio @ a.kmap).real.reshape(shape)
+            return _by_row(a, ratio, a.kmap).real.reshape(shape)
         cells = len(a.s)
         t = (ratio.conj().reshape(cells, -1, n) @ a.dmat).reshape(
             cells, -1, n, n * n)
@@ -797,7 +910,7 @@ class EigenbasisSteadySolver:
         """diag(S Y S^dag), real, at every point of Y (y, flattened, of
         shape (..., cells, k, n^2))."""
         if self.kernel == "maps":
-            return (y @ a.emap).real
+            return _by_row(a, y, a.emap).real
         n = self.n
         ym = y.reshape(y.shape[:-1] + (n, n))
         return ((a.s[:, None] @ ym) * a.s.conj()[:, None]).real.sum(axis=-1)
@@ -806,7 +919,7 @@ class EigenbasisSteadySolver:
         """S^-1 Diag(p) S^-dag, flattened, at every point of the
         populations pops, shape (cells, k, n)."""
         if self.kernel == "maps":
-            return pops @ a.fmap
+            return _by_row(a, pops, a.fmap)
         n = self.n
         f = ((a.sinv[:, None] * pops[..., None, :])
              @ np.swapaxes(a.sinv.conj(), -1, -2)[:, None])
@@ -913,7 +1026,7 @@ class EigenbasisSteadySolver:
     def _singular(self, k, gamma, message):
         """SingularSystemError of cell k at gamma, with the dark-state hint
         when the cell has mu = 0 (a dark state makes L exactly singular)."""
-        if self._all.two_mu[k, 0] == 0:
+        if self._two_mu[k, 0] == 0:
             message += ("; with mu = 0 a dark state never decays -- "
                         "evaluate at mu = 1e-8 for the mu -> 0+ limit")
         return SingularSystemError(f"gamma={gamma:g}: {message}")

@@ -792,8 +792,9 @@ class TestSlopeRefinement:
             res = optimize_dephasing(self.SPEC)
         (record,) = [r for r in caplog.records
                      if r.msg.startswith("scan_refine")]
-        n, cells, refined, brackets, steps, bisections, largest = record.args
-        assert (n, cells, refined, brackets) == (5, 1, 1, 1)
+        (n, cells, refined, brackets, steps, bisections, largest,
+         rows) = record.args
+        assert (n, cells, refined, brackets, rows) == (5, 1, 1, 1, 1)
         assert 2 <= steps <= 8 and bisections == 0
         # a stationarity certificate: the slope at the reported gamma_opt
         solver = EigenbasisSteadySolver(self.SPEC)
@@ -1183,9 +1184,33 @@ def test_ring_rotation_invariance(cells, shift):
 
 
 class TestCellStacks:
-    # 5 x 4 = 20 cells: two batches of plane_sweep
+    # 5 x 4 = 20 cells: one stack of five kappa rows
     KAPPAS = [1e-3, 1e-2, 0.1, 1.0, 10.0]
     MUS = [1e-3, 1e-2, 0.3, 3.0]
+
+    def test_plane_sweep_is_one_stack_of_kappa_rows(self, monkeypatch):
+        # 16 x 16 cells at n = 5: one solver, one eigendecomposition per
+        # kappa row
+        eig, shapes = solver_module._eig, []
+
+        def counting(h, colours):
+            shapes.append(h.shape)
+            return eig(h, colours)
+
+        monkeypatch.setattr(solver_module, "_eig", counting)
+        grid = np.geomspace(*analysis.RATE_BOUNDS, 16)
+        pm = plane_sweep("chain", 5, 1, 3, kappa_grid=grid, mu_grid=grid)
+        assert not pm.errors
+        assert shapes == [(16, 5, 5)]
+
+    def test_max_enaqt_ranks_one_stack_of_kappa_rows(self, caplog):
+        # the 13 x 13 ranking grid: one stack, one lockstep refinement
+        with caplog.at_level(logging.DEBUG, logger="enaqt"):
+            max_enaqt("chain", 5, 2, 4)
+        records = [r.args for r in caplog.records
+                   if r.msg.startswith("scan_refine")]
+        n, cells, *_, rows = records[0]
+        assert (n, cells, rows) == (5, 169, 13)
 
     def test_plane_sweep_matches_single_optimizations(self):
         pm = plane_sweep("chain", 5, 2, 4, kappa_grid=self.KAPPAS,

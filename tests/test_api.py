@@ -1,6 +1,7 @@
 """The public API: each module lists its names once, and the package
 joins the lists."""
 
+import math
 import types
 
 import pytest
@@ -12,6 +13,7 @@ from enaqt import (
     SystemSpec,
     ValidationError,
     average_population,
+    chain_amplitude,
     dephased_efficiency_estimate,
     efficiency_curve,
     efficiency_direct,
@@ -102,6 +104,10 @@ _GRIDS = {"kappa_grid": [0.1], "mu_grid": [0.1]}
     lambda: plane_sweep("chain", 3, 1, 2, workers=-2, **_GRIDS),
     lambda: plane_sweep("chain", 3, 1, 2, workers=1.5, **_GRIDS),
     lambda: efficiency_gamma_grid(_CHAIN, [[0.1], [0.1, 0.2]]),
+    lambda: SystemSpec("chain", 3, (0,), 1, 1.0, 0.1, 0.0, v="a"),
+    lambda: chain_amplitude(3, 1, 2, "a"),
+    lambda: chain_amplitude(3, 1, 2, math.nan),
+    lambda: chain_amplitude(3, 1, 2, [[1.0], [1.0, 2.0]]),
 ], ids=["SystemSpec-topology", "max_enaqt-topology", "plane_sweep-topology",
         "average_population-topology", "SystemSpec-gamma-str",
         "SystemSpec-kappa-None", "SystemSpec-kappa-array", "solver-kappa-str",
@@ -112,7 +118,9 @@ _GRIDS = {"kappa_grid": [0.1], "mu_grid": [0.1]}
         "infinite_chain_enaqt-mu-str", "enaqt_estimate-kappa-str",
         "dephased_efficiency_estimate-kappa-str", "efficiency_direct-rho0-str",
         "plane_sweep-workers-0", "plane_sweep-workers-negative",
-        "plane_sweep-workers-float", "efficiency_gamma_grid-ragged"])
+        "plane_sweep-workers-float", "efficiency_gamma_grid-ragged",
+        "SystemSpec-v-str", "chain_amplitude-t-str", "chain_amplitude-t-nan",
+        "chain_amplitude-t-ragged"])
 def test_malformed_input_raises_validation_error(call):
     # errors.py's contract: every malformed input raises ValidationError
     # (CLI exit 2), never a bare ValueError or TypeError of numpy or of

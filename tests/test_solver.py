@@ -29,7 +29,7 @@ from enaqt import (
 import enaqt.solver as solver_module
 from enaqt.cli import main as cli_main
 from enaqt.model import _colouring, _site_density
-from enaqt.solver import DIRECT_MAX_N, _stack_size
+from enaqt.solver import DIRECT_MAX_N, _stack_size, _stacks
 from dense_oracles import (
     dense_generator,
     dense_lu_branching,
@@ -768,11 +768,56 @@ def test_solver_rejects_bad_dephasing_rates(call, gamma):
         call(solver, gamma)
 
 
-@pytest.mark.parametrize("n,cells", [(5, 26), (8, 4), (10, 1), (17, 1),
-                                     (64, 1)])
-def test_stack_size(n, cells):
-    # 16 n^4 bytes of maps a cell within STACK_BYTES, at least one cell
-    assert _stack_size(n) == cells
+@pytest.mark.parametrize("n,rows", [(5, 26), (8, 4), (10, 1), (17, 1),
+                                    (64, 1)])
+def test_stack_size(n, rows):
+    # 16 n^4 bytes of maps a kappa row within STACK_BYTES, at least one row
+    assert _stack_size(n) == rows
+
+
+@pytest.mark.parametrize("n, sizes", [
+    (5, [26 * 3, 4 * 3]),  # 26 rows of 3 mu cells, then the last 4 rows
+    (10, [3] * 30),        # one row a stack
+    (17, [1] * 90),        # one cell a stack above MAPS_MAX_N sites
+])
+def test_stacks_hold_whole_kappa_rows(n, sizes):
+    kappas = np.repeat(np.geomspace(1e-4, 1e2, 30), 3)
+    stacks = _stacks(n, kappas)
+    assert [at.stop - at.start for at in stacks] == sizes
+    assert stacks[0].start == 0 and stacks[-1].stop == kappas.size
+    assert all(a.stop == b.start for a, b in zip(stacks, stacks[1:]))
+
+
+def test_rows_in_any_order_equal_one_cell_solvers():
+    # cells of one kappa row share its eigendecomposition and maps, shifted
+    # by their own mu: each cell's grid equals (==) the one-cell solver's,
+    # and a point does not depend on the order of the cells or rows, or on
+    # which other cells share its call
+    spec = SystemSpec("chain", 5, (1,), 3, 1.0, 1.0, 0.0)
+    kappas = np.array([3.0, 0.1, 3.0, 100.0, 0.1, 3.0])
+    mus = np.array([0.01, 0.01, 1.0, 0.3, 2e-3, 1e-4])
+    solver = EigenbasisSteadySolver(spec, kappas, mus)
+    assert (solver.cells, solver.rows) == (6, 3)
+    gammas = np.concatenate([[0.0], np.geomspace(1e-4, 1e4, 7)])
+    chunk = solver._all
+    for i, row in enumerate(solver.eta_grid(gammas)):
+        one = spec.with_rates(kappa=kappas[i], mu=mus[i])
+        # the shifted generator is the cell's own, bit for bit
+        h = build_hamiltonian(one)
+        assert np.array_equal(chunk.mh[i], -1j * h)
+        assert np.array_equal(chunk.mhd[i], -1j * h.conj().T)
+        single = EigenbasisSteadySolver(one)
+        assert np.array_equal(row, single.eta_grid(gammas)[0])
+    cells = np.array([5, 0, 2, 2, 4, 1, 3])
+    at = np.geomspace(0.01, 100.0, cells.size)
+    got = solver.eta(at, cells, _rates=True)
+    reverse = EigenbasisSteadySolver(spec, kappas[::-1], mus[::-1])
+    for other in (solver.eta(at[::-1], cells[::-1], _rates=True),
+                  reverse.eta(at[::-1], 5 - cells[::-1], _rates=True)):
+        assert all(np.array_equal(g, w[::-1]) for g, w in zip(got, other))
+    for half in (slice(0, 3), slice(3, None)):
+        part = solver.eta(at[half], cells[half], _rates=True)
+        assert all(np.array_equal(g[half], w) for g, w in zip(got, part))
 
 
 def test_stack_redo_builds_nothing(monkeypatch):
@@ -1226,12 +1271,15 @@ def _geometries(draw):
 @given(_geometries())
 def test_eigendecomposition_through_the_sublattice(spec):
     # the solver's (lam, S), real through the 2-colouring where the
-    # geometry has one, diagonalize H and give the complex eig's spectrum
-    h = build_hamiltonian(spec)
-    lam, s = solver_module._eig(h[None], _colouring(spec))
-    lam, s = lam[0], s[0]
+    # geometry has one, taken once per kappa at mu = 0: shifted by -i mu
+    # (H(kappa, mu) = H(kappa, 0) - i mu I), they diagonalize H and give
+    # the complex eig's spectrum
+    lam, s = solver_module._eig(build_hamiltonian(spec.with_rates(mu=0.0))[
+        None], _colouring(spec))
+    lam, s = lam[0] - 1j * spec.mu, s[0]
     solver = EigenbasisSteadySolver(spec)
     assert np.array_equal(solver._all.s[0], s)
+    h = build_hamiltonian(spec)
     scale = np.linalg.norm(h, 2)
     assert (np.linalg.norm(h @ s - s * lam, 2)
             <= 1e-12 * scale * np.linalg.norm(s, 2))
