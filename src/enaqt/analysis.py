@@ -165,17 +165,24 @@ def _check_positive_rates(kappa, mu):
             f"mu={mu!r}")
 
 
-def _pool_map(func, tasks, workers=None) -> list:
-    """[func(t) for t in tasks], in order: spread over a process pool of
-    `workers` processes when workers > 1 (func and the tasks must then
-    pickle), else in this process.  workers, when given, must be an
-    integer >= 1 (ValidationError, before any task runs)."""
+def _worker_count(workers=None) -> int:
+    """The number of processes that `workers` asks for: 1 when None, else
+    an integer >= 1 (ValidationError otherwise)."""
     try:
         count = 1 if workers is None else operator.index(workers)
     except TypeError:
         count = 0
     if count < 1:
         raise ValidationError(f"workers must be >= 1, got {workers!r}")
+    return count
+
+
+def _pool_map(func, tasks, workers=None) -> list:
+    """[func(t) for t in tasks], in order: spread over a process pool of
+    `workers` processes when workers > 1 (func and the tasks must then
+    pickle), else in this process.  workers is checked by _worker_count
+    before any task runs."""
+    count = _worker_count(workers)
     if count > 1:
         with multiprocessing.Pool(count) as pool:
             return pool.map(func, tasks)
@@ -396,17 +403,18 @@ def _scan_refine(solver, refine_tol=REFINE_TOL, rates=False):
     bracketed when it is not gamma = 0, also where the next point ties
     it), so that the noise of a flat curve is never refined.  Each
     bracket runs in log gamma over the neighbours of its grid point, and
-    each cell reports the best of its brackets' certified answers.  A gain counts only above rounding:
-    unless eta_max - eta0 > 1e-12, the cell reports xi = 0 and
-    gamma_opt = 0 (rounding in eta scales with eta + eta_loss = 1, not
-    with eta).  Returns the pair (entries, xi_slopes) whatever `rates`.
-    entries holds one entry per cell: its EnaqtResult, or the
-    SingularSystemError of a solve that failed.  xi_slopes is None
-    without `rates`, and with it d xi/d log(kappa, mu), shape (cells, 2):
-    by the envelope theorem, d eta/d log rate at gamma_opt (from the
-    certifying solve) less d eta/d log rate at gamma = 0 (from the scan's
-    gamma = 0 column), NaN where xi = 0 or a rate slope is missing, as at
-    a failed cell (see EigenbasisSteadySolver.eta).  The callers build
+    each cell reports the best of its brackets' certified answers.  A
+    gain counts only above rounding: unless eta_max - eta0 > 1e-12, the
+    cell reports xi = 0 and gamma_opt = 0 (rounding in eta scales with
+    eta + eta_loss = 1, not with eta).  Returns the pair (entries,
+    xi_slopes) whatever `rates`.  entries holds one entry per cell: its
+    EnaqtResult, or the SingularSystemError of a solve that failed.
+    xi_slopes is None without `rates`, and with it d xi/d log(kappa, mu),
+    shape (cells, 2): by the envelope theorem, d eta/d log rate at
+    gamma_opt (from the certifying solve) less d eta/d log rate at
+    gamma = 0 (from the scan's gamma = 0 column), NaN where xi = 0 or a
+    rate slope is missing, as at a failed cell (see
+    EigenbasisSteadySolver.eta).  The callers build
     their stacks by solver._stacks, which knows the memory of a kappa
     row.  Leaves one DEBUG record: the cells, the cells and the brackets
     refined, the refinement's steps and bisection steps, the largest
@@ -946,14 +954,14 @@ def plane_sweep(topology, n=None, trap=None, init=None,
     cell stacks of whole kappa rows (solver._stacks: one
     eigendecomposition per row), each optimized by one batched scan and
     one lockstep refinement (see the module docstring), and semi-infinite
-    cells one by one, each with its own truncation.
-    The batches depend only on the grid and the geometry; with
-    workers > 1 they are the tasks of a process pool, and the map is
-    identical for any worker count.  Per-cell failures are recorded in
-    PlaneMap.errors (keyed (i, j)) with NaN values in the arrays, and are
-    not fatal; the other cells of the batch are unaffected.  Grid values
-    must be finite, strictly increasing and within the rate bounds
-    (ValidationError otherwise).
+    cells one by one, each with its own truncation.  With workers > 1 the
+    batches are the tasks of a process pool, at least `workers` of them
+    where the grid has that many kappa rows; a point's result does not
+    depend on its batch, so the map is identical for any worker count.
+    Per-cell failures are recorded in PlaneMap.errors (keyed (i, j)) with
+    NaN values in the arrays, and are not fatal; the other cells of the
+    batch are unaffected.  Grid values must be finite, strictly
+    increasing and within the rate bounds (ValidationError otherwise).
 
     For the semi-infinite topology, n/trap/init are ignored (geometry is
     set by offset) and the mu grid must respect the 0.1 cutoff.
@@ -981,7 +989,8 @@ def plane_sweep(topology, n=None, trap=None, init=None,
         spec0, stacks = None, [slice(i, i + 1) for i in range(len(cells))]
     else:
         spec0 = _geometry_spec(topology, n, trap, init)
-        stacks = _stacks(spec0.n, np.repeat(kappa_grid, mu_grid.size))
+        stacks = _stacks(spec0.n, np.repeat(kappa_grid, mu_grid.size),
+                         _worker_count(workers))
     tasks = [(spec0, offset, cells[at]) for at in stacks]
     rows = [row for batch in _pool_map(_sweep_batch, tasks, workers)
             for row in batch]

@@ -422,14 +422,16 @@ def _stack_size(n):
     return max(1, STACK_BYTES // (16 * n ** 4))
 
 
-def _stacks(n, kappas):
+def _stacks(n, kappas, parts=1):
     """The stacks of the n-site cells at the rates kappas (a 1-d array,
     one per cell, in order), as slices of the cells: whole runs of equal
-    kappa (rows), _stack_size(n) runs a stack, and one cell a stack above
-    MAPS_MAX_N sites."""
+    kappa (rows), _stack_size(n) runs a stack, or fewer where that makes
+    at least `parts` stacks (the tasks of a pool of `parts` processes),
+    and one cell a stack above MAPS_MAX_N sites."""
     first = (range(kappas.size) if n > MAPS_MAX_N else
              [0, *(np.flatnonzero(kappas[1:] != kappas[:-1]) + 1).tolist()])
-    cuts = [*first[::_stack_size(n)], kappas.size]
+    size = min(_stack_size(n), -(-len(first) // parts))
+    cuts = [*first[::size], kappas.size]
     return [slice(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
 
 
@@ -476,6 +478,26 @@ class _Cells(NamedTuple):
     dmat: np.ndarray | None = None
 
 
+def _solve(a, b):
+    """x with a x = b for a stack of n x n matrices a and n-vectors b (one
+    per matrix, or one for all), by numpy's LAPACK one matrix at a time:
+    the same bits whatever else the stack holds, down to one point alone.
+    x is NaN where a matrix is exactly singular (LAPACK's info > 0), a
+    point that the residual check then rejects; numpy raises for the
+    whole stack."""
+    try:
+        return np.linalg.solve(a, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        b = np.broadcast_to(b, a.shape[:-1])
+        x = np.full(b.shape, math.nan)
+        for at in np.ndindex(b.shape[:-1]):
+            try:
+                x[at] = np.linalg.solve(a[at], b[at][:, None])[:, 0]
+            except np.linalg.LinAlgError:
+                pass
+        return x
+
+
 def _runs(row):
     """The runs (r0, r1, lo, hi) of the row indices `row` of a chunk's
     cells: the cells lo:hi all on row r0 (r1 = r0 + 1), or each on the next
@@ -483,6 +505,8 @@ def _runs(row):
     that broadcasts against them.  A run of one cell is both, and a cell
     on the row after it joins it."""
     rows = row.tolist()
+    if len(rows) == 1:
+        return ((rows[0], rows[0] + 1, 0, 1),)
     cut = [0, *(np.flatnonzero(row[1:] != row[:-1]) + 1).tolist(), len(rows)]
     runs = []
     for lo, hi in zip(cut[:-1], cut[1:]):
@@ -634,7 +658,8 @@ class EigenbasisSteadySolver:
     product applies its row's map, or S, S^dag or H, to all its rates
     together (_by_row: never one product of several cells, so a point's
     result does not depend on its chunk), and one stacked solve covers
-    every point (a single LAPACK solve for one cell and one rate), in
+    every point (_solve: numpy's LAPACK, one matrix at a time, also for a
+    point alone, so that its bits do not depend on its chunk either), in
     chunks of at most BATCH_BYTES: all rates of as many cells as fit, or
     as many rates of one cell.  Above MAPS_MAX_N sites a stack holds one
     cell and a chunk one rate, and above DIRECT_MAX_N sites GMRES solves
@@ -830,26 +855,12 @@ class EigenbasisSteadySolver:
         if kmat is None:
             pops, adjoint = self._gmres(g2, b, stats, slope,
                                         rhs is self._rhs0)
-        elif kmat.size == n * n:
-            # LAPACK directly: a third of np.linalg.solve's cost at n ~ 5.
-            # One factorization for K p = b and, with slope, K^T w = t.  An
-            # exactly singular K (info > 0) gives a non-finite pops; the
-            # residual check then rejects the point.
-            lu, piv = sla.lapack.dgetrf(kmat.reshape(n, n))[:2]
-            pops = sla.lapack.dgetrs(lu, piv, b.reshape(n))[0].reshape(
-                b.shape)
-            if slope:
-                adjoint = sla.lapack.dgetrs(
-                    lu, piv, self._trap_indicator, trans=1)[0].reshape(
-                        b.shape)
-        elif slope:
-            # K p = b and the adjoint K^T w = t in one stacked solve
-            pops, adjoint = np.linalg.solve(
-                np.stack([kmat, np.swapaxes(kmat, -1, -2)]),
-                np.stack(np.broadcast_arrays(b, self._trap_indicator))[
-                    ..., None])[..., 0]
         else:
-            pops = np.linalg.solve(kmat, b[..., None])[..., 0]
+            # K p = b and, with slope, the adjoint K^T w = t
+            pops = _solve(kmat, b)
+            if slope:
+                adjoint = _solve(np.swapaxes(kmat, -1, -2),
+                                 self._trap_indicator)
         del kmat
         f = self._sandwich(a, pops)
         ratio *= f

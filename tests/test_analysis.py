@@ -1203,6 +1203,25 @@ class TestCellStacks:
         assert not pm.errors
         assert shapes == [(16, 5, 5)]
 
+    def test_plane_sweep_gives_each_worker_whole_rows(self, monkeypatch):
+        # the 16 x 16 cells of one serial stack are, for three workers,
+        # three tasks of whole kappa rows, and the map is the same
+        grid = np.geomspace(*analysis.RATE_BOUNDS, 16)
+        serial = plane_sweep("chain", 5, 1, 3, kappa_grid=grid, mu_grid=grid)
+        tasks = []
+
+        def in_process(func, batch, workers):
+            tasks.extend(batch)
+            return [func(t) for t in batch]
+
+        monkeypatch.setattr(analysis, "_pool_map", in_process)
+        pooled = plane_sweep("chain", 5, 1, 3, kappa_grid=grid, mu_grid=grid,
+                             workers=3)
+        assert [len(rates) for _, _, rates in tasks] == [6 * 16] * 2 + [64]
+        for name in ("eta0", "xi", "gamma_opt"):
+            assert np.array_equal(getattr(serial, name),
+                                  getattr(pooled, name))
+
     def test_max_enaqt_ranks_one_stack_of_kappa_rows(self, caplog):
         # the 13 x 13 ranking grid: one stack, one lockstep refinement
         with caplog.at_level(logging.DEBUG, logger="enaqt"):

@@ -1,7 +1,6 @@
 """Alternate whole benchmark rounds of two checkouts in fresh processes.
 
     python tools/ab_rounds.py WORKLOAD PARENT CHANGE [--pairs N] [--seed S]
-                              [--rounds R]
 
 WORKLOAD is one of `perfbench/workloads.py`'s (queries, plane-search,
 long-chain); PARENT and CHANGE are the roots of two checkouts.  Each pair
@@ -10,11 +9,11 @@ change and the parent again (the control), in that order on even pairs and
 reversed on odd ones, so that neither side always runs first.  A process
 imports its checkout's `perfbench/worker.py` (which imports that
 checkout's `src/enaqt` and refuses any other copy), makes the round with
-its `workloads.make_round`, runs the warm-up operation untimed, then R
-whole rounds (1 by default), with BLAS on one thread
-(`OPENBLAS_NUM_THREADS`, `OMP_NUM_THREADS` and `MKL_NUM_THREADS` set to
-1).  It reports the CPU seconds of a round (`time.process_time` over the
-R rounds, divided by R) and the median wall time of their operations.
+its `workloads.make_round`, runs the warm-up operation untimed, then one
+whole round, with BLAS on one thread (`OPENBLAS_NUM_THREADS`,
+`OMP_NUM_THREADS` and `MKL_NUM_THREADS` set to 1).  It reports the CPU
+seconds of the round (`time.process_time`) and the median wall time of
+its operations.
 
 For each metric the script prints the median and quartiles of each side,
 the change's and the control's median relative to the parent's, and in
@@ -36,14 +35,14 @@ import sys
 CHILD = r"""
 import json, os, sys, time
 root, workload = sys.argv[1:3]
-seed, rounds = map(int, sys.argv[3:])
+seed = int(sys.argv[3])
 sys.path.insert(0, os.path.join(root, "perfbench"))
 import worker, workloads
 ops = workloads.make_round(workload, seed)
 worker.run_round([workloads.warmup_op(workload)])
 cpu = time.process_time()
-records = [r for _ in range(rounds) for r in worker.run_round(ops)]
-cpu = (time.process_time() - cpu) / rounds
+records = worker.run_round(ops)
+cpu = time.process_time() - cpu
 print(json.dumps({"cpu_s": cpu, "latencies": [r["s"] for r in records],
                   "errors": sum(r["error"] is not None for r in records)}))
 """
@@ -52,14 +51,13 @@ SIDES = ("parent", "change", "control")
 METRICS = (("round_cpu_s", "s"), ("latency_p50_ms", "ms"))
 
 
-def run_rounds(root, workload, seed, rounds):
-    """(CPU seconds of a round, median operation latency in ms, errors) of
-    `rounds` rounds of `workload` in a fresh process of the checkout
-    `root`."""
+def run_round(root, workload, seed):
+    """(CPU seconds, median operation latency in ms, errors) of one round
+    of `workload` in a fresh process of the checkout `root`."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
     out = subprocess.run(
-        [sys.executable, "-c", CHILD, root, workload, str(seed), str(rounds)],
+        [sys.executable, "-c", CHILD, root, workload, str(seed)],
         cwd=root, env=env, check=True, capture_output=True, text=True).stdout
     got = json.loads(out.strip().splitlines()[-1])
     return (got["cpu_s"], 1e3 * statistics.median(got["latencies"]),
@@ -80,7 +78,6 @@ def main(argv=None):
     parser.add_argument("change")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--rounds", type=int, default=1)
     args = parser.parse_args(argv)
     roots = {"parent": os.path.abspath(args.parent),
              "change": os.path.abspath(args.change)}
@@ -90,8 +87,8 @@ def main(argv=None):
         seed = args.seed + pair
         order = SIDES if pair % 2 == 0 else SIDES[::-1]
         for side in order:
-            results[side].append(run_rounds(roots[side], args.workload, seed,
-                                            args.rounds))
+            results[side].append(run_round(roots[side], args.workload,
+                                           seed))
         print(f"pair {pair + 1}/{args.pairs} seed {seed}: " + "  ".join(
             f"{side} {results[side][-1][0]:.3f} s {results[side][-1][1]:.2f}"
             " ms" for side in SIDES), file=sys.stderr)
