@@ -26,13 +26,13 @@ gamma grid for all cells, then one elementwise search (_maximize, the
 only maximizer here: a secant search on the slope with bisection) that
 refines every grid-local maximum of every cell in lockstep, with one
 batched solve per step.  The solver gives a slope at every certified
-point, on every route.  max_enaqt's kappa and mu sweeps run on _maximize
-too: _scan_refine gives their slopes d xi/d log kappa and d xi/d log mu
-by the envelope theorem, from the solves it makes anyway, and a seed
-whose xi is 0 at both first points of a sweep leaves the lockstep (see
-max_enaqt).  How many rows a stack holds is the solver's choice
-(solver._stacks): a 16 x 16 plane sweep and max_enaqt's 13 x 13 ranking
-grid are each one stack up to 5 sites.
+point, on every route.  max_enaqt runs the same rule one level up: it
+refines every grid-local maximum of its (kappa, mu) ranking grid by line
+searches on _maximize along d xi/d log(kappa, mu), which _scan_refine
+gives by the envelope theorem from the solves it makes anyway, all
+seeds of a step in one stack (see max_enaqt).  How many rows a stack
+holds is the solver's choice (solver._stacks): a 16 x 16 plane sweep
+and max_enaqt's 13 x 13 ranking grid are each one stack up to 5 sites.
 """
 
 from __future__ import annotations
@@ -93,8 +93,6 @@ START_SITES = 4      # each side of the first semi-infinite truncation
 GRID_POINTS = 16     # log-spaced gamma grid of an optimization
 REFINE_TOL = 1e-4    # final bracket of an optimization, in log gamma
 PLANE_POINTS = 13    # max_enaqt's ranking grid, points per rate axis
-PLANE_SWEEPS = 3     # max_enaqt's coordinate sweeps per seed
-PLANE_STARTS = 4     # max_enaqt's seeds
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -533,105 +531,105 @@ def max_enaqt(topology, n: int, trap_site: int,
               initial_site: int) -> MaxEnaqt:
     """Maximum xi over the (kappa, mu) plane for one geometry.
 
-    Scans a PLANE_POINTS x PLANE_POINTS log grid over [1e-4, 1e2]^2, then
-    refines by PLANE_SWEEPS coordinate sweeps of shrinking span, each a
-    1-d maximization (_maximize) in log kappa or log mu on a bracket
-    clipped to RATE_BOUNDS.  The landscape can hold several local maxima (a
-    dephasing-peak basin and a large-gamma plateau basin, sometimes
-    more), so the sweeps restart from up to PLANE_STARTS well-separated
-    top grid cells.  Every candidate is re-evaluated with the full
-    optimizer, so the reported xi carries the production solve's
-    accuracy; kappa and mu are resolved to about the final sweep span.
+    The gamma search's rule one level up (_scan_refine).  A PLANE_POINTS
+    x PLANE_POINTS log grid over RATE_BOUNDS^2 is optimized as one
+    ranking stack, with the GRID_POINTS gamma grid and a coarse 1e-3
+    refinement tolerance; it also gives every cell's d xi/d log(kappa, mu)
+    by the envelope theorem.  Every grid-local maximum seeds a climb: a
+    cell at least as high as those of its eight neighbours that come
+    before it in row-major order, and higher than those after, unless it
+    rises above none of them by more than 1e-12 (rounding).  The best
+    cell, the last of equal ones, is a seed too.
 
-    The ranking grid is optimized as one cell stack of its PLANE_POINTS
-    kappa rows up to 5 sites, in stacks of whole rows above (the
-    GRID_POINTS gamma grid and a coarse 1e-3 refinement tolerance; gamma
-    is refined on the slope as in optimize_dephasing), and the seeds
-    refine in lockstep: each step of their kappa (or mu) sweeps evaluates
-    one cell per seed as one stack, as do the final optimizations.  A
-    sweep step also returns d xi/d log kappa (or mu) of every cell, by
-    the envelope theorem (_scan_refine), so the sweeps run _maximize's
-    secant search on the slope, and an optimum on a rate bound is
-    settled by its end probe.
-    The solver gives these slopes on every route (its direct kernels,
-    its GMRES route above solver.DIRECT_MAX_N sites and its fallback
-    chain).  xi = 0 (no gain) has no slope, and shows no direction: a
-    seed with xi = 0 at both first points of a sweep stops there and
-    keeps its own rate, and one with xi = 0 at one of them runs the
-    secant search from the other, on the side its slope points to, and
-    bisects toward the zero point where that side leads back to it.  So
-    a geometry without any gain costs one step per sweep, and reports
-    the top seed's own grid cell.  Each sweep leaves one DEBUG record:
-    the axis, the seeds, the steps, the bisection steps, how many seeds
-    ended on a point without a slope other than xi = 0 (unsloped), and
-    the largest |d xi/d log rate| at the seeds' last points.
+    Each seed climbs by line searches along its slope in log rates, less
+    any component that points out of RATE_BOUNDS.  A line search is
+    _maximize on xi and its slope along the line, from the seed's point
+    over one grid step at most, all live seeds in one stack per step; one
+    more stack gives the slopes where the seeds moved to.  A point that
+    meets a bound slides along it, and only the free components count in
+    its slope.  xi = 0 (no gain) has no slope: a line search meets it as
+    _maximize's flat zero, and a seed with xi = 0 at both first points
+    keeps its point.  A seed stops where it is when a line search would
+    move it less than REFINE_TOL, and when its slope has no free
+    component left (an optimum on a bound) or none at all.  The climb
+    ends after PLANE_POINTS line searches at most, enough to cross a
+    whole axis.  A geometry without any gain thus has one seed, its last
+    grid cell (100, 100), which does not move.
+
+    Every seed's point is then re-evaluated with the full optimizer, and
+    the best, the first of equal ones, is reported, so that xi carries
+    the production solve's accuracy.  The solver gives the rate slopes on
+    every route (its direct kernels, its GMRES route above
+    solver.DIRECT_MAX_N sites and its fallback chain).  Each line search
+    leaves one DEBUG record: the seeds, the steps, the bisection steps,
+    how many seeds ended on a point without a slope other than xi = 0
+    (unsloped), and the largest |slope| along the line at their last
+    points.
 
     Sites are 1-based.
     """
     spec0 = _geometry_spec(topology, n, trap_site, initial_site,
                            ("trap_site", "initial_site"))
 
-    def optimized(kappas, mus, *search, rates=False):
-        # one result per broadcast (kappa, mu) pair, in row-major order, and
-        # with `rates` their d xi/d log(kappa, mu), shape (pairs, 2)
-        kappas, mus = np.broadcast_arrays(kappas, mus)
-        results, slopes = _optimize_cells(spec0, kappas.ravel(), mus.ravel(),
-                                          *search, rates=rates)
-        return [_raised(res) for res in results], slopes
-
-    def xi(kappas, mus, axis=None):
-        # coarse xi for ranking: 1e-3 refinement tolerance; with an axis,
-        # the pair (xi, d xi/d log kappa (0) or mu (1))
-        shape = np.broadcast_shapes(np.shape(kappas), np.shape(mus))
-        results, slopes = optimized(kappas, mus, 1e-3,
-                                    rates=axis is not None)
-        values = np.array([res.xi for res in results]).reshape(shape)
-        return values if axis is None else (
-            values, slopes[:, axis].reshape(shape))
+    def optimized(rates, *search):
+        # xi at the (kappa, mu) rows of rates and, with the coarse search
+        # tolerance, d xi/d log(kappa, mu)
+        results, slopes = _optimize_cells(spec0, *rates.T, *search,
+                                          rates=bool(search))
+        return np.array([_raised(res).xi for res in results]), slopes
 
     grid = np.geomspace(*RATE_BOUNDS, PLANE_POINTS)
-    ranked = xi(grid[:, None], grid[None, :])
-    cells = sorted(((float(ranked[i, j]), i, j)
-                    for i in range(PLANE_POINTS) for j in range(PLANE_POINTS)),
-                   reverse=True)
-
-    # well-separated seeds: skip any cell adjacent to a better kept one
-    seeds = []
-    for x, i, j in cells:
-        if all(max(abs(i - i0), abs(j - j0)) > 1 for _, i0, j0 in seeds):
-            seeds.append((x, i, j))
-        if len(seeds) == PLANE_STARTS:
+    rates = np.stack(np.meshgrid(grid, grid, indexing="ij"), -1).reshape(-1, 2)
+    values, slopes = optimized(rates, 1e-3)
+    # each cell's 3 x 3 neighbourhood, row-major, NaN off the grid
+    near = np.lib.stride_tricks.sliding_window_view(np.pad(
+        values.reshape(grid.size, -1), 1, constant_values=math.nan),
+        (3, 3)).reshape(-1, 9)
+    top = ~((near > values[:, None])
+            | (near == values[:, None]) & (np.arange(9) > 4)).any(1)
+    top &= values - np.fmin.reduce(near, 1) > 1e-12
+    top[values.size - 1 - np.argmax(values[::-1])] = True
+    rates, slopes = rates[top], slopes[top]
+    x, (lo, hi) = _log(rates), _log(RATE_BOUNDS)
+    live = np.arange(len(x))
+    for _ in range(PLANE_POINTS):
+        out = (x[live] <= lo) & (slopes < 0) | (x[live] >= hi) & (slopes > 0)
+        slopes = np.where(out, 0.0, slopes)
+        norm = np.hypot(*slopes.T)
+        live, ahead = live[norm > 0], slopes[norm > 0] / norm[norm > 0, None]
+        if not live.size:
             break
 
-    lo_log, hi_log = math.log(RATE_BOUNDS[0]), math.log(RATE_BOUNDS[1])
-    # (kappa, mu) of each seed; a sweep along axis moves column axis
-    seeds = grid[[(i, j) for _, i, j in seeds]]
-    step = math.log(grid[1] / grid[0])
-    for _ in range(PLANE_SWEEPS):
-        for axis in (0, 1):
-            def val(x, sel):
-                # x holds one row of points per live seed sel
-                v = _exp(x)
-                fixed = seeds[sel, 1 - axis].reshape(
-                    (-1,) + (1,) * (v.ndim - 1))
-                return xi(*((v, fixed) if axis == 0 else (fixed, v)), axis)
+        def line(t, sel):
+            # xi at each seed's points t along its line, clipped to the
+            # bounds, and its slope there, from the components that move
+            at = np.repeat(sel, t.size // sel.size)
+            free = x[live[at]] + t.reshape(-1, 1) * ahead[at]
+            point = np.clip(free, lo, hi)
+            values, slopes = optimized(_exp(point), 1e-3)
+            along = (slopes * ahead[at] * (free == point)).sum(1)
+            return values.reshape(t.shape), along.reshape(t.shape)
 
-            center = _log(seeds[:, axis])
-            stats = {}
-            x = _maximize(val, np.maximum(center - step, lo_log),
-                          np.minimum(center + step, hi_log), 1e-3, stats)
-            # a seed with xi = 0 at both first points keeps its own rate
-            seeds[:, axis] = np.where(np.isnan(x), seeds[:, axis], _exp(x))
-            _logger.debug(
-                "max_enaqt sweep axis=%s seeds=%d steps=%d bisections=%d "
-                "unsloped=%d max_abs_slope=%.2e", ("kappa", "mu")[axis],
-                len(seeds), stats["steps"], stats["bisections"],
-                stats["unsloped"], stats["max_abs_slope"])
-        step *= 0.35
-
-    finals = [res.xi for res in optimized(*seeds.T)[0]]
+        stats = {}
+        t = _maximize(line, np.zeros(live.size),
+                      np.full(live.size, (hi - lo) / (grid.size - 1)),
+                      REFINE_TOL, stats)
+        _logger.debug(
+            "max_enaqt line search seeds=%d steps=%d bisections=%d "
+            "unsloped=%d max_abs_slope=%.2e", live.size, stats["steps"],
+            stats["bisections"], stats["unsloped"], stats["max_abs_slope"])
+        # a seed that would move less than REFINE_TOL stays, as does one
+        # with no gain at both first points (t NaN), and it stops
+        x[live] = np.where(t[:, None] >= REFINE_TOL, np.clip(
+            x[live] + t[:, None] * ahead, lo, hi), x[live])
+        live = live[t >= REFINE_TOL]
+        if not live.size:
+            break
+        rates[live] = _exp(x[live])
+        slopes = optimized(rates[live], 1e-3)[1]
+    finals = optimized(rates)[0]
     best = int(np.argmax(finals))  # the first of equal maxima
-    return MaxEnaqt(finals[best], *map(float, seeds[best]))
+    return MaxEnaqt(float(finals[best]), *map(float, rates[best]))
 
 
 def eta3_closed_form(gamma: float, kappa: float, mu: float) -> float:
@@ -976,11 +974,10 @@ def plane_sweep(topology, n=None, trap=None, init=None,
             raise ValidationError(f"{name} must be a non-empty 1-d sequence")
         if np.any(np.diff(grid) <= 0):
             raise ValidationError(f"{name} must be strictly increasing")
-        lo = (MU_CUTOFF_INFINITE
-              if (name == "mu_grid"
-                  and topology is Topology.SEMI_INFINITE)
-              else RATE_BOUNDS[0])
-        if grid[0] < lo * (1 - 1e-12) or grid[-1] > RATE_BOUNDS[1] * (1 + 1e-12):
+        lo = (MU_CUTOFF_INFINITE if name == "mu_grid"
+              and topology is Topology.SEMI_INFINITE else RATE_BOUNDS[0])
+        if (grid[0] < lo * (1 - 1e-12)
+                or grid[-1] > RATE_BOUNDS[1] * (1 + 1e-12)):
             raise ValidationError(
                 f"{name} must lie within [{lo:g}, {RATE_BOUNDS[1]:g}]")
     cells = [(float(kv), float(mv)) for kv in kappa_grid for mv in mu_grid]

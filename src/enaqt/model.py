@@ -1,4 +1,5 @@
-"""Model construction: Hamiltonians, attenuation, and master-equation generators.
+"""Model construction: Hamiltonians, attenuation, and master-equation
+generators.
 
 Site geometry
 -------------

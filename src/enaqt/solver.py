@@ -545,9 +545,10 @@ class EigenbasisSteadySolver:
     shared across all dephasing rates.  It is a real one (_eig) wherever
     the hopping is bipartite (chains, even rings, semi-infinite
     truncations): D^-1 H D is -i times a real matrix for D = diag(i^c), c
-    a 2-colouring of the sites; an odd ring keeps the complex one.  With c_pq = -i(lam_p - conj(lam_q))
-    the coherent part with uniform dephasing,
-    A(X) = -i(H X - X H^dag) - 2*gamma*X, is diagonal in that basis:
+    a 2-colouring of the sites; an odd ring keeps the complex one.  With
+    c_pq = -i(lam_p - conj(lam_q)) the coherent part with uniform
+    dephasing, A(X) = -i(H X - X H^dag) - 2*gamma*X, is diagonal in that
+    basis:
 
         A(X) = S [(S^-1 X S^-dag) o D] S^dag,   D = c - 2*gamma.
 
@@ -1191,14 +1192,14 @@ class EigenbasisSteadySolver:
         of cell ids[i] (an index array) from rho0 (the initial site when
         None, else as_density_vec's vector), NaN, and route None, for a
         cell failed by the end of the call; the other points are counted
-        in `routes`.  The populations stay in _batch (the warm start).  slopes holds
-        d eta/d log gamma with `slope`, else it is None.  Rate slopes hold
-        d eta/d log(kappa, mu) with `rates`, else None: at every point
-        with `slope`, shape (rows, k, 2), and without it at gammas[:, 0],
-        which must be 0, in rate slopes[:, 0].  The points form one _batch
-        per chunk of at most BATCH_BYTES, at 16 n^2 bytes a point up to
-        MAPS_MAX_N sites and 16 n^3 above, or of one point on the GMRES
-        kernel (warm-started as the class docstring says)."""
+        in `routes`.  The populations stay in _batch (the warm start).
+        slopes holds d eta/d log gamma with `slope`, else it is None.  Rate
+        slopes hold d eta/d log(kappa, mu) with `rates`, else None: at
+        every point with `slope`, shape (rows, k, 2), and without it at
+        gammas[:, 0], which must be 0, in rate slopes[:, 0].  The points
+        form one _batch per chunk of at most BATCH_BYTES, at 16 n^2 bytes a
+        point up to MAPS_MAX_N sites and 16 n^3 above, or of one point on
+        the GMRES kernel (warm-started as the class docstring says)."""
         every = ids is self._ids or ids.size == self.cells and (
             self.cells == 1 or (ids == self._ids).all())
         rhs, bnorm = ((self._rhs0, 1.0) if rho0 is None
@@ -1281,7 +1282,8 @@ class EigenbasisSteadySolver:
         for every cell; a direct kernel leaves one DEBUG record."""
         gammas = np.asarray(_rate("gamma", gammas, True), dtype=float)
         if gammas.ndim != 1 or gammas.size == 0:
-            raise ValidationError("gamma grid must be a non-empty 1-d sequence")
+            raise ValidationError(
+                "gamma grid must be a non-empty 1-d sequence")
         out = self._points(np.broadcast_to(gammas, (self.cells, gammas.size)),
                            self._ids, rates=rates)
         if self.kernel != "gmres":

@@ -6,12 +6,17 @@ accumulator solve it independently of the library's population-space
 engine, so tests can check that engine against them.  Dense matrices make
 them practical up to about 16 sites; sparse_lu_branching assembles the
 same generator from sparse Kronecker products for larger chains.
+
+The rate-plane oracles check max_enaqt's (kappa, mu) search against a
+denser sweep of the plane and against a general-purpose local optimizer.
 """
 
+import math
 import warnings
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.optimize
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -20,7 +25,10 @@ from enaqt import (
     SingularSystemError,
     SystemSpec,
     build_hamiltonian,
+    optimize_dephasing,
+    plane_sweep,
 )
+from enaqt.analysis import RATE_BOUNDS
 from enaqt.model import _site_density
 from enaqt.solver import RESID_ACCEPT, RESID_TARGET, _refine
 
@@ -147,3 +155,27 @@ def efficiency_accumulator(spec, epsilon: float = 1.0) -> EfficiencyReport:
     pops = x[:: n + 1]
     eta_loss = _real_checked(2.0 * spec.mu * pops.sum(), "lost probability")
     return EfficiencyReport(eta, eta_loss, "accumulator", resid)
+
+
+def rate_plane_sweep_xi(topology, n, trap, init, points=49):
+    """The largest xi of a points x points plane_sweep over RATE_BOUNDS
+    (1-based sites)."""
+    grid = np.geomspace(*RATE_BOUNDS, points)
+    return float(np.max(plane_sweep(topology, n, trap, init,
+                                    kappa_grid=grid, mu_grid=grid).xi))
+
+
+def rate_plane_polish_xi(topology, n, trap, init, kappa, mu):
+    """optimize_dephasing's xi, maximized over (log kappa, log mu) within
+    RATE_BOUNDS by L-BFGS-B (finite-difference gradients) from (kappa,
+    mu), 1-based sites.  The optimizer never ends below its start."""
+    spec = SystemSpec(topology, n, (trap - 1,), init - 1, kappa, mu, 0.0)
+
+    def loss(x):
+        return -optimize_dephasing(spec.with_rates(
+            kappa=math.exp(x[0]), mu=math.exp(x[1]))).xi
+
+    bounds = [tuple(math.log(r) for r in RATE_BOUNDS)] * 2
+    start = np.clip(np.log([kappa, mu]), *bounds[0])
+    return -scipy.optimize.minimize(loss, start, method="L-BFGS-B",
+                                    bounds=bounds).fun

@@ -2,6 +2,7 @@
 
 import logging
 import math
+import os
 
 import numpy as np
 import pytest
@@ -32,7 +33,14 @@ from enaqt import (
 )
 from enaqt import analysis
 import enaqt.solver as solver_module
-from dense_oracles import dense_lu_branching, hopping, sparse_lu_branching
+import make_ledger
+from dense_oracles import (
+    dense_lu_branching,
+    hopping,
+    rate_plane_polish_xi,
+    rate_plane_sweep_xi,
+    sparse_lu_branching,
+)
 
 FIG1B = SystemSpec("chain", 3, (0,), 1, kappa=0.1, mu=0.01, gamma=0.0)
 
@@ -867,9 +875,9 @@ class TestEveryLocalMaximum:
 
 
 class TestRateSlopeSweeps:
-    """max_enaqt's kappa and mu sweeps run on d xi/d log rate, which
-    _scan_refine gives by the envelope theorem from solves it makes
-    anyway."""
+    """max_enaqt climbs from every grid-local maximum by line searches on
+    d xi/d log(kappa, mu), which _scan_refine gives by the envelope
+    theorem from solves it makes anyway."""
 
     @pytest.mark.parametrize("spec", [
         # chain N=5, trap 2, start 4 (1-based): criterion 4's optimum
@@ -898,7 +906,7 @@ class TestRateSlopeSweeps:
 
     def test_no_gain_no_slope(self):
         # trap 2, start 4 of the five-site chain has xi = 0 at kappa 1,
-        # mu 0.1; a slope there would steer a sweep by rounding noise
+        # mu 0.1; a slope there would steer a climb by rounding noise
         spec = SystemSpec("chain", 5, (1,), 3, 1.0, 0.1, 0.0)
         cells = spec, [1.0, 100.0], [0.1, 0.00276]
         results, slopes = analysis._optimize_cells(*cells, rates=True)
@@ -908,14 +916,14 @@ class TestRateSlopeSweeps:
         assert results == analysis._optimize_cells(*cells)[0]
 
     @pytest.mark.parametrize("geometry, calls", [
-        (("chain", 5, 2, 4), 29),
-        # antipodal ring: xi = 0 everywhere, so every seed stops after the
-        # first step of each sweep
-        (("ring", 4, 1, 3), 8),
-    ])
+        (("chain", 5, 2, 4), 11),
+        # antipodal ring: xi = 0 everywhere, so no seed has a slope and
+        # nothing climbs
+        (("ring", 4, 1, 3), 2),
+    ], ids=["chain5", "ring4"])
     def test_sweep_call_count(self, monkeypatch, geometry, calls):
-        # the ranking grid, the sweep steps and the final optimizations;
-        # golden-section sweeps made 94 calls for either geometry
+        # the ranking grid, the line-search steps, the slopes where the
+        # seeds moved to and the final optimizations
         optimize_cells, counted = analysis._optimize_cells, []
 
         def counting(*args, **kwargs):
@@ -924,61 +932,140 @@ class TestRateSlopeSweeps:
 
         monkeypatch.setattr(analysis, "_optimize_cells", counting)
         max_enaqt(*geometry)
-        assert len(counted) == calls
-        # only the sweep steps ask for rate slopes
-        assert counted[0] is False and counted[-1] is False
-        assert all(counted[1:-1])
+        # all but the final optimizations ask for rate slopes
+        assert counted == [True] * (calls - 1) + [False]
 
     def test_one_debug_record_per_sweep(self, caplog):
+        # one record per line search: seeds, steps, bisections, unsloped
+        # and the largest slope along the line
         with caplog.at_level(logging.DEBUG, logger="enaqt"):
             best = max_enaqt("chain", 5, 2, 4)
-        records = [r.args for r in caplog.records
-                   if r.msg.startswith("max_enaqt sweep")]
-        assert [r[0] for r in records] == ["kappa", "mu"] * 3
-        assert all(r[1] == analysis.PLANE_STARTS for r in records)
-        # steps: the calls of test_sweep_call_count less the ranking grid
-        # and the final optimizations
-        assert sum(r[2] for r in records) == 29 - 2
-        for axis, seeds, steps, bisections, unsloped, largest in records:
+        records = _line_searches(caplog)
+        assert [r[0] for r in records] == [1, 1]
+        # steps: the calls of test_sweep_call_count less the ranking grid,
+        # the final optimizations and the slopes after each line search
+        # but the last
+        assert sum(r[1] for r in records) == 11 - 2 - (len(records) - 1)
+        for seeds, steps, bisections, unsloped, largest in records:
             assert 0 <= bisections < steps and unsloped == 0
-        # the last sweeps run on slopes: kappa ends on the bound 100,
-        # where xi still rises, and mu inside the bracket
-        assert records[-2][4] == records[-1][4] == 0
+            assert math.isfinite(largest)
+        # the climb ends on the bound kappa = 100, where xi still rises,
+        # stationary along its last line
+        assert records[-1][4] < 1e-4
         assert best.kappa == pytest.approx(100.0)
-        assert all(math.isfinite(r[5]) for r in records[-2:])
 
     def test_seeds_without_gain_keep_their_points(self, caplog):
-        # the antipodal ring has xi = 0 everywhere: every seed stops after
-        # the first step of every sweep and keeps its own grid cell
+        # the antipodal ring has xi = 0 everywhere: no grid-local maximum,
+        # and the best cell, the last of equal ones, has no slope to climb
         with caplog.at_level(logging.DEBUG, logger="enaqt"):
             best = max_enaqt("ring", 4, 1, 3)
-        records = [r.args for r in caplog.records
-                   if r.msg.startswith("max_enaqt sweep")]
-        assert len(records) == 2 * analysis.PLANE_SWEEPS
-        assert [(r[2], r[4]) for r in records] == [(1, 0)] * len(records)
-        grid = np.geomspace(*analysis.RATE_BOUNDS, analysis.PLANE_POINTS)
-        assert best.xi == 0.0
-        assert best.kappa in grid.tolist() and best.mu in grid.tolist()
+        assert not _line_searches(caplog)
+        assert best == (0.0, 100.0, 100.0)
 
-    def test_seed_with_one_zero_point_runs_on_its_slope(self, caplog):
-        # a seed of the five-site chain meets xi = 0 at one first point of
-        # the first kappa sweep; it runs the secant search from the other
-        with caplog.at_level(logging.DEBUG, logger="enaqt"):
-            max_enaqt("chain", 5, 2, 4)
-        first = next(r.args for r in caplog.records
-                     if r.msg.startswith("max_enaqt sweep"))
-        assert first[0] == "kappa" and first[4] == 0
+    def test_seed_with_one_zero_point_runs_on_its_slope(self, monkeypatch):
+        # chain 8 (4, 5) has two seeds.  The lower one meets xi = 0 at
+        # one first point of its first line search and runs the secant
+        # search from the other; in its third both first points are 0,
+        # and it keeps its point.  The other climbs to the optimum on
+        # kappa = 100
+        maximize, firsts, moves = analysis._maximize, [], []
+
+        def watched(f, a, b, tol, stats=None):
+            if np.any(a):  # a gamma refinement, not a line search
+                return maximize(f, a, b, tol, stats)
+
+            def first(x, idx):
+                values, slopes = f(x, idx)
+                if x.ndim == 2:
+                    firsts.append((values == 0.0).sum(1).tolist())
+                return values, slopes
+
+            moves.append(maximize(first, a, b, tol, stats))
+            return moves[-1]
+
+        monkeypatch.setattr(analysis, "_maximize", watched)
+        best = max_enaqt("chain", 8, 4, 5)
+        assert firsts == [[1, 0], [0, 0], [2, 0]]
+        assert moves[0][0] >= analysis.REFINE_TOL
+        assert math.isnan(moves[2][0])
+        assert best.kappa == pytest.approx(100.0) and best.xi >= 0.044162
 
     def test_sweeps_run_on_slopes_above_sixteen_sites(self, caplog):
         # the map-free kernel (17 to DIRECT_MAX_N sites) solves the
         # adjoint, so every seed has rate slopes and none ends without
         with caplog.at_level(logging.DEBUG, logger="enaqt"):
             best = max_enaqt("chain", 17, 1, 2)
-        records = [r.args for r in caplog.records
-                   if r.msg.startswith("max_enaqt sweep")]
-        assert len(records) == 2 * analysis.PLANE_SWEEPS
-        assert [r[4] for r in records] == [0] * len(records)
+        records = _line_searches(caplog)
+        assert records and [r[3] for r in records] == [0] * len(records)
         assert best.xi > 0.2
+
+    def test_every_grid_local_maximum_climbs(self, caplog):
+        # chain 3 (1, 2) has two grid-local maxima in its ranking grid,
+        # and both climb, in one stack per step
+        with caplog.at_level(logging.DEBUG, logger="enaqt"):
+            max_enaqt("chain", 3, 1, 2)
+        assert _line_searches(caplog)[0][0] == 2
+
+    def test_ridge_optimum_on_the_kappa_bound(self):
+        # mu* falls as kappa rises toward the bound: a ridge on which
+        # alternating kappa and mu searches zig-zag
+        best = max_enaqt("chain", 8, 2, 5)
+        assert best.kappa == pytest.approx(100.0) and best.xi >= 0.109490
+
+    def test_climb_ends_at_its_bound(self, monkeypatch, caplog):
+        # line searches cut to 1e-3 in log rate keep moving: the climb
+        # ends after PLANE_POINTS of them, above its grid cell and short
+        # of the optimum
+        maximize = analysis._maximize
+
+        def short(f, a, b, tol, stats=None):
+            x = maximize(f, a, b, tol, stats)
+            return x if np.any(a) else np.minimum(x, 1e-3)
+
+        monkeypatch.setattr(analysis, "_maximize", short)
+        grid = np.geomspace(*analysis.RATE_BOUNDS, analysis.PLANE_POINTS)
+        spec = SystemSpec("chain", 5, (1,), 3, 1.0, 1.0, 0.0)
+        kappas, mus = (v.ravel() for v in np.meshgrid(grid, grid,
+                                                      indexing="ij"))
+        ranked, _ = analysis._optimize_cells(spec, kappas, mus, 1e-3)
+        with caplog.at_level(logging.DEBUG, logger="enaqt"):
+            best = max_enaqt("chain", 5, 2, 4)
+        assert len(_line_searches(caplog)) == analysis.PLANE_POINTS
+        assert max(res.xi for res in ranked) < best.xi < 0.064000484 - 1e-6
+
+    @pytest.mark.parametrize("geometry", make_ledger.PLANE_GEOMETRIES,
+                             ids=make_ledger._key)
+    def test_rate_plane_oracles(self, geometry):
+        _check_rate_plane_oracles([geometry])
+
+    @pytest.mark.skipif(not os.environ.get("ENAQT_EXTENDED_TABLE"),
+                        reason="every ledger geometry: set "
+                               "ENAQT_EXTENDED_TABLE=1")
+    def test_rate_plane_oracles_on_the_ledger(self):
+        _check_rate_plane_oracles(dict.fromkeys(
+            make_ledger.PLANE_GEOMETRIES + make_ledger.TABLE_GEOMETRIES
+            + make_ledger.RING_GEOMETRIES))
+
+
+def _line_searches(caplog):
+    """The arguments of max_enaqt's DEBUG records, one per line search."""
+    return [r.args for r in caplog.records
+            if r.msg.startswith("max_enaqt line search")]
+
+
+def _check_rate_plane_oracles(geometries):
+    """max_enaqt's xi against a 49 x 49 plane_sweep and an L-BFGS-B
+    polish from its own point: never below either by more than 1e-9."""
+    short = []
+    for geometry in geometries:
+        best = max_enaqt(*geometry)
+        for name, xi in (
+                ("sweep", rate_plane_sweep_xi(*geometry)),
+                ("polish", rate_plane_polish_xi(*geometry, best.kappa,
+                                                best.mu))):
+            if best.xi < xi - 1e-9:
+                short.append((geometry, name, best.xi, xi))
+    assert not short
 
 
 def _dense_argmax(f, a, b, tol):
